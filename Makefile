@@ -67,14 +67,14 @@ federation-smoke:
 
 # Sabotage-tolerance smoke: the sabotage_sweep scenario through the
 # parallel runner plus the certification/adversary suites on BOTH
-# task paths — cohort engine and the per-PNA process oracle
-# (DESIGN.md §15).
+# task paths — cohort engine and, via the --per-pna-oracle test
+# option, the per-PNA DVE oracle (DESIGN.md §15).
 certify-smoke:
 	$(PYTHON) -m repro sabotage_sweep --smoke --jobs 2
 	$(PYTHON) -m pytest tests/certify tests/faults/test_adversaries.py \
 		tests/faults/test_plan.py tests/faults/test_signature_corruption.py -q
-	REPRO_TASK_PATH=process $(PYTHON) -m pytest tests/certify \
-		tests/faults/test_adversaries.py -q
+	$(PYTHON) -m pytest tests/certify tests/faults/test_adversaries.py \
+		-q --per-pna-oracle
 
 # Vector-tier parity smoke: the columnar system/fault-mask/telemetry
 # suites, the event-vs-vector agreement suite, the vector_scale

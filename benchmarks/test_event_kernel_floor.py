@@ -34,7 +34,7 @@ MIN_BUDGET_S = 10.0
 def test_cohort_event_tier_holds_wall_clock_floor():
     scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
     budget = max(MIN_BUDGET_S, FULL_BUDGET_S * scale / FULL_SCALE)
-    metrics = run_scenario(scale, task_path="cohort")
+    metrics = run_scenario(scale)
     # The run must be the real workload, not a degenerate fast one.
     assert metrics["n_tasks"] == scale * SCENARIO["tasks_per_node"]
     assert metrics["distinct_workers"] == scale

@@ -56,7 +56,7 @@ def test_federation_scenario_is_an_equivalence_check():
 def test_federated_cycle_holds_wall_clock_floor():
     scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
     budget = max(MIN_BUDGET_S, FULL_BUDGET_S * scale / FULL_SCALE)
-    metrics = run_federation_scenario(scale, task_path="cohort")
+    metrics = run_federation_scenario(scale)
     _assert_semantics(metrics, scale)
     assert metrics["wall_s"] < budget, (
         f"federation floor broken: {metrics['wall_s']:.2f}s for "

@@ -21,21 +21,20 @@ import numpy as np
 
 from repro.analysis import format_seconds, format_si, render_table
 from repro.net.message import MEGABYTE
-from repro.vector import VectorOddCI, VectorPopulation
+from repro.vector import VectorOddCISystem
 from repro.vector.churn import makespan_under_churn, effective_capacity
 from repro.vector.executor import per_task_wall_seconds
 from repro.workloads import REFERENCE_STB, ChurnModel, PowerMode, uniform_bag
 
 
 def main() -> None:
-    rng = np.random.default_rng(2026)
     audience = 1_000_000
     # Prime-time: 70% of powered boxes are actively watching TV.
-    population = VectorPopulation(audience, rng,
-                                  in_use_fraction=0.7,
-                                  powered_fraction=0.8)
-    system = VectorOddCI(population, beta_bps=1_000_000.0,
-                         delta_bps=150_000.0)
+    system = VectorOddCISystem(audience, seed=2026,
+                               in_use_fraction=0.7,
+                               powered_fraction=0.8,
+                               beta_bps=1_000_000.0,
+                               delta_bps=150_000.0)
 
     # A 30-million-task screening campaign, 10 MB image, 90 s/task on
     # the reference PC.

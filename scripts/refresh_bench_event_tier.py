@@ -3,9 +3,10 @@
 Protocol (DESIGN.md §8/§12): every point runs in a fresh process, and
 the two builds interleave scale by scale so host drift hits both
 labels evenly.  Here "before" is the per-PNA reference dispatch path
-(``--task-path process``) and "after" is the cohort macro engine — the
-same binary, selected per run, which is what the differential suite
-holds bit-identical.
+(the "before" interpreter patches ``repro.core.pna.engine_for`` to
+return ``None``, so every PNA falls back to its own DVE) and "after" is
+the cohort macro engine — the same source, which is what the
+differential suite holds bit-identical.
 
 Usage::
 
@@ -26,14 +27,21 @@ import sys
 
 POINT_SNIPPET = """\
 import json
-from repro.perfbench import {fn}
+{prelude}from repro.perfbench import {fn}
 print("@@" + json.dumps({fn}({args})))
 """
 
+#: Selects the per-PNA reference path for the whole interpreter.
+PER_PNA_PRELUDE = """\
+import repro.core.pna
+repro.core.pna.engine_for = lambda *args: None
+"""
 
-def run_point(fn: str, args: str) -> dict:
+
+def run_point(fn: str, args: str, *, per_pna: bool = False) -> dict:
     """One metrics point in a fresh interpreter (fresh allocator, GC)."""
-    code = POINT_SNIPPET.format(fn=fn, args=args)
+    code = POINT_SNIPPET.format(
+        fn=fn, args=args, prelude=PER_PNA_PRELUDE if per_pna else "")
     out = subprocess.run([sys.executable, "-c", code],
                          capture_output=True, text=True, check=True)
     for line in out.stdout.splitlines():
@@ -65,8 +73,8 @@ def main() -> int:
     for n in opts.scales:
         rounds = opts.rounds if n < 100_000 else max(1, opts.rounds - 1)
         for _ in range(rounds):
-            b = run_point("run_scenario", f"{n}, task_path='process'")
-            a = run_point("run_scenario", f"{n}, task_path='cohort'")
+            b = run_point("run_scenario", str(n), per_pna=True)
+            a = run_point("run_scenario", str(n))
             old_b = before["oddci"].get(str(n))
             old_a = after["oddci"].get(str(n))
             if old_b is None or b["wall_s"] < old_b["wall_s"]:
@@ -81,13 +89,13 @@ def main() -> int:
         # The reference path is ~10x slower here — one round is the
         # budget; the cohort point still gets best-of-N.
         for r in range(opts.big_rounds):
-            a = run_point("run_scenario", f"{n}, task_path='cohort'")
+            a = run_point("run_scenario", str(n))
             old_a = after["oddci"].get(str(n))
             if old_a is None or a["wall_s"] < old_a["wall_s"]:
                 after["oddci"][str(n)] = a
             if r == 0:
                 before["oddci"][str(n)] = run_point(
-                    "run_scenario", f"{n}, task_path='process'")
+                    "run_scenario", str(n), per_pna=True)
         print(f"n={n}: before {before['oddci'][str(n)]['wall_s']}s, "
               f"after {after['oddci'][str(n)]['wall_s']}s", flush=True)
 
@@ -145,7 +153,7 @@ def main() -> int:
                         "the same single-vCPU host "
                         "(scripts/refresh_bench_event_tier.py); 'before' "
                         "= per-PNA reference dispatch path "
-                        "(REPRO_TASK_PATH=process), 'after' = cohort "
+                        "(engine_for patched to None), 'after' = cohort "
                         "macro engine, same build.  GC disabled during "
                         "the measured section; best-of-N fresh processes "
                         "per point (the host carries ±20% noise).",

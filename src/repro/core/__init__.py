@@ -21,7 +21,6 @@ from repro.core.census import (
     ColumnarCensusStore,
     DictCensusStore,
     NodeInterner,
-    make_census_store,
 )
 from repro.core.controller import Controller, ControlPlane, DirectControlPlane
 from repro.core.dve import CONTROL_PAYLOAD_BITS, DVE
@@ -88,7 +87,6 @@ __all__ = [
     "CensusStore",
     "ColumnarCensusStore",
     "DictCensusStore",
-    "make_census_store",
     "DVE",
     "CONTROL_PAYLOAD_BITS",
     "PNA",

@@ -28,10 +28,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Sequence, Union
 
-try:  # numpy powers the vectorised cohort lease math; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baseline dep
-    _np = None
+import numpy as _np
 
 from repro.errors import BackendError, QuarantinedNodeError
 from repro.core.dve import CONTROL_PAYLOAD_BITS
@@ -424,7 +421,7 @@ class Backend:
             lease_factor = self.lease_factor
             if lease_factor is None:
                 leases: Sequence[Optional[float]] = (None,) * k
-            elif _np is not None and k >= 32:
+            elif k >= 32:
                 refs = _np.fromiter((t.ref_seconds for t in tasks),
                                     _np.float64, k)
                 leases = (now + lease_factor *

@@ -24,14 +24,14 @@ This module provides that engine in two interchangeable builds:
 :class:`DictCensusStore`
     The dict-backed reference engine, behaviour-identical by
     construction simple enough to eyeball.  It is both the
-    differential-test oracle (``tests/core/test_census_store.py``
+    differential-test oracle: ``tests/core/test_census_store.py``
     drives randomized heartbeat/trim/expire/crash sequences through
-    both builds and requires identical censuses) and the fallback when
-    numpy is unavailable.
+    both builds and requires identical censuses, and tests hand it to
+    a Controller through its ``census`` argument.
 
-Both stores expose the same interface; the Controller picks one via
-:func:`make_census_store` (``REPRO_CENSUS_BACKEND`` overrides the
-default).  :class:`RegistryView` and :class:`MembersView` wrap a store
+Both stores expose the same interface; the Controller builds a
+:class:`ColumnarCensusStore` unless it is given a store.
+:class:`RegistryView` and :class:`MembersView` wrap a store
 in the dict shape the pre-columnar ``Controller.registry`` /
 ``InstanceRecord.members`` exposed, so observable behaviour — and the
 ``--jobs`` byte-parity of every artifact — is unchanged.
@@ -48,18 +48,11 @@ CI).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, OddCIError
-from repro.core.messages import PNAState
+import numpy as np
 
-try:  # numpy is a baked-in dependency, but the engine degrades politely
-    import numpy as np
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only on stripped images
-    np = None  # type: ignore[assignment]
-    _HAVE_NUMPY = False
+from repro.core.messages import PNAState
 
 __all__ = [
     "STATE_NONE",
@@ -72,7 +65,6 @@ __all__ = [
     "DictCensusStore",
     "RegistryView",
     "MembersView",
-    "make_census_store",
     "registry_reductions",
 ]
 
@@ -499,10 +491,6 @@ class ColumnarCensusStore(CensusStore):
 
     def __init__(self, interner: Optional[NodeInterner] = None, *,
                  initial_capacity: int = 1024) -> None:
-        if not _HAVE_NUMPY:  # pragma: no cover - stripped images only
-            raise OddCIError(
-                "ColumnarCensusStore needs numpy; use DictCensusStore "
-                "(REPRO_CENSUS_BACKEND=dict)")
         super().__init__(interner)
         cap = max(int(initial_capacity), 1)
         self._cap = cap
@@ -886,23 +874,6 @@ class MembersView:
         return f"<MembersView {len(self)} members>"
 
 
-def make_census_store(interner: Optional[NodeInterner] = None,
-                      backend: Optional[str] = None) -> CensusStore:
-    """Build the configured census engine.
-
-    ``backend`` (or ``REPRO_CENSUS_BACKEND``): ``"columnar"`` (default
-    when numpy is importable) or ``"dict"`` (the reference engine).
-    """
-    chosen = backend or os.environ.get("REPRO_CENSUS_BACKEND") \
-        or ("columnar" if _HAVE_NUMPY else "dict")
-    if chosen == "columnar":
-        return ColumnarCensusStore(interner)
-    if chosen == "dict":
-        return DictCensusStore(interner)
-    raise ConfigurationError(
-        f"unknown census backend {chosen!r}; choose 'columnar' or 'dict'")
-
-
 def _selfcheck(ops: int = 4000, seed: int = 7, verbose: bool = True) -> int:
     """Seeded differential fuzz with per-step columnar validation.
 
@@ -1023,9 +994,6 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     parser.add_argument("--ops", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    if not _HAVE_NUMPY:
-        print("numpy unavailable; columnar engine not built — skipping")
-        return 0
     return _selfcheck(ops=args.ops, seed=args.seed)
 
 

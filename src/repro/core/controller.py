@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import (
     ControllerDownError,
     InstanceError,
@@ -50,8 +52,9 @@ from repro.errors import (
 from repro.core.census import (
     STATE_BUSY,
     STATE_IDLE,
+    CensusStore,
+    ColumnarCensusStore,
     RegistryView,
-    make_census_store,
 )
 from repro.core.dve import CONTROL_PAYLOAD_BITS
 from repro.core.instance import (
@@ -78,11 +81,6 @@ from repro.sim.monitor import Counter, TimeSeries
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
 from repro.telemetry.trace import metrics_registry as _telemetry_metrics
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - columnar store is gated off too
-    np = None  # type: ignore[assignment]
 
 __all__ = ["ControlPlane", "DirectControlPlane", "Controller",
            "ControllerCheckpoint"]
@@ -189,7 +187,7 @@ class Controller:
         probability_policy: Optional[ProbabilityPolicy] = None,
         maintenance_interval_s: float = 60.0,
         heartbeat_grace_factor: float = 3.0,
-        census_backend: Optional[str] = None,
+        census: Optional[CensusStore] = None,
         network: str = "",
     ) -> None:
         if maintenance_interval_s <= 0:
@@ -210,12 +208,16 @@ class Controller:
         self.network = network
 
         #: the census engine: registry + per-instance membership in one
-        #: store (columnar by default, dict-backed reference on demand),
-        #: sharing the router's node-id interning table so heartbeat
-        #: cohorts consolidate by index.  ``registry`` is the historical
-        #: ``pna_id -> (last_seen, state, instance_id)`` dict shape as a
-        #: live view.
-        self.census = make_census_store(router.interner, census_backend)
+        #: store (columnar unless a store such as the dict-backed test
+        #: oracle is passed in), sharing the router's node-id interning
+        #: table so heartbeat cohorts consolidate by index.  ``registry``
+        #: is the historical ``pna_id -> (last_seen, state,
+        #: instance_id)`` dict shape as a live view.
+        if census is None:
+            census = ColumnarCensusStore(router.interner)
+        elif census.interner is not router.interner:
+            raise OddCIError("census store must share the router's interner")
+        self.census = census
         self.registry = RegistryView(self.census)
         self.instances: Dict[str, InstanceRecord] = {}
         self._pending_trims: Dict[str, int] = {}

@@ -159,13 +159,11 @@ class ControllerShard:
         interner: Optional[NodeInterner] = None,
         probability_policy: Optional[ProbabilityPolicy] = None,
         maintenance_interval_s: float = 60.0,
-        task_path: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.descriptor = descriptor
         self.name = descriptor.name
         self.keys = key_registry
-        self.task_path = task_path
         self.router = Router(sim, interner=interner)
         self.broadcast = BroadcastChannel(
             sim, beta_bps=descriptor.beta_bps,
@@ -225,8 +223,7 @@ class ControllerShard:
                               if device_class else None),
                 executor=executor,
                 heartbeat_interval_s=heartbeat_interval_s,
-                dve_poll_interval_s=dve_poll_interval_s,
-                task_path=self.task_path)
+                dve_poll_interval_s=dve_poll_interval_s)
             self.control_plane.attach(pna)
             self.pnas.append(pna)
             built.append(pna)
@@ -812,7 +809,6 @@ class FederatedOddCISystem:
         placement: str = "cost",
         probability_policy: Optional[ProbabilityPolicy] = None,
         maintenance_interval_s: float = 60.0,
-        task_path: Optional[str] = None,
     ) -> None:
         if not networks:
             raise ConfigurationError("need at least one NetworkDescriptor")
@@ -824,8 +820,7 @@ class FederatedOddCISystem:
             ControllerShard(self.sim, descriptor, self.keys,
                             interner=self.interner,
                             probability_policy=probability_policy,
-                            maintenance_interval_s=maintenance_interval_s,
-                            task_path=task_path)
+                            maintenance_interval_s=maintenance_interval_s)
             for descriptor in networks]
         self.provider = FederatedProvider(self.sim, self.shards,
                                           placement=placement)

@@ -29,12 +29,7 @@ from repro.core.messages import (
     verify_control,
 )
 from repro.core.network import Router
-from repro.core.taskloop import (
-    CohortDVE,
-    engine_for,
-    identity_executor,
-    resolve_task_path,
-)
+from repro.core.taskloop import CohortDVE, engine_for, identity_executor
 from repro.net.link import DuplexChannel
 from repro.net.message import Message
 from repro.sim.core import Simulator
@@ -137,7 +132,7 @@ class PNA:
     __slots__ = (
         "sim", "pna_id", "router", "channel", "controller_key",
         "_controller_id", "capabilities", "executor",
-        "heartbeat_interval_s", "dve_poll_interval_s", "task_path",
+        "heartbeat_interval_s", "dve_poll_interval_s",
         "state", "instance_id", "dve", "online", "wakeups_seen",
         "wakeups_accepted", "dropped_bad_signature", "dropped_busy",
         "dropped_probability", "dropped_requirements", "resets_handled",
@@ -159,7 +154,6 @@ class PNA:
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 30.0,
         start_online: bool = True,
-        task_path: Optional[str] = None,
     ) -> None:
         if not pna_id:
             raise OddCIError("pna_id must be non-empty")
@@ -181,10 +175,6 @@ class PNA:
         self.executor: Executor = executor or identity_executor
         self.heartbeat_interval_s = heartbeat_interval_s
         self.dve_poll_interval_s = dve_poll_interval_s
-        #: "cohort" (macro engine) or "process" (per-PNA reference path);
-        #: resolved from the argument, then REPRO_TASK_PATH, then the
-        #: default — see repro.core.taskloop.resolve_task_path.
-        self.task_path = resolve_task_path(task_path)
 
         self.state = PNAState.IDLE
         self.instance_id: Optional[str] = None
@@ -322,17 +312,17 @@ class PNA:
             # occupies a census/membership slot and keeps heartbeating)
             # but never starts a client loop — a zombie contributor.
             return
-        if self.task_path == "cohort":
-            engine = engine_for(self.router, wakeup.backend_id,
-                                wakeup.instance_id)
-            if engine is not None:
-                self.dve = CohortDVE(engine, self, wakeup.instance_id,
-                                     wakeup.backend_id,
-                                     poll_interval_s=self.dve_poll_interval_s)
-                return
-        # Reference path — also the fallback when no cohort-capable
+        engine = engine_for(self.router, wakeup.backend_id,
+                            wakeup.instance_id)
+        if engine is not None:
+            self.dve = CohortDVE(engine, self, wakeup.instance_id,
+                                 wakeup.backend_id,
+                                 poll_interval_s=self.dve_poll_interval_s)
+            return
+        # Per-PNA reference path: the fallback when no cohort-capable
         # Backend is registered under this id (test doubles, custom
-        # components): their clients keep exact per-node semantics.
+        # components keep exact per-node semantics), and the
+        # differential oracle tests select by patching ``engine_for``.
         self.dve = DVE(self.sim, self, wakeup.instance_id,
                        wakeup.backend_id,
                        poll_interval_s=self.dve_poll_interval_s)

@@ -48,7 +48,6 @@ class OddCISystem:
         maintenance_interval_s: float = 60.0,
         seed: Optional[int] = 0,
         delta_loss: float = 0.0,
-        task_path: Optional[str] = None,
     ) -> None:
         if delta_bps <= 0:
             raise ConfigurationError("delta_bps must be > 0")
@@ -60,10 +59,6 @@ class OddCISystem:
         self.delta_bps = float(delta_bps)
         self.delta_latency_s = float(delta_latency_s)
         self.delta_loss = float(delta_loss)
-        #: task-loop implementation handed to every PNA this facade
-        #: builds: "cohort" (macro engine) or "process" (per-PNA
-        #: reference); None defers to REPRO_TASK_PATH / the default.
-        self.task_path = task_path
         self.router = Router(self.sim)
         self.keys = KeyRegistry()
         self.broadcast = BroadcastChannel(self.sim, beta_bps=beta_bps,
@@ -111,8 +106,7 @@ class OddCISystem:
             capabilities=capabilities,
             executor=executor,
             heartbeat_interval_s=heartbeat_interval_s,
-            dve_poll_interval_s=dve_poll_interval_s,
-            task_path=self.task_path)
+            dve_poll_interval_s=dve_poll_interval_s)
         self.control_plane.attach(pna)
         self.pnas.append(pna)
         return pna

@@ -28,34 +28,33 @@ per-PNA reference semantics —
   urgent completion callbacks (auto-release) interleave exactly as they
   do between the reference path's per-member deliveries.
 
-The reference path stays selectable — ``REPRO_TASK_PATH=process`` or
-``PNA(task_path="process")`` — as the differential oracle, the same
-pattern as ``REPRO_CENSUS_BACKEND=dict``.
+The per-PNA :class:`~repro.core.dve.DVE` stays as the differential
+oracle.  :class:`~repro.core.pna.PNA` falls back to it whenever
+:func:`engine_for` returns ``None``; tests reach it by patching
+``repro.core.pna.engine_for`` (the ``--per-pna-oracle`` pytest option
+does so for a whole run), the way they hand the Controller a
+:class:`~repro.core.census.DictCensusStore`.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Any, List, Optional, TYPE_CHECKING
 
-from repro.errors import ConfigurationError, OddCIError
+import numpy as _np
+
+from repro.errors import OddCIError
 from repro.core.messages import NoWork, TaskAssignment
 from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Simulator
-
-try:  # numpy powers the bulk compute-time branch; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baseline dep
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.backend import Backend
     from repro.core.network import Router
     from repro.core.pna import PNA
 
-__all__ = ["CohortTaskEngine", "CohortDVE", "resolve_task_path",
-           "engine_for", "identity_executor"]
+__all__ = ["CohortTaskEngine", "CohortDVE", "engine_for",
+           "identity_executor"]
 
 #: Wire size of small protocol payloads — kept in sync with
 #: :data:`repro.core.dve.CONTROL_PAYLOAD_BITS` (not imported to avoid a
@@ -84,20 +83,6 @@ _K_DEADLINE = 6    # (kind, slot, deadline): request/ack timeout check
 #: Minimum ``_K_ASSIGN_ARR`` run length for the numpy bulk
 #: compute-time branch (below it, scalar adds win).
 _BULK_MIN = 32
-
-
-def resolve_task_path(value: Optional[str] = None) -> str:
-    """Resolve the task-path selection: explicit value, then the
-    ``REPRO_TASK_PATH`` environment variable, then ``"cohort"``.
-
-    ``"cohort"`` — the macro engine (default); ``"process"`` — the
-    per-PNA generator reference path.
-    """
-    chosen = value or os.environ.get("REPRO_TASK_PATH") or "cohort"
-    if chosen not in ("cohort", "process"):
-        raise ConfigurationError(
-            f"unknown task path {chosen!r}; choose 'cohort' or 'process'")
-    return chosen
 
 
 def engine_for(router: "Router", backend_id: str,
@@ -440,7 +425,7 @@ class CohortTaskEngine:
                     or not pnas[slot].online:
                 continue  # reset/stale: the reference DVE drops it too
             live.append(e)
-        if _np is not None and len(live) >= _BULK_MIN and all(
+        if len(live) >= _BULK_MIN and all(
                 executors[e[1]] is identity and pnas[e[1]].adversary is None
                 for e in live):
             # Bulk branch: identity executors (reference-PC nodes) let

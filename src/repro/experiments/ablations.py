@@ -150,7 +150,7 @@ def point_probability_policy(
     final relative overshoot.
     """
     chooser = _POLICIES[policy]()
-    pop = VectorPopulation(population, np.random.default_rng(seed))
+    pop = VectorPopulation(population, seed=seed)
     recruited = 0
     rounds = 0
     wakeups: List[int] = []

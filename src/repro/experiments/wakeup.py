@@ -4,8 +4,9 @@ Three independent estimates of the wakeup time W for a sweep of image
 sizes and broadcast capacities:
 
 * **analytic** — the paper's W = 1.5·I/β;
-* **vector** — carousel-schedule sampling over 10⁵ receivers at uniform
-  phases (includes PNA-Xlet/config/DSM-CC overheads);
+* **vector** — sampling over 10⁵ receivers at uniform phases of the
+  vector tier's wakeup carousel schedule (includes PNA-Xlet/config/
+  DSM-CC overheads);
 * **event** — the event-driven carousel with a handful of receivers
   issuing reads (cross-validates the other two at small scale).
 
@@ -29,7 +30,7 @@ from repro.net.broadcast import BroadcastChannel
 from repro.net.message import MEGABYTE, bits_from_bytes
 from repro.runner.scenario import Scenario, register
 from repro.sim.core import Simulator
-from repro.vector.population import VectorOddCI, VectorPopulation
+from repro.vector.system import carousel_schedule
 
 __all__ = ["point_wakeup", "run_wakeup_sweep", "event_tier_wakeup_mean",
            "render_wakeup"]
@@ -82,9 +83,7 @@ def point_wakeup(
     beta = beta_mbps * 1e6
     image_bits = image_mb * MEGABYTE
     analytic = wakeup_time(image_bits, beta)
-    pop = VectorPopulation(vector_nodes, np.random.default_rng(seed))
-    system = VectorOddCI(pop, beta_bps=beta)
-    sched = system.carousel_schedule(image_bits)
+    sched = carousel_schedule(image_bits, beta)
     sample = sample_wakeup_latencies(
         sched, "image", vector_nodes, np.random.default_rng(seed))
     event = event_tier_wakeup_mean(

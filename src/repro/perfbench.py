@@ -100,27 +100,22 @@ class _gc_paused:
 
 
 def run_scenario(n_nodes: int, *, seed: Optional[int] = None,
-                 sample_interval_s: float = 5.0,
-                 task_path: Optional[str] = None) -> Dict[str, float]:
+                 sample_interval_s: float = 5.0) -> Dict[str, float]:
     """One wakeup+heartbeat+BoT cycle at ``n_nodes`` PNAs; returns metrics.
 
-    ``task_path`` selects the dispatch tier ("cohort" macro engine vs
-    "process" per-PNA reference; None → REPRO_TASK_PATH / default).
-    ``makespan`` must be bit-identical across paths — wall time is the
-    only legitimate difference.
+    ``makespan`` must be bit-identical to the per-PNA reference path
+    (``scripts/refresh_bench_event_tier.py`` times both) — wall time is
+    the only legitimate difference.
     """
     from repro.core import OddCISystem
-    from repro.core.taskloop import resolve_task_path
     from repro.workloads import uniform_bag
 
     cfg = SCENARIO
-    task_path = resolve_task_path(task_path)
     with _gc_paused():
         t0 = time.perf_counter()
         system = OddCISystem(
             seed=cfg["seed"] if seed is None else seed,
-            maintenance_interval_s=cfg["maintenance_interval_s"],
-            task_path=task_path)
+            maintenance_interval_s=cfg["maintenance_interval_s"])
         system.add_pnas(n_nodes,
                         heartbeat_interval_s=cfg["heartbeat_interval_s"],
                         dve_poll_interval_s=cfg["dve_poll_interval_s"])
@@ -152,7 +147,6 @@ def run_scenario(n_nodes: int, *, seed: Optional[int] = None,
     events = sim.events_executed
     return {
         "n_nodes": n_nodes,
-        "task_path": task_path,
         "events": events,
         "events_per_sec": events / run_wall_s if run_wall_s > 0 else 0.0,
         "peak_heap": peak["heap"],
@@ -236,8 +230,8 @@ def run_telemetry_overhead(n_timers: int = 10_000, *,
     }
 
 
-def _census_controller(backend: str):
-    """A bare Controller (no PNA fleet) on the chosen census engine.
+def _census_controller(store_cls):
+    """A bare Controller (no PNA fleet) on a ``store_cls`` census engine.
 
     Heartbeat payloads are injected directly at the consolidation entry
     points, so the measurement isolates the census data path — no link
@@ -258,7 +252,7 @@ def _census_controller(backend: str):
     controller = Controller(
         sim, router, plane, KeyRegistry(),
         maintenance_interval_s=SCENARIO["maintenance_interval_s"],
-        census_backend=backend)
+        census=store_cls(router.interner))
     return router, controller
 
 
@@ -274,6 +268,7 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
     best of ``repeats`` is kept.  ``speedup`` is the tracked number; the
     engines' final censuses are asserted equal before returning.
     """
+    from repro.core.census import ColumnarCensusStore, DictCensusStore
     from repro.core.instance import InstanceSpec
     from repro.core.messages import HeartbeatPayload, PNAState
 
@@ -282,8 +277,8 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
         image_bits=SCENARIO["image_bits"],
         heartbeat_interval_s=SCENARIO["heartbeat_interval_s"])
 
-    def build(backend):
-        router, controller = _census_controller(backend)
+    def build(store_cls):
+        router, controller = _census_controller(store_cls)
         iid = controller.create_instance(spec).instance_id
         payloads, idxs = [], []
         for i in range(n_members):
@@ -300,8 +295,8 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
             idxs.append(router.interner.intern(pna_id))
         return controller, payloads, idxs
 
-    baseline, base_payloads, _ = build("dict")
-    columnar, col_payloads, col_idxs = build("columnar")
+    baseline, base_payloads, _ = build(DictCensusStore)
+    columnar, col_payloads, col_idxs = build(ColumnarCensusStore)
 
     base_best = col_best = float("inf")
     with _gc_paused():
@@ -406,8 +401,7 @@ def run_dispatch_scenario(n_requesters: int, *, rounds: int = 5,
 
 def run_federation_scenario(n_nodes: int, *, n_networks: int = 3,
                             seed: Optional[int] = None,
-                            sample_interval_s: float = 5.0,
-                            task_path: Optional[str] = None
+                            sample_interval_s: float = 5.0
                             ) -> Dict[str, float]:
     """One full federated cycle: ``n_nodes`` PNAs across ``n_networks``.
 
@@ -420,11 +414,9 @@ def run_federation_scenario(n_nodes: int, *, n_networks: int = 3,
     """
     from repro.core.federation import FederatedOddCISystem, NetworkDescriptor
     from repro.core.instance import reset_instance_sequence
-    from repro.core.taskloop import resolve_task_path
     from repro.workloads import uniform_bag
 
     cfg = SCENARIO
-    task_path = resolve_task_path(task_path)
     reset_instance_sequence()
     base, extra = divmod(n_nodes, n_networks)
     descriptors = [
@@ -437,8 +429,7 @@ def run_federation_scenario(n_nodes: int, *, n_networks: int = 3,
         system = FederatedOddCISystem(
             descriptors, seed=cfg["seed"] if seed is None else seed,
             placement="spread",
-            maintenance_interval_s=cfg["maintenance_interval_s"],
-            task_path=task_path)
+            maintenance_interval_s=cfg["maintenance_interval_s"])
         system.build_fleets(
             heartbeat_interval_s=cfg["heartbeat_interval_s"],
             dve_poll_interval_s=cfg["dve_poll_interval_s"])
@@ -476,7 +467,6 @@ def run_federation_scenario(n_nodes: int, *, n_networks: int = 3,
     return {
         "n_nodes": n_nodes,
         "n_networks": n_networks,
-        "task_path": task_path,
         "events": events,
         "events_per_sec": events / run_wall_s if run_wall_s > 0 else 0.0,
         "peak_heap": peak["heap"],
@@ -628,12 +618,11 @@ def run_vector_scenario(n_nodes: int, *, storm_magnitude: float = 0.3,
 
 def run_scales(scales: List[int],
                kernel_scales: Optional[List[int]] = None,
-               *, verbose: bool = True,
-               task_path: Optional[str] = None) -> Dict[str, dict]:
+               *, verbose: bool = True) -> Dict[str, dict]:
     """Run both families; returns ``{"oddci": {...}, "kernel": {...}}``."""
     oddci: Dict[str, dict] = {}
     for n in scales:
-        metrics = run_scenario(int(n), task_path=task_path)
+        metrics = run_scenario(int(n))
         oddci[str(n)] = metrics
         if verbose:
             print(f"  oddci  n={n:>7}  events={metrics['events']:>10}  "
@@ -694,10 +683,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--out", type=str, default="BENCH_event_tier.json")
     parser.add_argument("--label", type=str, default="after",
                         choices=("before", "after"))
-    parser.add_argument("--task-path", type=str, default=None,
-                        choices=("cohort", "process"),
-                        help="dispatch tier for the oddci family "
-                             "(default: REPRO_TASK_PATH or cohort)")
     parser.add_argument("--profile", type=int, nargs="?", const=25,
                         default=0, metavar="N",
                         help="run under cProfile and print the top N "
@@ -788,7 +773,7 @@ def main(argv: Optional[list] = None) -> int:
         federation: Dict[str, dict] = {}
         for n in args.federation_scales:
             metrics = _maybe_profiled(args.profile, run_federation_scenario,
-                                      int(n), task_path=args.task_path)
+                                      int(n))
             federation[str(n)] = metrics
             print(f"  federation n={n:>7}  "
                   f"events={metrics['events']:>10}  "
@@ -845,11 +830,9 @@ def main(argv: Optional[list] = None) -> int:
               f"ev/s, ratio {metrics['ratio']:.4f}")
         return 0
     print(f"event-tier perf bench — oddci {args.scales}, "
-          f"kernel {args.kernel_scales} ({args.label}, "
-          f"task_path={args.task_path or 'default'})")
+          f"kernel {args.kernel_scales} ({args.label})")
     results = _maybe_profiled(args.profile, run_scales, args.scales,
-                              args.kernel_scales,
-                              task_path=args.task_path)
+                              args.kernel_scales)
     if args.profile:
         print(f"[profiled run: {args.out} left untouched]")
     else:

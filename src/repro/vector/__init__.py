@@ -6,11 +6,11 @@ computed with NumPy over millions of nodes:
 * :class:`~repro.vector.population.VectorPopulation` — state arrays and
   bulk recruitment, with the event tier's named RNG streams.
 * :class:`~repro.vector.system.VectorOddCISystem` — the event tier's
-  peer: persistent population, sequential multi-job submissions on one
-  clock, fault-plan windows, columnar census and telemetry.
-* :class:`~repro.vector.population.VectorOddCI` — legacy single-shot
-  job pipeline (carousel wakeup sampling → greedy pull execution →
-  efficiency).
+  peer and the one job pipeline (carousel wakeup sampling → greedy
+  pull execution → efficiency): persistent population, sequential
+  multi-job submissions on one clock, fault-plan windows, columnar
+  census and telemetry.  A single job is a system with one
+  ``run_job`` call.
 * :mod:`~repro.vector.executor` — greedy-pull makespans (exact
   water-filling for homogeneous bags, outage-aware generalisation, heap
   for the general case).
@@ -26,8 +26,12 @@ from repro.vector.executor import (
     makespan_waterfill,
     per_task_wall_seconds,
 )
-from repro.vector.population import VectorJobResult, VectorOddCI, VectorPopulation
-from repro.vector.system import VectorJobReport, VectorOddCISystem
+from repro.vector.population import VectorPopulation
+from repro.vector.system import (
+    VectorJobReport,
+    VectorOddCISystem,
+    carousel_schedule,
+)
 
 __all__ = [
     "ExecutionOutcome",
@@ -37,8 +41,7 @@ __all__ = [
     "per_task_wall_seconds",
     "VectorCensus",
     "VectorPopulation",
-    "VectorOddCI",
-    "VectorJobResult",
     "VectorJobReport",
     "VectorOddCISystem",
+    "carousel_schedule",
 ]

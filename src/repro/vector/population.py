@@ -1,54 +1,36 @@
-"""Vectorised receiver populations and end-to-end OddCI-DTV runs.
+"""Vectorised receiver populations.
 
 A :class:`VectorPopulation` holds the state of up to hundreds of
 millions of receivers as NumPy arrays (power mode, idle/busy, link
 state, device factor) and implements the wakeup semantics in bulk:
-requirement filtering, the probability gate, carousel wakeup-latency
-sampling.
+requirement filtering and the probability gate.
 
-Randomness follows the event tier's named-stream contract: construct
-with ``seed=`` and every stochastic component draws from its own
-SeedSequence-derived stream (``"vector.population"`` for the initial
-state, ``"vector.recruit"`` for the probability gate,
-``"vector.wakeup"`` for carousel phases, ``"vector.churn"`` for
-availability sampling, ``"vector.faults"`` for fault-plan jitter and
-victim selection).  The legacy positional-``rng`` constructor is kept
-for single-shot callers — it aliases every stream to the one generator,
-preserving the historical draw order exactly.
+Randomness follows the event tier's named-stream contract: every
+stochastic component draws from its own SeedSequence-derived stream of
+``seed`` (``"vector.population"`` for the initial state,
+``"vector.recruit"`` for the probability gate, ``"vector.wakeup"`` for
+carousel phases, ``"vector.churn"`` for availability sampling,
+``"vector.faults"`` for fault-plan jitter and victim selection).
 
-:class:`VectorOddCI` is the legacy single-shot pipeline (one population,
-one job, release at the end); multi-job execution with faults, census
-and telemetry lives in :class:`~repro.vector.system.VectorOddCISystem`.
+Jobs run on a population through
+:class:`~repro.vector.system.VectorOddCISystem`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import AnalysisError, ConfigurationError
-from repro.carousel.carousel import CarouselSchedule
-from repro.carousel.dsmcc import SectionFormat
-from repro.carousel.objects import CarouselFile
-from repro.net.message import bits_from_bytes
+from repro.errors import ConfigurationError
 from repro.sim.rng import derive_generator
-from repro.vector.executor import (
-    ExecutionOutcome,
-    makespan_under_outages,
-    makespan_waterfill,
-    per_task_wall_seconds,
-)
 from repro.workloads.devices import (
     REFERENCE_STB,
     DeviceProfile,
     PowerMode,
 )
-from repro.workloads.job import Job
 
-__all__ = ["STREAM_NAMES", "VectorPopulation", "VectorJobResult",
-           "VectorOddCI"]
+__all__ = ["STREAM_NAMES", "VectorPopulation"]
 
 # Mode codes in the state arrays.
 _OFF, _STANDBY, _IN_USE = 0, 1, 2
@@ -65,10 +47,6 @@ class VectorPopulation:
     ----------
     n:
         Population size (tested to 10⁷; 10⁸ smoke).
-    rng:
-        Legacy single-stream generator.  When given, every named stream
-        aliases it (historical draw order); mutually exclusive with
-        ``seed``.
     seed:
         Master seed for the named streams (the event-tier contract;
         required for ``--jobs`` byte-parity of vector scenarios).
@@ -84,7 +62,6 @@ class VectorPopulation:
     def __init__(
         self,
         n: int,
-        rng: Optional[np.random.Generator] = None,
         *,
         seed: Optional[int] = None,
         in_use_fraction: float = 1.0,
@@ -94,9 +71,6 @@ class VectorPopulation:
     ) -> None:
         if n <= 0:
             raise ConfigurationError(f"n must be > 0, got {n}")
-        if rng is not None and seed is not None:
-            raise ConfigurationError(
-                "pass either a legacy rng or seed=, not both")
         for name, frac in (("in_use_fraction", in_use_fraction),
                            ("powered_fraction", powered_fraction),
                            ("requirement_match_fraction",
@@ -104,17 +78,12 @@ class VectorPopulation:
             if not 0.0 <= frac <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1]")
         self.n = int(n)
-        self.seed = None if rng is not None else seed
-        if rng is not None:
-            self.streams: Dict[str, np.random.Generator] = {
-                name: rng for name in STREAM_NAMES}
-        else:
-            self.streams = {
-                name: derive_generator(seed, f"vector.{name}")
-                for name in STREAM_NAMES}
-        self.rng = self.streams["population"]
+        self.seed = seed
+        self.streams: Dict[str, np.random.Generator] = {
+            name: derive_generator(seed, f"vector.{name}")
+            for name in STREAM_NAMES}
         self.profile = profile
-        init = self.rng
+        init = self.streams["population"]
         powered = init.random(self.n) < powered_fraction
         in_use = init.random(self.n) < in_use_fraction
         self.mode = np.where(
@@ -150,19 +119,17 @@ class VectorPopulation:
                 & self.link_up)
 
     # -- wakeup ------------------------------------------------------------
-    def recruit(self, probability: float, *,
-                rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    def recruit(self, probability: float) -> np.ndarray:
         """Apply the wakeup gate; returns the indices of accepting nodes.
 
         Eligible = powered, idle, requirement-matching, link up; each
         accepts independently with ``probability`` and flips to busy.
-        Draws come from the ``"vector.recruit"`` stream unless an
-        explicit ``rng`` overrides it.
+        Draws come from the ``"vector.recruit"`` stream.
         """
         if not 0.0 < probability <= 1.0:
             raise ConfigurationError(
                 f"probability must be in (0, 1], got {probability}")
-        draw = self.streams["recruit"] if rng is None else rng
+        draw = self.streams["recruit"]
         accept = self.eligible_mask() & (draw.random(self.n) < probability)
         self.busy |= accept
         return np.nonzero(accept)[0]
@@ -209,126 +176,3 @@ class VectorPopulation:
         assert np.isin(self.mode, (_OFF, _STANDBY, _IN_USE)).all(), \
             "unknown mode code"
         assert (self.device_factor > 0).all(), "non-positive device factor"
-
-
-@dataclass(frozen=True)
-class VectorJobResult:
-    """Outcome of a vectorised job execution."""
-
-    n_tasks: int
-    recruited: int
-    wakeup_mean_s: float
-    makespan_s: float
-    efficiency: float
-    tasks_per_node_max: int
-
-
-class VectorOddCI:
-    """Vectorised OddCI-DTV pipeline: wakeup + pull execution (legacy
-    single-shot API).
-
-    Mirrors the event tier's DVE loop timing for homogeneous bags:
-    per-task wall time = (s + r)/δ + p·device_factor; wakeup latency is
-    sampled from the carousel schedule of a carousel carrying the PNA
-    Xlet, the config file and the job image.  No faults, no census, no
-    persistent clock — the multi-job peer of the event tier is
-    :class:`~repro.vector.system.VectorOddCISystem`.
-    """
-
-    def __init__(
-        self,
-        population: VectorPopulation,
-        *,
-        beta_bps: float = 1_000_000.0,
-        delta_bps: float = 150_000.0,
-        pna_xlet_bits: float = bits_from_bytes(256 * 1024),
-        config_bits: float = bits_from_bytes(4 * 1024),
-        section_format: Optional[SectionFormat] = None,
-    ) -> None:
-        if beta_bps <= 0 or delta_bps <= 0:
-            raise ConfigurationError("channel rates must be > 0")
-        self.population = population
-        self.beta_bps = float(beta_bps)
-        self.delta_bps = float(delta_bps)
-        self.pna_xlet_bits = float(pna_xlet_bits)
-        self.config_bits = float(config_bits)
-        self.section_format = section_format or SectionFormat()
-
-    def carousel_schedule(self, image_bits: float) -> CarouselSchedule:
-        """Schedule of the carousel while staging an image of this size."""
-        files = [
-            CarouselFile(name="pna.bin", size_bits=self.pna_xlet_bits),
-            CarouselFile(name="oddci.config", size_bits=self.config_bits),
-            CarouselFile(name="image", size_bits=float(image_bits)),
-        ]
-        return CarouselSchedule(files, self.beta_bps,
-                                section_format=self.section_format)
-
-    def run_job(self, job: Job, target_size: int) -> VectorJobResult:
-        """Recruit ~``target_size`` nodes and execute ``job`` on them.
-
-        Uses deficit-proportional probability against the exact idle
-        census (the best case the Controller's estimator approaches).
-        """
-        if target_size <= 0:
-            raise ConfigurationError("target_size must be > 0")
-        pop = self.population
-        idle = pop.idle_count
-        if idle == 0:
-            raise AnalysisError("no idle nodes to recruit")
-        probability = min(1.0, target_size / idle)
-        recruited = pop.recruit(probability)
-        if recruited.size == 0:
-            raise AnalysisError(
-                "recruitment yielded zero nodes (population too small?)")
-
-        # Wakeup: every recruited node reads the image from the carousel
-        # at a uniformly random phase.
-        sched = self.carousel_schedule(job.image_bits)
-        requests = self.rng_uniform_phases(sched, recruited.size)
-        ready = np.asarray(
-            sched.completion_time("image", requests), dtype=float)
-        wakeup_mean = float((ready - requests).mean())
-
-        stats = job.stats()
-        factors = pop.device_factor[recruited]
-        outcome = self._execute(ready, factors, job.n,
-                                stats.mean_ref_seconds, stats.mean_io_bits)
-        makespan = outcome.finish_time  # origin = submission at t=0
-        ideal = job.n * stats.mean_ref_seconds * float(factors.mean()) \
-            / recruited.size
-        efficiency = min(1.0, ideal / makespan) if makespan > 0 else 0.0
-        pop.release(recruited)
-        return VectorJobResult(
-            n_tasks=job.n,
-            recruited=int(recruited.size),
-            wakeup_mean_s=wakeup_mean,
-            makespan_s=makespan,
-            efficiency=efficiency,
-            tasks_per_node_max=outcome.tasks_per_node_max,
-        )
-
-    def rng_uniform_phases(self, sched: CarouselSchedule,
-                           size: int) -> np.ndarray:
-        """Uniform request times over one carousel cycle (steady state)."""
-        return self.population.streams["wakeup"].uniform(
-            0.0, sched.cycle_time, size=int(size))
-
-    def _execute(
-        self,
-        ready: np.ndarray,
-        factors: np.ndarray,
-        n_tasks: int,
-        mean_ref_seconds: float,
-        mean_io_bits: float,
-    ) -> ExecutionOutcome:
-        unique = np.unique(factors)
-        if unique.size == 1:
-            d = per_task_wall_seconds(mean_ref_seconds, mean_io_bits,
-                                      self.delta_bps, float(unique[0]))
-            return makespan_waterfill(ready, n_tasks, d)
-        # Heterogeneous devices: generalised waterfill (shared solver,
-        # no outage windows).
-        d_i = (mean_io_bits / self.delta_bps
-               + mean_ref_seconds * factors)
-        return makespan_under_outages(ready, n_tasks, d_i)

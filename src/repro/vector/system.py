@@ -1,7 +1,11 @@
 """Multi-job vector-tier system: persistent population, faults, census.
 
 :class:`VectorOddCISystem` is the vector tier's peer of
-:class:`~repro.core.system.OddCISystem`: a persistent
+:class:`~repro.core.system.OddCISystem` and its only job pipeline.
+Per-task wall time is ``(s + r)/δ + p·device_factor`` (the event tier's
+DVE loop timing for uniform bags), and wakeup latency is sampled from
+the schedule of a carousel carrying the PNA Xlet, the config file and
+the job image (:func:`carousel_schedule`).  A persistent
 :class:`~repro.vector.population.VectorPopulation` accepts sequential
 job submissions against one simulation clock (Provider semantics —
 each job recruits from whatever the previous jobs left idle), a
@@ -33,7 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.carousel.dsmcc import SectionFormat
+from repro.carousel.carousel import CarouselSchedule
+from repro.carousel.dsmcc import DEFAULT_SECTION_FORMAT, SectionFormat
+from repro.carousel.objects import CarouselFile
 from repro.core.census import STATE_BUSY, STATE_IDLE
 from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.masks import (
@@ -50,21 +56,43 @@ from repro.sim.monitor import TimeSeries
 from repro.telemetry import trace as telemetry
 from repro.vector.census import VectorCensus
 from repro.vector.executor import makespan_under_outages
-from repro.vector.population import VectorOddCI, VectorPopulation
+from repro.vector.population import VectorPopulation
 from repro.workloads.devices import REFERENCE_STB, DeviceProfile
 from repro.workloads.job import Job
 
-__all__ = ["VectorJobReport", "VectorOddCISystem"]
+__all__ = ["VectorJobReport", "VectorOddCISystem", "carousel_schedule"]
+
+PNA_XLET_BITS = bits_from_bytes(256 * 1024)
+CONFIG_BITS = bits_from_bytes(4 * 1024)
+
+
+def carousel_schedule(
+    image_bits: float,
+    beta_bps: float,
+    *,
+    pna_xlet_bits: float = PNA_XLET_BITS,
+    config_bits: float = CONFIG_BITS,
+    section_format: SectionFormat = DEFAULT_SECTION_FORMAT,
+) -> CarouselSchedule:
+    """Schedule of the wakeup carousel (PNA Xlet, config file, job
+    image) while it stages an image of ``image_bits``."""
+    files = [
+        CarouselFile(name="pna.bin", size_bits=float(pna_xlet_bits)),
+        CarouselFile(name="oddci.config", size_bits=float(config_bits)),
+        CarouselFile(name="image", size_bits=float(image_bits)),
+    ]
+    return CarouselSchedule(files, float(beta_bps),
+                            section_format=section_format)
 
 
 @dataclass(frozen=True)
 class VectorJobReport:
     """Outcome of one submission against a persistent vector system.
 
-    Superset of the legacy :class:`~repro.vector.population.
-    VectorJobResult` fields, with absolute submit/start/finish times on
-    the system clock, the availability fraction over the job window and
-    the census gauges observed at the final consolidation epoch.
+    Recruitment, wakeup, makespan and efficiency of the job, with
+    absolute submit/start/finish times on the system clock, the
+    availability fraction over the job window and the census gauges
+    observed at the final consolidation epoch.
     """
 
     job_index: int
@@ -98,6 +126,8 @@ class VectorOddCISystem:
         built from ``n``/``seed`` and the fraction parameters.
     seed:
         Master seed for the named ``vector.*`` streams.
+    beta_bps / delta_bps:
+        Broadcast capacity β and per-node direct-channel capacity δ.
     plan:
         Fault plan to honour; defaults to the ambient installed plan
         (:func:`repro.faults.plan.current_plan`), matching how event-tier
@@ -124,8 +154,8 @@ class VectorOddCISystem:
         profile: DeviceProfile = REFERENCE_STB,
         beta_bps: float = 1_000_000.0,
         delta_bps: float = 150_000.0,
-        pna_xlet_bits: float = bits_from_bytes(256 * 1024),
-        config_bits: float = bits_from_bytes(4 * 1024),
+        pna_xlet_bits: float = PNA_XLET_BITS,
+        config_bits: float = CONFIG_BITS,
         section_format: Optional[SectionFormat] = None,
         heartbeat_interval_s: float = 30.0,
         grace_heartbeats: float = 3.0,
@@ -133,6 +163,8 @@ class VectorOddCISystem:
         availability_samples: int = 128,
         plan: Optional[FaultPlan] = None,
     ) -> None:
+        if beta_bps <= 0 or delta_bps <= 0:
+            raise ConfigurationError("channel rates must be > 0")
         if population is None:
             if n is None:
                 raise ConfigurationError("pass n or an existing population")
@@ -150,13 +182,11 @@ class VectorOddCISystem:
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.census_epochs = int(census_epochs)
         self.availability_samples = int(availability_samples)
-        # The legacy pipeline supplies the carousel/channel math; the
-        # system layers clock, faults, census and telemetry around it.
-        self.pipeline = VectorOddCI(
-            population,
-            beta_bps=beta_bps, delta_bps=delta_bps,
-            pna_xlet_bits=pna_xlet_bits, config_bits=config_bits,
-            section_format=section_format)
+        self.beta_bps = float(beta_bps)
+        self.delta_bps = float(delta_bps)
+        self.pna_xlet_bits = float(pna_xlet_bits)
+        self.config_bits = float(config_bits)
+        self.section_format = section_format or DEFAULT_SECTION_FORMAT
         self.census = VectorCensus(
             population.n,
             grace_s=grace_heartbeats * self.heartbeat_interval_s)
@@ -213,9 +243,14 @@ class VectorOddCISystem:
             t.emit(t_start, "recruit", recruited=int(recruited.size),
                    probability=probability, deferred_s=t_start - t_submit)
 
-        # Wakeup via the carousel, phases from the wakeup stream.
-        sched = self.pipeline.carousel_schedule(job.image_bits)
-        phases = self.pipeline.rng_uniform_phases(sched, recruited.size)
+        # Wakeup: every recruited node reads the image from the carousel
+        # at a uniformly random phase (wakeup stream).
+        sched = carousel_schedule(
+            job.image_bits, self.beta_bps,
+            pna_xlet_bits=self.pna_xlet_bits, config_bits=self.config_bits,
+            section_format=self.section_format)
+        phases = pop.streams["wakeup"].uniform(
+            0.0, sched.cycle_time, size=int(recruited.size))
         ready = t_start + np.asarray(
             sched.completion_time("image", phases), dtype=float)
         wakeup_mean = float((ready - phases).mean() - t_start)
@@ -227,10 +262,10 @@ class VectorOddCISystem:
         factors = pop.device_factor[recruited]
         unique = np.unique(factors)
         if unique.size == 1:
-            d = (stats.mean_io_bits / self.pipeline.delta_bps
+            d = (stats.mean_io_bits / self.delta_bps
                  + stats.mean_ref_seconds * float(unique[0]))
         else:
-            d = (stats.mean_io_bits / self.pipeline.delta_bps
+            d = (stats.mean_io_bits / self.delta_bps
                  + stats.mean_ref_seconds * factors)
         outcome = makespan_under_outages(
             ready, job.n, d,

@@ -3,7 +3,8 @@
 These drive the full stack — injector-flipped saboteurs, redundant
 dispatch, quorum voting, quarantine feeding the Controller blacklist —
 and pin that the cohort engine and the per-PNA process path agree
-byte-for-byte on every reported number.
+byte-for-byte on every reported number.  Each run is pinned to one path
+by the ``dve`` fixture (tests/conftest.py).
 """
 
 from repro.core.system import OddCISystem
@@ -14,14 +15,13 @@ from repro.workloads import uniform_bag
 from repro.workloads.job import reset_job_sequence
 
 
-def run_point(task_path, policy="quorum3", fraction=0.3, seed=0):
+def run_point(path, policy="quorum3", fraction=0.3, seed=0):
     # Fresh job numbering: backend ids (and thus certifier rng streams)
     # must not depend on how many runs this process did before.
     reset_job_sequence()
     plan = sabotage_plan(fraction)
-    with active_plan(plan if plan.events else None):
-        system = OddCISystem(seed=seed, maintenance_interval_s=30.0,
-                             task_path=task_path)
+    with path(), active_plan(plan if plan.events else None):
+        system = OddCISystem(seed=seed, maintenance_interval_s=30.0)
         system.add_pnas(8, heartbeat_interval_s=15.0,
                         dve_poll_interval_s=5.0)
         job = uniform_bag(30, image_bits=MEGABYTE, ref_seconds=10.0,
@@ -50,8 +50,8 @@ def run_point(task_path, policy="quorum3", fraction=0.3, seed=0):
     }
 
 
-def test_quorum_blocks_every_byzantine_result_end_to_end():
-    out = run_point("cohort", policy="quorum3", fraction=0.3)
+def test_quorum_blocks_every_byzantine_result_end_to_end(dve):
+    out = run_point(dve.cohort, policy="quorum3", fraction=0.3)
     assert out["done"]
     assert out["certified"] == 30
     assert out["escaped"] == 0
@@ -61,27 +61,27 @@ def test_quorum_blocks_every_byzantine_result_end_to_end():
     assert len(out["blacklisted"]) == out["quarantines"]
 
 
-def test_uncertified_baseline_leaks_fabricated_results():
-    out = run_point("cohort", policy="none", fraction=0.3)
+def test_uncertified_baseline_leaks_fabricated_results(dve):
+    out = run_point(dve.cohort, policy="none", fraction=0.3)
     assert out["done"]
     assert out["escaped"] > 0          # the headline the sweep measures
     assert out["quarantines"] == 0     # audit mode never convicts
 
 
-def test_adaptive_policy_spends_fewer_copies_than_static():
-    static = run_point("cohort", policy="quorum3", fraction=0.0)
-    adaptive = run_point("cohort", policy="adaptive", fraction=0.0)
+def test_adaptive_policy_spends_fewer_copies_than_static(dve):
+    static = run_point(dve.cohort, policy="quorum3", fraction=0.0)
+    adaptive = run_point(dve.cohort, policy="adaptive", fraction=0.0)
     assert static["escaped"] == adaptive["escaped"] == 0
     assert adaptive["copies_issued"] < static["copies_issued"]
 
 
-def test_task_paths_agree_byte_for_byte():
+def test_task_paths_agree_byte_for_byte(dve):
     for policy in ("none", "quorum3", "adaptive"):
-        cohort = run_point("cohort", policy=policy)
-        process = run_point("process", policy=policy)
+        cohort = run_point(dve.cohort, policy=policy)
+        process = run_point(dve.per_pna, policy=policy)
         assert cohort == process, policy
 
 
-def test_runs_are_seed_deterministic():
-    assert run_point("cohort") == run_point("cohort")
-    assert run_point("cohort", seed=1)["done"]
+def test_runs_are_seed_deterministic(dve):
+    assert run_point(dve.cohort) == run_point(dve.cohort)
+    assert run_point(dve.cohort, seed=1)["done"]

@@ -7,7 +7,8 @@ a :class:`~repro.core.census.ColumnarCensusStore`-backed Controller in
 exactly the state the :class:`~repro.core.census.DictCensusStore`
 reference produces.  These tests drive randomized sequences through
 both engines — at the raw store level, at the Controller level (the
-columnar cohort path vs the per-payload reference), and through the
+columnar cohort path vs the per-payload reference, the dict store handed
+in through the Controller's ``census`` argument), and through the
 dict-shaped views — and require equality throughout.
 """
 
@@ -25,15 +26,18 @@ from repro.core.census import (
     NodeInterner,
     RegistryView,
     _selfcheck,
-    make_census_store,
 )
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import InstanceSpec, reset_instance_sequence
 from repro.core.messages import HeartbeatPayload, PNAState
 from repro.core.network import Router
+from repro.errors import OddCIError
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
+
+#: Parameter ids -> census engines.
+STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusStore}
 
 # ---------------------------------------------------------------- interner
 
@@ -75,23 +79,12 @@ def test_capacity_growth_preserves_state():
     assert store.registry_get("n42") == (42.0, PNAState.BUSY, "inst")
 
 
-def test_make_census_store_backends(monkeypatch):
-    assert isinstance(make_census_store(None, "columnar"),
-                      ColumnarCensusStore)
-    assert isinstance(make_census_store(None, "dict"), DictCensusStore)
-    monkeypatch.setenv("REPRO_CENSUS_BACKEND", "dict")
-    assert isinstance(make_census_store(None), DictCensusStore)
-    from repro.errors import ConfigurationError
-    with pytest.raises(ConfigurationError):
-        make_census_store(None, "btree")
-
-
 # ------------------------------------------------------------------- views
 
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
 def test_registry_view_dict_compat(backend):
-    store = make_census_store(None, backend)
+    store = STORES[backend]()
     view = RegistryView(store)
     assert view == {} and len(view) == 0 and not view
     view["p1"] = (5.0, PNAState.IDLE, None)
@@ -113,7 +106,7 @@ def test_registry_view_dict_compat(backend):
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
 def test_members_view_dict_compat(backend):
-    store = make_census_store(None, backend)
+    store = STORES[backend]()
     handle = store.bind_instance("inst")
     view = MembersView(store, handle)
     assert view == {} and not view
@@ -146,8 +139,21 @@ def _build_controller(backend):
         BroadcastChannel(sim, beta_bps=1e9, name="bcast"))
     controller = Controller(sim, router, plane, KeyRegistry(),
                             maintenance_interval_s=50.0,
-                            census_backend=backend)
+                            census=STORES[backend](router.interner))
     return sim, router, controller
+
+
+def test_controller_default_store_and_interner_check():
+    sim = Simulator(seed=0)
+    router = Router(sim)
+    plane = DirectControlPlane(
+        BroadcastChannel(sim, beta_bps=1e9, name="bcast"))
+    controller = Controller(sim, router, plane, KeyRegistry())
+    assert isinstance(controller.census, ColumnarCensusStore)
+    assert controller.census.interner is router.interner
+    with pytest.raises(OddCIError):
+        Controller(sim, router, plane, KeyRegistry(),
+                   controller_id="other", census=DictCensusStore())
 
 
 def _census_state(controller):
@@ -345,6 +351,7 @@ def test_crash_clears_census_and_restore_reconciles(backend):
     controller._receive_batch(payloads)
     assert controller.instances[iid].size == 20
     record = controller.instances[iid]
+    store = controller.census
 
     controller.crash()
     assert controller.registry == {}
@@ -352,6 +359,7 @@ def test_crash_clears_census_and_restore_reconciles(backend):
     sim.run(until=sim.now + 30.0)
     controller.restore()
     assert controller.instances[iid] is record  # identity preserved
+    assert controller.census is store  # the injected engine survives
     controller._receive_batch(payloads)
     assert controller.instances[iid].size == 20
     assert len(controller.registry) == 20

@@ -5,7 +5,8 @@ loop and the Backend's dispatch tier in columnar batches; these tests
 drive the same seeded scenarios through both implementations and
 require identical semantics — job report (makespan bit-equal), task
 accounting, per-link byte/delivery/drop counters, node counters and
-telemetry traces.
+telemetry traces.  The ``dve`` fixture (tests/conftest.py) pins each
+run to one path.
 
 Trace comparison uses a canonical same-instant sort: within one sim
 instant the two paths may interleave independent emitters differently
@@ -19,12 +20,11 @@ import pytest
 from repro.core import OddCISystem
 from repro.core.backend import Backend
 from repro.core.dve import CONTROL_PAYLOAD_BITS as DVE_CONTROL_BITS
+from repro.core.dve import DVE
 from repro.core.taskloop import (
     CONTROL_PAYLOAD_BITS as ENGINE_CONTROL_BITS,
     CohortDVE,
-    resolve_task_path,
 )
-from repro.errors import ConfigurationError
 from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
 from repro.workloads.job import reset_job_sequence
@@ -38,7 +38,7 @@ def _canonical(events):
         for t, cat, name, fields in events)
 
 
-def _run_cycle(task_path, *, seed=7, n_nodes=20, n_tasks=60,
+def _run_cycle(*, seed=7, n_nodes=20, n_tasks=60,
                ref_seconds=4.0, input_bits=2e5, result_bits=1e5,
                delta_loss=0.0, lease_factor=None, replicate_tail=False,
                dve_poll_interval_s=5.0, executor=None, drain_s=120.0,
@@ -49,7 +49,7 @@ def _run_cycle(task_path, *, seed=7, n_nodes=20, n_tasks=60,
     ctx = active(tracer) if tracer else _null_ctx()
     with ctx:
         system = OddCISystem(seed=seed, maintenance_interval_s=1e6,
-                             delta_loss=delta_loss, task_path=task_path)
+                             delta_loss=delta_loss)
         system.add_pnas(n_nodes, heartbeat_interval_s=500.0,
                         dve_poll_interval_s=dve_poll_interval_s,
                         executor=executor)
@@ -99,9 +99,11 @@ class _null_ctx:
         return False
 
 
-def _assert_equivalent(cfg):
-    a = _run_cycle("process", **cfg)
-    b = _run_cycle("cohort", **cfg)
+def _assert_equivalent(cfg, dve):
+    with dve.per_pna():
+        a = _run_cycle(**cfg)
+    with dve.cohort():
+        b = _run_cycle(**cfg)
     for key in a:
         assert a[key] == b[key], f"{key} diverged under {cfg}"
 
@@ -126,17 +128,17 @@ BASE_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", BASE_CONFIGS,
                          ids=lambda c: f"seed{c['seed']}")
-def test_cohort_matches_process(cfg):
-    _assert_equivalent(cfg)
+def test_cohort_matches_process(cfg, dve):
+    _assert_equivalent(cfg, dve)
 
 
 @pytest.mark.parametrize("cfg", BASE_CONFIGS[:3],
                          ids=lambda c: f"seed{c['seed']}")
-def test_cohort_matches_process_traced(cfg):
-    _assert_equivalent({**cfg, "trace": True})
+def test_cohort_matches_process_traced(cfg, dve):
+    _assert_equivalent({**cfg, "trace": True}, dve)
 
 
-def test_fuzz_seed_sweep():
+def test_fuzz_seed_sweep(dve):
     """Randomised sweep: seeds drive fleet size, bag size, task shape,
     loss and fault-tolerance knobs through both paths."""
     import random
@@ -156,7 +158,7 @@ def test_fuzz_seed_sweep():
             dve_poll_interval_s=r.choice([2.0, 15.0]),
             drain_s=300.0,
         )
-        _assert_equivalent(cfg)
+        _assert_equivalent(cfg, dve)
 
 
 # -- engine unit behaviour ----------------------------------------------------
@@ -167,72 +169,86 @@ def test_control_payload_bits_in_sync():
     assert ENGINE_CONTROL_BITS == DVE_CONTROL_BITS
 
 
-def test_resolve_task_path_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TASK_PATH", raising=False)
-    assert resolve_task_path(None) == "cohort"
-    assert resolve_task_path("process") == "process"
-    monkeypatch.setenv("REPRO_TASK_PATH", "process")
-    assert resolve_task_path(None) == "process"
-    assert resolve_task_path("cohort") == "cohort"  # explicit wins
-    monkeypatch.setenv("REPRO_TASK_PATH", "bogus")
-    with pytest.raises(ConfigurationError):
-        resolve_task_path(None)
-
-
-def test_cohort_dve_validation_and_destroy():
-    system = OddCISystem(seed=5, maintenance_interval_s=1e6,
-                         task_path="cohort")
-    system.add_pnas(2, heartbeat_interval_s=1e5, dve_poll_interval_s=5.0)
-    job = uniform_bag(4, ref_seconds=1.0, image_bits=1e5)
-    submission = system.provider.submit_job(job, target_size=2,
-                                            lifetime_s=1e5,
-                                            heartbeat_interval_s=1e5)
+def _started_clients(n_nodes=5):
+    """Recruit a small fleet; return the client loop type of every PNA."""
+    system = OddCISystem(seed=3, maintenance_interval_s=1e6)
+    system.add_pnas(n_nodes, heartbeat_interval_s=1e5,
+                    dve_poll_interval_s=5.0)
+    job = uniform_bag(2 * n_nodes, ref_seconds=1.0, image_bits=1e5)
+    system.provider.submit_job(job, target_size=n_nodes, lifetime_s=1e5,
+                               heartbeat_interval_s=1e5)
     system.sim.run(until=2.0)  # recruit; first polls in flight
-    pna = system.pnas[0]
-    dve = pna.dve
-    assert isinstance(dve, CohortDVE)
+    return [type(p.dve) for p in system.pnas]
+
+
+def test_oracle_seam_selects_the_task_path(dve, request):
+    """Guard for the differential suites: a broken seam must fail here
+    rather than let them compare the cohort engine with itself."""
+    with dve.per_pna():
+        assert _started_clients() == [DVE] * 5
+    with dve.cohort():
+        assert _started_clients() == [CohortDVE] * 5
+    ambient = DVE if request.config.getoption("--per-pna-oracle") \
+        else CohortDVE
+    assert _started_clients() == [ambient] * 5
+
+
+def test_cohort_dve_validation_and_destroy(dve):
     from repro.errors import OddCIError
-    with pytest.raises(OddCIError):
-        CohortDVE(dve._engine, pna, "i", "b", poll_interval_s=0)
-    with pytest.raises(OddCIError):
-        CohortDVE(dve._engine, pna, "i", "b", request_timeout_s=-1)
-    dve.destroy()
-    dve.destroy()  # idempotent
-    assert dve.destroyed
-    dve.on_backend_message("anything")  # must not raise
-    completed_before = dve.tasks_completed
-    system.sim.run(until=1e5)
-    assert dve.tasks_completed == completed_before  # slot stays dead
+
+    with dve.cohort():
+        system = OddCISystem(seed=5, maintenance_interval_s=1e6)
+        system.add_pnas(2, heartbeat_interval_s=1e5,
+                        dve_poll_interval_s=5.0)
+        job = uniform_bag(4, ref_seconds=1.0, image_bits=1e5)
+        system.provider.submit_job(job, target_size=2, lifetime_s=1e5,
+                                   heartbeat_interval_s=1e5)
+        system.sim.run(until=2.0)  # recruit; first polls in flight
+        pna = system.pnas[0]
+        client = pna.dve
+        assert isinstance(client, CohortDVE)
+        with pytest.raises(OddCIError):
+            CohortDVE(client._engine, pna, "i", "b", poll_interval_s=0)
+        with pytest.raises(OddCIError):
+            CohortDVE(client._engine, pna, "i", "b", request_timeout_s=-1)
+        client.destroy()
+        client.destroy()  # idempotent
+        assert client.destroyed
+        client.on_backend_message("anything")  # must not raise
+        completed_before = client.tasks_completed
+        system.sim.run(until=1e5)
+        assert client.tasks_completed == completed_before  # slot stays dead
 
 
-def test_unregistered_backend_falls_back_to_process_path():
+def test_unregistered_backend_falls_back_to_process_path(dve):
     """Wakeups naming a backend id with no cohort-capable server (test
     doubles, custom components) must run the reference DVE."""
     from repro.core import WakeupPayload, sign_control
-    from repro.core.dve import DVE
 
-    system = OddCISystem(seed=6, maintenance_interval_s=1e6,
-                         task_path="cohort")
-    system.add_pnas(1, heartbeat_interval_s=1e5, dve_poll_interval_s=5.0)
-    pna = system.pnas[0]
-    payload = WakeupPayload(instance_id="i-ghost", image_name="img",
-                            image_bits=1e5, probability=1.0,
-                            backend_id="ghost-backend")
-    pna.deliver_control(payload,
-                        sign_control(system.controller.key, payload))
+    with dve.cohort():
+        system = OddCISystem(seed=6, maintenance_interval_s=1e6)
+        system.add_pnas(1, heartbeat_interval_s=1e5,
+                        dve_poll_interval_s=5.0)
+        pna = system.pnas[0]
+        payload = WakeupPayload(instance_id="i-ghost", image_name="img",
+                                image_bits=1e5, probability=1.0,
+                                backend_id="ghost-backend")
+        pna.deliver_control(payload,
+                            sign_control(system.controller.key, payload))
     assert isinstance(pna.dve, DVE)
     assert not isinstance(pna.dve, CohortDVE)
 
 
-def test_engine_reused_within_instance_fresh_across_backends():
-    system = OddCISystem(seed=13, maintenance_interval_s=1e6,
-                         task_path="cohort")
-    system.add_pnas(6, heartbeat_interval_s=1e5, dve_poll_interval_s=5.0)
-    job = uniform_bag(12, ref_seconds=1.0)
-    submission = system.provider.submit_job(job, target_size=6,
-                                            lifetime_s=1e6,
-                                            heartbeat_interval_s=1e5)
-    system.provider.run_job_to_completion(submission, limit_s=1e6)
+def test_engine_reused_within_instance_fresh_across_backends(dve):
+    with dve.cohort():
+        system = OddCISystem(seed=13, maintenance_interval_s=1e6)
+        system.add_pnas(6, heartbeat_interval_s=1e5,
+                        dve_poll_interval_s=5.0)
+        job = uniform_bag(12, ref_seconds=1.0)
+        submission = system.provider.submit_job(job, target_size=6,
+                                                lifetime_s=1e6,
+                                                heartbeat_interval_s=1e5)
+        system.provider.run_job_to_completion(submission, limit_s=1e6)
     engines = set(system.router._task_engines.values())
     assert len(engines) == 1
     (engine,) = engines

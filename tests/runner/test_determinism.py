@@ -43,20 +43,20 @@ def test_parallel_matches_serial_byte_for_byte(tmp_path, name, jobs):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_task_paths_agree_byte_for_byte(tmp_path, name, monkeypatch):
+def test_task_paths_agree_byte_for_byte(tmp_path, name, dve):
     """The cohort task engine and the per-PNA reference path must
-    persist byte-identical artifacts (REPRO_TASK_PATH differential),
-    including under ``--jobs`` (workers inherit the environment)."""
-    monkeypatch.setenv("REPRO_TASK_PATH", "process")
-    _res, ref_records, ref_rendered = _artifact_bytes(
-        tmp_path / "process", name, 1)
-    monkeypatch.setenv("REPRO_TASK_PATH", "cohort")
-    _res, coh_records, coh_rendered = _artifact_bytes(
-        tmp_path / "cohort", name, 1)
+    persist byte-identical artifacts, including under ``--jobs``
+    (forked workers inherit the pinned path)."""
+    with dve.per_pna():
+        _res, ref_records, ref_rendered = _artifact_bytes(
+            tmp_path / "process", name, 1)
+    with dve.cohort():
+        _res, coh_records, coh_rendered = _artifact_bytes(
+            tmp_path / "cohort", name, 1)
+        _res, par_records, par_rendered = _artifact_bytes(
+            tmp_path / "cohort-jobs", name, 2)
     assert coh_records == ref_records
     assert coh_rendered == ref_rendered
-    _res, par_records, par_rendered = _artifact_bytes(
-        tmp_path / "cohort-jobs", name, 2)
     assert par_records == ref_records
     assert par_rendered == ref_rendered
 

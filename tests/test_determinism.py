@@ -6,13 +6,12 @@ simulator seed, so re-running any experiment with the same seed must
 give bit-identical results.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import OddCISystem
 from repro.dtv_oddci import OddCIDTVSystem
 from repro.net.message import MEGABYTE, bits_from_bytes
-from repro.vector import VectorOddCI, VectorPopulation
+from repro.vector import VectorOddCISystem
 from repro.workloads import uniform_bag
 
 
@@ -40,8 +39,7 @@ def run_dtv(seed):
 
 
 def run_vector(seed):
-    pop = VectorPopulation(50_000, np.random.default_rng(seed))
-    system = VectorOddCI(pop)
+    system = VectorOddCISystem(50_000, seed=seed)
     job = uniform_bag(100_000, image_bits=8 * MEGABYTE, ref_seconds=30.0)
     result = system.run_job(job, target_size=10_000)
     return (result.recruited, result.wakeup_mean_s, result.makespan_s)

@@ -43,9 +43,7 @@ from repro.faults import (
 )
 from repro.net.message import KILOBYTE, MEGABYTE, bits_from_bytes
 from repro.vector import (
-    VectorOddCI,
     VectorOddCISystem,
-    VectorPopulation,
     makespan_heap,
     makespan_waterfill,
 )
@@ -76,9 +74,8 @@ def event_tier_makespan(n_nodes, n_tasks, ref_seconds, io_bits,
 
 def vector_tier_makespan(n_nodes, n_tasks, ref_seconds, io_bits,
                          image_bits, seed=0):
-    pop = VectorPopulation(n_nodes, np.random.default_rng(seed),
-                           profile=REFERENCE_PC)
-    system = VectorOddCI(pop, beta_bps=1_000_000.0, delta_bps=150_000.0)
+    system = VectorOddCISystem(n_nodes, seed=seed, profile=REFERENCE_PC,
+                               beta_bps=1_000_000.0, delta_bps=150_000.0)
     job = uniform_bag(n_tasks, image_bits=image_bits,
                       input_bits=io_bits / 2, ref_seconds=ref_seconds,
                       result_bits=io_bits / 2)

@@ -1,16 +1,20 @@
-"""Tests for VectorPopulation and the VectorOddCI pipeline."""
+"""Tests for VectorPopulation and single jobs on a VectorOddCISystem."""
 
 import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
-from repro.vector import VectorOddCI, VectorPopulation
-from repro.workloads import REFERENCE_PC, REFERENCE_STB, uniform_bag
+from repro.vector import VectorOddCISystem, VectorPopulation
+from repro.workloads import REFERENCE_STB, uniform_bag
 from repro.net.message import MEGABYTE
 
 
 def make_pop(n=10_000, seed=0, **kwargs):
-    return VectorPopulation(n, np.random.default_rng(seed), **kwargs)
+    return VectorPopulation(n, seed=seed, **kwargs)
+
+
+def make_system(pop, **kwargs):
+    return VectorOddCISystem(population=pop, **kwargs)
 
 
 # -- population ---------------------------------------------------------------
@@ -24,13 +28,12 @@ def test_population_census():
 
 
 def test_population_validation():
-    rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        VectorPopulation(0, rng)
+        VectorPopulation(0, seed=0)
     with pytest.raises(ConfigurationError):
-        VectorPopulation(10, rng, in_use_fraction=1.5)
+        VectorPopulation(10, seed=0, in_use_fraction=1.5)
     with pytest.raises(ConfigurationError):
-        VectorPopulation(10, rng, powered_fraction=-0.1)
+        VectorPopulation(10, seed=0, powered_fraction=-0.1)
 
 
 def test_recruit_probability_gate():
@@ -83,11 +86,11 @@ def test_device_factors_match_modes():
     assert vals <= {f_use, f_stb}
 
 
-# -- VectorOddCI ---------------------------------------------------------------
+# -- single jobs ----------------------------------------------------------------
 
 def test_run_job_basic():
     pop = make_pop(n=5000, seed=1)
-    system = VectorOddCI(pop, beta_bps=1_000_000.0, delta_bps=150_000.0)
+    system = make_system(pop, beta_bps=1_000_000.0, delta_bps=150_000.0)
     job = uniform_bag(50_000, image_bits=10 * MEGABYTE, ref_seconds=60.0)
     result = system.run_job(job, target_size=1000)
     assert 900 < result.recruited < 1100
@@ -99,7 +102,7 @@ def test_run_job_basic():
 
 def test_wakeup_mean_close_to_1_5_I_over_beta():
     pop = make_pop(n=20_000, seed=2)
-    system = VectorOddCI(pop, beta_bps=1_000_000.0)
+    system = make_system(pop, beta_bps=1_000_000.0)
     job = uniform_bag(100_000, image_bits=10 * MEGABYTE, ref_seconds=60.0)
     result = system.run_job(job, target_size=10_000)
     w_model = 1.5 * job.image_bits / 1_000_000.0
@@ -109,19 +112,19 @@ def test_wakeup_mean_close_to_1_5_I_over_beta():
 
 def test_efficiency_grows_with_phi():
     pop = make_pop(n=2000, seed=3)
-    system = VectorOddCI(pop)
+    system = make_system(pop)
     from repro.workloads import bag_from_phi
 
     low = system.run_job(bag_from_phi(20_000, 10.0), target_size=200)
     pop2 = make_pop(n=2000, seed=3)
-    system2 = VectorOddCI(pop2)
+    system2 = make_system(pop2)
     high = system2.run_job(bag_from_phi(20_000, 10_000.0), target_size=200)
     assert high.efficiency > low.efficiency
 
 
 def test_run_job_validation():
     pop = make_pop(n=100)
-    system = VectorOddCI(pop)
+    system = make_system(pop)
     job = uniform_bag(10)
     with pytest.raises(ConfigurationError):
         system.run_job(job, target_size=0)
@@ -132,15 +135,17 @@ def test_run_job_validation():
 
 def test_invalid_channel_rates():
     pop = make_pop(n=10)
-    with pytest.raises(ConfigurationError):
-        VectorOddCI(pop, beta_bps=0)
-    with pytest.raises(ConfigurationError):
-        VectorOddCI(pop, delta_bps=0)
+    for rates in ({"beta_bps": 0}, {"delta_bps": 0},
+                  {"beta_bps": -1.0}, {"delta_bps": -1.0}):
+        with pytest.raises(ConfigurationError):
+            make_system(pop, **rates)
+        with pytest.raises(ConfigurationError):
+            VectorOddCISystem(10, **rates)
 
 
 def test_heterogeneous_modes_use_bucketed_waterfill():
     pop = make_pop(n=3000, seed=4, in_use_fraction=0.5)
-    system = VectorOddCI(pop)
+    system = make_system(pop)
     job = uniform_bag(30_000, image_bits=MEGABYTE, ref_seconds=10.0)
     result = system.run_job(job, target_size=1000)
     assert result.makespan_s > 0
@@ -150,7 +155,7 @@ def test_heterogeneous_modes_use_bucketed_waterfill():
 def test_million_node_run_is_feasible():
     """Requirement I at the vector tier: 10^6 nodes end to end."""
     pop = make_pop(n=1_000_000, seed=5)
-    system = VectorOddCI(pop)
+    system = make_system(pop)
     job = uniform_bag(4_000_000, image_bits=8 * MEGABYTE, ref_seconds=30.0)
     result = system.run_job(job, target_size=1_000_000)
     assert result.recruited > 900_000
