@@ -2,7 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test experiments bench bench-quick bench-floor trace-demo \
-	faults-smoke federation-smoke serve-smoke certify-smoke vector-smoke
+	faults-smoke federation-smoke serve-smoke certify-smoke vector-smoke \
+	oddbench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -35,6 +36,17 @@ bench-quick:
 		--out /tmp/bench_dispatch_quick.json
 	$(PYTHON) -m repro bench --serve --serve-scales 16 \
 		--out /tmp/bench_serve_quick.json
+
+# Repository benchmark smoke (oddbench/README.md): the benchmark's own
+# tests, then one 1-second iteration per workload at seed 0, each
+# checked bit for bit against oddbench/reference.json (run.py exits
+# non-zero on any mismatch).  Timings printed here are informational.
+oddbench:
+	$(PYTHON) -m pytest oddbench/tests -q
+	for workload in bot_cycle dtv_churn vector_storm; do \
+		$(PYTHON) oddbench/run.py --workload $$workload --seed 0 \
+			--seconds 1 --trace 0 || exit 1; \
+	done
 
 # Reduced-scale event-kernel floor guard (the 10^6 < 60s claim,
 # scaled): benchmarks/test_event_kernel_floor.py under --run-perf.

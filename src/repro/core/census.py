@@ -59,6 +59,8 @@ __all__ = [
     "STATE_IDLE",
     "STATE_BUSY",
     "NO_INSTANCE",
+    "STATE_CODE",
+    "CODE_STATE",
     "NodeInterner",
     "CensusStore",
     "ColumnarCensusStore",
@@ -76,8 +78,9 @@ STATE_BUSY = 2
 #: Instance-handle sentinel for "no instance" (idle heartbeats).
 NO_INSTANCE = -1
 
-_STATE_CODE = {PNAState.IDLE: STATE_IDLE, PNAState.BUSY: STATE_BUSY}
-_CODE_STATE = {STATE_IDLE: PNAState.IDLE, STATE_BUSY: PNAState.BUSY}
+#: PNAState <-> registry state code.
+STATE_CODE = {PNAState.IDLE: STATE_IDLE, PNAState.BUSY: STATE_BUSY}
+CODE_STATE = {STATE_IDLE: PNAState.IDLE, STATE_BUSY: PNAState.BUSY}
 
 #: ``last_seen`` value for untouched registry rows (compares below any
 #: finite horizon, exactly like an absent dict entry).
@@ -327,7 +330,7 @@ class DictCensusStore(CensusStore):
 
     # -- registry --------------------------------------------------------
     def touch(self, idx, state, instance_id, now):
-        self._registry[idx] = (now, _STATE_CODE[state],
+        self._registry[idx] = (now, STATE_CODE[state],
                                self.instance_handle(instance_id))
 
     def touch_group(self, idxs, code, instance_id, now):
@@ -355,17 +358,17 @@ class DictCensusStore(CensusStore):
         if row is None:
             return None
         seen, code, handle = row
-        return (seen, _CODE_STATE[code], self.instance_id_of(handle))
+        return (seen, CODE_STATE[code], self.instance_id_of(handle))
 
     def registry_set(self, node_id, seen, state, instance_id):
         idx = self.interner.intern(node_id)
-        self._registry[idx] = (seen, _STATE_CODE[state],
+        self._registry[idx] = (seen, STATE_CODE[state],
                                self.instance_handle(instance_id))
 
     def registry_items(self):
         id_of = self.interner.id_of
         for idx, (seen, code, handle) in self._registry.items():
-            yield id_of(idx), (seen, _CODE_STATE[code],
+            yield id_of(idx), (seen, CODE_STATE[code],
                                self.instance_id_of(handle))
 
     def clear_registry(self):
@@ -533,7 +536,7 @@ class ColumnarCensusStore(CensusStore):
         if self._state[idx] == STATE_NONE:
             self._registry_count += 1
         self._seen[idx] = now
-        self._state[idx] = _STATE_CODE[state]
+        self._state[idx] = STATE_CODE[state]
         self._inst[idx] = self.instance_handle(instance_id)
 
     def touch_group(self, idxs, code, instance_id, now):
@@ -563,7 +566,7 @@ class ColumnarCensusStore(CensusStore):
         code = int(self._state[idx])
         if code == STATE_NONE:
             return None
-        return (float(self._seen[idx]), _CODE_STATE[code],
+        return (float(self._seen[idx]), CODE_STATE[code],
                 self.instance_id_of(int(self._inst[idx])))
 
     def registry_set(self, node_id, seen, state, instance_id):
@@ -574,7 +577,7 @@ class ColumnarCensusStore(CensusStore):
         seen, state, inst = self._seen, self._state, self._inst
         for idx in np.flatnonzero(state != STATE_NONE):
             i = int(idx)
-            yield id_of(i), (float(seen[i]), _CODE_STATE[int(state[i])],
+            yield id_of(i), (float(seen[i]), CODE_STATE[int(state[i])],
                              self.instance_id_of(int(inst[i])))
 
     def clear_registry(self):

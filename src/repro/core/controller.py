@@ -85,9 +85,12 @@ from repro.telemetry.trace import metrics_registry as _telemetry_metrics
 __all__ = ["ControlPlane", "DirectControlPlane", "Controller",
            "ControllerCheckpoint"]
 
-#: sentinel distinguishing "instance not classified yet" from the
-#: ``None`` that marks an instance as slow-path in a cohort pass.
-_UNSEEN: object = object()
+
+def _has_repeats(idxs: np.ndarray) -> bool:
+    """Does a cohort name some node twice?  (Then it is not a wheel
+    cohort, and consolidates payload by payload.)"""
+    ranked = np.sort(idxs)
+    return bool((ranked[1:] == ranked[:-1]).any())
 
 
 class ControlPlane:
@@ -228,11 +231,6 @@ class Controller:
         self._blacklist: Set[str] = set()
         self.counters = Counter()
         self.size_history: Dict[str, TimeSeries] = {}
-        # Cohort duplicate guard: per-node epoch stamps (grown lazily to
-        # the interner's size).  A payload list with a repeated node is
-        # not a wheel cohort — it falls back to per-payload order.
-        self._dup_stamp: List[int] = []
-        self._dup_epoch = 0
 
         # Crash/recovery state (DESIGN.md §10).
         self.alive = True
@@ -543,91 +541,78 @@ class Controller:
     #: per-payload loop.
     _COHORT_MIN = 16
 
-    def _receive_cohort(self, payloads: list, idxs: list) -> None:
-        """Columnar entry point: a cohort plus its interned indices.
+    def _receive_cohort(self, idxs: np.ndarray, states: np.ndarray,
+                        insts: np.ndarray) -> None:
+        """Columnar entry point: a cohort as (node index, state code,
+        instance code) columns (see :meth:`Router.send_heartbeats`).
 
-        One classification pass splits the cohort into (a) idle
+        One vectorised classification splits the cohort into (a) idle
         heartbeats, (b) per-instance groups whose consolidation is pure
         membership refresh (live instance, no pending trims) and (c) a
-        *slow tail*, kept in original payload order, of everything with
-        side effects — stale/unknown instances (reset replies) and
-        pending-trim instances (trim countdowns).  Groups (a)+(b) land
-        as columnar writes; (c) replays through :meth:`_consolidate`,
-        so reset-reply event ordering and trim-exhaustion semantics are
+        *slow tail*, kept in original order, of everything with side
+        effects — blacklisted nodes, stale/unknown instances (reset
+        replies) and pending-trim instances (trim countdowns).  Groups
+        (a)+(b) land as columnar writes; only (c) is materialised as
+        payloads and replayed through :meth:`_consolidate`, so
+        reset-reply event ordering and trim-exhaustion semantics are
         exactly the sequential ones.  Because every node appears at
-        most once per cohort (enforced by epoch stamps — violations
-        fall back to the per-payload path wholesale), the columnar
-        regrouping is order-equivalent to the sequential fold.
+        most once per cohort (a repeated node falls back to the
+        per-payload path wholesale), the columnar regrouping is
+        order-equivalent to the sequential fold.
         """
         census = self.census
-        if not census.supports_columnar or len(payloads) < self._COHORT_MIN:
-            self._receive_batch(payloads)
+        router = self.router
+        n = len(idxs)
+        if (not census.supports_columnar or n < self._COHORT_MIN
+                or _has_repeats(idxs)):
+            self._receive_batch(router.heartbeat_payloads(idxs, states,
+                                                          insts))
             return
-        stamp = self._dup_stamp
-        interned = len(self.router.interner)
-        if len(stamp) < interned:
-            stamp.extend([0] * (interned - len(stamp)))
-        epoch = self._dup_epoch = self._dup_epoch + 1
-        instances = self.instances
-        pending = self._pending_trims
-        idle_idxs: List[int] = []
-        # instance_id -> fast-group idx list, or None once classified
-        # slow; an instance's classification is constant within the
-        # pass (records and trim counts only change in the slow replay
-        # below), so it is resolved once per instance, not per payload.
-        groups: Dict[str, Optional[List[int]]] = {}
-        slow: List[HeartbeatPayload] = []
-        idle_append = idle_idxs.append
-        slow_append = slow.append
-        groups_get = groups.get
-        IDLE = PNAState.IDLE
-        unseen = _UNSEEN
-        blacklist = self._blacklist
-        for payload, idx in zip(payloads, idxs):
-            if stamp[idx] == epoch:
-                # Duplicate node in one batch: not a wheel cohort.
-                self._receive_batch(payloads)
-                return
-            stamp[idx] = epoch
-            if blacklist and payload.pna_id in blacklist:
-                # Quarantined: the slow tail's _consolidate refuses it
-                # (columnar touch would resurrect the census entry).
-                slow_append(payload)
-                continue
-            if payload.state is IDLE:
-                idle_append(idx)
-                continue
-            instance_id = payload.instance_id
-            group = groups_get(instance_id, unseen)
-            if group is unseen:
+        slow = np.zeros(n, dtype=bool)
+        if self._blacklist:
+            # Quarantined: the slow tail's _consolidate refuses them (a
+            # columnar touch would resurrect the census entry).
+            index_of = census.interner.index_of
+            banned = [index_of(p) for p in self._blacklist]
+            slow |= np.isin(idxs, [i for i in banned if i is not None])
+        idle = states == STATE_IDLE
+        busy = ~idle & ~slow
+        idle &= ~slow
+        # Busy members group by instance, in order of first appearance;
+        # an instance's classification is constant within the pass
+        # (records and trim counts only change in the slow replay).
+        groups = []
+        codes = insts[busy]
+        if codes.size:
+            distinct, firsts = np.unique(codes, return_index=True)
+            instances = self.instances
+            pending = self._pending_trims
+            for code in distinct[np.argsort(firsts)].tolist():
+                instance_id = router.instance_of(code)
+                members = busy & (insts == code)
                 record = instances.get(instance_id)
                 if (record is None
                         or record.status in (InstanceStatus.DISMANTLING,
                                              InstanceStatus.DESTROYED)
                         or pending.get(instance_id, 0) > 0):
-                    groups[instance_id] = group = None
+                    slow |= members
                 else:
-                    groups[instance_id] = group = []
-            if group is None:
-                slow_append(payload)
-            else:
-                group.append(idx)
-        self._batch_bumps(len(payloads))
+                    groups.append((instance_id, record, members))
+        self._batch_bumps(n)
         now = self.sim.now
-        if idle_idxs:
-            arr = np.array(idle_idxs, dtype=np.int64)
+        if idle.any():
+            arr = idxs[idle]
             census.touch_group(arr, STATE_IDLE, None, now)
             census.drop_many_from_all(arr)
-        for instance_id, group in groups.items():
-            if not group:
-                continue
-            arr = np.array(group, dtype=np.int64)
+        for instance_id, record, members in groups:
+            arr = idxs[members]
             census.touch_group(arr, STATE_BUSY, instance_id, now)
-            census.mark_members(instances[instance_id].census_handle,
-                                arr, now)
-        consolidate = self._consolidate
-        for payload in slow:
-            consolidate(payload)
+            census.mark_members(record.census_handle, arr, now)
+        if slow.any():
+            consolidate = self._consolidate
+            for payload in router.heartbeat_payloads(
+                    idxs[slow], states[slow], insts[slow]):
+                consolidate(payload)
 
     def _consolidate(self, payload: HeartbeatPayload) -> None:
         if self._blacklist and payload.pna_id in self._blacklist:

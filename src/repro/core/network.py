@@ -10,11 +10,26 @@ bottleneck, not the datacenter side.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.census import NodeInterner
+import numpy as np
+
+from repro.core.census import (
+    CODE_STATE,
+    STATE_CODE,
+    STATE_IDLE,
+    NodeInterner,
+)
+from repro.core.messages import HeartbeatPayload
 from repro.errors import LinkDownError, NetworkError
-from repro.net.link import DuplexChannel
+from repro.net.link import (
+    DuplexChannel,
+    LinkTable,
+    column_view,
+    count_deliveries,
+    offer_rows,
+)
 from repro.net.message import DEFAULT_HEADER_BITS, Message
 from repro.sim.core import Event, Simulator
 
@@ -26,9 +41,9 @@ ReceiveFn = Callable[[Message], None]
 #: Batched receive callback: a list of payloads arriving together.
 ReceiveBatchFn = Callable[[list], None]
 
-#: Cohort receive callback: (payloads, interned index array) — the
-#: columnar fast path for same-instant heartbeat cohorts.
-ReceiveCohortFn = Callable[[list, Any], None]
+#: Cohort receive callback: (node indices, state codes, instance codes)
+#: — the columnar fast path for same-instant heartbeat cohorts.
+ReceiveCohortFn = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 #: Bare-payload receive callback (quiet fast path, no Message wrapper).
 ReceivePayloadFn = Callable[[Any], None]
@@ -36,7 +51,17 @@ ReceivePayloadFn = Callable[[Any], None]
 
 class Router:
     """Associates component ids with receive callbacks and PNA ids with
-    their direct channels."""
+    their direct channels.
+
+    The Router also owns the columnar node state of the heartbeat
+    plane, indexed by each PNA's interned node index: the PNA columns
+    (``pna_online``, ``pna_state`` census state code, ``pna_instance``
+    instance code, ``heartbeats_sent``) that :class:`~repro.core.pna.PNA`
+    attributes read through to, and the direct-channel link tables
+    (``uplinks``/``downlinks``, see :class:`~repro.net.link.LinkTable`)
+    that the channels of registered PNAs live in.  A heartbeat cohort
+    tick therefore touches no per-member Python object.
+    """
 
     def __init__(self, sim: Simulator, *,
                  interner: Optional[NodeInterner] = None) -> None:
@@ -66,6 +91,74 @@ class Router:
         self._task_servers: Dict[str, Any] = {}
         self._task_engines: Dict[str, Any] = {}
         self.undeliverable = 0
+        #: direct-channel serializer state, row = node index.
+        self.uplinks = LinkTable()
+        self.downlinks = LinkTable()
+        #: PNA columns, row = node index (``array.array``: scalar reads
+        #: are Python ints; batch passes view them zero-copy).
+        self.pna_online = array("b")
+        self.pna_state = array("b")
+        self.pna_instance = array("q")
+        self.heartbeats_sent = array("q")
+        #: 1 while the row's PNA is registered here (a cohort member
+        #: whose node vanished sends nothing).
+        self._pna_linked = array("b")
+        self._up_receiver = self._deliver_to_component
+        self._down_receiver = self._deliver_to_pna
+        #: instance ids behind ``pna_instance`` codes; 0 is "none".
+        self._instance_ids: List[Optional[str]] = [None]
+        self._instance_codes: Dict[str, int] = {}
+
+    # -- node columns ----------------------------------------------------
+    def instance_code(self, instance_id: Optional[str]) -> int:
+        """Intern an instance id for the ``pna_instance`` column."""
+        if instance_id is None:
+            return 0
+        code = self._instance_codes.get(instance_id)
+        if code is None:
+            code = self._instance_codes[instance_id] = len(self._instance_ids)
+            self._instance_ids.append(instance_id)
+        return code
+
+    def instance_of(self, code: int) -> Optional[str]:
+        return self._instance_ids[code]
+
+    def heartbeat_payloads(self, idxs, states, insts
+                           ) -> List[HeartbeatPayload]:
+        """Materialise heartbeat columns as payloads, in order — for
+        receivers that consume payloads rather than columns."""
+        id_of = self.interner.id_of
+        instance_ids = self._instance_ids
+        return [HeartbeatPayload(pna_id=id_of(idx),
+                                 state=CODE_STATE[code],
+                                 instance_id=instance_ids[inst])
+                for idx, code, inst in zip(idxs.tolist(), states.tolist(),
+                                           insts.tolist())]
+
+    def heartbeat_columns(self, payloads) -> Tuple[np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+        """The inverse of :meth:`heartbeat_payloads` (interning ids as
+        needed): columns for driving a cohort receiver by hand."""
+        intern = self.interner.intern
+        idxs = np.array([intern(p.pna_id) for p in payloads], dtype=np.int64)
+        states = np.array([STATE_CODE[p.state] for p in payloads],
+                          dtype=np.int8)
+        insts = np.array([self.instance_code(p.instance_id)
+                          for p in payloads], dtype=np.int64)
+        return idxs, states, insts
+
+    def _reserve_rows(self, n: int) -> None:
+        """Grow the node columns and link tables to at least ``n`` rows,
+        by doubling: registering a fleet then writes rows in place."""
+        have = len(self.pna_state)
+        if n <= have:
+            return
+        cap = max(n, 2 * have, 64)
+        for column in (self.pna_online, self.pna_state, self.pna_instance,
+                       self.heartbeats_sent, self._pna_linked):
+            column.frombytes(bytes(column.itemsize * (cap - have)))
+        self.uplinks.reserve(cap)
+        self.downlinks.reserve(cap)
 
     # -- registration ----------------------------------------------------
     def register_component(self, component_id: str, receive: ReceiveFn,
@@ -84,9 +177,11 @@ class Router:
 
         ``receive_cohort`` — optional columnar entry point, preferred
         over ``receive_batch`` for cohort deliveries: called as
-        ``receive_cohort(payloads, idxs)`` where ``idxs`` holds each
-        payload's interned node index (same order), so a census-backed
-        component can consolidate the whole cohort as array writes.
+        ``receive_cohort(idxs, states, insts)``: the senders' interned
+        node indices, census state codes and instance codes (see
+        :meth:`instance_of`) as parallel arrays, so a census-backed
+        component can consolidate the whole cohort as array writes
+        without a payload object per heartbeat.
 
         ``receive_payload`` — optional bare-payload entry point: quiet
         sends addressed to this component skip the :class:`Message`
@@ -136,8 +231,10 @@ class Router:
         """Register a PNA; returns its dense interned node index.
 
         The index is stable across shutdown/restart cycles (the
-        interner is append-only), so heartbeat cohorts cache it and
-        ship it alongside each payload for columnar consolidation."""
+        interner is append-only).  It is the PNA's row in the node
+        columns, and the channel's links move into the router's link
+        tables at that row, so heartbeat cohorts run as column passes.
+        """
         if pna_id in self._pna_channels:
             raise NetworkError(f"PNA {pna_id!r} already registered")
         self._pna_channels[pna_id] = channel
@@ -146,15 +243,28 @@ class Router:
             self._pna_payload_receivers[pna_id] = receive_payload
         # attach() inlined: at 10^6 registrations the two method calls
         # are measurable, and the router already owns link internals.
-        channel.uplink._receiver = self._deliver_to_component
-        channel.downlink._receiver = (
-            lambda msg, pna_id=pna_id: self._deliver_to_pna(pna_id, msg))
-        return self.interner.intern(pna_id)
+        # The receivers are bound once per router, not once per PNA.
+        channel.uplink._receiver = self._up_receiver
+        channel.downlink._receiver = self._down_receiver
+        idx = self.interner.intern(pna_id)
+        self._reserve_rows(idx + 1)
+        self.pna_online[idx] = 1
+        self.pna_state[idx] = STATE_IDLE
+        self.pna_instance[idx] = 0
+        self.heartbeats_sent[idx] = 0
+        self._pna_linked[idx] = 1
+        channel.uplink.move_to(self.uplinks, idx)
+        channel.downlink.move_to(self.downlinks, idx)
+        return idx
 
     def unregister_pna(self, pna_id: str) -> None:
-        self._pna_channels.pop(pna_id, None)
+        channel = self._pna_channels.pop(pna_id, None)
         self._pna_receivers.pop(pna_id, None)
         self._pna_payload_receivers.pop(pna_id, None)
+        if channel is not None:
+            self._pna_linked[self.interner.index_of(pna_id)] = 0
+            channel.uplink.detach()
+            channel.downlink.detach()
 
     # -- sending ------------------------------------------------------------
     def send_from_pna(self, pna_id: str, recipient: str, payload: Any,
@@ -277,87 +387,70 @@ class Router:
         receive(payload)
 
     # -- batched heartbeats ----------------------------------------------
-    def send_heartbeats(self, entries: List[Tuple[str, Any, int]],
-                        recipient: str, payload_bits: float) -> None:
-        """Uplink-send one heartbeat per ``(pna_id, payload, idx)``.
+    def send_heartbeats(self, idxs: np.ndarray, recipient: str,
+                        payload_bits: float) -> None:
+        """Uplink-send one heartbeat from each PNA row in ``idxs``.
 
-        The cohort fast path: each member's uplink is reserved through
-        :meth:`~repro.net.link.Link.offer` (identical FIFO math, byte
-        accounting and loss draws as ``send``), then deliveries are
-        bucketed by arrival time so each distinct arrival instant costs
-        **one** calendar entry instead of one Event + Message per PNA.
-        With a homogeneous fleet that is a single entry per tick.
-
-        ``idx`` is the sender's interned node index (from
-        :meth:`register_pna`); it rides along so a cohort-capable
-        recipient can consolidate the batch columnar-ly without N
-        string lookups.
+        The cohort fast path, one column pass: the senders' state and
+        instance codes are snapshotted (the heartbeat's content), every
+        uplink is reserved through :func:`~repro.net.link.offer_rows`
+        (identical FIFO math, byte accounting and loss draws as
+        ``send``), and deliveries are grouped by arrival instant, in
+        order of first appearance, so each distinct instant costs
+        **one** calendar entry.  With a homogeneous fleet that is a
+        single entry per tick.  ``idxs`` must be distinct.
         """
-        size_bits = payload_bits + DEFAULT_HEADER_BITS
-        channels = self._pna_channels
-        buckets: Dict[float, list] = {}
+        linked = column_view(self._pna_linked)[idxs]
+        if not linked.all():
+            idxs = idxs[linked != 0]  # node vanished: nothing to send
         now = self.sim.now
-        bt = None
-        bt_list = None
-        for pna_id, payload, idx in entries:
-            channel = channels.get(pna_id)
-            if channel is None:
-                continue  # node vanished; the old per-PNA timer is gone too
-            link = channel.uplink
-            # Loss-free up-link case inlined (the 10^6-member tick hot
-            # path); lossy/down links go through offer itself so drop
-            # accounting and the loss-draw RNG order stay exact.
-            if link.loss == 0.0 and link._up:
-                start = link._busy_until
-                if now > start:
-                    start = now
-                done = start + size_bits / link.rate_bps
-                link._busy_until = done
-                link._bits_sent += size_bits
-                deliver_at = done + link.latency_s
-            else:
-                deliver_at = link.offer(size_bits)
-                if deliver_at is None:
-                    continue  # link down or message lost in flight
-            # A homogeneous cohort lands every member on the same
-            # arrival instant — memoize the bucket lookup.  Buckets are
-            # struct-of-arrays (links, payloads, idxs): three appends
-            # beat a per-member tuple allocation, and the consolidation
-            # columns reach the receiver without re-packing.
-            if deliver_at != bt:
-                bt = deliver_at
-                bt_list = buckets.get(deliver_at)
-                if bt_list is None:
-                    buckets[deliver_at] = bt_list = ([], [], [])
-            bt_list[0].append(link)
-            bt_list[1].append(payload)
-            bt_list[2].append(idx)
-        sent_at = self.sim.now
-        for deliver_at, batch in buckets.items():
-            self.sim.call_at(deliver_at, self._deliver_batch, recipient,
-                             payload_bits, sent_at, batch)
+        deliver = offer_rows(self.uplinks, idxs,
+                             payload_bits + DEFAULT_HEADER_BITS, now,
+                             distinct=True)
+        states = column_view(self.pna_state)[idxs]
+        insts = column_view(self.pna_instance)[idxs]
+        arrived = deliver == deliver  # NaN: link down or message lost
+        if not arrived.all():
+            idxs, states, insts, deliver = (
+                idxs[arrived], states[arrived], insts[arrived],
+                deliver[arrived])
+        if not deliver.size:
+            return
+        call_at = self.sim.call_at
+        first = deliver[0]
+        if (deliver == first).all():
+            call_at(float(first), self._deliver_batch, recipient,
+                    payload_bits, now, idxs, states, insts)
+            return
+        instants, firsts, group = np.unique(deliver, return_index=True,
+                                            return_inverse=True)
+        order = np.argsort(group, kind="stable")
+        bounds = np.cumsum(np.bincount(group))
+        for g in np.argsort(firsts).tolist():
+            members = order[bounds[g - 1] if g else 0:bounds[g]]
+            call_at(float(instants[g]), self._deliver_batch, recipient,
+                    payload_bits, now, idxs[members], states[members],
+                    insts[members])
 
     def _deliver_batch(self, recipient: str, payload_bits: float,
-                       sent_at: float, batch: tuple) -> None:
-        links, payloads, idxs = batch
-        for link in links:
-            link._delivered += 1
+                       sent_at: float, idxs: np.ndarray, states: np.ndarray,
+                       insts: np.ndarray) -> None:
+        count_deliveries(self.uplinks, idxs)
         receive_cohort = self._cohort_receivers.get(recipient)
         if receive_cohort is not None:
-            receive_cohort(payloads, idxs)
+            receive_cohort(idxs, states, insts)
             return
         receive_batch = self._batch_receivers.get(recipient)
         if receive_batch is not None:
-            receive_batch(payloads)
+            receive_batch(self.heartbeat_payloads(idxs, states, insts))
             return
         receive = self._components.get(recipient)
         if receive is None:
-            self.undeliverable += len(payloads)
+            self.undeliverable += len(idxs)
             return
         # Per-message fallback for components without a batch entry point
-        # (aggregators, test doubles): reconstruct what link.send would
-        # have delivered.
-        for payload in payloads:
+        # (test doubles): reconstruct what link.send would have delivered.
+        for payload in self.heartbeat_payloads(idxs, states, insts):
             receive(Message(sender=payload.pna_id, recipient=recipient,
                             payload=payload, payload_bits=payload_bits,
                             created_at=sent_at))
@@ -370,8 +463,10 @@ class Router:
             return
         receive(msg)
 
-    def _deliver_to_pna(self, pna_id: str, msg: Message) -> None:
-        receive = self._pna_receivers.get(pna_id)
+    def _deliver_to_pna(self, msg: Message) -> None:
+        # Only send_to_pna sends on a registered downlink, addressing
+        # the message to the channel's PNA.
+        receive = self._pna_receivers.get(msg.recipient)
         if receive is None:
             self.undeliverable += 1
             return

@@ -15,12 +15,14 @@ a :class:`~repro.net.broadcast.BroadcastChannel`.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional
+
+import numpy as np
 
 from repro.errors import OddCIError
+from repro.core.census import CODE_STATE, STATE_CODE
 from repro.core.dve import CONTROL_PAYLOAD_BITS, DVE
 from repro.core.messages import (
-    HeartbeatPayload,
     HeartbeatReply,
     PNAState,
     ResetPayload,
@@ -30,7 +32,7 @@ from repro.core.messages import (
 )
 from repro.core.network import Router
 from repro.core.taskloop import CohortDVE, engine_for, identity_executor
-from repro.net.link import DuplexChannel
+from repro.net.link import DuplexChannel, column_view
 from repro.net.message import Message
 from repro.sim.core import Simulator
 from repro.sim.wheel import TimerWheel
@@ -53,10 +55,13 @@ class _HeartbeatCohort:
     ticks at or before its join time (``joined_at < tick_time`` guard)
     and first beats exactly ``interval`` after joining — identical to a
     private timer.
+
+    A tick is one column pass over the members' node indices (see
+    :class:`~repro.core.network.Router`): no per-member object is made.
     """
 
     __slots__ = ("router", "controller_id", "key", "wheel", "members",
-                 "_token")
+                 "_joined_at", "_token", "_idxs", "_joined")
 
     def __init__(self, sim: Simulator, router: Router, controller_id: str,
                  interval_s: float, key: tuple) -> None:
@@ -65,19 +70,28 @@ class _HeartbeatCohort:
         self.key = key
         self.wheel = TimerWheel(
             sim, interval_s, name=f"hb:{controller_id}:{interval_s:g}")
-        #: pna_id -> (pna, joined_at); insertion order = join order, so
-        #: a cohort beat consolidates in the same order as the per-PNA
-        #: timer processes it replaces.
-        self.members: Dict[str, Tuple["PNA", float]] = {}
+        #: pna_id -> node index, and pna_id -> join time; insertion
+        #: order = join order, so a cohort beat consolidates in the same
+        #: order as the per-PNA timer processes it replaces.
+        self.members: Dict[str, int] = {}
+        self._joined_at: Dict[str, float] = {}
         self._token: Optional[int] = None
+        #: the two maps as columns, rebuilt on the first tick after a
+        #: membership change.
+        self._idxs: Optional[np.ndarray] = None
+        self._joined: Optional[np.ndarray] = None
 
     def add(self, pna: "PNA") -> None:
         if not self.members:
             self._token = self.wheel.subscribe(self._tick)
-        self.members[pna.pna_id] = (pna, pna.sim.now)
+        self.members[pna.pna_id] = pna.census_idx
+        self._joined_at[pna.pna_id] = pna.sim.now
+        self._idxs = None
 
     def remove(self, pna_id: str) -> None:
         self.members.pop(pna_id, None)
+        self._joined_at.pop(pna_id, None)
+        self._idxs = None
         if not self.members:
             if self._token is not None:
                 self.wheel.unsubscribe(self._token)
@@ -85,25 +99,23 @@ class _HeartbeatCohort:
             self.router._cohorts.pop(self.key, None)
 
     def _tick(self, tick_time: float) -> None:
-        entries = []
-        append = entries.append
-        for pna, joined_at in self.members.values():
-            if joined_at >= tick_time or not pna.online:
-                continue
-            pna.heartbeats_sent += 1
-            payload = pna._hb_payload
-            if (payload is None or payload.state is not pna.state
-                    or payload.instance_id != pna.instance_id):
-                pna._hb_payload = payload = HeartbeatPayload(
-                    pna_id=pna.pna_id, state=pna.state,
-                    instance_id=pna.instance_id)
-            # census_idx rides along so the receiving Controller can
-            # consolidate the cohort as columnar writes (no string
-            # lookups); see Router.send_heartbeats.
-            append((pna.pna_id, payload, pna.census_idx))
-        if entries:
-            self.router.send_heartbeats(entries, self.controller_id,
-                                        CONTROL_PAYLOAD_BITS)
+        idxs = self._idxs
+        if idxs is None:
+            n = len(self.members)
+            self._idxs = idxs = np.fromiter(self.members.values(), np.int64,
+                                            n)
+            self._joined = np.fromiter(self._joined_at.values(), np.float64,
+                                       n)
+        router = self.router
+        due = (column_view(router.pna_online)[idxs] != 0) \
+            & (self._joined < tick_time)
+        if not due.all():
+            idxs = idxs[due]
+        if idxs.size:
+            column_view(router.heartbeats_sent)[idxs] += 1
+            router.send_heartbeats(idxs, self.controller_id,
+                                   CONTROL_PAYLOAD_BITS)
+
 
 #: executor maps reference-PC seconds -> local device seconds.
 Executor = Callable[[float], float]
@@ -133,11 +145,10 @@ class PNA:
         "sim", "pna_id", "router", "channel", "controller_key",
         "_controller_id", "capabilities", "executor",
         "heartbeat_interval_s", "dve_poll_interval_s",
-        "state", "instance_id", "dve", "online", "wakeups_seen",
+        "dve", "wakeups_seen",
         "wakeups_accepted", "dropped_bad_signature", "dropped_busy",
         "dropped_probability", "dropped_requirements", "resets_handled",
-        "heartbeats_sent", "_hb_payload", "_hb_cohort", "_trace",
-        "census_idx", "adversary",
+        "_hb_cohort", "_trace", "census_idx", "adversary",
     )
 
     def __init__(
@@ -176,10 +187,15 @@ class PNA:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.dve_poll_interval_s = dve_poll_interval_s
 
-        self.state = PNAState.IDLE
-        self.instance_id: Optional[str] = None
+        #: dense interned node index assigned by the router: the row of
+        #: this PNA's state, instance, online flag and heartbeat count
+        #: in the router's columns (the attributes below read through).
+        self.census_idx = router.register_pna(
+            pna_id, channel, self._on_downlink,
+            receive_payload=self._on_downlink_payload)
         self.dve: Optional[DVE] = None
-        self.online = bool(start_online)
+        if not start_online:  # the router registers a node online
+            self.online = False
         #: Byzantine behaviour profile (repro.certify.adversary), or
         #: ``None`` for an honest node.  Set by the fault injector;
         #: consulted at assignment-accept time by both task paths.
@@ -193,20 +209,41 @@ class PNA:
         self.dropped_probability = 0
         self.dropped_requirements = 0
         self.resets_handled = 0
-        self.heartbeats_sent = 0
 
-        #: cached payload reused across beats while (state, instance)
-        #: are unchanged — HeartbeatPayload is frozen, so sharing is safe.
-        self._hb_payload: Optional[HeartbeatPayload] = None
         self._hb_cohort: Optional[_HeartbeatCohort] = None
         self._trace = _telemetry_channel("pna")
-
-        #: dense interned node index assigned by the router — cohort
-        #: ticks attach it to each heartbeat for columnar consolidation.
-        self.census_idx = router.register_pna(
-            pna_id, channel, self._on_downlink,
-            receive_payload=self._on_downlink_payload)
         self._join_heartbeat_cohort()
+
+    # -- router-column attributes ---------------------------------------
+    @property
+    def state(self) -> PNAState:
+        return CODE_STATE[self.router.pna_state[self.census_idx]]
+
+    @state.setter
+    def state(self, value: PNAState) -> None:
+        self.router.pna_state[self.census_idx] = STATE_CODE[value]
+
+    @property
+    def instance_id(self) -> Optional[str]:
+        router = self.router
+        return router.instance_of(router.pna_instance[self.census_idx])
+
+    @instance_id.setter
+    def instance_id(self, value: Optional[str]) -> None:
+        router = self.router
+        router.pna_instance[self.census_idx] = router.instance_code(value)
+
+    @property
+    def online(self) -> bool:
+        return bool(self.router.pna_online[self.census_idx])
+
+    @online.setter
+    def online(self, value: bool) -> None:
+        self.router.pna_online[self.census_idx] = 1 if value else 0
+
+    @property
+    def heartbeats_sent(self) -> int:
+        return self.router.heartbeats_sent[self.census_idx]
 
     @property
     def controller_id(self) -> str:

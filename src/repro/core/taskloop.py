@@ -15,9 +15,10 @@ entries per round.
 Equivalence contract (DESIGN.md §12): the engine replays exactly the
 per-PNA reference semantics —
 
-* link math goes through the same ``offer`` arithmetic (identical FIFO
-  serialization, byte accounting and loss draws, same RNG streams, same
-  order), inlined only on the loss-free up-link fast path;
+* link math goes through :meth:`~repro.net.link.Link.offer` or, for
+  runs of at least ``_BULK_MIN`` members, its batch kernel
+  :func:`~repro.net.link.offer_rows` (identical FIFO serialization,
+  byte accounting and loss draws, same RNG streams, same order);
 * the Backend serves cohort arrivals **in member order**, which equals
   the reference path's calendar order because bucket insertion happens
   chronologically during earlier processing;
@@ -45,6 +46,7 @@ import numpy as _np
 
 from repro.errors import OddCIError
 from repro.core.messages import NoWork, TaskAssignment
+from repro.net.link import column_view, count_deliveries, offer_rows
 from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Simulator
 
@@ -80,8 +82,8 @@ _K_COMPUTE = 4     # compute finishes; ship the result
 _K_RESULT_ARR = 5  # (kind, slot, task_id, token): result arrives
 _K_DEADLINE = 6    # (kind, slot, deadline): request/ack timeout check
 
-#: Minimum ``_K_ASSIGN_ARR`` run length for the numpy bulk
-#: compute-time branch (below it, scalar adds win).
+#: Minimum run length for the numpy bulk branches (compute times, link
+#: reservations, delivery counts); below it, scalar operations win.
 _BULK_MIN = 32
 
 
@@ -117,6 +119,7 @@ class CohortTaskEngine:
         # columnar member state (struct-of-arrays)
         "_phase", "_deadline", "_token", "_task_id", "_result_bits",
         "_digest", "_completed", "_retrans", "_destroyed", "_timeout",
+        "_row",
         # object columns
         "_pna", "_pna_id", "_uplink", "_downlink", "_executor",
         "members_joined",
@@ -151,6 +154,9 @@ class CohortTaskEngine:
         self._retrans = array("q")
         self._destroyed = array("b")
         self._timeout = array("d")
+        #: the member's node index: its links' row in the router's link
+        #: tables (every member is a PNA registered on ``router``).
+        self._row = array("q")
         self._pna: List[Any] = []
         self._pna_id: List[str] = []
         self._uplink: List[Any] = []
@@ -174,6 +180,7 @@ class CohortTaskEngine:
         self._retrans.append(0)
         self._destroyed.append(0)
         self._timeout.append(timeout_s)
+        self._row.append(pna.census_idx)
         self._pna.append(pna)
         self._pna_id.append(pna.pna_id)
         self._uplink.append(pna.channel.uplink)
@@ -244,28 +251,39 @@ class CohortTaskEngine:
             i = j
 
     # -- link math -------------------------------------------------------
-    def _offer(self, link, size_bits: float) -> Optional[float]:
-        """Reserve serializer time; identical to ``Link.offer``.
+    def _rows(self, slots: List[int]) -> Any:
+        return column_view(self._row)[
+            _np.fromiter(slots, _np.int64, len(slots))]
 
-        The loss-free up-link case is inlined (the 10^6-node hot path);
-        lossy or administratively-down links go through ``offer`` itself
-        so drop accounting and the loss-draw RNG order stay exact.
-        """
-        if link.loss != 0.0 or not link._up:
-            return link.offer(size_bits)
-        now = self.sim._now
-        start = link._busy_until
-        if now > start:
-            start = now
-        done = start + size_bits / link.rate_bps
-        link._busy_until = done
-        link._bits_sent += size_bits
-        return done + link.latency_s
+    def _offer_slots(self, links: List[Any], table: Any, slots: List[int],
+                     size_bits: Any, now: float) -> List[Optional[float]]:
+        """``links[slot].offer(size)`` for each slot, in order; returns
+        the delivery times (``None`` where dropped).  ``size_bits`` is
+        one size or a list, one per slot."""
+        sized = isinstance(size_bits, list)
+        if len(slots) < _BULK_MIN:
+            if sized:
+                return [links[slot].offer(size)
+                        for slot, size in zip(slots, size_bits)]
+            return [links[slot].offer(size_bits) for slot in slots]
+        out = offer_rows(table, self._rows(slots),
+                         _np.array(size_bits) if sized else size_bits, now)
+        return [None if t != t else t for t in out.tolist()]
+
+    def _count_deliveries(self, links: List[Any], table: Any,
+                          entries: list, i: int, j: int) -> None:
+        """One delivery on ``links[slot]`` per entry of the run."""
+        if j - i < _BULK_MIN:
+            for k in range(i, j):
+                links[entries[k][1]].count_delivery()
+            return
+        count_deliveries(table,
+                         self._rows([entries[k][1] for k in range(i, j)]))
 
     # -- request path ----------------------------------------------------
     def _send_request(self, slot: int, now: float) -> None:
-        deliver_at = self._offer(self._uplink[slot],
-                                 CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS)
+        deliver_at = self._uplink[slot].offer(
+            CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS)
         if deliver_at is not None:
             self._append(deliver_at, (_K_REQ_ARR, slot))
         self._phase[slot] = _AWAIT_REPLY
@@ -277,37 +295,27 @@ class CohortTaskEngine:
                              now: float) -> None:
         """Fused ``_send_request`` over a run — the 10^6-node hot loop.
 
-        Identical op order per member (offer → arrival entry → phase →
-        deadline entry); the link math is inlined on the loss-free path
-        and the two bucket lookups are memoized, since a homogeneous
-        run lands every member on the same arrival/deadline instants.
+        The run's uplinks are reserved first, in member order (nothing
+        below touches links or RNG streams, so this equals the per-member
+        op order offer → arrival entry → phase → deadline entry); the
+        two bucket lookups are memoized, since a homogeneous run lands
+        every member on the same arrival/deadline instants.
         """
         destroyed = self._destroyed
-        uplinks = self._uplink
         phase = self._phase
         deadlines = self._deadline
         timeouts = self._timeout
         buckets = self._buckets
         call_at = self.sim.call_at
         fire = self._fire
-        size = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
+        live = [entries[k][1] for k in range(i, j)
+                if not destroyed[entries[k][1]]]
+        arrivals = self._offer_slots(
+            self._uplink, self.router.uplinks, live,
+            CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS, now)
         bt = bd = None
         bt_list = bd_list = None
-        for k in range(i, j):
-            slot = entries[k][1]
-            if destroyed[slot]:
-                continue
-            link = uplinks[slot]
-            if link.loss == 0.0 and link._up:
-                start = link._busy_until
-                if now > start:
-                    start = now
-                done = start + size / link.rate_bps
-                link._busy_until = done
-                link._bits_sent += size
-                deliver_at = done + link.latency_s
-            else:
-                deliver_at = link.offer(size)
+        for slot, deliver_at in zip(live, arrivals):
             if deliver_at is not None:
                 if deliver_at != bt:
                     bt = deliver_at
@@ -330,12 +338,14 @@ class CohortTaskEngine:
     def _handle_request_arrivals(self, entries: list, i: int, j: int,
                                  now: float) -> None:
         router = self.router
-        uplinks = self._uplink
+        # Delivery counting comes first: within one arrival instant
+        # nothing observes the counters mid-handler, so count-then-
+        # dispatch and dispatch-then-count are end-state identical (the
+        # differential suite checks final link counts).
+        self._count_deliveries(self._uplink, router.uplinks, entries, i, j)
         if router._payload_receivers.get(self.backend_id) is None:
             # Backend crashed or shut down while the cohort was in
             # flight — same arrival-time check as the bare-payload path.
-            for k in range(i, j):
-                uplinks[entries[k][1]]._delivered += 1
             router.undeliverable += j - i
             return
         pna_ids = self._pna_id
@@ -343,40 +353,30 @@ class CohortTaskEngine:
         replies = self.backend.receive_request_cohort(requesters,
                                                       self.instance_id)
         channels = router._pna_channels
-        downlinks = self._downlink
         control_bits = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
+        slots = []
+        sizes = []
+        sent = []
+        for k in range(i, j):
+            slot = entries[k][1]
+            if pna_ids[slot] not in channels:
+                continue  # node vanished between request and reply
+            reply = replies[k - i]
+            slots.append(slot)
+            if type(reply) is NoWork:
+                sizes.append(control_bits)
+                sent.append((_K_NOWORK_ARR, slot, reply.retry_after_s))
+            else:  # a Task: the assignment carries the staged input
+                sizes.append(control_bits + reply.input_bits)
+                sent.append((_K_ASSIGN_ARR, slot, reply))
+        arrivals = self._offer_slots(self._downlink, router.downlinks,
+                                     slots, sizes, now)
         buckets = self._buckets
         call_at = self.sim.call_at
         fire = self._fire
         bt = None
         bt_list = None
-        # Delivery counting is folded into the reply loop: within one
-        # arrival instant nothing observes the counters mid-handler, so
-        # count-then-dispatch and dispatch-then-count are end-state
-        # identical (the differential suite checks final link counts).
-        for k in range(i, j):
-            slot = entries[k][1]
-            uplinks[slot]._delivered += 1
-            if pna_ids[slot] not in channels:
-                continue  # node vanished between request and reply
-            reply = replies[k - i]
-            if type(reply) is NoWork:
-                size = control_bits
-                entry = (_K_NOWORK_ARR, slot, reply.retry_after_s)
-            else:  # a Task: the assignment carries the staged input
-                size = control_bits + reply.input_bits
-                entry = (_K_ASSIGN_ARR, slot, reply)
-            link = downlinks[slot]
-            if link.loss == 0.0 and link._up:
-                start = link._busy_until
-                if now > start:
-                    start = now
-                done = start + size / link.rate_bps
-                link._busy_until = done
-                link._bits_sent += size
-                deliver_at = done + link.latency_s
-            else:
-                deliver_at = link.offer(size)
+        for entry, deliver_at in zip(sent, arrivals):
             if deliver_at is None:
                 continue
             if deliver_at != bt:
@@ -410,9 +410,10 @@ class CohortTaskEngine:
 
     def _handle_assign_arrivals(self, entries: list, i: int, j: int,
                                 now: float) -> None:
+        self._count_deliveries(self._downlink, self.router.downlinks,
+                               entries, i, j)
         destroyed = self._destroyed
         phase = self._phase
-        downlinks = self._downlink
         pnas = self._pna
         executors = self._executor
         identity = identity_executor
@@ -420,7 +421,6 @@ class CohortTaskEngine:
         for k in range(i, j):
             e = entries[k]
             slot = e[1]
-            downlinks[slot]._delivered += 1
             if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
                     or not pnas[slot].online:
                 continue  # reset/stale: the reference DVE drops it too
@@ -468,9 +468,14 @@ class CohortTaskEngine:
 
     def _handle_nowork_arrivals(self, entries: list, i: int, j: int,
                                 now: float) -> None:
+        self._count_deliveries(self._downlink, self.router.downlinks,
+                               entries, i, j)
+        self._park(entries, i, j, now)
+
+    def _park(self, entries: list, i: int, j: int, now: float) -> None:
+        """Apply a run of NoWork replies (stop, or sleep until retry)."""
         destroyed = self._destroyed
         phase = self._phase
-        downlinks = self._downlink
         pnas = self._pna
         deadlines = self._deadline
         buckets = self._buckets
@@ -480,7 +485,6 @@ class CohortTaskEngine:
         bt_list = None
         for k in range(i, j):
             _kind, slot, retry = entries[k]
-            downlinks[slot]._delivered += 1
             if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
                     or not pnas[slot].online:
                 continue
@@ -506,8 +510,7 @@ class CohortTaskEngine:
         self._phase[slot] = _AWAIT_ACK
         token = self._token[slot] + 1
         self._token[slot] = token
-        deliver_at = self._offer(
-            self._uplink[slot],
+        deliver_at = self._uplink[slot].offer(
             CONTROL_PAYLOAD_BITS + self._result_bits[slot]
             + DEFAULT_HEADER_BITS)
         if deliver_at is not None:
@@ -524,10 +527,9 @@ class CohortTaskEngine:
     def _batch_send_results(self, entries: list, i: int, j: int,
                             now: float) -> None:
         """Fused ``_send_result`` over a compute-completion run; same
-        op order per member, memoized buckets (see
-        ``_batch_send_requests``)."""
+        op order per member, uplinks reserved first, memoized buckets
+        (see ``_batch_send_requests``)."""
         destroyed = self._destroyed
-        uplinks = self._uplink
         phase = self._phase
         tokens = self._token
         task_ids = self._task_id
@@ -539,27 +541,17 @@ class CohortTaskEngine:
         call_at = self.sim.call_at
         fire = self._fire
         base = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
+        live = [entries[k][1] for k in range(i, j)
+                if not destroyed[entries[k][1]]]
+        arrivals = self._offer_slots(
+            self._uplink, self.router.uplinks, live,
+            [base + result_bits[slot] for slot in live], now)
         bt = bd = None
         bt_list = bd_list = None
-        for k in range(i, j):
-            slot = entries[k][1]
-            if destroyed[slot]:
-                continue
+        for slot, deliver_at in zip(live, arrivals):
             phase[slot] = _AWAIT_ACK
             token = tokens[slot] + 1
             tokens[slot] = token
-            link = uplinks[slot]
-            size = base + result_bits[slot]
-            if link.loss == 0.0 and link._up:
-                start = link._busy_until
-                if now > start:
-                    start = now
-                done = start + size / link.rate_bps
-                link._busy_until = done
-                link._bits_sent += size
-                deliver_at = done + link.latency_s
-            else:
-                deliver_at = link.offer(size)
             if deliver_at is not None:
                 if deliver_at != bt:
                     bt = deliver_at
@@ -636,7 +628,8 @@ class CohortTaskEngine:
         was_settled = done_event._settled
         for k in range(i, j):
             _kind, slot, task_id, token, digest = entries[k]
-            uplinks[slot]._delivered += 1
+            link = uplinks[slot]
+            link.count_delivery()
             if gone:
                 router.undeliverable += 1
             elif certifier is not None:
@@ -668,17 +661,7 @@ class CohortTaskEngine:
             if not destroyed[slot] and phase[slot] == _AWAIT_ACK \
                     and tokens[slot] == token:
                 completed[slot] += 1
-                link = uplinks[slot]
-                if link.loss == 0.0 and link._up:
-                    start = link._busy_until
-                    if now > start:
-                        start = now
-                    done = start + size / link.rate_bps
-                    link._busy_until = done
-                    link._bits_sent += size
-                    deliver_at = done + link.latency_s
-                else:
-                    deliver_at = link.offer(size)
+                deliver_at = link.offer(size)
                 if deliver_at is not None:
                     if deliver_at != bt:
                         bt = deliver_at
@@ -732,10 +715,8 @@ class CohortTaskEngine:
                                     payload.ref_seconds,
                                     payload.result_bits, now)
         elif isinstance(payload, NoWork):
-            self._handle_nowork_arrivals(
-                [(_K_NOWORK_ARR, slot, payload.retry_after_s)], 0, 1, now)
-            # the synthetic arrival above double-counted a delivery
-            self._downlink[slot]._delivered -= 1
+            self._park([(_K_NOWORK_ARR, slot, payload.retry_after_s)], 0, 1,
+                       now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CohortTaskEngine {self.backend_id!r}/{self.instance_id!r} "

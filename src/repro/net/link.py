@@ -12,19 +12,34 @@ DSL uplink does.  Optional i.i.d. loss drops messages after
 serialization; the completion event then *fails* with
 :class:`~repro.errors.LinkDownError` if ``fail_on_loss`` else silently
 never delivers (heartbeat-style fire-and-forget).
+
+Storage is columnar: a link's serializer state (busy-until, bits sent,
+deliveries, up flag, loss, rate, latency) is one row of a
+:class:`LinkTable`.  A :class:`~repro.core.network.Router` moves the
+direct channels it registers into its own tables, at the row of the
+PNA's interned node index, so a heartbeat cohort reserves every
+member's uplink in one :func:`offer_rows` pass; a standalone link takes
+a row of its simulator's pooled table the first time it is used.
+:meth:`Link.offer` is the scalar row operation and :func:`offer_rows`
+the batch kernel; the FIFO reservation math lives in them alone
+(``Link._reserve`` behind ``offer``/``send``, and the kernel's
+vectorised pass).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Optional
+from array import array
+from typing import Callable, List, Optional, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError, LinkDownError, NetworkError
 from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
-__all__ = ["Link", "DuplexChannel", "kbps", "mbps"]
+__all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows",
+           "count_deliveries", "column_view", "kbps", "mbps"]
 
 
 def kbps(value: float) -> float:
@@ -35,6 +50,98 @@ def kbps(value: float) -> float:
 def mbps(value: float) -> float:
     """Megabits per second → bits per second."""
     return float(value) * 1_000_000.0
+
+
+def column_view(column: array) -> np.ndarray:
+    """Zero-copy numpy view of an ``array.array`` column.
+
+    Views must not outlive the call that makes them: a column cannot
+    grow while a view exports its buffer.
+    """
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+class LinkTable:
+    """Serializer state of many links, one row per link.
+
+    Columns are ``array.array`` objects: a scalar read returns a Python
+    float or int (never a numpy scalar, whose repr would leak into event
+    times and traces), a column keeps its identity as it grows, and
+    :func:`offer_rows` views it zero-copy.  ``links[row]`` is the
+    :class:`Link` holding the row (``None`` for a free row); capacity
+    grows by doubling, so placing a link writes its row in place.
+
+    A table is used either *pooled* (:meth:`add` hands out recycled
+    rows — the simulator's table of standalone links) or *by explicit
+    row* (:meth:`put` — a Router's tables, keyed by node index).
+    """
+
+    __slots__ = ("busy", "bits", "delivered", "up", "loss", "rate",
+                 "latency", "links", "_free")
+
+    #: column order of a row-state tuple (see :meth:`row`).
+    _COLUMNS = ("busy", "bits", "delivered", "up", "loss", "rate",
+                "latency")
+
+    def __init__(self) -> None:
+        self.busy = array("d")
+        self.bits = array("d")
+        self.delivered = array("q")
+        self.up = array("b")
+        self.loss = array("d")
+        self.rate = array("d")
+        self.latency = array("d")
+        self.links: List[Optional["Link"]] = []
+        self._free: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.links)
+
+    def reserve(self, n: int) -> None:
+        """Grow every column to at least ``n`` (zero-filled, free) rows."""
+        grow = n - len(self.links)
+        if grow <= 0:
+            return
+        for name in self._COLUMNS:
+            column = getattr(self, name)
+            column.frombytes(bytes(column.itemsize * grow))
+        self.links.extend([None] * grow)
+
+    def row(self, r: int) -> tuple:
+        """Row ``r``'s state in :attr:`_COLUMNS` order."""
+        return (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
+                self.loss[r], self.rate[r], self.latency[r])
+
+    def put(self, link: "Link", r: int, state: tuple) -> int:
+        """Write ``state`` into row ``r`` and hand the row to ``link``."""
+        if r >= len(self.links):
+            self.reserve(max(r + 1, 2 * len(self.links)))
+        (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
+         self.loss[r], self.rate[r], self.latency[r]) = state
+        self.links[r] = link
+        return r
+
+    def add(self, link: "Link", state: tuple) -> int:
+        """Pooled placement: a recycled row if any, else a new one."""
+        free = self._free
+        if not free:
+            grown = len(self.links)
+            self.reserve(max(2 * grown, 8))
+            free.extend(range(len(self.links) - 1, grown - 1, -1))
+        return self.put(link, free.pop(), state)
+
+    def release(self, r: int) -> None:
+        """Free row ``r`` (pooled tables recycle it)."""
+        self.links[r] = None
+        self._free.append(r)
+
+    @classmethod
+    def of(cls, sim: Simulator) -> "LinkTable":
+        """The simulator's pooled table of standalone links."""
+        table = getattr(sim, "_link_table", None)
+        if table is None:
+            table = sim._link_table = cls()
+        return table
 
 
 class Link:
@@ -52,9 +159,8 @@ class Link:
     """
 
     __slots__ = (
-        "sim", "rate_bps", "latency_s", "loss", "name", "_rng_stream",
-        "_ev_name", "_busy_until", "_up", "_delivered", "_dropped",
-        "_refused", "_bits_sent", "_receiver", "_trace", "_m_dropped",
+        "sim", "name", "_rng_stream", "_ev_name", "_t", "_row", "_init",
+        "_dropped", "_refused", "_receiver", "_trace", "_m_dropped",
         "_m_refused",
     )
 
@@ -75,18 +181,16 @@ class Link:
         if not 0.0 <= loss < 1.0:
             raise ConfigurationError(f"loss must be in [0, 1), got {loss}")
         self.sim = sim
-        self.rate_bps = float(rate_bps)
-        self.latency_s = float(latency_s)
-        self.loss = float(loss)
         self.name = name
         if rng_stream is not None:
             self._rng_stream = rng_stream
-        self._busy_until = sim.now
-        self._up = True
-        self._delivered = 0
+        # The row state until the link is placed in a table (lazily, see
+        # __getattr__): a direct channel moves straight into its
+        # Router's table without ever taking a pooled row.
+        self._init = (sim.now, 0.0, 0, 1, float(loss), float(rate_bps),
+                      float(latency_s))
         self._dropped = 0
         self._refused = 0
-        self._bits_sent = 0.0
         self._receiver: Optional[Callable[[Message], None]] = None
         self._trace = telemetry.channel("net")
         t = self._trace
@@ -102,27 +206,65 @@ class Link:
             value = f"link:{self.name}"
         elif attr == "_ev_name":
             value = self.name + ".send"
+        elif attr in ("_t", "_row"):
+            # First use of a link no table has taken: a pooled row.
+            self.move_to(LinkTable.of(self.sim))
+            return getattr(self, attr)
         else:
             raise AttributeError(attr)
         setattr(self, attr, value)
         return value
 
+    def move_to(self, table: LinkTable, row: Optional[int] = None) -> int:
+        """Move this link's state into ``table`` (at ``row``, or a pooled
+        row when ``None``); returns the new row."""
+        try:
+            state = self._init
+        except AttributeError:  # placed: carry the row over
+            old, r = self._t, self._row
+            state = old.row(r)
+            old.release(r)
+        else:
+            del self._init
+        self._t = table
+        self._row = (table.add(self, state) if row is None
+                     else table.put(self, row, state))
+        return self._row
+
+    def detach(self) -> None:
+        """Move back to the simulator's pooled table (the owner of the
+        current row no longer tracks this link)."""
+        self.move_to(LinkTable.of(self.sim))
+
     # -- state ---------------------------------------------------------
     @property
+    def rate_bps(self) -> float:
+        return self._t.rate[self._row]
+
+    @property
+    def latency_s(self) -> float:
+        return self._t.latency[self._row]
+
+    @property
+    def loss(self) -> float:
+        return self._t.loss[self._row]
+
+    @property
     def up(self) -> bool:
-        return self._up
+        return bool(self._t.up[self._row])
 
     def set_up(self, up: bool) -> None:
         """Administratively enable/disable the link (models node power)."""
-        self._up = bool(up)
+        t, r = self._t, self._row
+        t.up[r] = 1 if up else 0
         if not up:
             # Anything queued behind the serialization point stays queued
             # in the sender's model; the link itself is memoryless.
-            self._busy_until = self.sim.now
+            t.busy[r] = self.sim.now
 
     @property
     def delivered(self) -> int:
-        return self._delivered
+        return self._t.delivered[self._row]
 
     @property
     def dropped(self) -> int:
@@ -147,12 +289,12 @@ class Link:
 
     @property
     def bits_sent(self) -> float:
-        return self._bits_sent
+        return self._t.bits[self._row]
 
     @property
     def utilization_horizon(self) -> float:
         """Simulated time until which the serializer is committed."""
-        return max(self._busy_until, self.sim.now)
+        return max(self._t.busy[self._row], self.sim.now)
 
     def attach(self, receiver: Callable[[Message], None]) -> None:
         """Register the delivery callback (the receiving component)."""
@@ -163,6 +305,25 @@ class Link:
         """Time to clock the message onto the wire."""
         return message.size_bits / self.rate_bps
 
+    def _reserve(self, size_bits: float) -> float:
+        """FIFO serializer reservation; returns the end of serialization."""
+        t, r = self._t, self._row
+        now = self.sim.now
+        busy = t.busy
+        start = busy[r]
+        if now > start:
+            start = now
+        done = start + size_bits / t.rate[r]
+        busy[r] = done
+        t.bits[r] += size_bits
+        return done
+
+    def _lost(self) -> bool:
+        """The i.i.d. loss draw (no draw on a loss-free link)."""
+        loss = self._t.loss[self._row]
+        return loss > 0.0 and bool(
+            self.sim.rng(self._rng_stream).random() < loss)
+
     def send(self, message: Message, *, fail_on_loss: bool = False) -> Event:
         """Queue ``message`` for transmission; returns a completion event.
 
@@ -171,25 +332,12 @@ class Link:
         downed link fails immediately.
         """
         ev = Event(self.sim, self._ev_name)
-        if not self._up:
+        if not self._t.up[self._row]:
             self.sim.schedule_fast(
                 0.0, ev.fail, LinkDownError(f"link {self.name!r} is down"))
             return ev
-        size_bits = message.size_bits
-        now = self.sim.now
-        start = self._busy_until
-        if now > start:
-            start = now
-        done_serializing = start + size_bits / self.rate_bps
-        self._busy_until = done_serializing
-        self._bits_sent += size_bits
-        deliver_at = done_serializing + self.latency_s
-
-        lost = False
-        if self.loss > 0.0:
-            lost = bool(self.sim.rng(self._rng_stream).random() < self.loss)
-
-        if lost:
+        deliver_at = self._reserve(message.size_bits) + self.latency_s
+        if self._lost():
             self._drop("loss")
             if fail_on_loss:
                 self.sim.call_at(
@@ -197,7 +345,6 @@ class Link:
                     LinkDownError(f"message {message.msg_id} lost on "
                                   f"{self.name!r}"))
             return ev
-
         self.sim.call_at(deliver_at, self._deliver, message, ev)
         return ev
 
@@ -210,26 +357,12 @@ class Link:
         down link or a lost message simply never delivers (counted in
         :attr:`refused` / :attr:`dropped` and traced as ``net.dropped``).
         """
-        if not self._up:
-            self._drop("down")
-            return
-        size_bits = message.size_bits
-        now = self.sim.now
-        start = self._busy_until
-        if now > start:
-            start = now
-        done_serializing = start + size_bits / self.rate_bps
-        self._busy_until = done_serializing
-        self._bits_sent += size_bits
-        if self.loss > 0.0 and bool(
-                self.sim.rng(self._rng_stream).random() < self.loss):
-            self._drop("loss")
-            return
-        self.sim.call_at(done_serializing + self.latency_s,
-                         self._deliver_quiet, message)
+        deliver_at = self.offer(message.size_bits)
+        if deliver_at is not None:
+            self.sim.call_at(deliver_at, self._deliver_quiet, message)
 
     def _deliver_quiet(self, message: Message) -> None:
-        self._delivered += 1
+        self._t.delivered[self._row] += 1
         receiver = self._receiver
         if receiver is not None:
             receiver(message)
@@ -237,39 +370,32 @@ class Link:
     def offer(self, size_bits: float) -> Optional[float]:
         """Reserve serializer time for ``size_bits``; return delivery time.
 
-        This is :meth:`send` without the :class:`Message`/:class:`Event`
-        allocations — the batched heartbeat path
-        (:meth:`repro.core.network.Router.send_heartbeats`) uses it.  The
-        FIFO math, byte accounting and the loss draw (same RNG stream,
-        same order) are identical to :meth:`send`, so swapping one path
-        for the other never perturbs timing or random streams.
+        The scalar row operation: :meth:`send` without the
+        :class:`Message`/:class:`Event` allocations.  The FIFO math, byte
+        accounting and the loss draw (same RNG stream, same order) are
+        identical to :meth:`send`, so swapping one path for the other
+        never perturbs timing or random streams; :func:`offer_rows` is
+        the same operation over many rows.
 
         Returns ``None`` when the link is down or the message is lost
         (the caller counts the delivery at the returned time via
         :meth:`count_delivery`).
         """
-        if not self._up:
+        if not self._t.up[self._row]:
             self._drop("down")
             return None
-        now = self.sim.now
-        start = self._busy_until
-        if now > start:
-            start = now
-        done_serializing = start + size_bits / self.rate_bps
-        self._busy_until = done_serializing
-        self._bits_sent += size_bits
-        if self.loss > 0.0 and bool(
-                self.sim.rng(self._rng_stream).random() < self.loss):
+        done = self._reserve(size_bits)
+        if self._lost():
             self._drop("loss")
             return None
-        return done_serializing + self.latency_s
+        return done + self._t.latency[self._row]
 
     def count_delivery(self) -> None:
         """Account one delivery arranged through :meth:`offer`."""
-        self._delivered += 1
+        self._t.delivered[self._row] += 1
 
     def _deliver(self, message: Message, ev: Event) -> None:
-        self._delivered += 1
+        self._t.delivered[self._row] += 1
         if self._receiver is not None:
             self._receiver(message)
         ev.succeed(message)
@@ -279,6 +405,64 @@ class Link:
         if size_bits < 0:
             raise NetworkError(f"negative size {size_bits!r}")
         return size_bits / self.rate_bps + self.latency_s
+
+
+def offer_rows(table: LinkTable, rows: np.ndarray,
+               size_bits: Union[float, np.ndarray], now: float, *,
+               distinct: bool = False) -> np.ndarray:
+    """:meth:`Link.offer` on every row of ``rows``, in order.
+
+    Returns the delivery times (float64, NaN where the link was down or
+    the message lost).  Loss-free up rows are reserved in one vectorised
+    pass — the same IEEE operations in the same order as the scalar
+    path, so the results are bit-identical.  Lossy or down rows go
+    through :meth:`Link.offer` one by one in row order, so loss draws,
+    drop counters and ``net.dropped`` trace events are exactly the
+    sequential ones.  A row repeated in ``rows`` must see its earlier
+    reservations: its repeats take the scalar path after the vectorised
+    pass (``distinct=True`` skips that check for callers that guarantee
+    distinct rows).  ``size_bits`` is one size or one per row.
+    """
+    n = rows.size
+    out = np.empty(n, dtype=np.float64)
+    if n == 0:
+        return out
+    sized = np.ndim(size_bits) > 0
+    vec = (column_view(table.up)[rows] != 0) \
+        & (column_view(table.loss)[rows] == 0.0)
+    if not distinct:
+        order = np.argsort(rows, kind="stable")
+        ranked = rows[order]
+        first = np.empty(n, dtype=bool)
+        first[order[0]] = True
+        first[order[1:]] = ranked[1:] != ranked[:-1]
+        vec &= first
+    whole = bool(vec.all())
+    fast = rows if whole else rows[vec]
+    if fast.size:
+        size = size_bits if not sized or whole else size_bits[vec]
+        busy = column_view(table.busy)
+        done = np.maximum(busy[fast], now)
+        done += size / column_view(table.rate)[fast]
+        busy[fast] = done
+        bits = column_view(table.bits)
+        bits[fast] += size
+        done += column_view(table.latency)[fast]
+        if whole:
+            return done
+        out[vec] = done
+    links = table.links
+    for k in np.flatnonzero(~vec).tolist():
+        deliver_at = links[int(rows[k])].offer(
+            float(size_bits[k]) if sized else size_bits)
+        out[k] = np.nan if deliver_at is None else deliver_at
+    return out
+
+
+def count_deliveries(table: LinkTable, rows: np.ndarray) -> None:
+    """:meth:`Link.count_delivery` on every row of ``rows`` (repeats
+    count once per occurrence)."""
+    np.add.at(column_view(table.delivered), rows, 1)
 
 
 class DuplexChannel:

@@ -280,7 +280,7 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
     def build(store_cls):
         router, controller = _census_controller(store_cls)
         iid = controller.create_instance(spec).instance_id
-        payloads, idxs = [], []
+        payloads = []
         for i in range(n_members):
             pna_id = f"pna-{i}"
             if i % 10 == 0:
@@ -292,11 +292,10 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
                                            state=PNAState.BUSY,
                                            instance_id=iid)
             payloads.append(payload)
-            idxs.append(router.interner.intern(pna_id))
-        return controller, payloads, idxs
+        return controller, payloads, router.heartbeat_columns(payloads)
 
     baseline, base_payloads, _ = build(DictCensusStore)
-    columnar, col_payloads, col_idxs = build(ColumnarCensusStore)
+    columnar, _, col_columns = build(ColumnarCensusStore)
 
     base_best = col_best = float("inf")
     with _gc_paused():
@@ -307,7 +306,7 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
             base_best = min(base_best, time.perf_counter() - t0)
             t0 = time.perf_counter()
             for _r in range(rounds):
-                columnar._receive_cohort(col_payloads, col_idxs)
+                columnar._receive_cohort(*col_columns)
             col_best = min(col_best, time.perf_counter() - t0)
 
     # Equivalence: both engines must have consolidated the same census.

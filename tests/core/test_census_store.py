@@ -219,8 +219,8 @@ def _run_script(backend, script, *, columnar_delivery):
             _, cohort, kinds = step
             payloads = [payload_for(n, k) for n, k in zip(cohort, kinds)]
             if columnar_delivery:
-                idxs = [router.interner.intern(p.pna_id) for p in payloads]
-                controller._receive_cohort(payloads, idxs)
+                controller._receive_cohort(
+                    *router.heartbeat_columns(payloads))
             else:
                 controller._receive_batch(payloads)
         elif kind == "create":
@@ -287,19 +287,16 @@ def test_cohort_with_duplicate_nodes_falls_back():
     spec = InstanceSpec(target_size=4, image_name="img", image_bits=1e6,
                         heartbeat_interval_s=HB_INTERVAL)
     iid = controller.create_instance(spec).instance_id
-    payloads, idxs = [], []
+    payloads = []
     for n in range(20):
-        pna_id = f"pna-{n}"
-        payloads.append(HeartbeatPayload(pna_id=pna_id,
+        payloads.append(HeartbeatPayload(pna_id=f"pna-{n}",
                                          state=PNAState.BUSY,
                                          instance_id=iid))
-        idxs.append(router.interner.intern(pna_id))
     # Same node, later in the same batch, now idle: per-payload order
     # means idle wins.
     payloads.append(HeartbeatPayload(pna_id="pna-3", state=PNAState.IDLE,
                                      instance_id=None))
-    idxs.append(router.interner.index_of("pna-3"))
-    controller._receive_cohort(payloads, idxs)
+    controller._receive_cohort(*router.heartbeat_columns(payloads))
     assert controller.registry["pna-3"][1] is PNAState.IDLE
     assert "pna-3" not in controller.instances[iid].members
     assert controller.instances[iid].size == 19
@@ -307,14 +304,10 @@ def test_cohort_with_duplicate_nodes_falls_back():
 
 def test_small_cohorts_use_per_payload_path():
     sim, router, controller = _build_controller("columnar")
-    payloads, idxs = [], []
-    for n in range(Controller._COHORT_MIN - 1):
-        pna_id = f"pna-{n}"
-        payloads.append(HeartbeatPayload(pna_id=pna_id,
-                                         state=PNAState.IDLE,
-                                         instance_id=None))
-        idxs.append(router.interner.intern(pna_id))
-    controller._receive_cohort(payloads, idxs)
+    payloads = [HeartbeatPayload(pna_id=f"pna-{n}", state=PNAState.IDLE,
+                                 instance_id=None)
+                for n in range(Controller._COHORT_MIN - 1)]
+    controller._receive_cohort(*router.heartbeat_columns(payloads))
     assert len(controller.registry) == len(payloads)
     assert controller.counters["heartbeats"] == len(payloads)
 
@@ -331,8 +324,7 @@ def test_columnar_store_validate_after_controller_workload():
     iid = controller.create_instance(spec).instance_id
     payloads = [HeartbeatPayload(pna_id=f"p{n}", state=PNAState.BUSY,
                                  instance_id=iid) for n in range(40)]
-    idxs = [router.interner.intern(p.pna_id) for p in payloads]
-    controller._receive_cohort(payloads, idxs)
+    controller._receive_cohort(*router.heartbeat_columns(payloads))
     controller.census.validate()
     assert controller.instances[iid].size == 40
 

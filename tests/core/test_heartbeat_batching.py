@@ -189,3 +189,167 @@ def test_batched_census_matches_during_job():
         1 for (_seen, state, _iid) in system.controller.registry.values()
         if state is PNAState.BUSY)
     assert busy_in_registry == 8
+
+
+def test_cohort_tick_sets_off_no_garbage_collection():
+    """A tick is a column pass: no per-member tuple or payload, so a
+    20 000-member tick allocates too few container objects to trigger
+    even a young-generation collection."""
+    import gc
+
+    system = build_system(n_pnas=20_000, heartbeat_interval_s=10.0)
+    (cohort,) = system.router._cohorts.values()
+    wheel = cohort.wheel
+    collections = []
+
+    def hook(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    def measured_tick(tick_time):
+        gc.collect()
+        gc.callbacks.append(hook)
+        try:
+            cohort._tick(tick_time)
+        finally:
+            gc.callbacks.remove(hook)
+
+    # Re-subscribe the cohort's tick through the measuring wrapper (the
+    # wheel keeps its timetable).
+    wheel.unsubscribe(cohort._token)
+    cohort._token = wheel.subscribe(measured_tick)
+    system.sim.run(until=10.5)
+    assert sum(p.heartbeats_sent for p in system.pnas) == 20_000
+    assert system.controller.counters["heartbeats"] == 20_000
+    assert collections == []
+
+
+def _mixed_cohort_run(store):
+    """One 10 s cohort holding every member kind the consolidation has
+    to tell apart, delivered once to a controller on ``store``."""
+    import repro.core.system as system_module
+    from repro.certify.adversary import Adversary
+    from repro.core.controller import Controller
+    from repro.core.instance import InstanceSpec, reset_instance_sequence
+    from repro.core.pna import PNA
+    from repro.net.link import DuplexChannel
+    from repro.sim.core import PRIORITY_URGENT
+    from repro.telemetry.trace import Tracer, active
+
+    def controller(sim, router, *args, **kwargs):
+        return Controller(sim, router, *args,
+                          census=store(router.interner), **kwargs)
+
+    consolidated = []
+    real_consolidate = Controller._consolidate
+
+    def counting_consolidate(self, payload):
+        consolidated.append(payload.pna_id)
+        real_consolidate(self, payload)
+
+    reset_instance_sequence()
+    tracer = Tracer()
+    with active(tracer), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system_module, "Controller", controller)
+        mp.setattr(Controller, "_consolidate", counting_consolidate)
+        system = build_system(n_pnas=30, heartbeat_interval_s=10.0)
+        sim, router, ctl = system.sim, system.router, system.controller
+        lossy = PNA(sim, "pna-lossy", router=router,
+                    channel=DuplexChannel(sim, rate_bps=system.delta_bps,
+                                          loss=0.5, name="lossy.direct"),
+                    controller_key=ctl.key, controller_id=ctl.controller_id,
+                    heartbeat_interval_s=10.0)
+        # A faster channel: its beat lands on a second arrival instant.
+        fast = PNA(sim, "pna-fast", router=router,
+                   channel=DuplexChannel(sim, rate_bps=10 * system.delta_bps,
+                                         name="fast.direct"),
+                   controller_key=ctl.key, controller_id=ctl.controller_id,
+                   heartbeat_interval_s=10.0)
+        # Broadcast down: wakeups are deferred, so every member keeps
+        # exactly the state given below.
+        system.broadcast.set_up(False)
+        spec = InstanceSpec(target_size=10, image_name="img",
+                            image_bits=1e6, heartbeat_interval_s=10.0)
+        live = ctl.create_instance(spec).instance_id
+        trimmed = ctl.create_instance(spec).instance_id
+        pnas = system.pnas
+
+        def claim(pna, instance_id):
+            pna.state = PNAState.BUSY
+            pna.instance_id = instance_id
+
+        ctl.quarantine_node(pnas[15].pna_id)
+        sim.run(until=1.0)  # the quarantine reset has reached the node
+        for pna in pnas[:10] + [lossy, fast]:
+            claim(pna, live)
+        for pna in pnas[10:14]:
+            claim(pna, trimmed)
+        ctl._pending_trims[trimmed] = 2
+        claim(pnas[14], "gone-instance")  # stale: must get a reset
+        claim(pnas[15], live)  # blacklisted, claiming BUSY again
+        claim(pnas[16], live)
+        pnas[16].set_adversary(Adversary("heartbeat_spoof",
+                                         pnas[16].pna_id))
+        pnas[17].shutdown()
+        pnas[18].shutdown()
+        pnas[19].channel.uplink.set_up(False)  # online, uplink down
+        # A late joiner lands in the cohort at the tick instant itself,
+        # before the tick: it must sit this beat out.
+        sim.schedule_at(10.0, lambda: system.add_pnas(
+            1, heartbeat_interval_s=10.0), priority=PRIORITY_URGENT)
+        sim.run(until=10.9)
+    late = system.pnas[-1]
+    assert late._hb_cohort is pnas[0]._hb_cohort
+    return {
+        "snapshot": ctl.census.snapshot(),
+        "counters": ctl.counters.as_dict(),
+        "trims_sent": ctl.instances[trimmed].trims_sent,
+        "pna": [(p.pna_id, p.state, p.instance_id, p.heartbeats_sent)
+                for p in system.pnas + [lossy, fast]],
+        "links": [(p.channel.uplink.delivered, p.channel.uplink.dropped,
+                   p.channel.uplink.refused, p.channel.downlink.delivered)
+                  for p in system.pnas + [lossy, fast]],
+        "trace": [(ev[0], ev[1], ev[2], dict(ev[3]))
+                  for ev in tracer.events()],
+        "metrics": tracer.metrics.snapshot(),
+    }, consolidated
+
+
+def test_mixed_cohort_columnar_equals_dict_reference():
+    """The columnar cohort path against the payload-by-payload
+    reference, on one cohort mixing offline members, a lossy and a
+    downed uplink, a blacklisted BUSY node, a heartbeat-spoofing
+    zombie, a stale instance, a pending-trim instance, a late joiner
+    and a faster channel (two arrival instants)."""
+    from repro.core.census import ColumnarCensusStore, DictCensusStore
+
+    columnar, columnar_replayed = _mixed_cohort_run(ColumnarCensusStore)
+    reference, reference_replayed = _mixed_cohort_run(DictCensusStore)
+    assert columnar == reference
+    # The reference consolidated every heartbeat one by one; the
+    # columnar path replayed only its slow tail (pending-trim,
+    # stale and blacklisted members), in cohort order, plus the fast
+    # member's one-beat delivery (below the cohort minimum).
+    beats = reference["counters"]["heartbeats"]
+    assert len(reference_replayed) == beats
+    slow = {"pna-fast", "pna-10", "pna-11", "pna-12", "pna-13", "pna-14",
+            "pna-15"}
+    assert columnar_replayed == [p for p in reference_replayed
+                                 if p in slow]
+    # Every member kind was exercised.
+    counters = reference["counters"]
+    assert counters["blacklisted_heartbeats"] == 1
+    assert reference["trims_sent"] == 2
+    assert reference["metrics"]["counters"]["census.stale_resets"] == 1
+    pna = {row[0]: row for row in reference["pna"]}
+    assert pna["pna-14"][1] is PNAState.IDLE  # the stale reset landed
+    assert pna["pna-16"][1] is PNAState.BUSY  # the zombie beats on
+    assert pna["pna-17"][3] == 0 and pna["pna-30"][3] == 0
+    links = {row[0]: link for row, link in zip(reference["pna"],
+                                                reference["links"])}
+    assert links["pna-19"][2] == 1  # refused by the downed uplink
+    # 30 fleet members + the lossy and fast ones, less 2 offline, the
+    # downed uplink and a lost beat; the late joiner sat the tick out.
+    assert beats == 32 - 2 - 1 - links["pna-lossy"][1]
+    registry = dict(reference["snapshot"]["registry"])
+    assert registry["pna-fast"][0] < registry["pna-0"][0] < 10.9
