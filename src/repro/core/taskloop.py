@@ -8,9 +8,10 @@ per (backend, instance) holds every member's in-flight state in
 columnar arrays (struct-of-arrays, mirroring
 :class:`~repro.core.census.ColumnarCensusStore`) and drives all members
 off a shared **time-bucket wheel** — one calendar entry per *distinct
-action instant*, not per member.  With a homogeneous fleet the whole
-cohort polls, computes and ships results on a handful of calendar
-entries per round.
+action instant*, not per member.  A bucket is an ordered list of
+same-kind **runs**, each a slot column plus the payload columns its
+kind needs, so a homogeneous cohort polls, computes and ships results
+on a handful of calendar entries per round with no per-member object.
 
 Equivalence contract (DESIGN.md §12): the engine replays exactly the
 per-PNA reference semantics —
@@ -40,7 +41,8 @@ does so for a whole run), the way they hand the Controller a
 from __future__ import annotations
 
 from array import array
-from typing import Any, List, Optional, TYPE_CHECKING
+from operator import attrgetter
+from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as _np
 
@@ -63,6 +65,10 @@ __all__ = ["CohortTaskEngine", "CohortDVE", "engine_for",
 #: module cycle; guarded by a unit test).
 CONTROL_PAYLOAD_BITS = 64 * 8
 
+#: Wire size of a task request, a NoWork reply and an ack-less result
+#: header: the control payload plus the message header.
+_CONTROL_BITS = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
+
 # Member phases (columnar ``_phase`` values).
 _JOINED = 0        # slot created, first request not yet sent
 _AWAIT_REPLY = 1   # request in flight, waiting for assignment / NoWork
@@ -71,20 +77,86 @@ _AWAIT_ACK = 3     # result in flight, waiting for delivery confirmation
 _SLEEPING = 4      # NoWork(retry): parked on the poll wheel
 _DONE = 5          # NoWork(None): bag dry, loop finished
 
-# Bucket entry kinds.  Entries are small tuples ``(kind, slot, ...)``
-# appended in chronological processing order; a bucket replays them in
-# insertion order, which mirrors the reference path's seq order.
+# Run kinds.  A run is a list ``[kind, slots, *columns]``: ``slots`` is
+# an ``array('q')`` of member slots in insertion order and the columns,
+# aligned with it, hold only what the kind needs.  Entries are filed in
+# chronological processing order and a filing extends the bucket's last
+# run when it has the same kind, so a bucket replays its runs — and each
+# run its members — in the reference path's seq order.
 _K_SEND = 0        # member sends a task request now
 _K_REQ_ARR = 1     # request arrives at the Backend
-_K_ASSIGN_ARR = 2  # (kind, slot, task): assignment arrives at the member
-_K_NOWORK_ARR = 3  # (kind, slot, retry): NoWork arrives at the member
+_K_ASSIGN_ARR = 2  # + tasks (list of Task): assignment arrives
+_K_NOWORK_ARR = 3  # + retry (array 'd', NaN = stop): NoWork arrives
 _K_COMPUTE = 4     # compute finishes; ship the result
-_K_RESULT_ARR = 5  # (kind, slot, task_id, token): result arrives
-_K_DEADLINE = 6    # (kind, slot, deadline): request/ack timeout check
+_K_RESULT_ARR = 5  # + task_id, token, digest (array 'q'): result
+                   #   arrives; copied at send time
+_K_DEADLINE = 6    # request/ack timeout check; the deadline is the
+                   #   bucket's instant
 
-#: Minimum run length for the numpy bulk branches (compute times, link
-#: reservations, delivery counts); below it, scalar operations win.
+#: Minimum run length for the numpy bulk branches (member masks, compute
+#: times, link reservations, delivery counts); below it, scalar
+#: operations win.
 _BULK_MIN = 32
+
+_NAN = float("nan")
+_ref_seconds = attrgetter("ref_seconds")
+_task_id = attrgetter("task_id")
+_result_bits = attrgetter("result_bits")
+_input_bits = attrgetter("input_bits")
+_adversary = attrgetter("adversary")
+
+
+def _new_run(kind: int) -> list:
+    if kind == _K_RESULT_ARR:
+        return [kind, array("q"), array("q"), array("q"), array("q")]
+    if kind == _K_ASSIGN_ARR:
+        return [kind, array("q"), []]
+    if kind == _K_NOWORK_ARR:
+        return [kind, array("q"), array("d")]
+    return [kind, array("q")]
+
+
+def _extend(column: Any, values: Any) -> None:
+    """Append a numpy column (or a list of objects) to a run column."""
+    if type(column) is list:
+        column.extend(values)
+    else:
+        column.frombytes(memoryview(values).cast("B"))
+
+
+def _distinct(slots: _np.ndarray) -> bool:
+    """True when no slot repeats (runs are usually already ascending)."""
+    if slots.size < 2 or bool((slots[1:] > slots[:-1]).all()):
+        return True
+    ranked = _np.sort(slots)
+    return bool((ranked[1:] != ranked[:-1]).all())
+
+
+def _groups(times: _np.ndarray) -> list:
+    """Split member positions by instant: ``[(time, positions)]``, each
+    group's positions ascending and ``None`` meaning "every member".
+    NaN times (nothing filed) are left out; group order is immaterial —
+    each group goes to its own bucket."""
+    if not times.size:
+        return []
+    t0 = times[0]
+    if bool((times == t0).all()):
+        return [(float(t0), None)]
+    pos = _np.flatnonzero(times == times)
+    if not pos.size:
+        return []
+    if pos.size < times.size:
+        t0 = times[pos[0]]
+        if bool((times[pos] == t0).all()):
+            return [(float(t0), pos)]
+        order = pos[_np.argsort(times[pos], kind="stable")]
+    else:
+        order = _np.argsort(times, kind="stable")
+    ranked = times[order]
+    cuts = (_np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    starts = [0] + cuts
+    ends = cuts + [order.size]
+    return [(float(ranked[a]), order[a:b]) for a, b in zip(starts, ends)]
 
 
 def engine_for(router: "Router", backend_id: str,
@@ -119,7 +191,7 @@ class CohortTaskEngine:
         # columnar member state (struct-of-arrays)
         "_phase", "_deadline", "_token", "_task_id", "_result_bits",
         "_digest", "_completed", "_retrans", "_destroyed", "_timeout",
-        "_row",
+        "_row", "_plain",
         # object columns
         "_pna", "_pna_id", "_uplink", "_downlink", "_executor",
         "members_joined",
@@ -132,11 +204,11 @@ class CohortTaskEngine:
         self.backend = backend
         self.backend_id = backend.backend_id
         self.instance_id = instance_id
-        #: time -> ordered entry list; each distinct instant owns exactly
+        #: time -> ordered run list; each distinct instant owns exactly
         #: one calendar entry (the DVE poll wheel generalised to every
         #: phase of the task loop).
         self._buckets: dict = {}
-        # (time, list) memo for consecutive same-instant appends — the
+        # (time, list) memo for consecutive same-instant filings — the
         # common shape when a cohort marches in lockstep.  Invalidated
         # whenever a bucket is popped for firing.
         self._memo_t: Optional[float] = None
@@ -157,6 +229,9 @@ class CohortTaskEngine:
         #: the member's node index: its links' row in the router's link
         #: tables (every member is a PNA registered on ``router``).
         self._row = array("q")
+        #: 1 when the member computes on the reference-PC executor
+        #: (:func:`identity_executor`): its compute time is the task's.
+        self._plain = array("b")
         self._pna: List[Any] = []
         self._pna_id: List[str] = []
         self._uplink: List[Any] = []
@@ -181,13 +256,14 @@ class CohortTaskEngine:
         self._destroyed.append(0)
         self._timeout.append(timeout_s)
         self._row.append(pna.census_idx)
+        self._plain.append(pna.executor is identity_executor)
         self._pna.append(pna)
         self._pna_id.append(pna.pna_id)
         self._uplink.append(pna.channel.uplink)
         self._downlink.append(pna.channel.downlink)
         self._executor.append(pna.executor)
         self.members_joined += 1
-        self._append(self.sim.now, (_K_SEND, slot))
+        self._run_at(self.sim.now, _K_SEND)[1].append(slot)
         return slot
 
     def destroy(self, slot: int) -> None:
@@ -195,197 +271,236 @@ class CohortTaskEngine:
         self._destroyed[slot] = 1
 
     # -- bucket wheel ----------------------------------------------------
-    def _append(self, time: float, entry: tuple) -> None:
+    def _run_at(self, time: float, kind: int) -> list:
+        """The run that an entry of ``kind`` filed at ``time`` joins: the
+        bucket's last run when it has that kind, else a fresh run (in a
+        fresh bucket, with its one calendar entry, for a new instant)."""
         if time == self._memo_t:
-            self._memo_bucket.append(entry)
-            return
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = [entry]
-            self.sim.call_at(time, self._fire, time)
+            bucket = self._memo_bucket
         else:
-            bucket.append(entry)
-        self._memo_t = time
-        self._memo_bucket = bucket
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                bucket = self._buckets[time] = []
+                self.sim.call_at(time, self._fire, time)
+            self._memo_t = time
+            self._memo_bucket = bucket
+        if bucket and bucket[-1][0] == kind:
+            return bucket[-1]
+        run = _new_run(kind)
+        bucket.append(run)
+        return run
+
+    def _file(self, streams: Sequence[tuple]) -> None:
+        """File the entries of one member-ordered bulk pass.
+
+        ``streams`` lists ``(kind, times, slots, columns)`` in per-member
+        op order: a member's entry in an earlier stream was filed before
+        its entry in a later one.  ``times`` (float64) is NaN where a
+        member files nothing; ``columns`` are the kind's payload columns
+        aligned with ``slots`` (numpy arrays, or a list of tasks).  When
+        the streams land on disjoint instants, each same-instant group
+        extends one run in one step; otherwise the entries are filed
+        member by member, which keeps a shared bucket's interleaving.
+        """
+        grouped = [_groups(times) for _kind, times, _s, _c in streams]
+        if len(grouped) > 1:
+            instants = [t for groups in grouped for t, _pos in groups]
+            if len(set(instants)) < len(instants):
+                self._file_members(streams)
+                return
+        for (kind, _times, slots, columns), groups in zip(streams, grouped):
+            for time, pos in groups:
+                run = self._run_at(time, kind)
+                for column, values in zip(run[1:], (slots, *columns)):
+                    if pos is not None:
+                        values = values[pos] if type(values) is not list \
+                            else [values[k] for k in pos.tolist()]
+                    _extend(column, values)
+
+    def _file_members(self, streams: Sequence[tuple]) -> None:
+        """:meth:`_file`, one member (and within it one stream) at a
+        time."""
+        streams = [(kind, times.tolist(), slots.tolist(),
+                    [c if type(c) is list else c.tolist() for c in columns])
+                   for kind, times, slots, columns in streams]
+        for k in range(len(streams[0][2])):
+            for kind, times, slots, columns in streams:
+                time = times[k]
+                if time != time:
+                    continue
+                run = self._run_at(time, kind)
+                run[1].append(slots[k])
+                for column, values in zip(run[2:], columns):
+                    column.append(values[k])
 
     def _fire(self, time: float) -> None:
-        # Popping kills the memo: a later same-instant _append (join)
+        # Popping kills the memo: a later same-instant filing (join)
         # must not write into the dead list.
         self._memo_t = None
         self._memo_bucket = None
-        self._run_entries(self._buckets.pop(time), 0, time)
+        self._run_runs(self._buckets.pop(time), 0, 0, time)
 
-    def _run_entries(self, entries: list, start: int, now: float) -> None:
-        """Replay ``entries[start:]`` grouped into same-kind runs.
+    def _run_runs(self, runs: list, r: int, start: int, now: float) -> None:
+        """Replay ``runs[r:]``, the first from member ``start`` on.
 
         Result arrivals can settle the job's ``done_event``; when that
         happens mid-bucket the remainder is re-scheduled at the same
         instant so urgent completion callbacks run first — exactly the
         interleaving of the per-member reference path.
         """
-        i = start
-        n = len(entries)
-        while i < n:
-            kind = entries[i][0]
-            j = i + 1
-            while j < n and entries[j][0] == kind:
-                j += 1
+        n = len(runs)
+        while r < n:
+            run = runs[r]
+            kind = run[0]
+            r += 1
             if kind == _K_RESULT_ARR:
-                deferred = self._handle_result_arrivals(entries, i, j, now)
-                if deferred is not None and deferred < n:
-                    self.sim.call_at(now, self._run_entries, entries,
-                                     deferred, now)
+                stop = self._handle_result_arrivals(run, start, now)
+                start = 0
+                if stop is not None:
+                    if stop < len(run[1]):
+                        self.sim.call_at(now, self._run_runs, runs, r - 1,
+                                         stop, now)
+                    elif r < n:
+                        self.sim.call_at(now, self._run_runs, runs, r, 0,
+                                         now)
                     return
             elif kind == _K_REQ_ARR:
-                self._handle_request_arrivals(entries, i, j, now)
+                self._handle_request_arrivals(run, now)
             elif kind == _K_ASSIGN_ARR:
-                self._handle_assign_arrivals(entries, i, j, now)
+                self._handle_assign_arrivals(run, now)
             elif kind == _K_SEND:
-                self._batch_send_requests(entries, i, j, now)
+                self._batch_send_requests(run, now)
             elif kind == _K_COMPUTE:
-                self._batch_send_results(entries, i, j, now)
+                self._batch_send_results(run, now)
             elif kind == _K_NOWORK_ARR:
-                self._handle_nowork_arrivals(entries, i, j, now)
+                self._handle_nowork_arrivals(run, now)
             else:  # _K_DEADLINE
-                self._handle_deadlines(entries, i, j, now)
-            i = j
+                self._handle_deadlines(run, now)
 
-    # -- link math -------------------------------------------------------
-    def _rows(self, slots: List[int]) -> Any:
-        return column_view(self._row)[
-            _np.fromiter(slots, _np.int64, len(slots))]
-
-    def _offer_slots(self, links: List[Any], table: Any, slots: List[int],
-                     size_bits: Any, now: float) -> List[Optional[float]]:
-        """``links[slot].offer(size)`` for each slot, in order; returns
-        the delivery times (``None`` where dropped).  ``size_bits`` is
-        one size or a list, one per slot."""
-        sized = isinstance(size_bits, list)
-        if len(slots) < _BULK_MIN:
-            if sized:
-                return [links[slot].offer(size)
-                        for slot, size in zip(slots, size_bits)]
-            return [links[slot].offer(size_bits) for slot in slots]
-        out = offer_rows(table, self._rows(slots),
-                         _np.array(size_bits) if sized else size_bits, now)
-        return [None if t != t else t for t in out.tolist()]
-
+    # -- column helpers --------------------------------------------------
     def _count_deliveries(self, links: List[Any], table: Any,
-                          entries: list, i: int, j: int) -> None:
-        """One delivery on ``links[slot]`` per entry of the run."""
-        if j - i < _BULK_MIN:
-            for k in range(i, j):
-                links[entries[k][1]].count_delivery()
+                          slots: array) -> None:
+        """One delivery on ``links[slot]`` per slot of ``slots``."""
+        if len(slots) < _BULK_MIN:
+            for slot in slots:
+                links[slot].count_delivery()
             return
-        count_deliveries(table,
-                         self._rows([entries[k][1] for k in range(i, j)]))
+        count_deliveries(table, column_view(self._row)[column_view(slots)])
+
+    def _offerable(self, slots: _np.ndarray) -> _np.ndarray:
+        """Mask of members that still take a reply: alive, awaiting one,
+        and online (the reference DVE drops a reply otherwise)."""
+        rows = column_view(self._row)[slots]
+        return ((column_view(self._destroyed)[slots] == 0)
+                & (column_view(self._phase)[slots] == _AWAIT_REPLY)
+                & (column_view(self.router.pna_online)[rows] != 0))
 
     # -- request path ----------------------------------------------------
     def _send_request(self, slot: int, now: float) -> None:
-        deliver_at = self._uplink[slot].offer(
-            CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS)
+        deliver_at = self._uplink[slot].offer(_CONTROL_BITS)
         if deliver_at is not None:
-            self._append(deliver_at, (_K_REQ_ARR, slot))
+            self._run_at(deliver_at, _K_REQ_ARR)[1].append(slot)
         self._phase[slot] = _AWAIT_REPLY
         deadline = now + self._timeout[slot]
         self._deadline[slot] = deadline
-        self._append(deadline, (_K_DEADLINE, slot, deadline))
+        self._run_at(deadline, _K_DEADLINE)[1].append(slot)
 
-    def _batch_send_requests(self, entries: list, i: int, j: int,
-                             now: float) -> None:
-        """Fused ``_send_request`` over a run — the 10^6-node hot loop.
+    def _batch_send_requests(self, run: list, now: float) -> None:
+        """``_send_request`` over a run — the 10^6-node hot loop.
 
         The run's uplinks are reserved first, in member order (nothing
         below touches links or RNG streams, so this equals the per-member
-        op order offer → arrival entry → phase → deadline entry); the
-        two bucket lookups are memoized, since a homogeneous run lands
-        every member on the same arrival/deadline instants.
+        op order offer → arrival entry → phase → deadline entry).  A
+        member listed twice sends twice, as it would one by one.
         """
+        slots = run[1]
         destroyed = self._destroyed
-        phase = self._phase
-        deadlines = self._deadline
-        timeouts = self._timeout
-        buckets = self._buckets
-        call_at = self.sim.call_at
-        fire = self._fire
-        live = [entries[k][1] for k in range(i, j)
-                if not destroyed[entries[k][1]]]
-        arrivals = self._offer_slots(
-            self._uplink, self.router.uplinks, live,
-            CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS, now)
-        bt = bd = None
-        bt_list = bd_list = None
-        for slot, deliver_at in zip(live, arrivals):
-            if deliver_at is not None:
-                if deliver_at != bt:
-                    bt = deliver_at
-                    bt_list = buckets.get(deliver_at)
-                    if bt_list is None:
-                        bt_list = buckets[deliver_at] = []
-                        call_at(deliver_at, fire, deliver_at)
-                bt_list.append((_K_REQ_ARR, slot))
-            phase[slot] = _AWAIT_REPLY
-            deadline = now + timeouts[slot]
-            deadlines[slot] = deadline
-            if deadline != bd:
-                bd = deadline
-                bd_list = buckets.get(deadline)
-                if bd_list is None:
-                    bd_list = buckets[deadline] = []
-                    call_at(deadline, fire, deadline)
-            bd_list.append((_K_DEADLINE, slot, deadline))
+        if len(slots) < _BULK_MIN:
+            for slot in slots:
+                if not destroyed[slot]:
+                    self._send_request(slot, now)
+            return
+        live = column_view(slots)
+        live = live[column_view(destroyed)[live] == 0]
+        if live.size:
+            self._send_requests(live, now)
 
-    def _handle_request_arrivals(self, entries: list, i: int, j: int,
-                                 now: float) -> None:
+    def _send_requests(self, live: _np.ndarray, now: float) -> None:
+        arrivals = offer_rows(self.router.uplinks,
+                              column_view(self._row)[live], _CONTROL_BITS,
+                              now)
+        column_view(self._phase)[live] = _AWAIT_REPLY
+        deadlines = now + column_view(self._timeout)[live]
+        column_view(self._deadline)[live] = deadlines
+        self._file(((_K_REQ_ARR, arrivals, live, ()),
+                    (_K_DEADLINE, deadlines, live, ())))
+
+    def _handle_request_arrivals(self, run: list, now: float) -> None:
         router = self.router
+        slots = run[1]
+        n = len(slots)
         # Delivery counting comes first: within one arrival instant
         # nothing observes the counters mid-handler, so count-then-
         # dispatch and dispatch-then-count are end-state identical (the
         # differential suite checks final link counts).
-        self._count_deliveries(self._uplink, router.uplinks, entries, i, j)
+        self._count_deliveries(self._uplink, router.uplinks, slots)
         if router._payload_receivers.get(self.backend_id) is None:
             # Backend crashed or shut down while the cohort was in
             # flight — same arrival-time check as the bare-payload path.
-            router.undeliverable += j - i
+            router.undeliverable += n
             return
-        pna_ids = self._pna_id
-        requesters = [pna_ids[entries[k][1]] for k in range(i, j)]
+        requesters = list(map(self._pna_id.__getitem__, slots))
         replies = self.backend.receive_request_cohort(requesters,
                                                       self.instance_id)
         channels = router._pna_channels
-        control_bits = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
-        slots = []
-        sizes = []
-        sent = []
-        for k in range(i, j):
-            slot = entries[k][1]
-            if pna_ids[slot] not in channels:
-                continue  # node vanished between request and reply
-            reply = replies[k - i]
-            slots.append(slot)
-            if type(reply) is NoWork:
-                sizes.append(control_bits)
-                sent.append((_K_NOWORK_ARR, slot, reply.retry_after_s))
-            else:  # a Task: the assignment carries the staged input
-                sizes.append(control_bits + reply.input_bits)
-                sent.append((_K_ASSIGN_ARR, slot, reply))
-        arrivals = self._offer_slots(self._downlink, router.downlinks,
-                                     slots, sizes, now)
-        buckets = self._buckets
-        call_at = self.sim.call_at
-        fire = self._fire
-        bt = None
-        bt_list = None
-        for entry, deliver_at in zip(sent, arrivals):
-            if deliver_at is None:
-                continue
-            if deliver_at != bt:
-                bt = deliver_at
-                bt_list = buckets.get(deliver_at)
-                if bt_list is None:
-                    bt_list = buckets[deliver_at] = []
-                    call_at(deliver_at, fire, deliver_at)
-            bt_list.append(entry)
+        if n < _BULK_MIN:
+            downlinks = self._downlink
+            for slot, pna_id, reply in zip(slots, requesters, replies):
+                if pna_id not in channels:
+                    continue  # node vanished between request and reply
+                if type(reply) is NoWork:
+                    deliver_at = downlinks[slot].offer(_CONTROL_BITS)
+                    if deliver_at is not None:
+                        retry = reply.retry_after_s
+                        into = self._run_at(deliver_at, _K_NOWORK_ARR)
+                        into[1].append(slot)
+                        into[2].append(_NAN if retry is None else retry)
+                else:  # a Task: the assignment carries the staged input
+                    deliver_at = downlinks[slot].offer(
+                        _CONTROL_BITS + reply.input_bits)
+                    if deliver_at is not None:
+                        into = self._run_at(deliver_at, _K_ASSIGN_ARR)
+                        into[1].append(slot)
+                        into[2].append(reply)
+            return
+        sent = column_view(slots)
+        if not all(map(channels.__contains__, requesters)):
+            keep = [pna_id in channels for pna_id in requesters]
+            sent = sent[_np.array(keep)]
+            replies = [reply for reply, k in zip(replies, keep) if k]
+        m = len(replies)
+        if not m:
+            return
+        rows = column_view(self._row)[sent]
+        if NoWork not in set(map(type, replies)):
+            sizes = _np.fromiter(map(_input_bits, replies), _np.float64, m)
+            sizes += _CONTROL_BITS
+            arrivals = offer_rows(router.downlinks, rows, sizes, now)
+            self._file(((_K_ASSIGN_ARR, arrivals, sent, (replies,)),))
+            return
+        nowork = _np.fromiter((type(r) is NoWork for r in replies), bool, m)
+        sizes = _np.fromiter(
+            (_CONTROL_BITS if type(r) is NoWork
+             else _CONTROL_BITS + r.input_bits for r in replies),
+            _np.float64, m)
+        retry = _np.fromiter(
+            (_NAN if type(r) is not NoWork or r.retry_after_s is None
+             else r.retry_after_s for r in replies), _np.float64, m)
+        arrivals = offer_rows(router.downlinks, rows, sizes, now)
+        self._file(((_K_ASSIGN_ARR, _np.where(nowork, _NAN, arrivals), sent,
+                     (replies,)),
+                    (_K_NOWORK_ARR, _np.where(nowork, arrivals, _NAN), sent,
+                     (retry,))))
 
     # -- assignment / compute path --------------------------------------
     def _accept_assignment(self, slot: int, task_id: int, ref_seconds: float,
@@ -406,104 +521,89 @@ class CohortTaskEngine:
             self._digest[slot] = 0 if d is None else d
             compute_s = adv.compute_seconds(
                 self._executor[slot](ref_seconds))
-        self._append(now + compute_s, (_K_COMPUTE, slot))
+        self._run_at(now + compute_s, _K_COMPUTE)[1].append(slot)
 
-    def _handle_assign_arrivals(self, entries: list, i: int, j: int,
-                                now: float) -> None:
-        self._count_deliveries(self._downlink, self.router.downlinks,
-                               entries, i, j)
+    def _handle_assign_arrivals(self, run: list, now: float) -> None:
+        slots, tasks = run[1], run[2]
+        self._count_deliveries(self._downlink, self.router.downlinks, slots)
+        if len(slots) >= _BULK_MIN and self._accept_bulk(slots, tasks, now):
+            return
         destroyed = self._destroyed
         phase = self._phase
         pnas = self._pna
-        executors = self._executor
-        identity = identity_executor
-        live = []
-        for k in range(i, j):
-            e = entries[k]
-            slot = e[1]
+        for slot, task in zip(slots, tasks):
             if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
                     or not pnas[slot].online:
                 continue  # reset/stale: the reference DVE drops it too
-            live.append(e)
-        if len(live) >= _BULK_MIN and all(
-                executors[e[1]] is identity and pnas[e[1]].adversary is None
-                for e in live):
-            # Bulk branch: identity executors (reference-PC nodes) let
-            # the whole run's completion instants come out of one
-            # vectorised add — scalar-bit-identical (same op order).
-            # Adversarial members fall to the scalar loop, which
-            # consults their behaviour profile per slot.
-            refs = _np.fromiter((e[2].ref_seconds for e in live),
-                                _np.float64, len(live))
-            completions = (refs + now).tolist()
-            task_ids = self._task_id
-            result_bits = self._result_bits
-            digests = self._digest
-            deadlines = self._deadline
-            buckets = self._buckets
-            call_at = self.sim.call_at
-            fire = self._fire
-            bt = None
-            bt_list = None
-            for e, done_at in zip(live, completions):
-                slot = e[1]
-                task = e[2]
-                task_ids[slot] = task.task_id
-                result_bits[slot] = task.result_bits
-                digests[slot] = 0
-                deadlines[slot] = -1.0
-                phase[slot] = _COMPUTING
-                if done_at != bt:
-                    bt = done_at
-                    bt_list = buckets.get(done_at)
-                    if bt_list is None:
-                        bt_list = buckets[done_at] = []
-                        call_at(done_at, fire, done_at)
-                bt_list.append((_K_COMPUTE, slot))
-            return
-        for e in live:
-            task = e[2]
-            self._accept_assignment(e[1], task.task_id, task.ref_seconds,
+            self._accept_assignment(slot, task.task_id, task.ref_seconds,
                                     task.result_bits, now)
 
-    def _handle_nowork_arrivals(self, entries: list, i: int, j: int,
-                                now: float) -> None:
-        self._count_deliveries(self._downlink, self.router.downlinks,
-                               entries, i, j)
-        self._park(entries, i, j, now)
+    def _accept_bulk(self, slots: array, tasks: list, now: float) -> bool:
+        """Accept a run of assignments in column passes; ``False`` (with
+        nothing changed) when the run needs the per-member loop: a
+        member listed twice, or one off the reference-PC executor or
+        with a behaviour profile.  Then the completion instants come
+        out of one vectorised add — scalar-bit-identical (same op
+        order)."""
+        sv = column_view(slots)
+        live = self._offerable(sv)
+        whole = bool(live.all())
+        ls = sv if whole else sv[live]
+        if not ls.size:
+            return True
+        if not _distinct(ls) or not column_view(self._plain)[ls].all():
+            return False
+        if not whole:
+            tasks = [tasks[k] for k in _np.flatnonzero(live).tolist()]
+        advs = list(map(_adversary, map(self._pna.__getitem__,
+                                        ls.tolist())))
+        if advs.count(None) != len(advs):
+            return False
+        m = ls.size
+        column_view(self._task_id)[ls] = _np.fromiter(
+            map(_task_id, tasks), _np.int64, m)
+        column_view(self._result_bits)[ls] = _np.fromiter(
+            map(_result_bits, tasks), _np.float64, m)
+        column_view(self._digest)[ls] = 0
+        column_view(self._deadline)[ls] = -1.0
+        column_view(self._phase)[ls] = _COMPUTING
+        done_at = _np.fromiter(map(_ref_seconds, tasks), _np.float64, m)
+        done_at += now
+        self._file(((_K_COMPUTE, done_at, ls, ()),))
+        return True
 
-    def _park(self, entries: list, i: int, j: int, now: float) -> None:
-        """Apply a run of NoWork replies (stop, or sleep until retry)."""
-        destroyed = self._destroyed
-        phase = self._phase
-        pnas = self._pna
-        deadlines = self._deadline
-        buckets = self._buckets
-        call_at = self.sim.call_at
-        fire = self._fire
-        bt = None
-        bt_list = None
-        for k in range(i, j):
-            _kind, slot, retry = entries[k]
-            if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
-                    or not pnas[slot].online:
-                continue
-            deadlines[slot] = -1.0
-            if retry is None:
-                phase[slot] = _DONE  # bag is dry: stop
-            else:
-                phase[slot] = _SLEEPING
+    def _handle_nowork_arrivals(self, run: list, now: float) -> None:
+        slots, retries = run[1], run[2]
+        self._count_deliveries(self._downlink, self.router.downlinks, slots)
+        if len(slots) >= _BULK_MIN:
+            sv = column_view(slots)
+            live = self._offerable(sv)
+            ls = sv[live]
+            if _distinct(ls):
+                retry = column_view(retries)[live]
+                column_view(self._deadline)[ls] = -1.0
+                column_view(self._phase)[ls] = _np.where(
+                    retry != retry, _DONE, _SLEEPING)
                 # The poll wheel: every member NoWork'd at this instant
                 # shares the same retry bucket — one calendar entry
                 # re-polls the whole cohort.
-                t = now + retry
-                if t != bt:
-                    bt = t
-                    bt_list = buckets.get(t)
-                    if bt_list is None:
-                        bt_list = buckets[t] = []
-                        call_at(t, fire, t)
-                bt_list.append((_K_SEND, slot))
+                self._file(((_K_SEND, retry + now, ls, ()),))
+                return
+        for slot, retry in zip(slots, retries):
+            self._park(slot, retry, now)
+
+    def _park(self, slot: int, retry: float, now: float) -> None:
+        """Apply one NoWork reply: stop (``retry`` NaN), or sleep until
+        the retry instant."""
+        if self._destroyed[slot] or self._phase[slot] != _AWAIT_REPLY \
+                or not self._pna[slot].online:
+            return
+        self._deadline[slot] = -1.0
+        if retry != retry:
+            self._phase[slot] = _DONE  # bag is dry: stop
+        else:
+            self._phase[slot] = _SLEEPING
+            self._run_at(now + retry, _K_SEND)[1].append(slot)
 
     # -- result path -----------------------------------------------------
     def _send_result(self, slot: int, now: float) -> None:
@@ -517,183 +617,152 @@ class CohortTaskEngine:
             # The digest rides the entry (copied at send time): a stale
             # retransmitted copy must carry the digest of the task it
             # was computed for, never a newer task's slot value.
-            self._append(deliver_at,
-                         (_K_RESULT_ARR, slot, self._task_id[slot], token,
-                          self._digest[slot]))
+            run = self._run_at(deliver_at, _K_RESULT_ARR)
+            run[1].append(slot)
+            run[2].append(self._task_id[slot])
+            run[3].append(token)
+            run[4].append(self._digest[slot])
         deadline = now + self._timeout[slot]
         self._deadline[slot] = deadline
-        self._append(deadline, (_K_DEADLINE, slot, deadline))
+        self._run_at(deadline, _K_DEADLINE)[1].append(slot)
 
-    def _batch_send_results(self, entries: list, i: int, j: int,
-                            now: float) -> None:
-        """Fused ``_send_result`` over a compute-completion run; same
-        op order per member, uplinks reserved first, memoized buckets
-        (see ``_batch_send_requests``)."""
+    def _batch_send_results(self, run: list, now: float) -> None:
+        """``_send_result`` over a compute-completion run; same op order
+        per member, uplinks reserved first (see
+        ``_batch_send_requests``)."""
+        slots = run[1]
         destroyed = self._destroyed
-        phase = self._phase
-        tokens = self._token
-        task_ids = self._task_id
-        result_bits = self._result_bits
-        digests = self._digest
-        deadlines = self._deadline
-        timeouts = self._timeout
-        buckets = self._buckets
-        call_at = self.sim.call_at
-        fire = self._fire
-        base = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
-        live = [entries[k][1] for k in range(i, j)
-                if not destroyed[entries[k][1]]]
-        arrivals = self._offer_slots(
-            self._uplink, self.router.uplinks, live,
-            [base + result_bits[slot] for slot in live], now)
-        bt = bd = None
-        bt_list = bd_list = None
-        for slot, deliver_at in zip(live, arrivals):
-            phase[slot] = _AWAIT_ACK
-            token = tokens[slot] + 1
-            tokens[slot] = token
-            if deliver_at is not None:
-                if deliver_at != bt:
-                    bt = deliver_at
-                    bt_list = buckets.get(deliver_at)
-                    if bt_list is None:
-                        bt_list = buckets[deliver_at] = []
-                        call_at(deliver_at, fire, deliver_at)
-                bt_list.append((_K_RESULT_ARR, slot, task_ids[slot], token,
-                                digests[slot]))
-            deadline = now + timeouts[slot]
-            deadlines[slot] = deadline
-            if deadline != bd:
-                bd = deadline
-                bd_list = buckets.get(deadline)
-                if bd_list is None:
-                    bd_list = buckets[deadline] = []
-                    call_at(deadline, fire, deadline)
-            bd_list.append((_K_DEADLINE, slot, deadline))
+        if len(slots) >= _BULK_MIN:
+            live = column_view(slots)
+            live = live[column_view(destroyed)[live] == 0]
+            if _distinct(live):
+                if live.size:
+                    self._send_results(live, now)
+                return
+        for slot in slots:
+            if not destroyed[slot]:
+                self._send_result(slot, now)
 
-    def _handle_result_arrivals(self, entries: list, i: int, j: int,
+    def _send_results(self, live: _np.ndarray, now: float) -> None:
+        column_view(self._phase)[live] = _AWAIT_ACK
+        tokens = column_view(self._token)
+        tokens[live] += 1
+        # Same left-to-right sum as the scalar path.
+        sizes = CONTROL_PAYLOAD_BITS + column_view(self._result_bits)[live]
+        sizes += DEFAULT_HEADER_BITS
+        arrivals = offer_rows(self.router.uplinks,
+                              column_view(self._row)[live], sizes, now)
+        deadlines = now + column_view(self._timeout)[live]
+        column_view(self._deadline)[live] = deadlines
+        self._file(((_K_RESULT_ARR, arrivals, live,
+                     (column_view(self._task_id)[live], tokens[live],
+                      column_view(self._digest)[live])),
+                    (_K_DEADLINE, deadlines, live, ())))
+
+    def _handle_result_arrivals(self, run: list, start: int,
                                 now: float) -> Optional[int]:
-        """Process result arrivals one by one; returns the index to
-        defer from when ``done_event`` settles mid-run, else ``None``."""
+        """Process the result arrivals ``run[start:]``; returns the
+        position to defer from when ``done_event`` settles mid-run,
+        else ``None``."""
         router = self.router
         backend = self.backend
-        done_event = backend.done_event
+        # Constant within one call: no sim callback runs mid-handler,
+        # and a mid-run settle defers the remainder to a fresh call
+        # (which re-evaluates after the urgent auto-release unregisters).
+        gone = router._payload_receivers.get(self.backend_id) is None
+        # A certified backend votes per copy (and a vote can quarantine
+        # a member of this very run), and a traced run on a lossy or
+        # down link must interleave each member's ``backend.complete``
+        # with its next request's ``net.dropped``: both keep the
+        # per-member loop.
+        if len(run[1]) - start >= _BULK_MIN \
+                and getattr(backend, "certifier", None) is None:
+            sv = column_view(run[1])[start:]
+            rows = column_view(self._row)[sv]
+            uplinks = router.uplinks
+            if gone or backend._trace is None or bool(
+                    ((column_view(uplinks.up)[rows] != 0)
+                     & (column_view(uplinks.loss)[rows] == 0.0)).all()):
+                return self._results_bulk(run, start, now, gone, sv, rows)
+        slots, task_ids, tokens, digests = run[1], run[2], run[3], run[4]
         uplinks = self._uplink
-        destroyed = self._destroyed
-        phase = self._phase
-        tokens = self._token
         pna_ids = self._pna_id
         receive_result = backend.receive_result
-        completed = self._completed
-        deadlines = self._deadline
-        timeouts = self._timeout
-        buckets = self._buckets
-        call_at = self.sim.call_at
-        fire = self._fire
-        size = CONTROL_PAYLOAD_BITS + DEFAULT_HEADER_BITS
-        bt = bd = None
-        bt_list = bd_list = None
-        # Constant within one call: no sim callback runs mid-loop, and
-        # a mid-run settle defers the remainder to a fresh call (which
-        # re-evaluates after the urgent auto-release unregisters).
-        gone = router._payload_receivers.get(self.backend_id) is None
-        # A certified backend routes every result (real or probe)
-        # through its certifier — the inlined happy path below commits
-        # straight into the completion records, which would bypass
-        # quorum voting.  Falling back keeps the batched tier for every
-        # other phase of the loop.
-        certifier = getattr(backend, "certifier", None)
-        # ``receive_result`` happy path inlined (the 10^6-node hot
-        # loop): first-copy results pop straight out of the in-flight
-        # table with the exact op order of the scalar handler —
-        # duplicates, lease-expired stragglers and the job-done edge
-        # fall back to the handler itself.  Guarded by the differential
-        # fuzz suite (batched == per-PNA on traces and accounting).
-        completed_map = backend._completed
-        in_flight_pop = backend._in_flight.pop
-        holders_pop = backend._holders.pop
-        attempts_pop = backend._attempts.pop
-        trace_b = backend._trace
-        job_n = backend.job.n
-        # Per-network result accounting (federated backends only): every
-        # member of this engine lives on this engine's router, so the
-        # label resolves once per run.  None on single-network wiring.
-        net_counts = getattr(backend, "completed_by_network", None)
-        net = backend._net_of_router.get(router) \
-            if net_counts is not None else None
-        # Settling is monotonic and only this loop can flip it here:
-        # when the event was already settled at entry no iteration can
-        # observe a flip, so the per-member defer check reduces to one
-        # read — and to nothing on the post-done tail.
+        done_event = backend.done_event
+        # Settling is monotonic and only this loop can flip it here.
         was_settled = done_event._settled
-        for k in range(i, j):
-            _kind, slot, task_id, token, digest = entries[k]
-            link = uplinks[slot]
-            link.count_delivery()
+        for k in range(start, len(slots)):
+            slot = slots[k]
+            uplinks[slot].count_delivery()
             if gone:
                 router.undeliverable += 1
-            elif certifier is not None:
-                receive_result(pna_ids[slot], task_id,
-                               digest if digest != 0 else None)
-            elif task_id not in completed_map \
-                    and in_flight_pop(task_id, None) is not None:
-                completed_map[task_id] = now
-                if net is not None:
-                    net_counts[net] += 1
-                holders_pop(task_id, None)
-                attempts_pop(task_id, None)
-                if trace_b is not None:
-                    trace_b.emit(now, "complete", task=task_id,
-                                 pna=pna_ids[slot], done=len(completed_map),
-                                 total=job_n)
-                if len(completed_map) == job_n \
-                        and not done_event.triggered:
-                    if trace_b is not None:
-                        trace_b.emit(now, "job_done",
-                                     job=backend.job.job_id, tasks=job_n)
-                    done_event.succeed(backend.report())
             else:
-                receive_result(pna_ids[slot], task_id)
+                digest = digests[k]
+                receive_result(pna_ids[slot], task_ids[k],
+                               digest if digest != 0 else None)
             # The member advances only when the *awaited* copy lands
             # (stale retransmitted copies settle a stale notify event in
             # the reference path — a no-op there too).  The next request
-            # goes out inline — fused ``_send_request``, same op order.
-            if not destroyed[slot] and phase[slot] == _AWAIT_ACK \
-                    and tokens[slot] == token:
-                completed[slot] += 1
-                deliver_at = link.offer(size)
-                if deliver_at is not None:
-                    if deliver_at != bt:
-                        bt = deliver_at
-                        bt_list = buckets.get(deliver_at)
-                        if bt_list is None:
-                            bt_list = buckets[deliver_at] = []
-                            call_at(deliver_at, fire, deliver_at)
-                    bt_list.append((_K_REQ_ARR, slot))
-                phase[slot] = _AWAIT_REPLY
-                deadline = now + timeouts[slot]
-                deadlines[slot] = deadline
-                if deadline != bd:
-                    bd = deadline
-                    bd_list = buckets.get(deadline)
-                    if bd_list is None:
-                        bd_list = buckets[deadline] = []
-                        call_at(deadline, fire, deadline)
-                bd_list.append((_K_DEADLINE, slot, deadline))
+            # goes out inline.
+            if not self._destroyed[slot] and self._phase[slot] == _AWAIT_ACK \
+                    and self._token[slot] == tokens[k]:
+                self._completed[slot] += 1
+                self._send_request(slot, now)
             if not was_settled and done_event._settled:
                 return k + 1
         return None
 
+    def _results_bulk(self, run: list, start: int, now: float, gone: bool,
+                      sv: _np.ndarray, rows: _np.ndarray) -> Optional[int]:
+        """The result arrivals ``run[start:]`` in column passes: the
+        Backend takes them in order (stopping where ``done_event``
+        settles), then the members whose awaited copy landed send their
+        next request in one batch."""
+        end = len(run[1])
+        stop = None
+        if gone:
+            self.router.undeliverable += end - start
+        else:
+            settled = self.backend.receive_result_cohort(
+                list(map(self._pna_id.__getitem__, run[1][start:])),
+                run[2][start:])
+            if settled is not None:
+                end = stop = start + settled + 1
+        if end - start < len(sv):
+            sv = sv[:end - start]
+            rows = rows[:end - start]
+        count_deliveries(self.router.uplinks, rows)
+        advance = ((column_view(self._destroyed)[sv] == 0)
+                   & (column_view(self._phase)[sv] == _AWAIT_ACK)
+                   & (column_view(self._token)[sv]
+                      == column_view(run[3])[start:end]))
+        live = sv[advance]
+        if live.size:
+            # One awaited copy per member: tokens are unique per send.
+            column_view(self._completed)[live] += 1
+            self._send_requests(live, now)
+        return stop
+
     # -- timeouts --------------------------------------------------------
-    def _handle_deadlines(self, entries: list, i: int, j: int,
-                          now: float) -> None:
+    def _handle_deadlines(self, run: list, now: float) -> None:
+        slots = run[1]
         destroyed = self._destroyed
-        phase = self._phase
         deadlines = self._deadline
+        if len(slots) >= _BULK_MIN:
+            # Nearly every deadline is stale (the reply or ack came in
+            # time): mask them out in one pass.  A resend only pushes
+            # its own member's deadline later, so the survivors are a
+            # superset of the scalar loop's and it re-checks each.
+            sv = column_view(slots)
+            due = sv[(column_view(destroyed)[sv] == 0)
+                     & (column_view(deadlines)[sv] == now)]
+            if not due.size:
+                return
+            slots = due.tolist()
+        phase = self._phase
         retrans = self._retrans
-        for k in range(i, j):
-            _kind, slot, deadline = entries[k]
-            if destroyed[slot] or deadlines[slot] != deadline:
+        for slot in slots:
+            if destroyed[slot] or deadlines[slot] != now:
                 continue  # reply/ack arrived in time: stale timeout
             state = phase[slot]
             if state == _AWAIT_REPLY:
@@ -715,8 +784,8 @@ class CohortTaskEngine:
                                     payload.ref_seconds,
                                     payload.result_bits, now)
         elif isinstance(payload, NoWork):
-            self._park([(_K_NOWORK_ARR, slot, payload.retry_after_s)], 0, 1,
-                       now)
+            retry = payload.retry_after_s
+            self._park(slot, _NAN if retry is None else retry, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CohortTaskEngine {self.backend_id!r}/{self.instance_id!r} "

@@ -11,7 +11,8 @@ it may yield:
   the deadline elapses, whichever is first (the deadline case resumes
   with ``None``; check ``event.triggered`` to tell them apart).  This is
   the cheap form of ``sim.race_timeout`` for retry guards: no combined
-  event or cancellable handle is allocated, just one calendar entry;
+  event or cancellable handle is allocated, just one calendar entry per
+  wait, so same-instant timeouts fire in the order their waits began;
 * another :class:`Process` — join it (value/exception semantics as above);
 * ``None`` — yield control for zero simulated time (lets same-time events
   interleave deterministically).
@@ -64,7 +65,7 @@ class Process(Event):
     """
 
     __slots__ = ("_gen", "_waiting_on", "_started", "_timer_seq",
-                 "_deadline_at", "_deadline_entry_at", "name_")
+                 "_deadline_token", "name_")
 
     def __init__(self, sim: Simulator, generator: Generator,
                  name: str = ""):
@@ -78,13 +79,9 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         self._started = False
         self._timer_seq = 0
-        # Deadline coalescing for (event, max_wait_s) waits: the wanted
-        # timeout of the *current* wait, and the fire time of the single
-        # in-heap entry backing it.  A long-lived process with many
-        # deadline-guarded waits keeps at most ~one calendar entry alive
-        # instead of one per wait (see _deadline_fire).
-        self._deadline_at: Optional[float] = None
-        self._deadline_entry_at: Optional[float] = None
+        # Token of the pending (event, max_wait_s) wait's calendar entry;
+        # 0 when no deadline is pending (see _deadline_fire).
+        self._deadline_token = 0
         # Start on the next event-loop tick at the current time so the
         # creator finishes its own step first (deterministic ordering).
         sim.schedule_fast(0.0, self._resume, None,
@@ -112,7 +109,7 @@ class Process(Event):
             return  # finished in the meantime at the same timestamp
         self._waiting_on = None
         self._timer_seq += 1  # invalidate any outstanding sleep timer
-        self._deadline_at = None  # and any pending wait deadline
+        self._deadline_token = 0  # and any pending wait deadline
         self._step_throw(Interrupt(cause))
 
     # -- driving the generator -------------------------------------------
@@ -130,7 +127,7 @@ class Process(Event):
             self._waiting_on = None
             # An event-with-deadline wait's timeout is moot now that the
             # event won; its in-heap entry (if any) dies lazily.
-            self._deadline_at = None
+            self._deadline_token = 0
             if not event._ok:
                 self._step_throw(event._value)
                 return
@@ -179,15 +176,11 @@ class Process(Event):
                 return
             self._waiting_on = event
             event.add_callback(self._resume)
-            fire_at = sim.now + float(deadline)
-            self._deadline_at = fire_at
-            entry_at = self._deadline_entry_at
-            if entry_at is None or entry_at > fire_at:
-                # No usable entry in the heap: arm one.  An entry that
-                # fires *earlier* than needed is reused — _deadline_fire
-                # re-chains it to the wanted time.
-                sim.call_at(fire_at, self._deadline_fire)
-                self._deadline_entry_at = fire_at
+            token = self._timer_seq + 1
+            self._timer_seq = token
+            self._deadline_token = token
+            sim.call_at(sim.now + float(deadline), self._deadline_fire,
+                        token)
             return
         if isinstance(target, Event):
             self._waiting_on = target
@@ -218,25 +211,13 @@ class Process(Event):
             return  # interrupted (or finished) while sleeping
         self._step_send(None)
 
-    def _deadline_fire(self) -> None:
-        """The in-heap deadline entry for this process came due.
-
-        Three cases: no wait is pending (the guarded event won, or the
-        process moved on) — the entry just dies; the current wait wants a
-        *later* deadline (the entry was reused by a subsequent wait) —
-        chain-push one entry at the wanted time; the wanted deadline is
-        now — the wait times out and the process resumes with ``None``.
-        """
-        self._deadline_entry_at = None
-        if self.triggered:
+    def _deadline_fire(self, token: int) -> None:
+        """A wait's deadline entry came due: the wait times out and the
+        process resumes with ``None`` — unless that wait is over (the
+        guarded event won, or an interrupt cut it short), in which case
+        the entry just dies."""
+        if self.triggered or token != self._deadline_token:
             return
-        want = self._deadline_at
-        if want is None:
-            return  # event won; nothing is waiting on a deadline
-        if self.sim.now < want:
-            self.sim.call_at(want, self._deadline_fire)
-            self._deadline_entry_at = want
-            return
-        self._deadline_at = None
+        self._deadline_token = 0
         self._waiting_on = None  # detach; a late settle is now stale
         self._step_send(None)

@@ -225,6 +225,11 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._events)
 
+    def __bool__(self) -> bool:
+        # An empty tracer is still a tracer: ``if tracer:`` must not
+        # read as "no tracer" just because nothing was emitted yet.
+        return True
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Tracer cats={','.join(self.categories)} "
                 f"events={len(self._events)} dropped={self.dropped}>")

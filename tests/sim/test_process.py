@@ -253,3 +253,46 @@ def test_process_all_of_composition():
     ps = [sim.process(proc(d, d)) for d in (3.0, 1.0, 2.0)]
     values = sim.run_until_event(sim.all_of(ps))
     assert values == [3.0, 1.0, 2.0]
+
+
+def test_wait_with_deadline_resumes_on_event_or_timeout():
+    """``yield event, max_wait_s``: the event's value when it settles in
+    time, ``None`` at the deadline otherwise — and a settle after the
+    timeout (or a deadline after the settle) never resumes it again."""
+    sim = Simulator()
+    trace = []
+    early, late = sim.event(), sim.event()
+
+    def proc():
+        for target in ((early, 5.0), (late, 5.0), 10.0):
+            value = yield target
+            trace.append((sim.now, value))
+
+    sim.process(proc())
+    sim.schedule(2.0, early.succeed, "early")
+    sim.schedule(9.0, late.succeed, "late")
+    sim.run()
+    assert trace == [(2.0, "early"), (7.0, None), (17.0, None)]
+
+
+def test_same_instant_deadlines_fire_in_wait_order():
+    """Two processes whose waits time out at one instant resume in the
+    order the waits began, whatever deadlines each process armed
+    before."""
+    sim = Simulator()
+    order = []
+
+    def first():
+        yield sim.timeout(1.0), 9.0      # settles at 1: deadline moot
+        yield sim.event(), 10.0          # waits from t=1, due at 11
+        order.append(("first", sim.now))
+
+    def second():
+        yield 5.0
+        yield sim.event(), 6.0           # waits from t=5, due at 11
+        order.append(("second", sim.now))
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    assert order == [("first", 11.0), ("second", 11.0)]
