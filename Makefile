@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test experiments bench bench-quick bench-floor trace-demo \
+.PHONY: test experiments bench-floor trace-demo \
 	faults-smoke federation-smoke serve-smoke certify-smoke vector-smoke \
 	oddbench
 
@@ -13,29 +13,6 @@ test:
 experiments:
 	$(PYTHON) -m pytest tests/experiments/test_smoke_all.py -q \
 		--run-experiments
-
-# Full perf harness: event-tier families (BENCH_event_tier.json) plus
-# the census consolidation family (BENCH_census.json) and the Backend
-# dispatch-tier family (BENCH_dispatch.json).  Wall numbers are
-# machine-dependent — see DESIGN.md §8 for the interleaved
-# before/after measurement protocol, §11 for the census engine and
-# §12 for the cohort task path ("repro bench --profile" prints
-# cProfile hot spots without touching the tracked artifacts).
-bench:
-	$(PYTHON) -m repro bench
-	$(PYTHON) -m repro bench --census
-	$(PYTHON) -m repro bench --dispatch
-	$(PYTHON) -m repro bench --federation
-
-bench-quick:
-	$(PYTHON) -m repro bench --scales 1000 --kernel-scales 10000 \
-		--out /tmp/bench_quick.json
-	$(PYTHON) -m repro bench --census --census-scales 20000 \
-		--out /tmp/bench_census_quick.json
-	$(PYTHON) -m repro bench --dispatch --dispatch-scales 20000 \
-		--out /tmp/bench_dispatch_quick.json
-	$(PYTHON) -m repro bench --serve --serve-scales 16 \
-		--out /tmp/bench_serve_quick.json
 
 # Repository benchmark smoke (oddbench/README.md): the benchmark's own
 # tests, then one 1-second iteration per workload at seed 0, each
@@ -49,10 +26,12 @@ oddbench:
 	done
 
 # Reduced-scale event-kernel floor guard (the 10^6 < 60s claim,
-# scaled): benchmarks/test_event_kernel_floor.py under --run-perf.
+# scaled) plus the census engine's columnar ≡ dict equivalence check
+# and its 3x consolidation floor at 10^5 members, under --run-perf.
 bench-floor:
 	REPRO_FLOOR_SCALE=20000 $(PYTHON) -m pytest \
-		benchmarks/test_event_kernel_floor.py -q --run-perf
+		benchmarks/test_event_kernel_floor.py \
+		benchmarks/test_census_throughput.py -q --run-perf
 
 # Traced smoke run + human summary of the resulting trace artifacts
 # (see DESIGN.md §9 for the event taxonomy).

@@ -4,8 +4,7 @@ The cohort task path's headline claim (DESIGN.md §12): one full
 wakeup+heartbeat+bag-of-tasks cycle at 10^6 PNAs completes in under
 60 seconds of wall time.  This guard re-runs that scenario and holds
 the line — scaled linearly when ``REPRO_FLOOR_SCALE`` trims the fleet
-(CI runs at reduced scale; the tracked 10^6 number lives in
-``BENCH_event_tier.json``).
+(CI runs at reduced scale; 53.6 s at 10^6 was recorded at 757214e).
 
 Wall-clock guards are machine-dependent, so this is perf-marked::
 
@@ -14,33 +13,75 @@ Wall-clock guards are machine-dependent, so this is perf-marked::
 
 The semantic assertions (bag fully executed, whole fleet recruited,
 scale-invariant makespan) run whenever the perf run does, so a "fast"
-build that drops work cannot pass.
+build that drops work cannot pass.  The 10^3 and 10^4 points also pin
+the makespan bit for bit.
 """
 
 import os
+import time
 
 import pytest
 
-from repro.perfbench import SCENARIO, run_scenario
+from benchmarks.scenario import SCENARIO, cycle_bag, gc_paused
+from repro.core import OddCISystem
 
 FULL_SCALE = 1_000_000
 FULL_BUDGET_S = 60.0
 #: Fixed-cost allowance for reduced-scale runs: interpreter start-up,
 #: image broadcast and job build don't shrink with the fleet.
 MIN_BUDGET_S = 10.0
+#: The cycle's makespan is scale-invariant (every node gets
+#: tasks_per_node tasks) and must be bit-identical across builds.
+EXPECTED_MAKESPAN = 29.29000533333334
+
+
+def run_cycle(n_nodes: int) -> dict:
+    """One wakeup+heartbeat+BoT cycle at ``n_nodes`` PNAs, timed from
+    fleet build to job completion with the collector off."""
+    cfg = SCENARIO
+    with gc_paused():
+        t0 = time.perf_counter()
+        system = OddCISystem(
+            seed=cfg["seed"],
+            maintenance_interval_s=cfg["maintenance_interval_s"])
+        system.add_pnas(n_nodes,
+                        heartbeat_interval_s=cfg["heartbeat_interval_s"],
+                        dve_poll_interval_s=cfg["dve_poll_interval_s"])
+        build_wall_s = time.perf_counter() - t0
+        job = cycle_bag(n_nodes)
+        t1 = time.perf_counter()
+        submission = system.provider.submit_job(
+            job, target_size=n_nodes,
+            heartbeat_interval_s=cfg["heartbeat_interval_s"])
+        report = system.provider.run_job_to_completion(submission, limit_s=1e7)
+        run_wall_s = time.perf_counter() - t1
+    return {
+        "events": system.sim.events_executed,
+        "wall_s": round(build_wall_s + run_wall_s, 4),
+        "makespan": report.makespan,
+        "n_tasks": report.n_tasks,
+        "distinct_workers": report.distinct_workers,
+    }
 
 
 @pytest.mark.perf
-def test_cohort_event_tier_holds_wall_clock_floor():
-    scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
+@pytest.mark.parametrize("scale, makespan, tol", [
+    (None, 29.29, 0.01),
+    (1_000, EXPECTED_MAKESPAN, 1e-9),
+    (10_000, EXPECTED_MAKESPAN, 1e-9),
+], ids=["floor", "1000", "10000"])
+def test_cohort_event_tier_holds_wall_clock_floor(scale, makespan, tol):
+    if scale is None:
+        scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
     budget = max(MIN_BUDGET_S, FULL_BUDGET_S * scale / FULL_SCALE)
-    metrics = run_scenario(scale)
+    metrics = run_cycle(scale)
     # The run must be the real workload, not a degenerate fast one.
     assert metrics["n_tasks"] == scale * SCENARIO["tasks_per_node"]
     assert metrics["distinct_workers"] == scale
+    assert metrics["events"] > 0
     # Uniform bags complete on a timetable independent of fleet size
     # (4 tasks/node everywhere); the golden makespan pins semantics.
-    assert metrics["makespan"] == pytest.approx(29.29, abs=0.01)
+    assert metrics["makespan"] == pytest.approx(makespan, abs=tol)
     assert metrics["wall_s"] < budget, (
         f"event kernel floor broken: {metrics['wall_s']:.2f}s for "
         f"{scale} nodes (budget {budget:.1f}s): {metrics}")

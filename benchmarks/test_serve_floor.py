@@ -1,14 +1,14 @@
 """Request-tier warm-pool floor (PR: service tier).
 
 The warm-standby pool exists to buy time-to-ready: at the tracked
-operating point (32 PNAs, offered load just below the fleet's knee —
-see ``BENCH_serve.json`` at the repo root) the warm run's p99
-time-to-ready must be **measurably** below the cold-start run's — the
-guard requires at least :data:`MIN_P99_IMPROVEMENT` — and warm standby
-may never make admission *worse* (warm rejection rate <= cold).  The
-scenario itself refuses to score a run that strands requests
-(``lost != 0`` asserts inside :func:`~repro.perfbench.
-run_serve_scenario`), so a green guard is also a liveness statement.
+operating point (32 PNAs, offered load just below the fleet's knee)
+the warm run's p99 time-to-ready must be **measurably** below the
+cold-start run's — the guard requires at least
+:data:`MIN_P99_IMPROVEMENT` — and warm standby may never make admission
+*worse* (warm rejection rate <= cold).  The scenario itself refuses to
+score a run that strands requests (``lost != 0`` asserts inside
+:func:`run_serve_scenario`), so a green guard is also a liveness
+statement.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock ceiling is perf-marked::
@@ -18,10 +18,14 @@ the wall-clock ceiling is perf-marked::
 """
 
 import os
+import time
 
 import pytest
 
-from repro.perfbench import run_serve_scenario
+from benchmarks.scenario import SCENARIO, gc_paused
+from repro.core import OddCISystem
+from repro.core.instance import reset_instance_sequence
+from repro.serve import GatewayConfig, PoolConfig, ServiceTier, TrafficSpec
 
 FULL_SCALE = 32
 FULL_BUDGET_S = 5.0
@@ -30,6 +34,62 @@ MIN_BUDGET_S = 2.0
 #: Cold p99 over warm p99 at the tracked operating point (measured
 #: ~2.4x; generous margin for seed- and scale-sensitivity).
 MIN_P99_IMPROVEMENT = 1.2
+
+
+def run_serve_scenario(n_pnas: int) -> dict:
+    """Warm-pool benefit on the request tier: cold vs warm, same load.
+
+    Runs the full service pipeline (open-loop Poisson traffic → gateway
+    → pool → Provider) twice at the same offered load, once with the
+    warm pool disabled and once at a warm target of 2, and compares the
+    p99 time-to-ready of both.  Both runs must settle every issued
+    request (``lost == 0``) or the scenario refuses to score.
+    """
+    # The load sits just below the fleet's knee (per Little's law ~n/4
+    # concurrent instances against ~(ttr + hold) residence), so the cold
+    # run strains visibly while the warm run still clears — the regime
+    # where standby capacity matters most.
+    rate = 0.00125 * n_pnas
+
+    def run_once(warm: int):
+        reset_instance_sequence()
+        with gc_paused():
+            t0 = time.perf_counter()
+            system = OddCISystem(seed=SCENARIO["seed"],
+                                 maintenance_interval_s=15.0)
+            system.add_pnas(
+                n_pnas, heartbeat_interval_s=10.0,
+                dve_poll_interval_s=SCENARIO["dve_poll_interval_s"])
+            traffic = TrafficSpec(
+                pattern="poisson", rate_rps=rate, horizon_s=600.0,
+                n_tenants=4, target_size=4, hold_s_mean=60.0)
+            tier = ServiceTier(
+                system, traffic,
+                gateway=GatewayConfig(max_concurrent=6),
+                pool=PoolConfig(warm_target=warm, standby_size=4,
+                                refill_interval_s=20.0),
+                heartbeat_interval_s=10.0)
+            summary = tier.run()
+            wall_s = time.perf_counter() - t0
+        return summary, wall_s
+
+    cold, cold_wall = run_once(0)
+    warm, warm_wall = run_once(2)
+    assert cold["lost"] == 0 and warm["lost"] == 0, \
+        "service tier stranded requests; timings are meaningless"
+    return {
+        "issued": cold["issued"],
+        "cold_ttr_p99_s": cold["ttr_p99_s"],
+        "warm_ttr_p99_s": warm["ttr_p99_s"],
+        # Denominator floored at 1 s so an all-warm run (p99 = 0.0)
+        # stays finite; the guard only needs a lower bound.
+        "p99_improvement": round(
+            cold["ttr_p99_s"] / max(warm["ttr_p99_s"], 1.0), 3),
+        "cold_rejection_rate": cold["rejection_rate"],
+        "warm_rejection_rate": warm["rejection_rate"],
+        "pool_hit_ratio": warm["pool"]["hit_ratio"],
+        "wall_s": round(cold_wall + warm_wall, 4),
+    }
 
 
 def _assert_semantics(metrics):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.perfbench import run_telemetry_overhead
+from benchmarks.scenario import run_kernel
 from repro.sim.core import Simulator
 from repro.telemetry.trace import Tracer, active
 
@@ -105,6 +105,29 @@ def test_hot_path_emit_sites_are_none_guarded():
         f"disabled): {offenders}")
 
 
+def run_telemetry_overhead(n_timers: int, *, repeats: int) -> dict:
+    """Disabled-telemetry overhead on the kernel microbench.
+
+    Interleaves ``repeats`` pairs of kernel runs — plain vs. with a
+    tracer installed whose ``kernel`` category is *disabled* (the
+    production shape of a ``--trace`` run: components resolve a ``None``
+    channel and pay one truthiness check per call site) — and compares
+    best-of-N events/sec.  ``ratio`` is traced/plain.  Interleaving and
+    best-of-N squeeze out most scheduler noise; single pairs on a shared
+    host are still ±5%.
+    """
+    plain_best = traced_best = 0.0
+    for _ in range(repeats):
+        plain_best = max(plain_best, run_kernel(n_timers)["events_per_sec"])
+        with active(Tracer("runner")):  # kernel category disabled
+            traced = run_kernel(n_timers)
+        traced_best = max(traced_best, traced["events_per_sec"])
+    return {
+        "plain_events_per_sec": round(plain_best, 1),
+        "ratio": round(traced_best / plain_best, 4) if plain_best else 0.0,
+    }
+
+
 @pytest.mark.perf
 def test_disabled_tracer_overhead_within_3_percent():
     metrics = run_telemetry_overhead(10_000, repeats=3)
@@ -112,3 +135,11 @@ def test_disabled_tracer_overhead_within_3_percent():
     # traced/plain throughput ratio; 0.97 == <= ~3% regression.
     assert metrics["ratio"] >= 0.97, (
         f"disabled-telemetry overhead too high: {metrics}")
+
+
+@pytest.mark.perf
+def test_kernel_scenario_event_count_is_deterministic():
+    a = run_kernel(10_000)
+    b = run_kernel(10_000)
+    assert a["events"] == b["events"]
+    assert a["events"] > 10_000 * 28  # ~29-30 ticks per timer

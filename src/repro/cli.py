@@ -10,7 +10,6 @@ Usage::
     python -m repro fault_sweep --smoke   # availability under injected chaos
     python -m repro a3 --faults=demo      # any experiment, faulted
     python -m repro all --smoke           # everything, reduced scale
-    python -m repro bench ...             # event-tier perf harness
 
 Experiments are resolved from the scenario registry
 (:mod:`repro.runner`); ``python -m repro list`` prints exactly what is
@@ -21,6 +20,10 @@ a ``--trace`` run produces.
 
 Run-progress messages go through :mod:`logging` (logger ``repro``) on
 stderr; ``--verbose`` raises the level to DEBUG for per-run detail.
+
+Performance is not measured here: ``oddbench/run.py`` is the repo
+benchmark, and the wall-clock floors live in ``benchmarks/`` (opt in
+with ``pytest benchmarks --run-perf``).
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="OddCI reproduction — regenerate paper artifacts")
     parser.add_argument(
         "experiment",
-        help="experiment id, 'list', 'all', or 'bench' "
-             "(event-tier perf harness)")
+        help="experiment id, 'list' or 'all'")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default 0); per-point seeds "
                              "are spawned from it")
@@ -118,12 +120,6 @@ def _setup_logging(verbose: bool) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # Perf harness has its own flags (scales, label, out) — delegate.
-        from repro.perfbench import main as bench_main
-        return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
     _setup_logging(args.verbose)
     if args.experiment == "list":

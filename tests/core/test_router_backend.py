@@ -252,3 +252,31 @@ def test_backend_shutdown_unregisters():
     p.request()
     sim.run()
     assert router.undeliverable == 1
+
+
+def test_request_cohort_assigns_in_scalar_order():
+    """``receive_request_cohort`` ≡ one ``_serve_request`` per requester
+    in order: same task ids, holders and leases.  64 requesters × 3
+    rounds keeps every cohort above the engine's bulk threshold, so the
+    numpy lease pass runs."""
+    requesters = [f"pna-{i}" for i in range(64)]
+    rounds = 3
+
+    def build():
+        sim = Simulator(seed=1)
+        job = uniform_bag(len(requesters) * rounds, ref_seconds=5.0)
+        return Backend(sim, job, Router(sim), lease_factor=2.0)
+
+    def leases(backend):
+        return {tid: (pna, lease) for tid, (_task, pna, _t, lease)
+                in backend._in_flight.items()}
+
+    scalar = build()
+    scalar_ids = [scalar._serve_request(pna, "i-1").task_id
+                  for _ in range(rounds) for pna in requesters]
+    cohort = build()
+    cohort_ids = [task.task_id for _ in range(rounds)
+                  for task in cohort.receive_request_cohort(requesters, "i-1")]
+    assert cohort_ids == scalar_ids
+    assert leases(cohort) == leases(scalar)
+    assert cohort.tasks_assigned == scalar.tasks_assigned == 192
