@@ -7,7 +7,11 @@ storm) against a persistent population must clear
 Points recorded at 757214e (the vector bench record, see git history):
 ~1.4M nodes/s at 10^5, ~1.3M at 10^6, ~0.5M at 10^7 (and ~175k at the
 10^8 smoke, below this floor — the guard is calibrated for the
-10^5-10^7 sweep range).
+10^5-10^7 sweep range).  With the distinct-row makespan bisection and
+census epochs that write only what changes (DESIGN.md §16), on a
+2-vCPU x86-64 host, one run each against a38d145: 10^6 nodes 1.18M ->
+4.39M nodes/s (peak RSS 235 -> 219 MB); 10^7 nodes 0.63M -> 3.70M
+nodes/s (1320 -> 1241 MB).
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::

@@ -67,6 +67,86 @@ def per_task_wall_seconds(
     return io_bits / delta_bps + ref_seconds * device_factor
 
 
+def _terms(t: float, ready: np.ndarray, d, windows, weights=None,
+           bias: float = 0.0) -> np.ndarray:
+    """Per-row ``floor(active_i(t) / d_i + bias)`` (times the row's
+    multiplicity in ``weights``), active time being time since ready
+    less the overlap with each window the row is a victim of — the same
+    float operations on any subset of rows."""
+    out = np.subtract(t, ready)
+    np.maximum(out, 0.0, out=out)
+    scratch = np.empty_like(out) if windows else None
+    for start, end, mask in windows:
+        np.maximum(ready, start, out=scratch)
+        np.subtract(min(t, end), scratch, out=scratch)
+        np.maximum(scratch, 0.0, out=scratch)
+        if mask is not None:
+            scratch *= mask
+        out -= scratch
+    np.maximum(out, 0.0, out=out)
+    np.divide(out, d, out=out)
+    if bias:
+        out += bias
+    np.floor(out, out=out)
+    if weights is not None:
+        out *= weights
+    return out
+
+
+def _distinct(ready: np.ndarray, d, windows):
+    """``(ready, d, windows, weights)``: rows equal in ready time,
+    duration and victimhood have equal terms at every ``t``, so when
+    that at least halves the rows (carousel wakeups tie ready times)
+    keep one row per kind, weighted by its multiplicity.  The weighted
+    terms are integer-valued floats, so every capacity sum is exact
+    below 2^53 (and reads >= 2^53 > n above), as over the full rows."""
+    # Victim patterns are bit codes (one per window, counted by
+    # bincount) and the collapse makes one full-width pass per pattern
+    # present: past 16 windows or patterns, or with mostly distinct
+    # ready times in a strided sample, it would not pay for the probes
+    # it saves.
+    sample = ready[::max(1, ready.size // 4096)]
+    if len(windows) > 16 or 2 * np.unique(sample).size > sample.size:
+        return ready, d, windows, None
+    code = np.zeros(ready.size, dtype=np.int64)
+    for bit, (_s, _e, mask) in enumerate(windows):
+        if mask is not None:
+            code[mask] |= 1 << bit
+    patterns = np.flatnonzero(np.bincount(code))
+    if patterns.size > 16:
+        return ready, d, windows, None
+    key = ready if np.ndim(d) == 0 else ready + 1j * d
+    kinds = [(c, *np.unique(key[code == c], return_counts=True))
+             for c in patterns]
+    if 2 * sum(u.size for _c, u, _w in kinds) > ready.size:
+        return ready, d, windows, None
+    code = np.concatenate([np.full(u.size, c) for c, u, _w in kinds])
+    key = np.concatenate([u for _c, u, _w in kinds])
+    return (key.real, d if np.ndim(d) == 0 else key.imag,
+            [(s, e, m if m is None else (code >> bit & 1).astype(bool))
+             for bit, (s, e, m) in enumerate(windows)],
+            np.concatenate([w for _c, _u, w in kinds]).astype(float))
+
+
+def _capacity(t: float, fleet) -> int:
+    """``sum_i floor(active_i(t) / d_i)`` over a :func:`_distinct` fleet."""
+    return int(_terms(t, *fleet).sum())
+
+
+def _bisect(fleet, n: int, lo: float, hi: float, eps: float) -> float:
+    """Smallest probed ``t`` in ``(lo, hi]`` with capacity >= ``n``
+    (the final ``hi``), halving until ``max(eps, 1e-12 * hi)``."""
+    for _ in range(200):
+        if hi - lo <= max(eps, 1e-12 * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        if _capacity(mid, fleet) >= n:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def makespan_waterfill(
     ready_times: np.ndarray,
     n_tasks: int,
@@ -89,41 +169,36 @@ def makespan_waterfill(
         raise AnalysisError("task_wall_seconds must be > 0")
 
     d = float(task_wall_seconds)
-
-    def capacity(t: float) -> int:
-        return int(np.floor(np.maximum(t - ready, 0.0) / d).sum())
-
+    fleet = _distinct(ready, d, [])
     eps = min(1e-9, d * 1e-6)
     lo = float(ready.min()) + d
     hi = float(ready.min()) + d * float(n_tasks)  # one node does it all
-    if capacity(hi) < n_tasks:  # numeric safety
+    if _capacity(hi, fleet) < n_tasks:  # numeric safety
         hi = float(ready.max()) + d * float(n_tasks)
-    for _ in range(200):
-        if hi - lo <= max(eps, 1e-12 * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if capacity(mid) >= n_tasks:
-            hi = mid
-        else:
-            lo = mid
+    hi = _bisect(fleet, n_tasks, lo, hi, eps)
     # Snap to the exact completion instant: with finish bound hi, each
     # node i contributes k_i = floor((hi - ready_i)^+ / d) tasks; greedy
     # pull performs exactly the n earliest completions, so drop the
     # surplus from the latest finishers (at most one per node — ties at
     # the boundary instant).
-    k = np.floor(np.maximum(hi - ready, 0.0) / d + eps).astype(np.int64)
+    k = _terms(hi, ready, d, (), bias=eps).astype(np.int64)
     total = int(k.sum())
     if total < n_tasks:
         raise AnalysisError("waterfill failed to converge")  # pragma: no cover
     surplus = total - n_tasks
     if surplus > 0:
-        finish_candidates = ready + k * d
-        active_idx = np.nonzero(k > 0)[0]
-        order = active_idx[np.argsort(finish_candidates[active_idx],
-                                      kind="stable")]
-        if surplus > order.size:  # pragma: no cover - eps pathologies
+        if surplus > np.count_nonzero(k):  # pragma: no cover - eps pathologies
             raise AnalysisError("waterfill surplus exceeds active nodes")
-        k[order[-surplus:]] -= 1
+        # The latest finishers in stable order: every finish above the
+        # cut, then the highest-indexed rows finishing at it.
+        done = k * d
+        done += ready
+        done[k == 0] = -np.inf
+        cut = np.partition(done, done.size - surplus)[done.size - surplus]
+        later = done > cut
+        ties = np.flatnonzero(done == cut)
+        k[later] -= 1
+        k[ties[ties.size - surplus + int(np.count_nonzero(later)):]] -= 1
     active = k > 0
     finish = float((ready[active] + k[active] * d).max())
     return ExecutionOutcome(
@@ -164,21 +239,19 @@ def makespan_under_outages(
         raise AnalysisError("ready_times must be a non-empty 1-D array")
     if n_tasks <= 0:
         raise AnalysisError(f"n_tasks must be > 0, got {n_tasks}")
-    scalar_d = np.isscalar(task_wall_seconds) or (
-        np.asarray(task_wall_seconds).ndim == 0)
-    if scalar_d:
-        if float(task_wall_seconds) <= 0:
+    if np.isscalar(task_wall_seconds) or (
+            np.asarray(task_wall_seconds).ndim == 0):
+        d = float(task_wall_seconds)
+        if d <= 0:
             raise AnalysisError("task_wall_seconds must be > 0")
         if not outages:
-            return makespan_waterfill(ready, n_tasks,
-                                      float(task_wall_seconds))
-        d_i = np.full(ready.size, float(task_wall_seconds))
+            return makespan_waterfill(ready, n_tasks, d)
     else:
-        d_i = np.asarray(task_wall_seconds, dtype=float)
-        if d_i.shape != ready.shape:
+        d = np.asarray(task_wall_seconds, dtype=float)
+        if d.shape != ready.shape:
             raise AnalysisError(
                 "per-node task_wall_seconds must align with ready_times")
-        if np.any(d_i <= 0):
+        if np.any(d <= 0):
             raise AnalysisError("task durations must be > 0")
 
     windows = []
@@ -195,44 +268,23 @@ def makespan_under_outages(
                 continue
         windows.append((float(start), float(end), mask))
 
-    def active_time(t: float) -> np.ndarray:
-        active = np.maximum(t - ready, 0.0)
-        for start, end, mask in windows:
-            overlap = np.minimum(t, end) - np.maximum(ready, start)
-            np.maximum(overlap, 0.0, out=overlap)
-            if mask is not None:
-                overlap *= mask
-            active -= overlap
-        np.maximum(active, 0.0, out=active)
-        return active
-
-    def capacity(t: float) -> int:
-        return int(np.floor(active_time(t) / d_i).sum())
-
-    d_max = float(d_i.max())
+    fleet = _distinct(ready, d, windows)
     # One node doing the whole bag plus sitting out every (finite)
     # window bounds the finish from above; permanent windows contribute
     # through the mask (a fully masked-forever fleet cannot finish).
     horizon_pad = sum(end - start for start, end, _m in windows
                       if end < float("inf"))
     lo = float(ready.min())
-    hi = lo + d_max * float(n_tasks) + horizon_pad
+    hi = lo + float(np.max(d)) * float(n_tasks) + horizon_pad
     for _ in range(64):  # numeric safety for pathological overlaps
-        if capacity(hi) >= n_tasks:
+        if _capacity(hi, fleet) >= n_tasks:
             break
         hi = lo + 2.0 * (hi - lo)
     else:
         raise AnalysisError(
             "outage schedule leaves insufficient capacity to finish")
-    for _ in range(200):
-        if hi - lo <= max(1e-9, 1e-12 * hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if capacity(mid) >= n_tasks:
-            hi = mid
-        else:
-            lo = mid
-    k = np.floor(active_time(hi) / d_i + 1e-9).astype(np.int64)
+    hi = _bisect(fleet, n_tasks, lo, hi, 1e-9)
+    k = _terms(hi, *fleet[:3], bias=1e-9)  # distinct rows
     return ExecutionOutcome(
         finish_time=hi,
         n_tasks=int(n_tasks),

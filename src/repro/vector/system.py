@@ -356,7 +356,9 @@ class VectorOddCISystem:
         Each epoch heartbeats the nodes that are up at that instant
         (compute-outage victims miss their heartbeats, exactly like
         crashed PNAs) and consolidates; a controller-crash window clears
-        the census and the next epoch self-heals it from the fleet."""
+        the census and the next epoch self-heals it from the fleet (only
+        then do epochs re-register members: elsewhere their state and
+        instance already hold, and the heartbeat refreshes last-seen)."""
         census = self.census
         census.observe(recruited, STATE_BUSY, instance, t_start)
         span = finish - t_start
@@ -365,20 +367,25 @@ class VectorOddCISystem:
         times = np.linspace(t_start, finish, epochs + 1)[1:]
         t = self._trace
         gauges = census.consolidate(t_start)
+        cleared = False
         for te in times:
             te = float(te)
             if any(w.start <= te < w.end for w in census_outages):
                 census.clear()
+                cleared = True
                 gauges = census.consolidate(te)
                 if t is not None:
                     t.emit(te, "census_outage", **gauges)
                 continue
-            up = np.ones(recruited.size, dtype=bool)
+            up = None
             for ws, we, mask, _rv in outages:
                 if ws <= te < we:
-                    up &= ~mask
-            census.observe(recruited[up], STATE_BUSY, instance, te)
-            census.heartbeat(recruited[up], te)
+                    up = ~mask if up is None else up & ~mask
+            members = recruited if up is None else recruited[up]
+            if cleared:
+                census.observe(members, STATE_BUSY, instance, te)
+                cleared = up is not None
+            census.heartbeat(members, te)
             gauges = census.consolidate(te)
             if t is not None:
                 t.emit(te, "census_epoch", **gauges)

@@ -1,9 +1,13 @@
 """VectorOddCISystem: multi-job submissions, faults, census, telemetry."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.census import STATE_BUSY
 from repro.errors import AnalysisError, ConfigurationError
+from repro.experiments.vector_scale import storm_plan
 from repro.faults import FaultEvent, FaultPlan, active_plan
 from repro.net.message import MEGABYTE
 from repro.telemetry import trace as telemetry
@@ -200,3 +204,93 @@ def test_fault_counters_track_windows():
         system.run_job(make_job(), target_size=1_000)
     assert tracer.metrics.counter("fault.injected").value == 1
     assert tracer.metrics.counter("fault.restored").value == 1
+
+
+def _always_observe_epochs(census, system, recruited, outages,
+                           census_outages, t_start, finish, instance):
+    """The census epoch loop that re-registers every epoch's up members
+    (state, instance, last-seen) before heartbeating them; the oracle
+    for the loop that re-registers only after a census clear.  Returns
+    every epoch's gauges."""
+    census.observe(recruited, STATE_BUSY, instance, t_start)
+    span = finish - t_start
+    epochs = min(system.census_epochs,
+                 max(1, int(span / system.heartbeat_interval_s) or 1))
+    times = np.linspace(t_start, finish, epochs + 1)[1:]
+    gauges = [census.consolidate(t_start)]
+    for te in times:
+        te = float(te)
+        if any(w.start <= te < w.end for w in census_outages):
+            census.clear()
+            gauges.append(census.consolidate(te))
+            continue
+        up = np.ones(recruited.size, dtype=bool)
+        for ws, we, mask, _rv in outages:
+            if ws <= te < we:
+                up &= ~mask
+        census.observe(recruited[up], STATE_BUSY, instance, te)
+        census.heartbeat(recruited[up], te)
+        gauges.append(census.consolidate(te))
+    return gauges
+
+
+def test_census_epochs_match_always_observe_oracle(monkeypatch):
+    """A controller crash inside a churn storm, overlapped by a partial
+    link outage: the census clears, then self-heals while outage
+    victims miss heartbeats.  Every
+    epoch's gauges and the final columns match the oracle loop."""
+    plan = FaultPlan((
+        FaultEvent("churn_storm", 300.0, duration_s=900.0, magnitude=0.4),
+        FaultEvent("link_down", 1000.0, duration_s=500.0, magnitude=0.3),
+        FaultEvent("controller_crash", 500.0, duration_s=200.0)),
+        name="crash-in-storm")
+    system = make_system(plan=plan, census_epochs=40)
+    run_epochs = VectorOddCISystem._run_census_epochs
+    seen = []
+
+    def differential(self, recruited, outages, census_outages, t_start,
+                     finish, *, instance):
+        oracle = copy.deepcopy(self.census)
+        want = _always_observe_epochs(oracle, self, recruited, outages,
+                                      census_outages, t_start, finish,
+                                      instance)
+        got = []
+        consolidate = self.census.consolidate
+        self.census.consolidate = lambda now: got.append(
+            consolidate(now)) or got[-1]
+        try:
+            final = run_epochs(self, recruited, outages, census_outages,
+                               t_start, finish, instance=instance)
+        finally:
+            del self.census.consolidate
+        assert got == want and final == want[-1]
+        for column in ("state", "seen", "instance"):
+            np.testing.assert_array_equal(getattr(self.census, column),
+                                          getattr(oracle, column))
+        seen.append(got)
+        return final
+
+    monkeypatch.setattr(VectorOddCISystem, "_run_census_epochs",
+                        differential)
+    system.run_jobs([(make_job(), 1_000), (make_job(), 1_000)])
+    crash = seen[0]
+    cleared = [i for i, g in enumerate(crash) if g["registry_size"] == 0]
+    assert cleared and cleared[-1] + 1 < len(crash)
+    healed = crash[cleared[-1] + 1]
+    assert 0 < healed["registry_size"] < system.reports[0].recruited
+
+
+def test_storm_clean_pair_golden_at_smoke_scale():
+    """Bit-exact pin of the vector floor's 10^5-node storm/clean pair
+    (benchmarks/test_vector_floor.py): finish time, availability and
+    tasks-per-node ceiling of both jobs.  A drift in the makespan
+    bisection's probe sequence shows here first."""
+    system = VectorOddCISystem(125_010, seed=1, plan=storm_plan(0.3))
+    job = uniform_bag_spec(400_000, image_bits=8 * MEGABYTE,
+                           ref_seconds=30.0, input_bits=4096.0,
+                           result_bits=4096.0)
+    got = [(r.finish_time.hex(), r.availability.hex(),
+            r.tasks_per_node_max)
+           for r in system.run_jobs([(job, 100_000), (job, 100_000)])]
+    assert got == [("0x1.5f67fdf250bc1p+11", "0x1.c240f83cd7f9ep-1", 4),
+                   ("0x1.75309d8c6d916p+12", "0x1.e978ceb3153c8p-1", 5)]
