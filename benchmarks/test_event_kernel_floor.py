@@ -85,3 +85,31 @@ def test_cohort_event_tier_holds_wall_clock_floor(scale, makespan, tol):
     assert metrics["wall_s"] < budget, (
         f"event kernel floor broken: {metrics['wall_s']:.2f}s for "
         f"{scale} nodes (budget {budget:.1f}s): {metrics}")
+
+
+#: ROADMAP item 1's event-tier fleet-build target at 10^6 PNAs
+#: (12.6 s when every node was built one by one, at 757214e).
+FLEET_BUDGET_S = 3.0
+
+
+@pytest.mark.perf
+def test_fleet_build_floor():
+    """``OddCISystem.add_pnas(10**6)`` with the collector off, within
+    ``FLEET_BUDGET_S`` scaled like the cycle floor above."""
+    scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
+    budget = max(MIN_BUDGET_S, FLEET_BUDGET_S * scale / FULL_SCALE)
+    with gc_paused():
+        system = OddCISystem(seed=SCENARIO["seed"])
+        t0 = time.perf_counter()
+        pnas = system.add_pnas(
+            scale, heartbeat_interval_s=SCENARIO["heartbeat_interval_s"],
+            dve_poll_interval_s=SCENARIO["dve_poll_interval_s"])
+        wall_s = time.perf_counter() - t0
+    # The build must be the real fleet: every node registered, online
+    # and idle, in one heartbeat cohort.
+    assert len(pnas) == scale and system.idle_count() == scale
+    assert pnas[-1].census_idx == scale - 1 and pnas[-1].online
+    assert len(system.router._cohorts) == 1
+    assert wall_s < budget, (
+        f"fleet build floor broken: {wall_s:.2f}s for {scale} nodes "
+        f"(budget {budget:.1f}s)")

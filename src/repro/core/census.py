@@ -135,6 +135,17 @@ class NodeInterner:
             self._ids.append(node_id)
         return idx
 
+    def intern_block(self, node_ids: List[str]) -> int:
+        """Intern new, distinct ids as one contiguous index range;
+        returns its first index."""
+        lo = len(self._ids)
+        if not self._index.keys().isdisjoint(node_ids) \
+                or len(set(node_ids)) != len(node_ids):
+            raise ValueError("a block's node ids must be new and distinct")
+        self._index.update(zip(node_ids, range(lo, lo + len(node_ids))))
+        self._ids.extend(node_ids)
+        return lo
+
     def index_of(self, node_id: str) -> Optional[int]:
         """The node's index, or ``None`` if it was never interned."""
         return self._index.get(node_id)

@@ -72,6 +72,7 @@ from repro.core.messages import (
     sign_control,
 )
 from repro.core.network import Router
+from repro.core.pna import PNABlock
 from repro.core.policies import DeficitProportional, ProbabilityPolicy
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
@@ -120,7 +121,7 @@ class DirectControlPlane(ControlPlane):
     The wakeup message's wire size includes the application image, so
     every subscribed PNA receives the image simultaneously, ``(I + ε)/β``
     after transmission starts (Section 3 model).  PNAs attach themselves
-    via :meth:`attach`.
+    via :meth:`attach`, fleets via :meth:`attach_many`.
     """
 
     def __init__(self, channel: BroadcastChannel,
@@ -133,10 +134,15 @@ class DirectControlPlane(ControlPlane):
         return self.channel.up
 
     def attach(self, pna) -> int:
-        """Subscribe a PNA; returns the unsubscribe token."""
-        def listener(msg: Message, pna=pna) -> None:
-            payload, signature = msg.payload
-            pna.deliver_control(payload, signature, fetch_image=None)
+        """Subscribe one PNA; returns the unsubscribe token."""
+        return self.attach_many(PNABlock([pna], np.array([pna.census_idx])))
+
+    def attach_many(self, block) -> int:
+        """Subscribe a :class:`~repro.core.pna.PNABlock` as one listener
+        (its members hear each message in member order); returns the
+        unsubscribe token."""
+        def listener(msg: Message) -> None:
+            block.deliver_control(*msg.payload)
 
         return self.channel.subscribe(listener)
 

@@ -62,13 +62,12 @@ from repro.core.census import NodeInterner
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import InstanceRecord, InstanceSpec, InstanceStatus
 from repro.core.network import Router
-from repro.core.pna import PNA
+from repro.core.pna import PNA, PNABlock
 from repro.core.policies import ProbabilityPolicy
 from repro.core.provider import ProvisioningTicket, ready_size_for
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
-from repro.net.link import DuplexChannel
 from repro.sim.core import Event, Simulator
 from repro.workloads.job import Job
 
@@ -203,46 +202,48 @@ class ControllerShard:
                 f"network {self.name!r} capacity "
                 f"{self.descriptor.capacity} exceeded "
                 f"({len(self.pnas)} + {n})")
-        classes = self._device_classes(n)
         built: List[PNA] = []
-        for offset in range(n):
-            idx = len(self.pnas)
-            channel = DuplexChannel(
-                self.sim, rate_bps=self.descriptor.delta_bps,
-                latency_s=self.descriptor.delta_latency_s,
-                loss=self.descriptor.delta_loss,
-                name=f"{self.name}.pna{idx}.direct")
-            device_class = classes[offset]
-            pna = PNA(
-                self.sim, f"{self.name}:pna-{idx}",
-                router=self.router, channel=channel,
+        for device_class, count in self._device_classes(n):
+            first = len(self.pnas)
+            block = PNABlock.build(
+                self.sim, self.router,
+                [f"{self.name}:pna-{idx}"
+                 for idx in range(first, first + count)],
                 controller_key=self.keys.key_of(
                     self.controller.controller_id),
                 controller_id=self.controller.controller_id,
+                rate_bps=self.descriptor.delta_bps,
+                latency_s=self.descriptor.delta_latency_s,
+                loss=self.descriptor.delta_loss,
+                channel_name=f"{self.name}.pna{{}}.direct",
+                first_channel=first,
                 capabilities=({"device_class": device_class}
                               if device_class else None),
                 executor=executor,
                 heartbeat_interval_s=heartbeat_interval_s,
                 dve_poll_interval_s=dve_poll_interval_s)
-            self.control_plane.attach(pna)
-            self.pnas.append(pna)
-            built.append(pna)
+            self.control_plane.attach_many(block)
+            self.pnas.extend(block.pnas)
+            built.extend(block.pnas)
             if self.id_lo is None:
-                self.id_lo = pna.census_idx
-            self.id_hi = pna.census_idx + 1
+                self.id_lo = int(block.rows[0])
+            self.id_hi = int(block.rows[-1]) + 1
         return built
 
-    def _device_classes(self, n: int) -> List[Optional[str]]:
+    def _device_classes(self, n: int) -> List[Tuple[Optional[str], int]]:
         """Deterministic class assignment matching the descriptor's mix:
-        contiguous blocks in declaration order, remainder untagged."""
-        out: List[Optional[str]] = [None] * n
+        contiguous blocks in declaration order, remainder untagged, as
+        ``(class, count)`` runs."""
+        runs: List[Tuple[Optional[str], int]] = []
         start = 0
         for cls, frac in self.descriptor.device_mix.items():
-            count = int(round(float(frac) * n))
-            for i in range(start, min(start + count, n)):
-                out[i] = cls
-            start += count
-        return out
+            count = min(int(round(float(frac) * n)), n - start)
+            if count > 0:
+                runs.append((cls, count))
+                start += count
+        if start < n:
+            runs.append((None, n - start))
+        return runs
 
     def owns_index(self, idx: int) -> bool:
         """Does this shard's id range cover interned index ``idx``?"""

@@ -11,6 +11,9 @@ bottleneck, not the datacenter side.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from operator import itemgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,8 +35,9 @@ from repro.net.link import (
 )
 from repro.net.message import DEFAULT_HEADER_BITS, Message
 from repro.sim.core import Event, Simulator
+from repro.telemetry import trace as telemetry
 
-__all__ = ["Router"]
+__all__ = ["Router", "PNA_COUNTERS"]
 
 #: Component-side receive callback: (message, router) -> None
 ReceiveFn = Callable[[Message], None]
@@ -48,6 +52,11 @@ ReceiveCohortFn = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 #: Bare-payload receive callback (quiet fast path, no Message wrapper).
 ReceivePayloadFn = Callable[[Any], None]
 
+#: Per-PNA counters, router columns that PNA attributes read through.
+PNA_COUNTERS = ("heartbeats_sent", "wakeups_seen", "wakeups_accepted",
+                "dropped_bad_signature", "dropped_busy", "dropped_probability",
+                "dropped_requirements", "resets_handled")
+
 
 class Router:
     """Associates component ids with receive callbacks and PNA ids with
@@ -56,11 +65,13 @@ class Router:
     The Router also owns the columnar node state of the heartbeat
     plane, indexed by each PNA's interned node index: the PNA columns
     (``pna_online``, ``pna_state`` census state code, ``pna_instance``
-    instance code, ``heartbeats_sent``) that :class:`~repro.core.pna.PNA`
-    attributes read through to, and the direct-channel link tables
-    (``uplinks``/``downlinks``, see :class:`~repro.net.link.LinkTable`)
-    that the channels of registered PNAs live in.  A heartbeat cohort
-    tick therefore touches no per-member Python object.
+    instance code, the :data:`PNA_COUNTERS`, ``dve_slot``) that
+    :class:`~repro.core.pna.PNA` attributes read through to, and the
+    direct-channel link tables (``uplinks``/``downlinks``, see
+    :class:`~repro.net.link.LinkTable`) that the channels of registered
+    PNAs live in.  A heartbeat cohort tick therefore touches no
+    per-member Python object, and a fleet registered in bulk
+    (:meth:`register_pnas`) gets its channels on first use.
     """
 
     def __init__(self, sim: Simulator, *,
@@ -77,9 +88,11 @@ class Router:
         self._batch_receivers: Dict[str, ReceiveBatchFn] = {}
         self._cohort_receivers: Dict[str, ReceiveCohortFn] = {}
         self._payload_receivers: Dict[str, ReceivePayloadFn] = {}
-        self._pna_channels: Dict[str, DuplexChannel] = {}
-        self._pna_receivers: Dict[str, ReceiveFn] = {}
-        self._pna_payload_receivers: Dict[str, ReceivePayloadFn] = {}
+        #: direct channels by node index (see channel_of), and the
+        #: (first row, first channel number, name format, tracer) of
+        #: each block registered by register_pnas
+        self._channels: Dict[int, DuplexChannel] = {}
+        self._blocks: List[Tuple[int, int, str, Any]] = []
         #: heartbeat cohorts keyed (controller_id, interval_s, phase);
         #: owned by the PNAs (see repro.core.pna) but stored here because
         #: the cohort is a property of the shared network fabric.
@@ -92,17 +105,27 @@ class Router:
         self._task_engines: Dict[str, Any] = {}
         self.undeliverable = 0
         #: direct-channel serializer state, row = node index.
-        self.uplinks = LinkTable()
-        self.downlinks = LinkTable()
+        self.uplinks = LinkTable(lambda r: self.channel_of(r).uplink)
+        self.downlinks = LinkTable(lambda r: self.channel_of(r).downlink)
         #: PNA columns, row = node index (``array.array``: scalar reads
         #: are Python ints; batch passes view them zero-copy).
         self.pna_online = array("b")
         self.pna_state = array("b")
         self.pna_instance = array("q")
-        self.heartbeats_sent = array("q")
+        #: the PNA_COUNTERS, and the slot of a member recruited in bulk
+        #: into a cohort task engine
+        for name in PNA_COUNTERS + ("dve_slot",):
+            setattr(self, name, array("q"))
         #: 1 while the row's PNA is registered here (a cohort member
         #: whose node vanished sends nothing).
         self._pna_linked = array("b")
+        self._node_columns = (
+            self.pna_online, self.pna_state, self.pna_instance,
+            self._pna_linked, self.dve_slot,
+            *(getattr(self, name) for name in PNA_COUNTERS))
+        #: the node registered at each row: its ``_on_downlink`` and
+        #: ``_on_downlink_payload`` (may be None) receive its downlink
+        self._nodes: List[Any] = []
         self._up_receiver = self._deliver_to_component
         self._down_receiver = self._deliver_to_pna
         #: instance ids behind ``pna_instance`` codes; 0 is "none".
@@ -154,11 +177,43 @@ class Router:
         if n <= have:
             return
         cap = max(n, 2 * have, 64)
-        for column in (self.pna_online, self.pna_state, self.pna_instance,
-                       self.heartbeats_sent, self._pna_linked):
+        for column in self._node_columns:
             column.frombytes(bytes(column.itemsize * (cap - have)))
+        self._nodes.extend([None] * (cap - have))
         self.uplinks.reserve(cap)
         self.downlinks.reserve(cap)
+
+    def _row_of(self, pna_id: str) -> Optional[int]:
+        """``pna_id``'s node index if it is registered here."""
+        idx = self.interner.index_of(pna_id)
+        if idx is None or idx >= len(self._pna_linked) \
+                or not self._pna_linked[idx]:
+            return None
+        return idx
+
+    def channel_of(self, idx: int) -> DuplexChannel:
+        """Registered node ``idx``'s direct channel; one of a block
+        (:meth:`register_pnas`) is built over its rows on first use."""
+        channel = self._channels.get(idx)
+        if channel is None:
+            lo, first, name, tracer = self._blocks[bisect_right(
+                self._blocks, idx, key=itemgetter(0)) - 1]
+            with telemetry.active(tracer):  # the block's, as if built then
+                channel = DuplexChannel(self.sim, self.uplinks.rate[idx],
+                                        name=name.format(first + idx - lo))
+            channel.uplink._init = self.uplinks.row(idx)
+            channel.downlink._init = self.downlinks.row(idx)
+            self._adopt(idx, channel)
+        return channel
+
+    def _adopt(self, idx: int, channel: DuplexChannel) -> None:
+        # attach() inlined: the receivers are bound once per router,
+        # not once per PNA.
+        self._channels[idx] = channel
+        channel.uplink._receiver = self._up_receiver
+        channel.downlink._receiver = self._down_receiver
+        channel.uplink.move_to(self.uplinks, idx)
+        channel.downlink.move_to(self.downlinks, idx)
 
     # -- registration ----------------------------------------------------
     def register_component(self, component_id: str, receive: ReceiveFn,
@@ -235,34 +290,52 @@ class Router:
         columns, and the channel's links move into the router's link
         tables at that row, so heartbeat cohorts run as column passes.
         """
-        if pna_id in self._pna_channels:
+        if self._row_of(pna_id) is not None:
             raise NetworkError(f"PNA {pna_id!r} already registered")
-        self._pna_channels[pna_id] = channel
-        self._pna_receivers[pna_id] = receive
-        if receive_payload is not None:
-            self._pna_payload_receivers[pna_id] = receive_payload
-        # attach() inlined: at 10^6 registrations the two method calls
-        # are measurable, and the router already owns link internals.
-        # The receivers are bound once per router, not once per PNA.
-        channel.uplink._receiver = self._up_receiver
-        channel.downlink._receiver = self._down_receiver
         idx = self.interner.intern(pna_id)
         self._reserve_rows(idx + 1)
-        self.pna_online[idx] = 1
+        for column in self._node_columns:
+            column[idx] = 0
+        self.pna_online[idx] = self._pna_linked[idx] = 1
         self.pna_state[idx] = STATE_IDLE
-        self.pna_instance[idx] = 0
-        self.heartbeats_sent[idx] = 0
-        self._pna_linked[idx] = 1
-        channel.uplink.move_to(self.uplinks, idx)
-        channel.downlink.move_to(self.downlinks, idx)
+        self._nodes[idx] = SimpleNamespace(
+            _on_downlink=receive, _on_downlink_payload=receive_payload)
+        self._adopt(idx, channel)
         return idx
 
+    def register_pnas(self, pna_ids: List[str], nodes: List[Any], *,
+                      rate_bps: float, latency_s: float, loss: float,
+                      channel_name: str, first_channel: int) -> int:
+        """Register new nodes (``nodes[k]`` receives for ``pna_ids[k]``)
+        in one pass; returns the first of their contiguous indices.
+
+        The channels' state is written into the link tables as columns;
+        node ``k``'s channel, named ``channel_name.format(first_channel
+        + k)``, is only built when :meth:`channel_of` asks for it.
+        """
+        lo = self.interner.intern_block(pna_ids)
+        hi = lo + len(pna_ids)
+        self._reserve_rows(hi)  # new ids: rows never written, all zero
+        for column, value in ((self.pna_online, 1), (self._pna_linked, 1),
+                              (self.pna_state, STATE_IDLE)):
+            column_view(column)[lo:hi] = value
+        self._nodes[lo:hi] = nodes
+        state = (self.sim.now, 0.0, 0, 1, float(loss), float(rate_bps),
+                 float(latency_s))
+        self.uplinks.fill(lo, hi, state)
+        self.downlinks.fill(lo, hi, state)
+        self._blocks.append((lo, first_channel, channel_name,
+                             telemetry.current()))
+        return lo
+
     def unregister_pna(self, pna_id: str) -> None:
-        channel = self._pna_channels.pop(pna_id, None)
-        self._pna_receivers.pop(pna_id, None)
-        self._pna_payload_receivers.pop(pna_id, None)
+        idx = self._row_of(pna_id)
+        if idx is None:
+            return
+        self._pna_linked[idx] = 0
+        self._nodes[idx] = None
+        channel = self._channels.pop(idx, None)
         if channel is not None:
-            self._pna_linked[self.interner.index_of(pna_id)] = 0
             channel.uplink.detach()
             channel.downlink.detach()
 
@@ -279,9 +352,7 @@ class Router:
         draws are identical, but no Event is allocated and ``None`` is
         returned.
         """
-        channel = self._pna_channels.get(pna_id)
-        if channel is None:
-            raise NetworkError(f"unknown PNA {pna_id!r}")
+        channel = self.channel_of(self._registered(pna_id))
         if quiet:
             if recipient in self._payload_receivers:
                 link = channel.uplink
@@ -305,11 +376,10 @@ class Router:
 
         ``quiet`` — as in :meth:`send_from_pna`.
         """
-        channel = self._pna_channels.get(pna_id)
-        if channel is None:
-            raise NetworkError(f"unknown PNA {pna_id!r}")
+        idx = self._registered(pna_id)
+        channel = self.channel_of(idx)
         if quiet:
-            if pna_id in self._pna_payload_receivers:
+            if self._nodes[idx]._on_downlink_payload is not None:
                 link = channel.downlink
                 deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
                 if deliver_at is not None:
@@ -334,9 +404,7 @@ class Router:
         recipient accepts bare payloads.  A lost message never settles
         ``event`` (callers guard with a timeout); a down link fails it.
         """
-        channel = self._pna_channels.get(pna_id)
-        if channel is None:
-            raise NetworkError(f"unknown PNA {pna_id!r}")
+        channel = self.channel_of(self._registered(pna_id))
         link = channel.uplink
         if recipient in self._payload_receivers:
             if not link.up:
@@ -367,7 +435,13 @@ class Router:
             event.succeed(None)
 
     def has_pna(self, pna_id: str) -> bool:
-        return pna_id in self._pna_channels
+        return self._row_of(pna_id) is not None
+
+    def _registered(self, pna_id: str) -> int:
+        idx = self._row_of(pna_id)
+        if idx is None:
+            raise NetworkError(f"unknown PNA {pna_id!r}")
+        return idx
 
     # -- bare-payload delivery (quiet fast path) -------------------------
     def _deliver_payload_up(self, link, recipient: str, payload: Any) -> None:
@@ -380,7 +454,9 @@ class Router:
 
     def _deliver_payload_down(self, link, pna_id: str, payload: Any) -> None:
         link.count_delivery()
-        receive = self._pna_payload_receivers.get(pna_id)
+        idx = self._row_of(pna_id)
+        receive = None if idx is None \
+            else self._nodes[idx]._on_downlink_payload
         if receive is None:
             self.undeliverable += 1
             return
@@ -466,8 +542,8 @@ class Router:
     def _deliver_to_pna(self, msg: Message) -> None:
         # Only send_to_pna sends on a registered downlink, addressing
         # the message to the channel's PNA.
-        receive = self._pna_receivers.get(msg.recipient)
-        if receive is None:
+        idx = self._row_of(msg.recipient)
+        if idx is None:
             self.undeliverable += 1
             return
-        receive(msg)
+        self._nodes[idx]._on_downlink(msg)

@@ -8,19 +8,22 @@ requirements it satisfies, runs the staged image inside a
 heartbeats over its direct channel.
 
 This class is substrate-agnostic; the DTV binding wraps it in an Xlet
-(:mod:`repro.dtv_oddci`), the generic binding subscribes it directly to
-a :class:`~repro.net.broadcast.BroadcastChannel`.
+(:mod:`repro.dtv_oddci`), the generic binding builds fleets in bulk and
+subscribes each to a :class:`~repro.net.broadcast.BroadcastChannel` as
+one :class:`PNABlock`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Mapping, Optional
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import OddCIError
-from repro.core.census import CODE_STATE, STATE_CODE
+from repro.core.census import CODE_STATE, STATE_BUSY, STATE_CODE
 from repro.core.dve import CONTROL_PAYLOAD_BITS, DVE
 from repro.core.messages import (
     HeartbeatReply,
@@ -30,15 +33,16 @@ from repro.core.messages import (
     matches_requirements,
     verify_control,
 )
-from repro.core.network import Router
-from repro.core.taskloop import CohortDVE, engine_for, identity_executor
+from repro.core.network import PNA_COUNTERS, Router
+from repro.core.taskloop import (_BULK_MIN, CohortDVE, CohortTaskEngine,
+                                 engine_for, identity_executor)
 from repro.net.link import DuplexChannel, column_view
 from repro.net.message import Message
 from repro.sim.core import Simulator
 from repro.sim.wheel import TimerWheel
 from repro.telemetry.trace import channel as _telemetry_channel
 
-__all__ = ["PNA"]
+__all__ = ["PNA", "PNABlock"]
 
 
 class _HeartbeatCohort:
@@ -81,12 +85,30 @@ class _HeartbeatCohort:
         self._idxs: Optional[np.ndarray] = None
         self._joined: Optional[np.ndarray] = None
 
-    def add(self, pna: "PNA") -> None:
-        if not self.members:
-            self._token = self.wheel.subscribe(self._tick)
-        self.members[pna.pna_id] = pna.census_idx
-        self._joined_at[pna.pna_id] = pna.sim.now
-        self._idxs = None
+    @classmethod
+    def join(cls, router: Router, controller_id: str, interval_s: float,
+             pna_ids: List[str], idxs: Any) -> "_HeartbeatCohort":
+        """Add members joining now, in order, to the cohort of their
+        (interval, phase), created if needed; returns the cohort.
+
+        Cohorts are shared timetables: every wheel tick of the cohort
+        keyed ``(controller, I, fmod(now, I))`` lands exactly ``k * I``
+        after this join, so membership is behaviourally identical to a
+        private every-``I`` timer process — at a fraction of the
+        calendar traffic.
+        """
+        sim = router.sim
+        key = (controller_id, interval_s, math.fmod(sim.now, interval_s))
+        cohort = router._cohorts.get(key)
+        if cohort is None:
+            cohort = router._cohorts[key] = cls(sim, router, controller_id,
+                                                interval_s, key)
+        if not cohort.members:
+            cohort._token = cohort.wheel.subscribe(cohort._tick)
+        cohort.members.update(zip(pna_ids, idxs))
+        cohort._joined_at.update(zip(pna_ids, repeat(sim.now)))
+        cohort._idxs = None
+        return cohort
 
     def remove(self, pna_id: str) -> None:
         self.members.pop(pna_id, None)
@@ -124,6 +146,12 @@ Executor = Callable[[float], float]
 _EMPTY_CAPS: Mapping[str, Any] = {}
 
 
+def _own_caps(capabilities: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:
+    # Capability-less nodes (the common fleet) share one immutable
+    # empty mapping instead of allocating a dict per PNA.
+    return dict(capabilities) if capabilities else _EMPTY_CAPS
+
+
 class PNA:
     """One processing-node agent.
 
@@ -142,14 +170,14 @@ class PNA:
     """
 
     __slots__ = (
-        "sim", "pna_id", "router", "channel", "controller_key",
-        "_controller_id", "capabilities", "executor",
-        "heartbeat_interval_s", "dve_poll_interval_s",
-        "dve", "wakeups_seen",
-        "wakeups_accepted", "dropped_bad_signature", "dropped_busy",
-        "dropped_probability", "dropped_requirements", "resets_handled",
-        "_hb_cohort", "_trace", "census_idx", "adversary",
+        "sim", "pna_id", "router", "controller_key", "_controller_id",
+        "capabilities", "executor", "heartbeat_interval_s",
+        "dve_poll_interval_s", "_dve", "_hb_cohort", "_trace",
+        "census_idx", "adversary",
     )
+    # heartbeats_sent and the drop counters (PNA_COUNTERS, observability
+    # for the recruitment experiments) are router columns: see the end
+    # of the class.
 
     def __init__(
         self,
@@ -170,49 +198,43 @@ class PNA:
             raise OddCIError("pna_id must be non-empty")
         if heartbeat_interval_s <= 0:
             raise OddCIError("heartbeat_interval_s must be > 0")
-        self.sim = sim
-        self.pna_id = pna_id
-        self.router = router
-        self.channel = channel
-        self.controller_key = controller_key
-        self.controller_id = controller_id
-        # Capability-less nodes (the common fleet) share one immutable
-        # empty mapping instead of allocating a dict per PNA.
-        self.capabilities: Mapping[str, Any] = (
-            dict(capabilities) if capabilities else _EMPTY_CAPS)
-        # The shared identity sentinel (not a per-PNA lambda) lets the
-        # cohort engine recognise reference-PC nodes and batch their
-        # compute times.
-        self.executor: Executor = executor or identity_executor
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.dve_poll_interval_s = dve_poll_interval_s
-
+        self._setup(sim, pna_id, router, controller_key, controller_id,
+                    _own_caps(capabilities), executor,
+                    heartbeat_interval_s, dve_poll_interval_s)
         #: dense interned node index assigned by the router: the row of
-        #: this PNA's state, instance, online flag and heartbeat count
-        #: in the router's columns (the attributes below read through).
+        #: this PNA's state, instance, online flag and counters in the
+        #: router's columns (the attributes below read through).
         self.census_idx = router.register_pna(
             pna_id, channel, self._on_downlink,
             receive_payload=self._on_downlink_payload)
-        self.dve: Optional[DVE] = None
         if not start_online:  # the router registers a node online
             self.online = False
+        self._trace = _telemetry_channel("pna")
+        self._join_heartbeat_cohort()
+
+    def _setup(self, sim: Simulator, pna_id: str, router: Router,
+               controller_key: bytes, controller_id: str,
+               capabilities: Mapping[str, Any], executor: Optional[Executor],
+               heartbeat_interval_s: float,
+               dve_poll_interval_s: float) -> None:
+        self.sim = sim
+        self.pna_id = pna_id
+        self.router = router
+        self.controller_key = controller_key
+        self._controller_id = controller_id
+        self.capabilities = capabilities
+        # The shared identity sentinel (not a per-PNA lambda) lets the
+        # cohort engine recognise reference-PC nodes and batch their
+        # compute times.
+        self.executor = executor or identity_executor
+        self.heartbeat_interval_s = heartbeat_interval_s
+        self.dve_poll_interval_s = dve_poll_interval_s
+        self._dve = None
+        self._hb_cohort: Optional[_HeartbeatCohort] = None
         #: Byzantine behaviour profile (repro.certify.adversary), or
         #: ``None`` for an honest node.  Set by the fault injector;
         #: consulted at assignment-accept time by both task paths.
         self.adversary = None
-
-        # drop counters (observability for the recruitment experiments)
-        self.wakeups_seen = 0
-        self.wakeups_accepted = 0
-        self.dropped_bad_signature = 0
-        self.dropped_busy = 0
-        self.dropped_probability = 0
-        self.dropped_requirements = 0
-        self.resets_handled = 0
-
-        self._hb_cohort: Optional[_HeartbeatCohort] = None
-        self._trace = _telemetry_channel("pna")
-        self._join_heartbeat_cohort()
 
     # -- router-column attributes ---------------------------------------
     @property
@@ -242,8 +264,25 @@ class PNA:
         self.router.pna_online[self.census_idx] = 1 if value else 0
 
     @property
-    def heartbeats_sent(self) -> int:
-        return self.router.heartbeats_sent[self.census_idx]
+    def channel(self) -> DuplexChannel:
+        return self.router.channel_of(self.census_idx)
+
+    @property
+    def dve(self) -> Any:
+        """The client loop (:class:`DVE`, :class:`CohortDVE`) or ``None``;
+        a member recruited in bulk gets its facade on first access."""
+        dve = self._dve
+        if type(dve) is CohortTaskEngine:
+            slot = self.router.dve_slot[self.census_idx]
+            dve = self._dve = CohortDVE(
+                dve, self, dve.instance_id, dve.backend_id,
+                poll_interval_s=self.dve_poll_interval_s,
+                request_timeout_s=dve._timeout[slot], slot=slot)
+        return dve
+
+    @dve.setter
+    def dve(self, value: Any) -> None:
+        self._dve = value
 
     @property
     def controller_id(self) -> str:
@@ -401,24 +440,9 @@ class PNA:
             self.dve.on_backend_message(payload)
 
     def _join_heartbeat_cohort(self) -> None:
-        """Join (creating if needed) the cohort for my (interval, phase).
-
-        Cohorts are shared timetables: every wheel tick of the cohort
-        keyed ``(controller, I, fmod(now, I))`` lands exactly ``k * I``
-        after this join, so membership is behaviourally identical to a
-        private every-``I`` timer process — at a fraction of the
-        calendar traffic.
-        """
-        interval = self.heartbeat_interval_s
-        key = (self.controller_id, interval,
-               math.fmod(self.sim.now, interval))
-        cohort = self.router._cohorts.get(key)
-        if cohort is None:
-            cohort = _HeartbeatCohort(self.sim, self.router,
-                                      self.controller_id, interval, key)
-            self.router._cohorts[key] = cohort
-        cohort.add(self)
-        self._hb_cohort = cohort
+        self._hb_cohort = _HeartbeatCohort.join(
+            self.router, self.controller_id, self.heartbeat_interval_s,
+            [self.pna_id], [self.census_idx])
 
     def _restart_heartbeat(self) -> None:
         """Re-key the cohort membership (new interval applies at once)."""
@@ -493,3 +517,142 @@ class PNA:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<PNA {self.pna_id} {self.state.value} "
                 f"instance={self.instance_id!r} online={self.online}>")
+
+
+def _router_column(name: str) -> property:
+    """A PNA attribute kept in router column ``name``, at the PNA's row."""
+    return property(
+        lambda pna: getattr(pna.router, name)[pna.census_idx],
+        lambda pna, value: getattr(pna.router, name).__setitem__(
+            pna.census_idx, value))
+
+
+for _name in PNA_COUNTERS:
+    setattr(PNA, _name, _router_column(_name))
+
+_adversary = attrgetter("adversary")
+
+
+class PNABlock(NamedTuple):
+    """PNAs that hear the broadcast channel as one listener.
+
+    The paper's Controller never addresses a PNA: it broadcasts one
+    signed wakeup and each PNA decides locally whether to join.
+    :meth:`deliver_control` takes those decisions for every member as
+    column passes, equal to :meth:`PNA.deliver_control` on each member
+    in order; :meth:`build` registers a whole fleet in bulk.
+    """
+
+    pnas: List[PNA]
+    #: the members' node indices
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, sim: Simulator, router: Router, pna_ids: List[str], *,
+              channel_name: str, first_channel: int, rate_bps: float,
+              latency_s: float, loss: float, controller_key: bytes,
+              controller_id: str,
+              capabilities: Optional[Mapping[str, Any]] = None,
+              executor: Optional[Executor] = None,
+              heartbeat_interval_s: float = 60.0,
+              dve_poll_interval_s: float = 30.0) -> "PNABlock":
+        """One :class:`PNA` per id, as the constructor would build them
+        in order (node ``k``'s channel is named
+        ``channel_name.format(first_channel + k)``), registered in bulk:
+        node rows, link-table rows and the heartbeat cohort are column
+        writes, and each channel is built on first use."""
+        if heartbeat_interval_s <= 0:
+            raise OddCIError("heartbeat_interval_s must be > 0")
+        if dve_poll_interval_s <= 0:
+            raise OddCIError("dve_poll_interval_s must be > 0")
+        pnas = [PNA.__new__(PNA) for _ in pna_ids]
+        lo = router.register_pnas(
+            pna_ids, pnas, rate_bps=rate_bps, latency_s=latency_s,
+            loss=loss, channel_name=channel_name, first_channel=first_channel)
+        rows = range(lo, lo + len(pnas))
+        cohort = _HeartbeatCohort.join(router, controller_id,
+                                       heartbeat_interval_s, pna_ids, rows)
+        caps, trace = _own_caps(capabilities), _telemetry_channel("pna")
+        for pna, pna_id, row in zip(pnas, pna_ids, rows):
+            pna._setup(sim, pna_id, router, controller_key, controller_id,
+                       caps, executor, heartbeat_interval_s,
+                       dve_poll_interval_s)
+            pna.census_idx, pna._hb_cohort, pna._trace = row, cohort, trace
+        return cls(pnas, np.arange(lo, lo + len(pnas)))
+
+    def deliver_control(self, payload, signature: bytes) -> None:
+        """:meth:`PNA.deliver_control` on every member, in order; a
+        wakeup to at least ``_BULK_MIN`` untraced members, none with a
+        behaviour profile or a heartbeat interval the wakeup changes,
+        runs as column passes (:meth:`_wakeup`)."""
+        pnas = self.pnas
+        if isinstance(payload, WakeupPayload) and len(pnas) >= _BULK_MIN \
+                and not any(map(attrgetter("_trace"), pnas)) \
+                and not any(map(_adversary, pnas)) and all(
+                    pna.heartbeat_interval_s == payload.heartbeat_interval_s
+                    for pna in pnas):
+            self._wakeup(payload, signature)
+            return
+        for pna in pnas:
+            pna.deliver_control(payload, signature)
+
+    def _wakeup(self, wakeup: WakeupPayload, signature: bytes) -> None:
+        """The checks of :meth:`PNA._handle_wakeup` as masks over the
+        node columns: the signature once per distinct key, requirements
+        once per distinct capabilities object, probability draws from
+        each member's own stream."""
+        pnas, rows = self.pnas, self.rows
+        router, n = pnas[0].router, len(pnas)
+        live = column_view(router.pna_online)[rows] != 0
+        keys = list(map(attrgetter("controller_key"), pnas))
+        verdict = {key: verify_control(key, wakeup, signature)
+                   for key in set(keys)}
+        signed = np.full(n, verdict[keys[0]]) if len(verdict) == 1 \
+            else np.fromiter(map(verdict.get, keys), bool, n)
+        _bump(router.dropped_bad_signature, rows[live & ~signed])
+        join = live & signed
+        _bump(router.wakeups_seen, rows[join])
+        busy = join & (column_view(router.pna_state)[rows] == STATE_BUSY)
+        _bump(router.dropped_busy, rows[busy])
+        join &= ~busy
+        if wakeup.requirements:
+            caps = list(map(attrgetter("capabilities"), pnas))
+            fits = {id(c): matches_requirements(wakeup.requirements, c)
+                    for c in caps}
+            unfit = join & ~np.fromiter(map(fits.get, map(id, caps)), bool, n)
+            _bump(router.dropped_requirements, rows[unfit])
+            join &= ~unfit
+        if wakeup.probability < 1.0:
+            rng = pnas[0].sim.rng
+            drawn = np.flatnonzero(join)
+            refused = drawn[[
+                rng(f"pna:{pnas[k].pna_id}").random() >= wakeup.probability
+                for k in drawn.tolist()]]
+            _bump(router.dropped_probability, rows[refused])
+            join[refused] = False
+        if not join.any():
+            return
+        joined = rows[join]
+        _bump(router.wakeups_accepted, joined)
+        column_view(router.pna_state)[joined] = STATE_BUSY
+        column_view(router.pna_instance)[joined] = \
+            router.instance_code(wakeup.instance_id)
+        members = [pnas[k] for k in np.flatnonzero(join).tolist()]
+        engine = engine_for(router, wakeup.backend_id, wakeup.instance_id)
+        if engine is None:
+            for pna in members:
+                pna._start_dve(wakeup)
+            return
+        polls = np.fromiter(map(attrgetter("dve_poll_interval_s"), members),
+                            np.float64, len(members))
+        first = engine.join_many(members, joined,
+                                 np.maximum(4.0 * polls, 60.0))
+        column_view(router.dve_slot)[joined] = np.arange(first,
+                                                         first + len(members))
+        for pna in members:
+            pna._dve = engine
+
+
+def _bump(column: Any, rows: np.ndarray) -> None:
+    """Add one to ``column`` at each of the distinct ``rows``."""
+    column_view(column)[rows] += 1

@@ -9,21 +9,27 @@ own (the DTV binding in :mod:`repro.dtv_oddci` wires them differently).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, List, Mapping, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.core.census import STATE_BUSY
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.network import Router
-from repro.core.pna import PNA
+from repro.core.pna import PNA, PNABlock
 from repro.core.policies import ProbabilityPolicy
 from repro.core.provider import Provider
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
-from repro.net.link import DuplexChannel
+from repro.net.link import column_view
 from repro.sim.core import Simulator
 
 __all__ = ["OddCISystem"]
+
+_census_idx = attrgetter("census_idx")
 
 
 class OddCISystem:
@@ -83,45 +89,45 @@ class OddCISystem:
                              broadcast=self.broadcast,
                              nodes=lambda: list(self.pnas)))
 
-    def add_pna(
+    def add_pna(self, **kwargs: Any) -> PNA:
+        """Create one PNA (see :meth:`add_pnas`)."""
+        return self.add_pnas(1, **kwargs)[0]
+
+    def add_pnas(
         self,
+        n: int,
         *,
         capabilities: Optional[Mapping[str, Any]] = None,
         executor: Optional[Callable[[float], float]] = None,
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 15.0,
-    ) -> PNA:
-        """Create one PNA with its own direct channel, attached to the
-        broadcast plane."""
-        idx = len(self.pnas)
-        channel = DuplexChannel(self.sim, rate_bps=self.delta_bps,
-                                latency_s=self.delta_latency_s,
-                                loss=self.delta_loss,
-                                name=f"pna{idx}.direct")
-        pna = PNA(
-            self.sim, f"pna-{idx}",
-            router=self.router, channel=channel,
-            controller_key=self.keys.key_of(self.controller.controller_id),
-            controller_id=self.controller.controller_id,
-            capabilities=capabilities,
-            executor=executor,
-            heartbeat_interval_s=heartbeat_interval_s,
-            dve_poll_interval_s=dve_poll_interval_s)
-        self.control_plane.attach(pna)
-        self.pnas.append(pna)
-        return pna
-
-    def add_pnas(self, n: int, **kwargs: Any) -> List[PNA]:
-        """Create ``n`` identical PNAs."""
+    ) -> List[PNA]:
+        """Create ``n`` identical PNAs, each with its own direct channel,
+        attached to the broadcast plane as one block (see
+        :class:`~repro.core.pna.PNABlock`)."""
         if n <= 0:
             raise ConfigurationError(f"n must be > 0, got {n}")
-        return [self.add_pna(**kwargs) for _ in range(n)]
+        first = len(self.pnas)
+        block = PNABlock.build(
+            self.sim, self.router,
+            [f"pna-{idx}" for idx in range(first, first + n)],
+            controller_key=self.keys.key_of(self.controller.controller_id),
+            controller_id=self.controller.controller_id,
+            rate_bps=self.delta_bps, latency_s=self.delta_latency_s,
+            loss=self.delta_loss, channel_name="pna{}.direct",
+            first_channel=first, capabilities=capabilities,
+            executor=executor, heartbeat_interval_s=heartbeat_interval_s,
+            dve_poll_interval_s=dve_poll_interval_s)
+        self.control_plane.attach_many(block)
+        self.pnas.extend(block.pnas)
+        return block.pnas
 
     # -- quick stats -------------------------------------------------------------
     def busy_count(self) -> int:
-        from repro.core.messages import PNAState
-
-        return sum(1 for p in self.pnas if p.state is PNAState.BUSY)
+        rows = np.fromiter(map(_census_idx, self.pnas), np.int64,
+                           len(self.pnas))
+        return int(np.count_nonzero(
+            column_view(self.router.pna_state)[rows] == STATE_BUSY))
 
     def idle_count(self) -> int:
         return len(self.pnas) - self.busy_count()

@@ -104,6 +104,8 @@ _task_id = attrgetter("task_id")
 _result_bits = attrgetter("result_bits")
 _input_bits = attrgetter("input_bits")
 _adversary = attrgetter("adversary")
+_executor = attrgetter("executor")
+_pna_id = attrgetter("pna_id")
 
 
 def _new_run(kind: int) -> list:
@@ -193,8 +195,7 @@ class CohortTaskEngine:
         "_digest", "_completed", "_retrans", "_destroyed", "_timeout",
         "_row", "_plain",
         # object columns
-        "_pna", "_pna_id", "_uplink", "_downlink", "_executor",
-        "members_joined",
+        "_pna", "_pna_id", "_executor", "members_joined",
     )
 
     def __init__(self, sim: Simulator, router: "Router",
@@ -234,37 +235,40 @@ class CohortTaskEngine:
         self._plain = array("b")
         self._pna: List[Any] = []
         self._pna_id: List[str] = []
-        self._uplink: List[Any] = []
-        self._downlink: List[Any] = []
         self._executor: List[Any] = []
         self.members_joined = 0
 
     # -- membership ------------------------------------------------------
     def join(self, pna: "PNA", timeout_s: float) -> int:
-        """Add a member; returns its slot.  The first request goes out
-        at the current instant (matching the reference DVE, whose
-        process resume fires later in the same instant)."""
-        slot = len(self._phase)
-        self._phase.append(_JOINED)
-        self._deadline.append(-1.0)
-        self._token.append(0)
-        self._task_id.append(-1)
-        self._result_bits.append(0.0)
-        self._digest.append(0)
-        self._completed.append(0)
-        self._retrans.append(0)
-        self._destroyed.append(0)
-        self._timeout.append(timeout_s)
-        self._row.append(pna.census_idx)
-        self._plain.append(pna.executor is identity_executor)
-        self._pna.append(pna)
-        self._pna_id.append(pna.pna_id)
-        self._uplink.append(pna.channel.uplink)
-        self._downlink.append(pna.channel.downlink)
-        self._executor.append(pna.executor)
-        self.members_joined += 1
-        self._run_at(self.sim.now, _K_SEND)[1].append(slot)
-        return slot
+        """Add a member; returns its slot (:meth:`join_many` of one)."""
+        return self.join_many([pna], [pna.census_idx], [timeout_s])
+
+    def join_many(self, pnas: List["PNA"], rows: Sequence[int],
+                  timeouts: Sequence[float]) -> int:
+        """Add ``pnas`` (node indices ``rows``, request timeouts
+        ``timeouts``) in order, as column appends; returns the first
+        slot.  Each member's first request goes out at the current
+        instant (matching the reference DVE, whose process resume fires
+        later in the same instant)."""
+        k = len(pnas)
+        first = len(self._phase)
+        for column, value in ((self._phase, _JOINED), (self._deadline, -1.0),
+                              (self._token, 0), (self._task_id, -1),
+                              (self._result_bits, 0.0), (self._digest, 0),
+                              (self._completed, 0), (self._retrans, 0),
+                              (self._destroyed, 0)):
+            column.frombytes(array(column.typecode, (value,)).tobytes() * k)
+        for column, values in ((self._timeout, timeouts), (self._row, rows),
+                               (self._plain, [p.executor is identity_executor
+                                              for p in pnas])):
+            column.frombytes(_np.asarray(values, column.typecode).tobytes())
+        self._pna.extend(pnas)
+        self._pna_id.extend(map(_pna_id, pnas))
+        self._executor.extend(map(_executor, pnas))
+        self.members_joined += k
+        self._run_at(self.sim.now, _K_SEND)[1].frombytes(
+            _np.arange(first, first + k, dtype=_np.int64).tobytes())
+        return first
 
     def destroy(self, slot: int) -> None:
         """Tombstone a member (idempotent); pending entries lapse."""
@@ -378,12 +382,13 @@ class CohortTaskEngine:
                 self._handle_deadlines(run, now)
 
     # -- column helpers --------------------------------------------------
-    def _count_deliveries(self, links: List[Any], table: Any,
-                          slots: array) -> None:
-        """One delivery on ``links[slot]`` per slot of ``slots``."""
+    def _count_deliveries(self, table: Any, slots: array) -> None:
+        """One delivery on the member's row of ``table`` per slot of
+        ``slots``."""
         if len(slots) < _BULK_MIN:
+            delivered, rows = table.delivered, self._row
             for slot in slots:
-                links[slot].count_delivery()
+                delivered[rows[slot]] += 1
             return
         count_deliveries(table, column_view(self._row)[column_view(slots)])
 
@@ -397,7 +402,8 @@ class CohortTaskEngine:
 
     # -- request path ----------------------------------------------------
     def _send_request(self, slot: int, now: float) -> None:
-        deliver_at = self._uplink[slot].offer(_CONTROL_BITS)
+        deliver_at = self.router.uplinks.link(self._row[slot]).offer(
+            _CONTROL_BITS)
         if deliver_at is not None:
             self._run_at(deliver_at, _K_REQ_ARR)[1].append(slot)
         self._phase[slot] = _AWAIT_REPLY
@@ -443,7 +449,7 @@ class CohortTaskEngine:
         # nothing observes the counters mid-handler, so count-then-
         # dispatch and dispatch-then-count are end-state identical (the
         # differential suite checks final link counts).
-        self._count_deliveries(self._uplink, router.uplinks, slots)
+        self._count_deliveries(router.uplinks, slots)
         if router._payload_receivers.get(self.backend_id) is None:
             # Backend crashed or shut down while the cohort was in
             # flight — same arrival-time check as the bare-payload path.
@@ -452,21 +458,23 @@ class CohortTaskEngine:
         requesters = list(map(self._pna_id.__getitem__, slots))
         replies = self.backend.receive_request_cohort(requesters,
                                                       self.instance_id)
-        channels = router._pna_channels
+        linked = router._pna_linked
         if n < _BULK_MIN:
-            downlinks = self._downlink
-            for slot, pna_id, reply in zip(slots, requesters, replies):
-                if pna_id not in channels:
+            downlinks = router.downlinks
+            member_rows = self._row
+            for slot, reply in zip(slots, replies):
+                row = member_rows[slot]
+                if not linked[row]:
                     continue  # node vanished between request and reply
                 if type(reply) is NoWork:
-                    deliver_at = downlinks[slot].offer(_CONTROL_BITS)
+                    deliver_at = downlinks.link(row).offer(_CONTROL_BITS)
                     if deliver_at is not None:
                         retry = reply.retry_after_s
                         into = self._run_at(deliver_at, _K_NOWORK_ARR)
                         into[1].append(slot)
                         into[2].append(_NAN if retry is None else retry)
                 else:  # a Task: the assignment carries the staged input
-                    deliver_at = downlinks[slot].offer(
+                    deliver_at = downlinks.link(row).offer(
                         _CONTROL_BITS + reply.input_bits)
                     if deliver_at is not None:
                         into = self._run_at(deliver_at, _K_ASSIGN_ARR)
@@ -474,10 +482,11 @@ class CohortTaskEngine:
                         into[2].append(reply)
             return
         sent = column_view(slots)
-        if not all(map(channels.__contains__, requesters)):
-            keep = [pna_id in channels for pna_id in requesters]
-            sent = sent[_np.array(keep)]
-            replies = [reply for reply, k in zip(replies, keep) if k]
+        keep = column_view(linked)[column_view(self._row)[sent]] != 0
+        if not keep.all():
+            sent = sent[keep]
+            replies = [reply for reply, k in zip(replies, keep.tolist())
+                       if k]
         m = len(replies)
         if not m:
             return
@@ -525,7 +534,7 @@ class CohortTaskEngine:
 
     def _handle_assign_arrivals(self, run: list, now: float) -> None:
         slots, tasks = run[1], run[2]
-        self._count_deliveries(self._downlink, self.router.downlinks, slots)
+        self._count_deliveries(self.router.downlinks, slots)
         if len(slots) >= _BULK_MIN and self._accept_bulk(slots, tasks, now):
             return
         destroyed = self._destroyed
@@ -574,7 +583,7 @@ class CohortTaskEngine:
 
     def _handle_nowork_arrivals(self, run: list, now: float) -> None:
         slots, retries = run[1], run[2]
-        self._count_deliveries(self._downlink, self.router.downlinks, slots)
+        self._count_deliveries(self.router.downlinks, slots)
         if len(slots) >= _BULK_MIN:
             sv = column_view(slots)
             live = self._offerable(sv)
@@ -610,7 +619,7 @@ class CohortTaskEngine:
         self._phase[slot] = _AWAIT_ACK
         token = self._token[slot] + 1
         self._token[slot] = token
-        deliver_at = self._uplink[slot].offer(
+        deliver_at = self.router.uplinks.link(self._row[slot]).offer(
             CONTROL_PAYLOAD_BITS + self._result_bits[slot]
             + DEFAULT_HEADER_BITS)
         if deliver_at is not None:
@@ -685,7 +694,7 @@ class CohortTaskEngine:
                      & (column_view(uplinks.loss)[rows] == 0.0)).all()):
                 return self._results_bulk(run, start, now, gone, sv, rows)
         slots, task_ids, tokens, digests = run[1], run[2], run[3], run[4]
-        uplinks = self._uplink
+        delivered, member_rows = router.uplinks.delivered, self._row
         pna_ids = self._pna_id
         receive_result = backend.receive_result
         done_event = backend.done_event
@@ -693,7 +702,7 @@ class CohortTaskEngine:
         was_settled = done_event._settled
         for k in range(start, len(slots)):
             slot = slots[k]
-            uplinks[slot].count_delivery()
+            delivered[member_rows[slot]] += 1
             if gone:
                 router.undeliverable += 1
             else:
@@ -820,6 +829,7 @@ class CohortDVE:
         *,
         poll_interval_s: float = 30.0,
         request_timeout_s: Optional[float] = None,
+        slot: Optional[int] = None,
     ) -> None:
         if poll_interval_s <= 0:
             raise OddCIError("poll_interval_s must be > 0")
@@ -834,7 +844,9 @@ class CohortDVE:
             max(4.0 * poll_interval_s, 60.0)
         self.destroyed = False
         self._engine = engine
-        self._slot = engine.join(pna, self.request_timeout_s)
+        # ``slot``: the facade of a member that joined in bulk
+        self._slot = engine.join(pna, self.request_timeout_s) \
+            if slot is None else slot
 
     @property
     def tasks_completed(self) -> int:

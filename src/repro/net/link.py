@@ -19,7 +19,10 @@ deliveries, up flag, loss, rate, latency) is one row of a
 direct channels it registers into its own tables, at the row of the
 PNA's interned node index, so a heartbeat cohort reserves every
 member's uplink in one :func:`offer_rows` pass; a standalone link takes
-a row of its simulator's pooled table the first time it is used.
+a row of its simulator's pooled table the first time it is used.  A
+fleet registered in bulk writes its rows as columns and builds no
+:class:`Link` up front: its owner materialises one over the row the
+first time a scalar path needs it (:meth:`LinkTable.link`).
 :meth:`Link.offer` is the scalar row operation and :func:`offer_rows`
 the batch kernel; the FIFO reservation math lives in them alone
 (``Link._reserve`` behind ``offer``/``send``, and the kernel's
@@ -68,7 +71,8 @@ class LinkTable:
     float or int (never a numpy scalar, whose repr would leak into event
     times and traces), a column keeps its identity as it grows, and
     :func:`offer_rows` views it zero-copy.  ``links[row]`` is the
-    :class:`Link` holding the row (``None`` for a free row); capacity
+    :class:`Link` holding the row (``None`` for a free row, or for a
+    row written by :meth:`fill` whose link is not built yet); capacity
     grows by doubling, so placing a link writes its row in place.
 
     A table is used either *pooled* (:meth:`add` hands out recycled
@@ -77,13 +81,14 @@ class LinkTable:
     """
 
     __slots__ = ("busy", "bits", "delivered", "up", "loss", "rate",
-                 "latency", "links", "_free")
+                 "latency", "links", "_free", "_make")
 
     #: column order of a row-state tuple (see :meth:`row`).
     _COLUMNS = ("busy", "bits", "delivered", "up", "loss", "rate",
                 "latency")
 
-    def __init__(self) -> None:
+    def __init__(self, make: Optional[Callable[[int], "Link"]] = None
+                 ) -> None:
         self.busy = array("d")
         self.bits = array("d")
         self.delivered = array("q")
@@ -93,6 +98,8 @@ class LinkTable:
         self.latency = array("d")
         self.links: List[Optional["Link"]] = []
         self._free: List[int] = []
+        #: builds the missing :class:`Link` of a row written by fill()
+        self._make = make
 
     def __len__(self) -> int:
         return len(self.links)
@@ -111,6 +118,16 @@ class LinkTable:
         """Row ``r``'s state in :attr:`_COLUMNS` order."""
         return (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
                 self.loss[r], self.rate[r], self.latency[r])
+
+    def fill(self, lo: int, hi: int, state: tuple) -> None:
+        """Write ``state`` into rows ``[lo, hi)``, without links."""
+        for name, value in zip(self._COLUMNS, state):
+            column_view(getattr(self, name))[lo:hi] = value
+
+    def link(self, r: int) -> "Link":
+        """The :class:`Link` of row ``r``, built on first use."""
+        link = self.links[r]
+        return self._make(r) if link is None else link
 
     def put(self, link: "Link", r: int, state: tuple) -> int:
         """Write ``state`` into row ``r`` and hand the row to ``link``."""
@@ -451,9 +468,8 @@ def offer_rows(table: LinkTable, rows: np.ndarray,
         if whole:
             return done
         out[vec] = done
-    links = table.links
     for k in np.flatnonzero(~vec).tolist():
-        deliver_at = links[int(rows[k])].offer(
+        deliver_at = table.link(int(rows[k])).offer(
             float(size_bits[k]) if sized else size_bits)
         out[k] = np.nan if deliver_at is None else deliver_at
     return out
