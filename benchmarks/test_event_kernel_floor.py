@@ -24,6 +24,10 @@ import pytest
 
 from benchmarks.scenario import SCENARIO, cycle_bag, gc_paused
 from repro.core import OddCISystem
+from repro.core.backend import Backend
+from repro.core.network import Router
+from repro.sim.core import Simulator
+from repro.workloads import uniform_bag
 
 FULL_SCALE = 1_000_000
 FULL_BUDGET_S = 60.0
@@ -112,4 +116,42 @@ def test_fleet_build_floor():
     assert len(system.router._cohorts) == 1
     assert wall_s < budget, (
         f"fleet build floor broken: {wall_s:.2f}s for {scale} nodes "
+        f"(budget {budget:.1f}s)")
+
+
+#: Columnar bag dispatch at 10^6 tasks: build the bag, build the
+#: Backend, serve one request cohort of 10^6 requesters (0.2-0.3 s on a
+#: 2-vCPU host; 2.0-2.2 s when the bag was one Task object per task, at
+#: 1b7d53d).
+BAG_BUDGET_S = 1.0
+
+
+@pytest.mark.perf
+def test_bag_dispatch_floor():
+    """``uniform_bag(10**6)`` + ``Backend`` + one full request cohort,
+    with the collector off, within ``BAG_BUDGET_S`` scaled like the
+    cycle floor above."""
+    scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
+    budget = max(MIN_BUDGET_S, BAG_BUDGET_S * scale / FULL_SCALE)
+    requesters = [f"pna-{i}" for i in range(scale)]
+    sim = Simulator(seed=SCENARIO["seed"])
+    with gc_paused():
+        t0 = time.perf_counter()
+        job = uniform_bag(scale, image_bits=SCENARIO["image_bits"],
+                          input_bits=SCENARIO["input_bits"],
+                          ref_seconds=SCENARIO["ref_seconds"],
+                          result_bits=SCENARIO["result_bits"])
+        backend = Backend(sim, job, Router(sim), lease_factor=2.0)
+        replies = backend.receive_request_cohort(requesters, "i-1")
+        wall_s = time.perf_counter() - t0
+    # Every requester got its own task, leased at the scalar formula.
+    assert len(replies) == backend.in_flight_count == scale
+    assert backend.pending_count == 0
+    task, holder, _at, lease = backend._in_flight[scale - 1]
+    assert holder == requesters[-1] and task.task_id == scale - 1
+    assert lease == 2.0 * (SCENARIO["ref_seconds"]
+                           * backend.worst_case_slowdown
+                           + backend.poll_interval_s)
+    assert wall_s < budget, (
+        f"bag dispatch floor broken: {wall_s:.2f}s for {scale} tasks "
         f"(budget {budget:.1f}s)")

@@ -30,7 +30,9 @@ actually allows and is studied as an ablation.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from collections import defaultdict, deque
+from typing import (Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -177,15 +179,6 @@ class CarouselSchedule:
         raise CarouselError(f"unknown read policy {policy!r}")
 
 
-class _PendingRead:
-    __slots__ = ("name", "request_time", "event")
-
-    def __init__(self, name: str, request_time: float, event: Event):
-        self.name = name
-        self.request_time = request_time
-        self.event = event
-
-
 class ObjectCarousel:
     """Event-driven carousel transmitting on a broadcast channel.
 
@@ -217,7 +210,12 @@ class ObjectCarousel:
         if not self._files:
             raise CarouselError("carousel needs at least one file")
         self._pending_updates: Dict[str, Optional[CarouselFile]] = {}
-        self._pending_reads: List[_PendingRead] = []
+        #: file name -> FIFO of ``(request_time, event)``: reads are
+        #: queued at a non-decreasing ``sim.now``, so the reads a window
+        #: settles are always a prefix of their file's queue
+        self._reads: Dict[str, Deque[Tuple[float, Event]]] = \
+            defaultdict(deque)
+        self._n_reads = 0
         self._cycles_completed = 0
         self._skip_cycles = 0
         self._cycles_skipped = 0
@@ -363,7 +361,8 @@ class ObjectCarousel:
                 and self._pending_updates.get(name) is None):
             raise FileNotInCarouselError(f"{name!r} not in carousel")
         ev = self.sim.event(name=f"{self.name}.read({name})")
-        self._pending_reads.append(_PendingRead(name, self.sim.now, ev))
+        self._reads[name].append((self.sim.now, ev))
+        self._n_reads += 1
         if self._parked and not self._wake.triggered:
             self._wake.succeed(None)
         return ev
@@ -443,14 +442,14 @@ class ObjectCarousel:
                         raise CarouselError(
                             f"carousel {self.name!r} emptied by updates")
                     self._rebuild_timetable()
-                if (self.fast_forward and not self._pending_reads
+                if (self.fast_forward and not self._n_reads
                         and not self._pending_updates):
                     yield from self._park()
                     if not self._running:
                         break
                     at_boundary = (self._grid_time(self._epoch_index)
                                    >= self.sim.now - 1e-9)
-                    if not self._pending_reads or (
+                    if not self._n_reads or (
                             self._pending_updates and at_boundary):
                         # Boundary wake: updates queued while parked (or
                         # a read landing on the boundary itself with
@@ -572,9 +571,8 @@ class ObjectCarousel:
         # float ulp of the window start in *this* window instead of
         # costing it a whole cycle; both transmit paths use the same
         # tolerance, so fast-forward cannot change the outcome.
-        for pending in self._pending_reads:
-            if (pending.name == file.name
-                    and pending.request_time <= tx_start + 1e-9):
-                pending.event.succeed(file)
-        self._pending_reads = [
-            p for p in self._pending_reads if not p.event.triggered]
+        queue = self._reads.get(file.name)
+        horizon = tx_start + 1e-9
+        while queue and queue[0][0] <= horizon:
+            queue.popleft()[1].succeed(file)
+            self._n_reads -= 1

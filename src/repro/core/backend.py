@@ -43,7 +43,7 @@ from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
-from repro.workloads.job import Job, Task
+from repro.workloads.job import Job, Task, TaskTable
 
 __all__ = ["Backend", "JobReport"]
 
@@ -68,11 +68,10 @@ class JobReport:
         return self.completed_at - self.submitted_at
 
 
-#: In-flight record: ``(task, pna_id, assigned_at, lease_deadline)``.
-#: A bare tuple, not a class — the dispatch tier allocates one per
-#: assignment (millions at 10^6-node scale) and tuples are several
-#: times cheaper to build than slotted instances.
-_T_TASK, _T_PNA, _T_AT, _T_LEASE = range(4)
+#: Task states (the Backend's per-row ``_state`` column): queued in the
+#: pending ring; leased to a holder; handed to the certifier, which
+#: tracks its copies itself; completed.
+_PENDING, _FLIGHT, _OUT, _DONE = 0, 1, 2, 3
 
 
 class Backend:
@@ -188,29 +187,39 @@ class Backend:
             self.certifier = None
 
         self.submitted_at = sim.now
-        # Dispatch order: FIFO (submission order), LPT (longest
-        # processing time first — the classic makespan heuristic) or SPT
-        # (shortest first — fastest first results).
-        tasks = list(job.tasks)
-        if scheduling == "lpt":
-            tasks.sort(key=lambda t: -t.ref_seconds)
-        elif scheduling == "spt":
-            tasks.sort(key=lambda t: t.ref_seconds)
-        self._pending: Deque[Task] = deque(tasks)
-        self._in_flight: Dict[int, tuple] = {}
-        self._completed: Dict[int, float] = {}
+        # Bag state, one row per task.  The pending queue is the dispatch
+        # order — FIFO (submission order), LPT (longest processing time
+        # first) or SPT (shortest first) — from a head cursor, then the
+        # re-queued rows; entries whose row completed meanwhile (a
+        # straggler's result) are skipped when popped.
+        self._tasks = tasks = job.tasks
+        n, ref = len(tasks), tasks.ref_seconds
+        self._ring = _np.arange(n) if scheduling == "fifo" else _np.argsort(
+            -ref if scheduling == "lpt" else ref, kind="stable")
+        self._head = 0
+        self._requeued: Deque[int] = deque()
+        self._n_pending = n
+        self._state = _np.zeros(n, dtype=_np.int8)
+        #: each leased row's holder, assignment instant, lease deadline
+        #: (NaN: none) and number (the lease expiry order)
+        self._holder = _np.empty(n, dtype=object)
+        self._assigned_at = _np.full(n, _np.nan)
+        self._lease = _np.full(n, _np.nan)
+        self._seq = _np.zeros(n, dtype=_np.int64)
+        self._assign_seq = 0
+        self._completed_at = _np.full(n, _np.nan)
+        self._n_done = 0
         self._workers: set[str] = set()
-        #: task_id -> set of workers holding a copy (primary + replicas)
+        #: row -> set of workers holding a copy (primary + replicas)
         self._holders: Dict[int, set] = {}
         #: replica-candidate index: a min-heap of
-        #: ``(assigned_at, assign_seq, task_id)`` pushed per primary
+        #: ``(assigned_at, assign_seq, row)`` pushed per primary
         #: assignment (replication mode only).  Entries are validated
         #: lazily on pop — completed/requeued assignments are stale
         #: (``assigned_at`` no longer matches), fully-replicated tasks
         #: are discarded for good — so candidate search is amortised
         #: O(log n) instead of a full in-flight scan per idle poll.
         self._replica_queue: List[tuple] = []
-        self._assign_seq = 0
         self.tasks_assigned = 0
         self.duplicates = 0
         self.requeues = 0
@@ -250,19 +259,38 @@ class Backend:
     # -- inspection ---------------------------------------------------------
     @property
     def completed_count(self) -> int:
-        return len(self._completed)
+        return self._n_done
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return self._n_pending
 
     @property
     def in_flight_count(self) -> int:
-        return len(self._in_flight)
+        return int((self._state == _FLIGHT).sum())
 
     @property
     def done(self) -> bool:
-        return len(self._completed) == self.job.n
+        return self._n_done == self.job.n
+
+    @property
+    def _completed(self) -> Dict[int, float]:
+        """``task_id -> completion time`` of every completed task."""
+        rows = _np.flatnonzero(self._state == _DONE)
+        return dict(zip(self._tasks.task_id[rows].tolist(),
+                        self._completed_at[rows].tolist()))
+
+    @property
+    def _in_flight(self) -> Dict[int, tuple]:
+        """``task_id -> (task, holder, assigned_at, lease or None)`` of
+        every leased task."""
+        leased = {}
+        for row in _np.flatnonzero(self._state == _FLIGHT).tolist():
+            task, lease = self._tasks[row], float(self._lease[row])
+            leased[task.task_id] = (task, self._holder[row],
+                                    float(self._assigned_at[row]),
+                                    None if lease != lease else lease)
+        return leased
 
     def report(self) -> JobReport:
         if not self.done:
@@ -273,7 +301,7 @@ class Backend:
             job_id=self.job.job_id,
             n_tasks=self.job.n,
             submitted_at=self.submitted_at,
-            completed_at=max(self._completed.values()),
+            completed_at=float(_np.nanmax(self._completed_at)),
             tasks_assigned=self.tasks_assigned,
             duplicates=self.duplicates,
             requeues=self.requeues,
@@ -320,41 +348,50 @@ class Backend:
                 # a blacklisted node polled: terminal NoWork — its
                 # client loop stops instead of spinning on retries
                 return self._nowork_reply(instance_id, None)
-        task = self._next_task()
+        row = self._pop_pending()
         is_replica = False
-        if task is None and self.replicate_tail and not self.done:
-            task = self._pick_replica_candidate(pna_id)
-            is_replica = task is not None
-        if task is None:
+        if row is None and self.replicate_tail and not self.done:
+            row = self._pick_replica_candidate(pna_id)
+            is_replica = row is not None
+        if row is None:
             # Bag empty: if the job is done the worker can stop; otherwise
             # tasks are in flight and might be re-queued — poll again.
             retry = None if self.done else self.poll_interval_s
             return self._nowork_reply(instance_id, retry)
+        task = self._tasks[row]
         if not is_replica:
             now = self.sim.now
             lease_s = self._lease_seconds(task, pna_id)
-            lease = None if lease_s is None else now + lease_s
-            self._in_flight[task.task_id] = (task, pna_id, now, lease)
+            self._lease_rows([row], [pna_id], now,
+                             _np.nan if lease_s is None else now + lease_s)
             self.tasks_assigned += 1
             if self.assigned_by_network is not None:
                 net = self._network_for(pna_id)
                 if net is not None:
                     self.assigned_by_network[net] += 1
             if self.replicate_tail:
-                self._assign_seq += 1
-                heappush(self._replica_queue,
-                         (now, self._assign_seq, task.task_id))
+                heappush(self._replica_queue, (now, self._assign_seq, row))
         else:
             self.replicas_issued += 1
         if self.replicate_tail:
             # Copy-holder tracking only matters for replica placement;
             # skip the per-task set when replication is off.
-            self._holders.setdefault(task.task_id, set()).add(pna_id)
+            self._holders.setdefault(row, set()).add(pna_id)
         trace = self._trace
         if trace is not None:
             trace.emit(self.sim.now, "dispatch", task=task.task_id,
                        pna=pna_id, replica=is_replica)
         return task
+
+    def _lease_rows(self, rows, holders: list, now: float, leases) -> None:
+        """Lease ``rows`` to ``holders`` at ``now``, numbered in order."""
+        seq = self._assign_seq
+        self._assign_seq = seq + len(rows)
+        self._state[rows] = _FLIGHT
+        self._holder[rows] = holders
+        self._assigned_at[rows] = now
+        self._lease[rows] = leases
+        self._seq[rows] = _np.arange(seq + 1, self._assign_seq + 1)
 
     def _nowork_reply(self, instance_id: str,
                       retry: Optional[float]) -> NoWork:
@@ -397,69 +434,72 @@ class Backend:
 
     # -- cohort dispatch tier ------------------------------------------------
     def receive_request_cohort(self, requesters: Sequence[str],
-                               instance_id: str) -> list:
+                               instance_id: str) -> Sequence:
         """Serve a same-instant batch of task requests in one pass.
 
         Equivalent to calling the scalar handler once per requester *in
-        order* — same bag pops, lease values, accounting and traces —
-        with the plain-FIFO case vectorised: when the bag covers the
-        whole cohort and neither tail replication nor lease backoff can
-        alter an individual assignment, the leases come out of one
-        numpy expression (bit-identical op order to the scalar path).
-        Returns one reply per requester: a :class:`Task` or a shared
-        :class:`NoWork`.  The caller owns delivery.
+        order* — same bag pops, lease values, accounting and traces.
+        The plain-FIFO case is columnar: when the bag covers the whole
+        cohort and neither tail replication, certification nor lease
+        backoff can alter an individual assignment, the rows come off
+        the queue as one slice, the leases out of one numpy expression
+        (bit-identical op order to the scalar path), and the reply is
+        the served rows as a :class:`TaskTable`, requester ``i`` getting
+        row ``i``.  Otherwise it is a list of :class:`Task` or shared
+        :class:`NoWork` replies.  The caller owns delivery.
         """
-        pending = self._pending
         k = len(requesters)
-        if (len(pending) >= k and not self.replicate_tail
-                and self.certifier is None
-                and (not self._attempts
-                     or (self.lease_backoff_base == 1.0
-                         and self.lease_backoff_jitter == 0.0))):
-            now = self.sim.now
-            tasks = [pending.popleft() for _ in range(k)]
-            lease_factor = self.lease_factor
-            if lease_factor is None:
-                leases: Sequence[Optional[float]] = (None,) * k
-            elif k >= 32:
-                refs = _np.fromiter((t.ref_seconds for t in tasks),
-                                    _np.float64, k)
-                leases = (now + lease_factor *
-                          (refs * self.worst_case_slowdown
-                           + self.poll_interval_s)).tolist()
-            else:
-                wcs = self.worst_case_slowdown
-                poll = self.poll_interval_s
-                leases = [now + lease_factor * (t.ref_seconds * wcs + poll)
-                          for t in tasks]
-            workers_add = self._workers.add
-            in_flight = self._in_flight
-            for pna_id, task, lease in zip(requesters, tasks, leases):
-                workers_add(pna_id)
-                in_flight[task.task_id] = (task, pna_id, now, lease)
-            self.tasks_assigned += k
-            if self.assigned_by_network is not None and k:
-                # A cohort is a property of one shard's fabric, so every
-                # requester in it lives on the same network; prime the
-                # whole cohort's label cache (requeue labelling reads it
-                # after the holder may have left the router).
-                net = self._network_for(requesters[0])
-                if net is not None:
-                    self.assigned_by_network[net] += k
-                    cache = self._net_of_pna
-                    for pna_id in requesters:
-                        cache[pna_id] = net
-            trace = self._trace
-            if trace is not None:
-                for i in range(k):
-                    trace.emit(now, "dispatch", task=tasks[i].task_id,
-                               pna=requesters[i], replica=False)
-            return tasks
-        return [self._serve_request(pna_id, instance_id)
-                for pna_id in requesters]
+        if (self.replicate_tail or self.certifier is not None
+                or (self._attempts and (self.lease_backoff_base != 1.0
+                                        or self.lease_backoff_jitter != 0.0))
+                or self._n_pending < k
+                or self._n_pending != len(self._ring) - self._head
+                + len(self._requeued)):
+            # replicas, certified copies, per-attempt leases, a bag
+            # short of the cohort, or a tombstone in the queue: one
+            # request at a time
+            return [self._serve_request(pna_id, instance_id)
+                    for pna_id in requesters]
+        self._workers.update(requesters)
+        now = self.sim.now
+        head = self._head
+        rows = self._ring[head:head + k]
+        self._head = head + len(rows)
+        if len(rows) < k:
+            requeued = self._requeued.popleft
+            rows = _np.concatenate((rows, _np.fromiter(
+                (requeued() for _ in range(k - len(rows))), _np.int64)))
+        self._n_pending -= k
+        lease_factor = self.lease_factor
+        # Same op order as _lease_seconds, so bit-identical leases.
+        leases = _np.nan if lease_factor is None else now + lease_factor * (
+            self._tasks.ref_seconds[rows] * self.worst_case_slowdown
+            + self.poll_interval_s)
+        self._lease_rows(rows, requesters, now, leases)
+        self.tasks_assigned += k
+        if self.assigned_by_network is not None and k:
+            # A cohort is a property of one shard's fabric, so every
+            # requester in it lives on the same network; prime the whole
+            # cohort's label cache (requeue labelling reads it after the
+            # holder may have left the router).
+            net = self._network_for(requesters[0])
+            if net is not None:
+                self.assigned_by_network[net] += k
+                cache = self._net_of_pna
+                for pna_id in requesters:
+                    cache[pna_id] = net
+        tasks = self._tasks
+        served = TaskTable(tasks.task_id[rows], tasks.input_bits[rows],
+                           tasks.ref_seconds[rows], tasks.result_bits[rows])
+        trace = self._trace
+        if trace is not None:
+            for i, task_id in enumerate(served.task_id.tolist()):
+                trace.emit(now, "dispatch", task=task_id, pna=requesters[i],
+                           replica=False)
+        return served
 
     def receive_result_cohort(self, pna_ids: Sequence[str],
-                              task_ids: Sequence[int]) -> Optional[int]:
+                              task_ids: _np.ndarray) -> Optional[int]:
         """Accept a same-instant batch of results in one pass.
 
         Equivalent to calling :meth:`receive_result` once per
@@ -468,54 +508,51 @@ class Backend:
         settles :attr:`done_event` and returns that result's index
         (``None`` when none did): the caller defers the rest so the
         urgent completion callbacks run first, as they do between
-        per-message deliveries.  First copies of in-flight tasks commit
-        inline; duplicates and lease-expired stragglers take the scalar
-        handler.  Uncertified backends only: the certifier votes per
-        copy and needs each copy's digest.
+        per-message deliveries.  Leased tasks commit under one mask and
+        every other result counts as a duplicate; a batch with a
+        lease-expired straggler or a task twice goes one by one.
+        Uncertified backends only: the certifier votes per copy and
+        needs each copy's digest.
         """
         if self.certifier is not None:
             raise BackendError(
                 "certified results go through receive_result one by one")
-        completed = self._completed
-        in_flight_pop = self._in_flight.pop
-        holders_pop = self._holders.pop
-        attempts_pop = self._attempts.pop
-        net_counts = self.completed_by_network
-        trace = self._trace
-        job_n = self.job.n
-        done_event = self.done_event
-        now = self.sim.now
-        # Settling is monotonic and only this loop can flip it here:
-        # when the event was already settled at entry no iteration can
-        # observe a flip.
-        was_settled = done_event._settled
-        for k, (pna_id, task_id) in enumerate(zip(pna_ids, task_ids)):
-            if task_id not in completed \
-                    and in_flight_pop(task_id, None) is not None:
-                # _record_completion, inlined (the 10^6-node hot loop)
-                completed[task_id] = now
-                if net_counts is not None:
-                    net = self._network_for(pna_id)
-                    if net is not None:
-                        net_counts[net] += 1
-                holders_pop(task_id, None)
-                attempts_pop(task_id, None)
-                if trace is not None:
-                    trace.emit(now, "complete", task=task_id, pna=pna_id,
-                               done=len(completed), total=job_n)
-                if len(completed) == job_n and not done_event.triggered:
-                    if trace is not None:
-                        trace.emit(now, "job_done", job=self.job.job_id,
-                                   tasks=job_n)
-                    done_event.succeed(self.report())
-            else:
+        rows = self._tasks.rows_of(task_ids)
+        state = _np.where(rows >= 0, self._state[rows], _DONE)
+        pos = _np.flatnonzero(state == _FLIGHT)
+        first = rows[pos]
+        if (state == _PENDING).any() or _np.unique(first).size < first.size:
+            # a lease-expired straggler, or a task twice: one by one
+            done_event = self.done_event
+            was_settled = done_event._settled
+            for k, (pna_id, task_id) in enumerate(
+                    zip(pna_ids, task_ids.tolist())):
                 self.receive_result(pna_id, task_id)
-            if not was_settled and done_event._settled:
-                return k
-        return None
+                if not was_settled and done_event._settled:
+                    return k
+            return None
+        done_before = self._n_done
+        need = self.job.n - done_before
+        stop = int(pos[need - 1]) if 0 < need <= pos.size else None
+        if stop is not None:  # the settling result commits last, alone
+            pos, first = pos[:need - 1], first[:need - 1]
+        self._suppress_duplicate(
+            (len(rows) if stop is None else stop) - pos.size)
+        self._state[first] = _DONE
+        self._completed_at[first] = self.sim.now
+        self._n_done += pos.size
+        if self.completed_by_network is not None or self._holders \
+                or self._attempts or self._trace is not None:
+            for j, (k, row, task_id) in enumerate(zip(
+                    pos.tolist(), first.tolist(), task_ids[pos].tolist())):
+                self._completion_effects(row, task_id, pna_ids[k],
+                                         done_before + j + 1)
+        if stop is not None:
+            self._record_completion(int(task_ids[stop]), pna_ids[stop])
+        return stop
 
-    def _pick_replica_candidate(self, requester: str) -> Optional[Task]:
-        """Straggler mitigation: replicate the oldest in-flight task whose
+    def _pick_replica_candidate(self, requester: str) -> Optional[int]:
+        """Straggler mitigation: the row of the oldest leased task whose
         copy count is below ``max_replicas`` and which the requester is
         not already computing.
 
@@ -523,41 +560,29 @@ class Backend:
         already holds are set aside and pushed back so they stay
         available to other requesters."""
         heap = self._replica_queue
-        in_flight = self._in_flight
+        state = self._state
+        assigned_at = self._assigned_at
         holders_map = self._holders
         max_replicas = self.max_replicas
         skipped = []
-        found: Optional[Task] = None
+        found: Optional[int] = None
         while heap:
-            assigned_at, _seq, task_id = heap[0]
-            assignment = in_flight.get(task_id)
-            if assignment is None or assignment[_T_AT] != assigned_at:
+            at, _seq, row = heap[0]
+            if state[row] != _FLIGHT or assigned_at[row] != at:
                 heappop(heap)  # completed or requeued: stale entry
                 continue
-            holders = holders_map.get(task_id)
+            holders = holders_map.get(row)
             if holders is not None and len(holders) >= max_replicas:
                 heappop(heap)  # fully replicated: never a candidate again
                 continue
             if holders is not None and requester in holders:
                 skipped.append(heappop(heap))
                 continue
-            found = assignment[_T_TASK]
+            found = row
             break
         for entry in skipped:
             heappush(heap, entry)
         return found
-
-    def _pick_replica_candidate_scan(self, requester: str) -> Optional[Task]:
-        """Reference implementation of :meth:`_pick_replica_candidate`
-        (full in-flight scan) — kept as the parity oracle."""
-        best: Optional[tuple] = None
-        for task_id, assignment in self._in_flight.items():
-            holders = self._holders.get(task_id, set())
-            if requester in holders or len(holders) >= self.max_replicas:
-                continue
-            if best is None or assignment[_T_AT] < best[_T_AT]:
-                best = assignment
-        return best[_T_TASK] if best is not None else None
 
     def _handle_result(self, result: TaskResultPayload) -> None:
         self.receive_result(result.pna_id, result.task_id,
@@ -573,54 +598,70 @@ class Backend:
         if self.certifier is not None:
             self.certifier.on_result(pna_id, task_id, digest)
             return
-        if task_id in self._completed:
+        row = self._tasks.row_of(task_id)
+        if row is None or self._state[row] not in (_PENDING, _FLIGHT):
             self._suppress_duplicate()
             return
-        assignment = self._in_flight.pop(task_id, None)
-        if assignment is None:
-            # lease expired and the task was re-queued but the original
-            # worker finished anyway: accept the result, cancel the requeue
-            for i, t in enumerate(self._pending):
-                if t.task_id == task_id:
-                    del self._pending[i]
-                    break
-            else:
-                self._suppress_duplicate()
-                return
+        # A pending row's lease expired but its worker finished anyway:
+        # accept the result; the queue entry is skipped when popped.
         self._record_completion(task_id, pna_id)
 
     def _record_completion(self, task_id: int, pna_id: str) -> None:
         """Commit one completion: records, per-network counts, traces,
         and the job-done event.  Shared by the direct result path and
         the certifier's quorum commit."""
-        self._completed[task_id] = self.sim.now
+        row = self._tasks.row_of(task_id)
+        if self._state[row] == _PENDING:
+            self._n_pending -= 1
+        self._state[row] = _DONE
+        now = self.sim.now
+        self._completed_at[row] = now
+        self._n_done += 1
+        self._completion_effects(row, task_id, pna_id, self._n_done)
+        if self._n_done == self.job.n and not self.done_event.triggered:
+            if self._trace is not None:
+                self._trace.emit(now, "job_done", job=self.job.job_id,
+                                 tasks=self.job.n)
+            self.done_event.succeed(self.report())
+
+    def _completion_effects(self, row: int, task_id: int, pna_id: str,
+                            done: int) -> None:
+        """Side effects of the ``done``-th completion."""
         if self.completed_by_network is not None:
             net = self._network_for(pna_id)
             if net is not None:
                 self.completed_by_network[net] += 1
-        self._holders.pop(task_id, None)
+        self._holders.pop(row, None)
         self._attempts.pop(task_id, None)
-        trace = self._trace
-        if trace is not None:
-            trace.emit(self.sim.now, "complete", task=task_id,
-                       pna=pna_id, done=len(self._completed),
-                       total=self.job.n)
-        if len(self._completed) == self.job.n \
-                and not self.done_event.triggered:
-            if trace is not None:
-                trace.emit(self.sim.now, "job_done", job=self.job.job_id,
-                           tasks=self.job.n)
-            self.done_event.succeed(self.report())
+        if self._trace is not None:
+            self._trace.emit(self.sim.now, "complete", task=task_id,
+                             pna=pna_id, done=done, total=self.job.n)
 
-    def _suppress_duplicate(self) -> None:
-        self.duplicates += 1
+    def _suppress_duplicate(self, count: int = 1) -> None:
+        self.duplicates += count
         if self._m_duplicates is not None:
-            self._m_duplicates.value += 1
+            self._m_duplicates.value += count
+
+    def _pop_pending(self) -> Optional[int]:
+        """Pop the next queued row (skipping tombstones), or ``None``."""
+        state = self._state
+        while True:
+            if self._head < len(self._ring):
+                row = int(self._ring[self._head])
+                self._head += 1
+            elif self._requeued:
+                row = self._requeued.popleft()
+            else:
+                return None
+            if state[row] == _PENDING:
+                state[row] = _OUT
+                self._n_pending -= 1
+                return row
 
     def _next_task(self) -> Optional[Task]:
-        if self._pending:
-            return self._pending.popleft()
-        return None
+        """Pop the next queued task (the certifier's dispatch)."""
+        row = self._pop_pending()
+        return None if row is None else self._tasks[row]
 
     def _send(self, pna_id: str, payload, payload_bits: float) -> None:
         for router in self.routers:
@@ -665,24 +706,27 @@ class Backend:
                     # certified copies carry their own per-holder leases
                     self.certifier.expire_leases(now)
                     continue
-                expired = [tid for tid, a in self._in_flight.items()
-                           if a[_T_LEASE] is not None
-                           and a[_T_LEASE] < now]
+                expired = _np.flatnonzero((self._state == _FLIGHT)
+                                          & (self._lease < now))
+                # in assignment order, as the in-flight records were kept
+                expired = expired[_np.argsort(self._seq[expired])]
                 trace = self._trace
-                for tid in expired:
-                    assignment = self._in_flight.pop(tid)
-                    self._pending.append(assignment[_T_TASK])
+                for row, tid in zip(expired.tolist(), self._tasks.task_id[
+                        expired].tolist()):
+                    pna_id = self._holder[row]
+                    self._state[row] = _PENDING
+                    self._requeued.append(row)
+                    self._n_pending += 1
                     self.requeues += 1
                     if self.requeues_by_network is not None:
                         # Cached label: the holder may already be gone
                         # from its router (that is why the lease died).
-                        net = self._net_of_pna.get(assignment[_T_PNA])
+                        net = self._net_of_pna.get(pna_id)
                         if net is not None:
                             self.requeues_by_network[net] += 1
                     self._attempts[tid] = self._attempts.get(tid, 0) + 1
                     if trace is not None:
-                        trace.emit(now, "requeue", task=tid,
-                                   pna=assignment[_T_PNA],
+                        trace.emit(now, "requeue", task=tid, pna=pna_id,
                                    attempt=self._attempts[tid])
                         self._m_redispatched.value += 1
         except Interrupt:
@@ -702,8 +746,8 @@ class Backend:
         trace = self._trace
         if trace is not None:
             trace.emit(self.sim.now, "crash", backend=self.backend_id,
-                       in_flight=len(self._in_flight),
-                       pending=len(self._pending))
+                       in_flight=self.in_flight_count,
+                       pending=self._n_pending)
         for router in self.routers:
             router.unregister_component(self.backend_id)
         if self._lease_proc is not None and self._lease_proc.alive:

@@ -51,6 +51,7 @@ from repro.core.messages import NoWork, TaskAssignment
 from repro.net.link import column_view, count_deliveries, offer_rows
 from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Simulator
+from repro.workloads.job import TaskTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.backend import Backend
@@ -85,7 +86,8 @@ _DONE = 5          # NoWork(None): bag dry, loop finished
 # run its members — in the reference path's seq order.
 _K_SEND = 0        # member sends a task request now
 _K_REQ_ARR = 1     # request arrives at the Backend
-_K_ASSIGN_ARR = 2  # + tasks (list of Task): assignment arrives
+_K_ASSIGN_ARR = 2  # + task_id (array 'q'), ref_seconds, result_bits
+                   #   (array 'd'): assignment arrives
 _K_NOWORK_ARR = 3  # + retry (array 'd', NaN = stop): NoWork arrives
 _K_COMPUTE = 4     # compute finishes; ship the result
 _K_RESULT_ARR = 5  # + task_id, token, digest (array 'q'): result
@@ -99,10 +101,6 @@ _K_DEADLINE = 6    # request/ack timeout check; the deadline is the
 _BULK_MIN = 32
 
 _NAN = float("nan")
-_ref_seconds = attrgetter("ref_seconds")
-_task_id = attrgetter("task_id")
-_result_bits = attrgetter("result_bits")
-_input_bits = attrgetter("input_bits")
 _adversary = attrgetter("adversary")
 _executor = attrgetter("executor")
 _pna_id = attrgetter("pna_id")
@@ -112,18 +110,10 @@ def _new_run(kind: int) -> list:
     if kind == _K_RESULT_ARR:
         return [kind, array("q"), array("q"), array("q"), array("q")]
     if kind == _K_ASSIGN_ARR:
-        return [kind, array("q"), []]
+        return [kind, array("q"), array("q"), array("d"), array("d")]
     if kind == _K_NOWORK_ARR:
         return [kind, array("q"), array("d")]
     return [kind, array("q")]
-
-
-def _extend(column: Any, values: Any) -> None:
-    """Append a numpy column (or a list of objects) to a run column."""
-    if type(column) is list:
-        column.extend(values)
-    else:
-        column.frombytes(memoryview(values).cast("B"))
 
 
 def _distinct(slots: _np.ndarray) -> bool:
@@ -301,7 +291,7 @@ class CohortTaskEngine:
         op order: a member's entry in an earlier stream was filed before
         its entry in a later one.  ``times`` (float64) is NaN where a
         member files nothing; ``columns`` are the kind's payload columns
-        aligned with ``slots`` (numpy arrays, or a list of tasks).  When
+        aligned with ``slots`` (numpy arrays of the run's types).  When
         the streams land on disjoint instants, each same-instant group
         extends one run in one step; otherwise the entries are filed
         member by member, which keeps a shared bucket's interleaving.
@@ -316,16 +306,14 @@ class CohortTaskEngine:
             for time, pos in groups:
                 run = self._run_at(time, kind)
                 for column, values in zip(run[1:], (slots, *columns)):
-                    if pos is not None:
-                        values = values[pos] if type(values) is not list \
-                            else [values[k] for k in pos.tolist()]
-                    _extend(column, values)
+                    column.frombytes(memoryview(
+                        values if pos is None else values[pos]).cast("B"))
 
     def _file_members(self, streams: Sequence[tuple]) -> None:
         """:meth:`_file`, one member (and within it one stream) at a
         time."""
         streams = [(kind, times.tolist(), slots.tolist(),
-                    [c if type(c) is list else c.tolist() for c in columns])
+                    [c.tolist() for c in columns])
                    for kind, times, slots, columns in streams]
         for k in range(len(streams[0][2])):
             for kind, times, slots, columns in streams:
@@ -459,57 +447,42 @@ class CohortTaskEngine:
         replies = self.backend.receive_request_cohort(requesters,
                                                       self.instance_id)
         linked = router._pna_linked
-        if n < _BULK_MIN:
-            downlinks = router.downlinks
-            member_rows = self._row
-            for slot, reply in zip(slots, replies):
-                row = member_rows[slot]
-                if not linked[row]:
-                    continue  # node vanished between request and reply
-                if type(reply) is NoWork:
-                    deliver_at = downlinks.link(row).offer(_CONTROL_BITS)
-                    if deliver_at is not None:
-                        retry = reply.retry_after_s
-                        into = self._run_at(deliver_at, _K_NOWORK_ARR)
-                        into[1].append(slot)
-                        into[2].append(_NAN if retry is None else retry)
-                else:  # a Task: the assignment carries the staged input
-                    deliver_at = downlinks.link(row).offer(
-                        _CONTROL_BITS + reply.input_bits)
-                    if deliver_at is not None:
-                        into = self._run_at(deliver_at, _K_ASSIGN_ARR)
-                        into[1].append(slot)
-                        into[2].append(reply)
+        if type(replies) is TaskTable:
+            # one task per member, as columns; a node that vanished
+            # between request and reply is skipped
+            rows = column_view(self._row)[column_view(slots)]
+            keep = column_view(linked)[rows] != 0
+            arrivals = offer_rows(router.downlinks, rows[keep],
+                                  replies.input_bits[keep] + _CONTROL_BITS,
+                                  now)
+            self._file(((_K_ASSIGN_ARR, arrivals, column_view(slots)[keep],
+                         (replies.task_id[keep], replies.ref_seconds[keep],
+                          replies.result_bits[keep])),))
             return
-        sent = column_view(slots)
-        keep = column_view(linked)[column_view(self._row)[sent]] != 0
-        if not keep.all():
-            sent = sent[keep]
-            replies = [reply for reply, k in zip(replies, keep.tolist())
-                       if k]
-        m = len(replies)
-        if not m:
-            return
-        rows = column_view(self._row)[sent]
-        if NoWork not in set(map(type, replies)):
-            sizes = _np.fromiter(map(_input_bits, replies), _np.float64, m)
-            sizes += _CONTROL_BITS
-            arrivals = offer_rows(router.downlinks, rows, sizes, now)
-            self._file(((_K_ASSIGN_ARR, arrivals, sent, (replies,)),))
-            return
-        nowork = _np.fromiter((type(r) is NoWork for r in replies), bool, m)
-        sizes = _np.fromiter(
-            (_CONTROL_BITS if type(r) is NoWork
-             else _CONTROL_BITS + r.input_bits for r in replies),
-            _np.float64, m)
-        retry = _np.fromiter(
-            (_NAN if type(r) is not NoWork or r.retry_after_s is None
-             else r.retry_after_s for r in replies), _np.float64, m)
-        arrivals = offer_rows(router.downlinks, rows, sizes, now)
-        self._file(((_K_ASSIGN_ARR, _np.where(nowork, _NAN, arrivals), sent,
-                     (replies,)),
-                    (_K_NOWORK_ARR, _np.where(nowork, arrivals, _NAN), sent,
-                     (retry,))))
+        # replies one by one (certified copies and probes, replicas,
+        # backoff leases, a dry bag): each downlink in member order
+        downlinks = router.downlinks
+        member_rows = self._row
+        for slot, reply in zip(slots, replies):
+            row = member_rows[slot]
+            if not linked[row]:
+                continue  # node vanished between request and reply
+            if type(reply) is NoWork:
+                deliver_at = downlinks.link(row).offer(_CONTROL_BITS)
+                if deliver_at is not None:
+                    retry = reply.retry_after_s
+                    into = self._run_at(deliver_at, _K_NOWORK_ARR)
+                    into[1].append(slot)
+                    into[2].append(_NAN if retry is None else retry)
+            else:  # a task: the assignment carries the staged input
+                deliver_at = downlinks.link(row).offer(
+                    _CONTROL_BITS + reply.input_bits)
+                if deliver_at is not None:
+                    into = self._run_at(deliver_at, _K_ASSIGN_ARR)
+                    into[1].append(slot)
+                    into[2].append(reply.task_id)
+                    into[3].append(reply.ref_seconds)
+                    into[4].append(reply.result_bits)
 
     # -- assignment / compute path --------------------------------------
     def _accept_assignment(self, slot: int, task_id: int, ref_seconds: float,
@@ -533,28 +506,29 @@ class CohortTaskEngine:
         self._run_at(now + compute_s, _K_COMPUTE)[1].append(slot)
 
     def _handle_assign_arrivals(self, run: list, now: float) -> None:
-        slots, tasks = run[1], run[2]
+        slots = run[1]
         self._count_deliveries(self.router.downlinks, slots)
-        if len(slots) >= _BULK_MIN and self._accept_bulk(slots, tasks, now):
+        if len(slots) >= _BULK_MIN and self._accept_bulk(run, now):
             return
+        task_ids, refs, results = run[2], run[3], run[4]
         destroyed = self._destroyed
         phase = self._phase
         pnas = self._pna
-        for slot, task in zip(slots, tasks):
+        for k, slot in enumerate(slots):
             if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
                     or not pnas[slot].online:
                 continue  # reset/stale: the reference DVE drops it too
-            self._accept_assignment(slot, task.task_id, task.ref_seconds,
-                                    task.result_bits, now)
+            self._accept_assignment(slot, task_ids[k], refs[k], results[k],
+                                    now)
 
-    def _accept_bulk(self, slots: array, tasks: list, now: float) -> bool:
+    def _accept_bulk(self, run: list, now: float) -> bool:
         """Accept a run of assignments in column passes; ``False`` (with
         nothing changed) when the run needs the per-member loop: a
         member listed twice, or one off the reference-PC executor or
         with a behaviour profile.  Then the completion instants come
         out of one vectorised add — scalar-bit-identical (same op
         order)."""
-        sv = column_view(slots)
+        sv = column_view(run[1])
         live = self._offerable(sv)
         whole = bool(live.all())
         ls = sv if whole else sv[live]
@@ -562,23 +536,19 @@ class CohortTaskEngine:
             return True
         if not _distinct(ls) or not column_view(self._plain)[ls].all():
             return False
-        if not whole:
-            tasks = [tasks[k] for k in _np.flatnonzero(live).tolist()]
         advs = list(map(_adversary, map(self._pna.__getitem__,
                                         ls.tolist())))
         if advs.count(None) != len(advs):
             return False
-        m = ls.size
-        column_view(self._task_id)[ls] = _np.fromiter(
-            map(_task_id, tasks), _np.int64, m)
-        column_view(self._result_bits)[ls] = _np.fromiter(
-            map(_result_bits, tasks), _np.float64, m)
+        task_ids, refs, results = (column_view(c) if whole
+                                   else column_view(c)[live]
+                                   for c in run[2:])
+        column_view(self._task_id)[ls] = task_ids
+        column_view(self._result_bits)[ls] = results
         column_view(self._digest)[ls] = 0
         column_view(self._deadline)[ls] = -1.0
         column_view(self._phase)[ls] = _COMPUTING
-        done_at = _np.fromiter(map(_ref_seconds, tasks), _np.float64, m)
-        done_at += now
-        self._file(((_K_COMPUTE, done_at, ls, ()),))
+        self._file(((_K_COMPUTE, now + refs, ls, ()),))
         return True
 
     def _handle_nowork_arrivals(self, run: list, now: float) -> None:
@@ -734,7 +704,7 @@ class CohortTaskEngine:
         else:
             settled = self.backend.receive_result_cohort(
                 list(map(self._pna_id.__getitem__, run[1][start:])),
-                run[2][start:])
+                column_view(run[2])[start:])
             if settled is not None:
                 end = stop = start + settled + 1
         if end - start < len(sv):

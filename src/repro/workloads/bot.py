@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.net.message import KILOBYTE, MEGABYTE
-from repro.workloads.job import Job, JobStats, Task
+from repro.workloads.job import Job, JobStats, TaskTable
 
 __all__ = [
     "BagSpec",
@@ -103,25 +103,9 @@ def uniform_bag(
     """``n`` identical tasks — the paper's homogeneous job model."""
     if n <= 0:
         raise WorkloadError(f"n must be > 0, got {n}")
-    # Task 0 validates the shared field values through the normal
-    # constructor; the remaining n-1 identical tasks are stamped out
-    # without re-running __init__/__post_init__ — at 10^6-node scale
-    # the bag is millions of copies differing only in task_id.
-    proto = Task(task_id=0, input_bits=input_bits, ref_seconds=ref_seconds,
-                 result_bits=result_bits)
-    new = Task.__new__
-    set_ = object.__setattr__
-    stamped = [proto]
-    append = stamped.append
-    for i in range(1, n):
-        t = new(Task)
-        set_(t, "task_id", i)
-        set_(t, "input_bits", input_bits)
-        set_(t, "ref_seconds", ref_seconds)
-        set_(t, "result_bits", result_bits)
-        set_(t, "payload", None)
-        append(t)
-    return Job(image_bits=image_bits, tasks=tuple(stamped), name=name)
+    return Job(image_bits=image_bits,
+               tasks=TaskTable(range(n), input_bits, ref_seconds, result_bits),
+               name=name)
 
 
 def lognormal_bag(
@@ -148,11 +132,8 @@ def lognormal_bag(
         raise WorkloadError("sigma must be >= 0")
     mu = np.log(mean_ref_seconds) - sigma**2 / 2.0
     durations = rng.lognormal(mean=mu, sigma=sigma, size=n)
-    tasks = tuple(
-        Task(task_id=i, input_bits=input_bits,
-             ref_seconds=float(max(durations[i], 1e-9)),
-             result_bits=result_bits)
-        for i in range(n))
+    tasks = TaskTable(range(n), input_bits, np.maximum(durations, 1e-9),
+                      result_bits)
     return Job(image_bits=image_bits, tasks=tasks, name=name)
 
 
@@ -167,10 +148,7 @@ def parametric_bag(
     """Parametric application: tasks need no input staging (s = 0)."""
     if n <= 0:
         raise WorkloadError(f"n must be > 0, got {n}")
-    tasks = tuple(
-        Task(task_id=i, input_bits=0.0, ref_seconds=ref_seconds,
-             result_bits=result_bits)
-        for i in range(n))
+    tasks = TaskTable(range(n), 0.0, ref_seconds, result_bits)
     return Job(image_bits=image_bits, tasks=tasks, name=name)
 
 
@@ -248,9 +226,6 @@ def weibull_bag(
 
     scale = mean_ref_seconds / _gamma(1.0 + 1.0 / shape)
     durations = scale * rng.weibull(shape, size=n)
-    tasks = tuple(
-        Task(task_id=i, input_bits=input_bits,
-             ref_seconds=float(max(durations[i], 1e-9)),
-             result_bits=result_bits)
-        for i in range(n))
+    tasks = TaskTable(range(n), input_bits, np.maximum(durations, 1e-9),
+                      result_bits)
     return Job(image_bits=image_bits, tasks=tasks, name=name)

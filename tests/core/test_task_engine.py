@@ -328,6 +328,25 @@ def test_engine_reused_within_instance_fresh_across_backends(dve):
     assert engine.members_joined == 6
 
 
+def _replica_candidate_scan(backend, requester):
+    """Full-scan oracle of ``Backend._pick_replica_candidate``: over the
+    leased rows in assignment order, the first with the oldest
+    assignment instant that has fewer than ``max_replicas`` copies and
+    none held by ``requester``."""
+    from repro.core.backend import _FLIGHT
+
+    leased = np.flatnonzero(backend._state == _FLIGHT)
+    best = None
+    for row in leased[np.argsort(backend._seq[leased])].tolist():
+        holders = backend._holders.get(row, set())
+        if requester in holders or len(holders) >= backend.max_replicas:
+            continue
+        if best is None or \
+                backend._assigned_at[row] < backend._assigned_at[best]:
+            best = row
+    return best
+
+
 def test_replica_candidate_heap_matches_scan():
     """Parity oracle for the replica-candidate index: under a seeded
     requeue/replication workload, the heap pick must equal the full
@@ -349,11 +368,9 @@ def test_replica_candidate_heap_matches_scan():
         for step in range(60):
             sim.run(until=sim.now + r.uniform(0.1, 5.0))
             requester = r.choice(workers)
-            expected = backend._pick_replica_candidate_scan(requester)
+            expected = _replica_candidate_scan(backend, requester)
             got = backend._pick_replica_candidate(requester)
-            assert (None if got is None else got.task_id) == \
-                (None if expected is None else expected.task_id), \
-                f"trial {trial} step {step}"
+            assert got == expected, f"trial {trial} step {step}"
             # Drive the real state machine so the index sees pops,
             # requeues and completions.
             reply = backend._serve_request(requester,
@@ -375,9 +392,11 @@ def _stream(kind, n, instants):
     members' times (NaN = files nothing), slots (repeats allowed) and
     the kind's payload columns."""
     ints = st.lists(st.integers(-5, 50), min_size=n, max_size=n)
+    floats = st.lists(st.sampled_from((0.5, 60.0, 4096.0)), min_size=n,
+                      max_size=n).map(lambda v: np.array(v, np.float64))
     if kind == _K_ASSIGN_ARR:
-        columns = st.tuples(st.lists(st.text(max_size=2), min_size=n,
-                                     max_size=n))
+        columns = st.tuples(ints.map(lambda v: np.array(v, np.int64)),
+                            floats, floats)
     elif kind == _K_NOWORK_ARR:
         columns = st.tuples(st.lists(st.sampled_from((_NAN_RETRY, 15.0)),
                                      min_size=n, max_size=n).map(
