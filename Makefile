@@ -9,10 +9,20 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Every registered scenario at smoke scale through the parallel runner
-# (tier-2 'experiments' marker; excluded from the default test run).
+# (tier-2 'experiments' marker; excluded from the default test run),
+# then the paper benches: each regenerates one paper artifact through
+# the scenario registry at seed 0, checks the paper's expectations and
+# rewrites its benchmarks/results/*.txt.
+PAPER_BENCHES = benchmarks/test_table1_requirements.py \
+	benchmarks/test_table2_blastall.py benchmarks/test_table3_blastcl3.py \
+	benchmarks/test_wakeup_overhead.py benchmarks/test_fig6_efficiency.py \
+	benchmarks/test_fig7_makespan.py benchmarks/test_scalability.py \
+	benchmarks/test_ablations.py
+
 experiments:
 	$(PYTHON) -m pytest tests/experiments/test_smoke_all.py -q \
 		--run-experiments
+	$(PYTHON) -m pytest $(PAPER_BENCHES) --benchmark-disable -q
 
 # Repository benchmark smoke (oddbench/README.md): the benchmark's own
 # tests, then one 1-second iteration per workload at seed 0, each

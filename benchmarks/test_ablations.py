@@ -1,16 +1,12 @@
-"""Benches A1–A3 — the design-choice ablations from DESIGN.md §5."""
+"""Benches A1–A6 — the design-choice ablations from DESIGN.md §5."""
 
-from repro.experiments import (
-    render_ablation,
-    run_carousel_composition,
-    run_heartbeat_intervals,
-    run_probability_policies,
-)
+from repro.experiments import render_ablation
+from repro.runner import Runner
 
 
 def test_a1_carousel_composition(benchmark, save_artifact):
-    records = benchmark.pedantic(run_carousel_composition,
-        kwargs={'n_samples': 50_000, 'seed': 0}, rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("a1",), rounds=1, iterations=1).records
     ws = [r["w_wait_for_start_s"] for r in records]
     assert ws == sorted(ws)
     assert records[0]["w_over_ideal"] < 1.1      # image-dominated: paper model
@@ -21,9 +17,8 @@ def test_a1_carousel_composition(benchmark, save_artifact):
 
 
 def test_a2_probability_policies(benchmark, save_artifact):
-    records = benchmark.pedantic(run_probability_policies,
-        kwargs={'population': 100_000, 'target': 10_000, 'seed': 0},
-        rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("a2",), rounds=1, iterations=1).records
     by_name = {r["policy"]: r for r in records}
     assert by_name["fixed-1.0"]["overshoot"] > 5.0
     assert by_name["deficit-1.1"]["overshoot"] < 0.15
@@ -33,9 +28,8 @@ def test_a2_probability_policies(benchmark, save_artifact):
 
 
 def test_a3_heartbeat_intervals(benchmark, save_artifact):
-    records = benchmark.pedantic(run_heartbeat_intervals,
-        kwargs={'intervals_s': (5.0, 20.0, 60.0), 'seed': 0},
-        rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("a3",), rounds=1, iterations=1).records
     assert all(r["recovered"] for r in records)
     recs = sorted(records, key=lambda r: r["heartbeat_interval_s"])
     assert recs[0]["recovery_s"] < recs[-1]["recovery_s"]
@@ -46,12 +40,8 @@ def test_a3_heartbeat_intervals(benchmark, save_artifact):
 
 
 def test_a4_heartbeat_aggregation(benchmark, save_artifact):
-    from repro.experiments import run_aggregation_ablation
-
-    records = benchmark.pedantic(run_aggregation_ablation,
-        kwargs={'n_pnas': 24, 'heartbeat_s': 5.0, 'aggregation_s': 20.0,
-                'fanouts': (0, 2, 4, 8), 'horizon_s': 600.0, 'seed': 0},
-        rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("a4",), rounds=1, iterations=1).records
     baseline = next(r for r in records if r["aggregators"] == 0)
     aggregated = [r for r in records if r["aggregators"] > 0]
     assert all(r["controller_msgs"] * 5 < baseline["controller_msgs"]
@@ -63,10 +53,8 @@ def test_a4_heartbeat_aggregation(benchmark, save_artifact):
 
 
 def test_a5_tail_replication(benchmark, save_artifact):
-    from repro.experiments import run_replication_ablation
-
-    records = benchmark.pedantic(run_replication_ablation,
-        kwargs={'seed': 0}, rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("a5",), rounds=1, iterations=1).records
     base = next(r for r in records if not r["replicate_tail"])
     repl = next(r for r in records if r["replicate_tail"])
     assert repl["speedup_vs_base"] > 1.5
@@ -76,11 +64,8 @@ def test_a5_tail_replication(benchmark, save_artifact):
 
 
 def test_a6_control_plane_comparison(benchmark, save_artifact):
-    from repro.experiments import run_plane_comparison
-
-    records = benchmark.pedantic(run_plane_comparison,
-        kwargs={'image_mbs': (1.0, 4.0, 8.0), 'n_nodes': 8, 'seed': 0},
-        rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("a6",), rounds=1, iterations=1).records
     for r in records:
         # generic plane: one-shot broadcast = I/beta, simultaneous
         assert r["generic_plane_s"] < r["w_model_s"]

@@ -8,15 +8,14 @@ Equation 2.
 
 import pytest
 
-from repro.experiments import render_fig6, run_fig6
+from repro.experiments import render_fig6
 from repro.experiments.fig6 import RATIOS
+from repro.runner import Runner
 
 
 def test_fig6_efficiency(benchmark, save_artifact):
     records = benchmark.pedantic(
-        run_fig6,
-        kwargs={'sim_nodes': 200, 'sim_ratios': (10, 100), 'seed': 0},
-        rounds=1, iterations=1)
+        Runner(seed=0).run, args=("fig6",), rounds=1, iterations=1).records
     for ratio in RATIOS:
         es = [r["efficiency_analytic"] for r in records
               if r["ratio"] == ratio]

@@ -6,15 +6,14 @@ dominates); high efficiency comes at a severe makespan penalty.
 
 import pytest
 
-from repro.experiments import render_fig7, run_fig7
+from repro.experiments import render_fig7
 from repro.experiments.fig6 import RATIOS
+from repro.runner import Runner
 
 
 def test_fig7_makespan(benchmark, save_artifact):
     records = benchmark.pedantic(
-        run_fig7,
-        kwargs={'sim_nodes': 200, 'sim_ratios': (10, 100), 'seed': 0},
-        rounds=1, iterations=1)
+        Runner(seed=0).run, args=("fig7",), rounds=1, iterations=1).records
     for ratio in RATIOS:
         ms = [r["makespan_analytic_s"] for r in records
               if r["ratio"] == ratio]

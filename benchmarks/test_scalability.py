@@ -5,14 +5,14 @@ regardless of fleet size; efficiency stays flat as N grows when n/N is
 held constant.
 """
 
-from repro.experiments import render_scalability, run_scalability
+from repro.experiments import render_scalability
+from repro.runner import Runner
 
 
 def test_scalability(benchmark, save_artifact):
     records = benchmark.pedantic(
-        run_scalability,
-        kwargs={'scales': (1_000, 10_000, 100_000, 1_000_000), 'seed': 0},
-        rounds=1, iterations=1)
+        Runner(seed=0).run, args=("scalability",), rounds=1,
+        iterations=1).records
     ws = [r["wakeup_mean_s"] for r in records]
     assert max(ws) - min(ws) < 0.05 * max(ws)
     es = [r["efficiency"] for r in records]

@@ -4,11 +4,12 @@ Paper expectation: each requirement is met by at least one incumbent,
 but only OddCI meets all three.
 """
 
-from repro.experiments import render_table1, run_table1
+from repro.experiments import render_table1
+from repro.runner import Runner
 
 
 def test_table1_requirements(benchmark, save_artifact):
-    result = benchmark(run_table1)
+    result = benchmark(Runner(seed=0).run, "table1").records[0]
     matrix = result["matrix"]
     assert all(matrix["oddci"].values())
     assert not all(matrix["iaas"].values())

@@ -8,11 +8,13 @@ profiles provide the calibrated ratios.
 
 import pytest
 
-from repro.experiments import render_table2, run_table2, summarize_table2
+from repro.experiments import render_table2, summarize_table2
+from repro.runner import Runner
 
 
 def test_table2_blastall(benchmark, save_artifact):
-    records = benchmark.pedantic(run_table2, kwargs={'seed': 0}, rounds=1, iterations=1)
+    records = benchmark.pedantic(
+        Runner(seed=0).run, args=("table2",), rounds=1, iterations=1).records
     summary = summarize_table2(records)
     assert summary["stb_in_use_over_pc_mean"] == pytest.approx(20.6,
                                                                rel=0.10)

@@ -7,14 +7,13 @@ tiers agree.
 
 import pytest
 
-from repro.experiments import render_wakeup, run_wakeup_sweep
+from repro.experiments import render_wakeup
+from repro.runner import Runner
 
 
 def test_wakeup_overhead(benchmark, save_artifact):
     records = benchmark.pedantic(
-        run_wakeup_sweep,
-        kwargs={'vector_nodes': 100_000, 'event_readers': 30, 'seed': 0},
-        rounds=1, iterations=1)
+        Runner(seed=0).run, args=("wakeup",), rounds=1, iterations=1).records
     for r in records:
         assert r["analytic_s"] <= r["vector_s"] < 1.35 * r["analytic_s"]
         assert r["event_s"] == pytest.approx(r["vector_s"], rel=0.2)

@@ -4,7 +4,7 @@
   with the Φ erratum correction documented in DESIGN.md).
 * :mod:`~repro.analysis.stats` — Student-t confidence intervals (the
   paper's 20.6× ± 10% @ 90% methodology).
-* :mod:`~repro.analysis.sweep` — parameter-grid execution.
+* :mod:`~repro.analysis.sweep` — parameter-grid expansion and execution.
 * :mod:`~repro.analysis.report` — ASCII tables/series for benchmarks.
 """
 
@@ -31,7 +31,7 @@ from repro.analysis.stats import (
     ratio_with_error,
     relative_error,
 )
-from repro.analysis.sweep import grid_points, sweep
+from repro.analysis.sweep import grid_points
 from repro.analysis.validation import (
     SeriesComparison,
     compare_series,
@@ -52,7 +52,6 @@ __all__ = [
     "mean_confidence_interval",
     "ratio_with_error",
     "relative_error",
-    "sweep",
     "grid_points",
     "SeriesComparison",
     "compare_series",

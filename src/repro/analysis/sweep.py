@@ -1,12 +1,10 @@
-"""Parameter-sweep harness for the experiment drivers.
+"""Parameter-grid plumbing for the scenario runner.
 
-``sweep`` maps a function over the cartesian product of named parameter
-lists, collecting one record per point — the backbone of the Figure 6/7
-curves and the ablation benchmarks.  ``run_points`` is the underlying
-executor plumbing: it applies a function to an ordered list of keyword
-calls either in-process or on a ``ProcessPoolExecutor``, always
-returning results in submission order so parallel sweeps are
-indistinguishable from serial ones.
+``grid_points`` expands a named parameter grid into its cartesian
+product of points.  ``run_points`` applies a function to an ordered
+list of keyword calls either in-process or on a
+``ProcessPoolExecutor``, always returning results in submission order
+so parallel sweeps are indistinguishable from serial ones.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.errors import AnalysisError
 
-__all__ = ["sweep", "grid_points", "run_points"]
-
-Record = Dict[str, Any]
+__all__ = ["grid_points", "run_points"]
 
 
 def grid_points(grid: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -62,29 +58,3 @@ def run_points(
         futures = [pool.submit(fn, **call) for call in calls]
         return [future.result() for future in futures]
 
-
-def sweep(
-    fn: Callable[..., Mapping[str, Any]],
-    grid: Mapping[str, Sequence[Any]],
-    *,
-    jobs: int = 1,
-) -> List[Record]:
-    """Run ``fn(**point)`` for every grid point.
-
-    ``fn`` must return a mapping of result fields; each output record
-    merges the point's parameters with the results (results win on key
-    collisions, which ``fn`` should avoid).  ``jobs > 1`` evaluates the
-    points on a process pool (``fn`` must then be picklable); record
-    order always follows grid order.
-    """
-    points = grid_points(grid)
-    results = run_points(fn, points, jobs=jobs)
-    records: List[Record] = []
-    for point, result in zip(points, results):
-        if not isinstance(result, Mapping):
-            raise AnalysisError(
-                f"sweep function must return a mapping, got {type(result)}")
-        record: Record = dict(point)
-        record.update(result)
-        records.append(record)
-    return records

@@ -45,6 +45,7 @@ from repro.errors import QuarantinedNodeError
 from repro.certify.ledger import CredibilityLedger
 from repro.certify.policy import CertifyPolicy
 from repro.telemetry.trace import channel as _telemetry_channel
+from repro.telemetry.trace import metrics_registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.backend import Backend
@@ -124,19 +125,25 @@ class ResultCertifier:
         self.probes_issued = 0
         self.probes_failed = 0
         self.quarantines = 0
-        t = self._trace = _telemetry_channel("certify")
-        self._m_copies = t.counter("certify.copies_issued") if t else None
-        self._m_certified = \
-            t.counter("certify.tasks_certified") if t else None
-        self._m_escaped = t.counter("certify.escaped_errors") if t else None
-        self._m_rejected = t.counter("certify.votes_rejected") if t else None
-        self._m_probes = t.counter("certify.probes_issued") if t else None
-        self._m_probes_failed = \
-            t.counter("certify.probes_failed") if t else None
-        self._m_quarantines = t.counter("certify.quarantines") if t else None
-        self._h_cred = t.histogram(
-            "certify.credibility",
-            buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0)) if t else None
+        self._trace = _telemetry_channel("certify")
+        # Metrics gate on the ambient registry, not on the channel (see
+        # repro.telemetry.trace.metrics_registry).
+        registry = metrics_registry()
+        if registry is None:
+            self._m_copies = self._m_certified = self._m_escaped = None
+            self._m_rejected = self._m_probes = self._m_probes_failed = None
+            self._m_quarantines = self._h_cred = None
+        else:
+            self._m_copies = registry.counter("certify.copies_issued")
+            self._m_certified = registry.counter("certify.tasks_certified")
+            self._m_escaped = registry.counter("certify.escaped_errors")
+            self._m_rejected = registry.counter("certify.votes_rejected")
+            self._m_probes = registry.counter("certify.probes_issued")
+            self._m_probes_failed = registry.counter("certify.probes_failed")
+            self._m_quarantines = registry.counter("certify.quarantines")
+            self._h_cred = registry.histogram(
+                "certify.credibility",
+                buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 1.0))
 
     # -- inspection ----------------------------------------------------
     @property
@@ -154,7 +161,8 @@ class ResultCertifier:
 
     def observe_credibility(self) -> None:
         """Record every known node's credibility into the
-        ``certify.credibility`` histogram (end-of-job snapshot)."""
+        ``certify.credibility`` histogram (end-of-job snapshot, taken by
+        the Backend as its ``done_event`` settles; a no-op untraced)."""
         if self._h_cred is None:
             return
         for pna_id in self.ledger.known_nodes():

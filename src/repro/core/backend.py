@@ -622,6 +622,8 @@ class Backend:
             if self._trace is not None:
                 self._trace.emit(now, "job_done", job=self.job.job_id,
                                  tasks=self.job.n)
+            if self.certifier is not None:
+                self.certifier.observe_credibility()
             self.done_event.succeed(self.report())
 
     def _completion_effects(self, row: int, task_id: int, pna_id: str,

@@ -47,7 +47,6 @@ from repro.errors import (
     InstanceError,
     OddCIError,
     ProvisioningError,
-    QuarantinedNodeError,
 )
 from repro.core.census import (
     STATE_BUSY,
@@ -440,15 +439,6 @@ class Controller:
                 self.census.drop_from_all(interner.index_of(pna_id))
             self._reply_reset(pna_id)
         return True
-
-    def require_not_quarantined(self, pna_id: str) -> None:
-        """Raise :class:`~repro.errors.QuarantinedNodeError` for a
-        blacklisted node — the typed guard for admission paths."""
-        if pna_id in self._blacklist:
-            raise QuarantinedNodeError(
-                f"node {pna_id!r} is quarantined by "
-                f"{self.controller_id!r}", pna_id=pna_id,
-                evidence="blacklisted")
 
     # -- signing ---------------------------------------------------------------
     @property

@@ -53,7 +53,6 @@ from typing import (
 from repro.errors import (
     ConfigurationError,
     ControllerDownError,
-    InstanceError,
     ProvisioningError,
     QuarantinedNodeError,
 )
@@ -64,7 +63,6 @@ from repro.core.instance import InstanceRecord, InstanceSpec, InstanceStatus
 from repro.core.network import Router
 from repro.core.pna import PNA, PNABlock
 from repro.core.policies import ProbabilityPolicy
-from repro.core.provider import ProvisioningTicket, ready_size_for
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
@@ -75,7 +73,6 @@ __all__ = [
     "NetworkDescriptor",
     "ControllerShard",
     "FederatedSubmission",
-    "FederatedCapacity",
     "FederatedProvider",
     "FederatedOddCISystem",
     "split_target",
@@ -395,32 +392,6 @@ class FederatedSubmission:
                 for name, record in self.records.items()}
 
 
-@dataclass
-class FederatedCapacity:
-    """Bare capacity (no job) split across the federation.
-
-    The service tier's federated create path: each contributing network
-    holds one instance, and the :class:`~repro.core.provider.
-    ProvisioningTicket` settles on the *summed* census size, so a
-    request is ready once the federation as a whole reaches the
-    tolerance band — regardless of which networks supplied the nodes.
-    """
-
-    spec: InstanceSpec
-    ticket: ProvisioningTicket
-    records: Dict[str, InstanceRecord] = field(default_factory=dict)
-    shares: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def size(self) -> int:
-        return sum(record.size for record in self.records.values())
-
-    @property
-    def instance_ids(self) -> Dict[str, str]:
-        return {name: record.instance_id
-                for name, record in self.records.items()}
-
-
 class FederatedProvider:
     """One Provider federating N controller shards.
 
@@ -550,78 +521,6 @@ class FederatedProvider:
                 lambda ev, fid=submission.federation_id:
                 self._auto_release(fid))
         return submission
-
-    # -- bare capacity ---------------------------------------------------
-    def request_capacity_async(
-        self,
-        spec: InstanceSpec,
-        *,
-        tenant: str = "",
-        request_id: str = "",
-        poll_interval_s: float = 1.0,
-        timeout_s: Optional[float] = None,
-    ) -> FederatedCapacity:
-        """Provision bare capacity across the federation with a ticket.
-
-        The placement matcher splits ``spec.target_size`` over the
-        available shards (same policy as :meth:`submit_job`); the
-        ticket's size callable sums every contributing record, so
-        readiness is a federation-wide property.  If any shard refuses
-        its share mid-placement, already-created instances are rolled
-        back (best effort) before the error propagates — a failed
-        request never leaks committed headroom.
-        """
-        shares = split_target(spec.target_size,
-                              self._placement_entries(None),
-                              self.placement)
-        records: Dict[str, InstanceRecord] = {}
-        try:
-            for name, share in shares.items():
-                records[name] = self.shards[name].controller.create_instance(
-                    dataclasses.replace(spec, target_size=share))
-                self._committed[name] += share
-        except Exception:
-            for name, record in records.items():
-                self._committed[name] -= shares[name]
-                try:
-                    self.shards[name].controller.destroy_instance(
-                        record.instance_id)
-                except (InstanceError, ControllerDownError):
-                    pass
-            raise
-        ticket = ProvisioningTicket(
-            self.sim, ready_size=ready_size_for(spec),
-            size_fn=lambda: sum(r.size for r in records.values()),
-            tenant=tenant, request_id=request_id,
-            poll_interval_s=poll_interval_s, timeout_s=timeout_s)
-        return FederatedCapacity(spec=spec, ticket=ticket,
-                                 records=records, shares=dict(shares))
-
-    def release_capacity(self, capacity: FederatedCapacity) -> bool:
-        """Tear down bare capacity: cancel + dismantle + refund headroom.
-
-        Best-effort and idempotent, mirroring :meth:`Provider.
-        cancel_request`: an unsettled ticket is failed with
-        ``reason="cancelled"``, crashed shards are skipped (lifetime
-        reaps their instances after restore), and committed headroom is
-        refunded exactly once.  Returns ``True`` when every live
-        instance was dismantled cleanly.
-        """
-        capacity.ticket.cancel()
-        clean = True
-        for name, record in capacity.records.items():
-            if record.status in (InstanceStatus.DISMANTLING,
-                                 InstanceStatus.DESTROYED):
-                continue
-            try:
-                self.shards[name].controller.destroy_instance(
-                    record.instance_id)
-            except (InstanceError, ControllerDownError):
-                clean = False
-        for name, share in capacity.shares.items():
-            self._committed[name] -= share
-        capacity.shares.clear()
-        return clean
 
     # -- lifecycle -------------------------------------------------------
     def resize(self, submission: FederatedSubmission,

@@ -14,8 +14,7 @@
 * **A6 — control planes**: generic broadcast vs DSM-CC carousel.
 
 Each ablation is expressed as a *per-point* function (one grid point →
-one record) registered as a scenario, plus a serial ``run_*`` wrapper
-preserving the original list-returning API.
+one record) registered as a scenario.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis.report import format_seconds, render_records
-from repro.analysis.sweep import grid_points
 from repro.carousel.carousel import CarouselSchedule
 from repro.carousel.objects import CarouselFile
 from repro.carousel.reader import sample_wakeup_latencies
@@ -39,12 +37,6 @@ from repro.vector.population import VectorPopulation
 from repro.workloads.bot import uniform_bag
 
 __all__ = [
-    "run_carousel_composition",
-    "run_probability_policies",
-    "run_heartbeat_intervals",
-    "run_aggregation_ablation",
-    "run_replication_ablation",
-    "run_plane_comparison",
     "point_carousel_composition",
     "point_probability_policy",
     "point_heartbeat_interval",
@@ -53,17 +45,6 @@ __all__ = [
     "point_plane_comparison",
     "render_ablation",
 ]
-
-
-def _run_grid(point_fn, grid, **fixed) -> List[Dict[str, float]]:
-    """Serial helper: evaluate ``point_fn`` over ``grid`` and merge the
-    parameters into each record (same shape as the registry runner)."""
-    records: List[Dict[str, float]] = []
-    for params in grid_points(grid):
-        record: Dict[str, float] = dict(params)
-        record.update(point_fn(**params, **fixed))
-        records.append(record)
-    return records
 
 
 # -- A1: carousel composition ---------------------------------------------------
@@ -103,21 +84,6 @@ def point_carousel_composition(
         "resume_speedup": wait.mean / resume.mean,
         "w_over_ideal": wait.mean / (1.5 * image_bits / beta_bps),
     }
-
-
-def run_carousel_composition(
-    *,
-    image_mb: float = 8.0,
-    beta_bps: float = 1_000_000.0,
-    filler_fractions: tuple = (0.0, 0.5, 1.0, 2.0),
-    n_samples: int = 50_000,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Wakeup time vs share of the carousel used by other content."""
-    return _run_grid(point_carousel_composition,
-                     {"filler_fraction": filler_fractions},
-                     image_mb=image_mb, beta_bps=beta_bps,
-                     n_samples=n_samples, seed=seed)
 
 
 # -- A2: probability policies ----------------------------------------------------
@@ -172,23 +138,6 @@ def point_probability_policy(
         "overshoot": (recruited - target) / target,
         "first_round": wakeups[0] if wakeups else 0,
     }
-
-
-def run_probability_policies(
-    *,
-    population: int = 100_000,
-    target: int = 10_000,
-    idle_estimate_error: float = 0.0,
-    max_rounds: int = 12,
-    tolerance: float = 0.05,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Recruitment convergence of all wakeup-probability policies."""
-    return _run_grid(point_probability_policy,
-                     {"policy": tuple(_POLICIES)},
-                     population=population, target=target,
-                     idle_estimate_error=idle_estimate_error,
-                     max_rounds=max_rounds, tolerance=tolerance, seed=seed)
 
 
 # -- A3: heartbeat interval ---------------------------------------------------------
@@ -248,20 +197,6 @@ def point_heartbeat_interval(
     }
 
 
-def run_heartbeat_intervals(
-    *,
-    intervals_s: tuple = (5.0, 15.0, 60.0),
-    n_pnas: int = 12,
-    target: int = 8,
-    kill: int = 4,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Recomposition latency and controller load vs heartbeat interval."""
-    return _run_grid(point_heartbeat_interval,
-                     {"heartbeat_interval_s": intervals_s},
-                     n_pnas=n_pnas, target=target, kill=kill, seed=seed)
-
-
 def render_ablation(records: List[Dict[str, float]], title: str) -> str:
     """ASCII rendering of an ablation's records under ``title``."""
     return render_records(records, title=title)
@@ -316,22 +251,6 @@ def point_aggregation(
     }
 
 
-def run_aggregation_ablation(
-    *,
-    n_pnas: int = 24,
-    heartbeat_s: float = 5.0,
-    aggregation_s: float = 20.0,
-    fanouts: tuple = (0, 2, 4, 8),
-    horizon_s: float = 600.0,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Controller inbound-message rate vs aggregation fan-out."""
-    return _run_grid(point_aggregation, {"aggregators": fanouts},
-                     n_pnas=n_pnas, heartbeat_s=heartbeat_s,
-                     aggregation_s=aggregation_s, horizon_s=horizon_s,
-                     seed=seed)
-
-
 # -- A5: tail replication -------------------------------------------------------
 
 def point_replication(
@@ -375,24 +294,6 @@ def finalize_replication(
     base["speedup_vs_base"] = 1.0
     repl["speedup_vs_base"] = base["makespan_s"] / repl["makespan_s"]
     return records
-
-
-def run_replication_ablation(
-    *,
-    n_fast: int = 8,
-    n_slow: int = 2,
-    slow_factor: float = 30.0,
-    n_tasks: int = 30,
-    ref_seconds: float = 10.0,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Makespan with and without speculative tail replication."""
-    records = _run_grid(point_replication,
-                        {"replicate_tail": (False, True)},
-                        n_fast=n_fast, n_slow=n_slow,
-                        slow_factor=slow_factor, n_tasks=n_tasks,
-                        ref_seconds=ref_seconds, seed=seed)
-    return finalize_replication(records)
 
 
 # -- A6: control plane comparison (Section 3 vs Section 4) -----------------------
@@ -473,20 +374,6 @@ def point_plane_comparison(
         "carousel_penalty": dtv_time / generic_time,
         "w_model_s": 1.5 * image_bits / beta_bps,
     }
-
-
-def run_plane_comparison(
-    *,
-    image_mbs: tuple = (1.0, 4.0, 8.0),
-    n_nodes: int = 8,
-    beta_bps: float = 1_000_000.0,
-    fast_forward: bool = True,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Time from job submission to a full fleet, per control plane."""
-    return _run_grid(point_plane_comparison, {"image_mb": image_mbs},
-                     n_nodes=n_nodes, beta_bps=beta_bps,
-                     fast_forward=fast_forward, seed=seed)
 
 
 # -- scenario registrations -----------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "point_fault_sweep",
     "finalize_fault_sweep",
     "render_fault_sweep",
-    "run_fault_sweep",
 ]
 
 
@@ -147,26 +146,6 @@ def render_fault_sweep(records: List[Dict[str, float]]) -> str:
         records,
         title="Fault sweep — availability & makespan inflation "
               "vs fault intensity")
-
-
-def run_fault_sweep(
-    *,
-    intensities: tuple = (0.0, 0.5, 1.0, 2.0),
-    n_pnas: int = 10,
-    target: int = 6,
-    n_tasks: int = 60,
-    ref_seconds: float = 40.0,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Serial wrapper with the registry runner's record shape."""
-    records: List[Dict[str, float]] = []
-    for intensity in intensities:
-        record: Dict[str, float] = {"intensity": intensity}
-        record.update(point_fault_sweep(
-            intensity, n_pnas=n_pnas, target=target, n_tasks=n_tasks,
-            ref_seconds=ref_seconds, seed=seed))
-        records.append(record)
-    return finalize_fault_sweep(records)
 
 
 register(Scenario(

@@ -40,7 +40,6 @@ __all__ = [
     "point_federation_sweep",
     "finalize_federation_sweep",
     "render_federation_sweep",
-    "run_federation_sweep",
 ]
 
 #: scripted churn timeline: (network index by cost rank, depart, rejoin).
@@ -172,27 +171,6 @@ def render_federation_sweep(records: List[Dict[str, float]]) -> str:
         records,
         title="Federation sweep — makespan & availability "
               "vs network departures")
-
-
-def run_federation_sweep(
-    *,
-    departures: tuple = (0, 1, 2),
-    nodes_per_network: int = 8,
-    target: int = 18,
-    n_tasks: int = 240,
-    ref_seconds: float = 40.0,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Serial wrapper with the registry runner's record shape."""
-    records: List[Dict[str, float]] = []
-    for n_departures in departures:
-        record: Dict[str, float] = {"departures": n_departures}
-        record.update(point_federation_sweep(
-            n_departures, nodes_per_network=nodes_per_network,
-            target=target, n_tasks=n_tasks, ref_seconds=ref_seconds,
-            seed=seed))
-        records.append(record)
-    return finalize_federation_sweep(records)
 
 
 register(Scenario(

@@ -25,14 +25,13 @@ from repro.analysis.models import (
     p_from_phi,
 )
 from repro.analysis.report import render_series
-from repro.analysis.sweep import grid_points
 from repro.net.message import KILOBYTE, MEGABYTE
 from repro.runner.scenario import Scenario, register
 from repro.vector.system import VectorJobReport, VectorOddCISystem
 from repro.workloads.bot import bag_from_phi
 
-__all__ = ["PHI_GRID", "RATIOS", "VECTOR_API", "simulate_point",
-           "point_fig6", "run_fig6", "render_fig6"]
+__all__ = ["PHI_GRID", "RATIOS", "simulate_point", "point_fig6",
+           "render_fig6"]
 
 #: Φ sample points (log-spaced, 10⁰ .. 10⁵).
 PHI_GRID = tuple(float(v) for v in np.logspace(0, 5, 11))
@@ -42,11 +41,6 @@ RATIOS = (1, 10, 100, 1000)
 IMAGE_BITS = 10 * MEGABYTE
 IO_BITS = float(KILOBYTE)
 PARAMS = OddCIParameters(beta_bps=1_000_000.0, delta_bps=150_000.0)
-
-#: Which vector-tier path the cross-checks run through; recorded in the
-#: artifact metadata (the scenarios' ``fixed`` dict) so an artifact says
-#: which implementation produced its ``*_sim`` columns.
-VECTOR_API = "system"
 
 
 def simulate_point(phi: float, ratio: int, n_nodes: int,
@@ -76,17 +70,11 @@ def point_fig6(
     *,
     sim_nodes: int = 200,
     sim_ratios: tuple = (10, 100),
-    vector_api: str = VECTOR_API,
     seed: int = 0,
 ) -> Dict[str, float]:
     """Result fields for one (n/N, Φ) grid point: the Equation 2
     efficiency, plus the vector-simulated efficiency when ``ratio`` is
-    in ``sim_ratios``.  ``vector_api`` is metadata-only: it flows from
-    the scenario's ``fixed`` dict into the artifact so results say which
-    vector-tier path produced them (only ``"system"`` is implemented).
-    """
-    if vector_api != VECTOR_API:
-        raise ValueError(f"unknown vector_api {vector_api!r}")
+    in ``sim_ratios``."""
     p = p_from_phi(phi, IO_BITS, PARAMS.delta_bps)
     n_tasks = ratio * sim_nodes
     analytic = efficiency_model(
@@ -97,24 +85,6 @@ def point_fig6(
         result["efficiency_sim"] = simulate_point(
             phi, ratio, sim_nodes, seed).efficiency
     return result
-
-
-def run_fig6(
-    *,
-    sim_nodes: int = 200,
-    sim_ratios: tuple = (10, 100),
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """One record per (Φ, n/N): analytic efficiency, plus simulated
-    efficiency for the ratios in ``sim_ratios``."""
-    records: List[Dict[str, float]] = []
-    for params in grid_points({"ratio": RATIOS, "phi": PHI_GRID}):
-        record: Dict[str, float] = dict(params)
-        record.update(point_fig6(sim_nodes=sim_nodes,
-                                 sim_ratios=sim_ratios, seed=seed,
-                                 **params))
-        records.append(record)
-    return records
 
 
 def render_fig6(records: List[Dict[str, float]]) -> str:
@@ -153,9 +123,7 @@ register(Scenario(
     point=point_fig6,
     renderer=render_fig6,
     grid={"ratio": RATIOS, "phi": PHI_GRID},
-    fixed={"sim_nodes": 200, "sim_ratios": (10, 100),
-           "vector_api": VECTOR_API},
+    fixed={"sim_nodes": 200, "sim_ratios": (10, 100)},
     smoke_grid={"ratio": (1, 10, 100), "phi": PHI_GRID[::5]},
-    smoke_fixed={"sim_nodes": 60, "sim_ratios": (10,),
-                 "vector_api": VECTOR_API},
+    smoke_fixed={"sim_nodes": 60, "sim_ratios": (10,)},
 ))

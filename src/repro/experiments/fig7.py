@@ -15,19 +15,17 @@ from typing import Dict, List
 
 from repro.analysis.models import makespan_model, p_from_phi
 from repro.analysis.report import format_seconds, render_series
-from repro.analysis.sweep import grid_points
 from repro.experiments.fig6 import (
     IMAGE_BITS,
     IO_BITS,
     PARAMS,
     PHI_GRID,
     RATIOS,
-    VECTOR_API,
     simulate_point,
 )
 from repro.runner.scenario import Scenario, register
 
-__all__ = ["point_fig7", "run_fig7", "render_fig7"]
+__all__ = ["point_fig7", "render_fig7"]
 
 
 def point_fig7(
@@ -36,14 +34,10 @@ def point_fig7(
     *,
     sim_nodes: int = 200,
     sim_ratios: tuple = (10, 100),
-    vector_api: str = VECTOR_API,
     seed: int = 0,
 ) -> Dict[str, float]:
     """Result fields for one (n/N, Φ) point: Equation 1 makespan, plus
-    the vector-simulated makespan for ratios in ``sim_ratios``.
-    ``vector_api`` is artifact metadata (see ``fig6.point_fig6``)."""
-    if vector_api != VECTOR_API:
-        raise ValueError(f"unknown vector_api {vector_api!r}")
+    the vector-simulated makespan for ratios in ``sim_ratios``."""
     p = p_from_phi(phi, IO_BITS, PARAMS.delta_bps)
     n_tasks = ratio * sim_nodes
     analytic = makespan_model(
@@ -54,23 +48,6 @@ def point_fig7(
         result["makespan_sim_s"] = simulate_point(
             phi, ratio, sim_nodes, seed).makespan_s
     return result
-
-
-def run_fig7(
-    *,
-    sim_nodes: int = 200,
-    sim_ratios: tuple = (10, 100),
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """One record per (Φ, n/N): analytic makespan (+ simulated)."""
-    records: List[Dict[str, float]] = []
-    for params in grid_points({"ratio": RATIOS, "phi": PHI_GRID}):
-        record: Dict[str, float] = dict(params)
-        record.update(point_fig7(sim_nodes=sim_nodes,
-                                 sim_ratios=sim_ratios, seed=seed,
-                                 **params))
-        records.append(record)
-    return records
 
 
 def render_fig7(records: List[Dict[str, float]]) -> str:
@@ -102,9 +79,7 @@ register(Scenario(
     point=point_fig7,
     renderer=render_fig7,
     grid={"ratio": RATIOS, "phi": PHI_GRID},
-    fixed={"sim_nodes": 200, "sim_ratios": (10, 100),
-           "vector_api": VECTOR_API},
+    fixed={"sim_nodes": 200, "sim_ratios": (10, 100)},
     smoke_grid={"ratio": (1, 10, 100), "phi": PHI_GRID[::5]},
-    smoke_fixed={"sim_nodes": 60, "sim_ratios": (10,),
-                 "vector_api": VECTOR_API},
+    smoke_fixed={"sim_nodes": 60, "sim_ratios": (10,)},
 ))

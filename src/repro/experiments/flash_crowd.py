@@ -34,7 +34,6 @@ __all__ = [
     "point_flash_crowd",
     "finalize_flash_crowd",
     "render_flash_crowd",
-    "run_flash_crowd",
 ]
 
 
@@ -123,23 +122,6 @@ def render_flash_crowd(records: List[Dict[str, float]]) -> str:
         records,
         title="Flash crowd — admission shedding & warm-pool absorption "
               "vs burst multiplier")
-
-
-def run_flash_crowd(
-    *,
-    flash_multiplier: tuple = (1.0, 3.0, 6.0),
-    warm_target: tuple = (0, 2),
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Serial wrapper with the registry runner's record shape."""
-    records: List[Dict[str, float]] = []
-    for mult in flash_multiplier:
-        for warm in warm_target:
-            record: Dict[str, float] = {
-                "flash_multiplier": mult, "warm_target": warm}
-            record.update(point_flash_crowd(mult, warm, seed=seed))
-            records.append(record)
-    return finalize_flash_crowd(records)
 
 
 register(Scenario(

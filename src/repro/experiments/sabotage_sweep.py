@@ -54,7 +54,6 @@ __all__ = [
     "point_sabotage_sweep",
     "finalize_sabotage_sweep",
     "render_sabotage_sweep",
-    "run_sabotage_sweep",
 ]
 
 #: The three policy columns of the sweep.  ``none`` is the measured
@@ -181,29 +180,6 @@ def render_sabotage_sweep(records: List[Dict[str, float]]) -> str:
             f"{record['redundancy_overhead']:.2f}x copies, "
             f"{record['makespan_overhead']:.2f}x makespan")
     return "\n".join(lines)
-
-
-def run_sabotage_sweep(
-    *,
-    fractions: tuple = (0.0, 0.1, 0.3, 0.5),
-    policies: tuple = ("none", "quorum3", "adaptive"),
-    n_pnas: int = 12,
-    target: int = 8,
-    n_tasks: int = 120,
-    ref_seconds: float = 20.0,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Serial wrapper with the registry runner's record shape."""
-    records: List[Dict[str, float]] = []
-    for fraction in fractions:
-        for policy in policies:
-            record: Dict[str, float] = {
-                "saboteur_fraction": fraction, "policy": policy}
-            record.update(point_sabotage_sweep(
-                fraction, policy, n_pnas=n_pnas, target=target,
-                n_tasks=n_tasks, ref_seconds=ref_seconds, seed=seed))
-            records.append(record)
-    return finalize_sabotage_sweep(records)
 
 
 register(Scenario(

@@ -10,7 +10,6 @@ both can run.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 from repro.analysis.report import format_seconds, format_si, render_table
@@ -19,8 +18,7 @@ from repro.runner.scenario import Scenario, register
 from repro.vector.system import VectorOddCISystem
 from repro.workloads.bot import uniform_bag
 
-__all__ = ["run_scalability", "point_scalability", "render_scalability",
-           "SCALES"]
+__all__ = ["point_scalability", "render_scalability", "SCALES"]
 
 SCALES = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -33,10 +31,9 @@ def point_scalability(
 ) -> Dict[str, float]:
     """Simulation results at one fleet size.
 
-    Deliberately excludes host wall-clock (unlike legacy
-    :func:`run_scalability`) so registry records stay byte-identical
-    across serial and parallel execution; the runner records the whole
-    run's wall time in the artifact metadata instead.
+    Host wall time stays out of the record (records are byte-identical
+    across serial and parallel execution); the runner keeps it in the
+    artifact metadata.
     """
     n = nodes
     system = VectorOddCISystem(int(n * 1.2) + 10, seed=seed)
@@ -53,53 +50,17 @@ def point_scalability(
     }
 
 
-def run_scalability(
-    *,
-    scales: tuple = SCALES,
-    tasks_per_node: int = 10,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Run the same per-node workload at increasing fleet sizes.
-
-    Keeps the per-scale ``wall_seconds`` measurement (used by the perf
-    benchmarks), measured around the point evaluation.
-    """
-    records: List[Dict[str, float]] = []
-    for n in scales:
-        wall_start = time.perf_counter()
-        point = point_scalability(n, tasks_per_node=tasks_per_node,
-                                  seed=seed)
-        wall = time.perf_counter() - wall_start
-        record: Dict[str, float] = {"nodes": n}
-        record.update(point)
-        record["wall_seconds"] = wall
-        records.append(record)
-    return records
-
-
 def render_scalability(records: List[Dict[str, float]]) -> str:
-    """ASCII rendering of the scalability table.
-
-    ``wall_seconds`` is optional: registry records omit it (host wall
-    time lives in the run metadata), legacy records include it.
-    """
-    has_wall = all("wall_seconds" in r for r in records)
-    rows = []
-    for r in records:
-        row = [format_si(r["nodes"]), format_si(r["tasks"]),
-               format_si(r["recruited"]),
-               format_seconds(r["wakeup_mean_s"]),
-               format_seconds(r["makespan_s"]),
-               f"{r['efficiency']:.3f}"]
-        if has_wall:
-            row.append(f"{r['wall_seconds']:.2f} s")
-        rows.append(row)
-    headers = ["nodes", "tasks", "recruited", "wakeup (sim)",
-               "makespan (sim)", "efficiency"]
-    if has_wall:
-        headers.append("host wall time")
+    """ASCII rendering of the scalability table."""
+    rows = [[format_si(r["nodes"]), format_si(r["tasks"]),
+             format_si(r["recruited"]),
+             format_seconds(r["wakeup_mean_s"]),
+             format_seconds(r["makespan_s"]),
+             f"{r['efficiency']:.3f}"]
+            for r in records]
     table = render_table(
-        headers, rows,
+        ["nodes", "tasks", "recruited", "wakeup (sim)", "makespan (sim)",
+         "efficiency"], rows,
         title="Scalability — same per-node load, growing fleet "
               "(vector tier)")
     w = [r["wakeup_mean_s"] for r in records]

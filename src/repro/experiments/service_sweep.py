@@ -43,7 +43,6 @@ __all__ = [
     "point_service_sweep",
     "finalize_service_sweep",
     "render_service_sweep",
-    "run_service_sweep",
 ]
 
 #: A point's offered load is within capacity when its rejection rate
@@ -129,25 +128,6 @@ def render_service_sweep(records: List[Dict[str, float]]) -> str:
         records,
         title="Service sweep — time-to-ready & rejections "
               "vs offered load and fleet size")
-
-
-def run_service_sweep(
-    *,
-    offered_rps: tuple = (0.03, 0.06, 0.12, 0.24),
-    n_pnas: tuple = (16, 32),
-    warm_target: int = 2,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Serial wrapper with the registry runner's record shape."""
-    records: List[Dict[str, float]] = []
-    for fleet in n_pnas:
-        for rate in offered_rps:
-            record: Dict[str, float] = {
-                "offered_rps": rate, "n_pnas": fleet}
-            record.update(point_service_sweep(
-                rate, fleet, warm_target=warm_target, seed=seed))
-            records.append(record)
-    return finalize_service_sweep(records)
 
 
 register(Scenario(

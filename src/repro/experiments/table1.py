@@ -24,8 +24,7 @@ from repro.baselines import (
 )
 from repro.runner.scenario import Scenario, register
 
-__all__ = ["default_models", "point_table1", "run_table1",
-           "render_table1"]
+__all__ = ["default_models", "point_table1", "render_table1"]
 
 #: Scales probed for the provisioning-detail table.
 PROBE_SCALES = (100, 10_000, 1_000_000)
@@ -37,14 +36,15 @@ def default_models() -> List[DCIModel]:
             OddCIModel()]
 
 
-def run_table1(
-    thresholds: RequirementThresholds = RequirementThresholds(),
-) -> Dict[str, object]:
+def point_table1(*, seed: int = 0) -> Dict[str, object]:
     """Compute the requirement matrix and provisioning details.
 
     Returns ``{"matrix": {name: {req: bool}}, "details": [records]}``.
+    Table I is derived analytically from the comparator models, so
+    ``seed`` is accepted (uniform runner plumbing) but has no effect.
     """
     models = default_models()
+    thresholds = RequirementThresholds()
     matrix = {m.name: evaluate_requirements(m, thresholds) for m in models}
     details = []
     for m in models:
@@ -59,13 +59,6 @@ def run_table1(
                 "notes": res.notes,
             })
     return {"matrix": matrix, "details": details}
-
-
-def point_table1(*, seed: int = 0) -> Dict[str, object]:
-    """Registry point function: Table I is derived analytically from
-    the comparator models, so ``seed`` is accepted (uniform runner
-    plumbing) but has no effect."""
-    return run_table1()
 
 
 def render_table1(result: Dict[str, object]) -> str:

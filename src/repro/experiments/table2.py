@@ -35,7 +35,7 @@ from repro.workloads.devices import (
 from repro.workloads.sequences import plant_homolog, random_database, random_dna
 
 __all__ = ["BlastTestConfig", "TABLE2_CONFIGS", "point_table2",
-           "run_table2", "render_table2"]
+           "render_table2"]
 
 #: Log-normal measurement-noise sigma (run-to-run dispersion model).
 NOISE_SIGMA = 0.04
@@ -115,29 +115,13 @@ def _config_record(config: BlastTestConfig,
 
 
 def point_table2(test: int, *, seed: int = 0) -> Dict[str, float]:
-    """Result fields for one Table II configuration.
-
-    Unlike :func:`run_table2` (which threads one generator through all
-    twelve rows), each point owns its generator, so rows are
+    """Result fields for one Table II configuration: the three
+    measured times (seconds, with the seeded measurement-noise model)
+    and the derived ratios.  Each point owns its generator, so rows are
     independent and safe to evaluate in any order or process.
     """
     config = next(c for c in TABLE2_CONFIGS if c.test_id == test)
     return _config_record(config, np.random.default_rng(seed))
-
-
-def run_table2(seed: int = 0) -> List[Dict[str, float]]:
-    """Produce the 12 Table II rows.
-
-    Each record holds the three measured times (seconds) and the derived
-    ratios.  Times include the seeded measurement-noise model.
-    """
-    rng = np.random.default_rng(seed)
-    records: List[Dict[str, float]] = []
-    for config in TABLE2_CONFIGS:
-        record: Dict[str, float] = {"test": config.test_id}
-        record.update(_config_record(config, rng))
-        records.append(record)
-    return records
 
 
 def summarize_table2(records: List[Dict[str, float]],

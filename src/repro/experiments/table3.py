@@ -29,7 +29,7 @@ from repro.runner.scenario import Scenario, register
 from repro.workloads.devices import REFERENCE_STB, PowerMode
 
 __all__ = ["RemoteTestConfig", "TABLE3_CONFIGS", "point_table3",
-           "run_table3", "render_table3"]
+           "render_table3"]
 
 #: Seeded measurement-noise sigma, as in Table II.
 NOISE_SIGMA = 0.06
@@ -94,21 +94,9 @@ def _config_record(config: RemoteTestConfig,
 
 def point_table3(test: int, *, seed: int = 0) -> Dict[str, float]:
     """Result fields for one Table III row; each point owns its
-    generator (cf. :func:`run_table3`'s shared one), so rows are
-    order- and process-independent."""
+    generator, so rows are order- and process-independent."""
     config = next(c for c in TABLE3_CONFIGS if c.test_id == test)
     return _config_record(config, np.random.default_rng(seed))
-
-
-def run_table3(seed: int = 0) -> List[Dict[str, float]]:
-    """Produce the reconstructed Table III rows."""
-    rng = np.random.default_rng(seed)
-    records: List[Dict[str, float]] = []
-    for config in TABLE3_CONFIGS:
-        record: Dict[str, float] = {"test": config.test_id}
-        record.update(_config_record(config, rng))
-        records.append(record)
-    return records
 
 
 def render_table3(records: List[Dict[str, float]]) -> str:

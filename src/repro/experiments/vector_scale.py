@@ -32,7 +32,7 @@ from repro.workloads.bot import uniform_bag
 from repro.workloads.traces import ChurnModel
 
 __all__ = ["STORM_TIME_S", "STORM_DURATION_S", "point_vector_scale",
-           "run_vector_scale", "render_vector_scale", "storm_plan"]
+           "render_vector_scale", "storm_plan"]
 
 #: The storm hits partway through the second job's execution window.
 STORM_TIME_S = 500.0
@@ -54,7 +54,6 @@ def point_vector_scale(
     storm_magnitude: float,
     *,
     tasks_per_node: int = 8,
-    vector_api: str = "system",
     seed: int = 0,
 ) -> Dict[str, float]:
     """Two sequential submissions at one fleet size.
@@ -63,8 +62,6 @@ def point_vector_scale(
     job 2 starts on the same clock at job 1's finish and recruits from
     the persistent population the first submission released.
     """
-    if vector_api != "system":
-        raise ValueError(f"unknown vector_api {vector_api!r}")
     system = VectorOddCISystem(
         int(nodes * 1.25) + 10, seed=seed,
         plan=storm_plan(storm_magnitude))
@@ -101,26 +98,6 @@ def point_vector_scale(
     return record
 
 
-def run_vector_scale(
-    *,
-    scales: tuple = (10_000, 100_000),
-    storm_magnitudes: tuple = (0.0, 0.3),
-    tasks_per_node: int = 8,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Serial wrapper with the original list-returning shape."""
-    records: List[Dict[str, float]] = []
-    for nodes in scales:
-        for magnitude in storm_magnitudes:
-            record: Dict[str, float] = {
-                "nodes": nodes, "storm_magnitude": magnitude}
-            record.update(point_vector_scale(
-                nodes, magnitude, tasks_per_node=tasks_per_node,
-                seed=seed))
-            records.append(record)
-    return records
-
-
 def render_vector_scale(records: List[Dict[str, float]]) -> str:
     """ASCII table of the sweep."""
     rows = []
@@ -149,7 +126,7 @@ register(Scenario(
     point=point_vector_scale,
     renderer=render_vector_scale,
     grid={"nodes": (10_000, 100_000), "storm_magnitude": (0.0, 0.3)},
-    fixed={"tasks_per_node": 8, "vector_api": "system"},
+    fixed={"tasks_per_node": 8},
     smoke_grid={"nodes": (4_000,), "storm_magnitude": (0.0, 0.3)},
-    smoke_fixed={"tasks_per_node": 4, "vector_api": "system"},
+    smoke_fixed={"tasks_per_node": 4},
 ))

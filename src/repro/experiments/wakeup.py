@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.analysis.models import wakeup_time
 from repro.analysis.report import format_seconds, render_table
-from repro.analysis.sweep import grid_points
 from repro.carousel.carousel import ObjectCarousel
 from repro.carousel.objects import CarouselFile
 from repro.carousel.reader import sample_wakeup_latencies
@@ -32,8 +31,7 @@ from repro.runner.scenario import Scenario, register
 from repro.sim.core import Simulator
 from repro.vector.system import carousel_schedule
 
-__all__ = ["point_wakeup", "run_wakeup_sweep", "event_tier_wakeup_mean",
-           "render_wakeup"]
+__all__ = ["point_wakeup", "event_tier_wakeup_mean", "render_wakeup"]
 
 IMAGE_MB = (1, 2, 4, 8, 16, 32)
 BETA_MBPS = (1.0, 5.0, 19.0)
@@ -94,24 +92,6 @@ def point_wakeup(
         "event_s": event,
         "vector_p99_s": sample.percentile(99),
     }
-
-
-def run_wakeup_sweep(
-    *,
-    vector_nodes: int = 100_000,
-    event_readers: int = 40,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """W for every (I, β) pair: analytic / vector / event estimates."""
-    records: List[Dict[str, float]] = []
-    for params in grid_points({"beta_mbps": BETA_MBPS,
-                               "image_mb": IMAGE_MB}):
-        record: Dict[str, float] = dict(params)
-        record.update(point_wakeup(vector_nodes=vector_nodes,
-                                   event_readers=event_readers,
-                                   seed=seed, **params))
-        records.append(record)
-    return records
 
 
 def render_wakeup(records: List[Dict[str, float]]) -> str:

@@ -148,14 +148,6 @@ class BroadcastChannel:
         self.sim.call_at(max(done, self.sim.now), self._deliver, message, ev)
         return ev
 
-    def reserve_until(self, time: float) -> None:
-        """Hold the multiplex busy until ``time`` without sending bits.
-
-        A reservation in the past is a no-op.
-        """
-        if time > self._busy_until:
-            self._busy_until = time
-
     def _deliver(self, message: Message, ev: Event) -> None:
         self._transmissions += 1
         if not self._up:

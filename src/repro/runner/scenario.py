@@ -7,7 +7,7 @@ one paper artifact:
   the set of independent *points* (one record each);
 * a **per-point function** ``point(**params, **fixed, seed=...)`` that
   computes the result fields for one point (the runner merges the grid
-  parameters in, mirroring :func:`repro.analysis.sweep.sweep`);
+  parameters into each record);
 * a **renderer** mapping the full record list to the ASCII artifact;
 * optional **smoke overrides** — a reduced grid and/or cheaper fixed
   kwargs for fast CI sweeps (``--smoke``);

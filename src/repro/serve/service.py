@@ -55,9 +55,9 @@ class ServiceTier:
     Parameters
     ----------
     system:
-        A built deployment exposing ``.sim`` and ``.provider`` (the
-        classic single-network system; the federated façade works the
-        same way for bare capacity).
+        A built single-network deployment exposing ``.sim`` and a
+        ``.provider`` with ``request_instance_async`` /
+        ``cancel_request`` (the federated façade has neither).
     traffic / gateway / pool:
         The open-loop mix and the admission/pooling knobs.
     image_bits / heartbeat_interval_s / size_tolerance:

@@ -514,15 +514,6 @@ class Simulator:
         """Ask a running :meth:`run` loop to return after the current event."""
         self._stopped = True
 
-    def _peek_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if len(entry) == 5 or not entry[3]._cancelled:
-                return entry[0]
-            heappop(heap)
-        return None
-
     # -- processes (provided by repro.sim.process, bound here) ----------
     def process(self, generator) -> "Any":
         """Launch a generator-based process; see :mod:`repro.sim.process`."""

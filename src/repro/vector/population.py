@@ -142,19 +142,6 @@ class VectorPopulation:
             self.busy[indices] = False
 
     # -- churn / fault state ops -------------------------------------------
-    def power_off(self, indices: np.ndarray) -> None:
-        """Correlated power-off (churn-storm victims): any running work
-        is dropped with the power."""
-        self.mode[indices] = _OFF
-        self.busy[indices] = False
-
-    def power_on(self, indices: np.ndarray, *, in_use: bool = False) -> None:
-        """Return nodes to the powered pool (standby unless ``in_use``)."""
-        mode = _IN_USE if in_use else _STANDBY
-        self.mode[indices] = mode
-        self.device_factor[indices] = (
-            self._in_use_factor if in_use else self._standby_factor)
-
     def set_link(self, indices: np.ndarray, up: bool) -> None:
         """Partition (or heal) the direct links of ``indices``."""
         self.link_up[indices] = up

@@ -13,7 +13,6 @@ from repro.analysis import (
     render_records,
     render_series,
     render_table,
-    sweep,
 )
 from repro.errors import AnalysisError
 
@@ -75,7 +74,7 @@ def test_relative_error():
         relative_error(1.0, 0.0)
 
 
-# -- sweep ------------------------------------------------------------------
+# -- grid -------------------------------------------------------------------
 
 def test_grid_points_cartesian_order():
     pts = grid_points({"a": [1, 2], "b": ["x", "y"]})
@@ -90,18 +89,6 @@ def test_grid_validation():
         grid_points({"a": []})
     with pytest.raises(AnalysisError):
         grid_points({"a": 5})
-
-
-def test_sweep_merges_params_and_results():
-    records = sweep(lambda a, b: {"total": a + b},
-                    {"a": [1, 2], "b": [10]})
-    assert records == [{"a": 1, "b": 10, "total": 11},
-                       {"a": 2, "b": 10, "total": 12}]
-
-
-def test_sweep_requires_mapping_result():
-    with pytest.raises(AnalysisError):
-        sweep(lambda a: a, {"a": [1]})
 
 
 # -- report ----------------------------------------------------------------

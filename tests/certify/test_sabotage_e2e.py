@@ -11,11 +11,13 @@ from repro.core.system import OddCISystem
 from repro.experiments import CERTIFY_POLICIES, sabotage_plan
 from repro.faults import active_plan
 from repro.net.message import MEGABYTE
+from repro.runner import ArtifactStore, Runner
+from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
 from repro.workloads.job import reset_job_sequence
 
 
-def run_point(path, policy="quorum3", fraction=0.3, seed=0):
+def run_point(path, policy="quorum3", fraction=0.3, seed=0, ledger=None):
     # Fresh job numbering: backend ids (and thus certifier rng streams)
     # must not depend on how many runs this process did before.
     reset_job_sequence()
@@ -35,6 +37,8 @@ def run_point(path, policy="quorum3", fraction=0.3, seed=0):
         report = system.provider.run_job_to_completion(
             submission, limit_s=1e7)
     certifier = submission.backend.certifier
+    if ledger is not None:
+        ledger.extend(certifier.ledger.snapshot())
     return {
         "makespan_s": report.makespan,
         "done": submission.backend.done,
@@ -85,3 +89,32 @@ def test_task_paths_agree_byte_for_byte(dve):
 def test_runs_are_seed_deterministic(dve):
     assert run_point(dve.cohort) == run_point(dve.cohort)
     assert run_point(dve.cohort, seed=1)["done"]
+
+
+def test_traced_run_records_credibility_once_per_known_node(dve):
+    ledger = []
+    tracer = Tracer()
+    with active(tracer):
+        out = run_point(dve.cohort, ledger=ledger)
+    assert out["done"]
+    histogram = tracer.metrics.snapshot()["histograms"]["certify.credibility"]
+    assert ledger and histogram["count"] == len(ledger)
+    assert histogram["total"] == sum(cred for _, cred, _ in ledger)
+    # The certify counters resolve through the same registry.
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["certify.tasks_certified"] == out["certified"] == 30
+    assert counters["certify.copies_issued"] == out["copies_issued"]
+
+
+def test_traced_sabotage_sweep_is_jobs_invariant(tmp_path):
+    def artifacts(jobs):
+        root = tmp_path / f"jobs{jobs}"
+        Runner(jobs=jobs, seed=0, smoke=True, trace=True,
+               store=ArtifactStore(root)).run("sabotage_sweep")
+        return [(root / "sabotage_sweep" / name).read_bytes()
+                for name in ("records-smoke.json", "rendered-smoke.txt",
+                             "trace.jsonl", "metrics.json")]
+
+    serial = artifacts(1)
+    assert b"certify.credibility" in serial[3]
+    assert artifacts(2) == serial

@@ -1,4 +1,5 @@
-"""Tests for the wakeup sweep and Figure 6/7 drivers."""
+"""Tests for the wakeup sweep and Figure 6/7 experiments, on the
+registry records that ``python -m repro {wakeup,fig6,fig7}`` renders."""
 
 import numpy as np
 import pytest
@@ -9,19 +10,17 @@ from repro.experiments import (
     render_fig6,
     render_fig7,
     render_wakeup,
-    run_fig6,
-    run_fig7,
-    run_wakeup_sweep,
 )
 from repro.experiments.fig6 import PHI_GRID, RATIOS
 from repro.net.message import MEGABYTE
+from repro.runner import Runner
 
 
 # -- wakeup ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def wakeup_records():
-    return run_wakeup_sweep(vector_nodes=20_000, event_readers=25, seed=0)
+    return Runner(seed=0).run("wakeup").records
 
 
 def test_wakeup_sweep_covers_grid(wakeup_records):
@@ -71,7 +70,7 @@ def test_render_wakeup(wakeup_records):
 
 @pytest.fixture(scope="module")
 def fig6_records():
-    return run_fig6(sim_nodes=100, sim_ratios=(10,), seed=0)
+    return Runner(seed=0).run("fig6").records
 
 
 def test_fig6_grid_coverage(fig6_records):
@@ -121,7 +120,7 @@ def test_fig6_render(fig6_records):
 
 @pytest.fixture(scope="module")
 def fig7_records():
-    return run_fig7(sim_nodes=100, sim_ratios=(10,), seed=0)
+    return Runner(seed=0).run("fig7").records
 
 
 def test_fig7_makespan_monotone_in_phi(fig7_records):

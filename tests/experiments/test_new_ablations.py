@@ -3,17 +3,18 @@
 
 import pytest
 
-from repro.experiments import (
-    run_aggregation_ablation,
-    run_replication_ablation,
-)
+from repro.experiments import point_aggregation, point_plane_comparison
+from repro.runner import Runner
 
 
 @pytest.fixture(scope="module")
 def aggregation_records():
-    return run_aggregation_ablation(
-        n_pnas=12, heartbeat_s=5.0, aggregation_s=20.0,
-        fanouts=(0, 2, 4), horizon_s=300.0, seed=0)
+    # A fleet smaller than the registered a4 grid: points called directly.
+    return [{"aggregators": fanout,
+             **point_aggregation(fanout, n_pnas=12, heartbeat_s=5.0,
+                                 aggregation_s=20.0, horizon_s=300.0,
+                                 seed=0)}
+            for fanout in (0, 2, 4)]
 
 
 def test_aggregation_reduces_controller_messages(aggregation_records):
@@ -36,7 +37,7 @@ def test_more_aggregators_more_digests(aggregation_records):
 
 @pytest.fixture(scope="module")
 def replication_records():
-    return run_replication_ablation(seed=0)
+    return Runner(seed=0).run("a5").records
 
 
 def test_replication_cuts_straggler_makespan(replication_records):
@@ -50,9 +51,10 @@ def test_replication_cuts_straggler_makespan(replication_records):
 
 @pytest.fixture(scope="module")
 def plane_records():
-    from repro.experiments import run_plane_comparison
-
-    return run_plane_comparison(image_mbs=(1.0, 4.0), n_nodes=4, seed=0)
+    # A fleet smaller than the registered a6 grid: points called directly.
+    return [{"image_mb": image_mb,
+             **point_plane_comparison(image_mb, n_nodes=4, seed=0)}
+            for image_mb in (1.0, 4.0)]
 
 
 def test_plane_comparison_generic_is_one_shot(plane_records):

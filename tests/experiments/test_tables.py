@@ -1,5 +1,6 @@
-"""Tests for the Table I/II/III experiment drivers — these assert the
-paper's qualitative findings hold in our reproduction."""
+"""Tests for the Table I/II/III experiments — these assert the paper's
+qualitative findings hold in our reproduction, on the registry records
+that ``python -m repro table{1,2,3}`` renders."""
 
 import pytest
 
@@ -9,17 +10,15 @@ from repro.experiments import (
     render_table1,
     render_table2,
     render_table3,
-    run_table1,
-    run_table2,
-    run_table3,
     summarize_table2,
 )
+from repro.runner import Runner
 
 
 # -- Table I -------------------------------------------------------------------
 
 def test_table1_only_oddci_ticks_all():
-    result = run_table1()
+    result = Runner(seed=0).run("table1").records[0]
     matrix = result["matrix"]
     assert set(matrix) == {"voluntary-computing", "desktop-grid", "iaas",
                            "oddci"}
@@ -33,7 +32,7 @@ def test_table1_only_oddci_ticks_all():
 def test_table1_each_requirement_met_by_someone_besides_oddci():
     """Paper: 'all requirements are addressed by at least one of the
     available solutions'."""
-    matrix = run_table1()["matrix"]
+    matrix = Runner(seed=0).run("table1").records[0]["matrix"]
     others = [row for name, row in matrix.items() if name != "oddci"]
     for req in ("extremely_high_scalability", "on_demand_instantiation",
                 "efficient_setup"):
@@ -41,7 +40,7 @@ def test_table1_each_requirement_met_by_someone_besides_oddci():
 
 
 def test_table1_render():
-    out = render_table1(run_table1())
+    out = render_table1(Runner(seed=0).run("table1").records[0])
     assert "Table I" in out
     assert "oddci" in out and "voluntary-computing" in out
     assert "Provisioning measurements" in out
@@ -51,7 +50,7 @@ def test_table1_render():
 
 @pytest.fixture(scope="module")
 def table2_records():
-    return run_table2(seed=0)
+    return Runner(seed=0).run("table2").records
 
 
 def test_table2_has_twelve_rows(table2_records):
@@ -84,10 +83,10 @@ def test_table2_large_tests_dominate_small(table2_records):
 
 
 def test_table2_deterministic_under_seed():
-    a = run_table2(seed=0)
-    b = run_table2(seed=0)
+    a = Runner(seed=0).run("table2").records
+    b = Runner(seed=0).run("table2").records
     assert a == b
-    c = run_table2(seed=1)
+    c = Runner(seed=1).run("table2").records
     assert a != c
 
 
@@ -102,7 +101,7 @@ def test_table2_render(table2_records):
 
 @pytest.fixture(scope="module")
 def table3_records():
-    return run_table3(seed=0)
+    return Runner(seed=0).run("table3").records
 
 
 def test_table3_three_remote_tests(table3_records):

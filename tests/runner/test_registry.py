@@ -137,6 +137,16 @@ def test_runner_merges_grid_params_and_spawned_seeds():
     assert result.meta["wall_time_s"] >= 0
 
 
+def test_runner_rejects_non_mapping_point_result():
+    register(_scenario(name="scalar-test-scenario",
+                       point=lambda x, *, seed=0: x))
+    try:
+        with pytest.raises(ScenarioError, match="expected a mapping"):
+            Runner().run("scalar-test-scenario")
+    finally:
+        _REGISTRY.pop("scalar-test-scenario", None)
+
+
 # -- artifact store --------------------------------------------------------
 
 def test_jsonify_coerces_numpy_and_tuples():

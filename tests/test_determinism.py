@@ -78,11 +78,11 @@ def test_vector_tier_deterministic():
 
 
 def test_experiment_drivers_deterministic():
-    from repro.experiments import run_fig6, run_wakeup_sweep
+    from repro.runner import Runner
 
-    a = run_wakeup_sweep(vector_nodes=5000, event_readers=10, seed=1)
-    b = run_wakeup_sweep(vector_nodes=5000, event_readers=10, seed=1)
+    a = Runner(seed=1).run("wakeup").records
+    b = Runner(seed=1).run("wakeup").records
     assert a == b
-    c = run_fig6(sim_nodes=50, sim_ratios=(10,), seed=2)
-    d = run_fig6(sim_nodes=50, sim_ratios=(10,), seed=2)
+    c = Runner(seed=2).run("fig6").records
+    d = Runner(seed=2).run("fig6").records
     assert c == d
