@@ -36,12 +36,14 @@ oddbench:
 	done
 
 # Reduced-scale event-kernel floor guard (the 10^6 < 60s claim,
-# scaled) plus the census engine's columnar ≡ dict equivalence check
-# and its 3x consolidation floor at 10^5 members, under --run-perf.
+# scaled), the census engine's columnar ≡ dict equivalence check and
+# its 3x consolidation floor at 10^5 members, and the 600-box DTV churn
+# task-rate floor, under --run-perf.
 bench-floor:
 	REPRO_FLOOR_SCALE=20000 $(PYTHON) -m pytest \
 		benchmarks/test_event_kernel_floor.py \
-		benchmarks/test_census_throughput.py -q --run-perf
+		benchmarks/test_census_throughput.py \
+		benchmarks/test_dtv_floor.py -q --run-perf
 
 # Traced smoke run + human summary of the resulting trace artifacts
 # (see DESIGN.md §9 for the event taxonomy).

@@ -41,7 +41,7 @@ from repro.carousel.dsmcc import DEFAULT_SECTION_FORMAT, SectionFormat
 from repro.carousel.objects import CarouselFile
 from repro.net.broadcast import BroadcastChannel
 from repro.net.message import DEFAULT_HEADER_BITS, Message
-from repro.sim.core import Event, Simulator
+from repro.sim.core import PRIORITY_URGENT, Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
 
@@ -210,10 +210,10 @@ class ObjectCarousel:
         if not self._files:
             raise CarouselError("carousel needs at least one file")
         self._pending_updates: Dict[str, Optional[CarouselFile]] = {}
-        #: file name -> FIFO of ``(request_time, event)``: reads are
-        #: queued at a non-decreasing ``sim.now``, so the reads a window
-        #: settles are always a prefix of their file's queue
-        self._reads: Dict[str, Deque[Tuple[float, Event]]] = \
+        #: file name -> FIFO of ``(request_time, event or listener)``:
+        #: reads are queued at a non-decreasing ``sim.now``, so the reads
+        #: a window settles are always a prefix of their file's queue
+        self._reads: Dict[str, Deque[Tuple[float, object]]] = \
             defaultdict(deque)
         self._n_reads = 0
         self._cycles_completed = 0
@@ -361,11 +361,19 @@ class ObjectCarousel:
                 and self._pending_updates.get(name) is None):
             raise FileNotInCarouselError(f"{name!r} not in carousel")
         ev = self.sim.event(name=f"{self.name}.read({name})")
-        self._reads[name].append((self.sim.now, ev))
+        self.listen(name, ev)
+        return ev
+
+    def listen(self, name: str, callback) -> None:
+        """:meth:`read` for a poll loop: the settling window pushes one
+        urgent calendar entry calling ``callback(file)`` — the entry a
+        process waiting on the read's event would get — and builds no
+        event (a read queues its :class:`Event` here, settled in place).
+        ``name`` is not checked: a poll loop re-arms every repetition."""
+        self._reads[name].append((self.sim.now, callback))
         self._n_reads += 1
         if self._parked and not self._wake.triggered:
             self._wake.succeed(None)
-        return ev
 
     # -- transmission loop -----------------------------------------------------
     def _apply_pending_updates(self) -> None:
@@ -573,6 +581,11 @@ class ObjectCarousel:
         # tolerance, so fast-forward cannot change the outcome.
         queue = self._reads.get(file.name)
         horizon = tx_start + 1e-9
+        schedule = self.sim.schedule_fast
         while queue and queue[0][0] <= horizon:
-            queue.popleft()[1].succeed(file)
+            waiter = queue.popleft()[1]
+            if waiter.__class__ is Event:
+                waiter.succeed(file)
+            else:
+                schedule(0.0, waiter, file, priority=PRIORITY_URGENT)
             self._n_reads -= 1

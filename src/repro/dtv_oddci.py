@@ -44,7 +44,6 @@ from repro.net.crypto import KeyRegistry
 from repro.net.link import DuplexChannel
 from repro.net.message import bits_from_bytes
 from repro.sim.core import Simulator
-from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
 from repro.workloads.devices import REFERENCE_STB, DeviceProfile, PowerMode
 from repro.workloads.traces import ChurnModel
@@ -152,10 +151,10 @@ class PNAXlet(Xlet):
 
     Created by the receiver's application manager after the Xlet code is
     read from the carousel.  While Started it keeps the bound PNA core
-    online and polls the carousel's config file once per repetition,
-    forwarding fresh control messages; wakeups stage their image through
-    a carousel read (the 1.5-cycle latency).  Destruction takes the PNA
-    offline silently.
+    online and polls the carousel's config file once per repetition
+    (:class:`_ConfigListener`), forwarding fresh control messages;
+    wakeups stage their image through a carousel read (the 1.5-cycle
+    latency).  Destruction takes the PNA offline silently.
     """
 
     def __init__(self, sim: Simulator, stb: SetTopBox, pna: PNA):
@@ -170,7 +169,7 @@ class PNAXlet(Xlet):
         if trace is not None:
             trace.emit(self.sim.now, "xlet_start", pna=self.pna.pna_id)
         self.pna.restart(manage_channel=False)
-        self._loop = self.sim.process(self._control_loop())
+        self._loop = _ConfigListener(self)
 
     def on_pause(self) -> None:
         self._stop_loop()
@@ -184,35 +183,8 @@ class PNAXlet(Xlet):
 
     def _stop_loop(self) -> None:
         if self._loop is not None and self._loop.alive:
-            self._loop.interrupt("xlet stopping")
+            self._loop.interrupt()
         self._loop = None
-
-    def _control_loop(self):
-        try:
-            while not self.destroyed:
-                carousel = self.stb.tuned_carousel()
-                if carousel is None:
-                    return  # untuned/off: the Xlet is about to be killed
-                config = yield carousel.read(CONFIG_FILE)
-                if config.version <= self._last_config_version:
-                    continue
-                control = config.metadata.get("control")
-                if control is None:
-                    self._last_config_version = config.version
-                    continue
-                payload, signature = control
-                fetch = None
-                if isinstance(payload, WakeupPayload):
-                    fetch = self._image_fetcher(payload.image_name)
-                if self.pna.deliver_control(payload, signature,
-                                            fetch_image=fetch):
-                    self._last_config_version = config.version
-                # A refused message (tampered signature, node offline)
-                # leaves the version unconsumed: the same config file
-                # comes around next repetition and is retried — a
-                # corruption window must not permanently eat a wakeup.
-        except Interrupt:
-            pass
 
     def _image_fetcher(self, image_name: str):
         def fetch():
@@ -224,6 +196,55 @@ class PNAXlet(Xlet):
             return carousel.read(image_name)
 
         return fetch
+
+
+class _ConfigListener:
+    """One Started spell of the Xlet's config poll loop, as carousel
+    listener callbacks with the calendar entries of a process looping on
+    ``carousel.read``: start is one normal entry at ``now``, each settled
+    read one urgent entry (:meth:`_poll`), :meth:`interrupt` one normal
+    entry that halts; a halted listener's entries fire as no-ops.  An
+    error in a poll propagates out of ``sim.run``."""
+
+    __slots__ = ("xlet", "alive", "_tuned_carousel", "_callback")
+
+    def __init__(self, xlet: PNAXlet) -> None:
+        self.xlet = xlet
+        self.alive = True
+        self._tuned_carousel = xlet.stb.tuned_carousel
+        self._callback = self._poll
+        xlet.sim.schedule_fast(0.0, self._callback, None)
+
+    def interrupt(self) -> None:
+        self.xlet.sim.schedule_fast(0.0, self._halt)
+
+    def _halt(self) -> None:
+        self.alive = False
+
+    def _poll(self, config: Optional[CarouselFile]) -> None:
+        if not self.alive:
+            return
+        xlet = self.xlet
+        if config is not None and config.version > xlet._last_config_version:
+            control = config.metadata.get("control")
+            if control is None:
+                xlet._last_config_version = config.version
+            else:
+                payload, signature = control
+                fetch = (xlet._image_fetcher(payload.image_name)
+                         if isinstance(payload, WakeupPayload) else None)
+                # A refused message (tampered signature, node offline)
+                # leaves the version unconsumed: the same config file
+                # comes around next repetition and is retried — a
+                # corruption window must not permanently eat a wakeup.
+                if xlet.pna.deliver_control(payload, signature,
+                                            fetch_image=fetch):
+                    xlet._last_config_version = config.version
+        carousel = None if xlet.destroyed else self._tuned_carousel()
+        if carousel is None:  # destroyed, or untuned/off: being killed
+            self.alive = False
+        else:
+            carousel.listen(CONFIG_FILE, self._callback)
 
 
 class OddCIDTVSystem:

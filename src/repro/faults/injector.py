@@ -124,9 +124,9 @@ class FaultInjector:
         self._trace = telemetry.channel("fault")
         registry = telemetry.metrics_registry()
         self._m_injected = registry.counter("fault.injected") \
-            if registry else None
+            if registry is not None else None
         self._m_restored = registry.counter("fault.restored") \
-            if registry else None
+            if registry is not None else None
         rng = sim.rng(rng_stream) if plan.events else None
         self._schedule(plan, rng)
 

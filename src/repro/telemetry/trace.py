@@ -18,6 +18,8 @@ control    Controller wakeup/reset publishes, heartbeat batch
            consolidation, maintenance rounds, rebalances
 pna        PNA state transitions (accept/idle/online/offline)
 backend    Backend task lifecycle (dispatch/complete/requeue)
+certify    result certification (copy/probe dispatch, votes without
+           quorum, punishments, quarantines, escapes)
 fault      fault-plan injections and restores, recovery milestones
            (checkpoint/restore, MTTR, deferred control traffic)
 serve      service-tier request lifecycle (arrival, admission,
@@ -93,15 +95,15 @@ __all__ = [
 
 #: Every known trace category, in canonical order.
 CATEGORIES: Tuple[str, ...] = (
-    "kernel", "net", "carousel", "control", "pna", "backend", "fault",
-    "serve", "vector", "runner")
+    "kernel", "net", "carousel", "control", "pna", "backend", "certify",
+    "fault", "serve", "vector", "runner")
 
 #: Enabled by a bare ``--trace``: everything except the per-dispatch
 #: ``kernel`` firehose and the per-message ``net`` drop log (opt in
 #: with ``--trace=all`` or an explicit list).
 DEFAULT_CATEGORIES: Tuple[str, ...] = (
-    "carousel", "control", "pna", "backend", "fault", "serve", "vector",
-    "runner")
+    "carousel", "control", "pna", "backend", "certify", "fault", "serve",
+    "vector", "runner")
 
 #: One trace event: (sim_time, category, name, fields-or-None).
 TraceEvent = Tuple[float, str, str, Optional[Dict[str, Any]]]
@@ -194,7 +196,7 @@ class Tracer:
             raise ConfigurationError(f"ring must be > 0 or None, got {ring}")
         self.categories = parse_categories(categories)
         self.ring = ring
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         self.emitted = 0
         self._events: Any = deque(maxlen=ring) if ring else []
         self._channels: Dict[str, TraceChannel] = {

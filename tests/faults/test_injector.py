@@ -88,3 +88,26 @@ def test_ambient_plan_wires_system_injector():
     system.sim.run(until=20.0)
     assert system.broadcast.up
     assert system.fault_injector.fired == [(10.0, "broadcast_outage")]
+
+
+def test_fault_metrics_count_on_a_registry_still_empty():
+    """An installed registry counts injections even when no metric was
+    registered before the injector: emptiness is not absence."""
+    from repro.telemetry.metrics import MetricsRegistry
+    from repro.telemetry.trace import Tracer, active
+
+    class FakeBroadcast:
+        up = True
+
+        def set_up(self, up):
+            self.up = up
+
+    registry = MetricsRegistry()
+    with active(Tracer("fault", metrics=registry)) as tracer:
+        assert tracer.metrics is registry and len(registry) == 0
+        sim = Simulator(seed=0)
+        FaultInjector(sim, parse_fault_plan("broadcast_outage@10,dur=5"),
+                      FaultTargets(broadcast=FakeBroadcast()))
+        sim.run(until=20.0)
+    assert registry.counter("fault.injected").value == 1
+    assert registry.counter("fault.restored").value == 1

@@ -42,7 +42,7 @@ def test_trace_parallel_matches_serial_byte_for_byte(tmp_path, name, jobs):
     assert serial.trace_events is not None
     assert serial.meta["trace_categories"] == [
         "kernel", "net", "carousel", "control", "pna", "backend",
-        "fault", "serve", "vector", "runner"]
+        "certify", "fault", "serve", "vector", "runner"]
 
 
 def test_traced_run_has_runner_markers_and_metrics(tmp_path):
@@ -83,3 +83,23 @@ def test_trace_category_subset(tmp_path):
     categories = {ev[1] for ev in result.trace_events}
     assert categories <= {"control", "runner"}
     assert result.meta["trace_categories"] == ["control", "runner"]
+
+
+def test_certify_category_records_with_jobs_parity(tmp_path):
+    """Result certification traces on its own ``certify`` category, and
+    the events stay byte-identical for any worker count."""
+
+    def traced(jobs):
+        root = tmp_path / f"certify-jobs{jobs}"
+        result = Runner(jobs=jobs, seed=7, smoke=True, trace="certify",
+                        store=ArtifactStore(root)).run("sabotage_sweep")
+        return result, (root / "sabotage_sweep" / "trace.jsonl").read_bytes()
+
+    serial, serial_trace = traced(1)
+    par, par_trace = traced(2)
+    names = {(ev[1], ev[2]) for ev in serial.trace_events}
+    assert {("certify", "dispatch"), ("certify", "probe"),
+            ("certify", "quarantine")} <= names
+    assert {category for category, _ in names} == {"certify"}
+    assert par_trace == serial_trace
+    assert par.records == serial.records

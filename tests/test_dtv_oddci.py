@@ -169,3 +169,29 @@ def test_heartbeats_flow_from_dtv_pnas():
     system.sim.run(until=300.0)
     assert system.controller.counters["heartbeats"] > 0
     assert len(system.controller.registry) == 3
+
+
+def test_config_poll_error_propagates_out_of_run():
+    """An error in the Xlet's config poll surfaces: a signed control
+    payload of unknown type raises out of ``sim.run`` instead of
+    silently ending that receiver's polling for good."""
+    from repro.carousel.objects import CarouselFile
+    from repro.core.messages import sign_control
+
+    class UnknownPayload:
+        def signable_fields(self):
+            return {"type": "unknown"}
+
+    system = build(n=1)
+    system.sim.run(until=60.0)
+    assert system.online_count() == 1
+    payload = UnknownPayload()
+    carousel = system.control_plane.carousel
+    config = carousel.current_file(CONFIG_FILE)
+    carousel.replace_file(CarouselFile(
+        name=CONFIG_FILE, size_bits=config.size_bits,
+        version=config.version + 1,
+        metadata={"control": (payload,
+                              sign_control(system.controller.key, payload))}))
+    with pytest.raises(OddCIError, match="unknown control payload"):
+        system.sim.run(until=120.0)
