@@ -41,9 +41,8 @@ Shape discipline
 There is no mypy in the toolchain, so numpy boundaries are guarded by
 assertion-based checks instead: :meth:`ColumnarCensusStore.validate`
 recomputes every derived count from the raw arrays and asserts dtypes,
-shapes and cross-array consistency.  ``python -m repro.core.census``
-runs a seeded differential fuzz with per-step validation (wired into
-CI).
+shapes and cross-array consistency.  :func:`_selfcheck` runs a seeded
+differential fuzz with per-step validation (a tier-1 test).
 """
 
 from __future__ import annotations
@@ -888,14 +887,14 @@ class MembersView:
         return f"<MembersView {len(self)} members>"
 
 
-def _selfcheck(ops: int = 4000, seed: int = 7, verbose: bool = True) -> int:
+def _selfcheck(ops: int, seed: int) -> int:
     """Seeded differential fuzz with per-step columnar validation.
 
     Applies a random census workload — touches, cohort groups, member
     marks/drops, expiries, idle drops, crash clears, instance
     bind/release — to a columnar and a dict store in lockstep and
-    asserts equal snapshots throughout.  Returns 0 on success (the CI
-    numpy-boundary gate).
+    asserts equal snapshots throughout.  Returns 0 on success (the
+    numpy-boundary gate; tests/core/test_census_store.py runs it).
     """
     import random
 
@@ -990,26 +989,4 @@ def _selfcheck(ops: int = 4000, seed: int = 7, verbose: bool = True) -> int:
             reference.validate()
             assert columnar.snapshot() == reference.snapshot(), \
                 f"stores diverged at step {step}"
-    if verbose:
-        print(f"census selfcheck ok: {ops} ops, seed {seed}, "
-              f"{len(interner_a)} nodes interned, "
-              f"registry {columnar.registry_size()}, "
-              f"members {columnar.total_members()}")
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.core.census",
-        description="Differential fuzz + shape checks for the census "
-                    "engines (assertion-based numpy-boundary gate)")
-    parser.add_argument("--ops", type=int, default=4000)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    return _selfcheck(ops=args.ops, seed=args.seed)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -84,9 +84,9 @@ class OddCISystem:
         if plan is not None and plan.events:
             self.fault_injector = FaultInjector(
                 self.sim, plan,
-                FaultTargets(controller=self.controller,
+                FaultTargets(controllers=[self.controller],
                              backends=self.provider.backends,
-                             broadcast=self.broadcast,
+                             broadcasts=[self.broadcast],
                              nodes=lambda: list(self.pnas)))
 
     def add_pna(self, **kwargs: Any) -> PNA:

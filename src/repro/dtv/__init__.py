@@ -8,8 +8,9 @@
 * :class:`~repro.dtv.middleware.ApplicationManager` — per-receiver
   middleware launching/destroying Xlets from AIT + carousel.
 * :class:`~repro.dtv.receiver.SetTopBox` — tuner, power modes, CPU model.
-* :class:`~repro.dtv.population.ReceiverPopulation` — event-tier
-  populations with churn.
+
+Fleets of set-top boxes — tuned, split over channels, churning — are
+built by :meth:`repro.dtv_oddci.OddCIDTVSystem.add_receivers`.
 """
 
 from repro.dtv.ait import (
@@ -18,7 +19,6 @@ from repro.dtv.ait import (
     ApplicationInformationTable,
 )
 from repro.dtv.middleware import ApplicationManager, XletFactory
-from repro.dtv.population import PopulationConfig, ReceiverPopulation
 from repro.dtv.receiver import SetTopBox
 from repro.dtv.transport import Multiplex, Service
 from repro.dtv.xlet import Xlet, XletState
@@ -34,6 +34,4 @@ __all__ = [
     "SetTopBox",
     "Multiplex",
     "Service",
-    "PopulationConfig",
-    "ReceiverPopulation",
 ]

@@ -14,14 +14,17 @@ reused unchanged; what changes is the broadcast control plane:
   fetches when it accepts a wakeup — paying the real 1.5-cycle average
   carousel latency that the paper's W = 1.5·I/β models.
 
-:class:`OddCIDTVSystem` wires everything: multiplex, service, carousel
-plane, controller/provider, and set-top-box fleets whose PNAs execute
-task compute on the calibrated STB device model.
+:class:`OddCIDTVSystem` wires everything: one multiplex, service and
+carousel plane per TV channel (Section 4.3 puts the PNA Xlet on several
+channels; a single-channel deployment is ``channels=1``), one
+controller/provider over all of them, and set-top-box fleets — split
+over the channels, optionally churning — whose PNAs execute task
+compute on the calibrated STB device model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, OddCIError
 from repro.carousel.objects import CarouselFile
@@ -49,8 +52,7 @@ from repro.workloads.devices import REFERENCE_STB, DeviceProfile, PowerMode
 from repro.workloads.traces import ChurnModel
 
 __all__ = ["PNA_XLET_FILE", "CONFIG_FILE", "CarouselControlPlane",
-           "PNAXlet", "OddCIDTVSystem", "FanoutControlPlane",
-           "MultiChannelOddCIDTVSystem"]
+           "PNAXlet", "OddCIDTVSystem", "FanoutControlPlane"]
 
 #: Carousel path of the PNA Xlet code (the trigger application).
 PNA_XLET_FILE = "pna.bin"
@@ -248,12 +250,21 @@ class _ConfigListener:
 
 
 class OddCIDTVSystem:
-    """A complete OddCI-DTV deployment (multiplex → STB fleet).
+    """A complete OddCI-DTV deployment (``channels`` multiplexes → STB fleet).
+
+    Each channel is one multiplex carrying one OddCI service, with its
+    own carousel and :class:`CarouselControlPlane`; one Controller and
+    Provider drive them all through a :class:`FanoutControlPlane`
+    (Section 4.3's scale-out: the reachable population is the sum of
+    the channels' audiences).  Receivers are split over the channels by
+    audience share (:meth:`add_receivers`).
 
     Parameters
     ----------
+    channels:
+        Number of TV services carrying the PNA Xlet.
     beta_bps:
-        Spare data capacity β of the OddCI service.
+        Spare data capacity β of each OddCI service.
     delta_bps / delta_latency_s:
         Per-receiver direct channel (home broadband).
     """
@@ -262,6 +273,7 @@ class OddCIDTVSystem:
         self,
         sim: Optional[Simulator] = None,
         *,
+        channels: int = 1,
         beta_bps: float = 1_000_000.0,
         av_rate_bps: float = 12_000_000.0,
         mux_rate_bps: float = 19_000_000.0,
@@ -273,37 +285,48 @@ class OddCIDTVSystem:
         carousel_fast_forward: bool = True,
         seed: Optional[int] = 0,
     ) -> None:
+        if channels <= 0:
+            raise ConfigurationError(f"channels must be > 0, got {channels}")
         self.sim = sim or Simulator(seed=seed)
         self.delta_bps = float(delta_bps)
         self.delta_latency_s = float(delta_latency_s)
         self.router = Router(self.sim)
         self.keys = KeyRegistry()
-        self.mux = Multiplex(self.sim, total_rate_bps=mux_rate_bps)
-        self.service = self.mux.add_service(
-            "oddci-dtv", av_rate_bps=av_rate_bps, data_rate_bps=beta_bps)
         self._pna_of_stb: Dict[str, PNA] = {}
-        self.control_plane = CarouselControlPlane(
-            self.sim, self.service,
-            xlet_factory=self._make_xlet,
-            pna_xlet_bits=pna_xlet_bits,
-            fast_forward=carousel_fast_forward)
+        self.services: List[Service] = []
+        self.planes: List[CarouselControlPlane] = []
+        for i in range(channels):
+            suffix = f"-{i}" if i else ""  # channel 0: the plain names
+            mux = Multiplex(self.sim, total_rate_bps=mux_rate_bps,
+                            name="mux" + suffix)
+            service = mux.add_service("oddci-dtv" + suffix,
+                                      av_rate_bps=av_rate_bps,
+                                      data_rate_bps=beta_bps)
+            self.services.append(service)
+            self.planes.append(CarouselControlPlane(
+                self.sim, service,
+                xlet_factory=self._make_xlet,
+                pna_xlet_bits=pna_xlet_bits,
+                fast_forward=carousel_fast_forward))
+        self.control_plane = FanoutControlPlane(self.planes)
         self.controller = Controller(
             self.sim, self.router, self.control_plane, self.keys,
             probability_policy=probability_policy,
             maintenance_interval_s=maintenance_interval_s)
         self.provider = Provider(self.sim, self.controller)
         self.boxes: List[SetTopBox] = []
-        # Ambient fault plan: carousel faults hit the real DSM-CC
-        # carousel; storms hit the PNA cores behind the STBs.
+        # Ambient fault plan: carousel faults hit channel 0's DSM-CC
+        # carousel; storms hit the PNA cores behind every STB.
         self.fault_injector: Optional[FaultInjector] = None
         plan = current_plan()
         if plan is not None and plan.events:
+            carousel = self.control_plane.carousel
             self.fault_injector = FaultInjector(
                 self.sim, plan,
-                FaultTargets(controller=self.controller,
+                FaultTargets(controllers=[self.controller],
                              backends=self.provider.backends,
-                             broadcast=self.control_plane.carousel.channel,
-                             carousel=self.control_plane.carousel,
+                             broadcasts=[carousel.channel],
+                             carousel=carousel,
                              nodes=lambda: list(self._pna_of_stb.values())))
 
     # -- xlet factory (metadata of pna.bin) -------------------------------------
@@ -319,26 +342,31 @@ class OddCIDTVSystem:
         self,
         n: int,
         *,
+        channel_weights: Optional[Sequence[float]] = None,
         in_use_fraction: float = 1.0,
         profile: DeviceProfile = REFERENCE_STB,
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 15.0,
         churn: Optional[ChurnModel] = None,
     ) -> List[SetTopBox]:
-        """Build ``n`` set-top boxes tuned to the OddCI service.
+        """Build ``n`` set-top boxes tuned to the OddCI services.
 
-        Each gets a direct channel, a PNA core (offline until its Xlet
-        starts) and — because the AIT already signals the PNA Xlet as
-        AUTOSTART — immediately begins loading the Xlet from the
-        carousel.
+        The boxes are split over the channels in proportion to
+        ``channel_weights`` (default: evenly), channel by channel in
+        largest-remainder counts — no random draw.  Each gets a direct
+        channel, a PNA core (offline until its Xlet starts) and —
+        because the AIT already signals the PNA Xlet as AUTOSTART —
+        immediately begins loading the Xlet from the carousel.  With
+        ``churn`` each box flips between OFF and its nominal mode.
         """
         if n <= 0:
             raise ConfigurationError(f"n must be > 0, got {n}")
         if not 0.0 <= in_use_fraction <= 1.0:
             raise ConfigurationError("in_use_fraction must be in [0, 1]")
+        tuning = self._tuning_plan(n, channel_weights)
         rng = self.sim.rng("dtv-system.population")
         created: List[SetTopBox] = []
-        for _ in range(n):
+        for service in tuning:
             idx = len(self.boxes)
             channel = DuplexChannel(
                 self.sim, rate_bps=self.delta_bps,
@@ -361,14 +389,37 @@ class OddCIDTVSystem:
                 dve_poll_interval_s=dve_poll_interval_s,
                 start_online=False)
             self._pna_of_stb[stb.stb_id] = pna
-            stb.tune(self.service)
+            stb.tune(service)
             self.boxes.append(stb)
             created.append(stb)
             if churn is not None:
                 self.sim.process(self._churn_proc(stb, churn))
         return created
 
+    def _tuning_plan(self, n: int,
+                     weights: Optional[Sequence[float]]) -> List[Service]:
+        """The service each of ``n`` new boxes tunes to: channel by
+        channel, the largest-remainder shares of ``weights`` (ties go
+        to the lower channel)."""
+        if weights is None:
+            weights = [1.0] * len(self.services)
+        if len(weights) != len(self.services) or min(weights) < 0 \
+                or sum(weights) <= 0:
+            raise ConfigurationError(
+                f"channel_weights must be {len(self.services)} "
+                f"non-negative numbers with a positive sum, got {weights}")
+        total = float(sum(weights))
+        quotas = [n * w / total for w in weights]
+        counts = [int(q) for q in quotas]
+        by_remainder = sorted(range(len(quotas)),
+                              key=lambda i: counts[i] - quotas[i])
+        for i in by_remainder[:n - sum(counts)]:
+            counts[i] += 1
+        return [service for service, count in zip(self.services, counts)
+                for _ in range(count)]
+
     def _churn_proc(self, stb: SetTopBox, model: ChurnModel):
+        """Flip one receiver between OFF and its nominal powered mode."""
         rng = self.sim.rng("dtv-system.churn")
         nominal = stb.mode if stb.powered else PowerMode.IN_USE
         if rng.random() >= model.start_on_probability():
@@ -412,6 +463,11 @@ class FanoutControlPlane(ControlPlane):
         self.planes = list(planes)
 
     @property
+    def carousel(self):
+        """Channel 0's carousel, the one carousel faults target."""
+        return self.planes[0].carousel
+
+    @property
     def available(self) -> bool:
         return any(plane.available for plane in self.planes)
 
@@ -424,147 +480,3 @@ class FanoutControlPlane(ControlPlane):
                       signature: bytes) -> None:
         for plane in self.planes:
             plane.publish_reset(payload, signature)
-
-
-class MultiChannelOddCIDTVSystem:
-    """OddCI-DTV across several TV services (channels).
-
-    One Controller/Provider pair; one multiplex, carousel and control
-    plane per channel; receivers distributed over the channels by
-    audience share.  Everything else — heartbeats, backends, direct
-    channels — is unchanged, so the only scale effect is the one the
-    paper predicts: the reachable population is the sum of the
-    channels' audiences.
-    """
-
-    def __init__(
-        self,
-        n_channels: int,
-        sim: Optional[Simulator] = None,
-        *,
-        beta_bps: float = 1_000_000.0,
-        av_rate_bps: float = 12_000_000.0,
-        delta_bps: float = 150_000.0,
-        delta_latency_s: float = 0.05,
-        probability_policy: Optional[ProbabilityPolicy] = None,
-        maintenance_interval_s: float = 60.0,
-        pna_xlet_bits: float = bits_from_bytes(256 * 1024),
-        carousel_fast_forward: bool = True,
-        seed: Optional[int] = 0,
-    ) -> None:
-        if n_channels <= 0:
-            raise ConfigurationError("n_channels must be > 0")
-        self.sim = sim or Simulator(seed=seed)
-        self.delta_bps = float(delta_bps)
-        self.delta_latency_s = float(delta_latency_s)
-        self.router = Router(self.sim)
-        self.keys = KeyRegistry()
-        self._pna_of_stb: Dict[str, PNA] = {}
-        self.services = []
-        planes = []
-        for i in range(n_channels):
-            mux = Multiplex(self.sim,
-                            total_rate_bps=av_rate_bps + beta_bps,
-                            name=f"mux-{i}")
-            service = mux.add_service(f"oddci-ch{i}",
-                                      av_rate_bps=av_rate_bps,
-                                      data_rate_bps=beta_bps)
-            planes.append(CarouselControlPlane(
-                self.sim, service, xlet_factory=self._make_xlet,
-                pna_xlet_bits=pna_xlet_bits,
-                fast_forward=carousel_fast_forward))
-            self.services.append(service)
-        self.planes = planes
-        self.control_plane = FanoutControlPlane(planes)
-        self.controller = Controller(
-            self.sim, self.router, self.control_plane, self.keys,
-            probability_policy=probability_policy,
-            maintenance_interval_s=maintenance_interval_s)
-        self.provider = Provider(self.sim, self.controller)
-        self.boxes: List[SetTopBox] = []
-        # Carousel faults target the primary channel's carousel; storms
-        # span the whole fleet regardless of channel.
-        self.fault_injector: Optional[FaultInjector] = None
-        plan = current_plan()
-        if plan is not None and plan.events:
-            self.fault_injector = FaultInjector(
-                self.sim, plan,
-                FaultTargets(controller=self.controller,
-                             backends=self.provider.backends,
-                             broadcast=planes[0].carousel.channel,
-                             carousel=planes[0].carousel,
-                             nodes=lambda: list(self._pna_of_stb.values())))
-
-    def _make_xlet(self, sim: Simulator, stb: SetTopBox) -> PNAXlet:
-        pna = self._pna_of_stb.get(stb.stb_id)
-        if pna is None:
-            raise OddCIError(
-                f"receiver {stb.stb_id!r} has no registered PNA core")
-        return PNAXlet(sim, stb, pna)
-
-    def add_receivers(
-        self,
-        n: int,
-        *,
-        channel_weights: Optional[List[float]] = None,
-        in_use_fraction: float = 1.0,
-        profile: DeviceProfile = REFERENCE_STB,
-        heartbeat_interval_s: float = 60.0,
-        dve_poll_interval_s: float = 15.0,
-    ) -> List[SetTopBox]:
-        """Distribute ``n`` receivers over the channels by audience share."""
-        if n <= 0:
-            raise ConfigurationError(f"n must be > 0, got {n}")
-        weights = channel_weights or [1.0] * len(self.services)
-        if len(weights) != len(self.services) or min(weights) < 0 or \
-                sum(weights) <= 0:
-            raise ConfigurationError("bad channel_weights")
-        import numpy as _np
-
-        probs = _np.asarray(weights, dtype=float)
-        probs = probs / probs.sum()
-        rng = self.sim.rng("multichannel.population")
-        created: List[SetTopBox] = []
-        for _ in range(n):
-            idx = len(self.boxes)
-            service = self.services[int(rng.choice(len(probs), p=probs))]
-            channel = DuplexChannel(
-                self.sim, rate_bps=self.delta_bps,
-                latency_s=self.delta_latency_s, name=f"stb{idx}.direct")
-            mode = (PowerMode.IN_USE if rng.random() < in_use_fraction
-                    else PowerMode.STANDBY)
-            stb = SetTopBox(self.sim, stb_id=f"stb-{idx}",
-                            direct_channel=channel, profile=profile,
-                            mode=mode)
-            pna = PNA(
-                self.sim, stb.stb_id,
-                router=self.router, channel=channel,
-                controller_key=self.keys.key_of(
-                    self.controller.controller_id),
-                controller_id=self.controller.controller_id,
-                capabilities={"memory_mb": 256, "middleware": "ginga"},
-                executor=stb.execution_time,
-                heartbeat_interval_s=heartbeat_interval_s,
-                dve_poll_interval_s=dve_poll_interval_s,
-                start_online=False)
-            self._pna_of_stb[stb.stb_id] = pna
-            stb.tune(service)
-            self.boxes.append(stb)
-            created.append(stb)
-        return created
-
-    def busy_count(self) -> int:
-        from repro.core.messages import PNAState
-
-        return sum(1 for p in self._pna_of_stb.values()
-                   if p.online and p.state is PNAState.BUSY)
-
-    def online_count(self) -> int:
-        return sum(1 for p in self._pna_of_stb.values() if p.online)
-
-    def audience_per_channel(self) -> List[int]:
-        counts = [0] * len(self.services)
-        for stb in self.boxes:
-            if stb.service is not None:
-                counts[self.services.index(stb.service)] += 1
-        return counts

@@ -1,9 +1,9 @@
 """Turns a :class:`~repro.faults.plan.FaultPlan` into DES-kernel events.
 
 The injector is deliberately duck-typed: it manipulates whatever the
-host system hands it through :class:`FaultTargets` (a controller with
-``crash()``/``restore()``, callables yielding backends and nodes, a
-broadcast channel with ``set_up()``, an optional carousel with
+host system hands it through :class:`FaultTargets` (controllers with
+``crash()``/``restore()``, callables yielding backends and nodes,
+broadcast channels with ``set_up()``, an optional carousel with
 ``interrupt_for()``) and never imports the core package, so both the
 generic :class:`~repro.core.system.OddCISystem` and the DTV-bound
 systems wire it the same way.
@@ -37,59 +37,40 @@ __all__ = ["FaultTargets", "FaultInjector"]
 class FaultTargets:
     """What the injector is allowed to break.
 
-    ``backends``, ``nodes`` and ``links`` are zero-argument callables
-    resolved at fire time, because fleets grow after construction
-    (``add_receivers``, ``submit_job``).  ``links`` defaults to the
-    node uplinks.
+    ``controllers`` and ``broadcasts`` list every controller and
+    broadcast channel (one each on a single network, one per shard in a
+    federation).  ``backends``, ``nodes`` and ``links`` are zero-argument
+    callables resolved at fire time, because fleets grow after
+    construction (``add_receivers``, ``submit_job``).  ``links`` defaults
+    to the node uplinks."""
 
-    A federated deployment passes ``controllers=[...]`` and
-    ``broadcasts=[...]`` (one per shard); the singular ``controller`` /
-    ``broadcast`` forms remain the single-network spelling and are
-    readable back as the first entry, so existing wirings and plans
-    behave identically."""
-
-    def __init__(self, *, controller=None, controllers=None,
+    def __init__(self, *, controllers: Sequence = (),
                  backends: Optional[Callable[[], Sequence]] = None,
-                 broadcast=None, broadcasts=None, carousel=None,
+                 broadcasts: Sequence = (), carousel=None,
                  nodes: Optional[Callable[[], Sequence]] = None,
                  links: Optional[Callable[[], Sequence]] = None) -> None:
-        if controllers is not None:
-            self.controllers = list(controllers)
-        else:
-            self.controllers = [controller] if controller is not None else []
-        if broadcasts is not None:
-            self.broadcasts = list(broadcasts)
-        else:
-            self.broadcasts = [broadcast] if broadcast is not None else []
+        self.controllers = list(controllers)
+        self.broadcasts = list(broadcasts)
         self.backends = backends if backends is not None else (lambda: [])
         self.carousel = carousel
         self.nodes = nodes if nodes is not None else (lambda: [])
         self.links = links if links is not None else self._node_links
-
-    @property
-    def controller(self):
-        """First (or only) controller — the single-network view."""
-        return self.controllers[0] if self.controllers else None
-
-    @property
-    def broadcast(self):
-        """First (or only) broadcast channel — the single-network view."""
-        return self.broadcasts[0] if self.broadcasts else None
 
     def _node_links(self) -> List:
         return [node.channel for node in self.nodes()
                 if getattr(node, "channel", None) is not None]
 
 
-#: targets attribute(s) an event kind needs; checked at construction so
-#: an unsupported plan fails fast instead of mid-run.
+#: targets attribute(s) an event kind needs (a non-empty list, or a
+#: carousel); checked at construction so an unsupported plan fails fast
+#: instead of mid-run.
 _REQUIREMENTS = {
-    "controller_crash": ("controller",),
-    "signature_corruption": ("controller",),
-    "broadcast_outage": ("broadcast",),
+    "controller_crash": ("controllers",),
+    "signature_corruption": ("controllers",),
+    "broadcast_outage": ("broadcasts",),
     # carousel_interrupt degrades to a broadcast outage when the host
     # system has no carousel, so either target satisfies it.
-    "carousel_interrupt": ("carousel", "broadcast"),
+    "carousel_interrupt": ("carousel", "broadcasts"),
     # backend/node/link kinds resolve their victims lazily via
     # callables that are always present.
     "backend_crash": (),
@@ -135,11 +116,11 @@ class FaultInjector:
     def _schedule(self, plan: FaultPlan, rng) -> None:
         for ev in plan.events:
             needs = _REQUIREMENTS[ev.kind]
-            if needs and not any(
-                    getattr(self.targets, attr) is not None for attr in needs):
+            if needs and not any(getattr(self.targets, attr)
+                                 for attr in needs):
                 raise FaultPlanError(
-                    f"fault {ev.describe()!r} needs a "
-                    f"{' or '.join(needs)} target, none available")
+                    f"fault {ev.describe()!r} needs "
+                    f"{' or '.join(needs)}, none available")
             time = ev.time
             if ev.jitter_s > 0.0:
                 time = time + ev.jitter_s * float(rng.random())

@@ -62,7 +62,13 @@ def test_store_differential_fuzz(seed):
     """The module's own seeded fuzz: random touches, cohort groups,
     marks/drops, expiries, wipes and crashes against both engines in
     lockstep, with per-step columnar validation."""
-    assert _selfcheck(ops=1500, seed=seed, verbose=False) == 0
+    assert _selfcheck(ops=1500, seed=seed) == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_store_differential_fuzz_4000_ops(seed):
+    """The same fuzz at 4,000 ops, the numpy-boundary gate's scale."""
+    assert _selfcheck(ops=4000, seed=seed) == 0
 
 
 def test_capacity_growth_preserves_state():

@@ -19,8 +19,7 @@ from repro import dtv_oddci
 from repro.core.instance import reset_instance_sequence
 from repro.core.messages import WakeupPayload
 from repro.dtv.xlet import Xlet
-from repro.dtv_oddci import (CONFIG_FILE, MultiChannelOddCIDTVSystem,
-                              OddCIDTVSystem, PNAXlet)
+from repro.dtv_oddci import CONFIG_FILE, OddCIDTVSystem, PNAXlet
 from repro.net.crypto import reset_key_sequence
 from repro.net.message import (MEGABYTE, bits_from_bytes,
                                reset_message_sequence)
@@ -228,8 +227,8 @@ def test_pause_restart_destroy_mid_wait_match_process_loop(monkeypatch,
 
 def test_multichannel_matches_process_loop(monkeypatch):
     def scenario(sim, _on_dispatch):
-        system = MultiChannelOddCIDTVSystem(
-            3, sim, maintenance_interval_s=60.0,
+        system = OddCIDTVSystem(
+            sim, channels=3, maintenance_interval_s=60.0,
             pna_xlet_bits=bits_from_bytes(64 * 1024))
         system.add_receivers(12, heartbeat_interval_s=30.0,
                              dve_poll_interval_s=10.0)

@@ -30,7 +30,7 @@ def test_carousel_interrupt_accepts_broadcast_fallback_target():
         def set_up(self, up):
             self.up = up
 
-    FaultInjector(sim, plan, FaultTargets(broadcast=FakeBroadcast()))
+    FaultInjector(sim, plan, FaultTargets(broadcasts=[FakeBroadcast()]))
 
 
 def test_past_fire_time_rejected():
@@ -45,7 +45,7 @@ def test_past_fire_time_rejected():
             self.up = up
 
     with pytest.raises(FaultPlanError, match="before"):
-        FaultInjector(sim, plan, FaultTargets(broadcast=FakeBroadcast()))
+        FaultInjector(sim, plan, FaultTargets(broadcasts=[FakeBroadcast()]))
 
 
 def test_jittered_times_are_seed_deterministic():
@@ -62,7 +62,7 @@ def test_jittered_times_are_seed_deterministic():
                 self.up = up
 
         injector = FaultInjector(sim, plan, FaultTargets(
-            broadcast=FakeBroadcast()))
+            broadcasts=[FakeBroadcast()]))
         sim.run(until=200.0)
         return tuple(t for t, _ in injector.fired)
 
@@ -107,7 +107,7 @@ def test_fault_metrics_count_on_a_registry_still_empty():
         assert tracer.metrics is registry and len(registry) == 0
         sim = Simulator(seed=0)
         FaultInjector(sim, parse_fault_plan("broadcast_outage@10,dur=5"),
-                      FaultTargets(broadcast=FakeBroadcast()))
+                      FaultTargets(broadcasts=[FakeBroadcast()]))
         sim.run(until=20.0)
     assert registry.counter("fault.injected").value == 1
     assert registry.counter("fault.restored").value == 1
