@@ -39,6 +39,7 @@ from repro.core.messages import (
     TaskResultPayload,
 )
 from repro.core.network import Router
+from repro.net.link import all_distinct
 from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
@@ -521,7 +522,7 @@ class Backend:
         state = _np.where(rows >= 0, self._state[rows], _DONE)
         pos = _np.flatnonzero(state == _FLIGHT)
         first = rows[pos]
-        if (state == _PENDING).any() or _np.unique(first).size < first.size:
+        if (state == _PENDING).any() or not all_distinct(first):
             # a lease-expired straggler, or a task twice: one by one
             done_event = self.done_event
             was_settled = done_event._settled

@@ -48,7 +48,8 @@ import numpy as _np
 
 from repro.errors import OddCIError
 from repro.core.messages import NoWork, TaskAssignment
-from repro.net.link import column_view, count_deliveries, offer_rows
+from repro.net.link import (all_distinct, column_view, count_deliveries,
+                            offer_rows)
 from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Simulator
 from repro.workloads.job import TaskTable
@@ -114,14 +115,6 @@ def _new_run(kind: int) -> list:
     if kind == _K_NOWORK_ARR:
         return [kind, array("q"), array("d")]
     return [kind, array("q")]
-
-
-def _distinct(slots: _np.ndarray) -> bool:
-    """True when no slot repeats (runs are usually already ascending)."""
-    if slots.size < 2 or bool((slots[1:] > slots[:-1]).all()):
-        return True
-    ranked = _np.sort(slots)
-    return bool((ranked[1:] != ranked[:-1]).all())
 
 
 def _groups(times: _np.ndarray) -> list:
@@ -534,7 +527,7 @@ class CohortTaskEngine:
         ls = sv if whole else sv[live]
         if not ls.size:
             return True
-        if not _distinct(ls) or not column_view(self._plain)[ls].all():
+        if not all_distinct(ls) or not column_view(self._plain)[ls].all():
             return False
         advs = list(map(_adversary, map(self._pna.__getitem__,
                                         ls.tolist())))
@@ -558,7 +551,7 @@ class CohortTaskEngine:
             sv = column_view(slots)
             live = self._offerable(sv)
             ls = sv[live]
-            if _distinct(ls):
+            if all_distinct(ls):
                 retry = column_view(retries)[live]
                 column_view(self._deadline)[ls] = -1.0
                 column_view(self._phase)[ls] = _np.where(
@@ -614,7 +607,7 @@ class CohortTaskEngine:
         if len(slots) >= _BULK_MIN:
             live = column_view(slots)
             live = live[column_view(destroyed)[live] == 0]
-            if _distinct(live):
+            if all_distinct(live):
                 if live.size:
                     self._send_results(live, now)
                 return

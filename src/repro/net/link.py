@@ -42,7 +42,8 @@ from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
 __all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows",
-           "count_deliveries", "column_view", "kbps", "mbps"]
+           "count_deliveries", "column_view", "all_distinct", "kbps",
+           "mbps"]
 
 
 def kbps(value: float) -> float:
@@ -58,10 +59,23 @@ def mbps(value: float) -> float:
 def column_view(column: array) -> np.ndarray:
     """Zero-copy numpy view of an ``array.array`` column.
 
-    Views must not outlive the call that makes them: a column cannot
-    grow while a view exports its buffer.
+    A ``'q'`` column is viewed as ``np.int64``, not ``np.longlong``: the
+    bits are the same, but only the canonical type hits ``ufunc.at``'s
+    indexed fast loop.  Views must not outlive the call that makes
+    them: a column cannot grow while a view exports its buffer.
     """
-    return np.frombuffer(column, dtype=column.typecode)
+    code = column.typecode
+    return np.frombuffer(column, dtype=np.int64 if code == "q" else code)
+
+
+def all_distinct(values: np.ndarray) -> bool:
+    """True when no value repeats, in O(n log n): a sort and an
+    adjacent compare (plain ``np.unique`` is a hash table, far slower
+    on large columns), skipped when ``values`` is already ascending."""
+    if values.size < 2 or bool((values[1:] > values[:-1]).all()):
+        return True
+    ranked = np.sort(values)
+    return bool((ranked[1:] != ranked[:-1]).all())
 
 
 class LinkTable:

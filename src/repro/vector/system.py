@@ -260,10 +260,9 @@ class VectorOddCISystem:
         outages = self._applicable_outages(recruited.size, t_start)
         stats = job.stats()
         factors = pop.device_factor[recruited]
-        unique = np.unique(factors)
-        if unique.size == 1:
+        if (factors == factors[0]).all():  # one device class
             d = (stats.mean_io_bits / self.delta_bps
-                 + stats.mean_ref_seconds * float(unique[0]))
+                 + stats.mean_ref_seconds * float(factors[0]))
         else:
             d = (stats.mean_io_bits / self.delta_bps
                  + stats.mean_ref_seconds * factors)

@@ -17,6 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.net.link import all_distinct
 
 __all__ = ["Task", "TaskTable", "Job", "JobStats", "reset_job_sequence"]
 
@@ -181,7 +182,7 @@ class Job:
         if not len(tasks):
             raise WorkloadError("a job needs at least one task")
         ids = tasks._ids
-        if not isinstance(ids, range) and np.unique(ids).size != ids.size:
+        if not isinstance(ids, range) and not all_distinct(ids):
             raise WorkloadError(
                 f"duplicate task_ids in job: {ids[:10].tolist()}...")
 

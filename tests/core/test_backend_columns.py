@@ -523,22 +523,40 @@ def test_columnar_backend_matches_dict_bookkeeping(scenario):
     _run_differential(cfg, ops)
 
 
-def test_differential_reaches_every_path():
+def test_differential_reaches_every_path(monkeypatch):
     """A fixed scenario through the differential that takes the
-    columnar cohort, the NoWork cohort, a straggler and a tombstone
-    skip — so the property above is known to cover them."""
+    columnar cohort, the NoWork cohort, a straggler, a task twice in
+    one result cohort and a tombstone skip — so the property above is
+    known to cover them."""
     n = 80
     cfg = {"seed": 0, "refs": [1.0] * n, "networks": ("a", "b"),
            "lease_factor": 0.01, "check_s": 0.5, "backoff": 1.0,
            "jitter": 0.0, "replicate": False, "scheduling": "fifo"}
+    # results the columnar Backend takes one by one (the dict oracle
+    # overrides receive_result, so only its own calls land here)
+    one_by_one = []
+    receive_result = Backend.receive_result
+
+    def spy(self, pna_id, task_id, digest=None):
+        one_by_one.append((pna_id, task_id))
+        receive_result(self, pna_id, task_id, digest)
+
+    monkeypatch.setattr(Backend, "receive_result", spy)
     cohort = ("cohort", tuple(f"a-{i % _WORKERS}" for i in range(40)))
     ops = [cohort, ("advance", 1.0),                 # 40 leases lapse
            ("results", [("held", 0)] * 10),          # 10 stragglers
            cohort, cohort,                           # 40 fresh, 30 + dry
-           ("scalar", "b-3"), ("results", [("held", 0)] * 70),
+           ("scalar", "b-3"),
+           ("results", [("held", -1), ("dup", -1)]),  # one task twice
+           ("results", [("held", 0)] * 70),
            ("advance", 1.0), cohort]
     backend = _run_differential(cfg, ops)
     assert backend.requeues >= 40 and backend.completed_count > 0
+    # the stragglers and the repeat fell back one by one (the first
+    # copy commits, the second is a duplicate); the 70 went columnar
+    assert len(one_by_one) == 12
+    assert one_by_one[-1] == one_by_one[-2]
+    assert backend.duplicates >= 1
 
 
 def test_straggler_results_tombstone_their_requeued_copy():

@@ -5,16 +5,20 @@ rows through :func:`offer_rows` / :func:`count_deliveries`, the other
 calls ``Link.offer`` / ``Link.count_delivery`` on the same rows in the
 same order.  Every observable must be bit-identical: delivery times,
 serializer state, counters, RNG stream positions and the order of the
-``net.dropped`` trace events.
+``net.dropped`` trace events.  The column helpers those kernels rest
+on, ``column_view`` and ``all_distinct``, have their cases at the end.
 """
 
 import math
+from array import array
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.link import Link, LinkTable, count_deliveries, offer_rows
+from repro.net.link import (Link, LinkTable, all_distinct, column_view,
+                            count_deliveries, offer_rows)
 from repro.sim import Simulator
 from repro.telemetry.trace import Tracer, active
 
@@ -137,3 +141,35 @@ def test_scalar_link_state_reads_are_python_floats():
     assert type(link.bits_sent) is float
     assert type(link.utilization_horizon) is float
     assert type(link.rate_bps) is float and type(link.delivered) is int
+
+
+def test_int64_column_view_counts_repeated_deliveries():
+    """A ``'q'`` column is viewed as ``np.int64`` (the dtype ``ufunc.at``
+    has its indexed fast loop for), and ``count_deliveries`` counts a
+    repeated row once per occurrence, as a per-row loop does."""
+    assert column_view(array("q", [1, 2])).dtype.type is np.int64
+    rows = np.array([3, 0, 3, 3, 5, 0, 1], dtype=np.int64)
+    table = LinkTable()
+    table.reserve(6)
+    table.delivered[2] = 7
+    count_deliveries(table, rows)
+    want = [0, 0, 7, 0, 0, 0]
+    for row in rows.tolist():
+        want[row] += 1
+    assert list(table.delivered) == want
+    view = column_view(table.delivered)
+    assert view.dtype.type is np.int64 and view.tolist() == want
+
+
+@pytest.mark.parametrize("values, distinct", [
+    ([], True),
+    ([4], True),
+    ([1, 2, 5, 9], True),           # ascending
+    ([9, 1, 5, 2], True),           # unsorted, distinct
+    ([3, 3, 5, 9], False),          # ascending, repeat at the start
+    ([1, 2, 9, 9], False),          # ascending, repeat at the end
+    ([9, 1, 5, 1], False),          # unsorted, the smallest twice
+    ([9, 1, 5, 9], False),          # unsorted, the largest twice
+])
+def test_all_distinct(values, distinct):
+    assert all_distinct(np.array(values, dtype=np.int64)) is distinct
