@@ -361,16 +361,19 @@ class ObjectCarousel:
                 and self._pending_updates.get(name) is None):
             raise FileNotInCarouselError(f"{name!r} not in carousel")
         ev = self.sim.event(name=f"{self.name}.read({name})")
-        self.listen(name, ev)
+        self.listen(name, ev, self.sim.now)
         return ev
 
-    def listen(self, name: str, callback) -> None:
-        """:meth:`read` for a poll loop: the settling window pushes one
-        urgent calendar entry calling ``callback(file)`` — the entry a
-        process waiting on the read's event would get — and builds no
-        event (a read queues its :class:`Event` here, settled in place).
-        ``name`` is not checked: a poll loop re-arms every repetition."""
-        self._reads[name].append((self.sim.now, callback))
+    def listen(self, name: str, callback, now: float) -> None:
+        """:meth:`read` for a poll loop, requested at the current
+        simulated time ``now``: the settling window pushes one urgent
+        calendar entry — the entry a process waiting on the read's event
+        would get — calling ``callback(file, now)`` with the instant it
+        runs at, which a loop re-arming from its callback passes back
+        here; no event is built (a read queues its :class:`Event` here,
+        settled in place).  ``name`` is not checked: a poll loop re-arms
+        every repetition."""
+        self._reads[name].append((now, callback))
         self._n_reads += 1
         if self._parked and not self._wake.triggered:
             self._wake.succeed(None)
@@ -580,12 +583,16 @@ class ObjectCarousel:
         # costing it a whole cycle; both transmit paths use the same
         # tolerance, so fast-forward cannot change the outcome.
         queue = self._reads.get(file.name)
+        if not queue:
+            return
         horizon = tx_start + 1e-9
         schedule = self.sim.schedule_fast
+        now = self.sim.now
+        queued = len(queue)
         while queue and queue[0][0] <= horizon:
             waiter = queue.popleft()[1]
             if waiter.__class__ is Event:
                 waiter.succeed(file)
             else:
-                schedule(0.0, waiter, file, priority=PRIORITY_URGENT)
-            self._n_reads -= 1
+                schedule(0.0, waiter, file, now, priority=PRIORITY_URGENT)
+        self._n_reads -= queued - len(queue)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, countOf
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -588,9 +588,9 @@ class PNABlock(NamedTuple):
         pnas = self.pnas
         if isinstance(payload, WakeupPayload) and len(pnas) >= _BULK_MIN \
                 and not any(map(attrgetter("_trace"), pnas)) \
-                and not any(map(_adversary, pnas)) and all(
-                    pna.heartbeat_interval_s == payload.heartbeat_interval_s
-                    for pna in pnas):
+                and not any(map(_adversary, pnas)) and countOf(
+                    map(attrgetter("heartbeat_interval_s"), pnas),
+                    payload.heartbeat_interval_s) == len(pnas):
             self._wakeup(payload, signature)
             return
         for pna in pnas:

@@ -206,16 +206,20 @@ class _ConfigListener:
     ``carousel.read``: start is one normal entry at ``now``, each settled
     read one urgent entry (:meth:`_poll`), :meth:`interrupt` one normal
     entry that halts; a halted listener's entries fire as no-ops.  An
-    error in a poll propagates out of ``sim.run``."""
+    error in a poll propagates out of ``sim.run``.
 
-    __slots__ = ("xlet", "alive", "_tuned_carousel", "_callback")
+    The carousel is the one tuned at start: power-off, untuning and
+    re-tuning destroy the Xlet synchronously, so a poll of a live Xlet
+    always finds the box still on it, and ``destroyed`` alone halts."""
+
+    __slots__ = ("xlet", "alive", "_carousel", "_callback")
 
     def __init__(self, xlet: PNAXlet) -> None:
         self.xlet = xlet
         self.alive = True
-        self._tuned_carousel = xlet.stb.tuned_carousel
+        self._carousel = xlet.stb.tuned_carousel()
         self._callback = self._poll
-        xlet.sim.schedule_fast(0.0, self._callback, None)
+        xlet.sim.schedule_fast(0.0, self._callback, None, xlet.sim.now)
 
     def interrupt(self) -> None:
         self.xlet.sim.schedule_fast(0.0, self._halt)
@@ -223,7 +227,7 @@ class _ConfigListener:
     def _halt(self) -> None:
         self.alive = False
 
-    def _poll(self, config: Optional[CarouselFile]) -> None:
+    def _poll(self, config: Optional[CarouselFile], now: float) -> None:
         if not self.alive:
             return
         xlet = self.xlet
@@ -242,11 +246,10 @@ class _ConfigListener:
                 if xlet.pna.deliver_control(payload, signature,
                                             fetch_image=fetch):
                     xlet._last_config_version = config.version
-        carousel = None if xlet.destroyed else self._tuned_carousel()
-        if carousel is None:  # destroyed, or untuned/off: being killed
+        if xlet.destroyed:
             self.alive = False
         else:
-            carousel.listen(CONFIG_FILE, self._callback)
+            self._carousel.listen(CONFIG_FILE, self._callback, now)
 
 
 class OddCIDTVSystem:

@@ -1,9 +1,16 @@
 """Discrete-event simulation kernel.
 
-The :class:`Simulator` owns a simulated clock and a binary-heap event
-calendar.  Heap entries are plain tuples; ties on time are broken first
-by an explicit integer priority (lower runs first) and then by insertion
-order, which makes runs fully deterministic.
+The :class:`Simulator` owns a simulated clock and an event calendar: a
+binary heap plus a *ready FIFO*.  Entries are plain tuples; ties on time
+are broken first by an explicit integer priority (lower runs first) and
+then by insertion order, which makes runs fully deterministic.  A fast
+entry for the current instant at ``PRIORITY_URGENT`` (most of them: event
+settles, carousel polls) is appended to the FIFO instead of sifted
+through the heap.  The FIFO holds one instant and one priority in ``seq``
+order and drains before the clock advances, so it is always sorted: the
+run loops pop the heap only while ``heap[0] < ready[0]``, which dispatches
+in exactly the heap-only ``(time, priority, seq)`` order (asyncio keeps
+its ``_ready`` deque beside its ``_scheduled`` heap the same way).
 
 Two scheduling paths share the calendar:
 
@@ -35,6 +42,7 @@ carousel, DTV and OddCI layers are all built on these primitives.
 from __future__ import annotations
 
 import math
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
@@ -247,6 +255,8 @@ class Simulator:
         #: heap of (time, priority, seq, callback, args) fast entries
         #: and (time, priority, seq, EventHandle) cancellable entries.
         self._heap: list[tuple] = []
+        #: same-instant PRIORITY_URGENT fast entries, in seq order
+        self._ready: deque = deque()
         self._seq = 0
         self._live = 0
         self._running = False
@@ -371,7 +381,10 @@ class Simulator:
         counter = self._kfast
         if counter is not None:
             counter.value += 1
-        heappush(self._heap, (time, priority, seq, callback, args))
+        if delay == 0.0 and priority == PRIORITY_URGENT:
+            self._ready.append((time, priority, seq, callback, args))
+        else:
+            heappush(self._heap, (time, priority, seq, callback, args))
 
     #: Alias — reads naturally at call sites (`sim.call_later(3, cb)`).
     call_later = schedule_fast
@@ -393,7 +406,10 @@ class Simulator:
         counter = self._kfast
         if counter is not None:
             counter.value += 1
-        heappush(self._heap, (time, priority, seq, callback, args))
+        if time == self._now and priority == PRIORITY_URGENT:
+            self._ready.append((time, priority, seq, callback, args))
+        else:
+            heappush(self._heap, (time, priority, seq, callback, args))
 
     def event(self, name: str = "") -> Event:
         """Create a fresh :class:`Event` bound to this simulator."""
@@ -406,8 +422,14 @@ class Simulator:
         Returns ``False`` when the calendar is empty, ``True`` otherwise.
         """
         heap = self._heap
-        while heap:
-            entry = heappop(heap)
+        ready = self._ready
+        while True:
+            if ready and not (heap and heap[0] < ready[0]):
+                entry = ready.popleft()
+            elif heap:
+                entry = heappop(heap)
+            else:
+                return False
             if len(entry) == 5:
                 callback = entry[3]
                 args = entry[4]
@@ -425,7 +447,6 @@ class Simulator:
                 self.trace(self._now, callback, args)
             callback(*args)
             return True
-        return False
 
     def run(self, until: Optional[float] = None) -> float:
         """Run events until the calendar drains or ``until`` is reached.
@@ -441,25 +462,32 @@ class Simulator:
         self._running = True
         self._stopped = False
         heap = self._heap
+        ready = self._ready
         try:
-            # Inlined pop loop — the kernel's hottest few lines.
-            while heap and not self._stopped:
-                entry = heap[0]
-                if len(entry) == 4 and entry[3]._cancelled:
+            # Inlined pop loop — the kernel's hottest few lines.  A FIFO
+            # entry is due now, so never past ``until``.
+            while not self._stopped:
+                if ready and not (heap and heap[0] < ready[0]):
+                    time, _, _, callback, args = ready.popleft()
+                elif heap:
+                    entry = heap[0]
+                    if len(entry) == 4 and entry[3]._cancelled:
+                        heappop(heap)
+                        continue
+                    time = entry[0]
+                    if until is not None and time > until:
+                        break
                     heappop(heap)
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                if len(entry) == 5:
-                    callback = entry[3]
-                    args = entry[4]
+                    if len(entry) == 5:
+                        callback = entry[3]
+                        args = entry[4]
+                    else:
+                        handle = entry[3]
+                        handle._executed = True
+                        callback = handle.callback
+                        args = handle.args
                 else:
-                    handle = entry[3]
-                    handle._executed = True
-                    callback = handle.callback
-                    args = handle.args
+                    break
                 self._now = time
                 self._live -= 1
                 self._events_executed += 1
@@ -479,14 +507,18 @@ class Simulator:
         :class:`SimulationError` so a wedged protocol does not spin forever.
         """
         heap = self._heap
+        ready = self._ready
         while not event._settled:
             # Inlined step() — provider-driven runs spend their time here.
             while True:
-                if not heap:
+                if ready and not (heap and heap[0] < ready[0]):
+                    entry = ready.popleft()
+                elif heap:
+                    entry = heappop(heap)
+                else:
                     raise SimulationError(
                         f"calendar drained before event {event.name!r} "
                         "settled")
-                entry = heappop(heap)
                 if len(entry) == 5:
                     callback = entry[3]
                     args = entry[4]

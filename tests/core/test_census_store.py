@@ -25,7 +25,6 @@ from repro.core.census import (
     MembersView,
     NodeInterner,
     RegistryView,
-    _selfcheck,
 )
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import InstanceSpec, reset_instance_sequence
@@ -57,9 +56,112 @@ def test_interner_assigns_dense_stable_indices():
 # ----------------------------------------------------- raw store differential
 
 
+def _selfcheck(ops: int, seed: int) -> int:
+    """Seeded differential fuzz with per-step columnar validation.
+
+    Applies a random census workload — touches, cohort groups, member
+    marks/drops, expiries, idle drops, crash clears, instance
+    bind/release — to a columnar and a dict store in lockstep and
+    asserts equal snapshots throughout.  Returns 0 on success (the
+    numpy-boundary gate).
+    """
+    rng = random.Random(seed)
+    interner_a, interner_b = NodeInterner(), NodeInterner()
+    columnar = ColumnarCensusStore(interner_a, initial_capacity=2)
+    reference = DictCensusStore(interner_b)
+    nodes = [f"pna-{i}" for i in range(256)]
+    instances = [f"inst-{i}" for i in range(6)]
+    bound: list = []
+
+    def idx_pair(node):
+        return interner_a.intern(node), interner_b.intern(node)
+
+    for step in range(ops):
+        op = rng.randrange(10)
+        now = float(step)
+        if op <= 2:  # single heartbeat touch
+            node = rng.choice(nodes)
+            state = PNAState.IDLE if rng.random() < 0.4 else PNAState.BUSY
+            inst = None if state is PNAState.IDLE else rng.choice(instances)
+            ia, ib = idx_pair(node)
+            columnar.touch(ia, state, inst, now)
+            reference.touch(ib, state, inst, now)
+            if state is PNAState.IDLE:
+                columnar.drop_from_all(ia)
+                reference.drop_from_all(ib)
+        elif op == 3:  # cohort group
+            group = rng.sample(nodes, rng.randrange(1, 32))
+            code = STATE_IDLE if rng.random() < 0.3 else STATE_BUSY
+            inst = None if code == STATE_IDLE else rng.choice(instances)
+            pairs = [idx_pair(n) for n in group]
+            arr_a = np.array([a for a, _b in pairs], dtype=np.int64)
+            arr_b = [b for _a, b in pairs]
+            columnar.touch_group(arr_a, code, inst, now)
+            reference.touch_group(arr_b, code, inst, now)
+            if code == STATE_IDLE:
+                columnar.drop_many_from_all(arr_a)
+                reference.drop_many_from_all(arr_b)
+            elif inst in bound:
+                ha = columnar.instance_handle(inst)
+                hb = reference.instance_handle(inst)
+                columnar.mark_members(ha, arr_a, now)
+                reference.mark_members(hb, arr_b, now)
+        elif op == 4:  # bind / release
+            inst = rng.choice(instances)
+            if inst in bound and rng.random() < 0.3:
+                columnar.release_instance(inst)
+                reference.release_instance(inst)
+                bound.remove(inst)
+            else:
+                columnar.bind_instance(inst)
+                reference.bind_instance(inst)
+                if inst not in bound:
+                    bound.append(inst)
+        elif op == 5 and bound:  # single mark/drop
+            inst = rng.choice(bound)
+            node = rng.choice(nodes)
+            ia, ib = idx_pair(node)
+            ha = columnar.instance_handle(inst)
+            hb = reference.instance_handle(inst)
+            if rng.random() < 0.7:
+                columnar.mark_member(ha, ia, now)
+                reference.mark_member(hb, ib, now)
+            else:
+                assert columnar.drop_member(ha, ia) == \
+                    reference.drop_member(hb, ib)
+        elif op == 6 and bound:  # expiry sweep
+            inst = rng.choice(bound)
+            cutoff = now - rng.randrange(0, ops // 2)
+            ha = columnar.instance_handle(inst)
+            hb = reference.instance_handle(inst)
+            assert columnar.expire_members(ha, cutoff) == \
+                reference.expire_members(hb, cutoff)
+        elif op == 7 and bound and rng.random() < 0.2:  # membership wipe
+            inst = rng.choice(bound)
+            columnar.clear_members(columnar.instance_handle(inst))
+            reference.clear_members(reference.instance_handle(inst))
+        elif op == 8 and rng.random() < 0.1:  # crash
+            columnar.clear()
+            reference.clear()
+        else:  # census reductions must agree
+            horizon = now - rng.randrange(0, ops)
+            assert columnar.idle_estimate(horizon) == \
+                reference.idle_estimate(horizon)
+            assert columnar.alive_estimate(horizon) == \
+                reference.alive_estimate(horizon)
+            assert columnar.registry_size() == reference.registry_size()
+            assert columnar.total_members() == reference.total_members()
+        if step % 97 == 0 or step == ops - 1:
+            columnar.validate()
+            reference.validate()
+            assert columnar.snapshot() == reference.snapshot(), \
+                f"stores diverged at step {step}"
+    return 0
+
+
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
 def test_store_differential_fuzz(seed):
-    """The module's own seeded fuzz: random touches, cohort groups,
+    """The seeded fuzz above: random touches, cohort groups,
     marks/drops, expiries, wipes and crashes against both engines in
     lockstep, with per-step columnar validation."""
     assert _selfcheck(ops=1500, seed=seed) == 0

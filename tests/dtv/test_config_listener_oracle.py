@@ -11,6 +11,10 @@ once on the process Xlet, and both runs must agree on
 * ``events_executed``;
 * certified tasks, copies, quarantines, escapes, carousel cycles and
   every Xlet's ``_last_config_version``, in creation order.
+
+The listener resolves its carousel once, at start; power-off, untuning
+and re-tuning must destroy the Xlet before the box leaves that carousel,
+which :func:`_assert_polls_tuned_carousel` checks at every live poll.
 """
 
 import pytest
@@ -19,13 +23,14 @@ from repro import dtv_oddci
 from repro.core.instance import reset_instance_sequence
 from repro.core.messages import WakeupPayload
 from repro.dtv.xlet import Xlet
-from repro.dtv_oddci import CONFIG_FILE, OddCIDTVSystem, PNAXlet
+from repro.dtv_oddci import CONFIG_FILE, PNA_APP_ID, OddCIDTVSystem, PNAXlet
 from repro.net.crypto import reset_key_sequence
 from repro.net.message import (MEGABYTE, bits_from_bytes,
                                reset_message_sequence)
 from repro.sim.core import Simulator
 from repro.sim.process import Interrupt
 from repro.workloads import uniform_bag
+from repro.workloads.devices import PowerMode
 from repro.workloads.job import reset_job_sequence
 from tests.dtv.test_calendar_pin import run_pinned_deployment
 
@@ -117,6 +122,21 @@ def _assert_same(results):
     assert out_l == out_p
     assert out_l["config_versions"]  # Xlets really ran
     return out_l
+
+
+def _assert_polls_tuned_carousel(polls):
+    """Dispatch hook: a live listener of a live Xlet is about to poll
+    only while its box is still tuned to the carousel it listens on
+    (``polls`` counts the checked polls)."""
+
+    def check(time, callback, args):
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, dtv_oddci._ConfigListener) and owner.alive \
+                and not owner.xlet.destroyed:
+            assert owner.xlet.stb.tuned_carousel() is owner._carousel
+            polls.append(time)
+
+    return check
 
 
 def _job_outputs(system, submission):
@@ -246,3 +266,75 @@ def test_multichannel_matches_process_loop(monkeypatch):
 
     out = _assert_same(_run_both(monkeypatch, scenario))
     assert out["completed"] == 48
+
+
+@pytest.mark.parametrize("fast_forward", [True, False],
+                         ids=["fast_forward", "live"])
+def test_power_off_untune_and_retune_match_process_loop(monkeypatch,
+                                                         fast_forward):
+    """Power-off, untuning and re-tuning to the other channel of a
+    2-channel deployment, while every poll is queued on a carousel and
+    right before a settled poll runs; then power-on and tuning back,
+    which relaunch the Xlet."""
+    polls = []
+
+    def scenario(sim, on_dispatch):
+        system = OddCIDTVSystem(sim, channels=2, maintenance_interval_s=100.0,
+                                pna_xlet_bits=bits_from_bytes(64 * 1024),
+                                carousel_fast_forward=fast_forward)
+        boxes = system.add_receivers(6, heartbeat_interval_s=50.0,
+                                     dve_poll_interval_s=10.0)
+        other = {system.services[0]: system.services[1],
+                 system.services[1]: system.services[0]}
+        on_dispatch(_assert_polls_tuned_carousel(polls))
+        sim.run(until=60.0)
+        job = uniform_bag(60, image_bits=MEGABYTE, ref_seconds=30.0)
+        submission = system.provider.submit_job(
+            job, target_size=4, heartbeat_interval_s=50.0)
+        sim.run(until=61.3)  # mid-wait: every loop is queued
+        boxes[0].set_mode(PowerMode.OFF)
+        boxes[1].untune()
+        boxes[3].tune(other[boxes[3].service])
+        sim.run(until=120.0)
+        boxes[0].set_mode(PowerMode.IN_USE)
+        boxes[1].tune(system.services[1])
+
+        def power_cycle(box):
+            box.set_mode(PowerMode.OFF)
+            box.set_mode(PowerMode.IN_USE)
+
+        # Right before a settled poll runs (its entry already queued):
+        # after t, (box, action).
+        armed = [(150.0, 2, lambda box: box.tune(other[box.service])),
+                 (180.0, 4, lambda box: box.set_mode(PowerMode.OFF)),
+                 (210.0, 5, lambda box: box.untune()),
+                 (240.0, 3, power_cycle)]
+
+        def before_poll(time, callback, args):
+            owner = getattr(callback, "__self__", None)
+            for step in armed:
+                after, box, action = step
+                xlet = boxes[box].app_manager.running_xlet(PNA_APP_ID)
+                if time > after and args and args[0] is not None \
+                        and xlet is not None and owner is xlet._loop:
+                    armed.remove(step)
+                    action(boxes[box])
+                    return
+
+        on_dispatch(before_poll)
+        sim.run(until=400.0)
+        assert not armed
+        out = _job_outputs(system, submission)
+        out["carousel_cycles"] = [p.carousel.cycles_completed
+                                  for p in system.planes]
+        out["services"] = [system.services.index(box.service)
+                           if box.service is not None else None
+                           for box in boxes]
+        out["running"] = [box.app_manager.running_xlet(PNA_APP_ID)
+                          is not None for box in boxes]
+        return out
+
+    out = _assert_same(_run_both(monkeypatch, scenario))
+    assert polls  # the listener run checked its live polls
+    assert out["services"] == [0, 1, 1, 0, 1, None]
+    assert out["running"] == [True, True, True, True, False, False]
