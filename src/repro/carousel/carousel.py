@@ -30,9 +30,9 @@ actually allows and is studied as an ablation.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
-from typing import (Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from bisect import bisect_right
+from collections import defaultdict
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.carousel.dsmcc import DEFAULT_SECTION_FORMAT, SectionFormat
 from repro.carousel.objects import CarouselFile
 from repro.net.broadcast import BroadcastChannel
 from repro.net.message import DEFAULT_HEADER_BITS, Message
-from repro.sim.core import PRIORITY_URGENT, Event, Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
 
@@ -210,11 +210,11 @@ class ObjectCarousel:
         if not self._files:
             raise CarouselError("carousel needs at least one file")
         self._pending_updates: Dict[str, Optional[CarouselFile]] = {}
-        #: file name -> FIFO of ``(request_time, event or listener)``:
-        #: reads are queued at a non-decreasing ``sim.now``, so the reads
-        #: a window settles are always a prefix of their file's queue
-        self._reads: Dict[str, Deque[Tuple[float, object]]] = \
-            defaultdict(deque)
+        #: file name -> ``[request times, waiters, Event waiter count]``,
+        #: a waiter being a read's event or a listener: reads are queued
+        #: at a non-decreasing ``sim.now``, so the reads a window settles
+        #: are always a prefix of their file's lists
+        self._reads: Dict[str, list] = defaultdict(lambda: [[], [], 0])
         self._n_reads = 0
         self._cycles_completed = 0
         self._skip_cycles = 0
@@ -362,18 +362,22 @@ class ObjectCarousel:
             raise FileNotInCarouselError(f"{name!r} not in carousel")
         ev = self.sim.event(name=f"{self.name}.read({name})")
         self.listen(name, ev, self.sim.now)
+        self._reads[name][2] += 1
         return ev
 
     def listen(self, name: str, callback, now: float) -> None:
         """:meth:`read` for a poll loop, requested at the current
-        simulated time ``now``: the settling window pushes one urgent
+        simulated time ``now``: the settling window gives it one urgent
         calendar entry — the entry a process waiting on the read's event
-        would get — calling ``callback(file, now)`` with the instant it
+        would get, in a kernel run with the window's other listeners —
+        calling ``callback(file, now)`` with the instant it
         runs at, which a loop re-arming from its callback passes back
         here; no event is built (a read queues its :class:`Event` here,
         settled in place).  ``name`` is not checked: a poll loop re-arms
         every repetition."""
-        self._reads[name].append((now, callback))
+        queue = self._reads[name]
+        queue[0].append(now)
+        queue[1].append(callback)
         self._n_reads += 1
         if self._parked and not self._wake.triggered:
             self._wake.succeed(None)
@@ -472,6 +476,9 @@ class ObjectCarousel:
                 yield from self._transmit_cycle()
         except Interrupt:
             pass
+        # Stopped: the queued reads can no longer settle.
+        self._reads.clear()
+        self._n_reads = 0
 
     def _transmit_cycle(self):
         """Transmit one full repetition pinned to the cycle grid."""
@@ -583,16 +590,21 @@ class ObjectCarousel:
         # costing it a whole cycle; both transmit paths use the same
         # tolerance, so fast-forward cannot change the outcome.
         queue = self._reads.get(file.name)
-        if not queue:
+        k = bisect_right(queue[0], tx_start + 1e-9) if queue else 0
+        if not k:
             return
-        horizon = tx_start + 1e-9
-        schedule = self.sim.schedule_fast
-        now = self.sim.now
-        queued = len(queue)
-        while queue and queue[0][0] <= horizon:
-            waiter = queue.popleft()[1]
-            if waiter.__class__ is Event:
-                waiter.succeed(file)
-            else:
-                schedule(0.0, waiter, file, now, priority=PRIORITY_URGENT)
-        self._n_reads -= queued - len(queue)
+        times, waiters, events = queue
+        settled = waiters[:k]
+        del times[:k], waiters[:k]
+        self._n_reads -= k
+        # Listeners settle as kernel runs, one calendar entry each; a
+        # read's Event succeeds in place between them, in queue order.
+        args = (file, self.sim.now)
+        start = 0
+        for i in range(k if events else 0):
+            if settled[i].__class__ is Event:
+                self.sim.call_soon_each(settled[start:i], args)
+                queue[2] -= 1
+                settled[i].succeed(file)
+                start = i + 1
+        self.sim.call_soon_each(settled[start:], args)

@@ -92,7 +92,8 @@ class SetTopBox:
                 self._ait_token = None
         elif not was_powered and self._service is not None:
             # woke up: re-attach to the remembered service
-            self._ait_token = self._service.attach(self.app_manager.on_ait)
+            self._ait_token = self._service.attach(
+                self.app_manager.on_ait, self.app_manager.destroy_all)
 
     # -- tuner --------------------------------------------------------------
     @property
@@ -107,7 +108,8 @@ class SetTopBox:
             return
         self.untune()
         self._service = service
-        self._ait_token = service.attach(self.app_manager.on_ait)
+        self._ait_token = service.attach(self.app_manager.on_ait,
+                                         self.app_manager.destroy_all)
 
     def untune(self) -> None:
         """Drop the current service (applications are killed)."""

@@ -67,6 +67,8 @@ class Service:
         self.carousel: Optional[ObjectCarousel] = None
         self._ait = ApplicationInformationTable()
         self._ait_listeners: Dict[int, AITListener] = {}
+        #: token -> destroys that receiver's applications
+        self._teardowns: Dict[int, Callable[[], None]] = {}
         self._next_token = 0
 
     @property
@@ -94,8 +96,12 @@ class Service:
         return self.carousel
 
     def unmount_carousel(self) -> None:
+        """Stop the carousel, first destroying the applications it
+        launched on the attached receivers, as re-tuning would."""
         if self.carousel is None:
             raise DTVError(f"service {self.name!r} has no carousel")
+        for teardown in list(self._teardowns.values()):
+            teardown()
         self.carousel.stop()
         self.carousel = None
 
@@ -119,17 +125,22 @@ class Service:
         for listener in list(self._ait_listeners.values()):
             listener(ait)
 
-    def attach(self, listener: AITListener) -> int:
+    def attach(self, listener: AITListener,
+               teardown: Optional[Callable[[], None]] = None) -> int:
         """Subscribe to AIT snapshots; the current AIT is delivered
-        immediately (a tuner scan).  Returns a detach token."""
+        immediately (a tuner scan).  ``teardown`` runs on unmount.
+        Returns a detach token."""
         token = self._next_token
         self._next_token += 1
         self._ait_listeners[token] = listener
+        if teardown is not None:
+            self._teardowns[token] = teardown
         listener(self._ait)
         return token
 
     def detach(self, token: int) -> None:
         self._ait_listeners.pop(token, None)
+        self._teardowns.pop(token, None)
 
     @property
     def tuned_count(self) -> int:

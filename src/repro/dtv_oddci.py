@@ -41,7 +41,7 @@ from repro.dtv.ait import (
 )
 from repro.dtv.receiver import SetTopBox
 from repro.dtv.transport import Multiplex, Service
-from repro.dtv.xlet import Xlet
+from repro.dtv.xlet import Xlet, XletState
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.crypto import KeyRegistry
 from repro.net.link import DuplexChannel
@@ -60,6 +60,7 @@ PNA_XLET_FILE = "pna.bin"
 CONFIG_FILE = "oddci.config"
 #: AIT application id reserved for the PNA Xlet.
 PNA_APP_ID = 777
+_DESTROYED = XletState.DESTROYED
 
 
 class CarouselControlPlane(ControlPlane):
@@ -210,7 +211,7 @@ class _ConfigListener:
 
     The carousel is the one tuned at start: power-off, untuning and
     re-tuning destroy the Xlet synchronously, so a poll of a live Xlet
-    always finds the box still on it, and ``destroyed`` alone halts."""
+    always finds the box still on it, and a destroyed Xlet alone halts."""
 
     __slots__ = ("xlet", "alive", "_carousel", "_callback")
 
@@ -246,7 +247,7 @@ class _ConfigListener:
                 if xlet.pna.deliver_control(payload, signature,
                                             fetch_image=fetch):
                     xlet._last_config_version = config.version
-        if xlet.destroyed:
+        if xlet._state is _DESTROYED:
             self.alive = False
         else:
             self._carousel.listen(CONFIG_FILE, self._callback, now)

@@ -10,7 +10,8 @@ through the heap.  The FIFO holds one instant and one priority in ``seq``
 order and drains before the clock advances, so it is always sorted: the
 run loops pop the heap only while ``heap[0] < ready[0]``, which dispatches
 in exactly the heap-only ``(time, priority, seq)`` order (asyncio keeps
-its ``_ready`` deque beside its ``_scheduled`` heap the same way).
+its ``_ready`` deque beside its ``_scheduled`` heap the same way).  A
+FIFO *run* item (:meth:`Simulator.call_soon_each`) stands for k entries.
 
 Two scheduling paths share the calendar:
 
@@ -47,6 +48,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SchedulingError, SimulationError
+from repro.sim.rng import derive_generator
 from repro.telemetry.trace import channel as _telemetry_channel
 
 __all__ = [
@@ -225,6 +227,10 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "settled" if self._settled else "pending"
         return f"<Event {self.name!r} {state}>"
+
+
+#: :meth:`Simulator._dispatch_run` returns after one member watching this
+_SETTLED = Event(None, "settled").succeed()
 
 
 class Simulator:
@@ -411,6 +417,21 @@ class Simulator:
         else:
             heappush(self._heap, (time, priority, seq, callback, args))
 
+    def call_soon_each(self, callbacks: list, args: tuple) -> None:
+        """One ``schedule_fast(0.0, callback, *args,
+        priority=PRIORITY_URGENT)`` per callback of the list, in order —
+        own seq, own event — held in the FIFO as one *run* item.  The
+        kernel takes the list over."""
+        n = len(callbacks)
+        if not n:
+            return
+        seq = self._seq
+        self._seq = seq + n
+        self._live += n
+        if self._kfast is not None:
+            self._kfast.value += n
+        self._ready.append((self._now, PRIORITY_URGENT, seq, callbacks, args))
+
     def event(self, name: str = "") -> Event:
         """Create a fresh :class:`Event` bound to this simulator."""
         return Event(self, name)
@@ -426,6 +447,9 @@ class Simulator:
         while True:
             if ready and not (heap and heap[0] < ready[0]):
                 entry = ready.popleft()
+                if entry[3].__class__ is list:
+                    self._dispatch_run(entry, _SETTLED)
+                    return True
             elif heap:
                 entry = heappop(heap)
             else:
@@ -468,7 +492,10 @@ class Simulator:
             # entry is due now, so never past ``until``.
             while not self._stopped:
                 if ready and not (heap and heap[0] < ready[0]):
-                    time, _, _, callback, args = ready.popleft()
+                    time, _, _, callback, args = entry = ready.popleft()
+                    if callback.__class__ is list:
+                        self._dispatch_run(entry, None)
+                        continue
                 elif heap:
                     entry = heap[0]
                     if len(entry) == 4 and entry[3]._cancelled:
@@ -510,25 +537,30 @@ class Simulator:
         ready = self._ready
         while not event._settled:
             # Inlined step() — provider-driven runs spend their time here.
-            while True:
-                if ready and not (heap and heap[0] < ready[0]):
-                    entry = ready.popleft()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    raise SimulationError(
-                        f"calendar drained before event {event.name!r} "
-                        "settled")
-                if len(entry) == 5:
-                    callback = entry[3]
-                    args = entry[4]
-                    break
+            if ready and not (heap and heap[0] < ready[0]):
+                entry = ready.popleft()
+                if entry[3].__class__ is list:
+                    if entry[0] > limit:
+                        self._dispatch_run(entry, _SETTLED)
+                        break
+                    self._dispatch_run(entry, event)
+                    continue
+            elif heap:
+                entry = heappop(heap)
+            else:
+                raise SimulationError(
+                    f"calendar drained before event {event.name!r} "
+                    "settled")
+            if len(entry) == 5:
+                callback = entry[3]
+                args = entry[4]
+            else:
                 handle = entry[3]
-                if not handle._cancelled:
-                    handle._executed = True
-                    callback = handle.callback
-                    args = handle.args
-                    break
+                if handle._cancelled:
+                    continue
+                handle._executed = True
+                callback = handle.callback
+                args = handle.args
             self._now = time = entry[0]
             self._live -= 1
             self._events_executed += 1
@@ -536,11 +568,41 @@ class Simulator:
                 self.trace(time, callback, args)
             callback(*args)
             if time > limit:
-                raise SimulationError(
-                    f"time limit {limit} exceeded waiting for {event.name!r}")
-        if not event.ok:
-            raise event.value
-        return event.value
+                break
+        else:  # settled; a break is the limit
+            if not event.ok:
+                raise event.value
+            return event.value
+        raise SimulationError(
+            f"time limit {limit} exceeded waiting for {event.name!r}")
+
+    def _dispatch_run(self, run: tuple, until: Optional[Event]) -> None:
+        """Dispatch a popped run item's members, each as an event.  The
+        tail goes back to the FIFO front once the heap head sorts before
+        the next member (a same-instant entry below ``PRIORITY_URGENT``),
+        ``until`` settles (None: :meth:`stop`) or a member raises."""
+        time, priority, seq, callbacks, args = run
+        heap = self._heap
+        head = heap[0] if heap else None
+        i = 0
+        try:
+            for i, callback in enumerate(callbacks, 1):
+                self._now = time
+                self._live -= 1
+                self._events_executed += 1
+                if self.trace is not None:
+                    self.trace(time, callback, args)
+                callback(*args)
+                if heap and heap[0] is not head:
+                    head = heap[0]
+                    if head < (time, priority, seq + i):
+                        break
+                if self._stopped if until is None else until._settled:
+                    break
+        finally:
+            if i < len(callbacks):
+                self._ready.appendleft(
+                    (time, priority, seq + i, callbacks[i:], args))
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to return after the current event."""
@@ -642,8 +704,6 @@ class Simulator:
         Streams are derived from the simulator seed and the stream name so
         adding a new consumer never perturbs existing streams.
         """
-        from repro.sim.rng import derive_generator
-
         gen = self._rng_streams.get(stream)
         if gen is None:
             gen = derive_generator(self._seed, stream)

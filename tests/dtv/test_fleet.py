@@ -3,7 +3,7 @@ power modes, direct channels and churn."""
 
 import pytest
 
-from repro.dtv_oddci import OddCIDTVSystem
+from repro.dtv_oddci import PNA_APP_ID, OddCIDTVSystem
 from repro.errors import ConfigurationError
 from repro.workloads.devices import PowerMode
 from repro.workloads.traces import ChurnModel
@@ -88,3 +88,24 @@ def test_no_churn_population_is_stable():
     system = build(n=10)
     system.sim.run(until=1000.0)
     assert powered_count(system) == 10
+
+
+def test_unmounting_the_carousel_destroys_its_xlets():
+    """Unmounting a service's carousel destroys the PNA Xlets it
+    launched, as re-tuning does: their PNAs go offline and no config
+    poll stays queued on the stopped carousel."""
+    system = OddCIDTVSystem(seed=5, maintenance_interval_s=100.0)
+    boxes = system.add_receivers(2, heartbeat_interval_s=50.0,
+                                 dve_poll_interval_s=10.0)
+    service = system.services[0]
+    carousel = service.carousel
+    system.sim.run(until=60.0)
+    xlets = [box.app_manager.running_xlet(PNA_APP_ID) for box in boxes]
+    assert [x.state.value for x in xlets] == ["started", "started"]
+    assert system.online_count() == 2 and carousel._n_reads == 2
+    system.sim.schedule_at(60.0, service.unmount_carousel)
+    system.sim.run(until=300.0)
+    assert [x.state.value for x in xlets] == ["destroyed", "destroyed"]
+    assert system.online_count() == 0
+    assert carousel._n_reads == 0 and not carousel._reads
+    assert all(box.app_manager.running_count == 0 for box in boxes)

@@ -2,15 +2,17 @@
 
 :class:`_HeapKernel` keeps the kernel as it was before same-instant
 urgent entries got a FIFO beside the heap: every entry is pushed on the
-heap, and ``step``/``run``/``run_until_event`` pop it alone.  Random
+heap, ``step``/``run``/``run_until_event`` pop it alone, and a
+``call_soon_each`` run is one ``schedule_fast`` per member.  Random
 programs run on both kernels — callbacks that schedule zero-delay and
 later entries at URGENT, NORMAL, LATE and negative priority through
-``schedule_fast``, ``call_at`` and ``schedule_at`` (some cancelled),
-settle and wait on an event, and stop the run mid-instant — driven by
-a random mix of ``run(until=...)``, ``run()``, ``step()`` and
-``run_until_event``.  Both must dispatch the same entries in the same
-order, at the same clock, with the same ``events_executed`` and
-``queued_events`` throughout.
+``schedule_fast``, ``call_at``, ``schedule_at`` (some cancelled) and
+``call_soon_each`` runs, settle and wait on an event, and stop the run
+mid-instant (mid-run too) — driven by a random mix of
+``run(until=...)``, ``run()``, ``step()`` and ``run_until_event``
+(with a limit ahead of, at or behind the clock).  Both must dispatch
+the same entries in the same order, at the same clock, with the same
+``events_executed`` and ``queued_events`` throughout.
 """
 
 import math
@@ -35,6 +37,10 @@ class _HeapKernel(Simulator):
         self._push(time, priority, callback, args)
 
     call_later = schedule_fast
+
+    def call_soon_each(self, callbacks, args):
+        for callback in callbacks:
+            self.schedule_fast(0.0, callback, *args, priority=PRIORITY_URGENT)
 
     def call_at(self, time, callback, *args, priority=PRIORITY_NORMAL):
         if not (time >= self._now) or time == math.inf:
@@ -124,23 +130,30 @@ _NODES = 6
 _schedule = st.tuples(st.sampled_from(("fast", "at", "handle")),
                       st.integers(1, _NODES - 1), st.sampled_from(_DELAYS),
                       st.sampled_from(_PRIORITIES))
+#: a ``call_soon_each`` run of these nodes (repeats allowed)
+_run = st.tuples(st.just("each"),
+                 st.lists(st.integers(1, _NODES - 1), min_size=1,
+                          max_size=4).map(tuple))
 _other = st.one_of(
+    _run,
     st.tuples(st.just("cancel"), st.integers(0, 7)),
     st.tuples(st.just("wait"), st.integers(1, _NODES - 1)),
     st.tuples(st.sampled_from(("stop", "settle"))))
 _actions = st.lists(st.one_of(_schedule, _schedule, _other), max_size=4)
 _drive = st.lists(st.one_of(
     st.tuples(st.just("run"), st.sampled_from((None, 0.0, 0.5, 1.0, 3.0))),
-    st.tuples(st.sampled_from(("step", "until_event")))),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("until_event"), st.sampled_from((2.0, 0.0, -1.0)))),
     min_size=1, max_size=6)
 
 
 def _execute(kernel, roots, nodes, drive):
     """Run one program on a fresh ``kernel``; return its observations."""
-    sim = kernel(seed=0)
+    log = []
+    sim = kernel(seed=0, trace=lambda time, _cb, args: log.append(
+        ("dispatch", time, [getattr(a, "name", a) for a in args])))
     done = sim.event("done")
     handles = []
-    log = []
 
     def act(actions, source):
         for action in actions:
@@ -157,6 +170,12 @@ def _execute(kernel, roots, nodes, drive):
                 else:
                     handles.append(sim.schedule_at(
                         sim.now + delay, node, target, priority=priority))
+            elif kind == "each":
+                members = [t for t in action[1] if t > source]
+                if members:
+                    sim.call_soon_each(
+                        [lambda src, t=t: node(t) for t in members],
+                        (source,))
             elif kind == "cancel" and handles:
                 handles[action[1] % len(handles)].cancel()
             elif kind == "wait" and action[1] > source:
@@ -179,7 +198,7 @@ def _execute(kernel, roots, nodes, drive):
             elif call[0] == "step":
                 result = sim.step()
             else:
-                result = sim.run_until_event(done, limit=sim.now + 2.0)
+                result = sim.run_until_event(done, limit=sim.now + call[1])
         except SimulationError as exc:
             result = f"{type(exc).__name__}: {exc}"
         log.append((call, result, sim.now, sim.events_executed,
@@ -230,9 +249,49 @@ def _assert_same(roots, nodes, drive):
 @example(roots=[("fast", 1, 0.5, PRIORITY_LATE), ("wait", 2)],
          nodes=[[], [("settle",), ("wait", 3), ("fast", 4, 0.0, -1)],
                 [], [], [], []],
-         drive=[("until_event",), ("run", None)])
+         drive=[("until_event", 2.0), ("run", None)])
+# a run's member schedules a same-instant entry below URGENT: it runs
+# before the run's next member; NORMAL and LATE ones wait for the run
+@example(roots=[("each", (1, 2, 3))],
+         nodes=[[], [("fast", 4, 0.0, -1), ("fast", 5, 0.0, PRIORITY_LATE)],
+                [("at", 5, 0.0, -1), ("fast", 4, 0.0, PRIORITY_NORMAL)],
+                [("fast", 4, 0.0, PRIORITY_URGENT)], [], []],
+         drive=[("run", None)])
+# stop() mid-run: the tail stays due; step() then takes one member at a
+# time, and run(until=...) the rest before the clock moves
+@example(roots=[("each", (1, 2, 3, 4)), ("fast", 5, 0.5, PRIORITY_NORMAL)],
+         nodes=[[], [("stop",)], [("each", (4, 5))], [], [], []],
+         drive=[("run", None), ("step",), ("step",), ("run", 0.0),
+                ("run", 1.0)])
+# run_until_event settles mid-run, and a limit behind the clock raises
+# after one member
+@example(roots=[("each", (1, 2, 3)), ("wait", 4)],
+         nodes=[[], [("settle",)], [("each", (3, 4))], [], [], []],
+         drive=[("until_event", 2.0), ("until_event", -1.0),
+                ("run", None)])
 def test_ready_fifo_dispatches_as_the_heap_only_calendar(roots, nodes, drive):
     _assert_same(roots, nodes, drive)
+
+
+def test_a_run_is_one_fifo_item_of_k_entries():
+    """``call_soon_each`` reserves k consecutive seqs as one FIFO item,
+    counted k times in ``queued_events``; the kernel then dispatches k
+    events, each traced with the shared args."""
+    seen = []
+    sim = Simulator(trace=lambda time, cb, args: seen.append((time, args)))
+    sim.schedule_fast(0.0, print, priority=PRIORITY_URGENT)
+    sim.call_soon_each([seen.append, seen.append, seen.append], ("x",))
+    sim.call_soon_each([], ("never",))
+    sim.schedule_fast(0.0, len, (), priority=PRIORITY_URGENT)
+    assert len(sim._ready) == 3 and sim.queued_events == 5
+    assert [entry[2] for entry in sim._ready] == [0, 1, 4]
+    sim.step()
+    sim.step()  # first member: the tail goes back with seq 2
+    assert sim._ready[0][2] == 2 and sim.queued_events == 3
+    sim.run()
+    assert sim.events_executed == 5 and sim.queued_events == 0
+    assert seen[1:] == [(0.0, ("x",)), "x", (0.0, ("x",)), "x",
+                        (0.0, ("x",)), "x", (0.0, ((),))]
 
 
 def test_same_instant_urgent_entries_use_the_fifo():
