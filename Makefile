@@ -80,11 +80,14 @@ certify-smoke:
 		-q --per-pna-oracle
 
 # Vector-tier parity smoke: the columnar system/fault-mask/telemetry
-# suites, the event-vs-vector agreement suite, the vector_scale
-# scenario through the parallel runner, and the throughput floor at
-# reduced scale (DESIGN.md §16).
+# suites, the carousel schedule the wakeup is sampled from (and its
+# fmod-vs-% differential), the event-vs-vector agreement suite, the
+# vector_scale scenario through the parallel runner, and the throughput
+# floor at reduced scale (DESIGN.md §16).
 vector-smoke:
 	$(PYTHON) -m pytest tests/vector tests/faults/test_masks.py \
+		tests/carousel/test_schedule.py \
+		tests/carousel/test_wakeup_differential.py \
 		tests/test_tier_agreement.py -q
 	$(PYTHON) -m repro vector_scale --smoke --jobs 2
 	REPRO_FLOOR_SCALE=100000 $(PYTHON) -m pytest \

@@ -6,12 +6,13 @@ storm) against a persistent population must clear
 :data:`MIN_NODES_PER_SEC` recruited-nodes-per-second of run wall time.
 Points recorded at 757214e (the vector bench record, see git history):
 ~1.4M nodes/s at 10^5, ~1.3M at 10^6, ~0.5M at 10^7 (and ~175k at the
-10^8 smoke, below this floor — the guard is calibrated for the
-10^5-10^7 sweep range).  With the distinct-row makespan bisection and
-census epochs that write only what changes (DESIGN.md §16), on a
-2-vCPU x86-64 host, one run each against a38d145: 10^6 nodes 1.18M ->
-4.39M nodes/s (peak RSS 235 -> 219 MB); 10^7 nodes 0.63M -> 3.70M
-nodes/s (1320 -> 1241 MB).
+10^8 smoke, not re-run since: it needed ~7.3 GB RSS).  With the grouped
+census and the fmod carousel wakeup (DESIGN.md §16), on a 2-vCPU x86-64
+host with the collector off, interleaved with the code before them:
+10^6 nodes 3.98M -> 7.05M nodes/s (medians of 3 runs each, 3.50-4.37M
+vs 6.64-7.16M; peak RSS 219.2-219.4 -> 218.3-218.8 MB); 10^7 nodes
+3.16/3.37M -> 6.31/6.62M nodes/s (peak RSS 1241.4-1241.6 ->
+1245.6-1245.8 MB); 10^5 (the CI scale) 6.2-6.5M nodes/s.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -32,10 +33,10 @@ from repro.vector.system import VectorOddCISystem
 from repro.workloads.bot import uniform_bag_spec
 
 FULL_SCALE = 1_000_000
-#: Measured ~1.3M nodes/s at the tracked 10^6 point; generous margin
-#: for slower hosts, still tight enough to catch an O(n log n) or
-#: per-node-Python regression (those land 10-100x below).
-MIN_NODES_PER_SEC = 250_000
+#: Measured 6.6-7.2M nodes/s at 10^6 and 6.2-6.5M at 10^5; a 4x margin
+#: for slower or busier hosts, still tight enough to catch an
+#: O(n log n) or per-node-Python regression (those land 10-100x below).
+MIN_NODES_PER_SEC = 1_500_000
 
 
 def run_vector_scenario(n_nodes: int) -> dict:

@@ -121,13 +121,17 @@ class CarouselSchedule:
         """
         offset, _ = self.window(name)
         t = np.asarray(t, dtype=float)
-        rel = t - self.origin_time
-        if np.any(rel < 0):
+        wait = np.array(t)  # one buffer: request offset, phase, wait
+        wait -= self.origin_time
+        if np.any(wait < 0):
             raise CarouselError("request precedes carousel origin")
-        phase = rel % self.cycle_time
-        wait = (offset - phase) % self.cycle_time
-        result = t + wait
-        return float(result) if result.ndim == 0 else result
+        # fmod is exact and is % on offsets >= 0; offset - phase is in
+        # (-cycle, cycle), never -0.0: adding cycle where < 0 is the %.
+        np.fmod(wait, self.cycle_time, out=wait)
+        np.subtract(offset, wait, out=wait)
+        np.add(wait, self.cycle_time, out=wait, where=wait < 0)
+        wait += t
+        return float(wait) if wait.ndim == 0 else wait
 
     def completion_time(
         self,
@@ -145,15 +149,14 @@ class CarouselSchedule:
                 f"unknown read policy {policy!r}; choose from {READ_POLICIES}")
         offset, duration = self.window(name)
         t_arr = np.asarray(t, dtype=float)
-        start = np.asarray(self.next_start(name, t_arr), dtype=float)
-        completion = start + duration
+        completion = np.asarray(self.next_start(name, t_arr))
+        completion += duration
         if policy == "resume":
             # Mid-window requests wrap around and finish one full cycle
             # after the request instead of waiting for the next start.
-            rel = (t_arr - self.origin_time) % self.cycle_time
+            rel = np.fmod(t_arr - self.origin_time, self.cycle_time)
             in_window = (rel > offset) & (rel < offset + duration)
-            completion = np.where(in_window, t_arr + self.cycle_time,
-                                  completion)
+            np.add(t_arr, self.cycle_time, out=completion, where=in_window)
         return float(completion) if completion.ndim == 0 else completion
 
     def mean_read_time(self, name: str, *, policy: str = "wait_for_start") -> float:

@@ -5,20 +5,24 @@ by interned PNA ids; at 10⁷+ nodes the population indices *are* the
 dense ids, so the vector census holds the same struct-of-arrays layout
 (state / last-seen / instance columns, :data:`STATE_NONE` and the
 ``-inf`` never-seen sentinel from :mod:`repro.core.census`) directly
-over population rows and computes every gauge as an array reduction via
-:func:`repro.core.census.registry_reductions` — same metric names
-(``census.registry_size`` / ``census.idle`` / ``census.alive``,
-``census.heartbeats``), same grace-window liveness convention (a node
-is alive when seen within ``grace`` of now).
+over population rows, with the same metric names (``census.*``) and
+grace-window liveness convention (a node is alive when seen within
+``grace`` of now).  Self-healing works like the event tier's
+controller-crash recovery: :meth:`clear` wipes the census (it reads
+zero, so availability accounting sees downtime) and the next heartbeat
+epoch repopulates it from the live fleet.
 
-Self-healing works exactly like the event tier's controller-crash
-recovery: :meth:`clear` wipes the columns (the census reads zero, so
-availability accounting sees downtime) and the next heartbeat epoch
-repopulates them from the live fleet.
+While a job runs, its cohort is held as groups keyed by victim pattern,
+each with one last-seen instant (registered while it is finite, as in
+the columns), so heartbeat epochs and consolidations cost one step per
+group.  The rows outside the cohort change only on a :meth:`clear`, so
+their gauge contribution is counted once, when the cohort opens.  The
+columns are written when they are read and when the cohort closes.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, Optional
 
 import numpy as np
@@ -32,6 +36,7 @@ from repro.core.census import (
 )
 from repro.errors import ConfigurationError
 from repro.telemetry import trace as telemetry
+from repro.vector.executor import victim_patterns
 
 __all__ = ["VectorCensus"]
 
@@ -58,9 +63,13 @@ class VectorCensus:
             raise ConfigurationError(f"grace_s must be > 0, got {grace_s}")
         self.n = int(n)
         self.grace_s = float(grace_s)
-        self.state = np.full(self.n, STATE_NONE, dtype=np.int8)
-        self.seen = np.full(self.n, _NEVER, dtype=float)
-        self.instance = np.full(self.n, _NO_INSTANCE, dtype=np.int64)
+        self._state = np.full(self.n, STATE_NONE, dtype=np.int8)
+        self._seen = np.full(self.n, _NEVER, dtype=float)
+        self._instance = np.full(self.n, _NO_INSTANCE, dtype=np.int64)
+        #: The open cohort (``None`` between jobs).
+        self._cohort: Optional[SimpleNamespace] = None
+        #: Whether a row's instance column may hold an instance id.
+        self._tagged = False
         #: Last reductions computed by :meth:`consolidate`.
         self.gauges: Dict[str, int] = {
             "registry_size": 0, "idle": 0, "alive": 0}
@@ -74,70 +83,99 @@ class VectorCensus:
             self._m_idle = metrics.gauge("census.idle")
             self._m_alive = metrics.gauge("census.alive")
 
+    state = property(lambda self: self._synced()._state)
+    seen = property(lambda self: self._synced()._seen)
+    instance = property(lambda self: self._synced()._instance)
+
+    def _synced(self) -> "VectorCensus":
+        """Write the open cohort's registered groups into its rows."""
+        c = self._cohort
+        if c is not None:
+            for g in np.flatnonzero(c.last > _NEVER):
+                rows = c.rows[c.code == g]
+                self._state[rows] = STATE_BUSY
+                self._seen[rows] = c.last[g]
+                self._instance[rows] = c.instance
+                self._tagged = True
+        return self
+
     # -- writes ------------------------------------------------------------
     def observe(self, indices: np.ndarray, state: int,
-                instance: int, now: float) -> None:
+                instance: int, now: float, *, patterns=None) -> None:
         """Record a state transition for ``indices`` (vector analogue of
-        the per-payload ``touch``)."""
+        the per-payload ``touch``), closing an open cohort.  BUSY opens
+        ``indices`` (distinct rows) as the cohort, grouped by their
+        ``patterns`` (:func:`~repro.vector.executor.victim_patterns`)."""
         if state not in (STATE_NONE, STATE_IDLE, STATE_BUSY):
             raise ConfigurationError(f"unknown census state {state}")
-        self.state[indices] = state
-        self.seen[indices] = now
-        self.instance[indices] = (
-            instance if state == STATE_BUSY else _NO_INSTANCE)
+        if self._cohort is not None and indices is not self._cohort.rows:
+            self._synced()
+        self._cohort = None
+        if state != STATE_BUSY:
+            self._state[indices] = state
+            self._seen[indices] = now
+            if self._tagged:
+                self._instance[indices] = _NO_INSTANCE
+            return
+        outside = np.ones(self.n, dtype=bool)
+        outside[indices] = False
+        registered = np.count_nonzero(outside & (self._state != STATE_NONE))
+        outside = np.flatnonzero(outside & (self._seen > _NEVER))
+        seen = self._seen[outside]
+        idle = np.sort(seen[self._state[outside] == STATE_IDLE])
+        code, sizes, victim = patterns or victim_patterns((), np.size(indices))
+        self._cohort = SimpleNamespace(
+            rows=indices, instance=instance, code=code, sizes=sizes,
+            victim=victim, last=np.full(sizes.size, float(now)),
+            outside=(int(registered), np.sort(seen), idle))
 
-    def heartbeat(self, indices: np.ndarray, now: float) -> None:
-        """One heartbeat batch: refresh last-seen for ``indices``."""
-        self.seen[indices] = now
+    def heartbeat(self, down, now: float) -> None:
+        """One heartbeat epoch of the open cohort: the groups outside
+        the victims of the windows numbered ``down`` refresh last-seen
+        (and re-register after a :meth:`clear`)."""
+        c = self._cohort
+        up = ~c.victim[list(down)].any(axis=0)
+        c.last[up] = now
         m = self._m_heartbeats
         if m is not None:
-            m.value += int(np.size(indices))
-
-    def drop(self, indices: np.ndarray) -> None:
-        """Evict ``indices`` (powered-off victims leave the registry)."""
-        self.state[indices] = STATE_NONE
-        self.seen[indices] = _NEVER
-        self.instance[indices] = _NO_INSTANCE
+            m.value += int(c.sizes[up].sum())
 
     def clear(self) -> None:
         """Controller-crash semantics: the census restarts empty and the
         next heartbeat epoch repopulates it."""
-        self.state[:] = STATE_NONE
-        self.seen[:] = _NEVER
-        self.instance[:] = _NO_INSTANCE
+        self._state[:] = STATE_NONE
+        self._seen[:] = _NEVER
+        self._instance[:] = _NO_INSTANCE
+        self._tagged = False
+        c = self._cohort
+        if c is not None:
+            c.last[:] = _NEVER
+            c.outside = (0, c.outside[1][:0], c.outside[2][:0])
 
     # -- reads -------------------------------------------------------------
     def consolidate(self, now: float) -> Dict[str, int]:
-        """Array-reduction gauges at ``now`` (and push them to the
-        ambient metrics registry, like a Controller maintenance round)."""
-        out = registry_reductions(self.state, self.seen,
-                                  horizon=now - self.grace_s)
+        """Gauges at ``now`` (and push them to the ambient metrics
+        registry, like a Controller maintenance round)."""
+        horizon = now - self.grace_s
+        c = self._cohort
+        if c is None:
+            out = registry_reductions(self._state, self._seen,
+                                      horizon=horizon)
+        else:
+            registered, seen, idle = c.outside
+            out = {
+                "registry_size": registered
+                + int(c.sizes[c.last > _NEVER].sum()),
+                "idle": idle.size - int(np.searchsorted(idle, horizon)),
+                "alive": seen.size - int(np.searchsorted(seen, horizon))
+                + int(c.sizes[c.last >= horizon].sum()),
+            }
         self.gauges = out
         if self._m_registry is not None:
             self._m_registry.set(out["registry_size"])
             self._m_idle.set(out["idle"])
             self._m_alive.set(out["alive"])
         return out
-
-    def instance_size(self, instance: int, now: float) -> int:
-        """Members of ``instance`` seen within the grace window."""
-        horizon = now - self.grace_s
-        return int(np.count_nonzero(
-            (self.instance == instance) & (self.seen >= horizon)))
-
-    def validate(self) -> None:
-        """Numpy-boundary self-checks (mirrors the columnar store)."""
-        n = self.n
-        assert self.state.shape == (n,) and self.state.dtype == np.int8
-        assert self.seen.shape == (n,) and self.seen.dtype == np.float64
-        assert self.instance.shape == (n,) \
-            and self.instance.dtype == np.int64
-        absent = self.state == STATE_NONE
-        assert (self.seen[absent] == _NEVER).all(), \
-            "absent nodes must read never-seen"
-        assert (self.instance[self.state != STATE_BUSY]
-                == _NO_INSTANCE).all(), \
-            "only busy nodes carry an instance id"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<VectorCensus n={self.n} "

@@ -30,7 +30,8 @@ import numpy as np
 from repro.errors import AnalysisError
 
 __all__ = ["ExecutionOutcome", "makespan_waterfill", "makespan_heap",
-           "makespan_under_outages", "per_task_wall_seconds"]
+           "makespan_under_outages", "per_task_wall_seconds",
+           "victim_patterns"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,31 @@ def _terms(t: float, ready: np.ndarray, d, windows, weights=None,
     return out
 
 
+def victim_patterns(masks, size: int):
+    """Each of ``size`` rows' victim pattern over ``masks`` (boolean
+    arrays, ``None`` for every row): ``(code, counts, victim)``, the
+    row's pattern number (narrowest unsigned dtype, in the order of the
+    bit codes ``sum_w mask_w << w``), the rows per pattern and, per
+    mask, whether each pattern is its victim."""
+    code = np.zeros(size, dtype=np.uint8)
+    counts, victim = np.array([size]), np.zeros((0, 1), dtype=bool)
+    for mask in masks:
+        mask = np.ones(size, dtype=bool) if mask is None else mask
+        g = counts.size
+        code = code.astype(np.min_scalar_type(2 * g - 1), copy=False)
+        hit = (np.bincount(code[mask], minlength=g) if g > 1
+               else np.array([np.count_nonzero(mask)]))
+        code += mask.astype(code.dtype) * code.dtype.type(g)
+        counts = np.concatenate([counts - hit, hit])
+        victim = np.vstack([np.hstack([victim, victim]),
+                            np.arange(2 * g) >= g])
+        present = counts > 0
+        if not present.all():  # renumber densely
+            code = (np.cumsum(present) - 1).astype(code.dtype)[code]
+            counts, victim = counts[present], victim[:, present]
+    return code, counts, victim
+
+
 def _distinct(ready: np.ndarray, d, windows):
     """``(ready, d, windows, weights)``: rows equal in ready time,
     duration and victimhood have equal terms at every ``t``, so when
@@ -100,31 +126,26 @@ def _distinct(ready: np.ndarray, d, windows):
     keep one row per kind, weighted by its multiplicity.  The weighted
     terms are integer-valued floats, so every capacity sum is exact
     below 2^53 (and reads >= 2^53 > n above), as over the full rows."""
-    # Victim patterns are bit codes (one per window, counted by
-    # bincount) and the collapse makes one full-width pass per pattern
-    # present: past 16 windows or patterns, or with mostly distinct
-    # ready times in a strided sample, it would not pay for the probes
-    # it saves.
+    # The collapse makes one full-width pass per victim pattern present:
+    # past 16 windows or patterns, or with mostly distinct ready times
+    # in a strided sample, it would not pay for the probes it saves.
     sample = ready[::max(1, ready.size // 4096)]
     if len(windows) > 16 or 2 * np.unique(sample).size > sample.size:
         return ready, d, windows, None
-    code = np.zeros(ready.size, dtype=np.int64)
-    for bit, (_s, _e, mask) in enumerate(windows):
-        if mask is not None:
-            code[mask] |= 1 << bit
-    patterns = np.flatnonzero(np.bincount(code))
-    if patterns.size > 16:
+    code, counts, victim = victim_patterns(
+        [m for _s, _e, m in windows], ready.size)
+    if counts.size > 16:
         return ready, d, windows, None
     key = ready if np.ndim(d) == 0 else ready + 1j * d
     kinds = [(c, *np.unique(key[code == c], return_counts=True))
-             for c in patterns]
+             for c in range(counts.size)]
     if 2 * sum(u.size for _c, u, _w in kinds) > ready.size:
         return ready, d, windows, None
     code = np.concatenate([np.full(u.size, c) for c, u, _w in kinds])
     key = np.concatenate([u for _c, u, _w in kinds])
     return (key.real, d if np.ndim(d) == 0 else key.imag,
-            [(s, e, m if m is None else (code >> bit & 1).astype(bool))
-             for bit, (s, e, m) in enumerate(windows)],
+            [(s, e, m if m is None else victim[w][code])
+             for w, (s, e, m) in enumerate(windows)],
             np.concatenate([w for _c, _u, w in kinds]).astype(float))
 
 

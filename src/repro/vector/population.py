@@ -140,26 +140,3 @@ class VectorPopulation:
             self.busy[:] = False
         else:
             self.busy[indices] = False
-
-    # -- churn / fault state ops -------------------------------------------
-    def set_link(self, indices: np.ndarray, up: bool) -> None:
-        """Partition (or heal) the direct links of ``indices``."""
-        self.link_up[indices] = up
-
-    def validate(self) -> None:
-        """Shape/dtype/invariant assertions (mirrors the census stores'
-        numpy-boundary self-checks)."""
-        n = self.n
-        for name, column, dtype in (
-                ("mode", self.mode, np.int8),
-                ("busy", self.busy, np.bool_),
-                ("matches", self.matches, np.bool_),
-                ("link_up", self.link_up, np.bool_),
-                ("device_factor", self.device_factor, np.float64)):
-            assert column.shape == (n,), f"{name} shape {column.shape}"
-            assert column.dtype == dtype, f"{name} dtype {column.dtype}"
-        assert not (self.busy & (self.mode == _OFF)).any(), \
-            "powered-off nodes cannot be busy"
-        assert np.isin(self.mode, (_OFF, _STANDBY, _IN_USE)).all(), \
-            "unknown mode code"
-        assert (self.device_factor > 0).all(), "non-positive device factor"

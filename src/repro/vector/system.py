@@ -55,7 +55,7 @@ from repro.net.message import bits_from_bytes
 from repro.sim.monitor import TimeSeries
 from repro.telemetry import trace as telemetry
 from repro.vector.census import VectorCensus
-from repro.vector.executor import makespan_under_outages
+from repro.vector.executor import makespan_under_outages, victim_patterns
 from repro.vector.population import VectorPopulation
 from repro.workloads.devices import REFERENCE_STB, DeviceProfile
 from repro.workloads.job import Job
@@ -352,39 +352,30 @@ class VectorOddCISystem:
                            *, instance: int) -> Dict[str, int]:
         """Bounded consolidation rounds over the job window.
 
-        Each epoch heartbeats the nodes that are up at that instant
+        The cohort registers at ``t_start``, grouped by victim pattern;
+        each epoch heartbeats the groups that are up at that instant
         (compute-outage victims miss their heartbeats, exactly like
         crashed PNAs) and consolidates; a controller-crash window clears
-        the census and the next epoch self-heals it from the fleet (only
-        then do epochs re-register members: elsewhere their state and
-        instance already hold, and the heartbeat refreshes last-seen)."""
+        the census and the next epoch self-heals it from the fleet."""
         census = self.census
-        census.observe(recruited, STATE_BUSY, instance, t_start)
-        span = finish - t_start
-        epochs = min(self.census_epochs,
-                     max(1, int(span / self.heartbeat_interval_s) or 1))
-        times = np.linspace(t_start, finish, epochs + 1)[1:]
+        census.observe(recruited, STATE_BUSY, instance, t_start,
+                       patterns=victim_patterns(
+                           [mask for _ws, _we, mask, _rv in outages],
+                           recruited.size))
+        epochs = min(self.census_epochs, max(1, int(
+            (finish - t_start) / self.heartbeat_interval_s)))
         t = self._trace
         gauges = census.consolidate(t_start)
-        cleared = False
-        for te in times:
+        for te in np.linspace(t_start, finish, epochs + 1)[1:]:
             te = float(te)
             if any(w.start <= te < w.end for w in census_outages):
                 census.clear()
-                cleared = True
                 gauges = census.consolidate(te)
                 if t is not None:
                     t.emit(te, "census_outage", **gauges)
                 continue
-            up = None
-            for ws, we, mask, _rv in outages:
-                if ws <= te < we:
-                    up = ~mask if up is None else up & ~mask
-            members = recruited if up is None else recruited[up]
-            if cleared:
-                census.observe(members, STATE_BUSY, instance, te)
-                cleared = up is not None
-            census.heartbeat(members, te)
+            census.heartbeat([w for w, (ws, we, _m, _rv) in enumerate(outages)
+                              if ws <= te < we], te)
             gauges = census.consolidate(te)
             if t is not None:
                 t.emit(te, "census_epoch", **gauges)

@@ -418,3 +418,36 @@ def test_bisection_touches_few_rows(monkeypatch):
         touched.clear()
         makespan_under_outages(ready, 4 * ready.size, 618.4, outages)
         assert sum(touched) <= 8 * ready.size, len(touched)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_victim_patterns_number_the_bit_codes_densely(data):
+    """``victim_patterns`` numbers each row's victim bit code (one bit
+    per mask, ``None`` setting none) densely in code order, in any
+    number of masks — past 64 too, where the codes outgrow a machine
+    word — and its counts and victim table match the codes."""
+    size = data.draw(st.integers(1, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for _ in range(data.draw(st.sampled_from([0, 1, 2, 5, 70]))):
+        kind = data.draw(st.sampled_from(["none", "all", "some", "same"]))
+        if kind == "none":
+            masks.append(None)
+        elif kind == "all":
+            masks.append(np.ones(size, dtype=bool))
+        elif kind == "same" and masks and masks[-1] is not None:
+            masks.append(masks[-1])
+        else:
+            masks.append(rng.random(size) < data.draw(st.floats(0.0, 1.0)))
+    code, counts, victim = executor.victim_patterns(masks, size)
+    bits = [sum(1 << w for w, m in enumerate(masks)
+                if m is not None and m[i]) for i in range(size)]
+    distinct = sorted(set(bits))
+    assert code.dtype.kind == "u"
+    assert code.tolist() == [distinct.index(b) for b in bits]
+    assert counts.tolist() == [bits.count(b) for b in distinct]
+    assert victim.shape == (len(masks), len(distinct))
+    for w, m in enumerate(masks):
+        assert victim[w].tolist() == [m is None or bool(b >> w & 1)
+                                      for b in distinct]

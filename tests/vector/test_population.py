@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.vector import VectorOddCISystem, VectorPopulation
+from repro.vector.population import _IN_USE, _OFF, _STANDBY
 from repro.workloads import REFERENCE_STB, uniform_bag
 from repro.net.message import MEGABYTE
 
@@ -18,6 +19,24 @@ def make_system(pop, **kwargs):
 
 
 # -- population ---------------------------------------------------------------
+
+def _validate_population(pop):
+    """Shape/dtype/invariant assertions on the population columns."""
+    n = pop.n
+    for name, column, dtype in (
+            ("mode", pop.mode, np.int8),
+            ("busy", pop.busy, np.bool_),
+            ("matches", pop.matches, np.bool_),
+            ("link_up", pop.link_up, np.bool_),
+            ("device_factor", pop.device_factor, np.float64)):
+        assert column.shape == (n,), f"{name} shape {column.shape}"
+        assert column.dtype == dtype, f"{name} dtype {column.dtype}"
+    assert not (pop.busy & (pop.mode == _OFF)).any(), \
+        "powered-off nodes cannot be busy"
+    assert np.isin(pop.mode, (_OFF, _STANDBY, _IN_USE)).all(), \
+        "unknown mode code"
+    assert (pop.device_factor > 0).all(), "non-positive device factor"
+
 
 def test_population_census():
     pop = make_pop(n=100_000, powered_fraction=0.8, in_use_fraction=0.5)
@@ -50,6 +69,7 @@ def test_recruit_excludes_busy_and_off():
     assert first.size == pop.powered_count
     second = pop.recruit(1.0)
     assert second.size == 0  # everyone eligible is busy
+    _validate_population(pop)
 
 
 def test_recruit_respects_requirement_match_fraction():
@@ -73,6 +93,7 @@ def test_release_specific_and_all():
     assert pop.busy_count == recruited.size - 100
     pop.release()
     assert pop.busy_count == 0
+    _validate_population(pop)
 
 
 def test_device_factors_match_modes():

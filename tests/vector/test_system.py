@@ -1,18 +1,30 @@
 """VectorOddCISystem: multi-job submissions, faults, census, telemetry."""
 
-import copy
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.census import STATE_BUSY
+from repro.core.census import (
+    STATE_BUSY,
+    STATE_IDLE,
+    STATE_NONE,
+    _NEVER,
+    registry_reductions,
+)
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.vector_scale import storm_plan
 from repro.faults import FaultEvent, FaultPlan, active_plan
 from repro.net.message import MEGABYTE
 from repro.telemetry import trace as telemetry
-from repro.vector import VectorOddCISystem, VectorPopulation
+from repro.vector import VectorCensus, VectorOddCISystem, VectorPopulation
+from repro.vector.executor import victim_patterns
 from repro.workloads import BagSpec, uniform_bag, uniform_bag_spec
+
+
+_NO_INSTANCE = -1
 
 
 def make_system(n=2_000, seed=0, **kwargs):
@@ -206,78 +218,300 @@ def test_fault_counters_track_windows():
     assert tracer.metrics.counter("fault.restored").value == 1
 
 
-def _always_observe_epochs(census, system, recruited, outages,
-                           census_outages, t_start, finish, instance):
-    """The census epoch loop that re-registers every epoch's up members
-    (state, instance, last-seen) before heartbeating them; the oracle
-    for the loop that re-registers only after a census clear.  Returns
-    every epoch's gauges."""
-    census.observe(recruited, STATE_BUSY, instance, t_start)
-    span = finish - t_start
-    epochs = min(system.census_epochs,
-                 max(1, int(span / system.heartbeat_interval_s) or 1))
-    times = np.linspace(t_start, finish, epochs + 1)[1:]
-    gauges = [census.consolidate(t_start)]
-    for te in times:
-        te = float(te)
-        if any(w.start <= te < w.end for w in census_outages):
-            census.clear()
-            gauges.append(census.consolidate(te))
-            continue
-        up = np.ones(recruited.size, dtype=bool)
-        for ws, we, mask, _rv in outages:
-            if ws <= te < we:
-                up &= ~mask
-        census.observe(recruited[up], STATE_BUSY, instance, te)
-        census.heartbeat(recruited[up], te)
-        gauges.append(census.consolidate(te))
-    return gauges
+class _ColumnCensus:
+    """The census as it was before cohorts were held as groups, kept
+    verbatim (bar two methods nothing called) as the oracle of
+    :class:`~repro.vector.census.VectorCensus`: every write goes to the
+    state / last-seen / instance columns, every gauge is a full-column
+    reduction."""
+
+    def __init__(self, n: int, *, grace_s: float) -> None:
+        if n <= 0:
+            raise ConfigurationError(f"n must be > 0, got {n}")
+        if grace_s <= 0:
+            raise ConfigurationError(f"grace_s must be > 0, got {grace_s}")
+        self.n = int(n)
+        self.grace_s = float(grace_s)
+        self.state = np.full(self.n, STATE_NONE, dtype=np.int8)
+        self.seen = np.full(self.n, _NEVER, dtype=float)
+        self.instance = np.full(self.n, _NO_INSTANCE, dtype=np.int64)
+        self.gauges = {"registry_size": 0, "idle": 0, "alive": 0}
+        metrics = telemetry.metrics_registry()
+        if metrics is None:
+            self._m_heartbeats = None
+            self._m_registry = self._m_idle = self._m_alive = None
+        else:
+            self._m_heartbeats = metrics.counter("census.heartbeats")
+            self._m_registry = metrics.gauge("census.registry_size")
+            self._m_idle = metrics.gauge("census.idle")
+            self._m_alive = metrics.gauge("census.alive")
+
+    def observe(self, indices, state, instance, now):
+        if state not in (STATE_NONE, STATE_IDLE, STATE_BUSY):
+            raise ConfigurationError(f"unknown census state {state}")
+        self.state[indices] = state
+        self.seen[indices] = now
+        self.instance[indices] = (
+            instance if state == STATE_BUSY else _NO_INSTANCE)
+
+    def heartbeat(self, indices, now):
+        self.seen[indices] = now
+        m = self._m_heartbeats
+        if m is not None:
+            m.value += int(np.size(indices))
+
+    def clear(self):
+        self.state[:] = STATE_NONE
+        self.seen[:] = _NEVER
+        self.instance[:] = _NO_INSTANCE
+
+    def consolidate(self, now):
+        out = registry_reductions(self.state, self.seen,
+                                  horizon=now - self.grace_s)
+        self.gauges = out
+        if self._m_registry is not None:
+            self._m_registry.set(out["registry_size"])
+            self._m_idle.set(out["idle"])
+            self._m_alive.set(out["alive"])
+        return out
 
 
-def test_census_epochs_match_always_observe_oracle(monkeypatch):
-    """A controller crash inside a churn storm, overlapped by a partial
-    link outage: the census clears, then self-heals while outage
-    victims miss heartbeats.  Every
-    epoch's gauges and the final columns match the oracle loop."""
-    plan = FaultPlan((
-        FaultEvent("churn_storm", 300.0, duration_s=900.0, magnitude=0.4),
-        FaultEvent("link_down", 1000.0, duration_s=500.0, magnitude=0.3),
-        FaultEvent("controller_crash", 500.0, duration_s=200.0)),
-        name="crash-in-storm")
-    system = make_system(plan=plan, census_epochs=40)
-    run_epochs = VectorOddCISystem._run_census_epochs
-    seen = []
+def _validate_columns(census):
+    """The census columns' shape, dtype and cross-column invariants."""
+    n = census.n
+    assert census.state.shape == (n,) and census.state.dtype == np.int8
+    assert census.seen.shape == (n,) and census.seen.dtype == np.float64
+    assert census.instance.shape == (n,) \
+        and census.instance.dtype == np.int64
+    absent = census.state == STATE_NONE
+    assert (census.seen[absent] == _NEVER).all(), \
+        "absent nodes must read never-seen"
+    assert (census.instance[census.state != STATE_BUSY]
+            == _NO_INSTANCE).all(), "only busy nodes carry an instance id"
 
-    def differential(self, recruited, outages, census_outages, t_start,
-                     finish, *, instance):
-        oracle = copy.deepcopy(self.census)
-        want = _always_observe_epochs(oracle, self, recruited, outages,
-                                      census_outages, t_start, finish,
-                                      instance)
-        got = []
-        consolidate = self.census.consolidate
-        self.census.consolidate = lambda now: got.append(
-            consolidate(now)) or got[-1]
-        try:
-            final = run_epochs(self, recruited, outages, census_outages,
-                               t_start, finish, instance=instance)
-        finally:
-            del self.census.consolidate
-        assert got == want and final == want[-1]
-        for column in ("state", "seen", "instance"):
-            np.testing.assert_array_equal(getattr(self.census, column),
-                                          getattr(oracle, column))
-        seen.append(got)
-        return final
 
-    monkeypatch.setattr(VectorOddCISystem, "_run_census_epochs",
-                        differential)
-    system.run_jobs([(make_job(), 1_000), (make_job(), 1_000)])
-    crash = seen[0]
-    cleared = [i for i, g in enumerate(crash) if g["registry_size"] == 0]
-    assert cleared and cleared[-1] + 1 < len(crash)
-    healed = crash[cleared[-1] + 1]
-    assert 0 < healed["registry_size"] < system.reports[0].recruited
+class _OracleSystem(VectorOddCISystem):
+    """The system on the column census, with the epoch loop that
+    re-registers every epoch's up members before heartbeating them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.census = _ColumnCensus(self.population.n,
+                                    grace_s=self.census.grace_s)
+
+    def _run_census_epochs(self, recruited, outages, census_outages,
+                           t_start, finish, *, instance):
+        census = self.census
+        census.observe(recruited, STATE_BUSY, instance, t_start)
+        epochs = min(self.census_epochs, max(1, int(
+            (finish - t_start) / self.heartbeat_interval_s)))
+        t = self._trace
+        gauges = census.consolidate(t_start)
+        for te in np.linspace(t_start, finish, epochs + 1)[1:]:
+            te = float(te)
+            if any(w.start <= te < w.end for w in census_outages):
+                census.clear()
+                gauges = census.consolidate(te)
+                if t is not None:
+                    t.emit(te, "census_outage", **gauges)
+                continue
+            up = np.ones(recruited.size, dtype=bool)
+            for ws, we, mask, _rv in outages:
+                if ws <= te < we:
+                    up &= ~mask
+            census.observe(recruited[up], STATE_BUSY, instance, te)
+            census.heartbeat(recruited[up], te)
+            gauges = census.consolidate(te)
+            if t is not None:
+                t.emit(te, "census_epoch", **gauges)
+        return gauges
+
+
+def _storm_job():
+    return uniform_bag_spec(400_000, image_bits=8 * MEGABYTE,
+                            ref_seconds=30.0, input_bits=4096.0,
+                            result_bits=4096.0)
+
+
+_STORM = FaultEvent("churn_storm", 1000.0, duration_s=800.0, magnitude=0.4)
+#: name -> (nodes, plan events, census_epochs, job, target size); the
+#: 2,000-node cases' first job runs for about 3,100 s
+_CENSUS_CASES = {
+    # vector_storm's storm at 10^5 nodes, two jobs on one population
+    "storm": (125_010, storm_plan(0.3).events, 12, _storm_job, 100_000),
+    "one-epoch": (125_010, storm_plan(0.3).events, 1, _storm_job, 100_000),
+    # three overlapping windows (up to 8 victim patterns) and a crash
+    # inside all three
+    "overlap": (2_000, (
+        FaultEvent("churn_storm", 400.0, duration_s=1000.0, magnitude=0.3),
+        FaultEvent("link_down", 700.0, duration_s=1000.0, magnitude=0.4),
+        FaultEvent("churn_storm", 1000.0, duration_s=1000.0, magnitude=0.5,
+                   target="east"),
+        FaultEvent("controller_crash", 1100.0, duration_s=200.0)),
+        40, make_job, 1_000),
+    # 12 whole-fleet flap windows, then a partial storm
+    "link-flap": (2_000, (
+        FaultEvent("link_flap", 200.0, duration_s=60.0, magnitude=12),
+        _STORM), 40, make_job, 1_000),
+    "crash-before": (2_000, (
+        FaultEvent("controller_crash", 300.0, duration_s=200.0), _STORM),
+        40, make_job, 1_000),
+    "crash-inside": (2_000, (
+        FaultEvent("controller_crash", 1200.0, duration_s=200.0), _STORM),
+        40, make_job, 1_000),
+    # ... and again in the second job, which runs from about 3,160 s
+    # while the first job's cohort is outside it
+    "crash-after": (2_000, (
+        _STORM, FaultEvent("controller_crash", 2000.0, duration_s=200.0),
+        FaultEvent("controller_crash", 4000.0, duration_s=200.0)),
+        40, make_job, 1_000),
+}
+
+
+def _census_run(cls, case, *, read_columns):
+    """Two jobs of ``case`` on ``cls``: every consolidation's
+    ``(now, gauges)``, the trace, the metrics, the columns after each
+    job's epochs (when ``read_columns``) and after the run, and each
+    job's victim pattern count."""
+    nodes, events, epochs, job, target = _CENSUS_CASES[case]
+    log = {"gauges": [], "columns": [], "patterns": []}
+    run_epochs = cls._run_census_epochs
+
+    def epochs_then_read(self, recruited, outages, *args, **kwargs):
+        log["patterns"].append(victim_patterns(
+            [m for _ws, _we, m, _rv in outages], recruited.size)[1].size)
+        out = run_epochs(self, recruited, outages, *args, **kwargs)
+        if read_columns:
+            log["columns"].append(_columns(self.census))
+        return out
+
+    with telemetry.active(telemetry.Tracer("vector")) as tracer:
+        system = cls(nodes, seed=0, plan=FaultPlan(events, name=case),
+                     census_epochs=epochs)
+        consolidate = system.census.consolidate
+        system.census.consolidate = lambda now: log["gauges"].append(
+            (now, consolidate(now))) or log["gauges"][-1][1]
+        system._run_census_epochs = epochs_then_read.__get__(system)
+        system.run_jobs([(job(), target), (job(), target)])
+    log["columns"].append(_columns(system.census))
+    log["events"] = tracer.events()
+    log["metrics"] = tracer.metrics.snapshot()
+    log["census"] = system.census
+    return log
+
+
+def _columns(census):
+    return tuple(getattr(census, c).copy()
+                 for c in ("state", "seen", "instance"))
+
+
+def test_census_epochs_match_always_observe_oracle():
+    """The grouped census against the column census and the
+    always-observe epoch loop: every consolidation's gauges, the trace
+    (each ``census_epoch`` / ``census_outage`` record's fields), the
+    ``census.*`` metrics and the state / last-seen / instance columns —
+    after each job's epochs when read then, and after the run —
+    match exactly.  Reading the columns mid-run writes the groups into
+    them; not reading them leaves every write to the closing observe."""
+    for case, read_columns in itertools.product(_CENSUS_CASES,
+                                                (False, True)):
+        want = _census_run(_OracleSystem, case, read_columns=read_columns)
+        got = _census_run(VectorOddCISystem, case,
+                          read_columns=read_columns)
+        assert got["gauges"] == want["gauges"], case
+        assert got["events"] == want["events"], case
+        assert got["metrics"] == want["metrics"], case
+        assert len(got["columns"]) == len(want["columns"])
+        for got_cols, want_cols in zip(got["columns"], want["columns"]):
+            for g, w in zip(got_cols, want_cols):
+                np.testing.assert_array_equal(g, w, err_msg=case)
+        _validate_columns(got["census"])
+        names = [name for _t, _c, name, _f in got["events"]]
+        # Every case exercises what it is named for.
+        if case.startswith("crash") or case == "overlap":
+            assert "census_outage" in names, case
+            healed = [g for _t, g in got["gauges"]]
+            cleared = [i for i, g in enumerate(healed)
+                       if g["registry_size"] == 0]
+            assert cleared and cleared[-1] + 1 < len(healed), case
+        if case == "overlap":
+            assert got["patterns"][0] >= 4
+        if case == "link-flap":
+            assert got["patterns"][0] >= 2
+        if case == "one-epoch":
+            assert names.count("census_epoch") == 2
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_census_lockstep_with_column_census(data):
+    """Any sequence of census calls — cohorts opened over drawn rows and
+    victim masks, heartbeats with drawn windows down, clears, closing
+    and other observes, column reads, consolidations at any instant —
+    leaves the grouped census and the column census with the same
+    gauges, heartbeat count and columns.  A heartbeat of the grouped
+    census re-registers its up groups, so the column census observes
+    and heartbeats the up rows."""
+    n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+    with telemetry.active(telemetry.Tracer("vector")) as new_tracer:
+        new = VectorCensus(n, grace_s=90.0)
+    with telemetry.active(telemetry.Tracer("vector")) as old_tracer:
+        old = _ColumnCensus(n, grace_s=90.0)
+    cohort = None
+    absent_seen = False
+    now = 0.0
+    for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
+        now += data.draw(st.sampled_from([0.0, 30.0, 100.0]))
+        op = data.draw(st.sampled_from(
+            ["open", "beat", "beat", "clear", "close", "observe", "read",
+             "consolidate"]))
+        if op == "open":
+            rows = np.array(sorted(data.draw(st.sets(
+                st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+            masks = [np.array(data.draw(st.lists(
+                st.booleans(), min_size=rows.size, max_size=rows.size)))
+                for _ in range(data.draw(st.integers(0, 3)))]
+            instance = data.draw(st.integers(0, 3))
+            new.observe(rows, STATE_BUSY, instance, now,
+                        patterns=victim_patterns(masks, rows.size))
+            old.observe(rows, STATE_BUSY, instance, now)
+            cohort = (rows, masks, instance)
+        elif op == "beat" and cohort is not None:
+            rows, masks, instance = cohort
+            down = sorted(data.draw(st.sets(
+                st.integers(0, len(masks) - 1)))) if masks else []
+            up = np.ones(rows.size, dtype=bool)
+            for w in down:
+                up &= ~masks[w]
+            new.heartbeat(down, now)
+            old.observe(rows[up], STATE_BUSY, instance, now)
+            old.heartbeat(rows[up], now)
+        elif op == "clear":
+            new.clear()
+            old.clear()
+        elif op == "close" and cohort is not None:
+            new.observe(cohort[0], STATE_IDLE, -1, now)
+            old.observe(cohort[0], STATE_IDLE, -1, now)
+            cohort = None
+        elif op == "observe":
+            rows = np.array(sorted(data.draw(st.sets(
+                st.integers(0, n - 1)))), dtype=np.int64)
+            state = data.draw(st.sampled_from([STATE_NONE, STATE_IDLE]))
+            new.observe(rows, state, -1, now)
+            old.observe(rows, state, -1, now)
+            cohort = None
+            # observing NONE leaves a last-seen instant on absent rows
+            absent_seen = absent_seen or state == STATE_NONE
+        elif op == "read":
+            for g, w in zip(_columns(new), _columns(old)):
+                np.testing.assert_array_equal(g, w)
+        at = now - data.draw(st.sampled_from([0.0, 60.0, 250.0]))
+        assert new.consolidate(at) == old.consolidate(at)
+    for g, w in zip(_columns(new), _columns(old)):
+        np.testing.assert_array_equal(g, w)
+    if not absent_seen:
+        _validate_columns(new)
+    assert new_tracer.metrics.snapshot() == old_tracer.metrics.snapshot()
 
 
 def test_storm_clean_pair_golden_at_smoke_scale():
