@@ -12,7 +12,14 @@ host with the collector off, interleaved with the code before them:
 10^6 nodes 3.98M -> 7.05M nodes/s (medians of 3 runs each, 3.50-4.37M
 vs 6.64-7.16M; peak RSS 219.2-219.4 -> 218.3-218.8 MB); 10^7 nodes
 3.16/3.37M -> 6.31/6.62M nodes/s (peak RSS 1241.4-1241.6 ->
-1245.6-1245.8 MB); 10^5 (the CI scale) 6.2-6.5M nodes/s.
+1245.6-1245.8 MB); 10^5 (the CI scale) 6.2-6.5M nodes/s.  With the
+grouped waterfill snap, the sort-free grouping and the availability
+series over the groups (DESIGN.md §16; same host, collector off,
+interleaved with the code before them): 10^6 nodes 8.19M -> 15.55M
+nodes/s (medians of 3, 7.46-9.17M vs 14.14-18.27M; peak RSS
+218.6-219.4 -> 184.0-184.8 MB); 10^7 nodes 6.62/6.66M -> 11.25/11.42M
+nodes/s (peak RSS 1245.9-1246.2 -> 841.6-841.7 MB); 10^5 6.0-7.5M ->
+9.8-11.4M nodes/s.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -33,10 +40,10 @@ from repro.vector.system import VectorOddCISystem
 from repro.workloads.bot import uniform_bag_spec
 
 FULL_SCALE = 1_000_000
-#: Measured 6.6-7.2M nodes/s at 10^6 and 6.2-6.5M at 10^5; a 4x margin
-#: for slower or busier hosts, still tight enough to catch an
+#: Measured 14.1-18.3M nodes/s at 10^6 and 9.8-11.4M at 10^5; a 4x
+#: margin for slower or busier hosts, still tight enough to catch an
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
-MIN_NODES_PER_SEC = 1_500_000
+MIN_NODES_PER_SEC = 2_500_000
 
 
 def run_vector_scenario(n_nodes: int) -> dict:

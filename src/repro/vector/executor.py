@@ -22,7 +22,7 @@ tier on overlapping sizes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,16 +40,14 @@ class ExecutionOutcome:
 
     ``finish_time`` is when the last result lands (absolute, same
     origin as the ready times); ``tasks_per_node_max`` characterises the
-    load imbalance.
+    load imbalance; ``groups`` is the :func:`_distinct` fleet it ran on.
     """
 
     finish_time: float
     n_tasks: int
     n_nodes: int
     tasks_per_node_max: int
-
-    def makespan(self, submit_time: float = 0.0) -> float:
-        return self.finish_time - submit_time
+    groups: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def per_task_wall_seconds(
@@ -126,27 +124,34 @@ def _distinct(ready: np.ndarray, d, windows):
     keep one row per kind, weighted by its multiplicity.  The weighted
     terms are integer-valued floats, so every capacity sum is exact
     below 2^53 (and reads >= 2^53 > n above), as over the full rows."""
-    # The collapse makes one full-width pass per victim pattern present:
-    # past 16 windows or patterns, or with mostly distinct ready times
-    # in a strided sample, it would not pay for the probes it saves.
+    # One full-width compare pass per value and pattern: past 16 windows,
+    # patterns or values, or with mostly distinct ready times in a
+    # strided sample, it would not pay for the probes it saves.
     sample = ready[::max(1, ready.size // 4096)]
     if len(windows) > 16 or 2 * np.unique(sample).size > sample.size:
         return ready, d, windows, None
     code, counts, victim = victim_patterns(
         [m for _s, _e, m in windows], ready.size)
-    if counts.size > 16:
-        return ready, d, windows, None
     key = ready if np.ndim(d) == 0 else ready + 1j * d
-    kinds = [(c, *np.unique(key[code == c], return_counts=True))
-             for c in range(counts.size)]
-    if 2 * sum(u.size for _c, u, _w in kinds) > ready.size:
+    values, table, hit = [], [], np.zeros(ready.size, dtype=bool)
+    eq = np.empty_like(hit)
+    while not hit.all():  # the value of the first row not yet counted
+        if counts.size > 16 or len(values) == 16:
+            return ready, d, windows, None
+        values.append(key[np.argmin(hit)])
+        hit |= np.equal(key, values[-1], out=eq)
+        table.append([np.count_nonzero(eq & (code == c))
+                      for c in range(counts.size)])
+    order = np.argsort(values)
+    table = np.array(table)[order].T  # rows per (pattern, value)
+    code, kind = np.nonzero(table)
+    if 2 * code.size > ready.size:
         return ready, d, windows, None
-    code = np.concatenate([np.full(u.size, c) for c, u, _w in kinds])
-    key = np.concatenate([u for _c, u, _w in kinds])
+    key = np.array(values)[order][kind]
     return (key.real, d if np.ndim(d) == 0 else key.imag,
             [(s, e, m if m is None else victim[w][code])
              for w, (s, e, m) in enumerate(windows)],
-            np.concatenate([w for _c, _u, w in kinds]).astype(float))
+            table[code, kind].astype(float))
 
 
 def _capacity(t: float, fleet) -> int:
@@ -201,32 +206,49 @@ def makespan_waterfill(
     # node i contributes k_i = floor((hi - ready_i)^+ / d) tasks; greedy
     # pull performs exactly the n earliest completions, so drop the
     # surplus from the latest finishers (at most one per node — ties at
-    # the boundary instant).
-    k = _terms(hi, ready, d, (), bias=eps).astype(np.int64)
-    total = int(k.sum())
+    # the boundary instant), on the distinct rows.
+    vals, _d, _w, weight = fleet
+
+    def rows(sel) -> int:  # rows the selected distinct rows stand for
+        return int(np.count_nonzero(sel) if weight is None else weight @ sel)
+    k = _terms(hi, vals, d, (), bias=eps)
+    total = int(k.sum() if weight is None else k @ weight)
+    k = k.astype(np.int64)
     if total < n_tasks:
         raise AnalysisError("waterfill failed to converge")  # pragma: no cover
     surplus = total - n_tasks
     if surplus > 0:
-        if surplus > np.count_nonzero(k):  # pragma: no cover - eps pathologies
+        if surplus > rows(k > 0):  # pragma: no cover - eps pathologies
             raise AnalysisError("waterfill surplus exceeds active nodes")
         # The latest finishers in stable order: every finish above the
-        # cut, then the highest-indexed rows finishing at it.
+        # cut (row N - surplus's), then the highest-indexed rows at it.
         done = k * d
-        done += ready
+        done += vals
         done[k == 0] = -np.inf
-        cut = np.partition(done, done.size - surplus)[done.size - surplus]
-        later = done > cut
-        ties = np.flatnonzero(done == cut)
+        at = ready.size - surplus
+        if weight is None:
+            cut = np.partition(done, at)[at]
+        else:  # the distinct row holding row ``at`` in finish order
+            cut = np.sort(done)[np.cumsum(weight[np.argsort(done)]) > at][0]
+        later, tie = done > cut, done == cut
+        spare = rows(tie) - surplus + rows(later)  # tie rows keeping k
         k[later] -= 1
-        k[ties[ties.size - surplus + int(np.count_nonzero(later)):]] -= 1
+        if weight is None:
+            k[np.flatnonzero(tie)[spare:]] -= 1
+        elif spare == 0:
+            k[tie] -= 1
+        elif np.ptp(k[tie]):  # rows holding k and k - 1 count as k, so
+            # a partial tie across different k asks which rows keep k
+            kept = ready[np.isin(ready, vals[tie])][:spare]
+            k[tie & ~np.isin(vals, kept)] -= 1
     active = k > 0
-    finish = float((ready[active] + k[active] * d).max())
+    finish = float((vals[active] + k[active] * d).max())
     return ExecutionOutcome(
         finish_time=finish,
         n_tasks=int(n_tasks),
         n_nodes=int(ready.size),
         tasks_per_node_max=int(k.max()),
+        groups=fleet,
     )
 
 
@@ -311,6 +333,7 @@ def makespan_under_outages(
         n_tasks=int(n_tasks),
         n_nodes=int(ready.size),
         tasks_per_node_max=int(k.max()) if k.size else 0,
+        groups=fleet,
     )
 
 

@@ -103,15 +103,15 @@ class VectorPopulation:
     # -- census -----------------------------------------------------------
     @property
     def powered_count(self) -> int:
-        return int((self.mode != _OFF).sum())
+        return int(np.count_nonzero(self.mode != _OFF))
 
     @property
     def idle_count(self) -> int:
-        return int(((self.mode != _OFF) & ~self.busy).sum())
+        return int(np.count_nonzero((self.mode != _OFF) & ~self.busy))
 
     @property
     def busy_count(self) -> int:
-        return int(self.busy.sum())
+        return int(np.count_nonzero(self.busy))
 
     def eligible_mask(self) -> np.ndarray:
         """Powered, idle, requirement-matching, link up."""

@@ -44,7 +44,6 @@ from repro.core.census import STATE_BUSY, STATE_IDLE
 from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.masks import (
     CompiledFaultPlan,
-    FaultWindow,
     compile_fault_plan,
     deferred_start,
     storm_victims,
@@ -266,9 +265,7 @@ class VectorOddCISystem:
         else:
             d = (stats.mean_io_bits / self.delta_bps
                  + stats.mean_ref_seconds * factors)
-        outcome = makespan_under_outages(
-            ready, job.n, d,
-            [(ws, we, mask) for ws, we, mask, _rv in outages])
+        outcome = makespan_under_outages(ready, job.n, d, outages)
         finish = outcome.finish_time
         makespan = finish - t_submit
         ideal = (job.n * stats.mean_ref_seconds * float(factors.mean())
@@ -283,7 +280,7 @@ class VectorOddCISystem:
             recruited, outages, census_outages, t_start, finish,
             instance=len(self.reports))
         series = self._size_series(
-            ready, outages, census_outages, t_submit, t_start, finish)
+            outcome.groups, census_outages, t_submit, t_start, finish)
         availability = float(availability_fraction(
             series, int(target_size), size_tolerance=0.1,
             start=t_submit, until=finish))
@@ -321,24 +318,18 @@ class VectorOddCISystem:
     # -- fault application -------------------------------------------------
     def _applicable_outages(self, cohort: int, t_start: float):
         """Compute-outage windows that can still affect a job starting
-        at ``t_start``, with per-cohort victim masks and the victims'
-        sorted ready positions filled in later."""
+        at ``t_start``: ``(start, end, mask)``, each mask naming at
+        least one victim of the cohort."""
         faults_rng = self.population.streams["faults"]
-        out = []
-        for w in self.compiled.compute_outages():
-            if w.end <= t_start:
-                continue
-            mask = storm_victims(faults_rng, cohort, w.fraction)
-            if not mask.any():
-                continue
-            out.append([max(w.start, t_start), w.end, mask, None])
-        return out
+        return [(max(w.start, t_start), w.end,
+                 storm_victims(faults_rng, cohort, w.fraction))
+                for w in self.compiled.compute_outages() if w.end > t_start]
 
     def _count_fault_windows(self, outages, census_outages,
                              t_start: float, finish: float) -> None:
         if self._m_injected is None:
             return
-        windows = [(ws, we) for ws, we, _m, _rv in outages]
+        windows = [(ws, we) for ws, we, _m in outages]
         windows += [(max(w.start, t_start), w.end) for w in census_outages]
         for ws, we in windows:
             if ws < finish:
@@ -360,7 +351,7 @@ class VectorOddCISystem:
         census = self.census
         census.observe(recruited, STATE_BUSY, instance, t_start,
                        patterns=victim_patterns(
-                           [mask for _ws, _we, mask, _rv in outages],
+                           [mask for _ws, _we, mask in outages],
                            recruited.size))
         epochs = min(self.census_epochs, max(1, int(
             (finish - t_start) / self.heartbeat_interval_s)))
@@ -374,7 +365,7 @@ class VectorOddCISystem:
                 if t is not None:
                     t.emit(te, "census_outage", **gauges)
                 continue
-            census.heartbeat([w for w, (ws, we, _m, _rv) in enumerate(outages)
+            census.heartbeat([w for w, (ws, we, _m) in enumerate(outages)
                               if ws <= te < we], te)
             gauges = census.consolidate(te)
             if t is not None:
@@ -382,37 +373,40 @@ class VectorOddCISystem:
         return gauges
 
     # -- availability ------------------------------------------------------
-    def _size_series(self, ready: np.ndarray, outages, census_outages,
-                     t_submit: float, t_start: float,
-                     finish: float) -> TimeSeries:
+    def _size_series(self, groups, census_outages, t_submit: float,
+                     t_start: float, finish: float) -> TimeSeries:
         """Step-function instance size on a bounded grid.
 
         Size at *t* = nodes ready by *t* minus the ready victims of each
         active compute-outage window (overlaps subtract twice — a
         conservative, never-optimistic size), zero during census
-        outages.  Grid = ready-time quantiles + window edges + job
-        boundaries, so the series has O(availability_samples) points at
-        any cohort size."""
-        ready_sorted = np.sort(ready)
-        for entry in outages:
-            entry[3] = np.sort(ready[entry[2]])
+        outages, counted over the executor's distinct rows.  Grid =
+        ready-time quantiles + window edges + job boundaries, so the
+        series has O(availability_samples) points at any cohort size."""
+        ready, _d, windows, weight = groups
+        order = np.argsort(ready)
+        ready = ready[order]
+        weight = (np.ones(ready.size) if weight is None else weight)[order]
+        # Column i: rows among the first i, all and each window's victims
+        held = np.pad(np.cumsum(
+            [weight] + [weight * m[order] for _s, _e, m in windows],
+            axis=1), ((0, 0), (1, 0)))
 
         def size_at(t: float) -> float:
             for w in census_outages:
                 if w.start <= t < w.end:
                     return 0.0
-            size = int(np.searchsorted(ready_sorted, t, side="right"))
-            for ws, we, _mask, ready_victims in outages:
-                if ws <= t < we:
-                    size -= int(np.searchsorted(ready_victims, t,
-                                                side="right"))
+            by = held[:, np.searchsorted(ready, t, side="right")].tolist()
+            size = by[0] - sum(by[1 + w] for w, (ws, we, _m)
+                               in enumerate(windows) if ws <= t < we)
             return float(max(0, size))
 
         grid = {t_submit, t_start, finish}
-        step = max(1, ready_sorted.size // self.availability_samples)
-        grid.update(float(x) for x in ready_sorted[::step])
-        grid.add(float(ready_sorted[-1]))
-        for ws, we, _mask, _rv in outages:
+        step = max(1, int(held[0, -1]) // self.availability_samples)
+        grid.update(ready[np.searchsorted(held[0, 1:], np.arange(
+            0, held[0, -1], step), side="right")].tolist())
+        grid.add(float(ready[-1]))
+        for ws, we, _mask in windows:
             grid.add(ws)
             if math.isfinite(we):
                 grid.add(we)

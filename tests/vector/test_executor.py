@@ -1,6 +1,7 @@
 """Tests for the vectorised executors (waterfill vs heap agreement, and
 the distinct-row bisection against the full-width loops it replaced)."""
 
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -282,6 +283,48 @@ def full_width_under_outages(
     )
 
 
+# -- grouped waterfill snap ---------------------------------------------------
+# Tied ready times collapse to distinct rows before the snap; these pin the
+# tie rule (the highest-indexed rows at the cut lose a task) on the cases
+# where the groups alone do not decide it.
+
+_M = 6
+
+
+@pytest.mark.parametrize("ready, n_tasks, d", [
+    # ready 0 and d: the finishes of k and k - 1 tasks tie at the cut,
+    # and the last _M tie rows (one whole group) lose their task.
+    ([1.0] * _M + [0.0] * _M, 4 * _M, 1.0),
+    ([0.0] * _M + [1.0] * _M, 4 * _M, 1.0),
+    ([0.0, 1.0] * _M, 4 * _M, 1.0),
+    ([0.0, 1.0] * _M, 4 * _M + 1, 1.0),
+    ([0.5] * _M + [0.0] * _M + [0.5] * _M, 7 * _M - 2, 0.5),
+    ([0.0, 0.0, 3.0, 6.0, 3.0, 0.0, 6.0] * _M, 11 * _M, 3.0),
+    # the surplus is the tie rows, or rows finish above the cut too
+    ([0.0] * _M + [1e-12] * _M, _M, 1.0),
+    ([1e-12] * _M + [0.0] * _M + [2e-12] * _M, 2 * _M, 1.0),
+    ([0.0] * _M + [1e-12] * _M + [2e-12] * _M, 2 * _M - 1, 1.0),
+    # rows that take no task (ready after the finish)
+    ([0.0] * _M + [100.0] * _M, 2 * _M - 1, 1.0),
+    ([100.0] * _M + [0.0, 1.0] * _M, 3 * _M, 1.0),
+    # one row, and one group
+    ([5.0], 3, 2.0),
+    ([2.0] * 3, 7, 1.0),
+    # too many distinct ready times to group: the rows' own tie rule
+    ([1.0] * _M + [0.0] * _M + [100.0 + i for i in range(3 * _M)],
+     4 * _M, 1.0),
+])
+def test_grouped_snap_ties_match_full_width(ready, n_tasks, d):
+    ready = np.array(ready)
+    grouped = executor._distinct(ready, d, [])[3] is not None
+    assert grouped == (ready.size > 1 and np.unique(ready).size <= 16)
+    want = full_width_waterfill(ready, n_tasks, d)
+    for got in (makespan_waterfill(ready, n_tasks, d),
+                makespan_under_outages(ready, n_tasks, d)):
+        assert got.finish_time.hex() == want.finish_time.hex()
+        assert got.tasks_per_node_max == want.tasks_per_node_max
+
+
 # -- makespan_under_outages ---------------------------------------------------
 
 def test_outages_hand_worked_example():
@@ -344,19 +387,24 @@ def test_many_windows_keep_every_row():
 
 @st.composite
 def fleets(draw):
-    """Ready times (often tied), per-node or scalar durations, outage
+    """Ready times (often tied, also on multiples of the shortest task
+    duration), per-node or scalar durations, outage
     windows (overlapping, everyone, permanent, straddling the finish)
     and a bag size, from a handful of rows up to a few thousand."""
     n_nodes = draw(st.sampled_from([1, 2, 3, 7, 40, 300, 2500]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ready = rng.uniform(0.0, 80.0, size=n_nodes)
-    if draw(st.booleans()):
-        ready = np.round(ready, draw(st.integers(-1, 1)))  # ties
     if draw(st.booleans()):
         d = float(draw(st.sampled_from([0.5, 3.0, 7.25, 30.0, 618.4])))
     else:
         d = np.round(rng.uniform(0.5, 40.0, size=n_nodes),
                      draw(st.integers(0, 2)))
+    ready = rng.uniform(0.0, 80.0, size=n_nodes)
+    ties = draw(st.sampled_from(["none", "rounded", "multiples"]))
+    if ties == "rounded":
+        ready = np.round(ready, draw(st.integers(-1, 1)))
+    elif ties == "multiples":  # finishes of different k tie
+        ready = np.min(d) * rng.integers(0, draw(st.integers(1, 4)),
+                                         size=n_nodes)
     n_tasks = draw(st.integers(1, 8 * n_nodes + 5))
     # Windows placed against the clean finish, so many straddle it.
     finish = full_width_under_outages(ready, n_tasks, d).finish_time
@@ -404,9 +452,11 @@ def test_bisection_is_bit_identical_to_full_width(fleet):
 
 
 def test_bisection_touches_few_rows(monkeypatch):
-    """Collapsing tied rows keeps a 2x10^5-row bisection to a few
-    full-width passes (the full-width loop makes one per probe, about
-    60), with ready times tied the way carousel wakeups tie them."""
+    """Collapsing tied rows keeps a 2x10^5-row bisection and the
+    waterfill snap after it on the distinct rows, with ready times tied
+    the way carousel wakeups tie them: all their terms together touch
+    fewer rows than one full-width pass (the full-width loop makes one
+    per probe, about 60, and one for the snap)."""
     rng = np.random.default_rng(7)
     victims = rng.random(200_000) < 0.3
     ready = np.where(rng.random(victims.size) < 0.97, 61.5, 128.0)
@@ -414,10 +464,68 @@ def test_bisection_touches_few_rows(monkeypatch):
     terms = executor._terms
     monkeypatch.setattr(executor, "_terms", lambda t, rows, *a, **k: (
         touched.append(rows.size), terms(t, rows, *a, **k))[1])
-    for outages in ([(500.0, 700.0, victims)], []):
+    for run in (
+            lambda: makespan_under_outages(ready, 4 * ready.size, 618.4,
+                                           [(500.0, 700.0, victims)]),
+            lambda: makespan_under_outages(ready, 4 * ready.size, 618.4),
+            lambda: makespan_waterfill(ready, 4 * ready.size + 3, 618.4)):
         touched.clear()
-        makespan_under_outages(ready, 4 * ready.size, 618.4, outages)
-        assert sum(touched) <= 8 * ready.size, len(touched)
+        run()
+        assert 0 < sum(touched) < ready.size, len(touched)
+
+
+@pytest.mark.parametrize("storm", [False, True])
+def test_tied_rows_allocate_less_than_two_ready_columns(storm):
+    """On 10^6 rows tied the way carousel wakeups tie them, the executor
+    allocates at most twice the ready column (tracemalloc peak): it
+    groups and snaps with narrow temporaries, not full-width floats."""
+    rng = np.random.default_rng(11)
+    ready = np.where(rng.random(1_000_000) < 0.97, 61.5, 128.0)
+    outages = [(500.0, 700.0, rng.random(ready.size) < 0.3)] if storm else []
+    runs = [lambda: makespan_under_outages(ready, 4 * ready.size, 618.4,
+                                           outages)]
+    if not storm:
+        runs.append(lambda: makespan_waterfill(ready, 4 * ready.size, 618.4))
+    for run in runs:
+        run()  # first-call imports are not the executor's memory
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * ready.nbytes, peak / ready.nbytes
+
+
+def test_grouping_counts_every_value():
+    """The grouping takes its values from the rows, rare ones and ones a
+    strided sample (every 4th row of 20,000) would miss included, so it
+    counts every row, in victim pattern then ascending value order.
+    Past 16 values the rows stay as they are.  Either way the outcome is
+    the full width's."""
+    ready = np.full(20_000, 61.5)
+    ready[[1, 2, 7]] = 128.0
+    ready[3] = 0.5
+    victims = np.zeros(ready.size, dtype=bool)
+    victims[[2, 3, 5]] = True
+    for windows, values, weights in [
+            ([], [0.5, 61.5, 128.0], [1, 19_996, 3]),
+            ([(100.0, 300.0, victims)], [61.5, 128.0, 0.5, 61.5, 128.0],
+             [19_995, 2, 1, 1, 1])]:
+        fleet = executor._distinct(ready, 618.4, windows)
+        assert fleet[0].tolist() == values
+        assert fleet[3].tolist() == weights
+        if windows:
+            assert fleet[2][0][2].tolist() == [False] * 2 + [True] * 3
+    many = ready.copy()
+    many[1:80:4] = 1_000.0 + np.arange(20)
+    assert executor._distinct(many, 618.4, [])[3] is None
+    for rows in (ready, many):
+        for windows in ([], [(100.0, 300.0, victims)]):
+            want = full_width_under_outages(rows, 60_000, 618.4, windows)
+            got = makespan_under_outages(rows, 60_000, 618.4, windows)
+            assert got.finish_time.hex() == want.finish_time.hex()
+            assert got.tasks_per_node_max == want.tasks_per_node_max
 
 
 @given(data=st.data())

@@ -17,10 +17,12 @@ from repro.core.census import (
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.vector_scale import storm_plan
 from repro.faults import FaultEvent, FaultPlan, active_plan
+from repro.faults.masks import FaultWindow
 from repro.net.message import MEGABYTE
+from repro.sim.monitor import TimeSeries
 from repro.telemetry import trace as telemetry
 from repro.vector import VectorCensus, VectorOddCISystem, VectorPopulation
-from repro.vector.executor import victim_patterns
+from repro.vector.executor import makespan_under_outages, victim_patterns
 from repro.workloads import BagSpec, uniform_bag, uniform_bag_spec
 
 
@@ -316,7 +318,7 @@ class _OracleSystem(VectorOddCISystem):
                     t.emit(te, "census_outage", **gauges)
                 continue
             up = np.ones(recruited.size, dtype=bool)
-            for ws, we, mask, _rv in outages:
+            for ws, we, mask in outages:
                 if ws <= te < we:
                     up &= ~mask
             census.observe(recruited[up], STATE_BUSY, instance, te)
@@ -379,7 +381,7 @@ def _census_run(cls, case, *, read_columns):
 
     def epochs_then_read(self, recruited, outages, *args, **kwargs):
         log["patterns"].append(victim_patterns(
-            [m for _ws, _we, m, _rv in outages], recruited.size)[1].size)
+            [m for _ws, _we, m in outages], recruited.size)[1].size)
         out = run_epochs(self, recruited, outages, *args, **kwargs)
         if read_columns:
             log["columns"].append(_columns(self.census))
@@ -512,6 +514,86 @@ def test_census_lockstep_with_column_census(data):
     if not absent_seen:
         _validate_columns(new)
     assert new_tracer.metrics.snapshot() == old_tracer.metrics.snapshot()
+
+
+# -- availability series over the executor's distinct rows -------------------
+# The size series as it stood before it read the executor's groups: every
+# row's ready time sorted, each window's victims sorted, and a binary search
+# of both per grid instant.  Kept (bar the names) as the oracle.
+
+def _row_size_series(samples, ready, outages, census_outages,
+                     t_submit, t_start, finish):
+    ready_sorted = np.sort(ready)
+    victims = [(ws, we, np.sort(ready[mask])) for ws, we, mask in outages]
+
+    def size_at(t):
+        for w in census_outages:
+            if w.start <= t < w.end:
+                return 0.0
+        size = int(np.searchsorted(ready_sorted, t, side="right"))
+        for ws, we, ready_victims in victims:
+            if ws <= t < we:
+                size -= int(np.searchsorted(ready_victims, t, side="right"))
+        return float(max(0, size))
+
+    grid = {t_submit, t_start, finish}
+    step = max(1, ready_sorted.size // samples)
+    grid.update(float(x) for x in ready_sorted[::step])
+    grid.add(float(ready_sorted[-1]))
+    for ws, we, _mask in outages:
+        grid.add(ws)
+        if np.isfinite(we):
+            grid.add(we)
+    for w in census_outages:
+        grid.add(max(w.start, t_submit))
+        if np.isfinite(w.end):
+            grid.add(w.end)
+    series = TimeSeries("vector_instance_size")
+    for t in sorted(g for g in grid if t_submit <= g <= finish):
+        series.record(t, size_at(t))
+    return series
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_size_series_over_groups_matches_rows(data):
+    """The size series read off the executor's distinct rows (grouped or
+    not: tied or distinct ready times, one or two task durations,
+    overlapping and permanent compute outages, census outages, a sparse
+    or dense grid) is the row-by-row series, time for time."""
+    n = data.draw(st.sampled_from([1, 6, 300, 9_000]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    t_start = data.draw(st.sampled_from([0.0, 40.0]))
+    if data.draw(st.booleans()):  # carousel-like ties
+        ready = t_start + rng.choice([61.5, 128.0, 194.5], size=n,
+                                     p=[0.6, 0.39, 0.01])
+    else:
+        ready = t_start + rng.uniform(1.0, 200.0, size=n)
+    d = (61.8 if data.draw(st.booleans())
+         else rng.choice([61.8, 120.5], size=n))
+    outages = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        start = t_start + data.draw(st.floats(0.0, 600.0))
+        end = (np.inf if n > 1 and data.draw(st.integers(0, 4)) == 0
+               else start + data.draw(st.floats(1.0, 300.0)))
+        mask = rng.random(n) < data.draw(st.floats(0.1, 0.9))
+        mask[0] = True  # a victim of every window; the last row
+        mask[-1] &= end < np.inf  # outlives the permanent ones
+        if mask.any():  # as _applicable_outages keeps them
+            outages.append((start, end, mask))
+    census_outages = [FaultWindow("controller_crash", start,
+                                  start + data.draw(st.floats(1.0, 200.0)))
+                      for start in data.draw(st.lists(
+                          st.floats(0.0, 900.0), max_size=2))]
+    outcome = makespan_under_outages(ready, 4 * n, d, outages)
+    samples = data.draw(st.sampled_from([2, 7, 128]))
+    system = make_system(10, availability_samples=samples)
+    got = system._size_series(outcome.groups, census_outages, 0.0, t_start,
+                              outcome.finish_time)
+    want = _row_size_series(samples, ready, outages, census_outages, 0.0,
+                            t_start, outcome.finish_time)
+    assert got.times.tolist() == want.times.tolist()
+    assert got.values.tolist() == want.values.tolist()
 
 
 def test_storm_clean_pair_golden_at_smoke_scale():
