@@ -14,7 +14,8 @@ import time
 import pytest
 
 from benchmarks.scenario import SCENARIO, gc_paused
-from repro.core.census import ColumnarCensusStore, DictCensusStore
+from repro.core.census import ColumnarCensusStore
+from tests.core.dict_census import DictCensusStore
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import InstanceSpec, reset_instance_sequence
 from repro.core.messages import HeartbeatPayload, PNAState

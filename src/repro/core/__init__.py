@@ -19,7 +19,6 @@ from repro.core.backend import Backend, JobReport
 from repro.core.census import (
     CensusStore,
     ColumnarCensusStore,
-    DictCensusStore,
     NodeInterner,
 )
 from repro.core.controller import Controller, ControlPlane, DirectControlPlane
@@ -86,7 +85,6 @@ __all__ = [
     "NodeInterner",
     "CensusStore",
     "ColumnarCensusStore",
-    "DictCensusStore",
     "DVE",
     "CONTROL_PAYLOAD_BITS",
     "PNA",

@@ -8,29 +8,19 @@ Like BOINC's server-side host tables and Condor's collector, census
 state at 10^5-10^6 agents wants dense integer keys and columnar
 updates.
 
-This module provides that engine in two interchangeable builds:
-
-:class:`ColumnarCensusStore`
-    Struct-of-arrays over numpy: ``last_seen`` (float64), ``state``
-    (int8 code), ``instance`` (int64 handle) columns indexed by the
-    dense node index a shared :class:`NodeInterner` assigns, plus one
-    membership column (float64 last-heartbeat, NaN = non-member) per
-    *bound* instance and a per-node membership counter that serves as
-    the reverse ``node -> instances`` index.  A same-instant heartbeat
-    cohort lands as one columnar write per (state, instance) group
-    (``last_seen[idxs] = now``) instead of N dict updates, and expiry
-    is a single vectorised comparison per instance.
-
-:class:`DictCensusStore`
-    The dict-backed reference engine, behaviour-identical by
-    construction simple enough to eyeball.  It is both the
-    differential-test oracle: ``tests/core/test_census_store.py``
-    drives randomized heartbeat/trim/expire/crash sequences through
-    both builds and requires identical censuses, and tests hand it to
-    a Controller through its ``census`` argument.
-
-Both stores expose the same interface; the Controller builds a
-:class:`ColumnarCensusStore` unless it is given a store.
+:class:`ColumnarCensusStore` is that engine: struct-of-arrays over
+numpy, ``last_seen`` (float64), ``state`` (int8 code), ``instance``
+(int64 handle) columns indexed by the dense node index a shared
+:class:`NodeInterner` assigns, plus one membership column (float64
+last-heartbeat, NaN = non-member) per *bound* instance and a per-node
+membership counter that serves as the reverse ``node -> instances``
+index.  A same-instant heartbeat cohort lands as one columnar write per
+(state, instance) group (``last_seen[idxs] = now``) instead of N dict
+updates, and expiry is a single vectorised comparison per instance.
+Its oracle, the dict-backed ``DictCensusStore`` behind the same
+:class:`CensusStore` interface, lives in the tests
+(``tests/core/dict_census.py``); tests hand it to a Controller through
+its ``census`` argument.
 :class:`RegistryView` and :class:`MembersView` wrap a store
 in the dict shape the pre-columnar ``Controller.registry`` /
 ``InstanceRecord.members`` exposed, so observable behaviour — and the
@@ -48,6 +38,8 @@ the two stores with per-step validation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -64,7 +56,6 @@ __all__ = [
     "NodeInterner",
     "CensusStore",
     "ColumnarCensusStore",
-    "DictCensusStore",
     "RegistryView",
     "MembersView",
     "registry_reductions",
@@ -113,54 +104,95 @@ class NodeInterner:
     """Dense string node-id <-> int index table, append-only.
 
     Shared by the Router (which interns every registered PNA), the
-    heartbeat cohorts (which cache each member's index so a cohort tick
-    ships index arrays alongside the payloads) and the census stores.
-    Indices are stable for the process lifetime: a churned node that
-    re-registers under the same id keeps its index, so census columns
-    never need compaction.
+    heartbeat cohorts and the census stores.  Indices are stable for
+    the process lifetime: a churned node that re-registers under the
+    same id keeps its index, so census columns never need compaction.
+
+    A bulk fleet is a *block*: the ids ``{prefix}{first + k}``, ``k <
+    n``, at indices ``lo + k``, kept as one range (a block continuing
+    the last one extends it) and recognised only in canonical decimal
+    form.  Only ids interned one by one hold dict entries.
     """
 
-    __slots__ = ("_index", "_ids")
+    __slots__ = ("_index", "_ids", "_blocks", "_n")
 
     def __init__(self) -> None:
         self._index: Dict[str, int] = {}
-        self._ids: List[str] = []
+        self._ids: Dict[int, str] = {}
+        #: ``[lo, hi, prefix, first]`` per block, in index order
+        self._blocks: List[list] = []
+        self._n = 0
 
     def intern(self, node_id: str) -> int:
         """The node's dense index, assigning the next one if new."""
-        idx = self._index.get(node_id)
+        idx = self.index_of(node_id)
         if idx is None:
-            idx = len(self._ids)
-            self._index[node_id] = idx
-            self._ids.append(node_id)
+            idx = self._index[node_id] = self._n
+            self._ids[idx] = node_id
+            self._n += 1
         return idx
 
-    def intern_block(self, node_ids: List[str]) -> int:
-        """Intern new, distinct ids as one contiguous index range;
-        returns its first index."""
-        lo = len(self._ids)
-        if not self._index.keys().isdisjoint(node_ids) \
-                or len(set(node_ids)) != len(node_ids):
-            raise ValueError("a block's node ids must be new and distinct")
-        self._index.update(zip(node_ids, range(lo, lo + len(node_ids))))
-        self._ids.extend(node_ids)
+    def intern_block(self, prefix: str, first: int, n: int) -> int:
+        """Intern the ``n`` new ids ``{prefix}{first + k}`` as one
+        contiguous index range; returns its first index."""
+        if prefix[-1:].isdigit() or first < 0 or n <= 0:
+            raise ValueError("a block needs a prefix not ending in a digit, "
+                             "first >= 0 and n > 0")
+        taken = [_number(node_id, prefix) for node_id in self._index]
+        if any(k is not None and first <= k < first + n for k in taken) \
+                or any(p == prefix and f < first + n and first < f + hi - lo
+                       for lo, hi, p, f in self._blocks):
+            raise ValueError("a block's node ids must be new")
+        lo, last = self._n, self._blocks[-1] if self._blocks else None
+        self._n += n
+        if last is not None and last[1:3] == [lo, prefix] \
+                and last[3] + lo - last[0] == first:
+            last[1] = self._n
+        else:
+            self._blocks.append([lo, self._n, prefix, first])
         return lo
 
     def index_of(self, node_id: str) -> Optional[int]:
         """The node's index, or ``None`` if it was never interned."""
-        return self._index.get(node_id)
+        idx = self._index.get(node_id)
+        if idx is None and self._blocks:
+            head = node_id.rstrip("0123456789")
+            k = _number(node_id, head)
+            for lo, hi, prefix, first in self._blocks:
+                if prefix == head and k is not None \
+                        and 0 <= k - first < hi - lo:
+                    return lo + k - first
+        return idx
 
     def id_of(self, idx: int) -> str:
-        return self._ids[idx]
+        node_id = self._ids.get(idx)
+        if node_id is None:
+            if not 0 <= idx < self._n:
+                raise IndexError(f"node index {idx} out of range")
+            lo, _hi, prefix, first = self._blocks[
+                bisect_right(self._blocks, idx, key=itemgetter(0)) - 1]
+            node_id = f"{prefix}{first + idx - lo}"
+        return node_id
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._n
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._index
+        return self.index_of(node_id) is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<NodeInterner {len(self._ids)} ids>"
+        return f"<NodeInterner {self._n} ids, {len(self._blocks)} blocks>"
+
+
+def _number(node_id: str, prefix: str) -> Optional[int]:
+    """``k`` when ``node_id`` is ``prefix`` then ``k`` in canonical
+    decimal, else ``None``."""
+    digits = node_id[len(prefix):]
+    if node_id.startswith(prefix) and 0 < len(digits) <= 18 \
+            and digits.isascii() and digits.isdigit() \
+            and (digits[0] != "0" or len(digits) == 1):
+        return int(digits)
+    return None
 
 
 class CensusStore:
@@ -314,181 +346,6 @@ class CensusStore:
 
     def validate(self) -> None:
         """Assertion-based invariant check (no-op where trivially true)."""
-
-
-class DictCensusStore(CensusStore):
-    """Reference engine: the pre-columnar dicts behind the new interface.
-
-    Every operation is the obvious dict transcription of the old
-    ``Controller.registry`` / ``InstanceRecord.members`` code paths, so
-    this build doubles as an executable specification.  Iteration
-    orders follow dict insertion order (the historical behaviour
-    standalone :class:`~repro.core.instance.InstanceRecord` tests rely
-    on); only the *sorted* :meth:`CensusStore.snapshot` is part of the
-    cross-engine contract.
-    """
-
-    supports_columnar = False
-
-    def __init__(self, interner: Optional[NodeInterner] = None) -> None:
-        super().__init__(interner)
-        #: idx -> (seen, state_code, instance_handle)
-        self._registry: Dict[int, Tuple[float, int, int]] = {}
-        #: instance handle -> {idx: last heartbeat}
-        self._members: Dict[int, Dict[int, float]] = {}
-        #: reverse index: idx -> number of instances it belongs to
-        self._member_of: Dict[int, int] = {}
-
-    # -- registry --------------------------------------------------------
-    def touch(self, idx, state, instance_id, now):
-        self._registry[idx] = (now, STATE_CODE[state],
-                               self.instance_handle(instance_id))
-
-    def touch_group(self, idxs, code, instance_id, now):
-        handle = self.instance_handle(instance_id)
-        registry = self._registry
-        for idx in idxs:
-            registry[int(idx)] = (now, code, handle)
-
-    def registry_size(self):
-        return len(self._registry)
-
-    def idle_estimate(self, horizon):
-        return sum(1 for (seen, code, _h) in self._registry.values()
-                   if code == STATE_IDLE and seen >= horizon)
-
-    def alive_estimate(self, horizon):
-        return sum(1 for (seen, _code, _h) in self._registry.values()
-                   if seen >= horizon)
-
-    def registry_get(self, node_id):
-        idx = self.interner.index_of(node_id)
-        if idx is None:
-            return None
-        row = self._registry.get(idx)
-        if row is None:
-            return None
-        seen, code, handle = row
-        return (seen, CODE_STATE[code], self.instance_id_of(handle))
-
-    def registry_set(self, node_id, seen, state, instance_id):
-        idx = self.interner.intern(node_id)
-        self._registry[idx] = (seen, STATE_CODE[state],
-                               self.instance_handle(instance_id))
-
-    def registry_items(self):
-        id_of = self.interner.id_of
-        for idx, (seen, code, handle) in self._registry.items():
-            yield id_of(idx), (seen, CODE_STATE[code],
-                               self.instance_id_of(handle))
-
-    def clear_registry(self):
-        self._registry.clear()
-
-    # -- membership ------------------------------------------------------
-    def bind_instance(self, instance_id):
-        handle = self.instance_handle(instance_id)
-        if handle not in self._members:
-            self._members[handle] = {}
-        return handle
-
-    def release_instance(self, instance_id):
-        handle = self._inst_index.get(instance_id)
-        if handle is None:
-            return
-        members = self._members.pop(handle, None)
-        if members:
-            for idx in members:
-                self._decr_member_of(idx)
-
-    def _is_bound(self, handle):
-        return handle in self._members
-
-    def _decr_member_of(self, idx):
-        left = self._member_of.get(idx, 0) - 1
-        if left > 0:
-            self._member_of[idx] = left
-        else:
-            self._member_of.pop(idx, None)
-
-    def mark_member(self, handle, idx, now):
-        members = self._members[handle]
-        if idx not in members:
-            self._member_of[idx] = self._member_of.get(idx, 0) + 1
-        members[idx] = now
-
-    def mark_members(self, handle, idxs, now):
-        for idx in idxs:
-            self.mark_member(handle, int(idx), now)
-
-    def drop_member(self, handle, idx):
-        members = self._members.get(handle)
-        if members is None or members.pop(idx, None) is None:
-            return False
-        self._decr_member_of(idx)
-        return True
-
-    def drop_from_all(self, idx):
-        if not self._member_of.get(idx, 0):
-            return
-        for members in self._members.values():
-            members.pop(idx, None)
-        self._member_of.pop(idx, None)
-
-    def drop_many_from_all(self, idxs):
-        for idx in idxs:
-            self.drop_from_all(int(idx))
-
-    def expire_members(self, handle, cutoff):
-        members = self._members.get(handle)
-        if members is None:
-            return 0
-        stale = [idx for idx, seen in members.items() if seen < cutoff]
-        for idx in stale:
-            del members[idx]
-            self._decr_member_of(idx)
-        return len(stale)
-
-    def member_count(self, handle):
-        members = self._members.get(handle)
-        return 0 if members is None else len(members)
-
-    def member_seen(self, handle, idx):
-        members = self._members.get(handle)
-        return None if members is None else members.get(idx)
-
-    def members_items(self, handle):
-        members = self._members.get(handle)
-        if members is None:
-            return
-        id_of = self.interner.id_of
-        for idx, seen in members.items():
-            yield id_of(idx), seen
-
-    def clear_members(self, handle):
-        members = self._members.get(handle)
-        if members is None:
-            return
-        for idx in members:
-            self._decr_member_of(idx)
-        members.clear()
-
-    def total_members(self):
-        return sum(len(m) for m in self._members.values())
-
-    def clear(self):
-        self._registry.clear()
-        for members in self._members.values():
-            members.clear()
-        self._member_of.clear()
-
-    def validate(self):
-        recount: Dict[int, int] = {}
-        for members in self._members.values():
-            for idx in members:
-                recount[idx] = recount.get(idx, 0) + 1
-        assert recount == self._member_of, \
-            f"reverse index drifted: {recount} != {self._member_of}"
 
 
 class ColumnarCensusStore(CensusStore):

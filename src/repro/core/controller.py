@@ -71,7 +71,6 @@ from repro.core.messages import (
     sign_control,
 )
 from repro.core.network import Router
-from repro.core.pna import PNABlock
 from repro.core.policies import DeficitProportional, ProbabilityPolicy
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
@@ -134,7 +133,10 @@ class DirectControlPlane(ControlPlane):
 
     def attach(self, pna) -> int:
         """Subscribe one PNA; returns the unsubscribe token."""
-        return self.attach_many(PNABlock([pna], np.array([pna.census_idx])))
+        def listener(msg: Message) -> None:
+            pna.deliver_control(*msg.payload)
+
+        return self.channel.subscribe(listener)
 
     def attach_many(self, block) -> int:
         """Subscribe a :class:`~repro.core.pna.PNABlock` as one listener

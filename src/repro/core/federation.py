@@ -61,7 +61,7 @@ from repro.core.census import NodeInterner
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import InstanceRecord, InstanceSpec, InstanceStatus
 from repro.core.network import Router
-from repro.core.pna import PNA, PNABlock
+from repro.core.pna import Fleet, PNABlock
 from repro.core.policies import ProbabilityPolicy
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.broadcast import BroadcastChannel
@@ -172,7 +172,7 @@ class ControllerShard:
             probability_policy=probability_policy,
             maintenance_interval_s=maintenance_interval_s,
             network=descriptor.name)
-        self.pnas: List[PNA] = []
+        self.pnas = Fleet()
         #: contiguous interned-id range owned by this shard's fleet
         #: (empty until the first node registers).
         self.id_lo: Optional[int] = None
@@ -189,7 +189,7 @@ class ControllerShard:
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 15.0,
         executor: Optional[Callable[[float], float]] = None,
-    ) -> List[PNA]:
+    ) -> Fleet:
         """Create ``n`` nodes on this network (globally-unique PNA ids,
         capability-tagged by device class from the descriptor's mix)."""
         if n <= 0:
@@ -199,13 +199,11 @@ class ControllerShard:
                 f"network {self.name!r} capacity "
                 f"{self.descriptor.capacity} exceeded "
                 f"({len(self.pnas)} + {n})")
-        built: List[PNA] = []
+        built = Fleet()
         for device_class, count in self._device_classes(n):
             first = len(self.pnas)
-            block = PNABlock.build(
-                self.sim, self.router,
-                [f"{self.name}:pna-{idx}"
-                 for idx in range(first, first + count)],
+            block = PNABlock(
+                self.sim, self.router, f"{self.name}:pna-", first, count,
                 controller_key=self.keys.key_of(
                     self.controller.controller_id),
                 controller_id=self.controller.controller_id,
@@ -213,18 +211,17 @@ class ControllerShard:
                 latency_s=self.descriptor.delta_latency_s,
                 loss=self.descriptor.delta_loss,
                 channel_name=f"{self.name}.pna{{}}.direct",
-                first_channel=first,
                 capabilities=({"device_class": device_class}
                               if device_class else None),
                 executor=executor,
                 heartbeat_interval_s=heartbeat_interval_s,
                 dve_poll_interval_s=dve_poll_interval_s)
             self.control_plane.attach_many(block)
-            self.pnas.extend(block.pnas)
-            built.extend(block.pnas)
+            self.pnas.extend(block)
+            built.extend(block)
             if self.id_lo is None:
-                self.id_lo = int(block.rows[0])
-            self.id_hi = int(block.rows[-1]) + 1
+                self.id_lo = block.lo
+            self.id_hi = block.hi
         return built
 
     def _device_classes(self, n: int) -> List[Tuple[Optional[str], int]]:
@@ -750,5 +747,5 @@ class FederatedOddCISystem:
                 shard.build_fleet(n, **fleet_kwargs)
 
     @property
-    def pnas(self) -> List[PNA]:
-        return [p for s in self.shards for p in s.pnas]
+    def pnas(self) -> Fleet:
+        return Fleet(part for s in self.shards for part in s.pnas.parts)

@@ -132,9 +132,9 @@ class InstanceRecord:
 
     def _ensure_census(self):
         if self._census is None:
-            from repro.core.census import DictCensusStore
+            from repro.core.census import ColumnarCensusStore
 
-            self.bind_census(DictCensusStore())
+            self.bind_census(ColumnarCensusStore())
         return self._census
 
     @property

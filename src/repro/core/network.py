@@ -31,6 +31,7 @@ from repro.net.link import (
     LinkTable,
     column_view,
     count_deliveries,
+    grow_columns,
     offer_rows,
 )
 from repro.net.message import DEFAULT_HEADER_BITS, Message
@@ -89,10 +90,10 @@ class Router:
         self._cohort_receivers: Dict[str, ReceiveCohortFn] = {}
         self._payload_receivers: Dict[str, ReceivePayloadFn] = {}
         #: direct channels by node index (see channel_of), and the
-        #: (first row, first channel number, name format, tracer) of
-        #: each block registered by register_pnas
+        #: (first row, first channel number, name format, tracer, owner)
+        #: of each block registered by register_pnas
         self._channels: Dict[int, DuplexChannel] = {}
-        self._blocks: List[Tuple[int, int, str, Any]] = []
+        self._blocks: List[Tuple[int, int, str, Any, Any]] = []
         #: heartbeat cohorts keyed (controller_id, interval_s, phase);
         #: owned by the PNAs (see repro.core.pna) but stored here because
         #: the cohort is a property of the shared network fabric.
@@ -103,6 +104,10 @@ class Router:
         #: ``_cohorts``: the engine is shared fabric, not per-node state.
         self._task_servers: Dict[str, Any] = {}
         self._task_engines: Dict[str, Any] = {}
+        #: task engines by code, the ``dve_engine`` values (0 is none)
+        self._engines: List[Any] = [None]
+        #: Byzantine profiles (repro.certify.adversary) by node index
+        self.adversaries: Dict[int, Any] = {}
         self.undeliverable = 0
         #: direct-channel serializer state, row = node index.
         self.uplinks = LinkTable(lambda r: self.channel_of(r).uplink)
@@ -116,16 +121,19 @@ class Router:
         #: into a cohort task engine
         for name in PNA_COUNTERS + ("dve_slot",):
             setattr(self, name, array("q"))
+        #: that engine's code while the member has no DVE object (PNA.dve)
+        self.dve_engine = array("i")
         #: 1 while the row's PNA is registered here (a cohort member
         #: whose node vanished sends nothing).
         self._pna_linked = array("b")
         self._node_columns = (
             self.pna_online, self.pna_state, self.pna_instance,
-            self._pna_linked, self.dve_slot,
+            self._pna_linked, self.dve_slot, self.dve_engine,
             *(getattr(self, name) for name in PNA_COUNTERS))
-        #: the node registered at each row: its ``_on_downlink`` and
-        #: ``_on_downlink_payload`` (may be None) receive its downlink
-        self._nodes: List[Any] = []
+        #: the node registered one by one at a row: its ``_on_downlink``
+        #: and ``_on_downlink_payload`` (may be None) receive its
+        #: downlink; a block's rows are served by the block (see _node)
+        self._nodes: Dict[int, Any] = {}
         self._up_receiver = self._deliver_to_component
         self._down_receiver = self._deliver_to_pna
         #: instance ids behind ``pna_instance`` codes; 0 is "none".
@@ -177,9 +185,7 @@ class Router:
         if n <= have:
             return
         cap = max(n, 2 * have, 64)
-        for column in self._node_columns:
-            column.frombytes(bytes(column.itemsize * (cap - have)))
-        self._nodes.extend([None] * (cap - have))
+        grow_columns(self._node_columns, cap - have)
         self.uplinks.reserve(cap)
         self.downlinks.reserve(cap)
 
@@ -191,13 +197,21 @@ class Router:
             return None
         return idx
 
+    def _block_of(self, idx: int) -> tuple:
+        return self._blocks[bisect_right(self._blocks, idx,
+                                         key=itemgetter(0)) - 1]
+
+    def _node(self, idx: int) -> Any:
+        """The receiver of registered node ``idx``'s downlink: a block
+        row's is its :class:`~repro.core.pna.PNA` view."""
+        return self._nodes.get(idx) or self._block_of(idx)[4].view(idx)
+
     def channel_of(self, idx: int) -> DuplexChannel:
         """Registered node ``idx``'s direct channel; one of a block
         (:meth:`register_pnas`) is built over its rows on first use."""
         channel = self._channels.get(idx)
         if channel is None:
-            lo, first, name, tracer = self._blocks[bisect_right(
-                self._blocks, idx, key=itemgetter(0)) - 1]
+            lo, first, name, tracer, _owner = self._block_of(idx)
             with telemetry.active(tracer):  # the block's, as if built then
                 channel = DuplexChannel(self.sim, self.uplinks.rate[idx],
                                         name=name.format(first + idx - lo))
@@ -296,6 +310,7 @@ class Router:
         self._reserve_rows(idx + 1)
         for column in self._node_columns:
             column[idx] = 0
+        self.adversaries.pop(idx, None)
         self.pna_online[idx] = self._pna_linked[idx] = 1
         self.pna_state[idx] = STATE_IDLE
         self._nodes[idx] = SimpleNamespace(
@@ -303,29 +318,29 @@ class Router:
         self._adopt(idx, channel)
         return idx
 
-    def register_pnas(self, pna_ids: List[str], nodes: List[Any], *,
+    def register_pnas(self, owner: Any, prefix: str, first: int, n: int, *,
                       rate_bps: float, latency_s: float, loss: float,
-                      channel_name: str, first_channel: int) -> int:
-        """Register new nodes (``nodes[k]`` receives for ``pna_ids[k]``)
-        in one pass; returns the first of their contiguous indices.
+                      channel_name: str) -> int:
+        """Register the ``n`` new nodes ``{prefix}{first + k}`` in one
+        pass; returns the first of their contiguous indices.
 
+        ``owner.view(idx)`` is the receiver of node ``idx``'s downlink.
         The channels' state is written into the link tables as columns;
-        node ``k``'s channel, named ``channel_name.format(first_channel
-        + k)``, is only built when :meth:`channel_of` asks for it.
+        node ``k``'s channel, named ``channel_name.format(first + k)``,
+        is only built when :meth:`channel_of` asks for it.
         """
-        lo = self.interner.intern_block(pna_ids)
-        hi = lo + len(pna_ids)
+        lo = self.interner.intern_block(prefix, first, n)
+        hi = lo + n
         self._reserve_rows(hi)  # new ids: rows never written, all zero
         for column, value in ((self.pna_online, 1), (self._pna_linked, 1),
                               (self.pna_state, STATE_IDLE)):
             column_view(column)[lo:hi] = value
-        self._nodes[lo:hi] = nodes
         state = (self.sim.now, 0.0, 0, 1, float(loss), float(rate_bps),
                  float(latency_s))
         self.uplinks.fill(lo, hi, state)
         self.downlinks.fill(lo, hi, state)
-        self._blocks.append((lo, first_channel, channel_name,
-                             telemetry.current()))
+        self._blocks.append((lo, first, channel_name, telemetry.current(),
+                             owner))
         return lo
 
     def unregister_pna(self, pna_id: str) -> None:
@@ -333,7 +348,7 @@ class Router:
         if idx is None:
             return
         self._pna_linked[idx] = 0
-        self._nodes[idx] = None
+        self._nodes.pop(idx, None)
         channel = self._channels.pop(idx, None)
         if channel is not None:
             channel.uplink.detach()
@@ -379,7 +394,7 @@ class Router:
         idx = self._registered(pna_id)
         channel = self.channel_of(idx)
         if quiet:
-            if self._nodes[idx]._on_downlink_payload is not None:
+            if self._node(idx)._on_downlink_payload is not None:
                 link = channel.downlink
                 deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
                 if deliver_at is not None:
@@ -456,7 +471,7 @@ class Router:
         link.count_delivery()
         idx = self._row_of(pna_id)
         receive = None if idx is None \
-            else self._nodes[idx]._on_downlink_payload
+            else self._node(idx)._on_downlink_payload
         if receive is None:
             self.undeliverable += 1
             return
@@ -546,4 +561,4 @@ class Router:
         if idx is None:
             self.undeliverable += 1
             return
-        self._nodes[idx]._on_downlink(msg)
+        self._node(idx)._on_downlink(msg)

@@ -8,17 +8,20 @@ requirements it satisfies, runs the staged image inside a
 heartbeats over its direct channel.
 
 This class is substrate-agnostic; the DTV binding wraps it in an Xlet
-(:mod:`repro.dtv_oddci`), the generic binding builds fleets in bulk and
-subscribes each to a :class:`~repro.net.broadcast.BroadcastChannel` as
-one :class:`PNABlock`.
+(:mod:`repro.dtv_oddci`), the generic binding builds fleets in bulk as
+:class:`PNABlock` row ranges, each subscribed to a
+:class:`~repro.net.broadcast.BroadcastChannel` as one listener, whose
+PNAs are views built on first access.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from operator import attrgetter, countOf
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import chain
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional)
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from repro.sim.core import Simulator
 from repro.sim.wheel import TimerWheel
 from repro.telemetry.trace import channel as _telemetry_channel
 
-__all__ = ["PNA", "PNABlock"]
+__all__ = ["PNA", "PNABlock", "Fleet"]
 
 
 class _HeartbeatCohort:
@@ -60,12 +63,13 @@ class _HeartbeatCohort:
     and first beats exactly ``interval`` after joining — identical to a
     private timer.
 
-    A tick is one column pass over the members' node indices (see
-    :class:`~repro.core.network.Router`): no per-member object is made.
+    Members are node-index ranges ``[lo, hi, joined_at]`` in join order
+    (a member that leaves splits its range): a tick is a column pass per
+    range and consolidates in the order of the per-PNA timers it replaces.
     """
 
-    __slots__ = ("router", "controller_id", "key", "wheel", "members",
-                 "_joined_at", "_token", "_idxs", "_joined")
+    __slots__ = ("router", "controller_id", "key", "wheel", "_ranges",
+                 "_token")
 
     def __init__(self, sim: Simulator, router: Router, controller_id: str,
                  interval_s: float, key: tuple) -> None:
@@ -74,22 +78,14 @@ class _HeartbeatCohort:
         self.key = key
         self.wheel = TimerWheel(
             sim, interval_s, name=f"hb:{controller_id}:{interval_s:g}")
-        #: pna_id -> node index, and pna_id -> join time; insertion
-        #: order = join order, so a cohort beat consolidates in the same
-        #: order as the per-PNA timer processes it replaces.
-        self.members: Dict[str, int] = {}
-        self._joined_at: Dict[str, float] = {}
+        self._ranges: List[list] = []
         self._token: Optional[int] = None
-        #: the two maps as columns, rebuilt on the first tick after a
-        #: membership change.
-        self._idxs: Optional[np.ndarray] = None
-        self._joined: Optional[np.ndarray] = None
 
     @classmethod
     def join(cls, router: Router, controller_id: str, interval_s: float,
-             pna_ids: List[str], idxs: Any) -> "_HeartbeatCohort":
-        """Add members joining now, in order, to the cohort of their
-        (interval, phase), created if needed; returns the cohort.
+             lo: int, hi: int) -> "_HeartbeatCohort":
+        """Add node rows ``[lo, hi)``, joining now, to the cohort of
+        their (interval, phase), created if needed; returns the cohort.
 
         Cohorts are shared timetables: every wheel tick of the cohort
         keyed ``(controller, I, fmod(now, I))`` lands exactly ``k * I``
@@ -103,36 +99,45 @@ class _HeartbeatCohort:
         if cohort is None:
             cohort = router._cohorts[key] = cls(sim, router, controller_id,
                                                 interval_s, key)
-        if not cohort.members:
+        ranges = cohort._ranges
+        if not ranges:
             cohort._token = cohort.wheel.subscribe(cohort._tick)
-        cohort.members.update(zip(pna_ids, idxs))
-        cohort._joined_at.update(zip(pna_ids, repeat(sim.now)))
-        cohort._idxs = None
+        if ranges and ranges[-1][1:] == [lo, sim.now]:
+            ranges[-1][1] = hi  # continues the last range
+        else:
+            ranges.append([lo, hi, sim.now])
         return cohort
 
-    def remove(self, pna_id: str) -> None:
-        self.members.pop(pna_id, None)
-        self._joined_at.pop(pna_id, None)
-        self._idxs = None
-        if not self.members:
+    @property
+    def members(self) -> Dict[str, int]:
+        """pna_id -> node index of every member, in join order (built on
+        each call; the tick reads the ranges)."""
+        id_of = self.router.interner.id_of
+        return {id_of(row): row for lo, hi, _ in self._ranges
+                for row in range(lo, hi)}
+
+    def remove(self, row: int) -> None:
+        ranges = self._ranges
+        for k, (lo, hi, joined) in enumerate(ranges):
+            if lo <= row < hi:
+                ranges[k:k + 1] = [part for part in (
+                    [lo, row, joined], [row + 1, hi, joined])
+                    if part[0] < part[1]]
+                break
+        if not ranges:
             if self._token is not None:
                 self.wheel.unsubscribe(self._token)
                 self._token = None
             self.router._cohorts.pop(self.key, None)
 
     def _tick(self, tick_time: float) -> None:
-        idxs = self._idxs
-        if idxs is None:
-            n = len(self.members)
-            self._idxs = idxs = np.fromiter(self.members.values(), np.int64,
-                                            n)
-            self._joined = np.fromiter(self._joined_at.values(), np.float64,
-                                       n)
         router = self.router
-        due = (column_view(router.pna_online)[idxs] != 0) \
-            & (self._joined < tick_time)
-        if not due.all():
-            idxs = idxs[due]
+        online = column_view(router.pna_online)
+        due = [np.flatnonzero(online[lo:hi]) + lo
+               for lo, hi, joined in self._ranges if joined < tick_time]
+        if not due:
+            return
+        idxs = due[0] if len(due) == 1 else np.concatenate(due)
         if idxs.size:
             column_view(router.heartbeats_sent)[idxs] += 1
             router.send_heartbeats(idxs, self.controller_id,
@@ -155,6 +160,12 @@ def _own_caps(capabilities: Optional[Mapping[str, Any]]) -> Mapping[str, Any]:
 class PNA:
     """One processing-node agent.
 
+    A hand-built PNA registers its own row with the router; a member of
+    a :class:`PNABlock` is a view of the block's row, built on first
+    access.  Either way its mutable state (state, instance, online
+    flag, counters, behaviour profile, task-engine binding) is the
+    router's, at row :attr:`census_idx`.
+
     Parameters
     ----------
     channel:
@@ -172,8 +183,8 @@ class PNA:
     __slots__ = (
         "sim", "pna_id", "router", "controller_key", "_controller_id",
         "capabilities", "executor", "heartbeat_interval_s",
-        "dve_poll_interval_s", "_dve", "_hb_cohort", "_trace",
-        "census_idx", "adversary",
+        "dve_poll_interval_s", "_own_dve", "_hb_cohort", "_trace",
+        "census_idx",
     )
     # heartbeats_sent and the drop counters (PNA_COUNTERS, observability
     # for the recruitment experiments) are router columns: see the end
@@ -229,12 +240,8 @@ class PNA:
         self.executor = executor or identity_executor
         self.heartbeat_interval_s = heartbeat_interval_s
         self.dve_poll_interval_s = dve_poll_interval_s
-        self._dve = None
+        self._own_dve = None
         self._hb_cohort: Optional[_HeartbeatCohort] = None
-        #: Byzantine behaviour profile (repro.certify.adversary), or
-        #: ``None`` for an honest node.  Set by the fault injector;
-        #: consulted at assignment-accept time by both task paths.
-        self.adversary = None
 
     # -- router-column attributes ---------------------------------------
     @property
@@ -264,8 +271,34 @@ class PNA:
         self.router.pna_online[self.census_idx] = 1 if value else 0
 
     @property
+    def adversary(self) -> Any:
+        """Byzantine behaviour profile (repro.certify.adversary), or
+        ``None`` for an honest node.  Set by the fault injector;
+        consulted at assignment-accept time by both task paths."""
+        return self.router.adversaries.get(self.census_idx)
+
+    @adversary.setter
+    def adversary(self, value: Any) -> None:
+        if value is None:
+            self.router.adversaries.pop(self.census_idx, None)
+        else:
+            self.router.adversaries[self.census_idx] = value
+
+    @property
     def channel(self) -> DuplexChannel:
         return self.router.channel_of(self.census_idx)
+
+    @property
+    def _dve(self) -> Any:
+        """The node's own client loop, else the task engine its row
+        joined in bulk, else ``None``."""
+        dve = self._own_dve
+        if dve is None:
+            router = self.router
+            code = router.dve_engine[self.census_idx]
+            if code:
+                return router._engines[code]
+        return dve
 
     @property
     def dve(self) -> Any:
@@ -274,7 +307,7 @@ class PNA:
         dve = self._dve
         if type(dve) is CohortTaskEngine:
             slot = self.router.dve_slot[self.census_idx]
-            dve = self._dve = CohortDVE(
+            dve = self.dve = CohortDVE(
                 dve, self, dve.instance_id, dve.backend_id,
                 poll_interval_s=self.dve_poll_interval_s,
                 request_timeout_s=dve._timeout[slot], slot=slot)
@@ -282,7 +315,8 @@ class PNA:
 
     @dve.setter
     def dve(self, value: Any) -> None:
-        self._dve = value
+        self._own_dve = value
+        self.router.dve_engine[self.census_idx] = 0
 
     @property
     def controller_id(self) -> str:
@@ -440,14 +474,15 @@ class PNA:
             self.dve.on_backend_message(payload)
 
     def _join_heartbeat_cohort(self) -> None:
+        row = self.census_idx
         self._hb_cohort = _HeartbeatCohort.join(
             self.router, self.controller_id, self.heartbeat_interval_s,
-            [self.pna_id], [self.census_idx])
+            row, row + 1)
 
     def _restart_heartbeat(self) -> None:
         """Re-key the cohort membership (new interval applies at once)."""
         if self._hb_cohort is not None:
-            self._hb_cohort.remove(self.pna_id)
+            self._hb_cohort.remove(self.census_idx)
             self._hb_cohort = None
         self._join_heartbeat_cohort()
 
@@ -530,129 +565,219 @@ def _router_column(name: str) -> property:
 for _name in PNA_COUNTERS:
     setattr(PNA, _name, _router_column(_name))
 
-_adversary = attrgetter("adversary")
 
+class PNABlock(Sequence):
+    """A fleet built in bulk: PNAs ``{prefix}{first + k}`` for ``k < n``
+    on node rows ``[lo, hi)``, hearing the broadcast as one listener.
 
-class PNABlock(NamedTuple):
-    """PNAs that hear the broadcast channel as one listener.
-
-    The paper's Controller never addresses a PNA: it broadcasts one
-    signed wakeup and each PNA decides locally whether to join.
-    :meth:`deliver_control` takes those decisions for every member as
-    column passes, equal to :meth:`PNA.deliver_control` on each member
-    in order; :meth:`build` registers a whole fleet in bulk.
+    Their mutable state lives in the router's columns and what they
+    share (key, controller, capabilities, executor, intervals, tracer)
+    once here; node ``k``'s channel, ``channel_name.format(first +
+    k)``, is built on first use.  Member ``k`` is a :class:`PNA` view
+    built the first time something indexes or iterates the block or
+    delivers to its row, and cached; only a view can carry a per-node
+    override (an adversary, a changed interval or key, a retargeted
+    controller).  :meth:`deliver_control` takes the members' wakeup
+    decisions as column passes, equal to :meth:`PNA.deliver_control` on
+    each member in order.
     """
 
-    pnas: List[PNA]
-    #: the members' node indices
-    rows: np.ndarray
+    __slots__ = ("sim", "router", "lo", "hi", "prefix", "first",
+                 "controller_key", "controller_id", "capabilities",
+                 "executor", "heartbeat_interval_s", "dve_poll_interval_s",
+                 "_trace", "_cohort", "_views", "_ids")
 
-    @classmethod
-    def build(cls, sim: Simulator, router: Router, pna_ids: List[str], *,
-              channel_name: str, first_channel: int, rate_bps: float,
-              latency_s: float, loss: float, controller_key: bytes,
-              controller_id: str,
-              capabilities: Optional[Mapping[str, Any]] = None,
-              executor: Optional[Executor] = None,
-              heartbeat_interval_s: float = 60.0,
-              dve_poll_interval_s: float = 30.0) -> "PNABlock":
-        """One :class:`PNA` per id, as the constructor would build them
-        in order (node ``k``'s channel is named
-        ``channel_name.format(first_channel + k)``), registered in bulk:
-        node rows, link-table rows and the heartbeat cohort are column
-        writes, and each channel is built on first use."""
+    def __init__(self, sim: Simulator, router: Router, prefix: str,
+                 first: int, n: int, *, channel_name: str, rate_bps: float,
+                 latency_s: float, loss: float, controller_key: bytes,
+                 controller_id: str,
+                 capabilities: Optional[Mapping[str, Any]] = None,
+                 executor: Optional[Executor] = None,
+                 heartbeat_interval_s: float = 60.0,
+                 dve_poll_interval_s: float = 30.0) -> None:
         if heartbeat_interval_s <= 0:
             raise OddCIError("heartbeat_interval_s must be > 0")
         if dve_poll_interval_s <= 0:
             raise OddCIError("dve_poll_interval_s must be > 0")
-        pnas = [PNA.__new__(PNA) for _ in pna_ids]
-        lo = router.register_pnas(
-            pna_ids, pnas, rate_bps=rate_bps, latency_s=latency_s,
-            loss=loss, channel_name=channel_name, first_channel=first_channel)
-        rows = range(lo, lo + len(pnas))
-        cohort = _HeartbeatCohort.join(router, controller_id,
-                                       heartbeat_interval_s, pna_ids, rows)
-        caps, trace = _own_caps(capabilities), _telemetry_channel("pna")
-        for pna, pna_id, row in zip(pnas, pna_ids, rows):
-            pna._setup(sim, pna_id, router, controller_key, controller_id,
-                       caps, executor, heartbeat_interval_s,
-                       dve_poll_interval_s)
-            pna.census_idx, pna._hb_cohort, pna._trace = row, cohort, trace
-        return cls(pnas, np.arange(lo, lo + len(pnas)))
+        self.sim, self.router, self.prefix, self.first = \
+            sim, router, prefix, first
+        self.controller_key, self.controller_id = controller_key, controller_id
+        self.capabilities = _own_caps(capabilities)
+        self.executor = executor or identity_executor
+        self.heartbeat_interval_s = heartbeat_interval_s
+        self.dve_poll_interval_s = dve_poll_interval_s
+        self._trace = _telemetry_channel("pna")
+        self._views: Dict[int, PNA] = {}
+        self._ids: Optional[List[str]] = None  # see _pna_ids
+        self.lo = router.register_pnas(
+            self, prefix, first, n, rate_bps=rate_bps, latency_s=latency_s,
+            loss=loss, channel_name=channel_name)
+        self.hi = self.lo + n
+        self._cohort = _HeartbeatCohort.join(
+            router, controller_id, heartbeat_interval_s, self.lo, self.hi)
+
+    @property
+    def pnas(self) -> "PNABlock":
+        return self
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return self.view(self.lo + _position(k, len(self)))
+
+    def __iter__(self) -> Iterator[PNA]:
+        return map(self.view, range(self.lo, self.hi))
+
+    def view(self, row: int) -> PNA:
+        """The :class:`PNA` of node row ``row``, built on first access."""
+        pna = self._views.get(row)
+        if pna is None:
+            pna = self._views[row] = PNA.__new__(PNA)
+            pna._setup(self.sim, f"{self.prefix}{self.first + row - self.lo}",
+                       self.router, self.controller_key, self.controller_id,
+                       self.capabilities, self.executor,
+                       self.heartbeat_interval_s, self.dve_poll_interval_s)
+            pna.census_idx, pna._hb_cohort, pna._trace = \
+                row, self._cohort, self._trace
+        return pna
+
+    def _pna_ids(self) -> List[str]:
+        """Every member's id, formed once for the block."""
+        if self._ids is None:
+            prefix, first = self.prefix, self.first
+            self._ids = [f"{prefix}{k}"
+                         for k in range(first, first + len(self))]
+        return self._ids
 
     def deliver_control(self, payload, signature: bytes) -> None:
         """:meth:`PNA.deliver_control` on every member, in order; a
-        wakeup to at least ``_BULK_MIN`` untraced members, none with a
-        behaviour profile or a heartbeat interval the wakeup changes,
-        runs as column passes (:meth:`_wakeup`)."""
-        pnas = self.pnas
-        if isinstance(payload, WakeupPayload) and len(pnas) >= _BULK_MIN \
-                and not any(map(attrgetter("_trace"), pnas)) \
-                and not any(map(_adversary, pnas)) and countOf(
-                    map(attrgetter("heartbeat_interval_s"), pnas),
-                    payload.heartbeat_interval_s) == len(pnas):
+        wakeup keeping the block's heartbeat interval, to ``_BULK_MIN``
+        or more untraced members, no view with an adversary or values of
+        its own but the key, runs as column passes (:meth:`_wakeup`)."""
+        if isinstance(payload, WakeupPayload) and len(self) >= _BULK_MIN \
+                and self._trace is None \
+                and self.heartbeat_interval_s == payload.heartbeat_interval_s \
+                and not any(pna.adversary is not None or (
+                    pna.heartbeat_interval_s, pna.capabilities, pna.executor,
+                    pna.dve_poll_interval_s) != (
+                    self.heartbeat_interval_s, self.capabilities,
+                    self.executor, self.dve_poll_interval_s)
+                    for pna in self._views.values()):
             self._wakeup(payload, signature)
             return
-        for pna in pnas:
+        for pna in self:
             pna.deliver_control(payload, signature)
 
     def _wakeup(self, wakeup: WakeupPayload, signature: bytes) -> None:
         """The checks of :meth:`PNA._handle_wakeup` as masks over the
-        node columns: the signature once per distinct key, requirements
-        once per distinct capabilities object, probability draws from
+        block's rows: the signature once per distinct key (a view may
+        hold its own), the requirements once, probability draws from
         each member's own stream."""
-        pnas, rows = self.pnas, self.rows
-        router, n = pnas[0].router, len(pnas)
-        live = column_view(router.pna_online)[rows] != 0
-        keys = list(map(attrgetter("controller_key"), pnas))
-        verdict = {key: verify_control(key, wakeup, signature)
-                   for key in set(keys)}
-        signed = np.full(n, verdict[keys[0]]) if len(verdict) == 1 \
-            else np.fromiter(map(verdict.get, keys), bool, n)
-        _bump(router.dropped_bad_signature, rows[live & ~signed])
+        router, lo, hi = self.router, self.lo, self.hi
+        live = column_view(router.pna_online)[lo:hi] != 0
+        verdict = {self.controller_key: verify_control(
+            self.controller_key, wakeup, signature)}
+        signed = np.full(hi - lo, verdict[self.controller_key])
+        for row, pna in self._views.items():
+            key = pna.controller_key
+            if key not in verdict:
+                verdict[key] = verify_control(key, wakeup, signature)
+            signed[row - lo] = verdict[key]
+        _bump(router.dropped_bad_signature, lo, hi, live & ~signed)
         join = live & signed
-        _bump(router.wakeups_seen, rows[join])
-        busy = join & (column_view(router.pna_state)[rows] == STATE_BUSY)
-        _bump(router.dropped_busy, rows[busy])
+        _bump(router.wakeups_seen, lo, hi, join)
+        busy = join & (column_view(router.pna_state)[lo:hi] == STATE_BUSY)
+        _bump(router.dropped_busy, lo, hi, busy)
         join &= ~busy
-        if wakeup.requirements:
-            caps = list(map(attrgetter("capabilities"), pnas))
-            fits = {id(c): matches_requirements(wakeup.requirements, c)
-                    for c in caps}
-            unfit = join & ~np.fromiter(map(fits.get, map(id, caps)), bool, n)
-            _bump(router.dropped_requirements, rows[unfit])
-            join &= ~unfit
+        if wakeup.requirements and not matches_requirements(
+                wakeup.requirements, self.capabilities):
+            _bump(router.dropped_requirements, lo, hi, join)
+            return
         if wakeup.probability < 1.0:
-            rng = pnas[0].sim.rng
+            rng, ids = self.sim.rng, self._pna_ids()
             drawn = np.flatnonzero(join)
             refused = drawn[[
-                rng(f"pna:{pnas[k].pna_id}").random() >= wakeup.probability
+                rng(f"pna:{ids[k]}").random() >= wakeup.probability
                 for k in drawn.tolist()]]
-            _bump(router.dropped_probability, rows[refused])
+            _bump(router.dropped_probability, lo, hi, refused)
             join[refused] = False
-        if not join.any():
+        members = np.flatnonzero(join)
+        if not members.size:
             return
-        joined = rows[join]
-        _bump(router.wakeups_accepted, joined)
-        column_view(router.pna_state)[joined] = STATE_BUSY
-        column_view(router.pna_instance)[joined] = \
+        _bump(router.wakeups_accepted, lo, hi, join)
+        column_view(router.pna_state)[lo:hi][join] = STATE_BUSY
+        column_view(router.pna_instance)[lo:hi][join] = \
             router.instance_code(wakeup.instance_id)
-        members = [pnas[k] for k in np.flatnonzero(join).tolist()]
         engine = engine_for(router, wakeup.backend_id, wakeup.instance_id)
         if engine is None:
-            for pna in members:
-                pna._start_dve(wakeup)
+            for row in (members + lo).tolist():
+                self.view(row)._start_dve(wakeup)
             return
-        polls = np.fromiter(map(attrgetter("dve_poll_interval_s"), members),
-                            np.float64, len(members))
-        first = engine.join_many(members, joined,
-                                 np.maximum(4.0 * polls, 60.0))
-        column_view(router.dve_slot)[joined] = np.arange(first,
-                                                         first + len(members))
-        for pna in members:
-            pna._dve = engine
+        ids = self._pna_ids()
+        first = engine.join_many(
+            members + lo, ids if members.size == len(ids)
+            else list(map(ids.__getitem__, members.tolist())),
+            self.executor, max(4.0 * self.dve_poll_interval_s, 60.0))
+        column_view(router.dve_slot)[lo:hi][join] = np.arange(
+            first, first + members.size)
+        column_view(router.dve_engine)[lo:hi][join] = engine.code
+        for row, pna in self._views.items():
+            if join[row - lo]:
+                pna._own_dve = None  # the engine binding replaces it
 
 
-def _bump(column: Any, rows: np.ndarray) -> None:
-    """Add one to ``column`` at each of the distinct ``rows``."""
-    column_view(column)[rows] += 1
+def _bump(column: Any, lo: int, hi: int, members: np.ndarray) -> None:
+    """Add one to ``column`` at the rows ``lo + k`` that ``members``
+    selects (a mask over ``[lo, hi)`` or distinct offsets)."""
+    column_view(column)[lo:hi][members] += 1
+
+
+def _position(k: int, n: int) -> int:
+    if not -n <= k < n:
+        raise IndexError("PNA index out of range")
+    return k % n
+
+
+class Fleet(Sequence):
+    """A deployment's PNAs in build order: :class:`PNABlock` parts and
+    hand-built PNAs (a part of one each)."""
+
+    __slots__ = ("parts", "_ends")
+
+    def __init__(self, parts: Iterable[Sequence[PNA]] = ()) -> None:
+        self.parts: List[Sequence[PNA]] = []
+        self._ends: List[int] = []
+        for part in parts:
+            self.extend(part)
+
+    def extend(self, part: Sequence[PNA]) -> None:
+        self.parts.append(part)
+        self._ends.append(len(self) + len(part))
+
+    def append(self, pna: PNA) -> None:
+        self.extend((pna,))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = _position(k, len(self))
+        i = bisect_right(self._ends, k)
+        return self.parts[i][k - (self._ends[i - 1] if i else 0)]
+
+    def __iter__(self) -> Iterator[PNA]:
+        return chain.from_iterable(self.parts)
+
+    def __add__(self, other: Iterable[PNA]) -> List[PNA]:
+        return list(self) + list(other)
+
+    def rows(self) -> np.ndarray:
+        """Every member's node index, in order."""
+        return np.concatenate([np.empty(0, np.int64)] + [
+            np.arange(part.lo, part.hi) if isinstance(part, PNABlock)
+            else [pna.census_idx for pna in part] for part in self.parts])

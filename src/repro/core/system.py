@@ -9,8 +9,7 @@ own (the DTV binding in :mod:`repro.dtv_oddci` wires them differently).
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Any, Callable, List, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.core.census import STATE_BUSY
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.network import Router
-from repro.core.pna import PNA, PNABlock
+from repro.core.pna import PNA, Fleet, PNABlock
 from repro.core.policies import ProbabilityPolicy
 from repro.core.provider import Provider
 from repro.faults import FaultInjector, FaultTargets, current_plan
@@ -28,8 +27,6 @@ from repro.net.link import column_view
 from repro.sim.core import Simulator
 
 __all__ = ["OddCISystem"]
-
-_census_idx = attrgetter("census_idx")
 
 
 class OddCISystem:
@@ -75,7 +72,9 @@ class OddCISystem:
             probability_policy=probability_policy,
             maintenance_interval_s=maintenance_interval_s)
         self.provider = Provider(self.sim, self.controller)
-        self.pnas: List[PNA] = []
+        #: every PNA in build order; a bulk block's are views built on
+        #: first access (see repro.core.pna.PNABlock)
+        self.pnas = Fleet()
         # Ambient fault plan (runner's --faults, or active_plan()): wire
         # the injector against this deployment's components.  None when
         # faults are disabled — zero scheduling, zero RNG draws.
@@ -101,33 +100,34 @@ class OddCISystem:
         executor: Optional[Callable[[float], float]] = None,
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 15.0,
-    ) -> List[PNA]:
-        """Create ``n`` identical PNAs, each with its own direct channel,
-        attached to the broadcast plane as one block (see
-        :class:`~repro.core.pna.PNABlock`)."""
+    ) -> PNABlock:
+        """Create ``n`` identical PNAs ``pna-{k}``, each with its own
+        direct channel, attached to the broadcast plane as one block
+        (see :class:`~repro.core.pna.PNABlock`)."""
         if n <= 0:
             raise ConfigurationError(f"n must be > 0, got {n}")
-        first = len(self.pnas)
-        block = PNABlock.build(
-            self.sim, self.router,
-            [f"pna-{idx}" for idx in range(first, first + n)],
+        block = PNABlock(
+            self.sim, self.router, "pna-", len(self.pnas), n,
             controller_key=self.keys.key_of(self.controller.controller_id),
             controller_id=self.controller.controller_id,
             rate_bps=self.delta_bps, latency_s=self.delta_latency_s,
             loss=self.delta_loss, channel_name="pna{}.direct",
-            first_channel=first, capabilities=capabilities,
-            executor=executor, heartbeat_interval_s=heartbeat_interval_s,
+            capabilities=capabilities, executor=executor,
+            heartbeat_interval_s=heartbeat_interval_s,
             dve_poll_interval_s=dve_poll_interval_s)
         self.control_plane.attach_many(block)
-        self.pnas.extend(block.pnas)
-        return block.pnas
+        self.pnas.extend(block)
+        return block
 
     # -- quick stats -------------------------------------------------------------
-    def busy_count(self) -> int:
-        rows = np.fromiter(map(_census_idx, self.pnas), np.int64,
-                           len(self.pnas))
-        return int(np.count_nonzero(
-            column_view(self.router.pna_state)[rows] == STATE_BUSY))
+    def busy_count(self, *, online: bool = False) -> int:
+        """PNAs that are BUSY (and, with ``online``, powered on): one
+        reduction over the fleet's rows."""
+        router, rows = self.router, self.pnas.rows()
+        busy = column_view(router.pna_state)[rows] == STATE_BUSY
+        if online:
+            busy &= column_view(router.pna_online)[rows] != 0
+        return int(np.count_nonzero(busy))
 
     def idle_count(self) -> int:
         return len(self.pnas) - self.busy_count()

@@ -34,14 +34,14 @@ The per-PNA :class:`~repro.core.dve.DVE` stays as the differential
 oracle.  :class:`~repro.core.pna.PNA` falls back to it whenever
 :func:`engine_for` returns ``None``; tests reach it by patching
 ``repro.core.pna.engine_for`` (the ``--per-pna-oracle`` pytest option
-does so for a whole run), the way they hand the Controller a
-:class:`~repro.core.census.DictCensusStore`.
+does so for a whole run), the way they hand the Controller the dict
+census store of ``tests/core/dict_census.py``.
 """
 
 from __future__ import annotations
 
 from array import array
-from operator import attrgetter
+from itertools import repeat
 from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as _np
@@ -102,9 +102,6 @@ _K_DEADLINE = 6    # request/ack timeout check; the deadline is the
 _BULK_MIN = 32
 
 _NAN = float("nan")
-_adversary = attrgetter("adversary")
-_executor = attrgetter("executor")
-_pna_id = attrgetter("pna_id")
 
 
 def _new_run(kind: int) -> list:
@@ -159,6 +156,8 @@ def engine_for(router: "Router", backend_id: str,
     if engine is None or engine.backend is not backend:
         engine = CohortTaskEngine(router.sim, router, backend, instance_id)
         router._task_engines[instance_id] = engine
+        engine.code = len(router._engines)
+        router._engines.append(engine)
     return engine
 
 
@@ -171,14 +170,14 @@ class CohortTaskEngine:
     """
 
     __slots__ = (
-        "sim", "router", "backend", "backend_id", "instance_id",
+        "sim", "router", "backend", "backend_id", "instance_id", "code",
         "_buckets", "_memo_t", "_memo_bucket",
         # columnar member state (struct-of-arrays)
         "_phase", "_deadline", "_token", "_task_id", "_result_bits",
         "_digest", "_completed", "_retrans", "_destroyed", "_timeout",
         "_row", "_plain",
         # object columns
-        "_pna", "_pna_id", "_executor", "members_joined",
+        "_pna_id", "_executor", "members_joined",
     )
 
     def __init__(self, sim: Simulator, router: "Router",
@@ -188,6 +187,9 @@ class CohortTaskEngine:
         self.backend = backend
         self.backend_id = backend.backend_id
         self.instance_id = instance_id
+        #: the engine's index in ``router._engines`` (set by
+        #: engine_for): the value of its members' ``dve_engine`` rows
+        self.code = 0
         #: time -> ordered run list; each distinct instant owns exactly
         #: one calendar entry (the DVE poll wheel generalised to every
         #: phase of the task loop).
@@ -211,12 +213,12 @@ class CohortTaskEngine:
         self._destroyed = array("b")
         self._timeout = array("d")
         #: the member's node index: its links' row in the router's link
-        #: tables (every member is a PNA registered on ``router``).
+        #: tables and its row in the node columns and ``adversaries``
+        #: (every member is a PNA registered on ``router``).
         self._row = array("q")
         #: 1 when the member computes on the reference-PC executor
         #: (:func:`identity_executor`): its compute time is the task's.
         self._plain = array("b")
-        self._pna: List[Any] = []
         self._pna_id: List[str] = []
         self._executor: List[Any] = []
         self.members_joined = 0
@@ -224,30 +226,28 @@ class CohortTaskEngine:
     # -- membership ------------------------------------------------------
     def join(self, pna: "PNA", timeout_s: float) -> int:
         """Add a member; returns its slot (:meth:`join_many` of one)."""
-        return self.join_many([pna], [pna.census_idx], [timeout_s])
+        return self.join_many([pna.census_idx], [pna.pna_id], pna.executor,
+                              timeout_s)
 
-    def join_many(self, pnas: List["PNA"], rows: Sequence[int],
-                  timeouts: Sequence[float]) -> int:
-        """Add ``pnas`` (node indices ``rows``, request timeouts
-        ``timeouts``) in order, as column appends; returns the first
-        slot.  Each member's first request goes out at the current
-        instant (matching the reference DVE, whose process resume fires
-        later in the same instant)."""
-        k = len(pnas)
+    def join_many(self, rows: Sequence[int], pna_ids: List[str],
+                  executor: Any, timeout_s: float) -> int:
+        """Add the PNAs ``pna_ids`` at node indices ``rows``, which all
+        run on ``executor`` with request timeout ``timeout_s``, in order,
+        as column appends; returns the first slot.  Each member's first
+        request goes out at the current instant (matching the reference
+        DVE, whose process resume fires later in the same instant)."""
+        k = len(pna_ids)
         first = len(self._phase)
         for column, value in ((self._phase, _JOINED), (self._deadline, -1.0),
                               (self._token, 0), (self._task_id, -1),
                               (self._result_bits, 0.0), (self._digest, 0),
                               (self._completed, 0), (self._retrans, 0),
-                              (self._destroyed, 0)):
+                              (self._destroyed, 0), (self._timeout, timeout_s),
+                              (self._plain, executor is identity_executor)):
             column.frombytes(array(column.typecode, (value,)).tobytes() * k)
-        for column, values in ((self._timeout, timeouts), (self._row, rows),
-                               (self._plain, [p.executor is identity_executor
-                                              for p in pnas])):
-            column.frombytes(_np.asarray(values, column.typecode).tobytes())
-        self._pna.extend(pnas)
-        self._pna_id.extend(map(_pna_id, pnas))
-        self._executor.extend(map(_executor, pnas))
+        self._row.frombytes(_np.asarray(rows, _np.int64).tobytes())
+        self._pna_id.extend(pna_ids)
+        self._executor.extend(repeat(executor, k))
         self.members_joined += k
         self._run_at(self.sim.now, _K_SEND)[1].frombytes(
             _np.arange(first, first + k, dtype=_np.int64).tobytes())
@@ -487,7 +487,7 @@ class CohortTaskEngine:
         # Behaviour profile captured at accept time (the reference DVE
         # reads it before its compute yield): a mid-task adversary flip
         # never splits one task's semantics.
-        adv = self._pna[slot].adversary
+        adv = self.router.adversaries.get(self._row[slot])
         if adv is None:
             self._digest[slot] = 0
             compute_s = self._executor[slot](ref_seconds)
@@ -506,10 +506,10 @@ class CohortTaskEngine:
         task_ids, refs, results = run[2], run[3], run[4]
         destroyed = self._destroyed
         phase = self._phase
-        pnas = self._pna
+        online, rows = self.router.pna_online, self._row
         for k, slot in enumerate(slots):
             if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
-                    or not pnas[slot].online:
+                    or not online[rows[slot]]:
                 continue  # reset/stale: the reference DVE drops it too
             self._accept_assignment(slot, task_ids[k], refs[k], results[k],
                                     now)
@@ -529,9 +529,9 @@ class CohortTaskEngine:
             return True
         if not all_distinct(ls) or not column_view(self._plain)[ls].all():
             return False
-        advs = list(map(_adversary, map(self._pna.__getitem__,
-                                        ls.tolist())))
-        if advs.count(None) != len(advs):
+        adversaries = self.router.adversaries
+        if adversaries and not adversaries.keys().isdisjoint(
+                column_view(self._row)[ls].tolist()):
             return False
         task_ids, refs, results = (column_view(c) if whole
                                    else column_view(c)[live]
@@ -568,7 +568,7 @@ class CohortTaskEngine:
         """Apply one NoWork reply: stop (``retry`` NaN), or sleep until
         the retry instant."""
         if self._destroyed[slot] or self._phase[slot] != _AWAIT_REPLY \
-                or not self._pna[slot].online:
+                or not self.router.pna_online[self._row[slot]]:
             return
         self._deadline[slot] = -1.0
         if retry != retry:

@@ -178,12 +178,9 @@ def point_heartbeat_interval(
     for p in busy[:kill]:
         p.shutdown()
 
-    def online_busy() -> int:
-        return sum(1 for p in system.pnas
-                   if p.online and p.state is PNAState.BUSY)
-
     horizon = kill_time + 600 * max(1.0, interval / 5.0)
-    while online_busy() < target and system.sim.now < horizon:
+    while system.busy_count(online=True) < target \
+            and system.sim.now < horizon:
         if not system.sim.step():  # pragma: no cover - guard
             break
     recovery = system.sim.now - kill_time
@@ -192,7 +189,7 @@ def point_heartbeat_interval(
         / elapsed_min
     return {
         "recovery_s": recovery,
-        "recovered": online_busy() >= target,
+        "recovered": system.busy_count(online=True) >= target,
         "heartbeats_per_min": hb_rate,
     }
 

@@ -32,7 +32,8 @@ vectorised pass).
 from __future__ import annotations
 
 from array import array
-from typing import Callable, List, Optional, Union
+from itertools import repeat
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
-__all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows",
+__all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows", "grow_columns",
            "count_deliveries", "column_view", "all_distinct", "kbps",
            "mbps"]
 
@@ -66,6 +67,14 @@ def column_view(column: array) -> np.ndarray:
     """
     code = column.typecode
     return np.frombuffer(column, dtype=np.int64 if code == "q" else code)
+
+
+def grow_columns(columns: Sequence[array], grow: int) -> None:
+    """Append ``grow`` zero rows to every ``array.array`` column, each
+    copied from one zero buffer shared by all of them."""
+    zeros = memoryview(bytes(grow * max(c.itemsize for c in columns)))
+    for column in columns:
+        column.frombytes(zeros[:grow * column.itemsize])
 
 
 def all_distinct(values: np.ndarray) -> bool:
@@ -121,12 +130,10 @@ class LinkTable:
     def reserve(self, n: int) -> None:
         """Grow every column to at least ``n`` (zero-filled, free) rows."""
         grow = n - len(self.links)
-        if grow <= 0:
-            return
-        for name in self._COLUMNS:
-            column = getattr(self, name)
-            column.frombytes(bytes(column.itemsize * grow))
-        self.links.extend([None] * grow)
+        if grow > 0:
+            grow_columns([getattr(self, name) for name in self._COLUMNS],
+                         grow)
+            self.links.extend(repeat(None, grow))
 
     def row(self, r: int) -> tuple:
         """Row ``r``'s state in :attr:`_COLUMNS` order."""

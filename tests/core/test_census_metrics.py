@@ -19,7 +19,8 @@ import pytest
 
 import repro.core.system as system_module
 from repro.core import OddCISystem
-from repro.core.census import ColumnarCensusStore, DictCensusStore
+from repro.core.census import ColumnarCensusStore
+from tests.core.dict_census import DictCensusStore
 from repro.core.controller import Controller
 from repro.core.messages import HeartbeatPayload, PNAState
 from repro.telemetry.trace import Tracer, active

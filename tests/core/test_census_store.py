@@ -4,8 +4,8 @@ The behavioural contract of the columnar refactor is *identical
 observable outcomes*: any sequence of heartbeats (idle, busy, stale,
 trim-pending), maintenance expiries and crash/restore cycles must leave
 a :class:`~repro.core.census.ColumnarCensusStore`-backed Controller in
-exactly the state the :class:`~repro.core.census.DictCensusStore`
-reference produces.  These tests drive randomized sequences through
+exactly the state the dict-backed ``DictCensusStore`` reference
+(``tests/core/dict_census.py``) produces.  These tests drive randomized sequences through
 both engines — at the raw store level, at the Controller level (the
 columnar cohort path vs the per-payload reference, the dict store handed
 in through the Controller's ``census`` argument), and through the
@@ -21,7 +21,6 @@ from repro.core.census import (
     STATE_BUSY,
     STATE_IDLE,
     ColumnarCensusStore,
-    DictCensusStore,
     MembersView,
     NodeInterner,
     RegistryView,
@@ -34,6 +33,7 @@ from repro.errors import OddCIError
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
+from tests.core.dict_census import DictCensusStore
 
 #: Parameter ids -> census engines.
 STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusStore}

@@ -321,7 +321,8 @@ def test_mixed_cohort_columnar_equals_dict_reference():
     downed uplink, a blacklisted BUSY node, a heartbeat-spoofing
     zombie, a stale instance, a pending-trim instance, a late joiner
     and a faster channel (two arrival instants)."""
-    from repro.core.census import ColumnarCensusStore, DictCensusStore
+    from repro.core.census import ColumnarCensusStore
+    from tests.core.dict_census import DictCensusStore
 
     columnar, columnar_replayed = _mixed_cohort_run(ColumnarCensusStore)
     reference, reference_replayed = _mixed_cohort_run(DictCensusStore)
