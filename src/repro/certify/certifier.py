@@ -202,7 +202,8 @@ class ResultCertifier:
             retry = None if backend.done else backend.poll_interval_s
             return backend._nowork_reply(instance_id, retry)
         now = self.sim.now
-        lease_s = backend._lease_seconds(task, pna_id)
+        node = backend._node(pna_id)
+        lease_s = backend._lease_seconds(task, node)
         rec = self._records[task.task_id]
         rec.holders[pna_id] = \
             (now, None if lease_s is None else now + lease_s)
@@ -214,7 +215,7 @@ class ResultCertifier:
         else:
             backend.tasks_assigned += 1
             if backend.assigned_by_network is not None:
-                net = backend._network_for(pna_id)
+                net = backend._network_for(node)
                 if net is not None:
                     backend.assigned_by_network[net] += 1
         trace = self._trace
@@ -336,7 +337,8 @@ class ResultCertifier:
             if trace is not None:
                 trace.emit(self.sim.now, "escape", task=task_id,
                            pna=winner_pna)
-        self.backend._record_completion(task_id, winner_pna)
+        self.backend._record_completion(task_id,
+                                        self.backend._node(winner_pna))
 
     def _reject_round(self, task_id: int, rec: _TaskRecord) -> None:
         """All votes in, no quorum: reject everything, re-dispatch.

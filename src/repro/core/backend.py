@@ -39,7 +39,7 @@ from repro.core.messages import (
     TaskResultPayload,
 )
 from repro.core.network import Router
-from repro.net.link import all_distinct
+from repro.net.link import all_distinct, as_index
 from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
@@ -140,6 +140,13 @@ class Backend:
             raise BackendError("backend needs at least one router")
         self.routers = routers
         self.router = routers[0]
+        #: a node's key here is its row in the routers' one shared
+        #: interner: ``_node`` interns a wire id, ``_id_of`` names a row
+        #: for traces, the certifier and inspection only
+        interner = self._interner = routers[0].interner
+        if any(r.interner is not interner for r in routers):
+            raise BackendError("routers must share one NodeInterner")
+        self._node, self._id_of = interner.intern, interner.id_of
         if networks is not None and len(networks) != len(routers):
             raise BackendError("networks must match routers one-to-one")
         #: per-network accounting: ``None`` on the classic single-router
@@ -158,8 +165,6 @@ class Backend:
             self.assigned_by_network = None
             self.completed_by_network = None
             self.requeues_by_network = None
-        #: pna_id -> network label cache (node→shard ownership is fixed)
-        self._net_of_pna: Dict[str, str] = {}
         self.backend_id = backend_id
         self.lease_factor = lease_factor
         self.worst_case_slowdown = worst_case_slowdown
@@ -201,17 +206,19 @@ class Backend:
         self._requeued: Deque[int] = deque()
         self._n_pending = n
         self._state = _np.zeros(n, dtype=_np.int8)
-        #: each leased row's holder, assignment instant, lease deadline
-        #: (NaN: none) and number (the lease expiry order)
-        self._holder = _np.empty(n, dtype=object)
+        #: each leased row's holder (a node row, -1: none), assignment
+        #: instant, lease deadline (NaN: none) and number (the lease
+        #: expiry order)
+        self._holder = _np.full(n, -1, dtype=_np.int64)
         self._assigned_at = _np.full(n, _np.nan)
         self._lease = _np.full(n, _np.nan)
         self._seq = _np.zeros(n, dtype=_np.int64)
         self._assign_seq = 0
         self._completed_at = _np.full(n, _np.nan)
         self._n_done = 0
-        self._workers: set[str] = set()
-        #: row -> set of workers holding a copy (primary + replicas)
+        #: 1 at the row of every node that ever asked for work
+        self._workers = _np.zeros(0, dtype=bool)
+        #: row -> set of node rows holding a copy (primary + replicas)
         self._holders: Dict[int, set] = {}
         #: replica-candidate index: a min-heap of
         #: ``(assigned_at, assign_seq, row)`` pushed per primary
@@ -283,15 +290,21 @@ class Backend:
 
     @property
     def _in_flight(self) -> Dict[int, tuple]:
-        """``task_id -> (task, holder, assigned_at, lease or None)`` of
-        every leased task."""
+        """``task_id -> (task, holder id, assigned_at, lease or None)``
+        of every leased task."""
         leased = {}
         for row in _np.flatnonzero(self._state == _FLIGHT).tolist():
             task, lease = self._tasks[row], float(self._lease[row])
-            leased[task.task_id] = (task, self._holder[row],
+            leased[task.task_id] = (task, self._id_of(int(self._holder[row])),
                                     float(self._assigned_at[row]),
                                     None if lease != lease else lease)
         return leased
+
+    @property
+    def workers(self) -> frozenset:
+        """The ids of every node that asked for work."""
+        return frozenset(map(self._id_of,
+                             _np.flatnonzero(self._workers).tolist()))
 
     def report(self) -> JobReport:
         if not self.done:
@@ -306,7 +319,7 @@ class Backend:
             tasks_assigned=self.tasks_assigned,
             duplicates=self.duplicates,
             requeues=self.requeues,
-            distinct_workers=len(self._workers),
+            distinct_workers=int(_np.count_nonzero(self._workers)),
             replicas_issued=self.replicas_issued,
         )
 
@@ -322,8 +335,17 @@ class Backend:
         else:
             raise BackendError(f"backend got unexpected payload {payload!r}")
 
+    def _mark_workers(self, rows) -> None:
+        """Count the nodes at ``rows`` (an index) among the workers."""
+        short = len(self._interner) - self._workers.size
+        if short > 0:
+            self._workers = _np.concatenate((self._workers,
+                                             _np.zeros(short, dtype=bool)))
+        self._workers[rows] = True
+
     def _handle_request(self, request: TaskRequest) -> None:
-        reply = self._serve_request(request.pna_id, request.instance_id)
+        reply = self._serve_request(self._node(request.pna_id),
+                                    request.instance_id)
         if type(reply) is NoWork:
             self._send(request.pna_id, reply, CONTROL_PAYLOAD_BITS)
             return
@@ -334,17 +356,17 @@ class Backend:
         self._send(request.pna_id, assignment,
                    CONTROL_PAYLOAD_BITS + reply.input_bits)
 
-    def _serve_request(self, pna_id: str,
+    def _serve_request(self, node: int,
                        instance_id: str) -> Union[Task, NoWork]:
-        """Serve one task request: all scheduling state transitions
-        (bag pop, lease, replica pick, accounting, traces) minus the
-        reply delivery, which the caller owns — the wire path sends a
-        :class:`TaskAssignment`, the cohort engine consumes the
-        :class:`Task` directly."""
-        self._workers.add(pna_id)
+        """Serve one task request from the node at row ``node``: all
+        scheduling state transitions (bag pop, lease, replica pick,
+        accounting, traces) minus the reply delivery, which the caller
+        owns — the wire path sends a :class:`TaskAssignment`, the
+        cohort engine consumes the :class:`Task` directly."""
+        self._mark_workers(node)
         if self.certifier is not None:
             try:
-                return self.certifier.serve(pna_id, instance_id)
+                return self.certifier.serve(self._id_of(node), instance_id)
             except QuarantinedNodeError:
                 # a blacklisted node polled: terminal NoWork — its
                 # client loop stops instead of spinning on retries
@@ -352,7 +374,7 @@ class Backend:
         row = self._pop_pending()
         is_replica = False
         if row is None and self.replicate_tail and not self.done:
-            row = self._pick_replica_candidate(pna_id)
+            row = self._pick_replica_candidate(node)
             is_replica = row is not None
         if row is None:
             # Bag empty: if the job is done the worker can stop; otherwise
@@ -362,12 +384,12 @@ class Backend:
         task = self._tasks[row]
         if not is_replica:
             now = self.sim.now
-            lease_s = self._lease_seconds(task, pna_id)
-            self._lease_rows([row], [pna_id], now,
+            lease_s = self._lease_seconds(task, node)
+            self._lease_rows([row], [node], now,
                              _np.nan if lease_s is None else now + lease_s)
             self.tasks_assigned += 1
             if self.assigned_by_network is not None:
-                net = self._network_for(pna_id)
+                net = self._network_for(node)
                 if net is not None:
                     self.assigned_by_network[net] += 1
             if self.replicate_tail:
@@ -377,17 +399,18 @@ class Backend:
         if self.replicate_tail:
             # Copy-holder tracking only matters for replica placement;
             # skip the per-task set when replication is off.
-            self._holders.setdefault(row, set()).add(pna_id)
+            self._holders.setdefault(row, set()).add(node)
         trace = self._trace
         if trace is not None:
             trace.emit(self.sim.now, "dispatch", task=task.task_id,
-                       pna=pna_id, replica=is_replica)
+                       pna=self._id_of(node), replica=is_replica)
         return task
 
-    def _lease_rows(self, rows, holders: list, now: float, leases) -> None:
-        """Lease ``rows`` to ``holders`` at ``now``, numbered in order."""
+    def _lease_rows(self, rows, holders, now: float, leases) -> None:
+        """Lease task ``rows`` (an index) to the nodes at ``holders`` at
+        ``now``, numbered in order."""
         seq = self._assign_seq
-        self._assign_seq = seq + len(rows)
+        self._assign_seq = seq + len(holders)
         self._state[rows] = _FLIGHT
         self._holder[rows] = holders
         self._assigned_at[rows] = now
@@ -405,10 +428,11 @@ class Backend:
             self._nowork_cache[cache_key] = reply
         return reply
 
-    def _lease_seconds(self, task, pna_id: str) -> Optional[float]:
-        """Lease length for assigning ``task`` to ``pna_id`` now,
-        including the per-attempt exponential backoff and the optional
-        deterministic jitter; ``None`` when leasing is disabled.
+    def _lease_seconds(self, task, node: int) -> Optional[float]:
+        """Lease length for assigning ``task`` to the node at row
+        ``node`` now, including the per-attempt exponential backoff and
+        the optional deterministic jitter; ``None`` when leasing is
+        disabled.
 
         Shared by the direct dispatch path and the certifier (each
         certified *copy* gets its own lease from the same streams).
@@ -430,13 +454,14 @@ class Backend:
             if self.lease_backoff_jitter > 0.0:
                 lease_s *= 1.0 + self.lease_backoff_jitter * float(
                     self.sim.rng(
-                        self._backoff_stream_for(pna_id)).random())
+                        self._backoff_stream_for(node)).random())
         return lease_s
 
     # -- cohort dispatch tier ------------------------------------------------
-    def receive_request_cohort(self, requesters: Sequence[str],
+    def receive_request_cohort(self, rows: Sequence[int],
                                instance_id: str) -> Sequence:
-        """Serve a same-instant batch of task requests in one pass.
+        """Serve a same-instant batch of task requests in one pass, from
+        the nodes at ``rows`` (int64, or a list of ints).
 
         Equivalent to calling the scalar handler once per requester *in
         order* — same bag pops, lease values, accounting and traces.
@@ -449,7 +474,7 @@ class Backend:
         row ``i``.  Otherwise it is a list of :class:`Task` or shared
         :class:`NoWork` replies.  The caller owns delivery.
         """
-        k = len(requesters)
+        k = len(rows)
         if (self.replicate_tail or self.certifier is not None
                 or (self._attempts and (self.lease_backoff_base != 1.0
                                         or self.lease_backoff_jitter != 0.0))
@@ -459,52 +484,50 @@ class Backend:
             # replicas, certified copies, per-attempt leases, a bag
             # short of the cohort, or a tombstone in the queue: one
             # request at a time
-            return [self._serve_request(pna_id, instance_id)
-                    for pna_id in requesters]
-        self._workers.update(requesters)
+            return [self._serve_request(node, instance_id) for node in (
+                rows.tolist() if isinstance(rows, _np.ndarray) else rows)]
+        self._mark_workers(rows)
         now = self.sim.now
         head = self._head
-        rows = self._ring[head:head + k]
-        self._head = head + len(rows)
-        if len(rows) < k:
+        served = self._ring[head:head + k]
+        self._head = head + len(served)
+        if len(served) < k:
             requeued = self._requeued.popleft
-            rows = _np.concatenate((rows, _np.fromiter(
-                (requeued() for _ in range(k - len(rows))), _np.int64)))
+            served = _np.concatenate((served, _np.fromiter(
+                (requeued() for _ in range(k - len(served))), _np.int64)))
         self._n_pending -= k
+        served = as_index(served)
+        tasks = self._tasks
         lease_factor = self.lease_factor
         # Same op order as _lease_seconds, so bit-identical leases.
         leases = _np.nan if lease_factor is None else now + lease_factor * (
-            self._tasks.ref_seconds[rows] * self.worst_case_slowdown
+            tasks.ref_seconds[served] * self.worst_case_slowdown
             + self.poll_interval_s)
-        self._lease_rows(rows, requesters, now, leases)
+        self._lease_rows(served, rows, now, leases)
         self.tasks_assigned += k
         if self.assigned_by_network is not None and k:
             # A cohort is a property of one shard's fabric, so every
-            # requester in it lives on the same network; prime the whole
-            # cohort's label cache (requeue labelling reads it after the
-            # holder may have left the router).
-            net = self._network_for(requesters[0])
+            # requester in it lives on the same network.
+            net = self._network_for(int(rows[0]))
             if net is not None:
                 self.assigned_by_network[net] += k
-                cache = self._net_of_pna
-                for pna_id in requesters:
-                    cache[pna_id] = net
-        tasks = self._tasks
-        served = TaskTable(tasks.task_id[rows], tasks.input_bits[rows],
-                           tasks.ref_seconds[rows], tasks.result_bits[rows])
+        reply = TaskTable(tasks.task_id[served], tasks.input_bits[served],
+                          tasks.ref_seconds[served], tasks.result_bits[served])
         trace = self._trace
         if trace is not None:
-            for i, task_id in enumerate(served.task_id.tolist()):
-                trace.emit(now, "dispatch", task=task_id, pna=requesters[i],
-                           replica=False)
-        return served
+            for node, task_id in zip(_np.asarray(rows).tolist(),
+                                     reply.task_id.tolist()):
+                trace.emit(now, "dispatch", task=task_id,
+                           pna=self._id_of(node), replica=False)
+        return reply
 
-    def receive_result_cohort(self, pna_ids: Sequence[str],
+    def receive_result_cohort(self, rows: _np.ndarray,
                               task_ids: _np.ndarray) -> Optional[int]:
-        """Accept a same-instant batch of results in one pass.
+        """Accept a same-instant batch of results in one pass, from the
+        nodes at ``rows``.
 
         Equivalent to calling :meth:`receive_result` once per
-        ``(pna_id, task_id)`` *in order* — same records, accounting and
+        ``(node, task_id)`` *in order* — same records, accounting and
         traces — except that it stops right after the result that
         settles :attr:`done_event` and returns that result's index
         (``None`` when none did): the caller defers the rest so the
@@ -518,17 +541,17 @@ class Backend:
         if self.certifier is not None:
             raise BackendError(
                 "certified results go through receive_result one by one")
-        rows = self._tasks.rows_of(task_ids)
-        state = _np.where(rows >= 0, self._state[rows], _DONE)
+        tasks = self._tasks.rows_of(task_ids)
+        state = _np.where(tasks >= 0, self._state[tasks], _DONE)
         pos = _np.flatnonzero(state == _FLIGHT)
-        first = rows[pos]
+        first = tasks[pos]
         if (state == _PENDING).any() or not all_distinct(first):
             # a lease-expired straggler, or a task twice: one by one
             done_event = self.done_event
             was_settled = done_event._settled
-            for k, (pna_id, task_id) in enumerate(
-                    zip(pna_ids, task_ids.tolist())):
-                self.receive_result(pna_id, task_id)
+            for k, (node, task_id) in enumerate(
+                    zip(rows.tolist(), task_ids.tolist())):
+                self._take_result(node, task_id)
                 if not was_settled and done_event._settled:
                     return k
             return None
@@ -538,24 +561,26 @@ class Backend:
         if stop is not None:  # the settling result commits last, alone
             pos, first = pos[:need - 1], first[:need - 1]
         self._suppress_duplicate(
-            (len(rows) if stop is None else stop) - pos.size)
+            (len(tasks) if stop is None else stop) - pos.size)
+        first = as_index(first)
         self._state[first] = _DONE
         self._completed_at[first] = self.sim.now
         self._n_done += pos.size
         if self.completed_by_network is not None or self._holders \
                 or self._attempts or self._trace is not None:
-            for j, (k, row, task_id) in enumerate(zip(
-                    pos.tolist(), first.tolist(), task_ids[pos].tolist())):
-                self._completion_effects(row, task_id, pna_ids[k],
+            for j, (row, task_id, node) in enumerate(zip(
+                    tasks[pos].tolist(), task_ids[pos].tolist(),
+                    rows[pos].tolist())):
+                self._completion_effects(row, task_id, node,
                                          done_before + j + 1)
         if stop is not None:
-            self._record_completion(int(task_ids[stop]), pna_ids[stop])
+            self._record_completion(int(task_ids[stop]), int(rows[stop]))
         return stop
 
-    def _pick_replica_candidate(self, requester: str) -> Optional[int]:
+    def _pick_replica_candidate(self, requester: int) -> Optional[int]:
         """Straggler mitigation: the row of the oldest leased task whose
-        copy count is below ``max_replicas`` and which the requester is
-        not already computing.
+        copy count is below ``max_replicas`` and which the requester
+        (a node row) is not already computing.
 
         Served from :attr:`_replica_queue`; entries the requester
         already holds are set aside and pushed back so they stay
@@ -599,15 +624,19 @@ class Backend:
         if self.certifier is not None:
             self.certifier.on_result(pna_id, task_id, digest)
             return
+        self._take_result(self._node(pna_id), task_id)
+
+    def _take_result(self, node: int, task_id: int) -> None:
+        """An uncertified result from the node at row ``node``."""
         row = self._tasks.row_of(task_id)
         if row is None or self._state[row] not in (_PENDING, _FLIGHT):
             self._suppress_duplicate()
             return
         # A pending row's lease expired but its worker finished anyway:
         # accept the result; the queue entry is skipped when popped.
-        self._record_completion(task_id, pna_id)
+        self._record_completion(task_id, node)
 
-    def _record_completion(self, task_id: int, pna_id: str) -> None:
+    def _record_completion(self, task_id: int, node: int) -> None:
         """Commit one completion: records, per-network counts, traces,
         and the job-done event.  Shared by the direct result path and
         the certifier's quorum commit."""
@@ -618,7 +647,7 @@ class Backend:
         now = self.sim.now
         self._completed_at[row] = now
         self._n_done += 1
-        self._completion_effects(row, task_id, pna_id, self._n_done)
+        self._completion_effects(row, task_id, node, self._n_done)
         if self._n_done == self.job.n and not self.done_event.triggered:
             if self._trace is not None:
                 self._trace.emit(now, "job_done", job=self.job.job_id,
@@ -627,18 +656,20 @@ class Backend:
                 self.certifier.observe_credibility()
             self.done_event.succeed(self.report())
 
-    def _completion_effects(self, row: int, task_id: int, pna_id: str,
+    def _completion_effects(self, row: int, task_id: int, node: int,
                             done: int) -> None:
-        """Side effects of the ``done``-th completion."""
+        """Side effects of the ``done``-th completion, by the node at
+        row ``node``."""
         if self.completed_by_network is not None:
-            net = self._network_for(pna_id)
+            net = self._network_for(node)
             if net is not None:
                 self.completed_by_network[net] += 1
         self._holders.pop(row, None)
         self._attempts.pop(task_id, None)
         if self._trace is not None:
             self._trace.emit(self.sim.now, "complete", task=task_id,
-                             pna=pna_id, done=done, total=self.job.n)
+                             pna=self._id_of(node), done=done,
+                             total=self.job.n)
 
     def _suppress_duplicate(self, count: int = 1) -> None:
         self.duplicates += count
@@ -674,27 +705,23 @@ class Backend:
                 return
         # node vanished between request and reply
 
-    def _network_for(self, pna_id: str) -> Optional[str]:
-        """Network label of the shard that owns ``pna_id`` (federated
-        mode only; cached — node→shard ownership never moves)."""
-        net = self._net_of_pna.get(pna_id)
-        if net is None:
-            for router in self.routers:
-                if router.has_pna(pna_id):
-                    net = self._net_of_router.get(router)
-                    if net is not None:
-                        self._net_of_pna[pna_id] = net
-                    break
-        return net
+    def _network_for(self, node: int) -> Optional[str]:
+        """Network label of the shard whose router registered the node
+        at row ``node`` (federated mode only).  Ownership never moves,
+        so a holder that left its router keeps its label."""
+        for router, net in self._net_of_router.items():
+            if router.owns(node):
+                return net
+        return None
 
-    def _backoff_stream_for(self, pna_id: str) -> str:
+    def _backoff_stream_for(self, node: int) -> str:
         """RNG stream for lease-backoff jitter: the historical
         per-backend stream on single-network wiring, one stream per
         shard under federation so each shard's re-dispatch schedule is
         independent of cross-shard interleaving."""
         if self.networks is None:
             return self._backoff_stream
-        net = self._network_for(pna_id)
+        net = self._network_for(node)
         if net is None:
             return self._backoff_stream
         return f"{self._backoff_stream}:{net}"
@@ -714,22 +741,22 @@ class Backend:
                 # in assignment order, as the in-flight records were kept
                 expired = expired[_np.argsort(self._seq[expired])]
                 trace = self._trace
-                for row, tid in zip(expired.tolist(), self._tasks.task_id[
-                        expired].tolist()):
-                    pna_id = self._holder[row]
+                for row, tid, node in zip(
+                        expired.tolist(),
+                        self._tasks.task_id[expired].tolist(),
+                        self._holder[expired].tolist()):
                     self._state[row] = _PENDING
                     self._requeued.append(row)
                     self._n_pending += 1
                     self.requeues += 1
                     if self.requeues_by_network is not None:
-                        # Cached label: the holder may already be gone
-                        # from its router (that is why the lease died).
-                        net = self._net_of_pna.get(pna_id)
+                        net = self._network_for(node)
                         if net is not None:
                             self.requeues_by_network[net] += 1
                     self._attempts[tid] = self._attempts.get(tid, 0) + 1
                     if trace is not None:
-                        trace.emit(now, "requeue", task=tid, pna=pna_id,
+                        trace.emit(now, "requeue", task=tid,
+                                   pna=self._id_of(node),
                                    attempt=self._attempts[tid])
                         self._m_redispatched.value += 1
         except Interrupt:

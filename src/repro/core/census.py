@@ -243,7 +243,8 @@ class CensusStore:
 
         ``idxs`` must be duplicate-free (the Controller's cohort path
         guarantees this; its duplicate guard falls back to the
-        per-payload path otherwise)."""
+        per-payload path otherwise); a columnar store also takes it as
+        a slice (:func:`~repro.net.link.as_index`)."""
         raise NotImplementedError
 
     def registry_size(self) -> int:
@@ -286,7 +287,9 @@ class CensusStore:
         raise NotImplementedError
 
     def mark_members(self, handle: int, idxs: Any, now: float) -> None:
-        """Columnar membership refresh for a duplicate-free cohort group."""
+        """Columnar membership refresh for a duplicate-free cohort group
+        (an array, or on a columnar store a slice, as for
+        :meth:`touch_group`)."""
         raise NotImplementedError
 
     def drop_member(self, handle: int, idx: int) -> bool:
@@ -493,7 +496,7 @@ class ColumnarCensusStore(CensusStore):
         joined = int(np.count_nonzero(fresh))
         if joined:
             self._member_count[handle] += joined
-            self._member_of[idxs[fresh]] += 1
+            self._member_of[idxs] += fresh
         column[idxs] = now
 
     def drop_member(self, handle, idx):

@@ -74,6 +74,7 @@ from repro.core.network import Router
 from repro.core.policies import DeficitProportional, ProbabilityPolicy
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
+from repro.net.link import all_distinct, as_index
 from repro.net.message import Message
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, TimeSeries
@@ -83,13 +84,6 @@ from repro.telemetry.trace import metrics_registry as _telemetry_metrics
 
 __all__ = ["ControlPlane", "DirectControlPlane", "Controller",
            "ControllerCheckpoint"]
-
-
-def _has_repeats(idxs: np.ndarray) -> bool:
-    """Does a cohort name some node twice?  (Then it is not a wheel
-    cohort, and consolidates payload by payload.)"""
-    ranked = np.sort(idxs)
-    return bool((ranked[1:] == ranked[:-1]).any())
 
 
 class ControlPlane:
@@ -561,8 +555,9 @@ class Controller:
         census = self.census
         router = self.router
         n = len(idxs)
+        ix = as_index(idxs)
         if (not census.supports_columnar or n < self._COHORT_MIN
-                or _has_repeats(idxs)):
+                or type(ix) is not slice and not all_distinct(idxs)):
             self._receive_batch(router.heartbeat_payloads(idxs, states,
                                                           insts))
             return
@@ -582,12 +577,17 @@ class Controller:
         groups = []
         codes = insts[busy]
         if codes.size:
-            distinct, firsts = np.unique(codes, return_index=True)
+            if bool((codes == codes[0]).all()):
+                distinct = [int(codes[0])]
+            else:
+                distinct, firsts = np.unique(codes, return_index=True)
+                distinct = distinct[np.argsort(firsts)].tolist()
             instances = self.instances
             pending = self._pending_trims
-            for code in distinct[np.argsort(firsts)].tolist():
+            for code in distinct:
                 instance_id = router.instance_of(code)
-                members = busy & (insts == code)
+                members = busy if len(distinct) == 1 \
+                    else busy & (insts == code)
                 record = instances.get(instance_id)
                 if (record is None
                         or record.status in (InstanceStatus.DISMANTLING,
@@ -600,10 +600,11 @@ class Controller:
         now = self.sim.now
         if idle.any():
             arr = idxs[idle]
-            census.touch_group(arr, STATE_IDLE, None, now)
+            census.touch_group(ix if idle.all() else as_index(arr),
+                               STATE_IDLE, None, now)
             census.drop_many_from_all(arr)
         for instance_id, record, members in groups:
-            arr = idxs[members]
+            arr = ix if members.all() else as_index(idxs[members])
             census.touch_group(arr, STATE_BUSY, instance_id, now)
             census.mark_members(record.census_handle, arr, now)
         if slow.any():

@@ -29,6 +29,7 @@ from repro.errors import LinkDownError, NetworkError
 from repro.net.link import (
     DuplexChannel,
     LinkTable,
+    as_index,
     column_view,
     count_deliveries,
     grow_columns,
@@ -66,8 +67,9 @@ class Router:
     The Router also owns the columnar node state of the heartbeat
     plane, indexed by each PNA's interned node index: the PNA columns
     (``pna_online``, ``pna_state`` census state code, ``pna_instance``
-    instance code, the :data:`PNA_COUNTERS`, ``dve_slot``) that
-    :class:`~repro.core.pna.PNA` attributes read through to, and the
+    instance code, the :data:`PNA_COUNTERS`, ``dve_slot``,
+    ``dve_engine``) that :class:`~repro.core.pna.PNA` attributes read
+    through to, and the
     direct-channel link tables (``uplinks``/``downlinks``, see
     :class:`~repro.net.link.LinkTable`) that the channels of registered
     PNAs live in.  A heartbeat cohort tick therefore touches no
@@ -116,20 +118,20 @@ class Router:
         #: are Python ints; batch passes view them zero-copy).
         self.pna_online = array("b")
         self.pna_state = array("b")
-        self.pna_instance = array("q")
-        #: the PNA_COUNTERS, and the slot of a member recruited in bulk
-        #: into a cohort task engine
-        for name in PNA_COUNTERS + ("dve_slot",):
-            setattr(self, name, array("q"))
-        #: that engine's code while the member has no DVE object (PNA.dve)
-        self.dve_engine = array("i")
         #: 1 while the row's PNA is registered here (a cohort member
         #: whose node vanished sends nothing).
         self._pna_linked = array("b")
-        self._node_columns = (
-            self.pna_online, self.pna_state, self.pna_instance,
-            self._pna_linked, self.dve_slot, self.dve_engine,
-            *(getattr(self, name) for name in PNA_COUNTERS))
+        self._node_columns = (self.pna_online, self.pna_state,
+                              self._pna_linked)
+        #: columns that stay zero until a pass writes them, grown by the
+        #: first pass that touches them (see :meth:`grown`): the instance
+        #: code, the PNA_COUNTERS, and the slot and the engine code of a
+        #: member recruited in bulk into a cohort task engine while it
+        #: has no DVE object (PNA.dve)
+        zero = ("pna_instance",) + PNA_COUNTERS + ("dve_slot", "dve_engine")
+        for name in zero:
+            setattr(self, name, array("i"))
+        self._zero_columns = tuple(map(self.__getattribute__, zero))
         #: the node registered one by one at a row: its ``_on_downlink``
         #: and ``_on_downlink_payload`` (may be None) receive its
         #: downlink; a block's rows are served by the block (see _node)
@@ -178,6 +180,14 @@ class Router:
                           for p in payloads], dtype=np.int64)
         return idxs, states, insts
 
+    def grown(self, column: array) -> array:
+        """``column``, one of the columns that stay zero until written,
+        grown with zeros to cover every node row."""
+        short = len(self.pna_state) - len(column)
+        if short > 0:
+            grow_columns((column,), short)
+        return column
+
     def _reserve_rows(self, n: int) -> None:
         """Grow the node columns and link tables to at least ``n`` rows,
         by doubling: registering a fleet then writes rows in place."""
@@ -212,10 +222,11 @@ class Router:
         channel = self._channels.get(idx)
         if channel is None:
             lo, first, name, tracer, _owner = self._block_of(idx)
+            state = self.uplinks.row(idx)
             with telemetry.active(tracer):  # the block's, as if built then
-                channel = DuplexChannel(self.sim, self.uplinks.rate[idx],
+                channel = DuplexChannel(self.sim, state[5],
                                         name=name.format(first + idx - lo))
-            channel.uplink._init = self.uplinks.row(idx)
+            channel.uplink._init = state
             channel.downlink._init = self.downlinks.row(idx)
             self._adopt(idx, channel)
         return channel
@@ -308,8 +319,9 @@ class Router:
             raise NetworkError(f"PNA {pna_id!r} already registered")
         idx = self.interner.intern(pna_id)
         self._reserve_rows(idx + 1)
-        for column in self._node_columns:
-            column[idx] = 0
+        for column in self._node_columns + self._zero_columns:
+            if idx < len(column):
+                column[idx] = 0
         self.adversaries.pop(idx, None)
         self.pna_online[idx] = self._pna_linked[idx] = 1
         self.pna_state[idx] = STATE_IDLE
@@ -452,6 +464,11 @@ class Router:
     def has_pna(self, pna_id: str) -> bool:
         return self._row_of(pna_id) is not None
 
+    def owns(self, idx: int) -> bool:
+        """Was node ``idx`` ever registered here?  Registering sets its
+        ``pna_state``, which never returns to ``STATE_NONE``."""
+        return idx < len(self.pna_state) and self.pna_state[idx] != 0
+
     def _registered(self, pna_id: str) -> int:
         idx = self._row_of(pna_id)
         if idx is None:
@@ -491,20 +508,25 @@ class Router:
         **one** calendar entry.  With a homogeneous fleet that is a
         single entry per tick.  ``idxs`` must be distinct.
         """
-        linked = column_view(self._pna_linked)[idxs]
+        ix = as_index(idxs)
+        linked = column_view(self._pna_linked)[ix]
         if not linked.all():
             idxs = idxs[linked != 0]  # node vanished: nothing to send
+            ix = as_index(idxs)
         now = self.sim.now
-        deliver = offer_rows(self.uplinks, idxs,
+        deliver = offer_rows(self.uplinks, ix,
                              payload_bits + DEFAULT_HEADER_BITS, now,
                              distinct=True)
-        states = column_view(self.pna_state)[idxs]
-        insts = column_view(self.pna_instance)[idxs]
+        # the heartbeats' content: copies, never views of the columns
+        states = column_view(self.pna_state)[ix]
+        insts = column_view(self.grown(self.pna_instance))[ix]
         arrived = deliver == deliver  # NaN: link down or message lost
         if not arrived.all():
             idxs, states, insts, deliver = (
                 idxs[arrived], states[arrived], insts[arrived],
                 deliver[arrived])
+        elif type(ix) is slice:
+            states, insts = states.copy(), insts.copy()
         if not deliver.size:
             return
         call_at = self.sim.call_at
@@ -526,7 +548,7 @@ class Router:
     def _deliver_batch(self, recipient: str, payload_bits: float,
                        sent_at: float, idxs: np.ndarray, states: np.ndarray,
                        insts: np.ndarray) -> None:
-        count_deliveries(self.uplinks, idxs)
+        count_deliveries(self.uplinks, as_index(idxs))
         receive_cohort = self._cohort_receivers.get(recipient)
         if receive_cohort is not None:
             receive_cohort(idxs, states, insts)

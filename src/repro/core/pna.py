@@ -39,7 +39,7 @@ from repro.core.messages import (
 from repro.core.network import PNA_COUNTERS, Router
 from repro.core.taskloop import (_BULK_MIN, CohortDVE, CohortTaskEngine,
                                  engine_for, identity_executor)
-from repro.net.link import DuplexChannel, column_view
+from repro.net.link import DuplexChannel, as_index, column_view
 from repro.net.message import Message
 from repro.sim.core import Simulator
 from repro.sim.wheel import TimerWheel
@@ -139,7 +139,8 @@ class _HeartbeatCohort:
             return
         idxs = due[0] if len(due) == 1 else np.concatenate(due)
         if idxs.size:
-            column_view(router.heartbeats_sent)[idxs] += 1
+            column_view(router.grown(router.heartbeats_sent))[
+                as_index(idxs)] += 1
             router.send_heartbeats(idxs, self.controller_id,
                                    CONTROL_PAYLOAD_BITS)
 
@@ -255,12 +256,14 @@ class PNA:
     @property
     def instance_id(self) -> Optional[str]:
         router = self.router
-        return router.instance_of(router.pna_instance[self.census_idx])
+        return router.instance_of(
+            router.grown(router.pna_instance)[self.census_idx])
 
     @instance_id.setter
     def instance_id(self, value: Optional[str]) -> None:
         router = self.router
-        router.pna_instance[self.census_idx] = router.instance_code(value)
+        router.grown(router.pna_instance)[self.census_idx] = \
+            router.instance_code(value)
 
     @property
     def online(self) -> bool:
@@ -295,7 +298,7 @@ class PNA:
         dve = self._own_dve
         if dve is None:
             router = self.router
-            code = router.dve_engine[self.census_idx]
+            code = router.grown(router.dve_engine)[self.census_idx]
             if code:
                 return router._engines[code]
         return dve
@@ -306,7 +309,7 @@ class PNA:
         a member recruited in bulk gets its facade on first access."""
         dve = self._dve
         if type(dve) is CohortTaskEngine:
-            slot = self.router.dve_slot[self.census_idx]
+            slot = self.router.grown(self.router.dve_slot)[self.census_idx]
             dve = self.dve = CohortDVE(
                 dve, self, dve.instance_id, dve.backend_id,
                 poll_interval_s=self.dve_poll_interval_s,
@@ -316,7 +319,7 @@ class PNA:
     @dve.setter
     def dve(self, value: Any) -> None:
         self._own_dve = value
-        self.router.dve_engine[self.census_idx] = 0
+        self.router.grown(self.router.dve_engine)[self.census_idx] = 0
 
     @property
     def controller_id(self) -> str:
@@ -557,9 +560,10 @@ class PNA:
 def _router_column(name: str) -> property:
     """A PNA attribute kept in router column ``name``, at the PNA's row."""
     return property(
-        lambda pna: getattr(pna.router, name)[pna.census_idx],
-        lambda pna, value: getattr(pna.router, name).__setitem__(
-            pna.census_idx, value))
+        lambda pna: pna.router.grown(getattr(pna.router, name))[
+            pna.census_idx],
+        lambda pna, value: pna.router.grown(getattr(
+            pna.router, name)).__setitem__(pna.census_idx, value))
 
 
 for _name in PNA_COUNTERS:
@@ -585,7 +589,7 @@ class PNABlock(Sequence):
     __slots__ = ("sim", "router", "lo", "hi", "prefix", "first",
                  "controller_key", "controller_id", "capabilities",
                  "executor", "heartbeat_interval_s", "dve_poll_interval_s",
-                 "_trace", "_cohort", "_views", "_ids")
+                 "_trace", "_cohort", "_views")
 
     def __init__(self, sim: Simulator, router: Router, prefix: str,
                  first: int, n: int, *, channel_name: str, rate_bps: float,
@@ -608,7 +612,6 @@ class PNABlock(Sequence):
         self.dve_poll_interval_s = dve_poll_interval_s
         self._trace = _telemetry_channel("pna")
         self._views: Dict[int, PNA] = {}
-        self._ids: Optional[List[str]] = None  # see _pna_ids
         self.lo = router.register_pnas(
             self, prefix, first, n, rate_bps=rate_bps, latency_s=latency_s,
             loss=loss, channel_name=channel_name)
@@ -644,14 +647,6 @@ class PNABlock(Sequence):
                 row, self._cohort, self._trace
         return pna
 
-    def _pna_ids(self) -> List[str]:
-        """Every member's id, formed once for the block."""
-        if self._ids is None:
-            prefix, first = self.prefix, self.first
-            self._ids = [f"{prefix}{k}"
-                         for k in range(first, first + len(self))]
-        return self._ids
-
     def deliver_control(self, payload, signature: bytes) -> None:
         """:meth:`PNA.deliver_control` on every member, in order; a
         wakeup keeping the block's heartbeat interval, to ``_BULK_MIN``
@@ -686,53 +681,55 @@ class PNABlock(Sequence):
             if key not in verdict:
                 verdict[key] = verify_control(key, wakeup, signature)
             signed[row - lo] = verdict[key]
-        _bump(router.dropped_bad_signature, lo, hi, live & ~signed)
+        _bump(router, "dropped_bad_signature", lo, hi, live & ~signed)
         join = live & signed
-        _bump(router.wakeups_seen, lo, hi, join)
+        _bump(router, "wakeups_seen", lo, hi, join)
         busy = join & (column_view(router.pna_state)[lo:hi] == STATE_BUSY)
-        _bump(router.dropped_busy, lo, hi, busy)
+        _bump(router, "dropped_busy", lo, hi, busy)
         join &= ~busy
         if wakeup.requirements and not matches_requirements(
                 wakeup.requirements, self.capabilities):
-            _bump(router.dropped_requirements, lo, hi, join)
+            _bump(router, "dropped_requirements", lo, hi, join)
             return
         if wakeup.probability < 1.0:
-            rng, ids = self.sim.rng, self._pna_ids()
+            rng, prefix, first = self.sim.rng, self.prefix, self.first
             drawn = np.flatnonzero(join)
             refused = drawn[[
-                rng(f"pna:{ids[k]}").random() >= wakeup.probability
+                rng(f"pna:{prefix}{first + k}").random() >= wakeup.probability
                 for k in drawn.tolist()]]
-            _bump(router.dropped_probability, lo, hi, refused)
+            _bump(router, "dropped_probability", lo, hi, refused)
             join[refused] = False
         members = np.flatnonzero(join)
         if not members.size:
             return
-        _bump(router.wakeups_accepted, lo, hi, join)
+        _bump(router, "wakeups_accepted", lo, hi, join)
         column_view(router.pna_state)[lo:hi][join] = STATE_BUSY
-        column_view(router.pna_instance)[lo:hi][join] = \
+        column_view(router.grown(router.pna_instance))[lo:hi][join] = \
             router.instance_code(wakeup.instance_id)
         engine = engine_for(router, wakeup.backend_id, wakeup.instance_id)
         if engine is None:
             for row in (members + lo).tolist():
                 self.view(row)._start_dve(wakeup)
             return
-        ids = self._pna_ids()
         first = engine.join_many(
-            members + lo, ids if members.size == len(ids)
-            else list(map(ids.__getitem__, members.tolist())),
-            self.executor, max(4.0 * self.dve_poll_interval_s, 60.0))
-        column_view(router.dve_slot)[lo:hi][join] = np.arange(
+            members + lo, self.executor,
+            max(4.0 * self.dve_poll_interval_s, 60.0))
+        column_view(router.grown(router.dve_slot))[lo:hi][join] = np.arange(
             first, first + members.size)
-        column_view(router.dve_engine)[lo:hi][join] = engine.code
+        column_view(router.grown(router.dve_engine))[lo:hi][join] = \
+            engine.code
         for row, pna in self._views.items():
             if join[row - lo]:
                 pna._own_dve = None  # the engine binding replaces it
 
 
-def _bump(column: Any, lo: int, hi: int, members: np.ndarray) -> None:
-    """Add one to ``column`` at the rows ``lo + k`` that ``members``
-    selects (a mask over ``[lo, hi)`` or distinct offsets)."""
-    column_view(column)[lo:hi][members] += 1
+def _bump(router: Router, name: str, lo: int, hi: int,
+          members: np.ndarray) -> None:
+    """Add one to router column ``name`` at the rows ``lo + k`` that
+    ``members`` selects (a mask over ``[lo, hi)`` or distinct offsets);
+    the column grows only when there is something to add."""
+    if members.size and (members.dtype != bool or members.any()):
+        column_view(router.grown(getattr(router, name)))[lo:hi][members] += 1
 
 
 def _position(k: int, n: int) -> int:

@@ -48,8 +48,8 @@ import numpy as _np
 
 from repro.errors import OddCIError
 from repro.core.messages import NoWork, TaskAssignment
-from repro.net.link import (all_distinct, column_view, count_deliveries,
-                            offer_rows)
+from repro.net.link import (all_distinct, as_index, column_view,
+                            count_deliveries, offer_rows)
 from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Simulator
 from repro.workloads.job import TaskTable
@@ -176,8 +176,8 @@ class CohortTaskEngine:
         "_phase", "_deadline", "_token", "_task_id", "_result_bits",
         "_digest", "_completed", "_retrans", "_destroyed", "_timeout",
         "_row", "_plain",
-        # object columns
-        "_pna_id", "_executor", "members_joined",
+        # object column
+        "_executor", "members_joined",
     )
 
     def __init__(self, sim: Simulator, router: "Router",
@@ -219,24 +219,22 @@ class CohortTaskEngine:
         #: 1 when the member computes on the reference-PC executor
         #: (:func:`identity_executor`): its compute time is the task's.
         self._plain = array("b")
-        self._pna_id: List[str] = []
         self._executor: List[Any] = []
         self.members_joined = 0
 
     # -- membership ------------------------------------------------------
     def join(self, pna: "PNA", timeout_s: float) -> int:
         """Add a member; returns its slot (:meth:`join_many` of one)."""
-        return self.join_many([pna.census_idx], [pna.pna_id], pna.executor,
-                              timeout_s)
+        return self.join_many([pna.census_idx], pna.executor, timeout_s)
 
-    def join_many(self, rows: Sequence[int], pna_ids: List[str],
-                  executor: Any, timeout_s: float) -> int:
-        """Add the PNAs ``pna_ids`` at node indices ``rows``, which all
-        run on ``executor`` with request timeout ``timeout_s``, in order,
-        as column appends; returns the first slot.  Each member's first
+    def join_many(self, rows: Sequence[int], executor: Any,
+                  timeout_s: float) -> int:
+        """Add the PNAs at node indices ``rows``, which all run on
+        ``executor`` with request timeout ``timeout_s``, in order, as
+        column appends; returns the first slot.  Each member's first
         request goes out at the current instant (matching the reference
         DVE, whose process resume fires later in the same instant)."""
-        k = len(pna_ids)
+        k = len(rows)
         first = len(self._phase)
         for column, value in ((self._phase, _JOINED), (self._deadline, -1.0),
                               (self._token, 0), (self._task_id, -1),
@@ -246,7 +244,6 @@ class CohortTaskEngine:
                               (self._plain, executor is identity_executor)):
             column.frombytes(array(column.typecode, (value,)).tobytes() * k)
         self._row.frombytes(_np.asarray(rows, _np.int64).tobytes())
-        self._pna_id.extend(pna_ids)
         self._executor.extend(repeat(executor, k))
         self.members_joined += k
         self._run_at(self.sim.now, _K_SEND)[1].frombytes(
@@ -363,23 +360,45 @@ class CohortTaskEngine:
                 self._handle_deadlines(run, now)
 
     # -- column helpers --------------------------------------------------
-    def _count_deliveries(self, table: Any, slots: array) -> None:
+    def _index(self, slots: _np.ndarray) -> tuple:
+        """``slots``' index, their members' rows and the rows' index:
+        each index a slice over a contiguous run (:func:`as_index`)."""
+        si = as_index(slots)
+        rows = column_view(self._row)[si]
+        return si, rows, as_index(rows)
+
+    def _alive(self, slots: array) -> tuple:
+        """A long run's members that are not destroyed, and their
+        :meth:`_index`."""
+        live = column_view(slots)
+        index = self._index(live)
+        keep = column_view(self._destroyed)[index[0]] == 0
+        if keep.all():
+            return live, index
+        live = live[keep]
+        return live, self._index(live)
+
+    def _count_deliveries(self, table: Any, slots: array
+                          ) -> Optional[tuple]:
         """One delivery on the member's row of ``table`` per slot of
-        ``slots``."""
+        ``slots``; returns a long run's :meth:`_index`, ``None`` for a
+        short one (which stays in plain Python)."""
         if len(slots) < _BULK_MIN:
-            delivered, rows = table.delivered, self._row
+            delivered, rows = table.grown().delivered, self._row
             for slot in slots:
                 delivered[rows[slot]] += 1
-            return
-        count_deliveries(table, column_view(self._row)[column_view(slots)])
+            return None
+        index = self._index(column_view(slots))
+        count_deliveries(table, index[2])
+        return index
 
-    def _offerable(self, slots: _np.ndarray) -> _np.ndarray:
+    def _offerable(self, index: tuple) -> _np.ndarray:
         """Mask of members that still take a reply: alive, awaiting one,
         and online (the reference DVE drops a reply otherwise)."""
-        rows = column_view(self._row)[slots]
-        return ((column_view(self._destroyed)[slots] == 0)
-                & (column_view(self._phase)[slots] == _AWAIT_REPLY)
-                & (column_view(self.router.pna_online)[rows] != 0))
+        si, _rows, ri = index
+        return ((column_view(self._destroyed)[si] == 0)
+                & (column_view(self._phase)[si] == _AWAIT_REPLY)
+                & (column_view(self.router.pna_online)[ri] != 0))
 
     # -- request path ----------------------------------------------------
     def _send_request(self, slot: int, now: float) -> None:
@@ -407,18 +426,17 @@ class CohortTaskEngine:
                 if not destroyed[slot]:
                     self._send_request(slot, now)
             return
-        live = column_view(slots)
-        live = live[column_view(destroyed)[live] == 0]
+        live, index = self._alive(slots)
         if live.size:
-            self._send_requests(live, now)
+            self._send_requests(live, index, now)
 
-    def _send_requests(self, live: _np.ndarray, now: float) -> None:
-        arrivals = offer_rows(self.router.uplinks,
-                              column_view(self._row)[live], _CONTROL_BITS,
-                              now)
-        column_view(self._phase)[live] = _AWAIT_REPLY
-        deadlines = now + column_view(self._timeout)[live]
-        column_view(self._deadline)[live] = deadlines
+    def _send_requests(self, live: _np.ndarray, index: tuple,
+                       now: float) -> None:
+        si, _rows, ri = index
+        arrivals = offer_rows(self.router.uplinks, ri, _CONTROL_BITS, now)
+        column_view(self._phase)[si] = _AWAIT_REPLY
+        deadlines = now + column_view(self._timeout)[si]
+        column_view(self._deadline)[si] = deadlines
         self._file(((_K_REQ_ARR, arrivals, live, ()),
                     (_K_DEADLINE, deadlines, live, ())))
 
@@ -430,34 +448,38 @@ class CohortTaskEngine:
         # nothing observes the counters mid-handler, so count-then-
         # dispatch and dispatch-then-count are end-state identical (the
         # differential suite checks final link counts).
-        self._count_deliveries(router.uplinks, slots)
+        index = self._count_deliveries(router.uplinks, slots)
+        rows = list(map(self._row.__getitem__, slots)) if index is None \
+            else index[1]
         if router._payload_receivers.get(self.backend_id) is None:
             # Backend crashed or shut down while the cohort was in
             # flight — same arrival-time check as the bare-payload path.
             router.undeliverable += n
             return
-        requesters = list(map(self._pna_id.__getitem__, slots))
-        replies = self.backend.receive_request_cohort(requesters,
-                                                      self.instance_id)
+        replies = self.backend.receive_request_cohort(rows, self.instance_id)
         linked = router._pna_linked
         if type(replies) is TaskTable:
             # one task per member, as columns; a node that vanished
             # between request and reply is skipped
-            rows = column_view(self._row)[column_view(slots)]
-            keep = column_view(linked)[rows] != 0
-            arrivals = offer_rows(router.downlinks, rows[keep],
-                                  replies.input_bits[keep] + _CONTROL_BITS,
-                                  now)
-            self._file(((_K_ASSIGN_ARR, arrivals, column_view(slots)[keep],
-                         (replies.task_id[keep], replies.ref_seconds[keep],
-                          replies.result_bits[keep])),))
+            sv = column_view(slots)
+            _si, rows, ri = self._index(sv) if index is None else index
+            sizes = replies.input_bits + _CONTROL_BITS
+            columns = (replies.task_id, replies.ref_seconds,
+                       replies.result_bits)
+            keep = column_view(linked)[ri] != 0
+            if not keep.all():
+                sv, ri, sizes = sv[keep], rows[keep], sizes[keep]
+                columns = tuple(column[keep] for column in columns)
+            self._file(((_K_ASSIGN_ARR,
+                         offer_rows(router.downlinks, ri, sizes, now), sv,
+                         columns),))
             return
         # replies one by one (certified copies and probes, replicas,
         # backoff leases, a dry bag): each downlink in member order
         downlinks = router.downlinks
-        member_rows = self._row
-        for slot, reply in zip(slots, replies):
-            row = member_rows[slot]
+        if index is not None:
+            rows = rows.tolist()
+        for slot, row, reply in zip(slots, rows, replies):
             if not linked[row]:
                 continue  # node vanished between request and reply
             if type(reply) is NoWork:
@@ -500,8 +522,8 @@ class CohortTaskEngine:
 
     def _handle_assign_arrivals(self, run: list, now: float) -> None:
         slots = run[1]
-        self._count_deliveries(self.router.downlinks, slots)
-        if len(slots) >= _BULK_MIN and self._accept_bulk(run, now):
+        index = self._count_deliveries(self.router.downlinks, slots)
+        if index is not None and self._accept_bulk(run, index, now):
             return
         task_ids, refs, results = run[2], run[3], run[4]
         destroyed = self._destroyed
@@ -514,7 +536,7 @@ class CohortTaskEngine:
             self._accept_assignment(slot, task_ids[k], refs[k], results[k],
                                     now)
 
-    def _accept_bulk(self, run: list, now: float) -> bool:
+    def _accept_bulk(self, run: list, index: tuple, now: float) -> bool:
         """Accept a run of assignments in column passes; ``False`` (with
         nothing changed) when the run needs the per-member loop: a
         member listed twice, or one off the reference-PC executor or
@@ -522,35 +544,36 @@ class CohortTaskEngine:
         out of one vectorised add — scalar-bit-identical (same op
         order)."""
         sv = column_view(run[1])
-        live = self._offerable(sv)
+        live = self._offerable(index)
         whole = bool(live.all())
         ls = sv if whole else sv[live]
         if not ls.size:
             return True
-        if not all_distinct(ls) or not column_view(self._plain)[ls].all():
+        li = index[0] if whole else as_index(ls)
+        if type(li) is not slice and not all_distinct(ls) \
+                or not column_view(self._plain)[li].all():
             return False
         adversaries = self.router.adversaries
         if adversaries and not adversaries.keys().isdisjoint(
-                column_view(self._row)[ls].tolist()):
+                column_view(self._row)[li].tolist()):
             return False
         task_ids, refs, results = (column_view(c) if whole
                                    else column_view(c)[live]
                                    for c in run[2:])
-        column_view(self._task_id)[ls] = task_ids
-        column_view(self._result_bits)[ls] = results
-        column_view(self._digest)[ls] = 0
-        column_view(self._deadline)[ls] = -1.0
-        column_view(self._phase)[ls] = _COMPUTING
+        column_view(self._task_id)[li] = task_ids
+        column_view(self._result_bits)[li] = results
+        column_view(self._digest)[li] = 0
+        column_view(self._deadline)[li] = -1.0
+        column_view(self._phase)[li] = _COMPUTING
         self._file(((_K_COMPUTE, now + refs, ls, ()),))
         return True
 
     def _handle_nowork_arrivals(self, run: list, now: float) -> None:
         slots, retries = run[1], run[2]
-        self._count_deliveries(self.router.downlinks, slots)
-        if len(slots) >= _BULK_MIN:
-            sv = column_view(slots)
-            live = self._offerable(sv)
-            ls = sv[live]
+        index = self._count_deliveries(self.router.downlinks, slots)
+        if index is not None:
+            live = self._offerable(index)
+            ls = column_view(slots)[live]
             if all_distinct(ls):
                 retry = column_view(retries)[live]
                 column_view(self._deadline)[ls] = -1.0
@@ -605,30 +628,30 @@ class CohortTaskEngine:
         slots = run[1]
         destroyed = self._destroyed
         if len(slots) >= _BULK_MIN:
-            live = column_view(slots)
-            live = live[column_view(destroyed)[live] == 0]
-            if all_distinct(live):
+            live, index = self._alive(slots)
+            if type(index[0]) is slice or all_distinct(live):
                 if live.size:
-                    self._send_results(live, now)
+                    self._send_results(live, index, now)
                 return
         for slot in slots:
             if not destroyed[slot]:
                 self._send_result(slot, now)
 
-    def _send_results(self, live: _np.ndarray, now: float) -> None:
-        column_view(self._phase)[live] = _AWAIT_ACK
+    def _send_results(self, live: _np.ndarray, index: tuple,
+                      now: float) -> None:
+        si, _rows, ri = index
+        column_view(self._phase)[si] = _AWAIT_ACK
         tokens = column_view(self._token)
-        tokens[live] += 1
+        tokens[si] += 1
         # Same left-to-right sum as the scalar path.
-        sizes = CONTROL_PAYLOAD_BITS + column_view(self._result_bits)[live]
+        sizes = CONTROL_PAYLOAD_BITS + column_view(self._result_bits)[si]
         sizes += DEFAULT_HEADER_BITS
-        arrivals = offer_rows(self.router.uplinks,
-                              column_view(self._row)[live], sizes, now)
-        deadlines = now + column_view(self._timeout)[live]
-        column_view(self._deadline)[live] = deadlines
+        arrivals = offer_rows(self.router.uplinks, ri, sizes, now)
+        deadlines = now + column_view(self._timeout)[si]
+        column_view(self._deadline)[si] = deadlines
         self._file(((_K_RESULT_ARR, arrivals, live,
-                     (column_view(self._task_id)[live], tokens[live],
-                      column_view(self._digest)[live])),
+                     (column_view(self._task_id)[si], tokens[si],
+                      column_view(self._digest)[si])),
                     (_K_DEADLINE, deadlines, live, ())))
 
     def _handle_result_arrivals(self, run: list, start: int,
@@ -642,36 +665,38 @@ class CohortTaskEngine:
         # and a mid-run settle defers the remainder to a fresh call
         # (which re-evaluates after the urgent auto-release unregisters).
         gone = router._payload_receivers.get(self.backend_id) is None
+        certifier = backend.certifier
         # A certified backend votes per copy (and a vote can quarantine
         # a member of this very run), and a traced run on a lossy or
         # down link must interleave each member's ``backend.complete``
         # with its next request's ``net.dropped``: both keep the
         # per-member loop.
-        if len(run[1]) - start >= _BULK_MIN \
-                and getattr(backend, "certifier", None) is None:
+        if len(run[1]) - start >= _BULK_MIN and certifier is None:
             sv = column_view(run[1])[start:]
-            rows = column_view(self._row)[sv]
-            uplinks = router.uplinks
+            index = self._index(sv)
+            uplinks = router.uplinks.grown()
             if gone or backend._trace is None or bool(
-                    ((column_view(uplinks.up)[rows] != 0)
-                     & (column_view(uplinks.loss)[rows] == 0.0)).all()):
-                return self._results_bulk(run, start, now, gone, sv, rows)
+                    ((column_view(uplinks.up)[index[2]] != 0)
+                     & (column_view(uplinks.loss)[index[2]] == 0.0)).all()):
+                return self._results_bulk(run, start, now, gone, sv, index)
         slots, task_ids, tokens, digests = run[1], run[2], run[3], run[4]
-        delivered, member_rows = router.uplinks.delivered, self._row
-        pna_ids = self._pna_id
-        receive_result = backend.receive_result
+        delivered, member_rows = router.uplinks.grown().delivered, self._row
+        id_of = router.interner.id_of
         done_event = backend.done_event
         # Settling is monotonic and only this loop can flip it here.
         was_settled = done_event._settled
         for k in range(start, len(slots)):
             slot = slots[k]
-            delivered[member_rows[slot]] += 1
+            row = member_rows[slot]
+            delivered[row] += 1
             if gone:
                 router.undeliverable += 1
+            elif certifier is None:
+                backend._take_result(row, task_ids[k])
             else:
                 digest = digests[k]
-                receive_result(pna_ids[slot], task_ids[k],
-                               digest if digest != 0 else None)
+                certifier.on_result(id_of(row), task_ids[k],
+                                    digest if digest != 0 else None)
             # The member advances only when the *awaited* copy lands
             # (stale retransmitted copies settle a stale notify event in
             # the reference path — a no-op there too).  The next request
@@ -685,7 +710,7 @@ class CohortTaskEngine:
         return None
 
     def _results_bulk(self, run: list, start: int, now: float, gone: bool,
-                      sv: _np.ndarray, rows: _np.ndarray) -> Optional[int]:
+                      sv: _np.ndarray, index: tuple) -> Optional[int]:
         """The result arrivals ``run[start:]`` in column passes: the
         Backend takes them in order (stopping where ``done_event``
         settles), then the members whose awaited copy landed send their
@@ -696,23 +721,25 @@ class CohortTaskEngine:
             self.router.undeliverable += end - start
         else:
             settled = self.backend.receive_result_cohort(
-                list(map(self._pna_id.__getitem__, run[1][start:])),
-                column_view(run[2])[start:])
+                index[1], column_view(run[2])[start:])
             if settled is not None:
                 end = stop = start + settled + 1
         if end - start < len(sv):
             sv = sv[:end - start]
-            rows = rows[:end - start]
-        count_deliveries(self.router.uplinks, rows)
-        advance = ((column_view(self._destroyed)[sv] == 0)
-                   & (column_view(self._phase)[sv] == _AWAIT_ACK)
-                   & (column_view(self._token)[sv]
+            index = self._index(sv)
+        si = index[0]
+        count_deliveries(self.router.uplinks, index[2])
+        advance = ((column_view(self._destroyed)[si] == 0)
+                   & (column_view(self._phase)[si] == _AWAIT_ACK)
+                   & (column_view(self._token)[si]
                       == column_view(run[3])[start:end]))
-        live = sv[advance]
-        if live.size:
+        if not advance.all():
+            sv = sv[advance]
+            index = self._index(sv)
+        if sv.size:
             # One awaited copy per member: tokens are unique per send.
-            column_view(self._completed)[live] += 1
-            self._send_requests(live, now)
+            column_view(self._completed)[index[0]] += 1
+            self._send_requests(sv, index, now)
         return stop
 
     # -- timeouts --------------------------------------------------------
@@ -726,8 +753,9 @@ class CohortTaskEngine:
             # its own member's deadline later, so the survivors are a
             # superset of the scalar loop's and it re-checks each.
             sv = column_view(slots)
-            due = sv[(column_view(destroyed)[sv] == 0)
-                     & (column_view(deadlines)[sv] == now)]
+            si = as_index(sv)
+            due = sv[(column_view(destroyed)[si] == 0)
+                     & (column_view(deadlines)[si] == now)]
             if not due.size:
                 return
             slots = due.tolist()

@@ -32,8 +32,7 @@ vectorised pass).
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,8 +42,8 @@ from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
 __all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows", "grow_columns",
-           "count_deliveries", "column_view", "all_distinct", "kbps",
-           "mbps"]
+           "count_deliveries", "column_view", "all_distinct", "as_index",
+           "kbps", "mbps"]
 
 
 def kbps(value: float) -> float:
@@ -87,16 +86,31 @@ def all_distinct(values: np.ndarray) -> bool:
     return bool((ranked[1:] != ranked[:-1]).all())
 
 
+def as_index(rows: np.ndarray) -> Union[slice, np.ndarray]:
+    """``slice(lo, hi)`` when ``rows`` is the ascending run ``lo, lo + 1,
+    ..., hi - 1``, else ``rows`` itself.  Either form selects the same
+    elements in the same order; through a slice a read is a view (copy
+    it to keep it past a write) and a write needs no scatter."""
+    n = rows.size
+    if n and rows[n - 1] - rows[0] == n - 1 and (
+            n == 1 or bool((rows[1:] > rows[:-1]).all())):
+        lo = int(rows[0])
+        return slice(lo, lo + n)
+    return rows
+
+
 class LinkTable:
     """Serializer state of many links, one row per link.
 
     Columns are ``array.array`` objects: a scalar read returns a Python
     float or int (never a numpy scalar, whose repr would leak into event
     times and traces), a column keeps its identity as it grows, and
-    :func:`offer_rows` views it zero-copy.  ``links[row]`` is the
-    :class:`Link` holding the row (``None`` for a free row, or for a
-    row written by :meth:`fill` whose link is not built yet); capacity
-    grows by doubling, so placing a link writes its row in place.
+    :func:`offer_rows` views it zero-copy.  ``links`` maps each row a
+    :class:`Link` holds to it (a free row, or one written by
+    :meth:`fill` whose link is not built yet, has none); capacity grows
+    by doubling, so placing a link writes its row in place.  A column
+    grows to the capacity when first read or written (:meth:`grown`),
+    so rows :meth:`fill` leaves zero cost nothing until then.
 
     A table is used either *pooled* (:meth:`add` hands out recycled
     rows — the simulator's table of standalone links) or *by explicit
@@ -104,7 +118,7 @@ class LinkTable:
     """
 
     __slots__ = ("busy", "bits", "delivered", "up", "loss", "rate",
-                 "latency", "links", "_free", "_make")
+                 "latency", "links", "_free", "_make", "_n", "_short")
 
     #: column order of a row-state tuple (see :meth:`row`).
     _COLUMNS = ("busy", "bits", "delivered", "up", "loss", "rate",
@@ -119,41 +133,55 @@ class LinkTable:
         self.loss = array("d")
         self.rate = array("d")
         self.latency = array("d")
-        self.links: List[Optional["Link"]] = []
+        self.links: Dict[int, "Link"] = {}
         self._free: List[int] = []
         #: builds the missing :class:`Link` of a row written by fill()
         self._make = make
+        #: the capacity, and whether some column is shorter
+        self._n, self._short = 0, False
 
     def __len__(self) -> int:
-        return len(self.links)
+        return self._n
 
     def reserve(self, n: int) -> None:
-        """Grow every column to at least ``n`` (zero-filled, free) rows."""
-        grow = n - len(self.links)
-        if grow > 0:
-            grow_columns([getattr(self, name) for name in self._COLUMNS],
-                         grow)
-            self.links.extend(repeat(None, grow))
+        """Grow to at least ``n`` (zero-filled, free) rows."""
+        if n > self._n:
+            self._n, self._short = n, True
+
+    def grown(self) -> "LinkTable":
+        """This table, with every column grown to the capacity."""
+        if self._short:
+            self._short = False
+            for name in self._COLUMNS:
+                column = getattr(self, name)
+                grow_columns((column,), self._n - len(column))
+        return self
 
     def row(self, r: int) -> tuple:
         """Row ``r``'s state in :attr:`_COLUMNS` order."""
+        self.grown()
         return (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
                 self.loss[r], self.rate[r], self.latency[r])
 
     def fill(self, lo: int, hi: int, state: tuple) -> None:
-        """Write ``state`` into rows ``[lo, hi)``, without links."""
+        """Write ``state`` into the new rows ``[lo, hi)``, without links:
+        a zero into rows a column does not reach yet is left implicit."""
         for name, value in zip(self._COLUMNS, state):
-            column_view(getattr(self, name))[lo:hi] = value
+            column = getattr(self, name)
+            if value or len(column) > lo:
+                grow_columns((column,), self._n - len(column))
+                column_view(column)[lo:hi] = value
 
     def link(self, r: int) -> "Link":
         """The :class:`Link` of row ``r``, built on first use."""
-        link = self.links[r]
+        link = self.links.get(r)
         return self._make(r) if link is None else link
 
     def put(self, link: "Link", r: int, state: tuple) -> int:
         """Write ``state`` into row ``r`` and hand the row to ``link``."""
-        if r >= len(self.links):
-            self.reserve(max(r + 1, 2 * len(self.links)))
+        if r >= self._n:
+            self.reserve(max(r + 1, 2 * self._n))
+        self.grown()
         (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
          self.loss[r], self.rate[r], self.latency[r]) = state
         self.links[r] = link
@@ -163,14 +191,14 @@ class LinkTable:
         """Pooled placement: a recycled row if any, else a new one."""
         free = self._free
         if not free:
-            grown = len(self.links)
+            grown = self._n
             self.reserve(max(2 * grown, 8))
-            free.extend(range(len(self.links) - 1, grown - 1, -1))
+            free.extend(range(self._n - 1, grown - 1, -1))
         return self.put(link, free.pop(), state)
 
     def release(self, r: int) -> None:
         """Free row ``r`` (pooled tables recycle it)."""
-        self.links[r] = None
+        self.links.pop(r, None)
         self._free.append(r)
 
     @classmethod
@@ -445,7 +473,7 @@ class Link:
         return size_bits / self.rate_bps + self.latency_s
 
 
-def offer_rows(table: LinkTable, rows: np.ndarray,
+def offer_rows(table: LinkTable, rows: Union[slice, np.ndarray],
                size_bits: Union[float, np.ndarray], now: float, *,
                distinct: bool = False) -> np.ndarray:
     """:meth:`Link.offer` on every row of ``rows``, in order.
@@ -459,16 +487,17 @@ def offer_rows(table: LinkTable, rows: np.ndarray,
     sequential ones.  A row repeated in ``rows`` must see its earlier
     reservations: its repeats take the scalar path after the vectorised
     pass (``distinct=True`` skips that check for callers that guarantee
-    distinct rows).  ``size_bits`` is one size or one per row.
+    distinct rows; a slice from :func:`as_index` is distinct).
+    ``size_bits`` is one size or one per row.
     """
-    n = rows.size
+    n = rows.stop - rows.start if type(rows) is slice else rows.size
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
     sized = np.ndim(size_bits) > 0
-    vec = (column_view(table.up)[rows] != 0) \
+    vec = (column_view(table.grown().up)[rows] != 0) \
         & (column_view(table.loss)[rows] == 0.0)
-    if not distinct:
+    if not distinct and type(rows) is not slice:
         order = np.argsort(rows, kind="stable")
         ranked = rows[order]
         first = np.empty(n, dtype=bool)
@@ -476,8 +505,10 @@ def offer_rows(table: LinkTable, rows: np.ndarray,
         first[order[1:]] = ranked[1:] != ranked[:-1]
         vec &= first
     whole = bool(vec.all())
+    if not whole and type(rows) is slice:
+        rows = np.arange(rows.start, rows.stop)
     fast = rows if whole else rows[vec]
-    if fast.size:
+    if whole or fast.size:
         size = size_bits if not sized or whole else size_bits[vec]
         busy = column_view(table.busy)
         done = np.maximum(busy[fast], now)
@@ -496,10 +527,15 @@ def offer_rows(table: LinkTable, rows: np.ndarray,
     return out
 
 
-def count_deliveries(table: LinkTable, rows: np.ndarray) -> None:
+def count_deliveries(table: LinkTable, rows: Union[slice, np.ndarray]
+                     ) -> None:
     """:meth:`Link.count_delivery` on every row of ``rows`` (repeats
     count once per occurrence)."""
-    np.add.at(column_view(table.delivered), rows, 1)
+    delivered = column_view(table.grown().delivered)
+    if type(rows) is slice:
+        delivered[rows] += 1
+    else:
+        np.add.at(delivered, rows, 1)
 
 
 class DuplexChannel:

@@ -5,10 +5,12 @@
 ``_DictBackend`` below is the earlier implementation of the same
 bookkeeping — a deque of :class:`Task` objects, an in-flight dict of
 ``(task, pna_id, assigned_at, lease)`` tuples and a completion dict —
-kept here verbatim as the differential oracle.  Both are driven through
-the same operation sequences; replies, leases, completions, counters,
-the pending order, ``report()`` and the backend trace must agree
-exactly.
+kept here as the differential oracle.  The columnar Backend keys a
+node by its row in the routers' shared interner; the oracle stays keyed
+by node id, and the two are compared through the interner.  Both are
+driven through the same operation sequences; replies, leases,
+completions, counters, the pending order, ``report()`` and the backend
+trace must agree exactly.
 """
 
 from collections import deque
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.backend import _PENDING, Backend
+from repro.core.census import NodeInterner
 from repro.core.messages import NoWork
 from repro.core.network import Router
 from repro.errors import BackendError
@@ -33,13 +36,18 @@ _T_TASK, _T_PNA, _T_AT, _T_LEASE = range(4)
 
 
 class _DictBackend(Backend):
-    """The dict/tuple Backend bookkeeping (oracle)."""
+    """The dict/tuple Backend bookkeeping (oracle), keyed by node id."""
 
     _completed = None  # plain instance dicts here, not column views
     _in_flight = None
+    _workers = None
+    workers = None
 
     def __init__(self, sim, job, router, **kw):
         super().__init__(sim, job, router, **kw)
+        self._workers = self.workers = set()
+        #: pna_id -> network label, filled in by the harness
+        self._net_of_pna: Dict[str, str] = {}
         scheduling = kw.get("scheduling", "fifo")
         tasks = list(job.tasks)
         if scheduling == "lpt":
@@ -272,6 +280,9 @@ class _DictBackend(Backend):
             return self._pending.popleft()
         return None
 
+    def _network_for(self, pna_id: str) -> Optional[str]:
+        return self._net_of_pna.get(pna_id)
+
     def _lease_loop(self):
         try:
             while not self.done:
@@ -335,7 +346,7 @@ def _snapshot(backend) -> dict:
         "accounting": (backend.tasks_assigned, backend.duplicates,
                        backend.requeues, backend.replicas_issued),
         "attempts": dict(backend._attempts),
-        "workers": sorted(backend._workers),
+        "workers": sorted(backend.workers),
         "networks": (backend.assigned_by_network,
                      backend.completed_by_network,
                      backend.requeues_by_network),
@@ -362,22 +373,41 @@ class _Pair:
         job = Job(image_bits=1e6, job_id=1, tasks=TaskTable(
             range(len(refs)), 4096.0, refs, 2048.0))
         networks = cfg["networks"]
-        routers = [Router(self.sim) for _ in networks] if networks \
-            else Router(self.sim)
+        # every network's workers, registered on its router; the routers
+        # share one interner, through which the columnar Backend's rows
+        # are compared with the oracle's ids
+        self.interner = NodeInterner()
+        self.routers = {}
+        for net in networks or ("w",):
+            router = self.routers[net] = Router(self.sim,
+                                                interner=self.interner)
+            router.register_pnas(None, f"{net}-", 0, _WORKERS, rate_bps=1e6,
+                                 latency_s=0.0, loss=0.0,
+                                 channel_name=f"{net}{{}}")
+        routers = list(self.routers.values())
         with active(self.tracer):
             self.backend = cls(
-                self.sim, job, routers, networks=networks,
+                self.sim, job, routers if networks else routers[0],
+                networks=networks,
                 lease_factor=cfg["lease_factor"],
                 lease_check_interval_s=cfg["check_s"],
                 lease_backoff_base=cfg["backoff"],
                 lease_backoff_jitter=cfg["jitter"],
                 replicate_tail=cfg["replicate"],
                 scheduling=cfg["scheduling"])
-        if networks:
-            # node -> shard labels, as the routers would resolve them
+        if networks and cls is _DictBackend:
+            # node -> shard labels, as the routers resolve them
             for net in networks:
                 for i in range(_WORKERS):
                     self.backend._net_of_pna[f"{net}-{i}"] = net
+
+    def nodes(self, pna_ids):
+        """The keys the backend takes for ``pna_ids``: rows (interned
+        if new) for the columnar Backend, the ids for the oracle."""
+        if isinstance(self.backend, _DictBackend):
+            return list(pna_ids)
+        return np.array([self.interner.intern(p) for p in pna_ids],
+                        np.int64)
 
     def apply(self, op, held, ever):
         """Run ``op``; returns what it observably returned."""
@@ -395,9 +425,11 @@ class _Pair:
         if not b.alive:
             return None
         if kind == "scalar":
-            return [_reply_key(b._serve_request(op[1], "i-1"))]
+            node = op[1] if isinstance(b, _DictBackend) \
+                else self.interner.intern(op[1])
+            return [_reply_key(b._serve_request(node, "i-1"))]
         if kind == "cohort":
-            replies = b.receive_request_cohort(list(op[1]), "i-1")
+            replies = b.receive_request_cohort(self.nodes(op[1]), "i-1")
             assert len(replies) == len(op[1])
             return [_reply_key(r) for r in replies]
         pairs = _result_pairs(op, held, ever, b.job.n)
@@ -412,7 +444,7 @@ class _Pair:
             pnas = [p for p, _ in pairs]
             ids = [t for _, t in pairs]
             stop = b.receive_result_cohort(
-                pnas, ids if isinstance(b, _DictBackend)
+                self.nodes(pnas), ids if isinstance(b, _DictBackend)
                 else np.array(ids, np.int64))
             stops.append(stop)
             pairs = [] if stop is None else pairs[stop + 1:]
@@ -533,15 +565,15 @@ def test_differential_reaches_every_path(monkeypatch):
            "lease_factor": 0.01, "check_s": 0.5, "backoff": 1.0,
            "jitter": 0.0, "replicate": False, "scheduling": "fifo"}
     # results the columnar Backend takes one by one (the dict oracle
-    # overrides receive_result, so only its own calls land here)
+    # overrides receive_result, so only the columnar calls land here)
     one_by_one = []
-    receive_result = Backend.receive_result
+    take_result = Backend._take_result
 
-    def spy(self, pna_id, task_id, digest=None):
-        one_by_one.append((pna_id, task_id))
-        receive_result(self, pna_id, task_id, digest)
+    def spy(self, node, task_id):
+        one_by_one.append((node, task_id))
+        take_result(self, node, task_id)
 
-    monkeypatch.setattr(Backend, "receive_result", spy)
+    monkeypatch.setattr(Backend, "_take_result", spy)
     cohort = ("cohort", tuple(f"a-{i % _WORKERS}" for i in range(40)))
     ops = [cohort, ("advance", 1.0),                 # 40 leases lapse
            ("results", [("held", 0)] * 10),          # 10 stragglers
@@ -573,7 +605,7 @@ def test_straggler_results_tombstone_their_requeued_copy():
     workers = [f"w-{i}" for i in range(n)]
     for pair in (new, old):
         b = pair.backend
-        replies = b.receive_request_cohort(workers, "i-1")
+        replies = b.receive_request_cohort(pair.nodes(workers), "i-1")
         assert [r.task_id for r in replies] == list(range(n))
         pair.sim.run(until=2.0)                     # every lease lapses
         assert b.requeues == n and b.pending_count == n
@@ -582,7 +614,7 @@ def test_straggler_results_tombstone_their_requeued_copy():
             b.receive_result(workers[tid], tid)
         odd = list(range(1, n // 2, 2))
         b.receive_result_cohort(
-            [workers[t] for t in odd],
+            pair.nodes([workers[t] for t in odd]),
             odd if pair is old else np.array(odd, np.int64))
         accepted = n // 2 + len(odd)
         assert b.completed_count == accepted and b.duplicates == 0
@@ -590,13 +622,34 @@ def test_straggler_results_tombstone_their_requeued_copy():
     assert _snapshot(new.backend) == _snapshot(old.backend)
     for pair in (new, old):
         b = pair.backend
-        replies = b.receive_request_cohort(workers, "i-1")
+        replies = b.receive_request_cohort(pair.nodes(workers), "i-1")
         served = [r.task_id for r in replies if type(r) is not NoWork]
         # exactly the tasks no straggler completed, in requeue order
         assert served == [t for t in range(n)
                           if t % 2 and t not in set(odd)]
         assert b.pending_count == 0
     assert _snapshot(new.backend) == _snapshot(old.backend)
+
+
+def test_requeue_labels_a_holder_that_left_its_router():
+    """A lease whose holder has left its router requeues under that
+    router's network: the columnar Backend labels a node by its row,
+    which the router registered, not by its live registration."""
+    cfg = {"seed": 0, "refs": [1.0] * 6, "networks": ("a", "b"),
+           "lease_factor": 0.01, "check_s": 0.5, "backoff": 1.0,
+           "jitter": 0.0, "replicate": False, "scheduling": "fifo"}
+    new, old = _Pair(Backend, cfg), _Pair(_DictBackend, cfg)
+    for pair in (new, old):
+        pair.apply(("cohort", ("b-3", "b-4")), [], [])
+        pair.apply(("scalar", "a-1"), [], [])
+    for pna in ("b-3", "b-4", "a-1"):
+        new.routers[pna[0]].unregister_pna(pna)
+        assert not new.routers[pna[0]].has_pna(pna)
+    for pair in (new, old):
+        pair.apply(("advance", 1.0), [], [])
+    assert new.backend.requeues_by_network == {"a": 1, "b": 2}
+    assert _snapshot(new.backend) == _snapshot(old.backend)
+    assert new.tracer.events() == old.tracer.events()
 
 
 def test_cohort_run_of_uniform_bag_builds_no_task(dve, monkeypatch):

@@ -173,6 +173,31 @@ def test_store_differential_fuzz_4000_ops(seed):
     assert _selfcheck(ops=4000, seed=seed) == 0
 
 
+def test_group_writes_on_a_range_match_an_index_array():
+    """``touch_group`` and ``mark_members`` take a group as a slice over
+    a contiguous run (``as_index``) and leave the columnar store in the
+    state the same rows as an index array give."""
+    from repro.net.link import as_index
+
+    def run(form):
+        interner = NodeInterner()
+        for k in range(40):
+            interner.intern(f"n{k}")
+        store = ColumnarCensusStore(interner, initial_capacity=8)
+        handle = store.bind_instance("i-1")
+        store.mark_member(handle, 12, 0.5)  # already a member
+        for now, (lo, hi) in enumerate(((10, 30), (5, 20), (25, 40)), 1):
+            rows = np.arange(lo, hi)
+            store.touch_group(form(rows), STATE_BUSY, "i-1", float(now))
+            store.mark_members(handle, form(rows), float(now))
+        store.validate()
+        return store.snapshot(), store.registry_size(), \
+            store.member_count(handle), store._member_of.tolist()
+
+    assert type(as_index(np.arange(10, 30))) is slice
+    assert run(as_index) == run(lambda rows: rows)
+
+
 def test_capacity_growth_preserves_state():
     interner = NodeInterner()
     store = ColumnarCensusStore(interner, initial_capacity=1)

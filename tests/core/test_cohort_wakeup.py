@@ -143,7 +143,8 @@ def _run(n, case):
         "columns": [np.frombuffer(column, column.typecode)[rows].tolist()
                     for column in (router.pna_state, router.pna_instance,
                                    router.pna_online)],
-        "slots": {iid: (list(e._pna_id), list(e._row))
+        "slots": {iid: (list(map(router.interner.id_of, e._row)),
+                        list(e._row))
                   for iid, e in engines.items()},
         "dves": [type(p.dve).__name__ for p in pnas],
         "hb": [p.heartbeat_interval_s for p in pnas],

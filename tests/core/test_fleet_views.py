@@ -15,13 +15,17 @@ import pytest
 
 from repro.certify.adversary import Adversary
 from repro.core import OddCISystem, PNAState
+from repro.core.census import NodeInterner
 from repro.core.pna import PNA, PNABlock
 from repro.workloads import uniform_bag
 
-#: tracemalloc bytes per node of ``add_pnas(20_000)``: 213 measured
-#: (the router's node columns and two link-table rows); 608 when every
-#: node was a PNA object with dict entries in the interner and cohort.
-BYTES_PER_NODE = 256
+#: tracemalloc bytes per node of ``add_pnas(20_000)``: 39 measured
+#: once the columns that stay zero grow on first use (the router's
+#: online, state and linked bytes, and two link-table rows of up, rate
+#: and latency); 213 when set-up wrote every node and link column, 608
+#: when every node was a PNA object with dict entries in the interner
+#: and cohort.
+BYTES_PER_NODE = 48
 
 
 @pytest.fixture
@@ -75,6 +79,37 @@ def test_untraced_cycle_builds_no_view(built, dve):
     assert system.controller.counters["heartbeats"] >= 4_000
     assert system.busy_count() == 2_000
     assert built == [] and block._views == {}
+
+
+def test_untraced_cycle_forms_no_node_id(built, dve, monkeypatch):
+    """An untraced 20,000-node cycle keys every node by its row: the
+    interner names no row, no member forms its id (not even for a
+    probability draw's stream), and the task engine holds no id
+    column."""
+    named = []
+    id_of = NodeInterner.id_of
+
+    def spy(interner, idx):
+        named.append(idx)
+        return id_of(interner, idx)
+
+    monkeypatch.setattr(NodeInterner, "id_of", spy)
+    system = OddCISystem(seed=4, maintenance_interval_s=20.0)
+    block = system.add_pnas(20_000, heartbeat_interval_s=10.0,
+                            dve_poll_interval_s=5.0)
+    with dve.cohort():
+        submission = system.provider.submit_job(
+            _bag(60_000), target_size=20_000, heartbeat_interval_s=10.0)
+        report = system.provider.run_job_to_completion(submission,
+                                                       limit_s=1e5)
+    assert report.n_tasks == 60_000 and report.distinct_workers == 20_000
+    (engine,) = system.router._task_engines.values()
+    assert engine.members_joined == 20_000
+    assert named == [] and built == [] and len(block) == 20_000
+    assert not any(name.startswith("pna:") for name in system.sim._rng_streams)
+    columns = [getattr(engine, name) for name in type(engine).__slots__]
+    assert not any(isinstance(value, str) for column in columns
+                   if isinstance(column, list) for value in column)
 
 
 def test_views_are_cached_and_stable(built):

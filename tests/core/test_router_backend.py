@@ -1,5 +1,6 @@
 """Unit tests for the Router and the Backend's scheduling logic."""
 
+import numpy as np
 import pytest
 
 from repro.core import Backend, Router, TaskRequest, TaskResultPayload
@@ -265,18 +266,21 @@ def test_request_cohort_assigns_in_scalar_order():
     def build():
         sim = Simulator(seed=1)
         job = uniform_bag(len(requesters) * rounds, ref_seconds=5.0)
-        return Backend(sim, job, Router(sim), lease_factor=2.0)
+        router = Router(sim)
+        router.interner.intern_block("pna-", 0, len(requesters))
+        return Backend(sim, job, router, lease_factor=2.0)
 
     def leases(backend):
         return {tid: (pna, lease) for tid, (_task, pna, _t, lease)
                 in backend._in_flight.items()}
 
+    rows = np.arange(len(requesters))  # the requesters' interned rows
     scalar = build()
-    scalar_ids = [scalar._serve_request(pna, "i-1").task_id
-                  for _ in range(rounds) for pna in requesters]
+    scalar_ids = [scalar._serve_request(row, "i-1").task_id
+                  for _ in range(rounds) for row in rows.tolist()]
     cohort = build()
     cohort_ids = [task.task_id for _ in range(rounds)
-                  for task in cohort.receive_request_cohort(requesters, "i-1")]
+                  for task in cohort.receive_request_cohort(rows, "i-1")]
     assert cohort_ids == scalar_ids
     assert leases(cohort) == leases(scalar)
     assert cohort.tasks_assigned == scalar.tasks_assigned == 192

@@ -332,7 +332,7 @@ def _replica_candidate_scan(backend, requester):
     """Full-scan oracle of ``Backend._pick_replica_candidate``: over the
     leased rows in assignment order, the first with the oldest
     assignment instant that has fewer than ``max_replicas`` copies and
-    none held by ``requester``."""
+    none held by ``requester`` (a node row)."""
     from repro.core.backend import _FLIGHT
 
     leased = np.flatnonzero(backend._state == _FLIGHT)
@@ -368,13 +368,13 @@ def test_replica_candidate_heap_matches_scan():
         for step in range(60):
             sim.run(until=sim.now + r.uniform(0.1, 5.0))
             requester = r.choice(workers)
-            expected = _replica_candidate_scan(backend, requester)
-            got = backend._pick_replica_candidate(requester)
+            node = router.interner.intern(requester)
+            expected = _replica_candidate_scan(backend, node)
+            got = backend._pick_replica_candidate(node)
             assert got == expected, f"trial {trial} step {step}"
             # Drive the real state machine so the index sees pops,
             # requeues and completions.
-            reply = backend._serve_request(requester,
-                                           instance_id="i-parity")
+            reply = backend._serve_request(node, instance_id="i-parity")
             if hasattr(reply, "task_id") and r.random() < 0.6:
                 backend.receive_result(requester, reply.task_id)
         backend.shutdown()

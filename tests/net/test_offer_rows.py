@@ -5,8 +5,11 @@ rows through :func:`offer_rows` / :func:`count_deliveries`, the other
 calls ``Link.offer`` / ``Link.count_delivery`` on the same rows in the
 same order.  Every observable must be bit-identical: delivery times,
 serializer state, counters, RNG stream positions and the order of the
-``net.dropped`` trace events.  The column helpers those kernels rest
-on, ``column_view`` and ``all_distinct``, have their cases at the end.
+``net.dropped`` trace events.  The kernels take the rows as an index
+array or, through ``as_index``, as a slice over a contiguous ascending
+run; both forms are checked.  The column helpers those kernels rest
+on, ``column_view``, ``all_distinct`` and ``as_index``, have their
+cases at the end.
 """
 
 import math
@@ -17,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.link import (Link, LinkTable, all_distinct, column_view,
-                            count_deliveries, offer_rows)
+from repro.net.link import (Link, LinkTable, all_distinct, as_index,
+                            column_view, count_deliveries, offer_rows)
 from repro.sim import Simulator
 from repro.telemetry.trace import Tracer, active
 
@@ -79,15 +82,18 @@ def _same(batch, scalar):
             assert got == want  # bit-identical, not approximately
 
 
-def _check(specs, rows, sizes, seed, now, distinct):
+def _check(specs, rows, sizes, seed, now, distinct, index=False):
+    """``index``: hand the kernels ``as_index`` of the rows."""
     rows = np.array(rows, dtype=np.int64)
     size_arg = np.array(sizes) if sizes is not None else SIZES[1]
+    form = as_index if index else (lambda r: r)
 
     batch_tracer = Tracer(("net",))
     with active(batch_tracer):
         sim, table, links = _universe(specs, seed, now)
-        got = offer_rows(table, rows, size_arg, sim.now, distinct=distinct)
-        count_deliveries(table, rows[~np.isnan(got)])
+        got = offer_rows(table, form(rows), size_arg, sim.now,
+                         distinct=distinct)
+        count_deliveries(table, form(rows[~np.isnan(got)]))
     batch = _observe(sim, table, links, batch_tracer)
 
     scalar_tracer = Tracer(("net",))
@@ -134,6 +140,29 @@ def test_offer_rows_equals_sequential_offer_on_distinct_rows(case):
     _check(specs, rows, sizes, seed, now, distinct=True)
 
 
+@pytest.mark.parametrize("rows, down, lossy", [
+    ([0, 1, 2, 3, 4, 5], (), ()),          # ascending, the whole table
+    ([2, 3, 4], (), ()),                   # ascending, inside it
+    ([1, 2, 3, 4], (3,), ()),              # a range holding a down row
+    ([0, 1, 2, 3, 4, 5], (), (2, 4)),      # ... and lossy rows
+    ([0, 2, 1, 3], (), (1, 2)),            # a range's endpoints, permuted
+    ([5, 4, 3, 2], (), (3,)),              # descending
+    ([4], (), ()),                         # one row
+])
+def test_offer_rows_on_a_row_index(rows, down, lossy):
+    """The kernels on ``as_index`` of the rows ≡ sequential
+    ``Link.offer`` and ``count_delivery``: a slice exactly when the rows
+    are a contiguous ascending run."""
+    specs = [(1e6 if r % 2 else 1.5e5, 0.01, 0.3 if r in lossy else 0.0,
+              r not in down, r % 3) for r in range(6)]
+    ranged = rows == list(range(rows[0], rows[0] + len(rows)))
+    assert (type(as_index(np.array(rows))) is slice) is ranged
+    for sizes in (None, [SIZES[k % 4] for k in range(len(rows))]):
+        for seed in range(4):
+            _check(specs, rows, sizes, seed, 0.004, distinct=True,
+                   index=True)
+
+
 def test_scalar_link_state_reads_are_python_floats():
     sim = Simulator(seed=1)
     link = Link(sim, 1e6, 0.01)
@@ -151,7 +180,7 @@ def test_int64_column_view_counts_repeated_deliveries():
     rows = np.array([3, 0, 3, 3, 5, 0, 1], dtype=np.int64)
     table = LinkTable()
     table.reserve(6)
-    table.delivered[2] = 7
+    table.grown().delivered[2] = 7
     count_deliveries(table, rows)
     want = [0, 0, 7, 0, 0, 0]
     for row in rows.tolist():
@@ -173,3 +202,20 @@ def test_int64_column_view_counts_repeated_deliveries():
 ])
 def test_all_distinct(values, distinct):
     assert all_distinct(np.array(values, dtype=np.int64)) is distinct
+
+
+@pytest.mark.parametrize("values, index", [
+    ([], []),
+    ([4], slice(4, 5)),
+    ([3, 4, 5], slice(3, 6)),
+    ([3, 5, 6], [3, 5, 6]),      # ascending, not contiguous
+    ([0, 2, 1, 3], [0, 2, 1, 3]),  # a range's endpoints, permuted
+    ([5, 4, 3], [5, 4, 3]),      # descending
+    ([3, 3, 4], [3, 3, 4]),      # a repeat
+])
+def test_as_index(values, index):
+    got = as_index(np.array(values, dtype=np.int64))
+    if type(index) is slice:
+        assert got == index
+    else:
+        assert got.tolist() == index

@@ -149,6 +149,6 @@ def test_churning_channels_certify_a_bag():
     assert certifier.copies_issued >= 72
     assert certifier.escaped_errors == 0
     # Workers came from every channel.
-    workers = submission.backend._workers
+    workers = submission.backend.workers
     assert {system.services.index(stb.service) for stb in system.boxes
             if stb.stb_id in workers} == {0, 1, 2}
