@@ -50,7 +50,6 @@ HOT_MODULES = (
     "core/backend.py",
     "core/network.py",
     "core/controller.py",
-    "core/dve.py",
     "core/taskloop.py",
     "sim/core.py",
     "sim/wheel.py",

@@ -10,8 +10,8 @@ substrate it runs on:
 * :mod:`repro.carousel` — DSM-CC object carousel.
 * :mod:`repro.dtv` — transport stream, AIT, Xlets, set-top boxes.
 * :mod:`repro.core` — the OddCI architecture: Provider, Controller,
-  Backend, PNA, DVE (:class:`repro.core.OddCISystem` wires a generic
-  deployment).
+  Backend, PNA and its DVE, a slot of the job's task engine
+  (:class:`repro.core.OddCISystem` wires a generic deployment).
 * :mod:`repro.dtv_oddci` — OddCI-DTV: the PNA as an AUTOSTART Xlet
   (:class:`repro.dtv_oddci.OddCIDTVSystem`).
 * :mod:`repro.vector` — array-based tier for millions of nodes.

@@ -32,12 +32,6 @@ from repro.analysis.stats import (
     relative_error,
 )
 from repro.analysis.sweep import grid_points
-from repro.analysis.validation import (
-    SeriesComparison,
-    compare_series,
-    crossing_point,
-    is_monotone,
-)
 
 __all__ = [
     "OddCIParameters",
@@ -53,10 +47,6 @@ __all__ = [
     "ratio_with_error",
     "relative_error",
     "grid_points",
-    "SeriesComparison",
-    "compare_series",
-    "is_monotone",
-    "crossing_point",
     "render_table",
     "render_records",
     "render_series",

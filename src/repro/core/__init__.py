@@ -3,10 +3,10 @@
 Components (paper Section 3): :class:`~repro.core.provider.Provider`,
 :class:`~repro.core.controller.Controller`,
 :class:`~repro.core.backend.Backend` and the per-node
-:class:`~repro.core.pna.PNA` with its
-:class:`~repro.core.dve.DVE` sandbox, exchanging wakeup / reset /
-heartbeat control messages over a broadcast control plane and direct
-channels.  :class:`~repro.core.system.OddCISystem` wires a complete
+:class:`~repro.core.pna.PNA`, whose DVE sandbox is a slot of the job's
+:class:`~repro.core.taskloop.CohortTaskEngine`, exchanging wakeup /
+reset / heartbeat control messages over a broadcast control plane and
+direct channels.  :class:`~repro.core.system.OddCISystem` wires a complete
 generic deployment.
 """
 
@@ -22,7 +22,6 @@ from repro.core.census import (
     NodeInterner,
 )
 from repro.core.controller import Controller, ControlPlane, DirectControlPlane
-from repro.core.dve import CONTROL_PAYLOAD_BITS, DVE
 from repro.core.federation import (
     ControllerShard,
     FederatedOddCISystem,
@@ -38,6 +37,7 @@ from repro.core.instance import (
     new_instance_id,
 )
 from repro.core.messages import (
+    CONTROL_PAYLOAD_BITS,
     HeartbeatPayload,
     HeartbeatReply,
     NoWork,
@@ -85,7 +85,6 @@ __all__ = [
     "NodeInterner",
     "CensusStore",
     "ColumnarCensusStore",
-    "DVE",
     "CONTROL_PAYLOAD_BITS",
     "PNA",
     "Backend",

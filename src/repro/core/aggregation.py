@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import OddCIError
-from repro.core.dve import CONTROL_PAYLOAD_BITS
-from repro.core.messages import HeartbeatPayload, HeartbeatReply, PNAState
+from repro.core.messages import (CONTROL_PAYLOAD_BITS, HeartbeatPayload,
+                                 HeartbeatReply, PNAState)
 from repro.core.network import Router
 from repro.net.link import DuplexChannel
 from repro.net.message import Message, bits_from_bytes

@@ -31,8 +31,8 @@ from typing import Deque, Dict, List, Optional, Sequence, Union
 import numpy as _np
 
 from repro.errors import BackendError, QuarantinedNodeError
-from repro.core.dve import CONTROL_PAYLOAD_BITS
 from repro.core.messages import (
+    CONTROL_PAYLOAD_BITS,
     NoWork,
     TaskAssignment,
     TaskRequest,
@@ -108,7 +108,6 @@ class Backend:
         lease_backoff_jitter: float = 0.0,
         replicate_tail: bool = False,
         max_replicas: int = 2,
-        scheduling: str = "fifo",
         certify_policy=None,
     ) -> None:
         if lease_factor is not None and lease_factor <= 0:
@@ -123,10 +122,6 @@ class Backend:
             raise BackendError("lease_backoff_jitter must be >= 0")
         if max_replicas < 2:
             raise BackendError("max_replicas must be >= 2 (primary + 1)")
-        if scheduling not in ("fifo", "lpt", "spt"):
-            raise BackendError(
-                f"scheduling must be 'fifo', 'lpt' or 'spt', "
-                f"got {scheduling!r}")
         self.sim = sim
         self.job = job
         # Multi-router task routing (federation): a list/tuple of shard
@@ -176,7 +171,6 @@ class Backend:
 
         self.replicate_tail = replicate_tail
         self.max_replicas = int(max_replicas)
-        self.scheduling = scheduling
         #: result certification (DESIGN.md §15): a CertifyPolicy builds
         #: a ResultCertifier that takes over dispatch/result handling —
         #: redundant copies, quorum voting, probes, quarantine.  ``None``
@@ -193,15 +187,12 @@ class Backend:
             self.certifier = None
 
         self.submitted_at = sim.now
-        # Bag state, one row per task.  The pending queue is the dispatch
-        # order — FIFO (submission order), LPT (longest processing time
-        # first) or SPT (shortest first) — from a head cursor, then the
-        # re-queued rows; entries whose row completed meanwhile (a
-        # straggler's result) are skipped when popped.
+        # Bag state, one row per task.  The pending queue is the rows in
+        # submission order from a head cursor, then the re-queued rows;
+        # entries whose row completed meanwhile (a straggler's result)
+        # are skipped when popped.
         self._tasks = tasks = job.tasks
-        n, ref = len(tasks), tasks.ref_seconds
-        self._ring = _np.arange(n) if scheduling == "fifo" else _np.argsort(
-            -ref if scheduling == "lpt" else ref, kind="stable")
+        self._n = n = len(tasks)
         self._head = 0
         self._requeued: Deque[int] = deque()
         self._n_pending = n
@@ -479,7 +470,7 @@ class Backend:
                 or (self._attempts and (self.lease_backoff_base != 1.0
                                         or self.lease_backoff_jitter != 0.0))
                 or self._n_pending < k
-                or self._n_pending != len(self._ring) - self._head
+                or self._n_pending != self._n - self._head
                 + len(self._requeued)):
             # replicas, certified copies, per-attempt leases, a bag
             # short of the cohort, or a tombstone in the queue: one
@@ -489,7 +480,7 @@ class Backend:
         self._mark_workers(rows)
         now = self.sim.now
         head = self._head
-        served = self._ring[head:head + k]
+        served = _np.arange(head, min(head + k, self._n))
         self._head = head + len(served)
         if len(served) < k:
             requeued = self._requeued.popleft
@@ -680,8 +671,8 @@ class Backend:
         """Pop the next queued row (skipping tombstones), or ``None``."""
         state = self._state
         while True:
-            if self._head < len(self._ring):
-                row = int(self._ring[self._head])
+            if self._head < self._n:
+                row = self._head
                 self._head += 1
             elif self._requeued:
                 row = self._requeued.popleft()

@@ -55,7 +55,6 @@ from repro.core.census import (
     ColumnarCensusStore,
     RegistryView,
 )
-from repro.core.dve import CONTROL_PAYLOAD_BITS
 from repro.core.instance import (
     InstanceRecord,
     InstanceSpec,
@@ -63,6 +62,7 @@ from repro.core.instance import (
     new_instance_id,
 )
 from repro.core.messages import (
+    CONTROL_PAYLOAD_BITS,
     HeartbeatPayload,
     HeartbeatReply,
     PNAState,

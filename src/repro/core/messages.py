@@ -25,6 +25,7 @@ from repro.errors import OddCIError
 from repro.net import crypto
 
 __all__ = [
+    "CONTROL_PAYLOAD_BITS",
     "PNAState",
     "WakeupPayload",
     "ResetPayload",
@@ -40,6 +41,10 @@ __all__ = [
 ]
 
 import enum
+
+#: Wire size of small protocol payloads (requests, acks, resets): 64
+#: bytes.
+CONTROL_PAYLOAD_BITS = 64 * 8
 
 
 class PNAState(enum.Enum):

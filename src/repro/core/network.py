@@ -287,13 +287,13 @@ class Router:
     def register_task_server(self, component_id: str, server: Any) -> None:
         """Advertise ``server`` (a Backend) as cohort-dispatch capable.
 
-        PNAs woken for this component id may then join a shared
-        :class:`~repro.core.taskloop.CohortTaskEngine` instead of
-        running per-node DVE processes.  Unlike component registration
-        this survives :meth:`unregister_component` (a crashed Backend
-        keeps owning its id — in-flight cohort traffic goes
-        undeliverable exactly like the wire path); only
-        :meth:`unregister_task_server` removes it.
+        PNAs woken for this component id join a shared
+        :class:`~repro.core.taskloop.CohortTaskEngine`; a wakeup for an
+        id with no task server starts no client loop.  Unlike
+        component registration this survives
+        :meth:`unregister_component` (a crashed Backend keeps owning its
+        id — in-flight cohort traffic goes undeliverable exactly like
+        the wire path); only :meth:`unregister_task_server` removes it.
         """
         self._task_servers[component_id] = server
 

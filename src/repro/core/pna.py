@@ -3,9 +3,9 @@
 The PNA (paper Section 3.2, Figure 2) listens to the broadcast channel,
 verifies that control messages come from its associated Controller,
 keeps an idle/busy state, probabilistically accepts wakeups whose
-requirements it satisfies, runs the staged image inside a
-:class:`~repro.core.dve.DVE`, answers resets, and sends periodic
-heartbeats over its direct channel.
+requirements it satisfies, runs the staged image inside a DVE (a
+:class:`~repro.core.taskloop.CohortDVE` slot of the job's task engine),
+answers resets, and sends periodic heartbeats over its direct channel.
 
 This class is substrate-agnostic; the DTV binding wraps it in an Xlet
 (:mod:`repro.dtv_oddci`), the generic binding builds fleets in bulk as
@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.errors import OddCIError
 from repro.core.census import CODE_STATE, STATE_BUSY, STATE_CODE
-from repro.core.dve import CONTROL_PAYLOAD_BITS, DVE
 from repro.core.messages import (
+    CONTROL_PAYLOAD_BITS,
     HeartbeatReply,
     PNAState,
     ResetPayload,
@@ -305,8 +305,8 @@ class PNA:
 
     @property
     def dve(self) -> Any:
-        """The client loop (:class:`DVE`, :class:`CohortDVE`) or ``None``;
-        a member recruited in bulk gets its facade on first access."""
+        """The client loop (:class:`CohortDVE`) or ``None``; a member
+        recruited in bulk gets its facade on first access."""
         dve = self._dve
         if type(dve) is CohortTaskEngine:
             slot = self.router.grown(self.router.dve_slot)[self.census_idx]
@@ -427,18 +427,10 @@ class PNA:
             return
         engine = engine_for(self.router, wakeup.backend_id,
                             wakeup.instance_id)
-        if engine is not None:
+        if engine is not None:  # else no task server: no client loop
             self.dve = CohortDVE(engine, self, wakeup.instance_id,
                                  wakeup.backend_id,
                                  poll_interval_s=self.dve_poll_interval_s)
-            return
-        # Per-PNA reference path: the fallback when no cohort-capable
-        # Backend is registered under this id (test doubles, custom
-        # components keep exact per-node semantics), and the
-        # differential oracle tests select by patching ``engine_for``.
-        self.dve = DVE(self.sim, self, wakeup.instance_id,
-                       wakeup.backend_id,
-                       poll_interval_s=self.dve_poll_interval_s)
 
     def _handle_reset(self, reset: ResetPayload) -> None:
         if self.state is PNAState.IDLE:
@@ -708,9 +700,7 @@ class PNABlock(Sequence):
             router.instance_code(wakeup.instance_id)
         engine = engine_for(router, wakeup.backend_id, wakeup.instance_id)
         if engine is None:
-            for row in (members + lo).tolist():
-                self.view(row)._start_dve(wakeup)
-            return
+            return  # no task server: the members start no client loop
         first = engine.join_many(
             members + lo, self.executor,
             max(4.0 * self.dve_poll_interval_s, 60.0))

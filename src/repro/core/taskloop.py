@@ -1,9 +1,11 @@
 """Macro-PNA task engine — cohort-vectorised DVE client loops.
 
-The per-PNA :class:`~repro.core.dve.DVE` runs one generator frame per
-node: every poll costs a process resume, an event allocation and two
+A woken PNA's DVE runs the voluntary-computing client loop of the
+staged image (paper Section 3.2): request a task from the Backend,
+compute it, ship the result back, repeat.  One generator frame per node
+would cost every poll a process resume, an event allocation and two
 calendar entries, which caps the event tier near 10^5 nodes.  This
-module collapses the same protocol into a **cohort engine**: one engine
+module runs the protocol as a **cohort engine**: one engine
 per (backend, instance) holds every member's in-flight state in
 columnar arrays (struct-of-arrays, mirroring
 :class:`~repro.core.census.ColumnarCensusStore`) and drives all members
@@ -30,12 +32,13 @@ per-PNA reference semantics —
   urgent completion callbacks (auto-release) interleave exactly as they
   do between the reference path's per-member deliveries.
 
-The per-PNA :class:`~repro.core.dve.DVE` stays as the differential
-oracle.  :class:`~repro.core.pna.PNA` falls back to it whenever
-:func:`engine_for` returns ``None``; tests reach it by patching
-``repro.core.pna.engine_for`` (the ``--per-pna-oracle`` pytest option
-does so for a whole run), the way they hand the Controller the dict
-census store of ``tests/core/dict_census.py``.
+A wakeup naming a backend id with no registered task server (the bare
+capacity of ``Provider.request_instance*`` and the serve tier) starts
+no client loop: :func:`engine_for` returns ``None`` and the node holds
+its slot and keeps heartbeating.  The per-PNA generator loop is the
+differential oracle, kept in ``tests/core/per_pna_dve.py`` and selected
+by patching names in :mod:`repro.core.pna`, the way tests hand the
+Controller the dict census store of ``tests/core/dict_census.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 import numpy as _np
 
 from repro.errors import OddCIError
-from repro.core.messages import NoWork, TaskAssignment
+from repro.core.messages import CONTROL_PAYLOAD_BITS, NoWork, TaskAssignment
 from repro.net.link import (all_distinct, as_index, column_view,
                             count_deliveries, offer_rows)
 from repro.net.message import DEFAULT_HEADER_BITS
@@ -61,11 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CohortTaskEngine", "CohortDVE", "engine_for",
            "identity_executor"]
-
-#: Wire size of small protocol payloads — kept in sync with
-#: :data:`repro.core.dve.CONTROL_PAYLOAD_BITS` (not imported to avoid a
-#: module cycle; guarded by a unit test).
-CONTROL_PAYLOAD_BITS = 64 * 8
 
 #: Wire size of a task request, a NoWork reply and an ack-less result
 #: header: the control payload plus the message header.
@@ -145,9 +143,9 @@ def engine_for(router: "Router", backend_id: str,
                instance_id: str) -> Optional["CohortTaskEngine"]:
     """Get or create the engine for ``(backend, instance)``.
 
-    Returns ``None`` when no cohort-capable Backend is registered under
-    ``backend_id`` — the caller then falls back to the per-PNA path
-    (test doubles and custom components keep their exact semantics).
+    Returns ``None`` when no task server is registered under
+    ``backend_id``: bare capacity, or a Backend after ``shutdown()``.
+    The caller then starts no client loop.
     """
     backend = router._task_servers.get(backend_id)
     if backend is None:
@@ -804,8 +802,8 @@ def identity_executor(ref_seconds: float) -> float:
 
 
 class CohortDVE:
-    """DVE facade over one engine slot — same surface as
-    :class:`~repro.core.dve.DVE`, no generator frame."""
+    """A PNA's DVE: a facade over one engine slot, no generator
+    frame."""
 
     __slots__ = ("sim", "pna", "instance_id", "backend_id",
                  "poll_interval_s", "request_timeout_s", "destroyed",

@@ -30,9 +30,8 @@ Reported per point:
 
 Everything rides the deterministic seeding contract, so the sweep is
 ``--jobs`` byte-identical like every other scenario, on both task
-paths: the cohort engine, and the per-PNA DVE reference that tests
-select by patching ``repro.core.pna.engine_for``
-(tests/certify/test_sabotage_e2e.py).
+paths: the cohort engine, and the per-PNA DVE oracle that tests
+select (tests/certify/test_sabotage_e2e.py).
 """
 
 from __future__ import annotations

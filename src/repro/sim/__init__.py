@@ -6,7 +6,6 @@ Public surface:
 * :class:`~repro.sim.core.Event` — triggerable one-shot events.
 * :class:`~repro.sim.process.Process` / :class:`~repro.sim.process.Interrupt`
   — generator-based processes.
-* :class:`~repro.sim.resources.Resource` / ``Store`` / ``Container``.
 * :class:`~repro.sim.wheel.TimerWheel` — shared slotted periodic timers.
 * Monitors: ``TimeSeries``, ``Tally``, ``Counter``.
 """
@@ -21,7 +20,6 @@ from repro.sim.core import (
 )
 from repro.sim.monitor import Counter, Tally, TimeSeries, summary
 from repro.sim.process import Interrupt, Process
-from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import derive_generator, derive_seed
 from repro.sim.wheel import TimerWheel
 
@@ -32,9 +30,6 @@ __all__ = [
     "EventHandle",
     "Process",
     "Interrupt",
-    "Resource",
-    "Store",
-    "Container",
     "TimeSeries",
     "Tally",
     "Counter",

@@ -22,15 +22,6 @@ from repro.workloads.blast import (
     search_both_strands,
     smith_waterman,
 )
-from repro.workloads.blast_stats import (
-    KarlinAltschulParams,
-    bit_score,
-    compute_lambda,
-    evalue,
-    filter_significant,
-    karlin_altschul,
-    significant,
-)
 from repro.workloads.bot import (
     bag_from_phi,
     lognormal_bag,
@@ -81,13 +72,6 @@ __all__ = [
     "search",
     "search_both_strands",
     "smith_waterman",
-    "KarlinAltschulParams",
-    "compute_lambda",
-    "karlin_altschul",
-    "evalue",
-    "bit_score",
-    "significant",
-    "filter_significant",
     "REF_PC_OPS_PER_SECOND",
     "DNA_ALPHABET",
     "encode",

@@ -5,14 +5,13 @@ registered scenario through the parallel runner at smoke scale — a
 minutes-long sweep kept out of the default run; opt in with
 ``pytest --run-experiments`` (or ``make experiments``).
 
-The per-PNA :class:`~repro.core.dve.DVE` is the differential oracle of
-the cohort task engine.  A PNA falls back to it when
-``repro.core.pna.engine_for`` returns ``None``, so tests select it by
-patching that name: the ``dve`` fixture pins either path inside a test,
-and ``pytest --per-pna-oracle`` runs the whole session on the oracle.
-The runner's worker processes fork from the patched interpreter (the
-default start method on Linux up to Python 3.13) and inherit the
-choice.
+The per-PNA DVE of ``tests/core/per_pna_dve.py`` is the differential
+oracle of the cohort task engine.  Tests select it by patching the
+names of its ``ORACLE`` into :mod:`repro.core.pna`: the ``dve`` fixture
+pins either path inside a test, and ``pytest --per-pna-oracle`` runs
+the whole session on the oracle.  The runner's worker processes fork
+from the patched interpreter (the default start method on Linux up to
+Python 3.13) and inherit the choice.
 """
 
 import contextlib
@@ -21,7 +20,10 @@ import types
 import pytest
 
 import repro.core.pna as pna_module
-from repro.core.taskloop import engine_for as cohort_engine_for
+from tests.core.per_pna_dve import ORACLE
+
+#: the program's values of the names the oracle replaces
+COHORT = {name: getattr(pna_module, name) for name in ORACLE}
 
 
 def pytest_addoption(parser):
@@ -47,14 +49,11 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-def _no_cohort_engine(router, backend_id, instance_id):
-    return None
-
-
 @contextlib.contextmanager
-def _task_path(engine_for):
+def _task_path(names):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pna_module, "engine_for", engine_for)
+        for name, value in names.items():
+            mp.setattr(pna_module, name, value)
         yield
 
 
@@ -63,7 +62,7 @@ def _per_pna_oracle_session(request):
     if not request.config.getoption("--per-pna-oracle"):
         yield
         return
-    with _task_path(_no_cohort_engine):
+    with _task_path(ORACLE):
         yield
 
 
@@ -72,6 +71,5 @@ def dve():
     """Pin a PNA task path for PNAs started inside a ``with`` block:
     ``with dve.per_pna():`` selects the per-PNA DVE oracle, ``with
     dve.cohort():`` the cohort engine (also under --per-pna-oracle)."""
-    return types.SimpleNamespace(
-        per_pna=lambda: _task_path(_no_cohort_engine),
-        cohort=lambda: _task_path(cohort_engine_for))
+    return types.SimpleNamespace(per_pna=lambda: _task_path(ORACLE),
+                                 cohort=lambda: _task_path(COHORT))

@@ -1,22 +1,30 @@
-"""Disposable Virtual Environment — the PNA-side execution sandbox.
+"""The per-PNA DVE: the cohort task engine's differential oracle.
 
 When a PNA accepts a wakeup it "creates a DVE for loading and executing
-the user's application" (paper Section 3.2).  Our DVE runs the
-voluntary-computing-style client loop of the staged image: request a
-task from the Backend, fetch its input over the direct channel, compute
-it on the local device, ship the result back, repeat — until the bag is
-dry or the DVE is destroyed by a reset.
+the user's application" (paper Section 3.2).  :class:`DVE` runs that
+voluntary-computing client loop as one generator process per node:
+request a task from the Backend, compute it on the local device, ship
+the result back, repeat — until the bag is dry or a reset destroys it.
+Once destroyed it never issues another message or computation, and a
+fresh wakeup gets a fresh DVE.
 
-The DVE enforces disposal semantics: once destroyed it never issues
-another message or computation, and a fresh wakeup gets a fresh DVE.
+The program runs the same protocol on
+:class:`~repro.core.taskloop.CohortTaskEngine`.  Tests select this
+oracle by patching the names of :data:`ORACLE` into
+:mod:`repro.core.pna` (``tests/conftest.py``): :func:`engine_for` hands
+each woken PNA a :class:`PerPnaEngine` slot holding its own DVE, and a
+fleet block delivers member by member.  As in the program, a backend id
+with no registered task server starts no client loop.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+import math
+from typing import List, Optional
 
 from repro.errors import OddCIError
 from repro.core.messages import (
+    CONTROL_PAYLOAD_BITS,
     NoWork,
     TaskAssignment,
     TaskRequest,
@@ -26,14 +34,6 @@ from repro.core.network import Router
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt, Process
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.pna import PNA
-
-__all__ = ["DVE", "CONTROL_PAYLOAD_BITS"]
-
-#: Wire size of small protocol payloads (requests, acks): 64 bytes.
-CONTROL_PAYLOAD_BITS = 64 * 8
-
 
 class DVE:
     """One disposable execution environment bound to an instance."""
@@ -41,7 +41,7 @@ class DVE:
     def __init__(
         self,
         sim: Simulator,
-        pna: "PNA",
+        pna,
         instance_id: str,
         backend_id: str,
         *,
@@ -153,3 +153,49 @@ class DVE:
                 self.tasks_completed += 1
         except Interrupt:
             return self.tasks_completed
+
+
+class PerPnaEngine:
+    """What :class:`~repro.core.taskloop.CohortDVE` needs of an engine,
+    with one :class:`DVE` per slot."""
+
+    def __init__(self, router: Router, backend_id: str,
+                 instance_id: str) -> None:
+        self.sim = router.sim
+        self.backend_id = backend_id
+        self.instance_id = instance_id
+        self.dves: List[DVE] = []
+
+    def join(self, pna, request_timeout_s: float) -> int:
+        self.dves.append(DVE(self.sim, pna, self.instance_id,
+                             self.backend_id,
+                             poll_interval_s=pna.dve_poll_interval_s,
+                             request_timeout_s=request_timeout_s))
+        return len(self.dves) - 1
+
+    @property
+    def _completed(self) -> List[int]:
+        return [dve.tasks_completed for dve in self.dves]
+
+    @property
+    def _retrans(self) -> List[int]:
+        return [dve.retransmissions for dve in self.dves]
+
+    def inject_reply(self, slot: int, payload) -> None:
+        self.dves[slot].on_backend_message(payload)
+
+    def destroy(self, slot: int) -> None:
+        self.dves[slot].destroy()
+
+
+def engine_for(router: Router, backend_id: str,
+               instance_id: str) -> Optional[PerPnaEngine]:
+    """:func:`repro.core.taskloop.engine_for` on the oracle path."""
+    if backend_id not in router._task_servers:
+        return None  # no task server: no client loop
+    return PerPnaEngine(router, backend_id, instance_id)
+
+
+#: The :mod:`repro.core.pna` names that select the oracle: its engine,
+#: and no block large enough for the column wakeup.
+ORACLE = {"engine_for": engine_for, "_BULK_MIN": math.inf}

@@ -48,13 +48,7 @@ class _DictBackend(Backend):
         self._workers = self.workers = set()
         #: pna_id -> network label, filled in by the harness
         self._net_of_pna: Dict[str, str] = {}
-        scheduling = kw.get("scheduling", "fifo")
-        tasks = list(job.tasks)
-        if scheduling == "lpt":
-            tasks.sort(key=lambda t: -t.ref_seconds)
-        elif scheduling == "spt":
-            tasks.sort(key=lambda t: t.ref_seconds)
-        self._pending: Deque[Task] = deque(tasks)
+        self._pending: Deque[Task] = deque(job.tasks)
         self._in_flight: Dict[int, tuple] = {}
         self._completed: Dict[int, float] = {}
         self._holders: Dict[int, set] = {}
@@ -331,7 +325,7 @@ def _pending_ids(backend) -> list:
     """The pending queue's task ids in dispatch order."""
     if isinstance(backend, _DictBackend):
         return [t.task_id for t in backend._pending]
-    rows = list(backend._ring[backend._head:]) + list(backend._requeued)
+    rows = list(range(backend._head, backend._n)) + list(backend._requeued)
     return [int(backend._tasks.task_id[r]) for r in rows
             if backend._state[r] == _PENDING]
 
@@ -393,8 +387,7 @@ class _Pair:
                 lease_check_interval_s=cfg["check_s"],
                 lease_backoff_base=cfg["backoff"],
                 lease_backoff_jitter=cfg["jitter"],
-                replicate_tail=cfg["replicate"],
-                scheduling=cfg["scheduling"])
+                replicate_tail=cfg["replicate"])
         if networks and cls is _DictBackend:
             # node -> shard labels, as the routers resolve them
             for net in networks:
@@ -492,7 +485,6 @@ def _scenario(draw):
         "backoff": draw(st.sampled_from((1.0, 2.0))),
         "jitter": draw(st.sampled_from((0.0, 0.25))),
         "replicate": draw(st.booleans()),
-        "scheduling": draw(st.sampled_from(("fifo", "lpt", "spt"))),
     }
     nets = cfg["networks"] or ("w",)
     worker = st.builds(lambda net, i: f"{net}-{i}", st.sampled_from(nets),
@@ -549,8 +541,8 @@ def test_columnar_backend_matches_dict_bookkeeping(scenario):
     ``report()`` and traces of the columnar Backend equal the dict/tuple
     bookkeeping's under cohorts above and below 32, scalar requests,
     first-copy, duplicate, straggler and unknown results, lease expiry
-    with backoff and jitter, crash/restore, LPT/SPT, tail replication
-    and federated per-network counts."""
+    with backoff and jitter, crash/restore, tail replication and
+    federated per-network counts."""
     cfg, ops = scenario
     _run_differential(cfg, ops)
 
@@ -563,7 +555,7 @@ def test_differential_reaches_every_path(monkeypatch):
     n = 80
     cfg = {"seed": 0, "refs": [1.0] * n, "networks": ("a", "b"),
            "lease_factor": 0.01, "check_s": 0.5, "backoff": 1.0,
-           "jitter": 0.0, "replicate": False, "scheduling": "fifo"}
+           "jitter": 0.0, "replicate": False}
     # results the columnar Backend takes one by one (the dict oracle
     # overrides receive_result, so only the columnar calls land here)
     one_by_one = []
@@ -600,7 +592,7 @@ def test_straggler_results_tombstone_their_requeued_copy():
     n = 2_000
     cfg = {"seed": 1, "refs": [1.0] * n, "networks": None,
            "lease_factor": 0.01, "check_s": 1.0, "backoff": 1.0,
-           "jitter": 0.0, "replicate": False, "scheduling": "fifo"}
+           "jitter": 0.0, "replicate": False}
     new, old = _Pair(Backend, cfg), _Pair(_DictBackend, cfg)
     workers = [f"w-{i}" for i in range(n)]
     for pair in (new, old):
@@ -637,7 +629,7 @@ def test_requeue_labels_a_holder_that_left_its_router():
     which the router registered, not by its live registration."""
     cfg = {"seed": 0, "refs": [1.0] * 6, "networks": ("a", "b"),
            "lease_factor": 0.01, "check_s": 0.5, "backoff": 1.0,
-           "jitter": 0.0, "replicate": False, "scheduling": "fifo"}
+           "jitter": 0.0, "replicate": False}
     new, old = _Pair(Backend, cfg), _Pair(_DictBackend, cfg)
     for pair in (new, old):
         pair.apply(("cohort", ("b-3", "b-4")), [], [])

@@ -179,7 +179,9 @@ def _column_pass_expected(n, case):
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("n", SIZES)
-def test_cohort_wakeup_matches_per_pna(n, case, monkeypatch):
+def test_cohort_wakeup_matches_per_pna(n, case, monkeypatch, dve):
+    """On the cohort task path, the only one with a column wakeup (the
+    per-PNA DVE oracle delivers member by member)."""
     passes = []
     wakeup = PNABlock._wakeup
 
@@ -187,11 +189,11 @@ def test_cohort_wakeup_matches_per_pna(n, case, monkeypatch):
         passes.append(len(block.pnas))
         wakeup(block, payload, signature)
 
-    with monkeypatch.context() as mp:
+    with monkeypatch.context() as mp, dve.cohort():
         mp.setattr(PNABlock, "_wakeup", spy)
         cohort, cohort_trace = _traced_run(n, case)
     assert bool(passes) == _column_pass_expected(n, case), passes
-    with monkeypatch.context() as mp:
+    with monkeypatch.context() as mp, dve.cohort():
         mp.setattr(PNABlock, "deliver_control", _per_member)
         oracle, oracle_trace = _traced_run(n, case)
     for key in oracle:

@@ -9,8 +9,8 @@ from repro.core import (
     WakeupPayload,
     sign_control,
 )
-from repro.core.dve import DVE
 from repro.errors import OddCIError
+from tests.core.per_pna_dve import DVE
 
 
 def make_system(n=1, **kwargs):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import Backend, OddCISystem, Router
-from repro.core.dve import CONTROL_PAYLOAD_BITS
-from repro.core.messages import NoWork, TaskAssignment, TaskRequest, TaskResultPayload
+from repro.core.messages import (CONTROL_PAYLOAD_BITS, NoWork, TaskAssignment,
+                                 TaskRequest, TaskResultPayload)
 from repro.errors import BackendError
 from repro.net import DuplexChannel
 from repro.sim import Simulator

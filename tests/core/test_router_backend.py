@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Backend, Router, TaskRequest, TaskResultPayload
-from repro.core.dve import CONTROL_PAYLOAD_BITS
+from repro.core.messages import CONTROL_PAYLOAD_BITS
 from repro.core.messages import NoWork, TaskAssignment
 from repro.errors import BackendError, NetworkError
 from repro.net import DuplexChannel, Message

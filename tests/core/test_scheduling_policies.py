@@ -1,29 +1,19 @@
-"""Tests for the Backend's dispatch-order policies (FIFO / LPT / SPT)."""
+"""The Backend dispatches its bag in submission order (FIFO)."""
 
-import numpy as np
-import pytest
-
-from repro.core import Backend, OddCISystem, Router
-from repro.core.dve import CONTROL_PAYLOAD_BITS
-from repro.core.messages import TaskRequest
-from repro.errors import BackendError
+from repro.core import Backend, Router
+from repro.core.messages import CONTROL_PAYLOAD_BITS, TaskRequest
 from repro.net import DuplexChannel
 from repro.sim import Simulator
-from repro.workloads import Job, Task, lognormal_bag
+from repro.workloads import Job, Task
 
 
-def varied_job(durations):
+def first_assignment_duration(durations):
     tasks = tuple(Task(task_id=i, input_bits=0, ref_seconds=d,
                        result_bits=0)
                   for i, d in enumerate(durations))
-    return Job(image_bits=1e6, tasks=tasks)
-
-
-def first_assignment_duration(scheduling, durations):
     sim = Simulator()
     router = Router(sim)
-    backend = Backend(sim, varied_job(durations), router,
-                      scheduling=scheduling)
+    Backend(sim, Job(image_bits=1e6, tasks=tasks), router)  # "backend"
     inbox = []
     ch = DuplexChannel(sim, rate_bps=1e9)
     router.register_pna("p", ch, inbox.append)
@@ -35,49 +25,4 @@ def first_assignment_duration(scheduling, durations):
 
 
 def test_fifo_preserves_submission_order():
-    assert first_assignment_duration("fifo", [3.0, 9.0, 1.0]) == 3.0
-
-
-def test_lpt_dispatches_longest_first():
-    assert first_assignment_duration("lpt", [3.0, 9.0, 1.0]) == 9.0
-
-
-def test_spt_dispatches_shortest_first():
-    assert first_assignment_duration("spt", [3.0, 9.0, 1.0]) == 1.0
-
-
-def test_unknown_policy_rejected():
-    sim = Simulator()
-    router = Router(sim)
-    with pytest.raises(BackendError):
-        Backend(sim, varied_job([1.0]), router, scheduling="random")
-
-
-def run_policy_makespan(scheduling, seed=0):
-    system = OddCISystem(seed=seed, maintenance_interval_s=1e6)
-    system.add_pnas(8, heartbeat_interval_s=1e5, dve_poll_interval_s=2.0)
-    rng = np.random.default_rng(seed)
-    job = lognormal_bag(64, rng, image_bits=1e6, mean_ref_seconds=30.0,
-                        sigma=1.0, input_bits=0.0, result_bits=0.0)
-    backend_id = f"backend-{scheduling}-{seed}"
-    backend = Backend(system.sim, job, system.router,
-                      backend_id=backend_id, scheduling=scheduling)
-    from repro.core import InstanceSpec
-
-    spec = InstanceSpec(target_size=8, image_name="x", image_bits=1e6,
-                        backend_id=backend_id, heartbeat_interval_s=1e5)
-    system.controller.create_instance(spec)
-    report = system.sim.run_until_event(backend.done_event, limit=1e8)
-    return report.makespan
-
-
-def test_lpt_no_worse_than_fifo_on_skewed_bags():
-    """LPT's classic guarantee: placing long tasks first avoids a long
-    task landing last and stretching the tail."""
-    wins = 0
-    for seed in range(4):
-        fifo = run_policy_makespan("fifo", seed=seed)
-        lpt = run_policy_makespan("lpt", seed=seed)
-        if lpt <= fifo + 1e-6:
-            wins += 1
-    assert wins >= 3  # LPT at least ties in nearly every instance
+    assert first_assignment_duration([3.0, 9.0, 1.0]) == 3.0

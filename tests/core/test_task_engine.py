@@ -23,10 +23,7 @@ from hypothesis import strategies as st
 from repro.core import OddCISystem
 from repro.core.backend import Backend
 from repro.core.instance import reset_instance_sequence
-from repro.core.dve import CONTROL_PAYLOAD_BITS as DVE_CONTROL_BITS
-from repro.core.dve import DVE
 from repro.core.taskloop import (
-    CONTROL_PAYLOAD_BITS as ENGINE_CONTROL_BITS,
     _K_ASSIGN_ARR,
     _K_DEADLINE,
     _K_NOWORK_ARR,
@@ -38,6 +35,7 @@ from repro.core.taskloop import (
 from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
 from repro.workloads.job import reset_job_sequence
+from tests.core.per_pna_dve import PerPnaEngine
 
 
 def _canonical(events):
@@ -237,13 +235,18 @@ def test_fuzz_seed_sweep(dve):
 # -- engine unit behaviour ----------------------------------------------------
 
 def test_control_payload_bits_in_sync():
-    # taskloop avoids importing dve (module cycle); the constant must
-    # stay equal or wire accounting silently diverges.
-    assert ENGINE_CONTROL_BITS == DVE_CONTROL_BITS
+    """One definition of the control payload size: a module's own copy
+    could drift and silently split the wire accounting."""
+    from repro.core import aggregation, backend, controller, messages, pna
+    from repro.core import taskloop
+
+    for module in (aggregation, backend, controller, pna, taskloop):
+        assert module.CONTROL_PAYLOAD_BITS is messages.CONTROL_PAYLOAD_BITS
 
 
 def _started_clients(n_nodes=5):
-    """Recruit a small fleet; return the client loop type of every PNA."""
+    """Recruit a small fleet; return the engine type behind every PNA's
+    client loop."""
     system = OddCISystem(seed=3, maintenance_interval_s=1e6)
     system.add_pnas(n_nodes, heartbeat_interval_s=1e5,
                     dve_poll_interval_s=5.0)
@@ -251,18 +254,18 @@ def _started_clients(n_nodes=5):
     system.provider.submit_job(job, target_size=n_nodes, lifetime_s=1e5,
                                heartbeat_interval_s=1e5)
     system.sim.run(until=2.0)  # recruit; first polls in flight
-    return [type(p.dve) for p in system.pnas]
+    return [type(p.dve._engine) for p in system.pnas]
 
 
 def test_oracle_seam_selects_the_task_path(dve, request):
     """Guard for the differential suites: a broken seam must fail here
     rather than let them compare the cohort engine with itself."""
     with dve.per_pna():
-        assert _started_clients() == [DVE] * 5
+        assert _started_clients() == [PerPnaEngine] * 5
     with dve.cohort():
-        assert _started_clients() == [CohortDVE] * 5
-    ambient = DVE if request.config.getoption("--per-pna-oracle") \
-        else CohortDVE
+        assert _started_clients() == [CohortTaskEngine] * 5
+    ambient = PerPnaEngine if request.config.getoption("--per-pna-oracle") \
+        else CohortTaskEngine
     assert _started_clients() == [ambient] * 5
 
 
@@ -293,23 +296,31 @@ def test_cohort_dve_validation_and_destroy(dve):
         assert client.tasks_completed == completed_before  # slot stays dead
 
 
-def test_unregistered_backend_falls_back_to_process_path(dve):
-    """Wakeups naming a backend id with no cohort-capable server (test
-    doubles, custom components) must run the reference DVE."""
-    from repro.core import WakeupPayload, sign_control
+def test_unregistered_backend_starts_no_client_loop():
+    """A wakeup naming a backend id with no task server starts no
+    client loop on either path: the node holds its slot and sends
+    nothing but heartbeats, until the Controller resets the unknown
+    instance."""
+    from repro.core import PNAState, WakeupPayload, sign_control
 
-    with dve.cohort():
-        system = OddCISystem(seed=6, maintenance_interval_s=1e6)
-        system.add_pnas(1, heartbeat_interval_s=1e5,
-                        dve_poll_interval_s=5.0)
-        pna = system.pnas[0]
-        payload = WakeupPayload(instance_id="i-ghost", image_name="img",
-                                image_bits=1e5, probability=1.0,
-                                backend_id="ghost-backend")
-        pna.deliver_control(payload,
-                            sign_control(system.controller.key, payload))
-    assert isinstance(pna.dve, DVE)
-    assert not isinstance(pna.dve, CohortDVE)
+    system = OddCISystem(seed=6, maintenance_interval_s=1e6)
+    system.add_pnas(1, heartbeat_interval_s=10.0, dve_poll_interval_s=5.0)
+    pna = system.pnas[0]
+    payload = WakeupPayload(instance_id="i-ghost", image_name="img",
+                            image_bits=1e5, probability=1.0,
+                            backend_id="ghost-backend",
+                            heartbeat_interval_s=10.0)
+    pna.deliver_control(payload,
+                        sign_control(system.controller.key, payload))
+    assert pna.state is PNAState.BUSY and pna.instance_id == "i-ghost"
+    assert pna.dve is None
+    system.sim.run(until=300.0)
+    assert pna.state is PNAState.IDLE and pna.resets_handled == 1
+    assert pna.heartbeats_sent >= 29
+    # only heartbeats on the uplink (the last may still be in flight)
+    sent = pna.heartbeats_sent
+    assert sent - 1 <= pna.channel.uplink.delivered <= sent
+    assert system.router.undeliverable == 0
 
 
 def test_engine_reused_within_instance_fresh_across_backends(dve):

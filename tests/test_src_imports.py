@@ -1,0 +1,106 @@
+"""Every module in ``src/`` is used by some other module.
+
+A module that only a package ``__init__`` imports (to re-export its
+names) is code no program path runs.  This walks ``src/repro`` with
+``ast``: each import counts for the module it names, and ``from pkg
+import Name`` is followed through the package's ``__init__`` to the
+module that defines ``Name``.  Imports made by a package ``__init__``
+do not count.  Entry points are allowlisted: ``repro.__main__``
+(``python -m repro``) and ``repro.experiments.*``, which the scenario
+registry imports by name.
+"""
+
+import ast
+from pathlib import Path
+from typing import Dict, Set
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENTRY_POINTS = ("repro.__main__", "repro.experiments.")
+
+
+def _modules(src: Path):
+    """``(trees, packages)``: each module's syntax tree by dotted name,
+    and the names of the packages among them."""
+    trees, packages = {}, set()
+    for path in sorted(src.rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+            packages.add(".".join(parts))
+        trees[".".join(parts)] = ast.parse(path.read_text(), str(path))
+    return trees, packages
+
+
+def _imports(name: str, tree: ast.Module, package: bool):
+    """``(module, names)`` for each import in ``tree``; ``names`` is
+    None for a plain ``import module``."""
+    here = name if package else name.rpartition(".")[0]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            base = here
+            for _ in range(node.level - 1):
+                base = base.rpartition(".")[0]
+            module = node.module or ""
+            if node.level:
+                module = f"{base}.{module}" if module else base
+            yield module, [alias.name for alias in node.names]
+
+
+def unused_modules(src: Path = SRC) -> list:
+    """The modules (packages and entry points aside) that no module but
+    a package ``__init__`` imports, directly or through re-exports."""
+    trees, packages = _modules(src)
+    # where each package's names come from: (package, name) -> module
+    origin: Dict[tuple, str] = {}
+    for pkg in packages:
+        for module, names in _imports(pkg, trees[pkg], True):
+            for alias in names or ():
+                origin[(pkg, alias)] = module
+
+    def resolve(module: str, name: str) -> str:
+        seen = set()
+        while module in packages and (module, name) in origin \
+                and (module, name) not in seen:
+            seen.add((module, name))
+            module = origin[(module, name)]
+        return module
+
+    used: Set[str] = set()
+    for importer, tree in trees.items():
+        if importer in packages:
+            continue
+        for module, names in _imports(importer, tree, False):
+            if names is None:
+                used.add(module)
+            for alias in names or ():
+                sub = f"{module}.{alias}"
+                used.add(sub if sub in trees else resolve(module, alias))
+    return sorted(name for name in trees
+                  if name not in used and name not in packages
+                  and not name.startswith(ENTRY_POINTS))
+
+
+def test_every_src_module_is_imported_by_code():
+    assert unused_modules() == []
+
+
+def test_check_follows_package_reexports(tmp_path):
+    """The resolution the check rests on, on a toy tree: a name imported
+    through a package counts for its defining module; a module only the
+    package re-exports, or that nothing imports, is reported; entry
+    points are not."""
+    pkg = tmp_path / "repro"
+    (pkg / "experiments").mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from repro.used import f\nfrom .orphan import g\n")
+    (pkg / "used.py").write_text("def f():\n    pass\n")
+    (pkg / "orphan.py").write_text("def g():\n    pass\n")
+    (pkg / "lonely.py").write_text("X = 1\n")
+    (pkg / "user.py").write_text("from repro import f\n")
+    (pkg / "__main__.py").write_text("import repro.user\n")
+    (pkg / "experiments" / "__init__.py").write_text("")
+    (pkg / "experiments" / "fig.py").write_text("X = 1\n")
+    assert unused_modules(tmp_path) == ["repro.lonely", "repro.orphan"]

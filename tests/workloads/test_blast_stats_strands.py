@@ -1,6 +1,4 @@
-"""Tests for Karlin–Altschul statistics and both-strand search."""
-
-import math
+"""Tests for reverse complements and both-strand search."""
 
 import numpy as np
 import pytest
@@ -10,20 +8,13 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.workloads import (
     BlastDatabase,
-    BlastParams,
-    bit_score,
-    compute_lambda,
     decode,
     encode,
-    evalue,
-    karlin_altschul,
-    plant_homolog,
     random_database,
     random_dna,
     reverse_complement,
     search,
     search_both_strands,
-    significant,
 )
 
 
@@ -51,103 +42,6 @@ def test_reverse_complement_validation():
 def test_property_revcomp_involution(s):
     codes = encode(s)
     assert decode(reverse_complement(reverse_complement(codes))) == s
-
-
-# -- lambda / KA parameters ---------------------------------------------------------
-
-def test_lambda_known_value_plus1_minus3():
-    """NCBI tabulates lambda ~ 1.374 for +1/-3 at uniform composition."""
-    lam = compute_lambda(1, -3)
-    assert lam == pytest.approx(1.374, abs=0.01)
-
-
-def test_lambda_satisfies_defining_equation():
-    lam = compute_lambda(2, -3)
-    p_match, p_mismatch = 0.25, 0.75
-    total = p_match * math.exp(lam * 2) + p_mismatch * math.exp(lam * -3)
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
-def test_lambda_validation():
-    with pytest.raises(WorkloadError):
-        compute_lambda(0, -3)
-    with pytest.raises(WorkloadError):
-        compute_lambda(1, 0)
-    with pytest.raises(WorkloadError):
-        compute_lambda(1, -3, frequencies=(0.5, 0.6))
-    with pytest.raises(WorkloadError):
-        compute_lambda(3, -1)  # positive expected score
-
-
-def test_karlin_altschul_params_positive():
-    ka = karlin_altschul(BlastParams())
-    assert ka.lam > 0 and ka.k > 0
-
-
-# -- evalue / bit score ----------------------------------------------------------------
-
-def test_evalue_monotone_decreasing_in_score():
-    ka = karlin_altschul(BlastParams())
-    es = [evalue(s, 100, 10_000, ka) for s in (10, 20, 30, 40)]
-    assert es == sorted(es, reverse=True)
-
-
-def test_evalue_scales_with_search_space():
-    ka = karlin_altschul(BlastParams())
-    small = evalue(25, 100, 1_000, ka)
-    large = evalue(25, 100, 100_000, ka)
-    assert large == pytest.approx(100 * small)
-
-
-def test_evalue_validation():
-    ka = karlin_altschul(BlastParams())
-    with pytest.raises(WorkloadError):
-        evalue(10, 0, 100, ka)
-    with pytest.raises(WorkloadError):
-        evalue(-1, 10, 100, ka)
-
-
-def test_bit_score_monotone():
-    ka = karlin_altschul(BlastParams())
-    assert bit_score(40, ka) > bit_score(20, ka)
-
-
-def test_significance_separates_planted_from_chance():
-    """A planted 80-base homolog is significant; the best chance hit in
-    random data is not."""
-    rng = np.random.default_rng(5)
-    params = BlastParams(word_size=8)
-    ka = karlin_altschul(params)
-
-    db_seqs = random_database(5, 800, rng)
-    query = random_dna(80, rng)
-    plant_homolog(db_seqs, query, rng, mutation_rate=0.03)
-    db = BlastDatabase(db_seqs, word_size=8)
-    result = search(db, query, params)
-    assert significant(result.best.score, 80, db.total_bases, ka)
-
-    random_query = random_dna(80, rng)
-    noise = search(db, random_query, params)
-    if noise.best is not None:
-        assert not significant(noise.best.score, 80, db.total_bases, ka)
-
-
-def test_evalue_bound_on_random_hits():
-    """Empirical count of chance HSPs >= S stays within a small factor of
-    the Karlin-Altschul expectation (sanity, not a precise GOF test)."""
-    rng = np.random.default_rng(6)
-    params = BlastParams(word_size=6, min_score=8)
-    ka = karlin_altschul(params)
-    db = BlastDatabase(random_database(4, 500, rng), word_size=6)
-    threshold = 14
-    trials = 60
-    observed = 0
-    for _ in range(trials):
-        q = random_dna(60, rng)
-        result = search(db, q, params)
-        observed += sum(1 for h in result.hsps if h.score >= threshold)
-    expected_per_query = evalue(threshold, 60, db.total_bases, ka)
-    assert observed <= max(10.0, 20 * expected_per_query * trials)
 
 
 # -- both strands -----------------------------------------------------------------------
@@ -190,24 +84,3 @@ def test_plus_strand_hits_keep_plus_label():
     db = BlastDatabase(db_seqs, word_size=8)
     both = search_both_strands(db, query)
     assert both.best.strand == "+"
-
-
-def test_filter_significant_report():
-    from repro.workloads import filter_significant
-
-    rng = np.random.default_rng(11)
-    params = BlastParams(word_size=8)
-    db_seqs = random_database(4, 700, rng)
-    query = random_dna(100, rng)
-    plant_homolog(db_seqs, query, rng, seq_index=0, mutation_rate=0.02)
-    plant_homolog(db_seqs, query, rng, seq_index=2, mutation_rate=0.10)
-    db = BlastDatabase(db_seqs, word_size=8)
-    result = search(db, query, params)
-    report = filter_significant(result, 100, db.total_bases, params)
-    assert len(report) >= 2
-    evalues = [e for _h, e in report]
-    assert evalues == sorted(evalues)
-    assert all(e <= 1e-3 for e in evalues)
-    # empty input
-    from repro.workloads import BlastResult
-    assert filter_significant(BlastResult(), 100, 1000, params) == []
