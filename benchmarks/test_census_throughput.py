@@ -87,11 +87,12 @@ def run_census_scenario(n_members: int, *, rounds: int = 5,
 
     # Equivalence: both engines must have consolidated the same census.
     iid = next(iter(baseline.instances))
-    assert len(baseline.registry) == len(columnar.registry) == n_members
+    assert baseline.census.registry_size() == \
+        columnar.census.registry_size() == n_members
     assert baseline.instances[iid].size == columnar.instances[iid].size
     assert baseline.idle_estimate() == columnar.idle_estimate()
-    assert sorted(baseline.registry.items()) == \
-        sorted(columnar.registry.items())
+    assert sorted(baseline.census.registry_items()) == \
+        sorted(columnar.census.registry_items())
 
     consolidations = n_members * rounds
     base_cps = consolidations / base_best if base_best > 0 else 0.0

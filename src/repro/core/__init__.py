@@ -16,11 +16,7 @@ from repro.core.aggregation import (
     HeartbeatDigest,
 )
 from repro.core.backend import Backend, JobReport
-from repro.core.census import (
-    CensusStore,
-    ColumnarCensusStore,
-    NodeInterner,
-)
+from repro.core.census import ColumnarCensusStore, NodeInterner
 from repro.core.controller import Controller, ControlPlane, DirectControlPlane
 from repro.core.federation import (
     ControllerShard,
@@ -83,7 +79,6 @@ __all__ = [
     "DeficitProportional",
     "Router",
     "NodeInterner",
-    "CensusStore",
     "ColumnarCensusStore",
     "CONTROL_PAYLOAD_BITS",
     "PNA",

@@ -8,23 +8,19 @@ Like BOINC's server-side host tables and Condor's collector, census
 state at 10^5-10^6 agents wants dense integer keys and columnar
 updates.
 
-:class:`ColumnarCensusStore` is that engine: struct-of-arrays over
-numpy, ``last_seen`` (float64), ``state`` (int8 code), ``instance``
-(int64 handle) columns indexed by the dense node index a shared
-:class:`NodeInterner` assigns, plus one membership column (float64
-last-heartbeat, NaN = non-member) per *bound* instance and a per-node
-membership counter that serves as the reverse ``node -> instances``
-index.  A same-instant heartbeat cohort lands as one columnar write per
-(state, instance) group (``last_seen[idxs] = now``) instead of N dict
-updates, and expiry is a single vectorised comparison per instance.
-Its oracle, the dict-backed ``DictCensusStore`` behind the same
-:class:`CensusStore` interface, lives in the tests
-(``tests/core/dict_census.py``); tests hand it to a Controller through
-its ``census`` argument.
-:class:`RegistryView` and :class:`MembersView` wrap a store
-in the dict shape the pre-columnar ``Controller.registry`` /
-``InstanceRecord.members`` exposed, so observable behaviour — and the
-``--jobs`` byte-parity of every artifact — is unchanged.
+:class:`ColumnarCensusStore` is that engine, and the only one in
+the package: struct-of-arrays over numpy, ``last_seen`` (float64),
+``state`` (int8 code), ``instance`` (int64 handle) columns indexed by
+the dense node index a shared :class:`NodeInterner` assigns, plus one
+membership column (float64 last-heartbeat, NaN = non-member) per
+*bound* instance and a per-node membership counter that serves as the
+reverse ``node -> instances`` index.  A same-instant heartbeat cohort
+lands as one columnar write per (state, instance) group
+(``last_seen[idxs] = now``) instead of N dict updates, and expiry is a
+single vectorised comparison per instance.
+Its oracle, the dict-backed ``DictCensusStore``, lives in the tests
+(``tests/core/dict_census.py``) and duck-types the same methods; tests
+hand it to a Controller through its ``census`` argument.
 
 Shape discipline
 ----------------
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,10 +50,7 @@ __all__ = [
     "STATE_CODE",
     "CODE_STATE",
     "NodeInterner",
-    "CensusStore",
     "ColumnarCensusStore",
-    "RegistryView",
-    "MembersView",
     "registry_reductions",
 ]
 
@@ -86,9 +79,10 @@ def registry_reductions(state, seen, *, horizon: float) -> Dict[str, int]:
     ``registry_size`` counts every row ever heard from, ``alive`` the
     rows seen at or after ``horizon`` (untouched rows sit at ``-inf``
     and fail any finite horizon), and ``idle`` the alive rows reporting
-    IDLE — exactly :meth:`CensusStore.registry_size` /
-    :meth:`CensusStore.alive_estimate` / :meth:`CensusStore.idle_estimate`
-    evaluated on the same columns.
+    IDLE — exactly :meth:`ColumnarCensusStore.registry_size` /
+    :meth:`~ColumnarCensusStore.alive_estimate` /
+    :meth:`~ColumnarCensusStore.idle_estimate` evaluated on the same
+    columns.
     """
     state = np.asarray(state)
     seen = np.asarray(seen)
@@ -195,26 +189,39 @@ def _number(node_id: str, prefix: str) -> Optional[int]:
     return None
 
 
-class CensusStore:
-    """Interface + instance-handle table shared by both engines.
+class ColumnarCensusStore:
+    """Struct-of-arrays census keyed by dense interned node indices.
 
-    The *registry* half mirrors the old ``pna_id -> (last_seen, state,
-    instance_id)`` dict; the *membership* half mirrors the old
-    per-instance ``pna_id -> last_heartbeat`` dicts.  Instance ids are
-    interned to small int handles; only instances explicitly *bound*
-    (:meth:`bind_instance`) carry membership state — the registry also
-    interns ids of unknown/stale instances named by busy heartbeats.
+    The *registry* half holds each node's ``(last_seen, state,
+    instance_id)``; the *membership* half each bound instance's
+    ``node -> last_heartbeat``.  Instance ids are interned to small int
+    handles; only instances explicitly *bound* (:meth:`bind_instance`)
+    carry membership state — the registry also interns ids of
+    unknown/stale instances named by busy heartbeats.
+
+    Columns grow by doubling as the shared interner grows; membership
+    is one float64 column per bound instance (NaN = non-member) with a
+    per-node int16 membership counter as the reverse index, so the idle
+    path is O(1) for nodes that belong to nothing — which is nearly all
+    idle heartbeats — instead of a scan over every instance.
     """
 
-    #: True when :meth:`touch_group` / :meth:`mark_members` /
-    #: :meth:`drop_many_from_all` are genuinely vectorised (the
-    #: Controller's cohort fast path keys off this).
-    supports_columnar = False
-
-    def __init__(self, interner: Optional[NodeInterner] = None) -> None:
+    def __init__(self, interner: Optional[NodeInterner] = None, *,
+                 initial_capacity: int = 1024) -> None:
         self.interner = interner if interner is not None else NodeInterner()
         self._inst_index: Dict[str, int] = {}
         self._inst_ids: List[str] = []
+        cap = max(int(initial_capacity), 1)
+        self._cap = cap
+        self._seen = np.full(cap, _NEVER, dtype=np.float64)
+        self._state = np.zeros(cap, dtype=np.int8)
+        self._inst = np.full(cap, NO_INSTANCE, dtype=np.int64)
+        #: reverse index: per-node count of instances it belongs to.
+        self._member_of = np.zeros(cap, dtype=np.int16)
+        self._registry_count = 0
+        #: instance handle -> float64 membership column (NaN non-member)
+        self._member_seen: Dict[int, Any] = {}
+        self._member_count: Dict[int, int] = {}
 
     # -- instance handles ------------------------------------------------
     def instance_handle(self, instance_id: Optional[str]) -> int:
@@ -230,153 +237,6 @@ class CensusStore:
 
     def instance_id_of(self, handle: int) -> Optional[str]:
         return None if handle == NO_INSTANCE else self._inst_ids[handle]
-
-    # -- interface (implemented by both engines) -------------------------
-    def touch(self, idx: int, state: PNAState,
-              instance_id: Optional[str], now: float) -> None:
-        """One heartbeat's registry write."""
-        raise NotImplementedError
-
-    def touch_group(self, idxs: Any, code: int,
-                    instance_id: Optional[str], now: float) -> None:
-        """Registry write for one (state, instance) cohort group.
-
-        ``idxs`` must be duplicate-free (the Controller's cohort path
-        guarantees this; its duplicate guard falls back to the
-        per-payload path otherwise); a columnar store also takes it as
-        a slice (:func:`~repro.net.link.as_index`)."""
-        raise NotImplementedError
-
-    def registry_size(self) -> int:
-        raise NotImplementedError
-
-    def idle_estimate(self, horizon: float) -> int:
-        """Idle nodes heard from at or after ``horizon``."""
-        raise NotImplementedError
-
-    def alive_estimate(self, horizon: float) -> int:
-        raise NotImplementedError
-
-    def registry_get(self, node_id: str
-                     ) -> Optional[Tuple[float, PNAState, Optional[str]]]:
-        raise NotImplementedError
-
-    def registry_set(self, node_id: str, seen: float, state: PNAState,
-                     instance_id: Optional[str]) -> None:
-        """Out-of-band registry write (digest application, tests)."""
-        raise NotImplementedError
-
-    def registry_items(self
-                       ) -> Iterator[Tuple[str, Tuple[float, PNAState,
-                                                      Optional[str]]]]:
-        raise NotImplementedError
-
-    def clear_registry(self) -> None:
-        raise NotImplementedError
-
-    def bind_instance(self, instance_id: str) -> int:
-        """Allocate (idempotently) membership state for an instance."""
-        raise NotImplementedError
-
-    def release_instance(self, instance_id: str) -> None:
-        """Free a destroyed instance's membership column (must be empty
-        of members only by convention — releasing drops any stragglers)."""
-        raise NotImplementedError
-
-    def mark_member(self, handle: int, idx: int, now: float) -> None:
-        raise NotImplementedError
-
-    def mark_members(self, handle: int, idxs: Any, now: float) -> None:
-        """Columnar membership refresh for a duplicate-free cohort group
-        (an array, or on a columnar store a slice, as for
-        :meth:`touch_group`)."""
-        raise NotImplementedError
-
-    def drop_member(self, handle: int, idx: int) -> bool:
-        raise NotImplementedError
-
-    def drop_from_all(self, idx: int) -> None:
-        """Idle heartbeat: leave every instance (reverse-index guarded:
-        O(1) for the common member-of-nothing node)."""
-        raise NotImplementedError
-
-    def drop_many_from_all(self, idxs: Any) -> None:
-        raise NotImplementedError
-
-    def expire_members(self, handle: int, cutoff: float) -> int:
-        """Drop members whose last heartbeat predates ``cutoff``."""
-        raise NotImplementedError
-
-    def member_count(self, handle: int) -> int:
-        raise NotImplementedError
-
-    def member_seen(self, handle: int, idx: int) -> Optional[float]:
-        raise NotImplementedError
-
-    def members_items(self, handle: int) -> Iterator[Tuple[str, float]]:
-        raise NotImplementedError
-
-    def clear_members(self, handle: int) -> None:
-        raise NotImplementedError
-
-    def total_members(self) -> int:
-        """Sum of membership counts across bound instances."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Crash semantics: registry and all membership vanish (bound
-        instances stay bound, empty)."""
-        raise NotImplementedError
-
-    # -- differential-test surface ---------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Canonical, order-independent census dump.
-
-        Two stores fed the same operation sequence must produce equal
-        snapshots — the contract the differential suite enforces.
-        """
-        members = {}
-        for instance_id, handle in sorted(self._inst_index.items()):
-            if self._is_bound(handle):
-                members[instance_id] = sorted(self.members_items(handle))
-        return {
-            "registry": dict(sorted(self.registry_items())),
-            "members": members,
-        }
-
-    def _is_bound(self, handle: int) -> bool:
-        raise NotImplementedError
-
-    def validate(self) -> None:
-        """Assertion-based invariant check (no-op where trivially true)."""
-
-
-class ColumnarCensusStore(CensusStore):
-    """Struct-of-arrays census keyed by dense interned node indices.
-
-    Columns grow by doubling as the shared interner grows; membership
-    is one float64 column per bound instance (NaN = non-member) with a
-    per-node int16 membership counter as the reverse index, so the idle
-    path is O(1) for nodes that belong to nothing — which is nearly all
-    idle heartbeats — instead of a scan over every instance.
-    """
-
-    supports_columnar = True
-
-    def __init__(self, interner: Optional[NodeInterner] = None, *,
-                 initial_capacity: int = 1024) -> None:
-        super().__init__(interner)
-        cap = max(int(initial_capacity), 1)
-        self._cap = cap
-        self._seen = np.full(cap, _NEVER, dtype=np.float64)
-        self._state = np.zeros(cap, dtype=np.int8)
-        self._inst = np.full(cap, NO_INSTANCE, dtype=np.int64)
-        #: reverse index: per-node count of instances it belongs to.
-        self._member_of = np.zeros(cap, dtype=np.int16)
-        self._registry_count = 0
-        #: instance handle -> float64 membership column (NaN non-member)
-        self._member_seen: Dict[int, Any] = {}
-        self._member_count: Dict[int, int] = {}
 
     # -- capacity --------------------------------------------------------
     def _sync(self) -> None:
@@ -402,7 +262,9 @@ class ColumnarCensusStore(CensusStore):
         return grown
 
     # -- registry --------------------------------------------------------
-    def touch(self, idx, state, instance_id, now):
+    def touch(self, idx: int, state: PNAState,
+              instance_id: Optional[str], now: float) -> None:
+        """One heartbeat's registry write."""
         self._sync()
         if self._state[idx] == STATE_NONE:
             self._registry_count += 1
@@ -410,7 +272,14 @@ class ColumnarCensusStore(CensusStore):
         self._state[idx] = STATE_CODE[state]
         self._inst[idx] = self.instance_handle(instance_id)
 
-    def touch_group(self, idxs, code, instance_id, now):
+    def touch_group(self, idxs, code: int, instance_id: Optional[str],
+                    now: float) -> None:
+        """Registry write for one (state, instance) cohort group.
+
+        ``idxs`` must be duplicate-free (the Controller's cohort path
+        guarantees this; its duplicate guard falls back to the
+        per-payload path otherwise); it is an index array or a slice
+        (:func:`~repro.net.link.as_index`)."""
         self._sync()
         state = self._state
         self._registry_count += int(
@@ -423,6 +292,7 @@ class ColumnarCensusStore(CensusStore):
         return self._registry_count
 
     def idle_estimate(self, horizon):
+        """Idle nodes heard from at or after ``horizon``."""
         return int(np.count_nonzero(
             (self._state == STATE_IDLE) & (self._seen >= horizon)))
 
@@ -430,7 +300,8 @@ class ColumnarCensusStore(CensusStore):
         # Untouched rows sit at -inf and fail any finite horizon.
         return int(np.count_nonzero(self._seen >= horizon))
 
-    def registry_get(self, node_id):
+    def registry_get(self, node_id: str
+                     ) -> Optional[Tuple[float, PNAState, Optional[str]]]:
         idx = self.interner.index_of(node_id)
         if idx is None or idx >= self._cap:
             return None
@@ -439,9 +310,6 @@ class ColumnarCensusStore(CensusStore):
             return None
         return (float(self._seen[idx]), CODE_STATE[code],
                 self.instance_id_of(int(self._inst[idx])))
-
-    def registry_set(self, node_id, seen, state, instance_id):
-        self.touch(self.interner.intern(node_id), state, instance_id, seen)
 
     def registry_items(self):
         id_of = self.interner.id_of
@@ -458,7 +326,8 @@ class ColumnarCensusStore(CensusStore):
         self._registry_count = 0
 
     # -- membership ------------------------------------------------------
-    def bind_instance(self, instance_id):
+    def bind_instance(self, instance_id: str) -> int:
+        """Allocate (idempotently) membership state for an instance."""
         handle = self.instance_handle(instance_id)
         if handle not in self._member_seen:
             self._sync()
@@ -467,7 +336,9 @@ class ColumnarCensusStore(CensusStore):
             self._member_count[handle] = 0
         return handle
 
-    def release_instance(self, instance_id):
+    def release_instance(self, instance_id: str) -> None:
+        """Free a destroyed instance's membership column (empty of
+        members only by convention — releasing drops any stragglers)."""
         handle = self._inst_index.get(instance_id)
         if handle is None:
             return
@@ -489,7 +360,9 @@ class ColumnarCensusStore(CensusStore):
             self._member_of[idx] += 1
         column[idx] = now
 
-    def mark_members(self, handle, idxs, now):
+    def mark_members(self, handle: int, idxs, now: float) -> None:
+        """Membership refresh for a duplicate-free cohort group (an
+        array or a slice, as for :meth:`touch_group`)."""
         self._sync()
         column = self._member_seen[handle]
         fresh = np.isnan(column[idxs])
@@ -510,7 +383,9 @@ class ColumnarCensusStore(CensusStore):
         self._member_of[idx] -= 1
         return True
 
-    def drop_from_all(self, idx):
+    def drop_from_all(self, idx: int) -> None:
+        """Idle heartbeat: leave every instance (reverse-index guarded:
+        O(1) for the common member-of-nothing node)."""
         self._sync()
         if not self._member_of[idx]:
             return
@@ -533,7 +408,8 @@ class ColumnarCensusStore(CensusStore):
                 self._member_count[handle] -= dropped
         self._member_of[active] = 0
 
-    def expire_members(self, handle, cutoff):
+    def expire_members(self, handle: int, cutoff: float) -> int:
+        """Drop members whose last heartbeat predates ``cutoff``."""
         column = self._member_seen.get(handle)
         if column is None:
             return 0
@@ -573,14 +449,33 @@ class ColumnarCensusStore(CensusStore):
         self._member_count[handle] = 0
 
     def total_members(self):
+        """Sum of membership counts across bound instances."""
         return sum(self._member_count.values())
 
-    def clear(self):
+    def clear(self) -> None:
+        """Crash semantics: registry and all membership vanish (bound
+        instances stay bound, empty)."""
         self.clear_registry()
         for handle, column in self._member_seen.items():
             column[:] = np.nan
             self._member_count[handle] = 0
         self._member_of[:] = 0
+
+    # -- differential-test surface ---------------------------------------
+    def snapshot(self) -> Dict[str, Any]:
+        """Canonical, order-independent census dump.
+
+        Two stores fed the same operation sequence must produce equal
+        snapshots — the contract the differential suite enforces.
+        """
+        members = {}
+        for instance_id, handle in sorted(self._inst_index.items()):
+            if self._is_bound(handle):
+                members[instance_id] = sorted(self.members_items(handle))
+        return {
+            "registry": dict(sorted(self.registry_items())),
+            "members": members,
+        }
 
     # -- shape/invariant checks ------------------------------------------
     def validate(self):
@@ -610,140 +505,3 @@ class ColumnarCensusStore(CensusStore):
             recount[live] += 1
         assert (recount == self._member_of).all(), \
             "reverse membership index drifted from the columns"
-
-
-class RegistryView:
-    """Dict-shaped live view of a store's registry half.
-
-    Drop-in for the old ``Controller.registry`` dict: supports ``len``,
-    iteration, ``in``, item get/set, ``items()/keys()/values()``,
-    ``clear()`` and equality against plain dicts, all reading through
-    to the store.  Iteration order is the store's (index order for the
-    columnar build) — every existing consumer sorts or aggregates.
-    """
-
-    __slots__ = ("_census",)
-
-    def __init__(self, census: CensusStore) -> None:
-        self._census = census
-
-    def __len__(self) -> int:
-        return self._census.registry_size()
-
-    def __iter__(self):
-        for node_id, _row in self._census.registry_items():
-            yield node_id
-
-    def __contains__(self, node_id) -> bool:
-        return self._census.registry_get(node_id) is not None
-
-    def __getitem__(self, node_id):
-        row = self._census.registry_get(node_id)
-        if row is None:
-            raise KeyError(node_id)
-        return row
-
-    def get(self, node_id, default=None):
-        row = self._census.registry_get(node_id)
-        return default if row is None else row
-
-    def __setitem__(self, node_id, row) -> None:
-        seen, state, instance_id = row
-        self._census.registry_set(node_id, seen, state, instance_id)
-
-    def items(self):
-        return self._census.registry_items()
-
-    def keys(self):
-        return iter(self)
-
-    def values(self):
-        for _node_id, row in self._census.registry_items():
-            yield row
-
-    def clear(self) -> None:
-        self._census.clear_registry()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RegistryView):
-            other = dict(other.items())
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __bool__(self) -> bool:
-        return self._census.registry_size() > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<RegistryView {len(self)} nodes>"
-
-
-class MembersView:
-    """Dict-shaped live view of one instance's membership column."""
-
-    __slots__ = ("_census", "_handle")
-
-    def __init__(self, census: CensusStore, handle: int) -> None:
-        self._census = census
-        self._handle = handle
-
-    def __len__(self) -> int:
-        return self._census.member_count(self._handle)
-
-    def __iter__(self):
-        for node_id, _seen in self._census.members_items(self._handle):
-            yield node_id
-
-    def __contains__(self, node_id) -> bool:
-        return self._seen_of(node_id) is not None
-
-    def _seen_of(self, node_id):
-        idx = self._census.interner.index_of(node_id)
-        if idx is None:
-            return None
-        return self._census.member_seen(self._handle, idx)
-
-    def __getitem__(self, node_id) -> float:
-        seen = self._seen_of(node_id)
-        if seen is None:
-            raise KeyError(node_id)
-        return seen
-
-    def get(self, node_id, default=None):
-        seen = self._seen_of(node_id)
-        return default if seen is None else seen
-
-    def items(self):
-        return self._census.members_items(self._handle)
-
-    def keys(self):
-        return iter(self)
-
-    def values(self):
-        for _node_id, seen in self._census.members_items(self._handle):
-            yield seen
-
-    def clear(self) -> None:
-        self._census.clear_members(self._handle)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MembersView):
-            other = dict(other.items())
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<MembersView {len(self)} members>"
-

@@ -48,13 +48,7 @@ from repro.errors import (
     OddCIError,
     ProvisioningError,
 )
-from repro.core.census import (
-    STATE_BUSY,
-    STATE_IDLE,
-    CensusStore,
-    ColumnarCensusStore,
-    RegistryView,
-)
+from repro.core.census import STATE_BUSY, STATE_IDLE, ColumnarCensusStore
 from repro.core.instance import (
     InstanceRecord,
     InstanceSpec,
@@ -191,7 +185,7 @@ class Controller:
         probability_policy: Optional[ProbabilityPolicy] = None,
         maintenance_interval_s: float = 60.0,
         heartbeat_grace_factor: float = 3.0,
-        census: Optional[CensusStore] = None,
+        census: Optional[ColumnarCensusStore] = None,
         network: str = "",
     ) -> None:
         if maintenance_interval_s <= 0:
@@ -214,15 +208,12 @@ class Controller:
         #: the census engine: registry + per-instance membership in one
         #: store (columnar unless a store such as the dict-backed test
         #: oracle is passed in), sharing the router's node-id interning
-        #: table so heartbeat cohorts consolidate by index.  ``registry``
-        #: is the historical ``pna_id -> (last_seen, state,
-        #: instance_id)`` dict shape as a live view.
+        #: table so heartbeat cohorts consolidate by index.
         if census is None:
             census = ColumnarCensusStore(router.interner)
         elif census.interner is not router.interner:
             raise OddCIError("census store must share the router's interner")
         self.census = census
-        self.registry = RegistryView(self.census)
         self.instances: Dict[str, InstanceRecord] = {}
         self._pending_trims: Dict[str, int] = {}
         self._pending_resets: Set[str] = set()
@@ -530,7 +521,8 @@ class Controller:
 
     #: below this cohort size the classification + array-build overhead
     #: beats the vectorisation win; the cohort path defers to the
-    #: per-payload loop.
+    #: per-payload loop.  A Controller on the dict-backed test oracle
+    #: sets it to infinity, so it folds every heartbeat one by one.
     _COHORT_MIN = 16
 
     def _receive_cohort(self, idxs: np.ndarray, states: np.ndarray,
@@ -556,8 +548,8 @@ class Controller:
         router = self.router
         n = len(idxs)
         ix = as_index(idxs)
-        if (not census.supports_columnar or n < self._COHORT_MIN
-                or type(ix) is not slice and not all_distinct(idxs)):
+        if n < self._COHORT_MIN or (type(ix) is not slice
+                                    and not all_distinct(idxs)):
             self._receive_batch(router.heartbeat_payloads(idxs, states,
                                                           insts))
             return
@@ -685,7 +677,7 @@ class Controller:
         if trace is not None:
             trace.emit(now, "maintenance_round",
                        instances=len(self.instances),
-                       registry=len(self.registry), **self._net_kw)
+                       registry=self.census.registry_size(), **self._net_kw)
         if self._m_registry is not None:
             # Census gauges: pure array reductions on the columnar store.
             horizon = now - self._grace_window()
@@ -834,7 +826,7 @@ class Controller:
         trace = self._trace
         if trace is not None:
             trace.emit(now, "crash", instances=len(self.instances),
-                       registry=len(self.registry), **self._net_kw)
+                       registry=self.census.registry_size(), **self._net_kw)
         # Volatile state dies with the process: one store-wide wipe
         # clears the registry and every instance's membership column.
         self.census.clear()
@@ -879,7 +871,7 @@ class Controller:
                 record.bind_census(self.census)
             record.spec = spec
             record.created_at = created_at
-            record.members.clear()
+            self.census.clear_members(record.census_handle)
             record.wakeups_sent = wakeups
             record.trims_sent = trims
             record.resets_sent = resets
@@ -896,7 +888,7 @@ class Controller:
                 # Not in the checkpoint: release its store column.
                 record.release_census()
         self.instances = restored
-        self.registry.clear()
+        self.census.clear_registry()
         self._pending_trims.clear()
         # Union, not replace: convictions landed while the Controller
         # was down (Backends keep certifying through an outage) must

@@ -86,19 +86,17 @@ class InstanceStatus(enum.Enum):
 class InstanceRecord:
     """Controller-side mutable state of one OddCI instance.
 
-    Membership lives in a :class:`~repro.core.census.CensusStore`
-    column the record is *bound* to (:meth:`bind_census`): the
-    Controller binds every record to its shared census so heartbeat
-    cohorts can refresh whole membership groups columnar-ly.  A record
-    built standalone (tests, ad-hoc bookkeeping) lazily binds a private
-    dict-backed store on first membership operation, so the historical
-    dict semantics — including insertion-ordered iteration — are
-    preserved without a census in sight.  ``members`` is a live
-    dict-shaped view either way.
+    Membership lives in a column of the census store the record is
+    *bound* to (:meth:`bind_census`); the Controller binds every record
+    to its shared :class:`~repro.core.census.ColumnarCensusStore`, so a
+    heartbeat cohort refreshes a whole membership group as one column
+    write.  The record keeps only its column's handle
+    (:attr:`census_handle`): membership is read and written through
+    the store's calls, e.g. ``census.members_items(record.census_handle)``.
     """
 
     def __init__(self, instance_id: str, spec: InstanceSpec,
-                 created_at: float, *, census=None) -> None:
+                 created_at: float, *, census) -> None:
         self.instance_id = instance_id
         self.spec = spec
         self.created_at = created_at
@@ -106,56 +104,26 @@ class InstanceRecord:
         self.wakeups_sent = 0
         self.resets_sent = 0
         self.trims_sent = 0
-        self._census = None
-        self._handle = -1
-        self._members_view = None
-        if census is not None:
-            self.bind_census(census)
+        self.bind_census(census)
 
     # -- census binding --------------------------------------------------
     def bind_census(self, census) -> None:
-        """Attach this record's membership to ``census``.
-
-        Idempotent for the same store; re-binding to a different store
-        (controller restore builds a fresh census) starts from empty
-        membership, which is exactly restore's contract."""
-        from repro.core.census import MembersView
-
+        """Attach this record's membership to ``census`` (idempotent
+        for the same store)."""
         self._census = census
         self._handle = census.bind_instance(self.instance_id)
-        self._members_view = MembersView(census, self._handle)
 
     def release_census(self) -> None:
         """Free the store column (record destroyed / dropped by restore)."""
-        if self._census is not None:
-            self._census.release_instance(self.instance_id)
-
-    def _ensure_census(self):
-        if self._census is None:
-            from repro.core.census import ColumnarCensusStore
-
-            self.bind_census(ColumnarCensusStore())
-        return self._census
-
-    @property
-    def census(self):
-        return self._census
+        self._census.release_instance(self.instance_id)
 
     @property
     def census_handle(self) -> int:
         return self._handle
 
     @property
-    def members(self):
-        """Live ``pna_id -> last heartbeat`` view of the membership."""
-        self._ensure_census()
-        return self._members_view
-
-    @property
     def size(self) -> int:
         """Current membership count (from consolidated heartbeats)."""
-        if self._census is None:
-            return 0
         return self._census.member_count(self._handle)
 
     @property
@@ -168,28 +136,6 @@ class InstanceRecord:
         """PNAs beyond the target (>= 0)."""
         return max(0, self.size - self.spec.target_size)
 
-    def within_tolerance(self) -> bool:
-        band = self.spec.size_tolerance * self.spec.target_size
-        return abs(self.size - self.spec.target_size) <= band
-
-    def mark_member(self, pna_id: str, now: float) -> None:
-        if self.status in (InstanceStatus.DISMANTLING,
-                           InstanceStatus.DESTROYED):
-            raise InstanceError(
-                f"instance {self.instance_id} no longer accepts members")
-        census = self._ensure_census()
-        census.mark_member(self._handle, census.interner.intern(pna_id), now)
-
-    def drop_member(self, pna_id: str) -> None:
-        census = self._census
-        if census is None:
-            return
-        idx = census.interner.index_of(pna_id)
-        if idx is not None:
-            census.drop_member(self._handle, idx)
-
     def expire_members(self, cutoff: float) -> int:
         """Remove members whose last heartbeat predates ``cutoff``."""
-        if self._census is None:
-            return 0
         return self._census.expire_members(self._handle, cutoff)

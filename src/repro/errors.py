@@ -9,11 +9,9 @@ Hierarchy::
     ├── SimulationError
     │   ├── SchedulingError
     │   ├── CancelledError
-    │   ├── ProcessError
-    │   └── ResourceError
+    │   └── ProcessError
     ├── NetworkError
     │   ├── LinkDownError          (also FaultError)
-    │   ├── MessageTooLargeError
     │   └── SignatureError         (also FaultError)
     ├── CarouselError
     │   └── FileNotInCarouselError
@@ -76,10 +74,6 @@ class ProcessError(SimulationError):
     """A simulated process raised or was misused (e.g. bad yield value)."""
 
 
-class ResourceError(SimulationError):
-    """Invalid use of a simulated resource (double release, bad capacity)."""
-
-
 class NetworkError(ReproError):
     """Base class for the communication substrate."""
 
@@ -98,10 +92,6 @@ class FaultError(OddCIError):
 
 class LinkDownError(NetworkError, FaultError):
     """A transfer was attempted on a link that is down."""
-
-
-class MessageTooLargeError(NetworkError):
-    """A message exceeds the maximum transfer unit of its channel."""
 
 
 class SignatureError(NetworkError, FaultError):

@@ -7,7 +7,7 @@ Public surface:
 * :class:`~repro.sim.process.Process` / :class:`~repro.sim.process.Interrupt`
   — generator-based processes.
 * :class:`~repro.sim.wheel.TimerWheel` — shared slotted periodic timers.
-* Monitors: ``TimeSeries``, ``Tally``, ``Counter``.
+* Monitors: ``TimeSeries``, ``Counter``.
 """
 
 from repro.sim.core import (
@@ -18,7 +18,7 @@ from repro.sim.core import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
-from repro.sim.monitor import Counter, Tally, TimeSeries, summary
+from repro.sim.monitor import Counter, TimeSeries
 from repro.sim.process import Interrupt, Process
 from repro.sim.rng import derive_generator, derive_seed
 from repro.sim.wheel import TimerWheel
@@ -31,9 +31,7 @@ __all__ = [
     "Process",
     "Interrupt",
     "TimeSeries",
-    "Tally",
     "Counter",
-    "summary",
     "derive_seed",
     "derive_generator",
     "PRIORITY_URGENT",

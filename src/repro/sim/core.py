@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.rng import derive_generator
@@ -620,82 +620,6 @@ class Simulator:
         ev = Event(self, "timeout")
         self.schedule_fast(delay, ev.succeed, value)
         return ev
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Event that succeeds when every input event has succeeded.
-
-        Its value is the list of individual values, in input order.  The
-        first failure fails the combined event immediately.
-        """
-        events = list(events)
-        combined = self.event(name="all_of")
-        if not events:
-            self.schedule_fast(0.0, combined.succeed, [])
-            return combined
-        remaining = {"n": len(events)}
-
-        def _on_settle(ev: Event) -> None:
-            if combined.triggered:
-                return
-            if not ev.ok:
-                combined.fail(ev.value)
-                return
-            remaining["n"] -= 1
-            if remaining["n"] == 0:
-                combined.succeed([e.value for e in events])
-
-        for ev in events:
-            ev.add_callback(_on_settle)
-        return combined
-
-    def race_timeout(self, event: Event, delay: float) -> Event:
-        """Event that settles when ``event`` does or ``delay`` elapses.
-
-        Equivalent to ``any_of([event, timeout(delay)])`` but built for
-        the retry-guard idiom: the deadline is a cancellable calendar
-        entry that is cancelled the moment ``event`` wins, so tight
-        request/retry loops do not accumulate live timeout events (the
-        combined event's value is ``event``'s value if it won, ``None``
-        if the deadline fired first; a failing ``event`` fails the race).
-        """
-        combined = Event(self, "race_timeout")
-
-        def _deadline() -> None:
-            if not combined._settled:
-                combined.succeed(None)
-
-        handle = self.schedule(delay, _deadline)
-
-        def _on_settle(ev: Event) -> None:
-            if combined._settled:
-                return
-            handle.cancel()
-            if ev._ok:
-                combined.succeed(ev._value)
-            else:
-                combined.fail(ev._value)
-
-        event.add_callback(_on_settle)
-        return combined
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Event that settles as soon as any input settles (value/failure)."""
-        events = list(events)
-        combined = self.event(name="any_of")
-        if not events:
-            raise SimulationError("any_of() requires at least one event")
-
-        def _on_settle(ev: Event) -> None:
-            if combined.triggered:
-                return
-            if ev.ok:
-                combined.succeed(ev.value)
-            else:
-                combined.fail(ev.value)
-
-        for ev in events:
-            ev.add_callback(_on_settle)
-        return combined
 
     # -- RNG streams -----------------------------------------------------
     def rng(self, stream: str = "default"):

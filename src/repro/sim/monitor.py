@@ -1,4 +1,4 @@
-"""Measurement utilities: time series, counters and tallies.
+"""Measurement utilities: time series and counters.
 
 Every experiment in the benchmark harness observes the simulation through
 these monitors rather than poking at component internals, which keeps the
@@ -7,14 +7,13 @@ observation side-effect free and the components unit-testable.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import AnalysisError
 
-__all__ = ["TimeSeries", "Tally", "Counter", "summary"]
+__all__ = ["TimeSeries", "Counter"]
 
 
 class TimeSeries:
@@ -90,94 +89,6 @@ class TimeSeries:
         return float(np.min(self.values))
 
 
-class Tally:
-    """Streaming tally of observations (Welford's algorithm).
-
-    Constant memory; exact mean and unbiased variance without storing the
-    observations — suitable for millions of samples.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._sum = 0.0
-
-    def record(self, value: float) -> None:
-        value = float(value)
-        self._n += 1
-        delta = value - self._mean
-        self._mean += delta / self._n
-        self._m2 += delta * (value - self._mean)
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-
-    def record_many(self, values: Iterable[float]) -> None:
-        arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
-                         else values, dtype=float)
-        if arr.size == 0:
-            return
-        # Chan et al. parallel merge of (self) and (arr) moments.
-        n_b = int(arr.size)
-        mean_b = float(arr.mean())
-        m2_b = float(((arr - mean_b) ** 2).sum())
-        n_a = self._n
-        if n_a == 0:
-            self._n, self._mean, self._m2 = n_b, mean_b, m2_b
-        else:
-            delta = mean_b - self._mean
-            total = n_a + n_b
-            self._mean += delta * n_b / total
-            self._m2 += m2_b + delta * delta * n_a * n_b / total
-            self._n = total
-        self._sum += float(arr.sum())
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def total(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        if self._n == 0:
-            raise AnalysisError(f"tally {self.name!r} is empty")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (n-1 denominator)."""
-        if self._n < 2:
-            raise AnalysisError(f"tally {self.name!r} needs >= 2 samples")
-        return self._m2 / (self._n - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        if self._n == 0:
-            raise AnalysisError(f"tally {self.name!r} is empty")
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        if self._n == 0:
-            raise AnalysisError(f"tally {self.name!r} is empty")
-        return self._max
-
-
 class Counter:
     """Named monotone counters (messages sent, tasks done, ...)."""
 
@@ -197,20 +108,3 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self._counts!r})"
-
-
-def summary(values: Iterable[float]) -> dict[str, float]:
-    """One-shot summary statistics for a finite sample."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray)
-                     else values, dtype=float)
-    if arr.size == 0:
-        raise AnalysisError("summary() of empty sample")
-    out = {
-        "n": float(arr.size),
-        "mean": float(arr.mean()),
-        "min": float(arr.min()),
-        "max": float(arr.max()),
-        "median": float(np.median(arr)),
-    }
-    out["std"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return out

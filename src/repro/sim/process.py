@@ -10,16 +10,16 @@ it may yield:
 * a ``(event, max_wait_s)`` tuple — suspend until the event settles or
   the deadline elapses, whichever is first (the deadline case resumes
   with ``None``; check ``event.triggered`` to tell them apart).  This is
-  the cheap form of ``sim.race_timeout`` for retry guards: no combined
-  event or cancellable handle is allocated, just one calendar entry per
-  wait, so same-instant timeouts fire in the order their waits began;
+  the retry-guard idiom: no combined event or cancellable handle is
+  allocated, just one calendar entry per wait, so same-instant timeouts
+  fire in the order their waits began;
 * another :class:`Process` — join it (value/exception semantics as above);
 * ``None`` — yield control for zero simulated time (lets same-time events
   interleave deterministically).
 
 A ``Process`` is itself an :class:`~repro.sim.core.Event` that settles
 with the generator's return value, so processes compose: one process can
-wait for another, and ``sim.all_of`` works on processes too.
+wait for another.
 
 Example
 -------

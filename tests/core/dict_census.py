@@ -1,36 +1,44 @@
 """The dict-backed census store: the columnar engine's test oracle.
 
 :class:`DictCensusStore` is the obvious dict transcription of the
-pre-columnar ``Controller.registry`` / ``InstanceRecord.members`` code
-behind the :class:`~repro.core.census.CensusStore` interface.
-``tests/core/test_census_store.py`` drives randomized sequences through
-it and :class:`~repro.core.census.ColumnarCensusStore` in lockstep and
-requires identical censuses; tests hand it to a Controller through its
-``census`` argument.
+pre-columnar registry (``pna_id -> (last_seen, state, instance_id)``)
+and per-instance membership (``pna_id -> last_heartbeat``) dicts.  It
+duck-types the methods of :class:`~repro.core.census.ColumnarCensusStore`
+and borrows its instance-handle table and :meth:`snapshot` as plain
+functions.  ``tests/core/test_census_store.py`` drives randomized
+sequences through both stores in lockstep and requires identical
+censuses.  Tests hand it to a Controller through its ``census``
+argument with :func:`controller_on`, which also puts that Controller on
+the per-payload fold: the dict store takes index lists, not the cohort
+path's column slices.
 """
 
+import math
 from typing import Dict, Optional, Tuple
 
 from repro.core.census import (CODE_STATE, STATE_CODE, STATE_IDLE,
-                               CensusStore, NodeInterner)
+                               ColumnarCensusStore, NodeInterner)
+from repro.core.controller import Controller
 
 
-class DictCensusStore(CensusStore):
-    """Reference engine: the pre-columnar dicts behind the new interface.
+class DictCensusStore:
+    """Reference engine: the pre-columnar dicts behind the same methods.
 
     Every operation is the obvious dict transcription of the old
-    ``Controller.registry`` / ``InstanceRecord.members`` code paths, so
-    this build doubles as an executable specification.  Iteration
-    orders follow dict insertion order (the historical behaviour
-    standalone :class:`~repro.core.instance.InstanceRecord` tests rely
-    on); only the *sorted* :meth:`CensusStore.snapshot` is part of the
+    registry / membership code paths, so this build doubles as an
+    executable specification.  Iteration orders follow dict insertion
+    order; only the *sorted* :meth:`snapshot` is part of the
     cross-engine contract.
     """
 
-    supports_columnar = False
+    instance_handle = ColumnarCensusStore.instance_handle
+    instance_id_of = ColumnarCensusStore.instance_id_of
+    snapshot = ColumnarCensusStore.snapshot
 
     def __init__(self, interner: Optional[NodeInterner] = None) -> None:
-        super().__init__(interner)
+        self.interner = interner if interner is not None else NodeInterner()
+        self._inst_index: Dict[str, int] = {}
+        self._inst_ids: list = []
         #: idx -> (seen, state_code, instance_handle)
         self._registry: Dict[int, Tuple[float, int, int]] = {}
         #: instance handle -> {idx: last heartbeat}
@@ -69,11 +77,6 @@ class DictCensusStore(CensusStore):
             return None
         seen, code, handle = row
         return (seen, CODE_STATE[code], self.instance_id_of(handle))
-
-    def registry_set(self, node_id, seen, state, instance_id):
-        idx = self.interner.intern(node_id)
-        self._registry[idx] = (seen, STATE_CODE[state],
-                               self.instance_handle(instance_id))
 
     def registry_items(self):
         id_of = self.interner.id_of
@@ -188,3 +191,15 @@ class DictCensusStore(CensusStore):
                 recount[idx] = recount.get(idx, 0) + 1
         assert recount == self._member_of, \
             f"reverse index drifted: {recount} != {self._member_of}"
+
+
+def controller_on(store, sim, router, *args, **kwargs) -> Controller:
+    """A Controller whose census is a new ``store`` (a store class) on
+    ``router``'s interner.  On :class:`DictCensusStore` its
+    ``_COHORT_MIN`` is infinity, so ``_receive_cohort`` replays every
+    heartbeat through ``_consolidate`` one by one."""
+    controller = Controller(sim, router, *args,
+                            census=store(router.interner), **kwargs)
+    if store is DictCensusStore:
+        controller._COHORT_MIN = math.inf
+    return controller

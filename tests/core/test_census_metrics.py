@@ -11,17 +11,19 @@ rewrite has to preserve these numbers.
 
 Every test runs once per census engine: the columnar default and the
 dict-backed reference, handed to the system's Controller through its
-``census`` argument.  ``for_each_store`` loops inside one test so test
+``census`` argument (``controller_on``, which also puts the reference
+on the per-payload fold).  ``for_each_store`` loops inside one test so test
 ids stay stable.
 """
+
+import functools
 
 import pytest
 
 import repro.core.system as system_module
 from repro.core import OddCISystem
 from repro.core.census import ColumnarCensusStore
-from tests.core.dict_census import DictCensusStore
-from repro.core.controller import Controller
+from tests.core.dict_census import DictCensusStore, controller_on
 from repro.core.messages import HeartbeatPayload, PNAState
 from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
@@ -46,12 +48,9 @@ def _census(tracer):
 
 
 def _build_system(store, n_pnas=6):
-    def controller(sim, router, *args, **kwargs):
-        return Controller(sim, router, *args,
-                          census=store(router.interner), **kwargs)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(system_module, "Controller", controller)
+        mp.setattr(system_module, "Controller",
+                   functools.partial(controller_on, store))
         system = OddCISystem(maintenance_interval_s=40.0, seed=11)
     assert type(system.controller.census) is store
     system.add_pnas(n_pnas, heartbeat_interval_s=10.0,

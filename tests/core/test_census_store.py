@@ -5,11 +5,11 @@ observable outcomes*: any sequence of heartbeats (idle, busy, stale,
 trim-pending), maintenance expiries and crash/restore cycles must leave
 a :class:`~repro.core.census.ColumnarCensusStore`-backed Controller in
 exactly the state the dict-backed ``DictCensusStore`` reference
-(``tests/core/dict_census.py``) produces.  These tests drive randomized sequences through
-both engines — at the raw store level, at the Controller level (the
-columnar cohort path vs the per-payload reference, the dict store handed
-in through the Controller's ``census`` argument), and through the
-dict-shaped views — and require equality throughout.
+(``tests/core/dict_census.py``) produces.  These tests drive randomized
+sequences through both engines — at the raw store level and at the
+Controller level (the columnar cohort path vs the per-payload
+reference, the dict store handed in through the Controller's
+``census`` argument) — and require equality throughout.
 """
 
 import random
@@ -21,9 +21,7 @@ from repro.core.census import (
     STATE_BUSY,
     STATE_IDLE,
     ColumnarCensusStore,
-    MembersView,
     NodeInterner,
-    RegistryView,
 )
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import InstanceSpec, reset_instance_sequence
@@ -33,7 +31,7 @@ from repro.errors import OddCIError
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
-from tests.core.dict_census import DictCensusStore
+from tests.core.dict_census import DictCensusStore, controller_on
 
 #: Parameter ids -> census engines.
 STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusStore}
@@ -212,48 +210,41 @@ def test_capacity_growth_preserves_state():
     assert store.registry_get("n42") == (42.0, PNAState.BUSY, "inst")
 
 
-# ------------------------------------------------------------------- views
+# ------------------------------------------------------------ store reads
 
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
-def test_registry_view_dict_compat(backend):
+def test_registry_reads_and_clear(backend):
     store = STORES[backend]()
-    view = RegistryView(store)
-    assert view == {} and len(view) == 0 and not view
-    view["p1"] = (5.0, PNAState.IDLE, None)
-    view["p2"] = (6.0, PNAState.BUSY, "inst-a")
-    assert len(view) == 2 and view
-    assert "p1" in view and "p9" not in view
-    assert view["p2"] == (6.0, PNAState.BUSY, "inst-a")
-    assert view.get("p9") is None
-    assert sorted(view.keys()) == ["p1", "p2"]
-    assert sorted(view.values()) == [(5.0, PNAState.IDLE, None),
-                                     (6.0, PNAState.BUSY, "inst-a")]
-    assert view == {"p1": (5.0, PNAState.IDLE, None),
-                    "p2": (6.0, PNAState.BUSY, "inst-a")}
-    with pytest.raises(KeyError):
-        view["p9"]
-    view.clear()
-    assert view == {}
+    assert store.registry_size() == 0 and list(store.registry_items()) == []
+    store.touch(store.interner.intern("p1"), PNAState.IDLE, None, 5.0)
+    store.touch(store.interner.intern("p2"), PNAState.BUSY, "inst-a", 6.0)
+    assert store.registry_size() == 2
+    assert store.registry_get("p2") == (6.0, PNAState.BUSY, "inst-a")
+    assert store.registry_get("p9") is None
+    assert dict(store.registry_items()) == {
+        "p1": (5.0, PNAState.IDLE, None),
+        "p2": (6.0, PNAState.BUSY, "inst-a")}
+    store.clear_registry()
+    assert store.registry_size() == 0 and list(store.registry_items()) == []
+    assert store.registry_get("p1") is None
 
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
-def test_members_view_dict_compat(backend):
+def test_members_reads_and_clear(backend):
     store = STORES[backend]()
     handle = store.bind_instance("inst")
-    view = MembersView(store, handle)
-    assert view == {} and not view
+    assert store.member_count(handle) == 0
     for i, node in enumerate(["a", "b", "c"]):
         store.mark_member(handle, store.interner.intern(node), float(i))
-    assert len(view) == 3
-    assert view["b"] == 1.0 and view.get("z") is None
-    assert "a" in view and "z" not in view
-    assert sorted(view.items()) == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
-    assert dict(view) == {n: view[n] for n in view}
-    with pytest.raises(KeyError):
-        view["z"]
-    view.clear()
-    assert view == {} and store.member_count(handle) == 0
+    assert store.member_count(handle) == 3
+    assert store.member_seen(handle, store.interner.index_of("b")) == 1.0
+    assert store.member_seen(handle, store.interner.intern("z")) is None
+    assert sorted(store.members_items(handle)) == [("a", 0.0), ("b", 1.0),
+                                                   ("c", 2.0)]
+    store.clear_members(handle)
+    assert store.member_count(handle) == 0 and store.total_members() == 0
+    assert list(store.members_items(handle)) == []
 
 
 # ------------------------------------------- controller-level differential
@@ -270,9 +261,8 @@ def _build_controller(backend):
     router = Router(sim)
     plane = DirectControlPlane(
         BroadcastChannel(sim, beta_bps=1e9, name="bcast"))
-    controller = Controller(sim, router, plane, KeyRegistry(),
-                            maintenance_interval_s=50.0,
-                            census=STORES[backend](router.interner))
+    controller = controller_on(STORES[backend], sim, router, plane,
+                               KeyRegistry(), maintenance_interval_s=50.0)
     return sim, router, controller
 
 
@@ -291,9 +281,10 @@ def test_controller_default_store_and_interner_check():
 
 def _census_state(controller):
     """Canonical observable census of a Controller."""
+    census = controller.census
     return {
-        "registry": sorted(controller.registry.items()),
-        "members": {iid: sorted(rec.members.items())
+        "registry": sorted(census.registry_items()),
+        "members": {iid: sorted(census.members_items(rec.census_handle))
                     for iid, rec in controller.instances.items()},
         "sizes": {iid: rec.size
                   for iid, rec in controller.instances.items()},
@@ -330,9 +321,19 @@ def _random_script(rng, n_nodes=120, rounds=30):
 
 
 def _run_script(backend, script, *, columnar_delivery):
+    """Run ``script``; returns the census state and how many heartbeats
+    went through ``_consolidate`` one by one."""
     sim, router, controller = _build_controller(backend)
     live = []  # instance ids created so far (any status)
     rng_hb = 0
+    folded = []
+    consolidate = controller._consolidate
+
+    def counting_consolidate(payload):
+        folded.append(payload.pna_id)
+        consolidate(payload)
+
+    controller._consolidate = counting_consolidate
 
     def payload_for(node, kind):
         pna_id = f"pna-{node}"
@@ -386,7 +387,7 @@ def _run_script(backend, script, *, columnar_delivery):
                 controller.restore()
         rng_hb += 1
     sim.run(until=sim.now + 100.0)
-    return _census_state(controller)
+    return _census_state(controller), len(folded)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 47])
@@ -396,19 +397,25 @@ def test_controller_differential_columnar_vs_dict(seed):
     randomized heartbeat / trim / stale / expiry / crash-restore
     sequences."""
     script = _random_script(random.Random(seed))
-    columnar = _run_script("columnar", script, columnar_delivery=True)
-    reference = _run_script("dict", script, columnar_delivery=False)
+    columnar, columnar_folded = _run_script("columnar", script,
+                                            columnar_delivery=True)
+    reference, reference_folded = _run_script("dict", script,
+                                              columnar_delivery=False)
     assert columnar == reference
-    # The workload actually exercised the interesting paths.
-    assert columnar["counters"].get("heartbeats", 0) > 0
+    # The workload actually exercised the interesting paths: the
+    # reference folded every heartbeat one by one, the columnar path
+    # only its slow tail.
+    beats = reference["counters"].get("heartbeats", 0)
+    assert reference_folded == beats > 0
+    assert columnar_folded < beats
 
 
 def test_columnar_batch_vs_cohort_same_controller_paths():
     """Within the columnar engine, `_receive_cohort` must equal
     `_receive_batch` payload-for-payload (same store, same sequences)."""
     script = _random_script(random.Random(5))
-    cohort = _run_script("columnar", script, columnar_delivery=True)
-    batch = _run_script("columnar", script, columnar_delivery=False)
+    cohort, _ = _run_script("columnar", script, columnar_delivery=True)
+    batch, _ = _run_script("columnar", script, columnar_delivery=False)
     assert cohort == batch
 
 
@@ -430,9 +437,11 @@ def test_cohort_with_duplicate_nodes_falls_back():
     payloads.append(HeartbeatPayload(pna_id="pna-3", state=PNAState.IDLE,
                                      instance_id=None))
     controller._receive_cohort(*router.heartbeat_columns(payloads))
-    assert controller.registry["pna-3"][1] is PNAState.IDLE
-    assert "pna-3" not in controller.instances[iid].members
-    assert controller.instances[iid].size == 19
+    record = controller.instances[iid]
+    assert controller.census.registry_get("pna-3")[1] is PNAState.IDLE
+    assert controller.census.member_seen(
+        record.census_handle, router.interner.index_of("pna-3")) is None
+    assert record.size == 19
 
 
 def test_small_cohorts_use_per_payload_path():
@@ -441,7 +450,7 @@ def test_small_cohorts_use_per_payload_path():
                                  instance_id=None)
                 for n in range(Controller._COHORT_MIN - 1)]
     controller._receive_cohort(*router.heartbeat_columns(payloads))
-    assert len(controller.registry) == len(payloads)
+    assert controller.census.registry_size() == len(payloads)
     assert controller.counters["heartbeats"] == len(payloads)
 
 
@@ -449,7 +458,7 @@ def test_columnar_store_validate_after_controller_workload():
     """Shape/invariant discipline holds after a real Controller
     workload (the assertion-based numpy-boundary check)."""
     script = _random_script(random.Random(13))
-    sim_state = _run_script("columnar", script, columnar_delivery=True)
+    sim_state, _ = _run_script("columnar", script, columnar_delivery=True)
     assert sim_state["counters"].get("heartbeats", 0) >= 0
     # validate() runs inside _selfcheck too; here assert on a live store:
     _, router, controller = _build_controller("columnar")
@@ -479,7 +488,8 @@ def test_crash_clears_census_and_restore_reconciles(backend):
     store = controller.census
 
     controller.crash()
-    assert controller.registry == {}
+    assert list(store.registry_items()) == []
+    assert store.registry_size() == 0
     assert controller.instances[iid].size == 0
     sim.run(until=sim.now + 30.0)
     controller.restore()
@@ -487,7 +497,7 @@ def test_crash_clears_census_and_restore_reconciles(backend):
     assert controller.census is store  # the injected engine survives
     controller._receive_batch(payloads)
     assert controller.instances[iid].size == 20
-    assert len(controller.registry) == 20
+    assert store.registry_size() == 20
 
 
 def test_destroyed_instance_releases_column():
@@ -504,6 +514,7 @@ def test_destroyed_instance_releases_column():
     sim.run(until=sim.now + 200.0)
     record = controller.instances[iid]
     assert record.status.value == "destroyed"
-    assert record.size == 0 and record.members == {}
+    assert record.size == 0
+    assert list(controller.census.members_items(record.census_handle)) == []
     assert not controller.census._is_bound(record.census_handle)
     controller.census.validate()

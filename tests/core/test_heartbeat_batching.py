@@ -186,7 +186,8 @@ def test_batched_census_matches_during_job():
     system.sim.run(until=50.0)
     assert system.busy_count() == 8
     busy_in_registry = sum(
-        1 for (_seen, state, _iid) in system.controller.registry.values()
+        1 for _pna_id, (_seen, state, _iid)
+        in system.controller.census.registry_items()
         if state is PNAState.BUSY)
     assert busy_in_registry == 8
 
@@ -227,6 +228,8 @@ def test_cohort_tick_sets_off_no_garbage_collection():
 def _mixed_cohort_run(store):
     """One 10 s cohort holding every member kind the consolidation has
     to tell apart, delivered once to a controller on ``store``."""
+    import functools
+
     import repro.core.system as system_module
     from repro.certify.adversary import Adversary
     from repro.core.controller import Controller
@@ -235,10 +238,7 @@ def _mixed_cohort_run(store):
     from repro.net.link import DuplexChannel
     from repro.sim.core import PRIORITY_URGENT
     from repro.telemetry.trace import Tracer, active
-
-    def controller(sim, router, *args, **kwargs):
-        return Controller(sim, router, *args,
-                          census=store(router.interner), **kwargs)
+    from tests.core.dict_census import controller_on
 
     consolidated = []
     real_consolidate = Controller._consolidate
@@ -250,7 +250,8 @@ def _mixed_cohort_run(store):
     reset_instance_sequence()
     tracer = Tracer()
     with active(tracer), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(system_module, "Controller", controller)
+        mp.setattr(system_module, "Controller",
+                   functools.partial(controller_on, store))
         mp.setattr(Controller, "_consolidate", counting_consolidate)
         system = build_system(n_pnas=30, heartbeat_interval_s=10.0)
         sim, router, ctl = system.sim, system.router, system.controller

@@ -10,7 +10,14 @@ from repro.core import (
     InstanceStatus,
     new_instance_id,
 )
+from repro.core.census import ColumnarCensusStore
+from repro.core.controller import Controller, DirectControlPlane
+from repro.core.messages import HeartbeatPayload, PNAState
+from repro.core.network import Router
 from repro.errors import ConfigurationError, InstanceError
+from repro.net.broadcast import BroadcastChannel
+from repro.net.crypto import KeyRegistry
+from repro.sim.core import Simulator
 
 
 def spec(**overrides):
@@ -43,50 +50,62 @@ def test_new_instance_ids_unique():
 
 # -- InstanceRecord ------------------------------------------------------------
 
+def record_on_store(*args):
+    """A record bound to a fresh columnar store, and a ``mark(node,
+    now)`` that refreshes ``node``'s membership in it."""
+    store = ColumnarCensusStore()
+    r = InstanceRecord(*args, census=store)
+
+    def mark(node, now):
+        store.mark_member(r.census_handle, store.interner.intern(node), now)
+
+    return r, store, mark
+
+
 def test_record_membership_and_deficit():
-    r = InstanceRecord("i-1", spec(target_size=3), created_at=0.0)
+    r, _store, mark = record_on_store("i-1", spec(target_size=3), 0.0)
     assert r.size == 0 and r.deficit == 3 and r.excess == 0
-    r.mark_member("a", 1.0)
-    r.mark_member("b", 1.0)
+    mark("a", 1.0)
+    mark("b", 1.0)
     assert r.size == 2 and r.deficit == 1
-    r.mark_member("b", 2.0)  # refresh, not duplicate
+    mark("b", 2.0)  # refresh, not duplicate
     assert r.size == 2
-    r.mark_member("c", 2.0)
-    r.mark_member("d", 2.0)
+    mark("c", 2.0)
+    mark("d", 2.0)
     assert r.excess == 1 and r.deficit == 0
 
 
-def test_record_within_tolerance():
-    r = InstanceRecord("i", spec(target_size=100, size_tolerance=0.1), 0.0)
-    for i in range(95):
-        r.mark_member(f"p{i}", 0.0)
-    assert r.within_tolerance()  # 95 in [90, 110]
-    for i in range(95, 120):
-        r.mark_member(f"p{i}", 0.0)
-    assert not r.within_tolerance()  # 120 > 110
-
-
 def test_record_expire_members():
-    r = InstanceRecord("i", spec(), 0.0)
-    r.mark_member("old", 10.0)
-    r.mark_member("new", 100.0)
+    r, store, mark = record_on_store("i", spec(), 0.0)
+    mark("old", 10.0)
+    mark("new", 100.0)
     assert r.expire_members(cutoff=50.0) == 1
-    assert list(r.members) == ["new"]
+    assert list(store.members_items(r.census_handle)) == [("new", 100.0)]
 
 
 def test_record_drop_member_idempotent():
-    r = InstanceRecord("i", spec(), 0.0)
-    r.mark_member("a", 0.0)
-    r.drop_member("a")
-    r.drop_member("a")
+    r, store, mark = record_on_store("i", spec(), 0.0)
+    mark("a", 0.0)
+    idx = store.interner.index_of("a")
+    assert store.drop_member(r.census_handle, idx)
+    assert not store.drop_member(r.census_handle, idx)
     assert r.size == 0
 
 
 def test_dismantling_record_rejects_members():
-    r = InstanceRecord("i", spec(), 0.0)
+    """The Controller consolidates no member into a DISMANTLING
+    instance: a busy heartbeat claiming it is registered, not joined."""
+    sim = Simulator(seed=0)
+    router = Router(sim)
+    plane = DirectControlPlane(
+        BroadcastChannel(sim, beta_bps=1e9, name="bcast"))
+    controller = Controller(sim, router, plane, KeyRegistry())
+    r = controller.create_instance(spec())
     r.status = InstanceStatus.DISMANTLING
-    with pytest.raises(InstanceError):
-        r.mark_member("a", 0.0)
+    controller._receive_batch([HeartbeatPayload(
+        pna_id="a", state=PNAState.BUSY, instance_id=r.instance_id)])
+    assert controller.census.registry_get("a")[1] is PNAState.BUSY
+    assert r.size == 0
 
 
 # -- policies --------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_heartbeats_reach_controller():
     system = build_system(n_pnas=3)
     system.sim.run(until=100.0)
     assert system.controller.counters["heartbeats"] > 0
-    assert len(system.controller.registry) == 3
+    assert system.controller.census.registry_size() == 3
     assert system.controller.idle_estimate() == 3
 
 

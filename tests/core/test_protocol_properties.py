@@ -80,10 +80,11 @@ def test_controller_invariants_under_random_management(script, seed):
     # Invariant 2: instance membership counts only known PNAs, without
     # duplicates across live instances.
     seen = {}
+    census = system.controller.census
     for record in system.controller.instances.values():
         if record.status is InstanceStatus.DESTROYED:
             continue
-        for pna_id in record.members:
+        for pna_id, _seen in census.members_items(record.census_handle):
             assert pna_id not in seen, (
                 f"{pna_id} in both {seen.get(pna_id)} and "
                 f"{record.instance_id}")
@@ -106,7 +107,8 @@ def test_controller_invariants_under_random_management(script, seed):
         if record.status is InstanceStatus.ACTIVE:
             limit = record.spec.target_size * (
                 1 + record.spec.size_tolerance) + 1
-            online_members = [pid for pid in record.members
+            online_members = [pid for pid, _seen
+                              in census.members_items(record.census_handle)
                               if any(p.pna_id == pid and p.online
                                      for p in system.pnas)]
             assert len(online_members) <= limit + record.excess
@@ -123,7 +125,7 @@ def test_heartbeat_conservation(seed):
     system.provider.submit_job(job, target_size=4,
                                heartbeat_interval_s=10.0)
     system.sim.run(until=200.0)
-    assert len(system.controller.registry) == 10
+    assert system.controller.census.registry_size() == 10
     idle = system.controller.idle_estimate()
     alive = system.controller.alive_estimate()
     busy = alive - idle

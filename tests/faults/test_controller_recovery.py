@@ -26,7 +26,7 @@ def test_crash_clears_census_and_blocks_provider_api():
     controller = system.controller
     controller.crash()
     assert not controller.alive
-    assert controller.registry == {}
+    assert list(controller.census.registry_items()) == []
     record = controller.instance(submission.instance_id)
     assert record.size == 0
     job = uniform_bag(10, image_bits=1e6, ref_seconds=1.0)
@@ -43,7 +43,7 @@ def test_restore_reconciles_census_from_heartbeats():
     controller.crash()
     # Heartbeats sent while down vanish (undeliverable), they don't queue.
     system.sim.run(until=crash_at + 30.0)
-    assert controller.registry == {}
+    assert list(controller.census.registry_items()) == []
     controller.restore()
     assert controller.alive
     # Instance is identity-preserved, degraded until heartbeats return.
@@ -51,7 +51,7 @@ def test_restore_reconciles_census_from_heartbeats():
     assert record is submission.record
     system.sim.run(until=crash_at + 120.0)
     assert record.size == record.spec.target_size
-    assert len(controller.registry) == len(system.pnas)
+    assert controller.census.registry_size() == len(system.pnas)
     assert controller.mttr_history, "recovery must close the MTTR clock"
     assert controller.counters["crashes"] == 1
     assert controller.counters["restores"] == 1

@@ -46,7 +46,7 @@ def test_heartbeat_loss_does_not_wedge_controller():
     system = lossy_system(loss=0.3, n_pnas=10, seed=2)
     system.sim.run(until=400.0)
     # Despite 30% loss, enough heartbeats get through to register all.
-    assert len(system.controller.registry) == 10
+    assert system.controller.census.registry_size() == 10
     assert system.controller.counters["heartbeats"] > 0
     # Satellite: the loss is observable, not silent.
     assert sum(p.channel.uplink.dropped for p in system.pnas) > 0
@@ -90,7 +90,8 @@ def test_membership_expiry_under_total_silence():
         p.channel.uplink.set_up(False)
     system.sim.run(until=400.0)
     record = system.controller.instance(submission.instance_id)
-    member_ids = set(record.members)
+    member_ids = {pna_id for pna_id, _seen in system.controller.census
+                  .members_items(record.census_handle)}
     assert all(p.pna_id not in member_ids for p in busy[:2])
     assert record.size >= 5  # recomposed from the idle pool
     # Satellite: fire-and-forget sends into the dead uplinks were

@@ -119,7 +119,8 @@ def test_duplex_channel_independent_directions():
     ch = DuplexChannel(sim, rate_bps=1000.0)
     up_done = ch.uplink.send(make_msg(1000.0 - DEFAULT_HEADER_BITS))
     down_done = ch.downlink.send(make_msg(1000.0 - DEFAULT_HEADER_BITS))
-    sim.run_until_event(sim.all_of([up_done, down_done]))
+    for done in (up_done, down_done):
+        sim.run_until_event(done)
     # Full duplex: both directions complete at t=1, not t=2.
     assert sim.now == pytest.approx(1.0)
 

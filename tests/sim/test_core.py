@@ -258,50 +258,6 @@ def test_run_until_event_time_limit():
         sim.run_until_event(ev, limit=10.0)
 
 
-# -- combinators ------------------------------------------------------------
-
-def test_all_of_collects_values_in_order():
-    sim = Simulator()
-    e1 = sim.timeout(3.0, "a")
-    e2 = sim.timeout(1.0, "b")
-    combined = sim.all_of([e1, e2])
-    value = sim.run_until_event(combined)
-    assert value == ["a", "b"]
-    assert sim.now == 3.0
-
-
-def test_all_of_empty_succeeds_immediately():
-    sim = Simulator()
-    combined = sim.all_of([])
-    assert sim.run_until_event(combined) == []
-
-
-def test_all_of_fails_on_first_failure():
-    sim = Simulator()
-    bad = sim.event()
-    sim.schedule(1.0, bad.fail, KeyError("nope"))
-    good = sim.timeout(5.0)
-    combined = sim.all_of([bad, good])
-    with pytest.raises(KeyError):
-        sim.run_until_event(combined)
-    assert sim.now == 1.0
-
-
-def test_any_of_settles_on_first():
-    sim = Simulator()
-    slow = sim.timeout(10.0, "slow")
-    fast = sim.timeout(2.0, "fast")
-    combined = sim.any_of([slow, fast])
-    assert sim.run_until_event(combined) == "fast"
-    assert sim.now == 2.0
-
-
-def test_any_of_empty_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.any_of([])
-
-
 # -- determinism -------------------------------------------------------------
 
 def test_identical_seeds_identical_streams():

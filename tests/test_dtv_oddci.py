@@ -168,7 +168,7 @@ def test_heartbeats_flow_from_dtv_pnas():
     system = build(n=3)
     system.sim.run(until=300.0)
     assert system.controller.counters["heartbeats"] > 0
-    assert len(system.controller.registry) == 3
+    assert system.controller.census.registry_size() == 3
 
 
 def test_config_poll_error_propagates_out_of_run():

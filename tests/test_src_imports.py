@@ -1,4 +1,4 @@
-"""Every module in ``src/`` is used by some other module.
+"""Every module and class in ``src/`` is used by some other code.
 
 A module that only a package ``__init__`` imports (to re-export its
 names) is code no program path runs.  This walks ``src/repro`` with
@@ -8,6 +8,10 @@ module that defines ``Name``.  Imports made by a package ``__init__``
 do not count.  Entry points are allowlisted: ``repro.__main__``
 (``python -m repro``) and ``repro.experiments.*``, which the scenario
 registry imports by name.
+
+The same holds one level down: a top-level class whose name no module
+but a package ``__init__`` mentions (as a name, an attribute or an
+imported name) is never constructed, subclassed or caught by a program.
 """
 
 import ast
@@ -83,8 +87,33 @@ def unused_modules(src: Path = SRC) -> list:
                   and not name.startswith(ENTRY_POINTS))
 
 
+def unused_classes(src: Path = SRC) -> list:
+    """``module.Class`` for each top-level class whose name no module
+    but a package ``__init__`` mentions."""
+    trees, packages = _modules(src)
+    named: Set[str] = set()
+    for module, tree in trees.items():
+        if module in packages:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    return sorted(f"{module}.{node.name}"
+                  for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name not in named)
+
+
 def test_every_src_module_is_imported_by_code():
     assert unused_modules() == []
+
+
+def test_every_src_class_is_named_by_code():
+    assert unused_classes() == []
 
 
 def test_check_follows_package_reexports(tmp_path):
@@ -104,3 +133,25 @@ def test_check_follows_package_reexports(tmp_path):
     (pkg / "experiments" / "__init__.py").write_text("")
     (pkg / "experiments" / "fig.py").write_text("X = 1\n")
     assert unused_modules(tmp_path) == ["repro.lonely", "repro.orphan"]
+
+
+def test_class_check_ignores_package_reexports(tmp_path):
+    """On a toy tree: a class named in code, in an import, or inside
+    its own module counts; one only a package ``__init__`` re-exports,
+    or that nothing names, is reported."""
+    pkg = tmp_path / "repro"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text(
+        "from repro.shapes import Orphan, Used\n")
+    (pkg / "shapes.py").write_text(
+        "class Used:\n    pass\n\n"
+        "class Imported:\n    pass\n\n"
+        "class Local:\n    pass\n\n"
+        "class Orphan:\n    pass\n\n"
+        "class Lonely:\n    pass\n\n"
+        "def make():\n    return Local()\n")
+    (pkg / "user.py").write_text(
+        "import repro.shapes\nfrom repro.shapes import Imported\n"
+        "X = repro.shapes.Used\n")
+    assert unused_classes(tmp_path) == ["repro.shapes.Lonely",
+                                        "repro.shapes.Orphan"]
