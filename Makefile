@@ -3,10 +3,14 @@ export PYTHONPATH := src
 
 .PHONY: test experiments bench-floor trace-demo \
 	faults-smoke federation-smoke serve-smoke certify-smoke vector-smoke \
-	oddbench
+	oddbench lines
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Net source lines, the number ROADMAP.md tracks.
+lines:
+	@find src -name '*.py' | xargs cat | wc -l
 
 # Every registered scenario at smoke scale through the parallel runner
 # (tier-2 'experiments' marker; excluded from the default test run),

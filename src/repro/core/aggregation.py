@@ -23,14 +23,14 @@ controller's" address).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import OddCIError
 from repro.core.messages import (CONTROL_PAYLOAD_BITS, HeartbeatPayload,
-                                 HeartbeatReply, PNAState)
+                                 PNAState)
 from repro.core.network import Router
 from repro.net.link import DuplexChannel
-from repro.net.message import Message, bits_from_bytes
+from repro.net.message import bits_from_bytes
 from repro.sim.core import Simulator
 from repro.sim.process import Interrupt
 
@@ -91,12 +91,11 @@ class HeartbeatAggregator:
             sim, rate_bps=uplink_rate_bps,
             name=f"{aggregator_id}.uplink")
         # The aggregator is itself a "PNA-like" endpoint to the router so
-        # its digests traverse a real channel.
+        # its digests traverse a real channel.  Nothing flows down to the
+        # aggregator itself; resets go straight to PNAs.
         router.register_pna(aggregator_id + ".chan", self.uplink,
-                            self._on_downlink)
-        router.register_component(aggregator_id, self._receive,
-                                  receive_batch=self._receive_batch,
-                                  receive_payload=self._receive_payload)
+                            lambda payload: None)
+        router.register_component(aggregator_id, self._receive_payload)
 
         self._idle_fresh: Set[str] = set()
         self._busy_fresh: Dict[str, Set[str]] = {}
@@ -106,9 +105,6 @@ class HeartbeatAggregator:
         self._proc = sim.process(self._digest_loop())
 
     # -- shard-facing ------------------------------------------------------
-    def _receive(self, msg: Message) -> None:
-        self._receive_payload(msg.payload)
-
     def _receive_payload(self, payload) -> None:
         if not isinstance(payload, HeartbeatPayload):
             raise OddCIError(
@@ -122,26 +118,6 @@ class HeartbeatAggregator:
             self._idle_fresh.discard(payload.pna_id)
             self._busy_fresh.setdefault(
                 payload.instance_id, set()).add(payload.pna_id)
-
-    def _receive_batch(self, payloads: list) -> None:
-        """Cohort fast path: fold a same-instant heartbeat batch."""
-        self.heartbeats_received += len(payloads)
-        idle_fresh = self._idle_fresh
-        busy_fresh = self._busy_fresh
-        for payload in payloads:
-            if payload.state is PNAState.IDLE:
-                idle_fresh.add(payload.pna_id)
-                for members in busy_fresh.values():
-                    members.discard(payload.pna_id)
-            else:
-                idle_fresh.discard(payload.pna_id)
-                busy_fresh.setdefault(
-                    payload.instance_id, set()).add(payload.pna_id)
-
-    def _on_downlink(self, msg: Message) -> None:
-        # Nothing flows down to the aggregator itself today; resets go
-        # straight to PNAs.  Kept for protocol symmetry.
-        return
 
     # -- upstream ------------------------------------------------------------
     def _digest_loop(self):
@@ -158,7 +134,7 @@ class HeartbeatAggregator:
                 )
                 self.router.send_from_pna(
                     self.aggregator_id + ".chan", self.controller_id,
-                    digest, digest.wire_bits(), quiet=True)
+                    digest, digest.wire_bits())
                 self.digests_sent += 1
                 self._period_start = self.sim.now
                 self._idle_fresh.clear()
@@ -188,18 +164,14 @@ class DigestingController:
         router = controller.router
         router.unregister_component(controller.controller_id)
         # Heartbeat cohort batches carry only HeartbeatPayloads, so they
-        # can bypass the digest dispatch straight into the controller —
-        # including its columnar cohort path.
-        router.register_component(controller.controller_id, self._receive,
-                                  receive_batch=controller._receive_batch,
-                                  receive_cohort=controller._receive_cohort,
-                                  receive_payload=self._receive_payload)
+        # can bypass the digest dispatch straight into the controller's
+        # columnar cohort path.
+        router.register_component(controller.controller_id,
+                                  self._receive_payload,
+                                  receive_cohort=controller._receive_cohort)
         # The wakeup-probability policy must see the digest-informed idle
         # census, so the wrapped controller's estimator is overridden.
         controller.idle_estimate = self.idle_estimate
-
-    def _receive(self, msg: Message) -> None:
-        self._receive_payload(msg.payload)
 
     def _receive_payload(self, payload) -> None:
         if isinstance(payload, HeartbeatDigest):

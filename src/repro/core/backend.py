@@ -40,7 +40,6 @@ from repro.core.messages import (
 )
 from repro.core.network import Router
 from repro.net.link import all_distinct, as_index
-from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
@@ -243,8 +242,7 @@ class Backend:
             else None
 
         for r in routers:
-            r.register_component(backend_id, self._receive,
-                                 receive_payload=self._receive_payload)
+            r.register_component(backend_id, self._receive_payload)
             # Advertise the cohort dispatch tier: PNAs woken for this
             # backend may drive their DVE loop through a shared
             # CohortTaskEngine (repro.core.taskloop) instead of per-node
@@ -315,9 +313,6 @@ class Backend:
         )
 
     # -- message handling ------------------------------------------------------
-    def _receive(self, msg: Message) -> None:
-        self._receive_payload(msg.payload)
-
     def _receive_payload(self, payload) -> None:
         if isinstance(payload, TaskRequest):
             self._handle_request(payload)
@@ -692,7 +687,7 @@ class Backend:
         for router in self.routers:
             if router.has_pna(pna_id):
                 router.send_to_pna(self.backend_id, pna_id, payload,
-                                   payload_bits, quiet=True)
+                                   payload_bits)
                 return
         # node vanished between request and reply
 
@@ -781,9 +776,8 @@ class Backend:
         self.alive = True
         self.restarts += 1
         for router in self.routers:
-            router.register_component(
-                self.backend_id, self._receive,
-                receive_payload=self._receive_payload)
+            router.register_component(self.backend_id,
+                                      self._receive_payload)
         if self.lease_factor is not None and not self.done:
             self._lease_proc = self.sim.process(self._lease_loop())
         trace = self._trace

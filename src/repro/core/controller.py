@@ -285,10 +285,8 @@ class Controller:
             self._m_quarantined = metrics.counter(
                 _mname("census.quarantined"))
 
-        router.register_component(controller_id, self._receive,
-                                  receive_batch=self._receive_batch,
-                                  receive_cohort=self._receive_cohort,
-                                  receive_payload=self._receive_payload)
+        router.register_component(controller_id, self._receive_payload,
+                                  receive_cohort=self._receive_cohort)
         self._maintenance_proc = sim.process(self._maintenance_loop())
 
     def _require_alive(self) -> None:
@@ -485,9 +483,6 @@ class Controller:
         self.counters.incr("wakeups_broadcast")
 
     # -- heartbeat handling -----------------------------------------------------------
-    def _receive(self, msg: Message) -> None:
-        self._receive_payload(msg.payload)
-
     def _receive_payload(self, payload) -> None:
         if not isinstance(payload, HeartbeatPayload):
             raise OddCIError(f"controller got unexpected payload {payload!r}")
@@ -652,7 +647,7 @@ class Controller:
         self.router.send_to_pna(
             self.controller_id, pna_id,
             HeartbeatReply(pna_id=pna_id, reset=True),
-            CONTROL_PAYLOAD_BITS, quiet=True)
+            CONTROL_PAYLOAD_BITS)
         self.counters.incr("trim_replies")
 
     # -- maintenance -----------------------------------------------------------------
@@ -896,10 +891,8 @@ class Controller:
         self._blacklist |= set(getattr(cp, "blacklist", ()))
         self.alive = True
         self.router.register_component(
-            self.controller_id, self._receive,
-            receive_batch=self._receive_batch,
-            receive_cohort=self._receive_cohort,
-            receive_payload=self._receive_payload)
+            self.controller_id, self._receive_payload,
+            receive_cohort=self._receive_cohort)
         self._maintenance_proc = self.sim.process(self._maintenance_loop())
         # MTTR counts from the moment of the crash, not the restart.  A
         # crash is a manifest disruption by definition (the API was

@@ -13,7 +13,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -35,24 +34,18 @@ from repro.net.link import (
     grow_columns,
     offer_rows,
 )
-from repro.net.message import DEFAULT_HEADER_BITS, Message
+from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
 __all__ = ["Router", "PNA_COUNTERS"]
 
-#: Component-side receive callback: (message, router) -> None
-ReceiveFn = Callable[[Message], None]
-
-#: Batched receive callback: a list of payloads arriving together.
-ReceiveBatchFn = Callable[[list], None]
+#: Receive callback: the bare payload of one delivered message.
+ReceiveFn = Callable[[Any], None]
 
 #: Cohort receive callback: (node indices, state codes, instance codes)
 #: — the columnar fast path for same-instant heartbeat cohorts.
 ReceiveCohortFn = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-
-#: Bare-payload receive callback (quiet fast path, no Message wrapper).
-ReceivePayloadFn = Callable[[Any], None]
 
 #: Per-PNA counters, router columns that PNA attributes read through.
 PNA_COUNTERS = ("heartbeats_sent", "wakeups_seen", "wakeups_accepted",
@@ -87,10 +80,8 @@ class Router:
         #: indices are globally dense and shard ownership becomes a
         #: contiguous id range (see repro.core.federation).
         self.interner = NodeInterner() if interner is None else interner
-        self._components: Dict[str, ReceiveFn] = {}
-        self._batch_receivers: Dict[str, ReceiveBatchFn] = {}
+        self._receivers: Dict[str, ReceiveFn] = {}
         self._cohort_receivers: Dict[str, ReceiveCohortFn] = {}
-        self._payload_receivers: Dict[str, ReceivePayloadFn] = {}
         #: direct channels by node index (see channel_of), and the
         #: (first row, first channel number, name format, tracer, owner)
         #: of each block registered by register_pnas
@@ -132,12 +123,9 @@ class Router:
         for name in zero:
             setattr(self, name, array("i"))
         self._zero_columns = tuple(map(self.__getattribute__, zero))
-        #: the node registered one by one at a row: its ``_on_downlink``
-        #: and ``_on_downlink_payload`` (may be None) receive its
-        #: downlink; a block's rows are served by the block (see _node)
-        self._nodes: Dict[int, Any] = {}
-        self._up_receiver = self._deliver_to_component
-        self._down_receiver = self._deliver_to_pna
+        #: the downlink receiver of each node registered one by one, by
+        #: row; a block's rows are served by the block (see _receiver_of)
+        self._nodes: Dict[int, ReceiveFn] = {}
         #: instance ids behind ``pna_instance`` codes; 0 is "none".
         self._instance_ids: List[Optional[str]] = [None]
         self._instance_codes: Dict[str, int] = {}
@@ -211,10 +199,13 @@ class Router:
         return self._blocks[bisect_right(self._blocks, idx,
                                          key=itemgetter(0)) - 1]
 
-    def _node(self, idx: int) -> Any:
+    def _receiver_of(self, idx: int) -> ReceiveFn:
         """The receiver of registered node ``idx``'s downlink: a block
-        row's is its :class:`~repro.core.pna.PNA` view."""
-        return self._nodes.get(idx) or self._block_of(idx)[4].view(idx)
+        row's is its :class:`~repro.core.pna.PNA` view's."""
+        receive = self._nodes.get(idx)
+        if receive is None:
+            receive = self._block_of(idx)[4].view(idx)._on_downlink_payload
+        return receive
 
     def channel_of(self, idx: int) -> DuplexChannel:
         """Registered node ``idx``'s direct channel; one of a block
@@ -232,57 +223,36 @@ class Router:
         return channel
 
     def _adopt(self, idx: int, channel: DuplexChannel) -> None:
-        # attach() inlined: the receivers are bound once per router,
-        # not once per PNA.
         self._channels[idx] = channel
-        channel.uplink._receiver = self._up_receiver
-        channel.downlink._receiver = self._down_receiver
         channel.uplink.move_to(self.uplinks, idx)
         channel.downlink.move_to(self.downlinks, idx)
 
     # -- registration ----------------------------------------------------
     def register_component(self, component_id: str, receive: ReceiveFn,
-                           *,
-                           receive_batch: Optional[ReceiveBatchFn] = None,
-                           receive_cohort: Optional[ReceiveCohortFn] = None,
-                           receive_payload: Optional[ReceivePayloadFn] = None,
+                           *, receive_cohort: Optional[ReceiveCohortFn] = None,
                            ) -> None:
-        """Register a component receive callback.
+        """Register a component: ``receive(payload)`` is called with the
+        payload of each message delivered to it.
 
-        ``receive_batch`` — optional bulk entry point: when a heartbeat
-        cohort delivers many same-instant payloads (see
-        :meth:`send_heartbeats`), it is called once with the list of
-        payloads instead of once per :class:`Message`.  Components
-        without one receive per-payload fallback messages.
-
-        ``receive_cohort`` — optional columnar entry point, preferred
-        over ``receive_batch`` for cohort deliveries: called as
+        ``receive_cohort`` — optional columnar entry point for heartbeat
+        cohorts (see :meth:`send_heartbeats`): called as
         ``receive_cohort(idxs, states, insts)``: the senders' interned
         node indices, census state codes and instance codes (see
         :meth:`instance_of`) as parallel arrays, so a census-backed
         component can consolidate the whole cohort as array writes
-        without a payload object per heartbeat.
-
-        ``receive_payload`` — optional bare-payload entry point: quiet
-        sends addressed to this component skip the :class:`Message`
-        wrapper entirely (timing, byte accounting and loss draws are
-        unchanged — only the envelope allocation is elided).
+        without a payload object per heartbeat.  Without one, the
+        component gets one ``receive`` call per heartbeat, in cohort
+        order.
         """
-        if component_id in self._components:
+        if component_id in self._receivers:
             raise NetworkError(f"component {component_id!r} already registered")
-        self._components[component_id] = receive
-        if receive_batch is not None:
-            self._batch_receivers[component_id] = receive_batch
+        self._receivers[component_id] = receive
         if receive_cohort is not None:
             self._cohort_receivers[component_id] = receive_cohort
-        if receive_payload is not None:
-            self._payload_receivers[component_id] = receive_payload
 
     def unregister_component(self, component_id: str) -> None:
-        self._components.pop(component_id, None)
-        self._batch_receivers.pop(component_id, None)
+        self._receivers.pop(component_id, None)
         self._cohort_receivers.pop(component_id, None)
-        self._payload_receivers.pop(component_id, None)
 
     def register_task_server(self, component_id: str, server: Any) -> None:
         """Advertise ``server`` (a Backend) as cohort-dispatch capable.
@@ -305,10 +275,9 @@ class Router:
             self._task_servers.pop(component_id, None)
 
     def register_pna(self, pna_id: str, channel: DuplexChannel,
-                     receive: ReceiveFn, *,
-                     receive_payload: Optional[ReceivePayloadFn] = None,
-                     ) -> int:
-        """Register a PNA; returns its dense interned node index.
+                     receive: ReceiveFn) -> int:
+        """Register a PNA whose downlink payloads go to ``receive``;
+        returns its dense interned node index.
 
         The index is stable across shutdown/restart cycles (the
         interner is append-only).  It is the PNA's row in the node
@@ -325,8 +294,7 @@ class Router:
         self.adversaries.pop(idx, None)
         self.pna_online[idx] = self._pna_linked[idx] = 1
         self.pna_state[idx] = STATE_IDLE
-        self._nodes[idx] = SimpleNamespace(
-            _on_downlink=receive, _on_downlink_payload=receive_payload)
+        self._nodes[idx] = receive
         self._adopt(idx, channel)
         return idx
 
@@ -336,7 +304,8 @@ class Router:
         """Register the ``n`` new nodes ``{prefix}{first + k}`` in one
         pass; returns the first of their contiguous indices.
 
-        ``owner.view(idx)`` is the receiver of node ``idx``'s downlink.
+        ``owner.view(idx)._on_downlink_payload`` receives node
+        ``idx``'s downlink.
         The channels' state is written into the link tables as columns;
         node ``k``'s channel, named ``channel_name.format(first + k)``,
         is only built when :meth:`channel_of` asks for it.
@@ -368,96 +337,49 @@ class Router:
 
     # -- sending ------------------------------------------------------------
     def send_from_pna(self, pna_id: str, recipient: str, payload: Any,
-                      payload_bits: float, *,
-                      quiet: bool = False) -> Optional[Event]:
-        """Send over the PNA's uplink to a component; returns the link's
-        completion event (silently undeliverable if the component is
-        unknown at delivery time).
+                      payload_bits: float) -> None:
+        """Send ``payload`` over the PNA's uplink to a component.
 
-        ``quiet=True`` is the fire-and-forget form for callers that
-        ignore the completion event: timing, byte accounting and loss
-        draws are identical, but no Event is allocated and ``None`` is
-        returned.
+        Fire and forget: a down link or a lost message never delivers
+        (counted by the link), and the component is looked up when the
+        message arrives (an unknown one counts in ``undeliverable``).
         """
-        channel = self.channel_of(self._registered(pna_id))
-        if quiet:
-            if recipient in self._payload_receivers:
-                link = channel.uplink
-                deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
-                if deliver_at is not None:
-                    self.sim.call_at(deliver_at, self._deliver_payload_up,
-                                     link, recipient, payload)
-                return None
-            channel.uplink.send_quiet(Message(
-                sender=pna_id, recipient=recipient, payload=payload,
-                payload_bits=payload_bits, created_at=self.sim.now))
-            return None
-        return channel.uplink.send(Message(
-            sender=pna_id, recipient=recipient, payload=payload,
-            payload_bits=payload_bits, created_at=self.sim.now))
+        link = self.channel_of(self._registered(pna_id)).uplink
+        deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
+        if deliver_at is not None:
+            self.sim.call_at(deliver_at, self._deliver_payload_up,
+                             link, recipient, payload)
 
     def send_to_pna(self, sender: str, pna_id: str, payload: Any,
-                    payload_bits: float, *,
-                    quiet: bool = False) -> Optional[Event]:
-        """Send over the PNA's downlink; raises on unknown PNA.
-
-        ``quiet`` — as in :meth:`send_from_pna`.
-        """
-        idx = self._registered(pna_id)
-        channel = self.channel_of(idx)
-        if quiet:
-            if self._node(idx)._on_downlink_payload is not None:
-                link = channel.downlink
-                deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
-                if deliver_at is not None:
-                    self.sim.call_at(deliver_at, self._deliver_payload_down,
-                                     link, pna_id, payload)
-                return None
-            channel.downlink.send_quiet(Message(
-                sender=sender, recipient=pna_id, payload=payload,
-                payload_bits=payload_bits, created_at=self.sim.now))
-            return None
-        return channel.downlink.send(Message(
-            sender=sender, recipient=pna_id, payload=payload,
-            payload_bits=payload_bits, created_at=self.sim.now))
+                    payload_bits: float) -> None:
+        """Send ``payload`` from component ``sender`` over the PNA's
+        downlink; raises on unknown PNA.  Fire and forget, as
+        :meth:`send_from_pna`."""
+        link = self.channel_of(self._registered(pna_id)).downlink
+        deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
+        if deliver_at is not None:
+            self.sim.call_at(deliver_at, self._deliver_payload_down,
+                             link, pna_id, payload)
 
     def send_from_pna_notify(self, pna_id: str, recipient: str, payload: Any,
                              payload_bits: float, event: Event) -> None:
-        """Uplink send that settles ``event`` at delivery time.
-
-        Equivalent to :meth:`send_from_pna` with the returned completion
-        event supplied by the caller — for senders that already own a
-        wait event, this skips the :class:`Message` envelope when the
-        recipient accepts bare payloads.  A lost message never settles
-        ``event`` (callers guard with a timeout); a down link fails it.
-        """
-        channel = self.channel_of(self._registered(pna_id))
-        link = channel.uplink
-        if recipient in self._payload_receivers:
-            if not link.up:
-                self.sim.schedule_fast(0.0, event.fail, LinkDownError(
-                    f"link {link.name!r} is down"))
-                return
-            deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
-            if deliver_at is not None:
-                self.sim.call_at(deliver_at, self._deliver_payload_notify,
-                                 link, recipient, payload, event)
+        """:meth:`send_from_pna` that settles ``event`` at delivery
+        time, for senders that own a wait event.  A lost message never
+        settles ``event`` (callers guard with a timeout); a down link
+        fails it."""
+        link = self.channel_of(self._registered(pna_id)).uplink
+        if not link.up:
+            self.sim.schedule_fast(0.0, event.fail, LinkDownError(
+                f"link {link.name!r} is down"))
             return
-        # Fallback: classic Message path with a forwarding callback.
-        done = channel.uplink.send(Message(
-            sender=pna_id, recipient=recipient, payload=payload,
-            payload_bits=payload_bits, created_at=self.sim.now))
-        done.add_callback(lambda ev: event.fail(ev._value) if not ev._ok
-                          else event.succeed(ev._value))
+        deliver_at = link.offer(payload_bits + DEFAULT_HEADER_BITS)
+        if deliver_at is not None:
+            self.sim.call_at(deliver_at, self._deliver_payload_notify,
+                             link, recipient, payload, event)
 
     def _deliver_payload_notify(self, link, recipient: str, payload: Any,
                                 event: Event) -> None:
-        link.count_delivery()
-        receive = self._payload_receivers.get(recipient)
-        if receive is None:
-            self.undeliverable += 1
-        else:
-            receive(payload)
+        self._deliver_payload_up(link, recipient, payload)
         if not event.triggered:
             event.succeed(None)
 
@@ -475,10 +397,10 @@ class Router:
             raise NetworkError(f"unknown PNA {pna_id!r}")
         return idx
 
-    # -- bare-payload delivery (quiet fast path) -------------------------
+    # -- delivery ---------------------------------------------------------
     def _deliver_payload_up(self, link, recipient: str, payload: Any) -> None:
         link.count_delivery()
-        receive = self._payload_receivers.get(recipient)
+        receive = self._receivers.get(recipient)
         if receive is None:
             self.undeliverable += 1  # unregistered while in flight
             return
@@ -487,12 +409,10 @@ class Router:
     def _deliver_payload_down(self, link, pna_id: str, payload: Any) -> None:
         link.count_delivery()
         idx = self._row_of(pna_id)
-        receive = None if idx is None \
-            else self._node(idx)._on_downlink_payload
-        if receive is None:
+        if idx is None:
             self.undeliverable += 1
             return
-        receive(payload)
+        self._receiver_of(idx)(payload)
 
     # -- batched heartbeats ----------------------------------------------
     def send_heartbeats(self, idxs: np.ndarray, recipient: str,
@@ -503,9 +423,9 @@ class Router:
         instance codes are snapshotted (the heartbeat's content), every
         uplink is reserved through :func:`~repro.net.link.offer_rows`
         (identical FIFO math, byte accounting and loss draws as
-        ``send``), and deliveries are grouped by arrival instant, in
-        order of first appearance, so each distinct instant costs
-        **one** calendar entry.  With a homogeneous fleet that is a
+        :meth:`~repro.net.link.Link.offer`), and deliveries are grouped
+        by arrival instant, in order of first appearance, so each
+        distinct instant costs **one** calendar entry.  With a homogeneous fleet that is a
         single entry per tick.  ``idxs`` must be distinct.
         """
         ix = as_index(idxs)
@@ -532,8 +452,8 @@ class Router:
         call_at = self.sim.call_at
         first = deliver[0]
         if (deliver == first).all():
-            call_at(float(first), self._deliver_batch, recipient,
-                    payload_bits, now, idxs, states, insts)
+            call_at(float(first), self._deliver_batch, recipient, idxs,
+                    states, insts)
             return
         instants, firsts, group = np.unique(deliver, return_index=True,
                                             return_inverse=True)
@@ -542,45 +462,18 @@ class Router:
         for g in np.argsort(firsts).tolist():
             members = order[bounds[g - 1] if g else 0:bounds[g]]
             call_at(float(instants[g]), self._deliver_batch, recipient,
-                    payload_bits, now, idxs[members], states[members],
-                    insts[members])
+                    idxs[members], states[members], insts[members])
 
-    def _deliver_batch(self, recipient: str, payload_bits: float,
-                       sent_at: float, idxs: np.ndarray, states: np.ndarray,
-                       insts: np.ndarray) -> None:
+    def _deliver_batch(self, recipient: str, idxs: np.ndarray,
+                       states: np.ndarray, insts: np.ndarray) -> None:
         count_deliveries(self.uplinks, as_index(idxs))
         receive_cohort = self._cohort_receivers.get(recipient)
         if receive_cohort is not None:
             receive_cohort(idxs, states, insts)
             return
-        receive_batch = self._batch_receivers.get(recipient)
-        if receive_batch is not None:
-            receive_batch(self.heartbeat_payloads(idxs, states, insts))
-            return
-        receive = self._components.get(recipient)
+        receive = self._receivers.get(recipient)
         if receive is None:
             self.undeliverable += len(idxs)
             return
-        # Per-message fallback for components without a batch entry point
-        # (test doubles): reconstruct what link.send would have delivered.
         for payload in self.heartbeat_payloads(idxs, states, insts):
-            receive(Message(sender=payload.pna_id, recipient=recipient,
-                            payload=payload, payload_bits=payload_bits,
-                            created_at=sent_at))
-
-    # -- delivery --------------------------------------------------------
-    def _deliver_to_component(self, msg: Message) -> None:
-        receive = self._components.get(msg.recipient)
-        if receive is None:
-            self.undeliverable += 1
-            return
-        receive(msg)
-
-    def _deliver_to_pna(self, msg: Message) -> None:
-        # Only send_to_pna sends on a registered downlink, addressing
-        # the message to the channel's PNA.
-        idx = self._row_of(msg.recipient)
-        if idx is None:
-            self.undeliverable += 1
-            return
-        self._node(idx)._on_downlink(msg)
+            receive(payload)

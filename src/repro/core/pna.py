@@ -40,7 +40,6 @@ from repro.core.network import PNA_COUNTERS, Router
 from repro.core.taskloop import (_BULK_MIN, CohortDVE, CohortTaskEngine,
                                  engine_for, identity_executor)
 from repro.net.link import DuplexChannel, as_index, column_view
-from repro.net.message import Message
 from repro.sim.core import Simulator
 from repro.sim.wheel import TimerWheel
 from repro.telemetry.trace import channel as _telemetry_channel
@@ -216,9 +215,8 @@ class PNA:
         #: dense interned node index assigned by the router: the row of
         #: this PNA's state, instance, online flag and counters in the
         #: router's columns (the attributes below read through).
-        self.census_idx = router.register_pna(
-            pna_id, channel, self._on_downlink,
-            receive_payload=self._on_downlink_payload)
+        self.census_idx = router.register_pna(pna_id, channel,
+                                              self._on_downlink_payload)
         if not start_online:  # the router registers a node online
             self.online = False
         self._trace = _telemetry_channel("pna")
@@ -452,11 +450,8 @@ class PNA:
         self.instance_id = None
 
     # -- direct channel ---------------------------------------------------------
-    def _on_downlink(self, msg: Message) -> None:
-        """Dispatcher for messages arriving on the node's downlink."""
-        self._on_downlink_payload(msg.payload)
-
     def _on_downlink_payload(self, payload) -> None:
+        """Receiver of the payloads arriving on the node's downlink."""
         if not self.online:
             return
         if isinstance(payload, HeartbeatReply):

@@ -449,7 +449,7 @@ class CohortTaskEngine:
         index = self._count_deliveries(router.uplinks, slots)
         rows = list(map(self._row.__getitem__, slots)) if index is None \
             else index[1]
-        if router._payload_receivers.get(self.backend_id) is None:
+        if router._receivers.get(self.backend_id) is None:
             # Backend crashed or shut down while the cohort was in
             # flight — same arrival-time check as the bare-payload path.
             router.undeliverable += n
@@ -662,7 +662,7 @@ class CohortTaskEngine:
         # Constant within one call: no sim callback runs mid-handler,
         # and a mid-run settle defers the remainder to a fresh call
         # (which re-evaluates after the urgent auto-release unregisters).
-        gone = router._payload_receivers.get(self.backend_id) is None
+        gone = router._receivers.get(self.backend_id) is None
         certifier = backend.certifier
         # A certified backend votes per copy (and a vote can quarantine
         # a member of this very run), and a traced run on a lossy or

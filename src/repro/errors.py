@@ -8,7 +8,6 @@ Hierarchy::
     ReproError
     ├── SimulationError
     │   ├── SchedulingError
-    │   ├── CancelledError
     │   └── ProcessError
     ├── NetworkError
     │   ├── LinkDownError          (also FaultError)
@@ -64,10 +63,6 @@ class SimulationError(ReproError):
 
 class SchedulingError(SimulationError):
     """An event was scheduled at an invalid time (e.g. in the past)."""
-
-
-class CancelledError(SimulationError):
-    """A process or pending event was cancelled before it completed."""
 
 
 class ProcessError(SimulationError):

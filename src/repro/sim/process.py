@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.errors import CancelledError, ProcessError
+from repro.errors import ProcessError
 from repro.sim.core import Event, Simulator, PRIORITY_NORMAL
 
 __all__ = ["Process", "Interrupt"]

@@ -104,7 +104,7 @@ class DVE:
                 # 1. ask the Backend for work (retry on reply timeout)
                 self._pending_reply = new_event(name="dve.reply")
                 send_from_pna(pna_id, backend_id, request,
-                              CONTROL_PAYLOAD_BITS, quiet=True)
+                              CONTROL_PAYLOAD_BITS)
                 yield self._pending_reply, timeout
                 if not self._pending_reply.triggered:
                     self._pending_reply = None

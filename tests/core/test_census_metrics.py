@@ -2,9 +2,10 @@
 
 The Controller counts heartbeat consolidation outcomes in the
 ``census.*`` metric family.  Whether payloads arrive through the
-batched cohort path (``_receive_batch``) or one at a time
-(``_receive_payload`` / classic per-``Message`` fallback) must not
-change a single census value — only the ``delivery.*`` family, which
+batched cohort path (``_receive_cohort`` / ``_receive_batch``) or one
+at a time (``_receive_payload``, the router's per-heartbeat delivery
+to a component without a cohort receiver) must not change a single
+census value — only the ``delivery.*`` family, which
 describes the batching itself, may differ.  This is the regression
 guard for the vectorised-consolidation roadmap item: any future bulk
 rewrite has to preserve these numbers.
@@ -123,19 +124,15 @@ def test_batch_and_per_payload_census_identical(store):
 @for_each_store
 def test_live_system_batched_vs_fallback_delivery(store):
     """End to end: the same simulated fleet, once with the controller's
-    batch entry point active and once with it removed (forcing the
-    router's per-``Message`` fallback), consolidates identical census
-    metrics."""
+    cohort entry point active and once with it removed (the router then
+    delivers each heartbeat to ``_receive_payload``), consolidates
+    identical census metrics."""
 
     def run(remove_batch_receiver):
         tracer = Tracer("control")
         with active(tracer):
             system = _build_system(store)
             if remove_batch_receiver:
-                # Both bulk entry points must go for the router to fall
-                # back to per-Message delivery.
-                system.router._batch_receivers.pop(
-                    system.controller.controller_id)
                 system.router._cohort_receivers.pop(
                     system.controller.controller_id)
             job = uniform_bag(12, image_bits=1e6, ref_seconds=20.0)
@@ -152,10 +149,11 @@ def test_live_system_batched_vs_fallback_delivery(store):
 
 @for_each_store
 def test_cohort_vs_batch_delivery_census_identical(store):
-    """The columnar cohort entry point and the plain batch entry point
-    consolidate identical census metrics for a live fleet (the cohort
-    path is the default; popping only the cohort receiver downgrades
-    delivery to ``_receive_batch``)."""
+    """The columnar cohort entry point and per-heartbeat delivery
+    consolidate identical census metrics for a live fleet of cohorts
+    past ``_COHORT_MIN`` (the cohort path is the default; popping the
+    cohort receiver downgrades delivery to one ``_receive_payload``
+    call per heartbeat)."""
 
     def run(remove_cohort_receiver):
         tracer = Tracer("control")

@@ -199,7 +199,7 @@ def test_retargeted_controller_and_interval_reach_the_tick():
     stretched.heartbeat_interval_s = 25.0
     stretched._restart_heartbeat()
     sim.run(until=20.5)
-    assert [m.payload.pna_id for m in got] == ["pna-5", "pna-5"]
+    assert [p.pna_id for p in got] == ["pna-5", "pna-5"]
     assert stretched.heartbeats_sent == 0
     assert mover.heartbeats_sent == 2
     # every other member stayed in the block's cohort range

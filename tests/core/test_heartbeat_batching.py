@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import OddCISystem, PNAState
 from repro.core.messages import HeartbeatPayload
-from repro.net.message import Message
 from repro.workloads import uniform_bag
 
 
@@ -66,23 +65,22 @@ def test_offline_pna_does_not_beat():
     assert system.pnas[1].heartbeats_sent == 3
 
 
-def test_per_message_fallback_reconstructs_messages():
-    """A component with no batch/payload entry point receives classic
-    Message envelopes from the batched path, one per heartbeat."""
+def test_component_without_cohort_receiver_gets_one_payload_per_beat():
+    """A component with no cohort entry point receives the batched
+    path's heartbeats as payloads, one call per heartbeat, in cohort
+    order."""
     system = build_system(n_pnas=5, heartbeat_interval_s=15.0)
     router = system.router
     got = []
-    router.register_component("legacy-sink", got.append)
+    router.register_component("payload-sink", got.append)
     for pna in system.pnas:
-        pna.controller_id = "legacy-sink"
+        pna.controller_id = "payload-sink"
     system.sim.run(until=16.0)
-    assert len(got) == 5
-    for msg in got:
-        assert isinstance(msg, Message)
-        assert msg.recipient == "legacy-sink"
-        assert isinstance(msg.payload, HeartbeatPayload)
-        assert msg.payload.state is PNAState.IDLE
-        assert msg.sender == msg.payload.pna_id
+    assert [p.pna_id for p in got] == [p.pna_id for p in system.pnas]
+    for payload in got:
+        assert isinstance(payload, HeartbeatPayload)
+        assert payload.state is PNAState.IDLE
+        assert payload.instance_id is None
 
 
 def test_wakeup_interval_change_recohorts_across_wheels():

@@ -18,7 +18,7 @@ class FakePNA:
         self.pna_id = pna_id
         self.inbox = []
         ch = DuplexChannel(sim, rate_bps=1e9)
-        router.register_pna(pna_id, ch, lambda m: self.inbox.append(m))
+        router.register_pna(pna_id, ch, self.inbox.append)
 
     def request(self):
         self.router.send_from_pna(
@@ -33,7 +33,7 @@ class FakePNA:
             CONTROL_PAYLOAD_BITS)
 
     def last(self):
-        return self.inbox[-1].payload if self.inbox else None
+        return self.inbox[-1] if self.inbox else None
 
 
 def make(sim, router, n_tasks=2, **kwargs):

@@ -7,7 +7,7 @@ from repro.core import Backend, Router, TaskRequest, TaskResultPayload
 from repro.core.messages import CONTROL_PAYLOAD_BITS
 from repro.core.messages import NoWork, TaskAssignment
 from repro.errors import BackendError, NetworkError
-from repro.net import DuplexChannel, Message
+from repro.net import DuplexChannel
 from repro.sim import Simulator
 from repro.workloads import uniform_bag
 
@@ -17,11 +17,11 @@ from repro.workloads import uniform_bag
 def test_router_component_registration():
     sim = Simulator()
     router = Router(sim)
-    router.register_component("c", lambda msg: None)
+    router.register_component("c", lambda payload: None)
     with pytest.raises(NetworkError):
-        router.register_component("c", lambda msg: None)
+        router.register_component("c", lambda payload: None)
     router.unregister_component("c")
-    router.register_component("c", lambda msg: None)
+    router.register_component("c", lambda payload: None)
 
 
 def test_router_pna_registration_and_routing():
@@ -37,13 +37,11 @@ def test_router_pna_registration_and_routing():
 
     router.send_from_pna("p1", "backend", {"x": 1}, 100)
     sim.run()
-    assert len(received) == 1
-    assert received[0].sender == "p1"
+    assert received == [{"x": 1}]
 
     router.send_to_pna("backend", "p1", {"y": 2}, 100)
     sim.run()
-    assert len(down) == 1
-    assert down[0].payload == {"y": 2}
+    assert down == [{"y": 2}]
 
 
 def test_router_unknown_pna_raises():
@@ -60,7 +58,7 @@ def test_router_unknown_recipient_counted():
     sim = Simulator()
     router = Router(sim)
     ch = DuplexChannel(sim, rate_bps=1e6)
-    router.register_pna("p1", ch, lambda m: None)
+    router.register_pna("p1", ch, lambda payload: None)
     router.send_from_pna("p1", "nobody", None, 10)
     sim.run()
     assert router.undeliverable == 1
@@ -77,7 +75,7 @@ class FakePNA:
         self.pna_id = pna_id
         self.inbox = []
         ch = DuplexChannel(sim, rate_bps=1e9)
-        router.register_pna(pna_id, ch, lambda m: self.inbox.append(m))
+        router.register_pna(pna_id, ch, self.inbox.append)
 
     def request(self, instance_id="i-1"):
         self.router.send_from_pna(
@@ -92,7 +90,7 @@ class FakePNA:
             CONTROL_PAYLOAD_BITS)
 
     def last_payload(self):
-        return self.inbox[-1].payload if self.inbox else None
+        return self.inbox[-1] if self.inbox else None
 
 
 def make_backend(sim, router, n_tasks=4, **kwargs):
@@ -190,8 +188,7 @@ def test_backend_unexpected_payload_raises():
     router = Router(sim)
     backend, _ = make_backend(sim, router)
     with pytest.raises(BackendError):
-        backend._receive(Message(sender="x", recipient="backend",
-                                 payload="garbage"))
+        backend._receive_payload("garbage")
 
 
 def test_backend_lease_requeues_expired_assignment():

@@ -21,7 +21,7 @@ def first_assignment_duration(durations):
                          TaskRequest(pna_id="p", instance_id="i"),
                          CONTROL_PAYLOAD_BITS)
     sim.run()
-    return inbox[-1].payload.ref_seconds
+    return inbox[-1].ref_seconds
 
 
 def test_fifo_preserves_submission_order():

@@ -10,8 +10,9 @@ do not count.  Entry points are allowlisted: ``repro.__main__``
 registry imports by name.
 
 The same holds one level down: a top-level class whose name no module
-but a package ``__init__`` mentions (as a name, an attribute or an
-imported name) is never constructed, subclassed or caught by a program.
+but a package ``__init__`` mentions as a name or an attribute is never
+constructed, subclassed or caught by a program (importing a class is
+not using it).
 """
 
 import ast
@@ -89,7 +90,7 @@ def unused_modules(src: Path = SRC) -> list:
 
 def unused_classes(src: Path = SRC) -> list:
     """``module.Class`` for each top-level class whose name no module
-    but a package ``__init__`` mentions."""
+    but a package ``__init__`` mentions as a name or an attribute."""
     trees, packages = _modules(src)
     named: Set[str] = set()
     for module, tree in trees.items():
@@ -100,8 +101,6 @@ def unused_classes(src: Path = SRC) -> list:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.asname or node.name)
     return sorted(f"{module}.{node.name}"
                   for module, tree in trees.items() for node in tree.body
                   if isinstance(node, ast.ClassDef)
@@ -136,8 +135,8 @@ def test_check_follows_package_reexports(tmp_path):
 
 
 def test_class_check_ignores_package_reexports(tmp_path):
-    """On a toy tree: a class named in code, in an import, or inside
-    its own module counts; one only a package ``__init__`` re-exports,
+    """On a toy tree: a class named in code, or inside its own module,
+    counts; one only imported, only a package ``__init__`` re-exports,
     or that nothing names, is reported."""
     pkg = tmp_path / "repro"
     pkg.mkdir()
@@ -146,12 +145,15 @@ def test_class_check_ignores_package_reexports(tmp_path):
     (pkg / "shapes.py").write_text(
         "class Used:\n    pass\n\n"
         "class Imported:\n    pass\n\n"
+        "class ImportedOnly:\n    pass\n\n"
         "class Local:\n    pass\n\n"
         "class Orphan:\n    pass\n\n"
         "class Lonely:\n    pass\n\n"
         "def make():\n    return Local()\n")
     (pkg / "user.py").write_text(
-        "import repro.shapes\nfrom repro.shapes import Imported\n"
-        "X = repro.shapes.Used\n")
-    assert unused_classes(tmp_path) == ["repro.shapes.Lonely",
+        "import repro.shapes\n"
+        "from repro.shapes import Imported, ImportedOnly\n"
+        "X = repro.shapes.Used\nY = Imported()\n")
+    assert unused_classes(tmp_path) == ["repro.shapes.ImportedOnly",
+                                        "repro.shapes.Lonely",
                                         "repro.shapes.Orphan"]
