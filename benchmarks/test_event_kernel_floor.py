@@ -2,14 +2,17 @@
 
 The cohort task path's headline claim (DESIGN.md §12): one full
 wakeup+heartbeat+bag-of-tasks cycle at 10^6 PNAs completes in under
-2.5 seconds of wall time.  This guard re-runs that scenario and holds
-the line — scaled linearly when ``REPRO_FLOOR_SCALE`` trims the fleet
-(CI runs at reduced scale).  ``run_cycle(10**6)``, two fresh processes
-each on a 2-vCPU x86-64 host: 1.1-1.3 s (peak RSS 634 MB) once the
-node row was the only key of a node and contiguous rows were sliced,
-3.2-3.5 s (842 MB) once a bulk fleet held no object per PNA, 6.7-6.9 s
-(1,239 MB) before, 10.9-11.2 s at a796baf (53.6 s was recorded at
-757214e).
+2 seconds of wall time and 400 MB of peak RSS.  These guards re-run
+that scenario and hold the line — scaled linearly when
+``REPRO_FLOOR_SCALE`` trims the fleet (CI runs at reduced scale).
+``run_cycle(10**6)``, fresh processes on a 2-vCPU x86-64 host:
+0.66-1.0 s at 329-337 MB peak RSS once the task engine filed slot
+ranges, the Backend dropped its unread lease columns and the link
+tables kept loss, rate and latency once per profile; 1.0-1.3 s at
+604 MB before, once the node row was the only key of a node and
+contiguous rows were sliced; 3.2-3.5 s (842 MB) once a bulk fleet held
+no object per PNA, 6.7-6.9 s (1,239 MB) before, 10.9-11.2 s at a796baf
+(53.6 s was recorded at 757214e).
 
 Wall-clock guards are machine-dependent, so this is perf-marked::
 
@@ -22,7 +25,11 @@ build that drops work cannot pass.  The 10^3 and 10^4 points also pin
 the makespan bit for bit.
 """
 
+import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -36,7 +43,12 @@ from repro.sim.core import Simulator
 from repro.workloads import uniform_bag
 
 FULL_SCALE = 1_000_000
-FULL_BUDGET_S = 2.5
+FULL_BUDGET_S = 2.0
+#: Peak RSS of a fresh process that runs the cycle at full scale, and
+#: the floor of a reduced-scale budget (the interpreter and numpy take
+#: ~45 MB before the first node).
+FULL_RSS_MB = 400.0
+MIN_RSS_MB = 100.0
 #: Fixed-cost allowance for reduced-scale runs: interpreter start-up,
 #: image broadcast and job build don't shrink with the fleet.
 MIN_BUDGET_S = 10.0
@@ -95,6 +107,30 @@ def test_cohort_event_tier_holds_wall_clock_floor(scale, makespan, tol):
     assert metrics["wall_s"] < budget, (
         f"event kernel floor broken: {metrics['wall_s']:.2f}s for "
         f"{scale} nodes (budget {budget:.1f}s): {metrics}")
+
+
+@pytest.mark.perf
+def test_cohort_event_tier_holds_memory_floor():
+    """``run_cycle`` in a fresh process peaks within ``FULL_RSS_MB``
+    (scaled like the wall budget), with the golden makespan."""
+    scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
+    budget = max(MIN_RSS_MB, FULL_RSS_MB * scale / FULL_SCALE)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import json, resource, sys\n"
+            f"sys.path[:0] = [{str(root)!r}, {str(root / 'src')!r}]\n"
+            "from benchmarks.test_event_kernel_floor import run_cycle\n"
+            f"metrics = run_cycle({scale})\n"
+            "metrics['rss_mb'] = resource.getrusage("
+            "resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps(metrics))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    metrics = json.loads(out.splitlines()[-1])
+    assert metrics["distinct_workers"] == scale
+    assert metrics["makespan"] == pytest.approx(EXPECTED_MAKESPAN, abs=1e-9)
+    assert metrics["rss_mb"] < budget, (
+        f"event kernel memory floor broken: {metrics['rss_mb']:.0f} MB "
+        f"for {scale} nodes (budget {budget:.0f} MB): {metrics}")
 
 
 #: The event-tier fleet-build target at 10^6 PNAs: 0.04-0.05 s on a

@@ -43,7 +43,7 @@ from repro.net.link import all_distinct, as_index
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
-from repro.workloads.job import Job, Task, TaskTable
+from repro.workloads.job import Job, Task
 
 __all__ = ["Backend", "JobReport"]
 
@@ -197,12 +197,14 @@ class Backend:
         self._n_pending = n
         self._state = _np.zeros(n, dtype=_np.int8)
         #: each leased row's holder (a node row, -1: none), assignment
-        #: instant, lease deadline (NaN: none) and number (the lease
-        #: expiry order)
-        self._holder = _np.full(n, -1, dtype=_np.int64)
+        #: instant and, with leasing on, lease deadline and number (the
+        #: lease expiry order)
+        self._holder = _np.full(n, -1, dtype=_np.int32)
         self._assigned_at = _np.full(n, _np.nan)
-        self._lease = _np.full(n, _np.nan)
-        self._seq = _np.zeros(n, dtype=_np.int64)
+        self._lease = self._seq = None
+        if lease_factor is not None:
+            self._lease = _np.full(n, _np.nan)
+            self._seq = _np.zeros(n, dtype=_np.int64)
         self._assign_seq = 0
         self._completed_at = _np.full(n, _np.nan)
         self._n_done = 0
@@ -274,7 +276,7 @@ class Backend:
     def _completed(self) -> Dict[int, float]:
         """``task_id -> completion time`` of every completed task."""
         rows = _np.flatnonzero(self._state == _DONE)
-        return dict(zip(self._tasks.task_id[rows].tolist(),
+        return dict(zip(self._tasks.take(rows).task_id.tolist(),
                         self._completed_at[rows].tolist()))
 
     @property
@@ -283,7 +285,8 @@ class Backend:
         of every leased task."""
         leased = {}
         for row in _np.flatnonzero(self._state == _FLIGHT).tolist():
-            task, lease = self._tasks[row], float(self._lease[row])
+            task = self._tasks[row]
+            lease = None if self._lease is None else float(self._lease[row])
             leased[task.task_id] = (task, self._id_of(int(self._holder[row])),
                                     float(self._assigned_at[row]),
                                     None if lease != lease else lease)
@@ -400,8 +403,9 @@ class Backend:
         self._state[rows] = _FLIGHT
         self._holder[rows] = holders
         self._assigned_at[rows] = now
-        self._lease[rows] = leases
-        self._seq[rows] = _np.arange(seq + 1, self._assign_seq + 1)
+        if self._lease is not None:
+            self._lease[rows] = leases
+            self._seq[rows] = _np.arange(seq + 1, self._assign_seq + 1)
 
     def _nowork_reply(self, instance_id: str,
                       retry: Optional[float]) -> NoWork:
@@ -475,14 +479,14 @@ class Backend:
         self._mark_workers(rows)
         now = self.sim.now
         head = self._head
-        served = _np.arange(head, min(head + k, self._n))
-        self._head = head + len(served)
-        if len(served) < k:
+        end = self._head = min(head + k, self._n)
+        served = slice(head, end)
+        if end - head < k:
             requeued = self._requeued.popleft
-            served = _np.concatenate((served, _np.fromiter(
-                (requeued() for _ in range(k - len(served))), _np.int64)))
+            tail = _np.fromiter((requeued() for _ in range(k - end + head)),
+                                _np.int64)
+            served = as_index(_np.concatenate((_np.arange(head, end), tail)))
         self._n_pending -= k
-        served = as_index(served)
         tasks = self._tasks
         lease_factor = self.lease_factor
         # Same op order as _lease_seconds, so bit-identical leases.
@@ -497,8 +501,7 @@ class Backend:
             net = self._network_for(int(rows[0]))
             if net is not None:
                 self.assigned_by_network[net] += k
-        reply = TaskTable(tasks.task_id[served], tasks.input_bits[served],
-                          tasks.ref_seconds[served], tasks.result_bits[served])
+        reply = tasks.take(served)
         trace = self._trace
         if trace is not None:
             for node, task_id in zip(_np.asarray(rows).tolist(),
@@ -729,7 +732,7 @@ class Backend:
                 trace = self._trace
                 for row, tid, node in zip(
                         expired.tolist(),
-                        self._tasks.task_id[expired].tolist(),
+                        self._tasks.take(expired).task_id.tolist(),
                         self._holder[expired].tolist()):
                     self._state[row] = _PENDING
                     self._requeued.append(row)

@@ -229,6 +229,9 @@ class Controller:
         self.mttr_history: List[float] = []
         self._checkpoint: Optional[ControllerCheckpoint] = None
         self._crashed_at: Optional[float] = None
+        #: the router registration a crash took down, which restore
+        #: puts back (a wrapper such as DigestingController's included)
+        self._registration: tuple = (None, None)
         self._recovering_since: Optional[float] = None
         self._disruption_manifested = False
         self._healthy_rounds = 0
@@ -835,7 +838,8 @@ class Controller:
                 self.size_history[record.instance_id].record(now, 0)
         if self._maintenance_proc.alive:
             self._maintenance_proc.interrupt("controller crashed")
-        self.router.unregister_component(self.controller_id)
+        self._registration = self.router.unregister_component(
+            self.controller_id)
 
     def restore(self, checkpoint: Optional[ControllerCheckpoint] = None
                 ) -> None:
@@ -890,9 +894,10 @@ class Controller:
         # survive the restore.  getattr tolerates pre-§15 checkpoints.
         self._blacklist |= set(getattr(cp, "blacklist", ()))
         self.alive = True
+        receive, receive_cohort = self._registration
         self.router.register_component(
-            self.controller_id, self._receive_payload,
-            receive_cohort=self._receive_cohort)
+            self.controller_id, receive or self._receive_payload,
+            receive_cohort=receive_cohort or self._receive_cohort)
         self._maintenance_proc = self.sim.process(self._maintenance_loop())
         # MTTR counts from the moment of the crash, not the restart.  A
         # crash is a manifest disruption by definition (the API was

@@ -250,9 +250,11 @@ class Router:
         if receive_cohort is not None:
             self._cohort_receivers[component_id] = receive_cohort
 
-    def unregister_component(self, component_id: str) -> None:
-        self._receivers.pop(component_id, None)
-        self._cohort_receivers.pop(component_id, None)
+    def unregister_component(self, component_id: str) -> tuple:
+        """Unregister a component; returns the ``(receive,
+        receive_cohort)`` it had (``None`` where it had none)."""
+        return (self._receivers.pop(component_id, None),
+                self._cohort_receivers.pop(component_id, None))
 
     def register_task_server(self, component_id: str, server: Any) -> None:
         """Advertise ``server`` (a Backend) as cohort-dispatch capable.

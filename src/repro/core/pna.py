@@ -311,7 +311,7 @@ class PNA:
             dve = self.dve = CohortDVE(
                 dve, self, dve.instance_id, dve.backend_id,
                 poll_interval_s=self.dve_poll_interval_s,
-                request_timeout_s=dve._timeout[slot], slot=slot)
+                request_timeout_s=dve.timeout_of(slot), slot=slot)
         return dve
 
     @dve.setter

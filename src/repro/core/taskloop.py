@@ -44,7 +44,7 @@ Controller the dict census store of ``tests/core/dict_census.py``.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from bisect import bisect_right
 from typing import Any, List, Optional, Sequence, TYPE_CHECKING
 
 import numpy as _np
@@ -77,22 +77,31 @@ _AWAIT_ACK = 3     # result in flight, waiting for delivery confirmation
 _SLEEPING = 4      # NoWork(retry): parked on the poll wheel
 _DONE = 5          # NoWork(None): bag dry, loop finished
 
-# Run kinds.  A run is a list ``[kind, slots, *columns]``: ``slots`` is
-# an ``array('q')`` of member slots in insertion order and the columns,
-# aligned with it, hold only what the kind needs.  Entries are filed in
+# Run kinds.  A run is a list ``[kind, slots, *columns]``: ``slots``
+# holds member slots in insertion order and the columns, aligned with
+# it, hold only what the kind needs.  Entries are filed in
 # chronological processing order and a filing extends the bucket's last
 # run when it has the same kind, so a bucket replays its runs — and each
-# run its members — in the reference path's seq order.
+# run its members — in the reference path's seq order.  A column is an
+# ``array`` of the type in :data:`_TYPES`; one filed by a column pass
+# is kept as a ``range`` when it runs ``k, k + 1, ...`` (a lockstep
+# hop's slots, a bag's task ids) and as a zero-stride numpy array when
+# it holds one value (a uniform bag's sizes), so a hop costs O(1)
+# bytes.  A per-member path first turns a run's columns into arrays
+# (:meth:`CohortTaskEngine._arrays`), so its reads are Python numbers.
 _K_SEND = 0        # member sends a task request now
 _K_REQ_ARR = 1     # request arrives at the Backend
-_K_ASSIGN_ARR = 2  # + task_id (array 'q'), ref_seconds, result_bits
-                   #   (array 'd'): assignment arrives
-_K_NOWORK_ARR = 3  # + retry (array 'd', NaN = stop): NoWork arrives
+_K_ASSIGN_ARR = 2  # + task_id, ref_seconds, result_bits: assignment
+                   #   arrives
+_K_NOWORK_ARR = 3  # + retry (NaN = stop): NoWork arrives
 _K_COMPUTE = 4     # compute finishes; ship the result
-_K_RESULT_ARR = 5  # + task_id, token, digest (array 'q'): result
-                   #   arrives; copied at send time
+_K_RESULT_ARR = 5  # + task_id, token, digest: result arrives; copied
+                   #   at send time
 _K_DEADLINE = 6    # request/ack timeout check; the deadline is the
                    #   bucket's instant
+
+#: each kind's column types: slots, then the payload columns
+_TYPES = {_K_ASSIGN_ARR: "qqdd", _K_NOWORK_ARR: "qd", _K_RESULT_ARR: "qqiq"}
 
 #: Minimum run length for the numpy bulk branches (member masks, compute
 #: times, link reservations, delivery counts); below it, scalar
@@ -102,14 +111,63 @@ _BULK_MIN = 32
 _NAN = float("nan")
 
 
-def _new_run(kind: int) -> list:
-    if kind == _K_RESULT_ARR:
-        return [kind, array("q"), array("q"), array("q"), array("q")]
-    if kind == _K_ASSIGN_ARR:
-        return [kind, array("q"), array("q"), array("d"), array("d")]
-    if kind == _K_NOWORK_ARR:
-        return [kind, array("q"), array("d")]
-    return [kind, array("q")]
+def _view(column) -> _np.ndarray:
+    """A run column (or a column pass's values) as a numpy array."""
+    if type(column) is array:
+        return column_view(column)
+    if type(column) is range:
+        return _np.arange(column.start, column.stop)
+    return column
+
+
+def _slots(slots):
+    """A run's slots as a ``range`` or a numpy array, without a copy."""
+    return slots if type(slots) is range else _view(slots)
+
+
+def _append(column: array, values) -> array:
+    """``column`` with ``values`` appended, at the column's type."""
+    column.frombytes(memoryview(_np.ascontiguousarray(
+        _view(values), dtype=column.typecode)).cast("B"))
+    return column
+
+
+def _extend(column, values, typecode: str):
+    """Run column ``column`` (empty for a new run) followed by
+    ``values``.  It stays compact while each part is and continues the
+    last: a ``range`` while the values run ``k, k + 1, ...``, a
+    zero-stride array while they repeat one value (by bits: -0.0 is not
+    0.0); else it becomes an ``array`` of ``typecode``."""
+    n = len(values)
+    if type(values) is not range and n > 1:
+        first = values[:1]
+        if values.dtype.kind == "i" and values[n - 1] - first[0] == n - 1 \
+                and bool((values[1:] > values[:-1]).all()):
+            values = range(int(first[0]), int(first[0]) + n)
+        elif bool((values.view(f"i{values.itemsize}")
+                   == first.view(f"i{values.itemsize}")).all()):
+            values = _np.broadcast_to(first.copy(), (n,))
+    if type(values) is range or n > 1 and values.strides == (0,):
+        if not len(column):
+            return values
+        if type(column) is type(values) is range \
+                and column.stop == values.start:
+            return range(column.start, values.stop)
+        if type(column) is type(values) is _np.ndarray \
+                and column[:1].tobytes() == values[:1].tobytes():
+            return _np.broadcast_to(column[:1], (len(column) + n,))
+    if type(column) is not array:
+        column = _append(array(typecode), column)
+    return _append(column, values)
+
+
+def _arrays(run: list) -> list:
+    """``run`` with every column an ``array``."""
+    for i in range(1, len(run)):
+        if type(run[i]) is not array:
+            typecode = _TYPES.get(run[0], "q")[i - 1]
+            run[i] = _append(array(typecode), run[i])
+    return run
 
 
 def _groups(times: _np.ndarray) -> list:
@@ -169,13 +227,13 @@ class CohortTaskEngine:
 
     __slots__ = (
         "sim", "router", "backend", "backend_id", "instance_id", "code",
-        "_buckets", "_memo_t", "_memo_bucket",
+        "_buckets", "_memo_t", "_memo_bucket", "_compact",
         # columnar member state (struct-of-arrays)
         "_phase", "_deadline", "_token", "_task_id", "_result_bits",
-        "_digest", "_completed", "_retrans", "_destroyed", "_timeout",
-        "_row", "_plain",
-        # object column
-        "_executor", "members_joined",
+        "_digest", "_completed", "_retrans", "_destroyed", "_row",
+        # one entry per join_many call
+        "_join_first", "_join_timeout", "_join_executor", "_plain",
+        "members_joined",
     )
 
     def __init__(self, sim: Simulator, router: "Router",
@@ -192,6 +250,9 @@ class CohortTaskEngine:
         #: one calendar entry (the DVE poll wheel generalised to every
         #: phase of the task loop).
         self._buckets: dict = {}
+        #: instants whose bucket's last run may hold a column that is
+        #: not an ``array`` (filed compact by :meth:`_file`)
+        self._compact: set = set()
         # (time, list) memo for consecutive same-instant filings — the
         # common shape when a cohort marches in lockstep.  Invalidated
         # whenever a bucket is popped for firing.
@@ -199,25 +260,29 @@ class CohortTaskEngine:
         self._memo_bucket: Optional[list] = None
         self._phase = array("b")
         self._deadline = array("d")
-        self._token = array("q")
+        self._token = array("i")  # the number of its last result send
         self._task_id = array("q")
         self._result_bits = array("d")
         #: result digest of the member's current task: 0 = honest
         #: (wire ``None``); adversarial digests are always negative, so
         #: 0 can never collide (repro.certify.adversary digest model).
         self._digest = array("q")
-        self._completed = array("q")
-        self._retrans = array("q")
+        self._completed = array("i")
+        self._retrans = array("i")
         self._destroyed = array("b")
-        self._timeout = array("d")
-        #: the member's node index: its links' row in the router's link
-        #: tables and its row in the node columns and ``adversaries``
-        #: (every member is a PNA registered on ``router``).
-        self._row = array("q")
-        #: 1 when the member computes on the reference-PC executor
-        #: (:func:`identity_executor`): its compute time is the task's.
-        self._plain = array("b")
-        self._executor: List[Any] = []
+        #: the member's node index (int32): its links' row in the
+        #: router's link tables and its row in the node columns and
+        #: ``adversaries`` (every member is a PNA registered on
+        #: ``router``).
+        self._row = array("i")
+        #: per join_many call (consecutive calls that share both
+        #: merge): its first slot, request timeout and executor
+        self._join_first: List[int] = []
+        self._join_timeout: List[float] = []
+        self._join_executor: List[Any] = []
+        #: every member computes on :func:`identity_executor` (compute
+        #: time is the task's)
+        self._plain = True
         self.members_joined = 0
 
     # -- membership ------------------------------------------------------
@@ -238,25 +303,46 @@ class CohortTaskEngine:
                               (self._token, 0), (self._task_id, -1),
                               (self._result_bits, 0.0), (self._digest, 0),
                               (self._completed, 0), (self._retrans, 0),
-                              (self._destroyed, 0), (self._timeout, timeout_s),
-                              (self._plain, executor is identity_executor)):
+                              (self._destroyed, 0)):
             column.frombytes(array(column.typecode, (value,)).tobytes() * k)
-        self._row.frombytes(_np.asarray(rows, _np.int64).tobytes())
-        self._executor.extend(repeat(executor, k))
+        self._row.frombytes(_np.asarray(rows, _np.int32).tobytes())
+        if not self._join_first or timeout_s != self._join_timeout[-1] \
+                or executor != self._join_executor[-1]:
+            self._join_first.append(first)
+            self._join_timeout.append(timeout_s)
+            self._join_executor.append(executor)
+        self._plain = self._plain and executor is identity_executor
         self.members_joined += k
-        self._run_at(self.sim.now, _K_SEND)[1].frombytes(
-            _np.arange(first, first + k, dtype=_np.int64).tobytes())
+        if k < _BULK_MIN:
+            self._run_at(self.sim.now, _K_SEND)[1].extend(
+                range(first, first + k))
+        else:
+            self._file(((_K_SEND, _np.full(k, self.sim.now),
+                         range(first, first + k), ()),))
         return first
+
+    def timeout_of(self, slot: int) -> float:
+        """Member ``slot``'s request timeout."""
+        return self._join_timeout[bisect_right(self._join_first, slot) - 1]
+
+    def _deadlines(self, slots, now: float) -> _np.ndarray:
+        """``now`` plus the request timeout of each member at ``slots``
+        (a range or an array)."""
+        if len(self._join_first) == 1:
+            return _np.full(len(slots), now + self._join_timeout[0])
+        return now + _np.array(self._join_timeout)[_np.searchsorted(
+            self._join_first, _view(slots), side="right") - 1]
 
     def destroy(self, slot: int) -> None:
         """Tombstone a member (idempotent); pending entries lapse."""
         self._destroyed[slot] = 1
 
     # -- bucket wheel ----------------------------------------------------
-    def _run_at(self, time: float, kind: int) -> list:
+    def _run_at(self, time: float, kind: int, bulk: bool = False) -> list:
         """The run that an entry of ``kind`` filed at ``time`` joins: the
         bucket's last run when it has that kind, else a fresh run (in a
-        fresh bucket, with its one calendar entry, for a new instant)."""
+        fresh bucket, with its one calendar entry, for a new instant).
+        Its columns are arrays to append to, unless ``bulk``."""
         if time == self._memo_t:
             bucket = self._memo_bucket
         else:
@@ -267,8 +353,13 @@ class CohortTaskEngine:
             self._memo_t = time
             self._memo_bucket = bucket
         if bucket and bucket[-1][0] == kind:
+            if not bulk and time in self._compact:
+                self._compact.discard(time)
+                _arrays(bucket[-1])
             return bucket[-1]
-        run = _new_run(kind)
+        types = _TYPES.get(kind)
+        run = [kind, array("q")] if types is None \
+            else [kind, *map(array, types)]
         bucket.append(run)
         return run
 
@@ -279,10 +370,11 @@ class CohortTaskEngine:
         op order: a member's entry in an earlier stream was filed before
         its entry in a later one.  ``times`` (float64) is NaN where a
         member files nothing; ``columns`` are the kind's payload columns
-        aligned with ``slots`` (numpy arrays of the run's types).  When
-        the streams land on disjoint instants, each same-instant group
-        extends one run in one step; otherwise the entries are filed
-        member by member, which keeps a shared bucket's interleaving.
+        aligned with ``slots`` (numpy arrays, or a ``range`` of slots).
+        When the streams land on disjoint instants, each same-instant
+        group extends one run in one step; otherwise the entries are
+        filed member by member, which keeps a shared bucket's
+        interleaving.
         """
         grouped = [_groups(times) for _kind, times, _s, _c in streams]
         if len(grouped) > 1:
@@ -291,16 +383,19 @@ class CohortTaskEngine:
                 self._file_members(streams)
                 return
         for (kind, _times, slots, columns), groups in zip(streams, grouped):
+            types = _TYPES.get(kind, "q")
             for time, pos in groups:
-                run = self._run_at(time, kind)
-                for column, values in zip(run[1:], (slots, *columns)):
-                    column.frombytes(memoryview(
-                        values if pos is None else values[pos]).cast("B"))
+                run = self._run_at(time, kind, bulk=True)
+                for i, values in enumerate((slots, *columns), 1):
+                    run[i] = _extend(run[i], values if pos is None
+                                     else _view(values)[pos], types[i - 1])
+                    if type(run[i]) is not array:
+                        self._compact.add(time)
 
     def _file_members(self, streams: Sequence[tuple]) -> None:
         """:meth:`_file`, one member (and within it one stream) at a
         time."""
-        streams = [(kind, times.tolist(), slots.tolist(),
+        streams = [(kind, times.tolist(), _view(slots).tolist(),
                     [c.tolist() for c in columns])
                    for kind, times, slots, columns in streams]
         for k in range(len(streams[0][2])):
@@ -318,6 +413,7 @@ class CohortTaskEngine:
         # must not write into the dead list.
         self._memo_t = None
         self._memo_bucket = None
+        self._compact.discard(time)
         self._run_runs(self._buckets.pop(time), 0, 0, time)
 
     def _run_runs(self, runs: list, r: int, start: int, now: float) -> None:
@@ -358,22 +454,24 @@ class CohortTaskEngine:
                 self._handle_deadlines(run, now)
 
     # -- column helpers --------------------------------------------------
-    def _index(self, slots: _np.ndarray) -> tuple:
+    def _index(self, slots) -> tuple:
         """``slots``' index, their members' rows and the rows' index:
-        each index a slice over a contiguous run (:func:`as_index`)."""
-        si = as_index(slots)
+        each index a slice over a contiguous run (:func:`as_index`; a
+        ``range`` of slots is one)."""
+        si = slice(slots.start, slots.stop) if type(slots) is range \
+            else as_index(_view(slots))
         rows = column_view(self._row)[si]
         return si, rows, as_index(rows)
 
-    def _alive(self, slots: array) -> tuple:
-        """A long run's members that are not destroyed, and their
-        :meth:`_index`."""
-        live = column_view(slots)
+    def _alive(self, slots) -> tuple:
+        """A long run's members that are not destroyed (a ``range`` when
+        ``slots`` is one and all are), and their :meth:`_index`."""
+        live = _slots(slots)
         index = self._index(live)
         keep = column_view(self._destroyed)[index[0]] == 0
         if keep.all():
             return live, index
-        live = live[keep]
+        live = _view(live)[keep]
         return live, self._index(live)
 
     def _count_deliveries(self, table: Any, slots: array
@@ -386,7 +484,7 @@ class CohortTaskEngine:
             for slot in slots:
                 delivered[rows[slot]] += 1
             return None
-        index = self._index(column_view(slots))
+        index = self._index(slots)
         count_deliveries(table, index[2])
         return index
 
@@ -405,7 +503,8 @@ class CohortTaskEngine:
         if deliver_at is not None:
             self._run_at(deliver_at, _K_REQ_ARR)[1].append(slot)
         self._phase[slot] = _AWAIT_REPLY
-        deadline = now + self._timeout[slot]
+        deadline = now + self._join_timeout[
+            bisect_right(self._join_first, slot) - 1]
         self._deadline[slot] = deadline
         self._run_at(deadline, _K_DEADLINE)[1].append(slot)
 
@@ -425,7 +524,7 @@ class CohortTaskEngine:
                     self._send_request(slot, now)
             return
         live, index = self._alive(slots)
-        if live.size:
+        if len(live):
             self._send_requests(live, index, now)
 
     def _send_requests(self, live: _np.ndarray, index: tuple,
@@ -433,7 +532,7 @@ class CohortTaskEngine:
         si, _rows, ri = index
         arrivals = offer_rows(self.router.uplinks, ri, _CONTROL_BITS, now)
         column_view(self._phase)[si] = _AWAIT_REPLY
-        deadlines = now + column_view(self._timeout)[si]
+        deadlines = self._deadlines(live, now)
         column_view(self._deadline)[si] = deadlines
         self._file(((_K_REQ_ARR, arrivals, live, ()),
                     (_K_DEADLINE, deadlines, live, ())))
@@ -459,14 +558,14 @@ class CohortTaskEngine:
         if type(replies) is TaskTable:
             # one task per member, as columns; a node that vanished
             # between request and reply is skipped
-            sv = column_view(slots)
+            sv = _slots(slots)
             _si, rows, ri = self._index(sv) if index is None else index
             sizes = replies.input_bits + _CONTROL_BITS
             columns = (replies.task_id, replies.ref_seconds,
                        replies.result_bits)
             keep = column_view(linked)[ri] != 0
             if not keep.all():
-                sv, ri, sizes = sv[keep], rows[keep], sizes[keep]
+                sv, ri, sizes = _view(sv)[keep], rows[keep], sizes[keep]
                 columns = tuple(column[keep] for column in columns)
             self._file(((_K_ASSIGN_ARR,
                          offer_rows(router.downlinks, ri, sizes, now), sv,
@@ -508,14 +607,15 @@ class CohortTaskEngine:
         # reads it before its compute yield): a mid-task adversary flip
         # never splits one task's semantics.
         adv = self.router.adversaries.get(self._row[slot])
+        executor = self._join_executor[
+            bisect_right(self._join_first, slot) - 1]
         if adv is None:
             self._digest[slot] = 0
-            compute_s = self._executor[slot](ref_seconds)
+            compute_s = executor(ref_seconds)
         else:
             d = adv.digest(task_id)
             self._digest[slot] = 0 if d is None else d
-            compute_s = adv.compute_seconds(
-                self._executor[slot](ref_seconds))
+            compute_s = adv.compute_seconds(executor(ref_seconds))
         self._run_at(now + compute_s, _K_COMPUTE)[1].append(slot)
 
     def _handle_assign_arrivals(self, run: list, now: float) -> None:
@@ -523,7 +623,7 @@ class CohortTaskEngine:
         index = self._count_deliveries(self.router.downlinks, slots)
         if index is not None and self._accept_bulk(run, index, now):
             return
-        task_ids, refs, results = run[2], run[3], run[4]
+        task_ids, refs, results = _arrays(run)[2:]
         destroyed = self._destroyed
         phase = self._phase
         online, rows = self.router.pna_online, self._row
@@ -541,22 +641,21 @@ class CohortTaskEngine:
         with a behaviour profile.  Then the completion instants come
         out of one vectorised add — scalar-bit-identical (same op
         order)."""
-        sv = column_view(run[1])
+        sv = _slots(run[1])
         live = self._offerable(index)
         whole = bool(live.all())
-        ls = sv if whole else sv[live]
-        if not ls.size:
+        ls = sv if whole else _view(sv)[live]
+        if not len(ls):
             return True
         li = index[0] if whole else as_index(ls)
         if type(li) is not slice and not all_distinct(ls) \
-                or not column_view(self._plain)[li].all():
+                or not self._plain:
             return False
         adversaries = self.router.adversaries
         if adversaries and not adversaries.keys().isdisjoint(
                 column_view(self._row)[li].tolist()):
             return False
-        task_ids, refs, results = (column_view(c) if whole
-                                   else column_view(c)[live]
+        task_ids, refs, results = (_view(c) if whole else _view(c)[live]
                                    for c in run[2:])
         column_view(self._task_id)[li] = task_ids
         column_view(self._result_bits)[li] = results
@@ -571,9 +670,9 @@ class CohortTaskEngine:
         index = self._count_deliveries(self.router.downlinks, slots)
         if index is not None:
             live = self._offerable(index)
-            ls = column_view(slots)[live]
+            ls = _view(slots)[live]
             if all_distinct(ls):
-                retry = column_view(retries)[live]
+                retry = _view(retries)[live]
                 column_view(self._deadline)[ls] = -1.0
                 column_view(self._phase)[ls] = _np.where(
                     retry != retry, _DONE, _SLEEPING)
@@ -582,7 +681,7 @@ class CohortTaskEngine:
                 # re-polls the whole cohort.
                 self._file(((_K_SEND, retry + now, ls, ()),))
                 return
-        for slot, retry in zip(slots, retries):
+        for slot, retry in zip(slots, _arrays(run)[2]):
             self._park(slot, retry, now)
 
     def _park(self, slot: int, retry: float, now: float) -> None:
@@ -615,7 +714,8 @@ class CohortTaskEngine:
             run[2].append(self._task_id[slot])
             run[3].append(token)
             run[4].append(self._digest[slot])
-        deadline = now + self._timeout[slot]
+        deadline = now + self._join_timeout[
+            bisect_right(self._join_first, slot) - 1]
         self._deadline[slot] = deadline
         self._run_at(deadline, _K_DEADLINE)[1].append(slot)
 
@@ -628,7 +728,7 @@ class CohortTaskEngine:
         if len(slots) >= _BULK_MIN:
             live, index = self._alive(slots)
             if type(index[0]) is slice or all_distinct(live):
-                if live.size:
+                if len(live):
                     self._send_results(live, index, now)
                 return
         for slot in slots:
@@ -645,7 +745,7 @@ class CohortTaskEngine:
         sizes = CONTROL_PAYLOAD_BITS + column_view(self._result_bits)[si]
         sizes += DEFAULT_HEADER_BITS
         arrivals = offer_rows(self.router.uplinks, ri, sizes, now)
-        deadlines = now + column_view(self._timeout)[si]
+        deadlines = self._deadlines(live, now)
         column_view(self._deadline)[si] = deadlines
         self._file(((_K_RESULT_ARR, arrivals, live,
                      (column_view(self._task_id)[si], tokens[si],
@@ -670,14 +770,12 @@ class CohortTaskEngine:
         # with its next request's ``net.dropped``: both keep the
         # per-member loop.
         if len(run[1]) - start >= _BULK_MIN and certifier is None:
-            sv = column_view(run[1])[start:]
+            sv = _slots(run[1])[start:]
             index = self._index(sv)
-            uplinks = router.uplinks.grown()
-            if gone or backend._trace is None or bool(
-                    ((column_view(uplinks.up)[index[2]] != 0)
-                     & (column_view(uplinks.loss)[index[2]] == 0.0)).all()):
+            if gone or backend._trace is None \
+                    or bool(router.uplinks.lossless(index[2]).all()):
                 return self._results_bulk(run, start, now, gone, sv, index)
-        slots, task_ids, tokens, digests = run[1], run[2], run[3], run[4]
+        slots, task_ids, tokens, digests = _arrays(run)[1:]
         delivered, member_rows = router.uplinks.grown().delivered, self._row
         id_of = router.interner.id_of
         done_event = backend.done_event
@@ -719,7 +817,7 @@ class CohortTaskEngine:
             self.router.undeliverable += end - start
         else:
             settled = self.backend.receive_result_cohort(
-                index[1], column_view(run[2])[start:])
+                index[1], _view(run[2])[start:])
             if settled is not None:
                 end = stop = start + settled + 1
         if end - start < len(sv):
@@ -730,11 +828,11 @@ class CohortTaskEngine:
         advance = ((column_view(self._destroyed)[si] == 0)
                    & (column_view(self._phase)[si] == _AWAIT_ACK)
                    & (column_view(self._token)[si]
-                      == column_view(run[3])[start:end]))
+                      == _view(run[3])[start:end]))
         if not advance.all():
-            sv = sv[advance]
+            sv = _view(sv)[advance]
             index = self._index(sv)
-        if sv.size:
+        if len(sv):
             # One awaited copy per member: tokens are unique per send.
             column_view(self._completed)[index[0]] += 1
             self._send_requests(sv, index, now)
@@ -750,13 +848,12 @@ class CohortTaskEngine:
             # time): mask them out in one pass.  A resend only pushes
             # its own member's deadline later, so the survivors are a
             # superset of the scalar loop's and it re-checks each.
-            sv = column_view(slots)
-            si = as_index(sv)
-            due = sv[(column_view(destroyed)[si] == 0)
-                     & (column_view(deadlines)[si] == now)]
-            if not due.size:
+            si = self._index(slots)[0]
+            due = (column_view(destroyed)[si] == 0) \
+                & (column_view(deadlines)[si] == now)
+            if not due.any():
                 return
-            slots = due.tolist()
+            slots = _view(slots)[due].tolist()
         phase = self._phase
         retrans = self._retrans
         for slot in slots:

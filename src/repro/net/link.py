@@ -15,8 +15,9 @@ never delivers (heartbeat-style fire-and-forget).
 
 Storage is columnar: a link's serializer state (busy-until, bits sent,
 deliveries, up flag, loss, rate, latency) is one row of a
-:class:`LinkTable`.  A :class:`~repro.core.network.Router` moves the
-direct channels it registers into its own tables, at the row of the
+:class:`LinkTable` (loss, rate and latency once per distinct
+profile).  A :class:`~repro.core.network.Router` moves the direct
+channels it registers into its own tables, at the row of the
 PNA's interned node index, so a heartbeat cohort reserves every
 member's uplink in one :func:`offer_rows` pass; a standalone link takes
 a row of its simulator's pooled table the first time it is used.  A
@@ -105,10 +106,14 @@ class LinkTable:
     Columns are ``array.array`` objects: a scalar read returns a Python
     float or int (never a numpy scalar, whose repr would leak into event
     times and traces), a column keeps its identity as it grows, and
-    :func:`offer_rows` views it zero-copy.  ``links`` maps each row a
-    :class:`Link` holds to it (a free row, or one written by
-    :meth:`fill` whose link is not built yet, has none); capacity grows
-    by doubling, so placing a link writes its row in place.  A column
+    :func:`offer_rows` views it zero-copy.  A link never changes its
+    loss, rate and latency, so they are kept once per distinct triple, a
+    *profile*: row ``r``'s are ``loss[p]``, ``rate[p]`` and
+    ``latency[p]`` at ``p = profile[r]`` (profile 0 is a free row's
+    zeros).  ``links`` maps each row a :class:`Link` holds to it (a
+    free row, or one written by :meth:`fill` whose link is not built
+    yet, has none); capacity grows by doubling, so placing a link writes
+    its row in place.  A column
     grows to the capacity when first read or written (:meth:`grown`),
     so rows :meth:`fill` leaves zero cost nothing until then.
 
@@ -117,12 +122,13 @@ class LinkTable:
     row* (:meth:`put` — a Router's tables, keyed by node index).
     """
 
-    __slots__ = ("busy", "bits", "delivered", "up", "loss", "rate",
-                 "latency", "links", "_free", "_make", "_n", "_short")
+    __slots__ = ("busy", "bits", "delivered", "up", "profile", "loss",
+                 "rate", "latency", "_profiles", "links", "_free", "_make",
+                 "_n", "_short")
 
-    #: column order of a row-state tuple (see :meth:`row`).
-    _COLUMNS = ("busy", "bits", "delivered", "up", "loss", "rate",
-                "latency")
+    #: the per-row columns (a row-state tuple, see :meth:`row`, holds
+    #: the first four, then the profile's loss, rate and latency)
+    _COLUMNS = ("busy", "bits", "delivered", "up", "profile")
 
     def __init__(self, make: Optional[Callable[[int], "Link"]] = None
                  ) -> None:
@@ -130,9 +136,12 @@ class LinkTable:
         self.bits = array("d")
         self.delivered = array("q")
         self.up = array("b")
-        self.loss = array("d")
-        self.rate = array("d")
-        self.latency = array("d")
+        self.profile = array("i")
+        self.loss = array("d", (0.0,))
+        self.rate = array("d", (0.0,))
+        self.latency = array("d", (0.0,))
+        #: profile by its (loss, rate, latency)
+        self._profiles: Dict[tuple, int] = {(0.0, 0.0, 0.0): 0}
         self.links: Dict[int, "Link"] = {}
         self._free: List[int] = []
         #: builds the missing :class:`Link` of a row written by fill()
@@ -157,16 +166,44 @@ class LinkTable:
                 grow_columns((column,), self._n - len(column))
         return self
 
+    def _profile_of(self, state: tuple) -> int:
+        """The profile of ``state``'s loss, rate and latency, added on
+        first use."""
+        triple = state[4:]
+        p = self._profiles.get(triple)
+        if p is None:
+            p = self._profiles[triple] = len(self.rate)
+            for column, value in zip((self.loss, self.rate, self.latency),
+                                     triple):
+                column.append(value)
+        return p
+
     def row(self, r: int) -> tuple:
-        """Row ``r``'s state in :attr:`_COLUMNS` order."""
+        """Row ``r``'s state: busy, bits, delivered, up, loss, rate,
+        latency."""
         self.grown()
+        p = self.profile[r]
         return (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
-                self.loss[r], self.rate[r], self.latency[r])
+                self.loss[p], self.rate[p], self.latency[p])
+
+    def at(self, column: array, rows: Union[slice, np.ndarray]):
+        """The ``loss``, ``rate`` or ``latency`` of the links at
+        ``rows``: one value when the table has one profile besides the
+        free rows' (a homogeneous fleet), else one per row."""
+        if len(column) == 2:
+            return column[1]
+        return column_view(column)[column_view(self.profile)[rows]]
+
+    def lossless(self, rows: Union[slice, np.ndarray]) -> np.ndarray:
+        """Mask of ``rows`` whose link is up and loss-free."""
+        return (column_view(self.grown().up)[rows] != 0) \
+            & (self.at(self.loss, rows) == 0.0)
 
     def fill(self, lo: int, hi: int, state: tuple) -> None:
         """Write ``state`` into the new rows ``[lo, hi)``, without links:
         a zero into rows a column does not reach yet is left implicit."""
-        for name, value in zip(self._COLUMNS, state):
+        values = (*state[:4], self._profile_of(state))
+        for name, value in zip(self._COLUMNS, values):
             column = getattr(self, name)
             if value or len(column) > lo:
                 grow_columns((column,), self._n - len(column))
@@ -182,8 +219,9 @@ class LinkTable:
         if r >= self._n:
             self.reserve(max(r + 1, 2 * self._n))
         self.grown()
-        (self.busy[r], self.bits[r], self.delivered[r], self.up[r],
-         self.loss[r], self.rate[r], self.latency[r]) = state
+        (self.busy[r], self.bits[r], self.delivered[r], self.up[r]) = \
+            state[:4]
+        self.profile[r] = self._profile_of(state)
         self.links[r] = link
         return r
 
@@ -305,15 +343,18 @@ class Link:
     # -- state ---------------------------------------------------------
     @property
     def rate_bps(self) -> float:
-        return self._t.rate[self._row]
+        t = self._t
+        return t.rate[t.profile[self._row]]
 
     @property
     def latency_s(self) -> float:
-        return self._t.latency[self._row]
+        t = self._t
+        return t.latency[t.profile[self._row]]
 
     @property
     def loss(self) -> float:
-        return self._t.loss[self._row]
+        t = self._t
+        return t.loss[t.profile[self._row]]
 
     @property
     def up(self) -> bool:
@@ -379,14 +420,15 @@ class Link:
         start = busy[r]
         if now > start:
             start = now
-        done = start + size_bits / t.rate[r]
+        done = start + size_bits / t.rate[t.profile[r]]
         busy[r] = done
         t.bits[r] += size_bits
         return done
 
     def _lost(self) -> bool:
         """The i.i.d. loss draw (no draw on a loss-free link)."""
-        loss = self._t.loss[self._row]
+        t = self._t
+        loss = t.loss[t.profile[self._row]]
         return loss > 0.0 and bool(
             self.sim.rng(self._rng_stream).random() < loss)
 
@@ -447,14 +489,15 @@ class Link:
         (the caller counts the delivery at the returned time via
         :meth:`count_delivery`).
         """
-        if not self._t.up[self._row]:
+        t, r = self._t, self._row
+        if not t.up[r]:
             self._drop("down")
             return None
         done = self._reserve(size_bits)
         if self._lost():
             self._drop("loss")
             return None
-        return done + self._t.latency[self._row]
+        return done + t.latency[t.profile[r]]
 
     def count_delivery(self) -> None:
         """Account one delivery arranged through :meth:`offer`."""
@@ -491,12 +534,10 @@ def offer_rows(table: LinkTable, rows: Union[slice, np.ndarray],
     ``size_bits`` is one size or one per row.
     """
     n = rows.stop - rows.start if type(rows) is slice else rows.size
-    out = np.empty(n, dtype=np.float64)
     if n == 0:
-        return out
+        return np.empty(0)
     sized = np.ndim(size_bits) > 0
-    vec = (column_view(table.grown().up)[rows] != 0) \
-        & (column_view(table.loss)[rows] == 0.0)
+    vec = table.lossless(rows)
     if not distinct and type(rows) is not slice:
         order = np.argsort(rows, kind="stable")
         ranked = rows[order]
@@ -512,13 +553,15 @@ def offer_rows(table: LinkTable, rows: Union[slice, np.ndarray],
         size = size_bits if not sized or whole else size_bits[vec]
         busy = column_view(table.busy)
         done = np.maximum(busy[fast], now)
-        done += size / column_view(table.rate)[fast]
+        done += size / table.at(table.rate, fast)
         busy[fast] = done
         bits = column_view(table.bits)
         bits[fast] += size
-        done += column_view(table.latency)[fast]
+        done += table.at(table.latency, fast)
         if whole:
             return done
+    out = np.empty(n, dtype=np.float64)
+    if fast.size:
         out[vec] = done
     for k in np.flatnonzero(~vec).tolist():
         deliver_at = table.link(int(rows[k])).offer(

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.net.link import all_distinct
+from repro.net.link import all_distinct, as_index
 
 __all__ = ["Task", "TaskTable", "Job", "JobStats", "reset_job_sequence"]
 
@@ -77,8 +77,9 @@ class TaskTable(Sequence[Task]):
 
     ``input_bits``, ``ref_seconds`` and ``result_bits`` are float64
     columns; a scalar value becomes a zero-stride broadcast (O(1)
-    memory).  Ids ``0..n-1`` in row order are kept as ``range(n)``, any
-    others as an int64 column.  Reading a row builds its :class:`Task`.
+    memory).  Ids that run ``k, k + 1, ...`` in row order are kept as a
+    ``range``, any others as an int64 column.  Reading a row builds its
+    :class:`Task`.
     """
 
     __slots__ = ("_ids", "input_bits", "ref_seconds", "result_bits",
@@ -86,10 +87,11 @@ class TaskTable(Sequence[Task]):
 
     def __init__(self, task_id, input_bits, ref_seconds, result_bits) -> None:
         n = len(task_id)
-        if not isinstance(task_id, range) or task_id != range(n):
+        if not isinstance(task_id, range) or task_id.step != 1:
             task_id = np.array(task_id, dtype=np.int64)
-            if np.array_equal(task_id, np.arange(n)):
-                task_id = range(n)
+            run = as_index(task_id)
+            if type(run) is slice:
+                task_id = range(run.start, run.stop)
         self._ids = task_id
         self._row_index: Optional[dict] = None
         for name, values in (("input_bits", input_bits),
@@ -103,7 +105,8 @@ class TaskTable(Sequence[Task]):
             setattr(self, name, column)
         if n:  # Task's checks, on each column's lowest value
             _check_task(
-                0 if isinstance(task_id, range) else int(task_id.min()),
+                task_id.start if isinstance(task_id, range)
+                else int(task_id.min()),
                 *(float(np.fmin.reduce(c)) for c in (
                     self.input_bits, self.ref_seconds, self.result_bits)))
 
@@ -111,21 +114,39 @@ class TaskTable(Sequence[Task]):
     def task_id(self) -> np.ndarray:
         """The int64 id column."""
         ids = self._ids
-        return np.arange(len(ids)) if isinstance(ids, range) else ids
+        return np.arange(ids.start, ids.stop) if isinstance(ids, range) \
+            else ids
+
+    def take(self, rows) -> "TaskTable":
+        """The tasks at ``rows`` (a slice or an index) as a table; through
+        a slice, range ids stay a range and zero-stride columns stay
+        zero-stride."""
+        table = TaskTable.__new__(TaskTable)
+        ids = self._ids
+        table._ids = ids[rows] if type(rows) is slice or not isinstance(
+            ids, range) else np.asarray(rows, dtype=np.int64) + ids.start
+        table._row_index = None
+        for name in ("input_bits", "ref_seconds", "result_bits"):
+            setattr(table, name, getattr(self, name)[rows])
+        return table
 
     def row_of(self, task_id: int) -> Optional[int]:
         """Row holding ``task_id``, or ``None``."""
-        if isinstance(self._ids, range):
-            return int(task_id) if 0 <= task_id < len(self._ids) else None
+        ids = self._ids
+        if isinstance(ids, range):
+            return int(task_id) - ids.start \
+                if ids.start <= task_id < ids.stop else None
         if self._row_index is None:
-            self._row_index = {t: r for r, t in enumerate(self._ids.tolist())}
+            self._row_index = {t: r for r, t in enumerate(ids.tolist())}
         return self._row_index.get(int(task_id))
 
     def rows_of(self, task_ids: np.ndarray) -> np.ndarray:
         """Rows holding ``task_ids`` (int64), -1 where none does."""
-        if isinstance(self._ids, range):
-            return np.where((task_ids >= 0) & (task_ids < len(self._ids)),
-                            task_ids, -1)
+        ids = self._ids
+        if isinstance(ids, range):
+            lo = ids.start
+            return np.where((task_ids >= lo) & (task_ids < ids.stop),
+                            task_ids - lo if lo else task_ids, -1)
         rows = (self.row_of(t) for t in task_ids.tolist())
         return np.fromiter((-1 if r is None else r for r in rows), np.int64,
                            len(task_ids))

@@ -126,34 +126,29 @@ def _digest_sent_while_controller_down(restore_at):
     """One aggregator over a slow uplink (its digest takes ~1 s to
     arrive) whose period-20 s digest leaves while the Controller is
     crashed (from t = 19.5).  At ``restore_at`` the Controller restarts
-    and is wrapped again to take digests (``restore`` registers the
-    bare Controller).  Returns the system, the first and the second
-    digest receiver, and the aggregator's uplink, at t = 30."""
+    with the registration it crashed with.  Returns the system, the
+    digest receiver and the aggregator's uplink, at t = 30."""
     system = OddCISystem(seed=21, maintenance_interval_s=30.0)
     controller = system.controller
-    wrapped = [DigestingController(controller)]
+    wrapper = DigestingController(controller)
     agg = HeartbeatAggregator(system.sim, system.router, "agg-0",
                               controller.controller_id,
                               aggregation_interval_s=20.0,
                               uplink_rate_bps=1_000.0)
     for _ in range(3):
         system.add_pna(heartbeat_interval_s=10.0).controller_id = "agg-0"
-
-    def restore():
-        controller.restore()
-        wrapped.append(DigestingController(controller))
-
     system.sim.call_at(19.5, controller.crash)
-    system.sim.call_at(restore_at, restore)
+    system.sim.call_at(restore_at, controller.restore)
     system.sim.run(until=30.0)
     assert agg.digests_sent == 1
-    return system, wrapped, agg.uplink.uplink
+    return system, wrapper, agg.uplink.uplink
 
 
 def test_digest_reaches_a_controller_restored_while_it_is_in_flight():
-    system, (before, after), link = _digest_sent_while_controller_down(
+    system, wrapper, link = _digest_sent_while_controller_down(
         restore_at=20.5)
-    assert (before.digests_received, after.digests_received) == (0, 1)
+    # restore put the wrapper back: it takes the digest, no error
+    assert wrapper.digests_received == 1
     assert system.router.undeliverable == 0
     assert system.controller.idle_estimate() == 3
     assert (link.delivered, link.refused, link.dropped) == (1, 0, 0)
@@ -162,9 +157,9 @@ def test_digest_reaches_a_controller_restored_while_it_is_in_flight():
 
 
 def test_digest_to_a_controller_still_down_is_undeliverable():
-    system, (before, after), link = _digest_sent_while_controller_down(
+    system, wrapper, link = _digest_sent_while_controller_down(
         restore_at=25.0)
-    assert (before.digests_received, after.digests_received) == (0, 0)
+    assert wrapper.digests_received == 0
     assert system.router.undeliverable == 1
     assert (link.delivered, link.refused, link.dropped) == (1, 0, 0)
     assert system.sim.events_executed == 17

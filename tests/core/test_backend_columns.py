@@ -623,6 +623,26 @@ def test_straggler_results_tombstone_their_requeued_copy():
     assert _snapshot(new.backend) == _snapshot(old.backend)
 
 
+def test_request_cohort_replies_with_range_ids_and_no_lease_columns():
+    """A lease-free Backend builds no lease columns; a FIFO cohort's
+    reply keeps the bag's range ids (offset by the head) and zero-stride
+    sizes, with no id array of the bag."""
+    from repro.workloads import uniform_bag
+
+    sim = Simulator(seed=0)
+    router = Router(sim)
+    lo = router.interner.intern_block("pna-", 0, 1_000)
+    backend = Backend(sim, uniform_bag(2_000, ref_seconds=3.0), router)
+    assert backend._lease is None and backend._seq is None
+    assert backend._holder.dtype == np.int32
+    rows = np.arange(lo, lo + 1_000)
+    first = backend.receive_request_cohort(rows, "i-1")
+    second = backend.receive_request_cohort(rows, "i-1")
+    assert (first._ids, second._ids) == (range(0, 1_000), range(1_000, 2_000))
+    assert second.ref_seconds.strides == (0,)
+    assert backend._in_flight[1_999][1:] == ("pna-999", 0.0, None)
+
+
 def test_requeue_labels_a_holder_that_left_its_router():
     """A lease whose holder has left its router requeues under that
     router's network: the columnar Backend labels a node by its row,

@@ -19,13 +19,23 @@ from repro.core.census import NodeInterner
 from repro.core.pna import PNA, PNABlock
 from repro.workloads import uniform_bag
 
-#: tracemalloc bytes per node of ``add_pnas(20_000)``: 39 measured
-#: once the columns that stay zero grow on first use (the router's
-#: online, state and linked bytes, and two link-table rows of up, rate
-#: and latency); 213 when set-up wrote every node and link column, 608
-#: when every node was a PNA object with dict entries in the interner
-#: and cohort.
-BYTES_PER_NODE = 48
+#: tracemalloc bytes per node of ``add_pnas(20_000)``: 14 measured
+#: once a link table keeps loss, rate and latency once per profile
+#: (the router's online, state and linked bytes, and two link-table
+#: rows of up and a 4-byte profile number); 39 when each row held its
+#: own rate and latency, 213 when set-up wrote every node and link
+#: column, 608 when every node was a PNA object with dict entries in
+#: the interner and cohort.
+BYTES_PER_NODE = 16
+
+#: tracemalloc peak bytes per node over the run phase (submit, wakeup,
+#: heartbeats, the whole bag) of a 20,000-node cohort cycle: 294
+#: measured once the task engine files slot ranges and one-value
+#: columns instead of copies, keeps a join's timeout and executor once
+#: and its counters and rows at int32, the Backend builds no lease
+#: columns for a lease-free bag and the link tables keep loss, rate and
+#: latency once per profile; 543 before.
+CYCLE_BYTES_PER_NODE = 320
 
 
 @pytest.fixture
@@ -110,6 +120,26 @@ def test_untraced_cycle_forms_no_node_id(built, dve, monkeypatch):
     columns = [getattr(engine, name) for name in type(engine).__slots__]
     assert not any(isinstance(value, str) for column in columns
                    if isinstance(column, list) for value in column)
+
+
+def test_cohort_cycle_run_phase_stays_under_byte_budget(dve):
+    system = OddCISystem(seed=1, maintenance_interval_s=60.0)
+    system.add_pnas(20_000, heartbeat_interval_s=10.0,
+                    dve_poll_interval_s=15.0)
+    job = _bag(80_000)
+    gc.collect()
+    with dve.cohort():
+        tracemalloc.start()
+        try:
+            submission = system.provider.submit_job(
+                job, target_size=20_000, heartbeat_interval_s=10.0)
+            report = system.provider.run_job_to_completion(submission,
+                                                           limit_s=1e5)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert report.n_tasks == 80_000 and report.distinct_workers == 20_000
+    assert peak / 20_000 < CYCLE_BYTES_PER_NODE
 
 
 def test_views_are_cached_and_stable(built):

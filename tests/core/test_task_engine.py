@@ -67,12 +67,15 @@ def _run_cycle(*, seed=7, n_nodes=20, n_tasks=60,
                         dve_poll_interval_s=dve_poll_interval_s,
                         executor=executor)
         if rate_spread:
-            # The system builds identical links; scale the rate column
-            # of each node's row (both paths read the same tables).
+            # The system builds identical links; rewrite each node's
+            # rows at a scaled rate (both paths read the same tables).
             router = system.router
             for i, pna in enumerate(system.pnas):
+                r = pna.census_idx
                 for table in (router.uplinks, router.downlinks):
-                    table.rate[pna.census_idx] *= 1.0 + rate_spread * (i % 7)
+                    *state, rate, latency = table.row(r)
+                    table.fill(r, r + 1, (*state, rate * (
+                        1.0 + rate_spread * (i % 7)), latency))
         job = uniform_bag(n_tasks, ref_seconds=ref_seconds,
                           input_bits=input_bits, result_bits=result_bits)
         submission = system.provider.submit_job(
@@ -458,8 +461,8 @@ def _filed(streams, prior, member_by_member):
         for column in run[2:]:
             column.append(slot)
     (engine._file_members if member_by_member else engine._file)(streams)
-    buckets = {t: repr([[run[0]] + [list(c) for c in run[1:]]
-                        for run in runs])
+    buckets = {t: repr([[run[0]] + [np.asarray(c).tolist()
+                                     for c in run[1:]] for run in runs])
                for t, runs in engine._buckets.items()}
     return buckets, sorted(entry[0] for entry in sim._heap)
 

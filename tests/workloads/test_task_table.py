@@ -128,6 +128,24 @@ def test_arbitrary_ids_and_lookups():
         5, 1.0, 1.0, 1.0)).tasks._ids, range)
 
 
+def test_offset_range_ids_and_slices_stay_compact():
+    """Any unit-step run of ids is a range with lookups offset by its
+    start; a slice of the table keeps range ids and zero-stride
+    columns, an index gives int64 ids."""
+    table = TaskTable(np.arange(5, 10), 0.0, 2.0, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert table._ids == range(5, 10)
+    assert [table.row_of(t) for t in (4, 5, 9, 10)] == [None, 0, 4, None]
+    assert table.rows_of(np.array([9, 4, 5], np.int64)).tolist() == \
+        [4, -1, 0]
+    assert table[1] == Task(6, 0.0, 2.0, 2.0)
+    part = uniform_bag(1000).tasks.take(slice(200, 300))
+    assert part._ids == range(200, 300)
+    assert part.ref_seconds.strides == (0,) and len(part) == 100
+    picked = table.take(np.array([3, 0]))
+    assert picked.task_id.tolist() == [8, 5]
+    assert picked.result_bits.tolist() == [4.0, 1.0]
+
+
 def test_duplicate_and_invalid_rows_rejected():
     t = Task(task_id=0, input_bits=0, ref_seconds=1, result_bits=0)
     with pytest.raises(WorkloadError, match="duplicate task_ids"):
