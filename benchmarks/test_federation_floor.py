@@ -24,7 +24,8 @@ import time
 import pytest
 
 from benchmarks.scenario import SCENARIO, cycle_bag, gc_paused
-from repro.core.federation import FederatedOddCISystem, NetworkDescriptor
+from repro.core.provider import NetworkDescriptor
+from repro.core.system import OddCISystem
 from repro.core.instance import reset_instance_sequence
 
 FULL_SCALE = 100_000
@@ -58,8 +59,8 @@ def run_federation_scenario(n_nodes: int) -> dict:
         for i in range(N_NETWORKS)]
     with gc_paused():
         t0 = time.perf_counter()
-        system = FederatedOddCISystem(
-            descriptors, seed=cfg["seed"], placement="spread",
+        system = OddCISystem(
+            networks=descriptors, seed=cfg["seed"], placement="spread",
             maintenance_interval_s=cfg["maintenance_interval_s"])
         system.build_fleets(
             heartbeat_interval_s=cfg["heartbeat_interval_s"],

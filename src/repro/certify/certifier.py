@@ -214,10 +214,7 @@ class ResultCertifier:
             backend.replicas_issued += 1
         else:
             backend.tasks_assigned += 1
-            if backend.assigned_by_network is not None:
-                net = backend._network_for(node)
-                if net is not None:
-                    backend.assigned_by_network[net] += 1
+            backend._count(backend.assigned_by_network, node)
         trace = self._trace
         if trace is not None:
             trace.emit(now, "dispatch", task=task.task_id, pna=pna_id,

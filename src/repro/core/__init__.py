@@ -18,14 +18,6 @@ from repro.core.aggregation import (
 from repro.core.backend import Backend, JobReport
 from repro.core.census import ColumnarCensusStore, NodeInterner
 from repro.core.controller import Controller, ControlPlane, DirectControlPlane
-from repro.core.federation import (
-    ControllerShard,
-    FederatedOddCISystem,
-    FederatedProvider,
-    FederatedSubmission,
-    NetworkDescriptor,
-    split_target,
-)
 from repro.core.instance import (
     InstanceRecord,
     InstanceSpec,
@@ -54,7 +46,13 @@ from repro.core.policies import (
     FixedProbability,
     ProbabilityPolicy,
 )
-from repro.core.provider import Provider, Submission
+from repro.core.provider import (
+    ControllerShard,
+    NetworkDescriptor,
+    Provider,
+    Submission,
+    split_target,
+)
 from repro.core.system import OddCISystem
 
 __all__ = [
@@ -92,9 +90,6 @@ __all__ = [
     "OddCISystem",
     "NetworkDescriptor",
     "ControllerShard",
-    "FederatedSubmission",
-    "FederatedProvider",
-    "FederatedOddCISystem",
     "split_target",
     "HeartbeatAggregator",
     "HeartbeatDigest",

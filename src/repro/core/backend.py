@@ -39,7 +39,7 @@ from repro.core.messages import (
     TaskResultPayload,
 )
 from repro.core.network import Router
-from repro.net.link import all_distinct, as_index
+from repro.net.link import all_distinct, as_index, column_view
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
@@ -123,11 +123,11 @@ class Backend:
             raise BackendError("max_replicas must be >= 2 (primary + 1)")
         self.sim = sim
         self.job = job
-        # Multi-router task routing (federation): a list/tuple of shard
-        # routers registers the backend on every shard's fabric, with
-        # merged result accounting plus optional per-network counters.
-        # A bare Router (or test double) keeps the classic wiring and
-        # ``self.router`` stays the primary either way.
+        # Multi-router task routing: a list/tuple of network routers
+        # registers the backend on every network's fabric, with merged
+        # result accounting plus per-network counters.  A bare Router
+        # (or test double) is one network; ``self.router`` stays the
+        # primary either way.
         routers = list(router) if isinstance(router, (list, tuple)) \
             else [router]
         if not routers:
@@ -143,22 +143,17 @@ class Backend:
         self._node, self._id_of = interner.intern, interner.id_of
         if networks is not None and len(networks) != len(routers):
             raise BackendError("networks must match routers one-to-one")
-        #: per-network accounting: ``None`` on the classic single-router
-        #: wiring so the hot paths keep a single pointer check.
-        self.networks = list(networks) if networks is not None else None
-        if self.networks is not None:
-            self._net_of_router = dict(zip(routers, self.networks))
-            self.assigned_by_network: Optional[Dict[str, int]] = \
-                {n: 0 for n in self.networks}
-            self.completed_by_network: Optional[Dict[str, int]] = \
-                {n: 0 for n in self.networks}
-            self.requeues_by_network: Optional[Dict[str, int]] = \
-                {n: 0 for n in self.networks}
-        else:
-            self._net_of_router = {}
-            self.assigned_by_network = None
-            self.completed_by_network = None
-            self.requeues_by_network = None
+        #: each router's network label (default: the unnamed network)
+        #: and the per-network accounting
+        self.networks = list(networks) if networks is not None \
+            else [""] * len(routers)
+        self._net_of_router = dict(zip(routers, self.networks))
+        self.assigned_by_network: Dict[str, int] = \
+            dict.fromkeys(self.networks, 0)
+        self.completed_by_network: Dict[str, int] = \
+            dict.fromkeys(self.networks, 0)
+        self.requeues_by_network: Dict[str, int] = \
+            dict.fromkeys(self.networks, 0)
         self.backend_id = backend_id
         self.lease_factor = lease_factor
         self.worst_case_slowdown = worst_case_slowdown
@@ -377,10 +372,7 @@ class Backend:
             self._lease_rows([row], [node], now,
                              _np.nan if lease_s is None else now + lease_s)
             self.tasks_assigned += 1
-            if self.assigned_by_network is not None:
-                net = self._network_for(node)
-                if net is not None:
-                    self.assigned_by_network[net] += 1
+            self._count(self.assigned_by_network, node)
             if self.replicate_tail:
                 heappush(self._replica_queue, (now, self._assign_seq, row))
         else:
@@ -495,12 +487,10 @@ class Backend:
             + self.poll_interval_s)
         self._lease_rows(served, rows, now, leases)
         self.tasks_assigned += k
-        if self.assigned_by_network is not None and k:
+        if k:
             # A cohort is a property of one shard's fabric, so every
             # requester in it lives on the same network.
-            net = self._network_for(int(rows[0]))
-            if net is not None:
-                self.assigned_by_network[net] += k
+            self._count(self.assigned_by_network, int(rows[0]), k)
         reply = tasks.take(served)
         trace = self._trace
         if trace is not None:
@@ -555,8 +545,8 @@ class Backend:
         self._state[first] = _DONE
         self._completed_at[first] = self.sim.now
         self._n_done += pos.size
-        if self.completed_by_network is not None or self._holders \
-                or self._attempts or self._trace is not None:
+        self._count_rows(self.completed_by_network, rows[pos])
+        if self._holders or self._attempts or self._trace is not None:
             for j, (row, task_id, node) in enumerate(zip(
                     tasks[pos].tolist(), task_ids[pos].tolist(),
                     rows[pos].tolist())):
@@ -636,6 +626,7 @@ class Backend:
         now = self.sim.now
         self._completed_at[row] = now
         self._n_done += 1
+        self._count(self.completed_by_network, node)
         self._completion_effects(row, task_id, node, self._n_done)
         if self._n_done == self.job.n and not self.done_event.triggered:
             if self._trace is not None:
@@ -649,10 +640,6 @@ class Backend:
                             done: int) -> None:
         """Side effects of the ``done``-th completion, by the node at
         row ``node``."""
-        if self.completed_by_network is not None:
-            net = self._network_for(node)
-            if net is not None:
-                self.completed_by_network[net] += 1
         self._holders.pop(row, None)
         self._attempts.pop(task_id, None)
         if self._trace is not None:
@@ -696,22 +683,36 @@ class Backend:
 
     def _network_for(self, node: int) -> Optional[str]:
         """Network label of the shard whose router registered the node
-        at row ``node`` (federated mode only).  Ownership never moves,
-        so a holder that left its router keeps its label."""
+        at row ``node``.  Ownership never moves, so a holder that left
+        its router keeps its label."""
         for router, net in self._net_of_router.items():
             if router.owns(node):
                 return net
         return None
 
-    def _backoff_stream_for(self, node: int) -> str:
-        """RNG stream for lease-backoff jitter: the historical
-        per-backend stream on single-network wiring, one stream per
-        shard under federation so each shard's re-dispatch schedule is
-        independent of cross-shard interleaving."""
-        if self.networks is None:
-            return self._backoff_stream
+    def _count(self, counter: Dict[str, int], node: int,
+               amount: int = 1) -> None:
+        """Add ``amount`` to ``counter`` under the node's network."""
         net = self._network_for(node)
-        if net is None:
+        if net is not None:
+            counter[net] += amount
+
+    def _count_rows(self, counter: Dict[str, int],
+                    rows: _np.ndarray) -> None:
+        """:meth:`_count` for every node at ``rows``: one vector pass per
+        network, not one call per node."""
+        for router, net in self._net_of_router.items():
+            state = column_view(router.pna_state)
+            counter[net] += int(_np.count_nonzero(
+                state[rows[rows < state.size]]))
+
+    def _backoff_stream_for(self, node: int) -> str:
+        """RNG stream for lease-backoff jitter: the per-backend stream
+        on the unnamed network, one stream per named network so each
+        network's re-dispatch schedule is independent of cross-network
+        interleaving."""
+        net = self._network_for(node)
+        if not net:
             return self._backoff_stream
         return f"{self._backoff_stream}:{net}"
 
@@ -738,10 +739,7 @@ class Backend:
                     self._requeued.append(row)
                     self._n_pending += 1
                     self.requeues += 1
-                    if self.requeues_by_network is not None:
-                        net = self._network_for(node)
-                        if net is not None:
-                            self.requeues_by_network[net] += 1
+                    self._count(self.requeues_by_network, node)
                     self._attempts[tid] = self._attempts.get(tid, 0) + 1
                     if trace is not None:
                         trace.emit(now, "requeue", task=tid,

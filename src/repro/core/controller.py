@@ -200,9 +200,9 @@ class Controller:
         self.probability_policy = probability_policy or DeficitProportional()
         self.maintenance_interval_s = maintenance_interval_s
         self.heartbeat_grace_factor = heartbeat_grace_factor
-        #: broadcast-network label for federated deployments.  Empty on
-        #: a single-network Controller: metric names and trace events
-        #: are then byte-identical to the pre-federation wiring.
+        #: broadcast-network label of a named network.  Empty on the
+        #: unnamed network of a one-network deployment: metric names and
+        #: trace events then carry no label.
         self.network = network
 
         #: the census engine: registry + per-instance membership in one

@@ -75,10 +75,10 @@ class Router:
         self.sim = sim
         #: shared node-id interning table: the Router assigns every
         #: registered PNA its dense index, and census stores built on
-        #: this fabric share the table (see repro.core.census).  A
-        #: federation passes one table to all of its shard Routers so
-        #: indices are globally dense and shard ownership becomes a
-        #: contiguous id range (see repro.core.federation).
+        #: this fabric share the table (see repro.core.census).  An
+        #: OddCISystem passes one table to all of its networks' Routers
+        #: so indices are globally dense and shard ownership becomes a
+        #: contiguous id range (see repro.core.provider.ControllerShard).
         self.interner = NodeInterner() if interner is None else interner
         self._receivers: Dict[str, ReceiveFn] = {}
         self._cohort_receivers: Dict[str, ReceiveCohortFn] = {}

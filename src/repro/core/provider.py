@@ -2,19 +2,44 @@
 
 The Provider (paper Section 3.1) creates, manages and destroys OddCI
 instances according to user requests, delegating the broadcast-side
-mechanics to the Controller.  It also owns per-job Backends: a user
+mechanics to Controllers.  It also owns per-job Backends: a user
 submits a :class:`~repro.workloads.job.Job`, the Provider spins up a
 Backend for it, sizes an instance, and reports the makespan when the
 job completes.
+
+One Provider spans one or more broadcast networks — DTV today,
+cellular and desktop tomorrow (Section 5):
+
+* :class:`NetworkDescriptor` — static properties of one network: node
+  capacity, broadcast rate β, direct-channel rate δ, device-class mix
+  and a cost per node-hour.
+* :class:`ControllerShard` — one network behind the Provider: its
+  Controller plus its descriptor and, when a deployment built it, its
+  broadcast channel and fleet.
+* :func:`split_target` — the placement matcher: it splits every
+  instance across the available networks by capacity and cost
+  (``"cost"`` or ``"spread"``); :meth:`Provider.resize` and
+  :meth:`Provider.rebalance` re-split it.  A job's Backend is
+  registered on every network's fabric, so one bag of tasks serves
+  them all with merged result accounting.
+
+A single network is a federation of one: an unnamed shard of
+unbounded capacity, so the matcher places the whole target on it.
+Bare capacity (:meth:`Provider.request_instance` and its async form)
+runs on a single network only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+import sys
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from repro.errors import (
+    ConfigurationError,
     ControllerDownError,
     InstanceError,
     ProvisioningError,
@@ -22,10 +47,280 @@ from repro.errors import (
 from repro.core.backend import Backend, JobReport
 from repro.core.controller import Controller
 from repro.core.instance import InstanceRecord, InstanceSpec, InstanceStatus
+from repro.core.pna import Fleet, PNABlock
+from repro.net.broadcast import BroadcastChannel
 from repro.sim.core import Event, Simulator
 from repro.workloads.job import Job
 
-__all__ = ["Provider", "ProvisioningTicket", "Submission", "ready_size_for"]
+__all__ = ["ControllerShard", "NetworkDescriptor", "Provider",
+           "ProvisioningTicket", "Submission", "node_hours",
+           "ready_size_for", "split_target"]
+
+#: placement policies the matcher understands.
+PLACEMENTS = ("cost", "spread")
+#: capacity of a network that sets no bound: the single network of
+#: OddCISystem and OddCIDTVSystem.
+UNBOUNDED = sys.maxsize
+
+
+@dataclass(frozen=True)
+class NetworkDescriptor:
+    """Static properties of one broadcast network.
+
+    Attributes
+    ----------
+    name:
+        Network label (``dtv``, ``cell``, ...).  Used for component
+        ids (``controller:<name>``), PNA ids (``<name>:pna-<i>``),
+        broadcast channel names (``<name>.broadcast``) and telemetry
+        labels.  Empty for the single network of a one-network
+        deployment, which keeps the plain names (``controller``,
+        ``pna-<i>``, ``oddci.broadcast``).
+    capacity:
+        Maximum nodes this network can contribute to instances.
+    beta_bps:
+        Spare broadcast (carousel) capacity β.
+    delta_bps / delta_latency_s / delta_loss:
+        Direct-channel parameters δ for this network's nodes.
+    cost_per_node_hour:
+        What one recruited node-hour costs the Provider here — the
+        ``"cost"`` placement policy fills cheap networks first.
+    device_mix:
+        Device-class name -> fraction of the fleet (informational +
+        capability tagging; fractions need not be exhaustive).
+    """
+
+    name: str = ""
+    capacity: int = UNBOUNDED
+    beta_bps: float = 1_000_000.0
+    delta_bps: float = 150_000.0
+    delta_latency_s: float = 0.05
+    delta_loss: float = 0.0
+    cost_per_node_hour: float = 1.0
+    device_mix: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.capacity <= 0:
+            raise ConfigurationError(
+                f"capacity must be > 0, got {self.capacity}")
+        if self.beta_bps <= 0 or self.delta_bps <= 0:
+            raise ConfigurationError("beta_bps and delta_bps must be > 0")
+        if self.delta_latency_s < 0:
+            raise ConfigurationError("delta_latency_s must be >= 0")
+        if not 0.0 <= self.delta_loss < 1.0:
+            raise ConfigurationError("delta_loss must be in [0, 1)")
+        if self.cost_per_node_hour < 0:
+            raise ConfigurationError("cost_per_node_hour must be >= 0")
+        for cls, frac in self.device_mix.items():
+            if not 0.0 <= float(frac) <= 1.0:
+                raise ConfigurationError(
+                    f"device_mix[{cls!r}] must be in [0, 1], got {frac}")
+
+
+class ControllerShard:
+    """One broadcast network behind a Provider.
+
+    A Controller plus the network's :class:`NetworkDescriptor`
+    (capacity and cost for the placement matcher).  A shard an
+    :class:`~repro.core.system.OddCISystem` built also has its
+    broadcast channel and builds its fleet: the shards' routers share
+    one interner and fleets are built shard by shard, so each shard
+    owns one contiguous node-id range ``[id_lo, id_hi)``.
+    """
+
+    def __init__(self, descriptor: NetworkDescriptor, controller: Controller,
+                 broadcast: Optional[BroadcastChannel] = None) -> None:
+        self.descriptor = descriptor
+        self.name = descriptor.name
+        self.controller = controller
+        self.router = controller.router
+        self.broadcast = broadcast
+        #: every PNA built on this network, in build order
+        self.pnas = Fleet()
+        #: contiguous interned-id range owned by this shard's fleet
+        #: (empty until the first node registers).
+        self.id_lo: Optional[int] = None
+        self.id_hi: Optional[int] = None
+        #: False while the network has left (broadcast down, nodes off);
+        #: the placement matcher skips it.
+        self.online = True
+
+    # -- fleet -----------------------------------------------------------
+    def add_pnas(
+        self,
+        n: int,
+        *,
+        capabilities: Optional[Mapping[str, Any]] = None,
+        executor: Optional[Callable[[float], float]] = None,
+        heartbeat_interval_s: float = 60.0,
+        dve_poll_interval_s: float = 15.0,
+    ) -> PNABlock:
+        """Create ``n`` identical PNAs, each with its own direct channel,
+        attached to this network's control plane as one block (see
+        :class:`~repro.core.pna.PNABlock`)."""
+        self._check_room(n)
+        descriptor, controller = self.descriptor, self.controller
+        scope = f"{self.name}:" if self.name else ""
+        block = PNABlock(
+            controller.sim, self.router, f"{scope}pna-", len(self.pnas), n,
+            controller_key=controller.key,
+            controller_id=controller.controller_id,
+            rate_bps=descriptor.delta_bps,
+            latency_s=descriptor.delta_latency_s,
+            loss=descriptor.delta_loss,
+            channel_name=(f"{self.name}.pna{{}}.direct" if self.name
+                          else "pna{}.direct"),
+            capabilities=capabilities, executor=executor,
+            heartbeat_interval_s=heartbeat_interval_s,
+            dve_poll_interval_s=dve_poll_interval_s)
+        controller.control_plane.attach_many(block)
+        self.pnas.extend(block)
+        if self.id_lo is None:
+            self.id_lo = block.lo
+        self.id_hi = block.hi
+        return block
+
+    def build_fleet(self, n: int, **fleet_kwargs: Any) -> List[PNABlock]:
+        """Create ``n`` nodes tagged by device class: contiguous blocks
+        in the descriptor mix's declaration order, remainder untagged."""
+        self._check_room(n)
+        runs: List[Tuple[Optional[str], int]] = []
+        start = 0
+        for cls, frac in self.descriptor.device_mix.items():
+            count = min(int(round(float(frac) * n)), n - start)
+            if count > 0:
+                runs.append((cls, count))
+                start += count
+        if start < n:
+            runs.append((None, n - start))
+        return [self.add_pnas(
+            count, capabilities={"device_class": cls} if cls else None,
+            **fleet_kwargs) for cls, count in runs]
+
+    def _check_room(self, n: int) -> None:
+        if n <= 0:
+            raise ConfigurationError(f"n must be > 0, got {n}")
+        if len(self.pnas) + n > self.descriptor.capacity:
+            raise ProvisioningError(
+                f"network {self.name!r} capacity "
+                f"{self.descriptor.capacity} exceeded "
+                f"({len(self.pnas)} + {n})")
+
+    def owns_index(self, idx: int) -> bool:
+        """Does this shard's id range cover interned index ``idx``?"""
+        return (self.id_lo is not None
+                and self.id_lo <= idx < (self.id_hi or 0))
+
+    @property
+    def id_range(self) -> Tuple[int, int]:
+        """The shard's ``[lo, hi)`` slice of the shared interner."""
+        if self.id_lo is None:
+            return (0, 0)
+        return (self.id_lo, self.id_hi or self.id_lo)
+
+    # -- membership churn ------------------------------------------------
+    def depart(self) -> None:
+        """The network leaves mid-job: broadcast plane down, every node
+        switched off.  The shard's Controller stays up (it is
+        provider-side) and its census drains via missed heartbeats;
+        re-entry is :meth:`rejoin`."""
+        if not self.online:
+            return
+        self.online = False
+        self.broadcast.set_up(False)
+        for pna in self.pnas:
+            if pna.online:
+                pna.shutdown()
+
+    def rejoin(self) -> None:
+        """The network comes back: broadcast restored, nodes powered
+        back on (idle, listening for wakeups)."""
+        if self.online:
+            return
+        self.online = True
+        self.broadcast.set_up(True)
+        for pna in self.pnas:
+            if not pna.online:
+                pna.restart()
+
+    @property
+    def available(self) -> bool:
+        """Eligible for placement: online and its Controller alive."""
+        return self.online and self.controller.alive
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<ControllerShard {self.name!r} nodes={len(self.pnas)} "
+                f"ids={self.id_range} online={self.online}>")
+
+
+# -- placement matcher ----------------------------------------------------
+
+def split_target(target: int, networks: Sequence[Tuple[str, int, float]],
+                 policy: str = "cost") -> Dict[str, int]:
+    """Split ``target`` nodes across ``(name, headroom, cost)`` entries.
+
+    ``"cost"`` fills the cheapest networks first (stable on ties:
+    declaration order); ``"spread"`` splits proportionally to headroom
+    with largest-remainder rounding (deterministic tie-break by
+    declaration order).  Raises :class:`ProvisioningError` when the
+    combined headroom cannot seat the target.
+    """
+    if policy not in PLACEMENTS:
+        raise ConfigurationError(
+            f"unknown placement {policy!r}; choose one of {PLACEMENTS}")
+    if target <= 0:
+        raise ProvisioningError(f"target must be > 0, got {target}")
+    entries = [(name, int(headroom), float(cost))
+               for name, headroom, cost in networks if headroom > 0]
+    total = sum(h for _, h, _ in entries)
+    if total < target:
+        raise ProvisioningError(
+            f"federation headroom {total} cannot seat target {target}")
+    shares: Dict[str, int] = {}
+    if policy == "cost":
+        remaining = target
+        for name, headroom, _cost in sorted(entries, key=lambda e: e[2]):
+            take = min(headroom, remaining)
+            if take > 0:
+                shares[name] = take
+                remaining -= take
+            if remaining == 0:
+                break
+        return shares
+    # "spread": proportional to headroom, largest-remainder rounding.
+    quotas = [(name, headroom, target * headroom / total)
+              for name, headroom, _cost in entries]
+    base = {name: int(quota) for name, _h, quota in quotas}
+    assigned = sum(base.values())
+    remainders = sorted(
+        ((quota - int(quota), order, name, headroom)
+         for order, (name, headroom, quota) in enumerate(quotas)),
+        key=lambda e: (-e[0], e[1]))
+    for _frac, _order, name, headroom in remainders:
+        if assigned >= target:
+            break
+        if base[name] < headroom:
+            base[name] += 1
+            assigned += 1
+    return {name: share for name, share in base.items() if share > 0}
+
+
+def node_hours(series, until: float) -> float:
+    """Integrate a step-function size series into node-hours."""
+    times = list(series.times)
+    values = list(series.values)
+    if not times:
+        return 0.0
+    total = 0.0
+    prev_t, prev_v = times[0], values[0]
+    for i in range(1, len(times)):
+        if times[i] > until:
+            break
+        total += prev_v * (times[i] - prev_t)
+        prev_t, prev_v = times[i], values[i]
+    if until > prev_t:
+        total += prev_v * (until - prev_t)
+    return total / 3600.0
 
 
 def ready_size_for(spec: InstanceSpec) -> int:
@@ -137,17 +432,36 @@ class ProvisioningTicket:
         return True
 
 
+
+
 @dataclass
 class Submission:
-    """A job submitted through the Provider: instance + backend pair."""
+    """A job submitted through the Provider: one Backend, and one
+    instance per network the matcher placed it on."""
 
     job: Job
-    record: InstanceRecord
     backend: Backend
+    base_spec: InstanceSpec
+    target_size: int
+    #: network name -> that network's InstanceRecord (including networks
+    #: whose share has since been re-balanced to zero).
+    records: Dict[str, InstanceRecord] = field(default_factory=dict)
+    #: network name -> currently-committed share (zero entries pruned).
+    shares: Dict[str, int] = field(default_factory=dict)
+    #: every (network, record) this submission ever created, in creation
+    #: order — re-balancing can retire and later re-create a network's
+    #: instance, and size/cost accounting must span all of them.
+    history: List[Tuple[str, InstanceRecord]] = field(default_factory=list)
+
+    @property
+    def record(self) -> InstanceRecord:
+        """The first instance created: on one network, the only one."""
+        return self.history[0][1]
 
     @property
     def instance_id(self) -> str:
-        return self.record.instance_id
+        """The submission's id at the Provider: its first instance's."""
+        return self.history[0][1].instance_id
 
     @property
     def done_event(self) -> Event:
@@ -155,21 +469,92 @@ class Submission:
 
 
 class Provider:
-    """Creates and manages OddCI instances on behalf of users."""
+    """Creates and manages OddCI instances on behalf of users.
 
-    def __init__(self, sim: Simulator, controller: Controller) -> None:
+    The placement matcher splits each job's instance across the
+    shards by capacity and cost, re-balances on :meth:`resize` and on
+    topology changes (:meth:`rebalance` after a network departs or
+    rejoins), and the job's Backend routes tasks over every shard's
+    fabric with merged result accounting.  Every method names an
+    instance by id: a submission's :attr:`Submission.instance_id`, or
+    a bare-capacity instance's record id.
+    """
+
+    def __init__(self, sim: Simulator, shards: Sequence[ControllerShard],
+                 *, placement: str = "cost") -> None:
+        if not shards:
+            raise ConfigurationError("a Provider needs at least one network")
+        if placement not in PLACEMENTS:
+            raise ConfigurationError(
+                f"unknown placement {placement!r}; "
+                f"choose one of {PLACEMENTS}")
+        names = [s.name for s in shards]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate network names in {names}")
+        if len(names) > 1 and "" in names:
+            raise ConfigurationError(
+                "an unnamed network must be the only one")
         self.sim = sim
-        self.controller = controller
+        self.placement = placement
+        self.shards: Dict[str, ControllerShard] = {
+            s.name: s for s in shards}
+        #: network name -> nodes committed across live submissions.
+        self._committed: Dict[str, int] = {name: 0 for name in names}
         self._submissions: Dict[str, Submission] = {}
 
+    # -- inspection ------------------------------------------------------
     def backends(self) -> list:
         """Backends of every submission (fault-injection target set)."""
         return [s.backend for s in self._submissions.values()]
 
+    def committed(self, network: str) -> int:
+        return self._committed[network]
+
+    def _split(self, target: int,
+               exclude: Optional[Submission] = None) -> Dict[str, int]:
+        """Place ``target`` nodes on the available networks, counting
+        ``exclude``'s own shares as free headroom."""
+        entries = self._placement_entries(exclude)
+        if not entries:
+            raise ControllerDownError(
+                "no network can take an instance: every Controller is "
+                "down or its network has left")
+        return split_target(target, entries, self.placement)
+
+    def _placement_entries(self, exclude: Optional[Submission]
+                           ) -> List[Tuple[str, int, float]]:
+        entries = []
+        for name, shard in self.shards.items():
+            if not shard.available:
+                continue
+            headroom = shard.descriptor.capacity - self._committed[name]
+            if exclude is not None:
+                headroom += exclude.shares.get(name, 0)
+            entries.append((name, headroom,
+                            shard.descriptor.cost_per_node_hour))
+        return entries
+
+    def _bare_shard(self) -> ControllerShard:
+        """The network bare capacity runs on: the only one."""
+        if len(self.shards) > 1:
+            raise ProvisioningError(
+                f"bare capacity needs a single network; this Provider "
+                f"spans {len(self.shards)}", reason="federated")
+        return next(iter(self.shards.values()))
+
+    def _shard_of(self, instance_id: str) -> ControllerShard:
+        """The network holding an instance no submission owns: bare
+        capacity, or one a released submission left on a network whose
+        Controller was down."""
+        for shard in self.shards.values():
+            if instance_id in shard.controller.instances:
+                return shard
+        raise InstanceError(f"unknown instance {instance_id!r}")
+
     # -- raw instance API -----------------------------------------------------
     def request_instance(self, spec: InstanceSpec) -> InstanceRecord:
         """Provision an instance with no job attached (bare capacity)."""
-        return self.controller.create_instance(spec)
+        return self._bare_shard().controller.create_instance(spec)
 
     def request_instance_async(
         self,
@@ -188,7 +573,7 @@ class Provider:
         the timeout expires.  The service tier's create path is built on
         this call.
         """
-        record = self.controller.create_instance(spec)
+        record = self._bare_shard().controller.create_instance(spec)
         return ProvisioningTicket(
             self.sim, ready_size=ready_size_for(spec),
             size_fn=lambda: record.size,
@@ -197,7 +582,72 @@ class Provider:
             record=record)
 
     def resize(self, instance_id: str, new_target: int) -> None:
-        self.controller.resize_instance(instance_id, new_target)
+        """Set an instance's target size; a submission is re-split
+        across the networks (see :attr:`Submission.shares`)."""
+        submission = self._submissions.get(instance_id)
+        if submission is None:
+            self._shard_of(instance_id).controller.resize_instance(
+                instance_id, new_target)
+            return
+        if new_target <= 0:
+            raise InstanceError(f"new_target must be > 0, got {new_target}")
+        self._apply_shares(submission, self._split(new_target, submission))
+        submission.target_size = new_target
+
+    def rebalance(self, instance_id: str) -> Dict[str, int]:
+        """Re-split a submission after a topology change (a network
+        departed or rejoined): departed networks' shares move to the
+        remaining headroom.
+
+        Best-effort, unlike :meth:`resize`: when the survivors cannot
+        seat the full target the matcher places what fits and the
+        instance runs degraded (availability accounting sees the
+        shortfall); the deficit is restored by the next re-balance
+        after capacity returns.  With no available network at all the
+        current shares are left untouched."""
+        submission = self._submissions[instance_id]
+        entries = self._placement_entries(submission)
+        goal = min(submission.target_size,
+                   sum(headroom for _, headroom, _ in entries))
+        if goal <= 0:
+            return dict(submission.shares)
+        shares = split_target(goal, entries, self.placement)
+        self._apply_shares(submission, shares)
+        return dict(shares)
+
+    def rebalance_all(self) -> None:
+        for instance_id in list(self._submissions):
+            self.rebalance(instance_id)
+
+    def _apply_shares(self, submission: Submission,
+                      shares: Dict[str, int]) -> None:
+        for name, shard in self.shards.items():
+            share = shares.get(name, 0)
+            record = submission.records.get(name)
+            live = record is not None and record.status not in (
+                InstanceStatus.DISMANTLING, InstanceStatus.DESTROYED)
+            if share > 0:
+                if live and record.spec.target_size != share:
+                    shard.controller.resize_instance(
+                        record.instance_id, share)
+                elif not live:
+                    self._create(submission, name, share)
+            elif live and submission.shares.get(name, 0) > 0:
+                # Share re-balanced away: dismantle this network's
+                # instance (deferred broadcast if the plane is down).
+                shard.controller.destroy_instance(record.instance_id)
+            self._committed[name] += share - submission.shares.get(name, 0)
+            if share > 0:
+                submission.shares[name] = share
+            else:
+                submission.shares.pop(name, None)
+
+    def _create(self, submission: Submission, name: str,
+                share: int) -> None:
+        record = self.shards[name].controller.create_instance(
+            dataclasses.replace(submission.base_spec, target_size=share))
+        submission.records[name] = record
+        submission.history.append((name, record))
 
     def release(self, instance_id: str) -> None:
         """Dismantle an instance and shut down its backend, if any.
@@ -205,17 +655,34 @@ class Provider:
         The submission entry is evicted: a released job's Backend must
         not linger in :meth:`backends` (the fault-injection target set)
         or keep the whole task table alive across a long multi-job run.
-        Eviction happens even when the dismantle itself fails — a
-        crashed Controller (``ControllerDownError``) or an instance
-        already DISMANTLING (``InstanceError``) must not leak the
-        submission entry; the lifetime mechanism reaps the instance.
+        Eviction happens even when a dismantle fails: a network whose
+        Controller is crashed keeps its instance (the lifetime
+        mechanism, or a release after restore, reaps it) and the
+        ``ControllerDownError`` is raised once every other network's
+        instance is dismantled.  A bare instance already DISMANTLING
+        raises ``InstanceError``.
         """
-        try:
-            self.controller.destroy_instance(instance_id)
-        finally:
-            submission = self._submissions.pop(instance_id, None)
-            if submission is not None:
-                submission.backend.shutdown()
+        submission = self._submissions.pop(instance_id, None)
+        if submission is None:
+            self._shard_of(instance_id).controller.destroy_instance(
+                instance_id)
+            return
+        down: Optional[ControllerDownError] = None
+        for name, record in submission.records.items():
+            if record.status in (InstanceStatus.DISMANTLING,
+                                 InstanceStatus.DESTROYED):
+                continue
+            try:
+                self.shards[name].controller.destroy_instance(
+                    record.instance_id)
+            except ControllerDownError as err:
+                down = err
+        for name, share in submission.shares.items():
+            self._committed[name] -= share
+        submission.shares.clear()
+        submission.backend.shutdown()
+        if down is not None:
+            raise down
 
     def cancel_request(self, instance_id: str,
                        ticket: Optional[ProvisioningTicket] = None) -> bool:
@@ -238,32 +705,76 @@ class Provider:
         except (InstanceError, KeyError, ControllerDownError):
             return False
 
+    # -- reporting -------------------------------------------------------
     def status(self, instance_id: str) -> dict:
-        """Human-readable status summary of one instance.
+        """Status summary of one instance, merged across its networks
+        (one entry each under ``"networks"``).
 
         Raises :class:`~repro.errors.ProvisioningError` for an unknown
         instance id — the Provider's front-door contract, regardless of
         which layer (Controller table, submission map) missed it.
         """
-        try:
-            record = self.controller.instance(instance_id)
-        except (KeyError, InstanceError):
-            # KeyError covers Controller doubles with bare dict lookups.
-            raise ProvisioningError(
-                f"unknown instance {instance_id!r}") from None
-        out = {
-            "instance_id": instance_id,
+        submission = self._submissions.get(instance_id)
+        if submission is not None:
+            records, target = submission.records, submission.target_size
+        else:
+            try:
+                shard = self._shard_of(instance_id)
+            except InstanceError:
+                raise ProvisioningError(
+                    f"unknown instance {instance_id!r}") from None
+            record = shard.controller.instance(instance_id)
+            records, target = {shard.name: record}, record.spec.target_size
+        networks = {name: {
+            "instance_id": record.instance_id,
             "status": record.status.value,
             "size": record.size,
             "target_size": record.spec.target_size,
             "wakeups_sent": record.wakeups_sent,
             "trims_sent": record.trims_sent,
+        } for name, record in records.items()}
+        phases = list(InstanceStatus)
+        out = {
+            "instance_id": instance_id,
+            # the earliest lifecycle phase among its networks' instances
+            "status": min((r.status for r in records.values()),
+                          key=phases.index).value,
+            "size": sum(n["size"] for n in networks.values()),
+            "target_size": target,
+            "wakeups_sent": sum(n["wakeups_sent"]
+                                for n in networks.values()),
+            "trims_sent": sum(n["trims_sent"] for n in networks.values()),
+            "networks": networks,
         }
-        submission = self._submissions.get(instance_id)
         if submission is not None:
             out["tasks_completed"] = submission.backend.completed_count
             out["tasks_total"] = submission.job.n
         return out
+
+    def size_series(self, instance_id: str) -> List[Tuple[str, Any]]:
+        """Every instance-size TimeSeries the submission ever had, as
+        ``(network, series)`` pairs in creation order.
+
+        A network can contribute *several* sequential instances when
+        re-balancing retires its share and a later re-balance brings it
+        back; a retired instance's series drains to zero, so summing
+        the lot (:func:`repro.faults.merged_size_series`) yields the
+        submission's size across networks."""
+        out: List[Tuple[str, Any]] = []
+        for name, record in self._submissions[instance_id].history:
+            series = self.shards[name].controller.size_history.get(
+                record.instance_id)
+            if series is not None:
+                out.append((name, series))
+        return out
+
+    def cost_estimate(self, instance_id: str, until: float) -> float:
+        """Node-hour cost of the submission across networks."""
+        total = 0.0
+        for name, series in self.size_series(instance_id):
+            rate = self.shards[name].descriptor.cost_per_node_hour
+            total += rate * node_hours(series, until)
+        return total
 
     # -- job submission ------------------------------------------------------------
     def submit_job(
@@ -277,40 +788,45 @@ class Provider:
         lease_factor: Optional[float] = None,
         lease_backoff_base: float = 1.0,
         lease_backoff_jitter: float = 0.0,
+        worst_case_slowdown: float = 25.0,
         replicate_tail: bool = False,
         certify_policy=None,
         release_on_completion: bool = True,
     ) -> Submission:
         """Run ``job`` on a fresh OddCI instance of ``target_size`` nodes.
 
-        Creates the Backend, then commands the instance creation; the
-        wakeup message points PNAs at the new Backend.  When the last
-        result arrives, the instance is dismantled automatically unless
-        ``release_on_completion=False``.
+        Creates the Backend — registered on every network's router —
+        then commands one instance per network the matcher placed a
+        share on; the wakeup message points PNAs at the new Backend.
+        When the last result arrives, every instance is dismantled
+        automatically unless ``release_on_completion=False``.
 
         ``lease_backoff_base`` / ``lease_backoff_jitter`` plumb straight
         into the Backend's re-dispatch backoff (DESIGN.md §10): jitter
-        draws come from the backend's named RNG stream, so enabling it
-        keeps ``--jobs`` byte-parity.  ``certify_policy`` (a
-        :class:`~repro.certify.CertifyPolicy`) arms result
-        certification; when the Controller supports quarantine the
-        certifier's eviction hook is wired automatically.
+        draws come from the backend's named RNG stream (one per named
+        network), so enabling it keeps ``--jobs`` byte-parity.
+        ``certify_policy`` (a :class:`~repro.certify.CertifyPolicy`)
+        arms result certification; a conviction blacklists the node on
+        every network's Controller.
         """
         if target_size <= 0:
             raise ProvisioningError(
                 f"target_size must be > 0, got {target_size}")
+        shares = self._split(target_size)
         backend_id = f"backend-job{job.job_id}"
-        backend = Backend(self.sim, job, self.controller.router,
-                          backend_id=backend_id, lease_factor=lease_factor,
+        backend = Backend(self.sim, job,
+                          [shard.router for shard in self.shards.values()],
+                          backend_id=backend_id,
+                          networks=list(self.shards),
+                          lease_factor=lease_factor,
                           lease_backoff_base=lease_backoff_base,
                           lease_backoff_jitter=lease_backoff_jitter,
+                          worst_case_slowdown=worst_case_slowdown,
                           replicate_tail=replicate_tail,
                           certify_policy=certify_policy)
         if backend.certifier is not None:
-            quarantine = getattr(self.controller, "quarantine_node", None)
-            if quarantine is not None:
-                backend.certifier.on_quarantine = quarantine
-        spec = InstanceSpec(
+            backend.certifier.on_quarantine = self._quarantine
+        base_spec = InstanceSpec(
             target_size=target_size,
             image_name=job.name or f"job-{job.job_id}",
             image_bits=job.image_bits,
@@ -320,29 +836,43 @@ class Provider:
             size_tolerance=size_tolerance,
             backend_id=backend_id,
         )
-        record = self.controller.create_instance(spec)
-        submission = Submission(job=job, record=record, backend=backend)
-        self._submissions[record.instance_id] = submission
+        submission = Submission(job=job, backend=backend,
+                                base_spec=base_spec, target_size=target_size)
+        for name, share in shares.items():
+            self._create(submission, name, share)
+            submission.shares[name] = share
+            self._committed[name] += share
+        instance_id = submission.instance_id
+        self._submissions[instance_id] = submission
         if release_on_completion:
             backend.done_event.add_callback(
-                lambda ev, iid=record.instance_id: self._auto_release(iid))
+                lambda ev: self._auto_release(instance_id))
         return submission
 
     def _auto_release(self, instance_id: str) -> None:
-        record = self.controller.instance(instance_id)
-        if record.status in (InstanceStatus.DISMANTLING,
-                             InstanceStatus.DESTROYED):
+        if instance_id not in self._submissions:
             return
         try:
             self.release(instance_id)
         except ControllerDownError:
-            # Job finished while the Controller was crashed: leave the
-            # instance be — the lifetime mechanism (or an explicit
-            # release after restore) reaps it.  The submission is still
-            # evicted so a dead Backend never lingers in backends().
-            submission = self._submissions.pop(instance_id, None)
-            if submission is not None:
-                submission.backend.shutdown()
+            # Job finished while a Controller was crashed: that network
+            # keeps its instance — the lifetime mechanism (or an
+            # explicit release after restore) reaps it.  The submission
+            # is evicted all the same, so a dead Backend never lingers
+            # in backends().
+            pass
+
+    def _quarantine(self, pna_id: str, reason: str) -> None:
+        """Blacklist a convicted node on every network's Controller.
+
+        The certifier does not know which network a node came from, so
+        every Controller is told; one that never saw the node only
+        records it.  A crashed Controller or a departed network is told
+        too: the blacklist is durable, so the node stays out of the
+        census after a restore or a rejoin.
+        """
+        for shard in self.shards.values():
+            shard.controller.quarantine_node(pna_id, reason)
 
     def run_job_to_completion(self, submission: Submission,
                               limit_s: float = 1e9) -> JobReport:

@@ -1,25 +1,32 @@
 """Convenience facade wiring a complete generic OddCI deployment.
 
-:class:`OddCISystem` assembles the simulator-side plumbing — router, key
-registry, broadcast channel, control plane, Controller and Provider —
-and offers helpers to build PNA fleets.  Examples and benchmarks build
-on this facade; the individual components remain fully usable on their
-own (the DTV binding in :mod:`repro.dtv_oddci` wires them differently).
+:class:`OddCISystem` assembles the simulator-side plumbing — one
+router, broadcast channel, control plane and Controller per broadcast
+network, a key registry and node-id interner they share, and the
+Provider over them — and offers helpers to build PNA fleets.  Examples
+and benchmarks build on this facade; the individual components remain
+fully usable on their own (the DTV binding in :mod:`repro.dtv_oddci`
+wires them differently).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.census import STATE_BUSY
+from repro.core.census import STATE_BUSY, NodeInterner
 from repro.core.controller import Controller, DirectControlPlane
 from repro.core.network import Router
 from repro.core.pna import PNA, Fleet, PNABlock
 from repro.core.policies import ProbabilityPolicy
-from repro.core.provider import Provider
+from repro.core.provider import (
+    UNBOUNDED,
+    ControllerShard,
+    NetworkDescriptor,
+    Provider,
+)
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
@@ -30,20 +37,44 @@ __all__ = ["OddCISystem"]
 
 
 class OddCISystem:
-    """A generic OddCI deployment over a raw broadcast channel.
+    """A generic OddCI deployment over raw broadcast channels.
+
+    Without ``networks`` it is one unnamed network of unbounded
+    capacity, with the plain component names (``controller``,
+    ``oddci.broadcast``, ``pna-<k>``).  With ``networks`` it builds one
+    :class:`~repro.core.provider.ControllerShard` per
+    :class:`~repro.core.provider.NetworkDescriptor` over a shared
+    simulator, key registry and node-id interner, names each network's
+    components after it (``controller:<name>``, ``<name>:pna-<k>``),
+    and — when an ambient fault plan is active — wires a
+    :class:`~repro.faults.FaultInjector` whose targets span every
+    network (a crash selector may name one network or its controller
+    id; see :mod:`repro.faults.plan`).
+
+    ``router``, ``broadcast``, ``control_plane`` and ``controller`` are
+    the first network's; :meth:`add_pnas` builds there and
+    :meth:`build_fleets` on every network.
 
     Parameters
     ----------
+    networks:
+        The broadcast networks; ``None`` for a single one made of the
+        parameters below.
+    placement:
+        How the Provider splits an instance across networks
+        (``"cost"`` or ``"spread"``).
     beta_bps:
-        Spare broadcast capacity β.
-    delta_bps:
-        Direct-channel capacity δ per node.
+        Spare broadcast capacity β of the single network.
+    delta_bps / delta_latency_s / delta_loss:
+        Direct-channel capacity δ per node of the single network.
     """
 
     def __init__(
         self,
         sim: Optional[Simulator] = None,
         *,
+        networks: Optional[Sequence[NetworkDescriptor]] = None,
+        placement: str = "cost",
         beta_bps: float = 1_000_000.0,
         delta_bps: float = 150_000.0,
         delta_latency_s: float = 0.05,
@@ -52,26 +83,40 @@ class OddCISystem:
         seed: Optional[int] = 0,
         delta_loss: float = 0.0,
     ) -> None:
-        if delta_bps <= 0:
-            raise ConfigurationError("delta_bps must be > 0")
-        if delta_latency_s < 0:
-            raise ConfigurationError("delta_latency_s must be >= 0")
-        if not 0.0 <= delta_loss < 1.0:
-            raise ConfigurationError("delta_loss must be in [0, 1)")
+        if networks is None:
+            networks = [NetworkDescriptor(
+                beta_bps=beta_bps, delta_bps=float(delta_bps),
+                delta_latency_s=float(delta_latency_s),
+                delta_loss=float(delta_loss))]
         self.sim = sim or Simulator(seed=seed)
-        self.delta_bps = float(delta_bps)
-        self.delta_latency_s = float(delta_latency_s)
-        self.delta_loss = float(delta_loss)
-        self.router = Router(self.sim)
         self.keys = KeyRegistry()
-        self.broadcast = BroadcastChannel(self.sim, beta_bps=beta_bps,
-                                          name="oddci.broadcast")
-        self.control_plane = DirectControlPlane(self.broadcast)
-        self.controller = Controller(
-            self.sim, self.router, self.control_plane, self.keys,
-            probability_policy=probability_policy,
-            maintenance_interval_s=maintenance_interval_s)
-        self.provider = Provider(self.sim, self.controller)
+        #: the node-id table every network's router shares.
+        self.interner = NodeInterner()
+        self.shards: List[ControllerShard] = []
+        for descriptor in networks:
+            name = descriptor.name
+            controller_id = f"controller:{name}" if name else "controller"
+            router = Router(self.sim, interner=self.interner)
+            broadcast = BroadcastChannel(
+                self.sim, beta_bps=descriptor.beta_bps,
+                name=f"{name or 'oddci'}.broadcast")
+            controller = Controller(
+                self.sim, router,
+                DirectControlPlane(broadcast, sender=controller_id),
+                self.keys, controller_id=controller_id,
+                probability_policy=probability_policy,
+                maintenance_interval_s=maintenance_interval_s,
+                network=name)
+            self.shards.append(
+                ControllerShard(descriptor, controller, broadcast))
+        self.provider = Provider(self.sim, self.shards, placement=placement)
+        first = self.shards[0]
+        self.router, self.broadcast = first.router, first.broadcast
+        self.controller = first.controller
+        self.control_plane = first.controller.control_plane
+        self.delta_bps = first.descriptor.delta_bps
+        self.delta_latency_s = first.descriptor.delta_latency_s
+        self.delta_loss = first.descriptor.delta_loss
         #: every PNA in build order; a bulk block's are views built on
         #: first access (see repro.core.pna.PNABlock)
         self.pnas = Fleet()
@@ -83,10 +128,13 @@ class OddCISystem:
         if plan is not None and plan.events:
             self.fault_injector = FaultInjector(
                 self.sim, plan,
-                FaultTargets(controllers=[self.controller],
+                FaultTargets(controllers=[s.controller for s in self.shards],
                              backends=self.provider.backends,
-                             broadcasts=[self.broadcast],
+                             broadcasts=[s.broadcast for s in self.shards],
                              nodes=lambda: list(self.pnas)))
+
+    def shard(self, name: str) -> ControllerShard:
+        return self.provider.shards[name]
 
     def add_pna(self, **kwargs: Any) -> PNA:
         """Create one PNA (see :meth:`add_pnas`)."""
@@ -101,33 +149,43 @@ class OddCISystem:
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 15.0,
     ) -> PNABlock:
-        """Create ``n`` identical PNAs ``pna-{k}``, each with its own
-        direct channel, attached to the broadcast plane as one block
-        (see :class:`~repro.core.pna.PNABlock`)."""
-        if n <= 0:
-            raise ConfigurationError(f"n must be > 0, got {n}")
-        block = PNABlock(
-            self.sim, self.router, "pna-", len(self.pnas), n,
-            controller_key=self.keys.key_of(self.controller.controller_id),
-            controller_id=self.controller.controller_id,
-            rate_bps=self.delta_bps, latency_s=self.delta_latency_s,
-            loss=self.delta_loss, channel_name="pna{}.direct",
-            capabilities=capabilities, executor=executor,
+        """Create ``n`` identical PNAs ``pna-{k}`` on the first network,
+        each with its own direct channel, attached to the broadcast
+        plane as one block (see :class:`~repro.core.pna.PNABlock`)."""
+        block = self.shards[0].add_pnas(
+            n, capabilities=capabilities, executor=executor,
             heartbeat_interval_s=heartbeat_interval_s,
             dve_poll_interval_s=dve_poll_interval_s)
-        self.control_plane.attach_many(block)
         self.pnas.extend(block)
         return block
+
+    def build_fleets(self, per_network: Optional[Mapping[str, int]] = None,
+                     **fleet_kwargs: Any) -> None:
+        """Build each network's fleet — network order, so id ranges come
+        out contiguous.  Default: every network at its capacity."""
+        for shard in self.shards:
+            n = (per_network or {}).get(
+                shard.name, shard.descriptor.capacity)
+            if n == UNBOUNDED:
+                raise ConfigurationError(
+                    f"network {shard.name!r} has no capacity bound: "
+                    f"give its fleet size")
+            if n > 0:
+                for block in shard.build_fleet(n, **fleet_kwargs):
+                    self.pnas.extend(block)
 
     # -- quick stats -------------------------------------------------------------
     def busy_count(self, *, online: bool = False) -> int:
         """PNAs that are BUSY (and, with ``online``, powered on): one
-        reduction over the fleet's rows."""
-        router, rows = self.router, self.pnas.rows()
-        busy = column_view(router.pna_state)[rows] == STATE_BUSY
-        if online:
-            busy &= column_view(router.pna_online)[rows] != 0
-        return int(np.count_nonzero(busy))
+        reduction over each network's fleet rows."""
+        count = 0
+        for shard in self.shards:
+            router, rows = shard.router, shard.pnas.rows()
+            busy = column_view(router.pna_state)[rows] == STATE_BUSY
+            if online:
+                busy &= column_view(router.pna_online)[rows] != 0
+            count += int(np.count_nonzero(busy))
+        return count
 
     def idle_count(self) -> int:
         return len(self.pnas) - self.busy_count()

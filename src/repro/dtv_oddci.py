@@ -33,7 +33,7 @@ from repro.core.messages import ResetPayload, WakeupPayload
 from repro.core.network import Router
 from repro.core.pna import PNA
 from repro.core.policies import ProbabilityPolicy
-from repro.core.provider import Provider
+from repro.core.provider import ControllerShard, NetworkDescriptor, Provider
 from repro.dtv.ait import (
     AITEntry,
     ApplicationControlCode,
@@ -317,7 +317,8 @@ class OddCIDTVSystem:
             self.sim, self.router, self.control_plane, self.keys,
             probability_policy=probability_policy,
             maintenance_interval_s=maintenance_interval_s)
-        self.provider = Provider(self.sim, self.controller)
+        self.provider = Provider(
+            self.sim, [ControllerShard(NetworkDescriptor(), self.controller)])
         self.boxes: List[SetTopBox] = []
         # Ambient fault plan: carousel faults hit channel 0's DSM-CC
         # carousel; storms hit the PNA cores behind every STB.

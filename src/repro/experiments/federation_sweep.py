@@ -1,13 +1,14 @@
 """Federation sweep — makespan and availability under network churn.
 
-Runs one bag-of-tasks job on a three-network federation
-(:class:`~repro.core.federation.FederatedOddCISystem`) while whole
-*networks* join and leave mid-job.  The grid dimension is the number of
-scripted departures: 0 is the steady federation, 1 drops the cheapest
-network for a window, 2 additionally drops a second network later.
-Every departure is followed by a :meth:`~repro.core.federation.
-FederatedProvider.rebalance_all` so the matcher re-seats the displaced
-share on the surviving networks, and every rejoin re-balances back.
+Runs one bag-of-tasks job on a three-network
+:class:`~repro.core.system.OddCISystem` while whole *networks* join and
+leave mid-job.  The grid dimension is the number of scripted
+departures: 0 is the steady federation, 1 drops the cheapest network
+for a window, 2 additionally drops a second network later.  Every
+departure is followed by a
+:meth:`~repro.core.provider.Provider.rebalance_all` so the matcher
+re-seats the displaced share on the surviving networks, and every
+rejoin re-balances back.
 
 Reported per point:
 
@@ -29,7 +30,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.report import render_records
-from repro.core.federation import FederatedOddCISystem, NetworkDescriptor
+from repro.core.provider import NetworkDescriptor
+from repro.core.system import OddCISystem
 from repro.faults import availability_fraction, merged_size_series
 from repro.net.message import MEGABYTE
 from repro.runner.scenario import Scenario, register
@@ -93,8 +95,8 @@ def point_federation_sweep(
         raise ValueError(
             f"departures must be in [0, {len(_DEPARTURE_WINDOWS)}], "
             f"got {departures}")
-    system = FederatedOddCISystem(
-        federation_networks(nodes_per_network), seed=seed,
+    system = OddCISystem(
+        networks=federation_networks(nodes_per_network), seed=seed,
         placement=placement,
         maintenance_interval_s=maintenance_interval_s)
     system.build_fleets(heartbeat_interval_s=heartbeat_interval_s,
@@ -130,7 +132,7 @@ def point_federation_sweep(
     now = system.sim.now
     merged = merged_size_series(
         [series for _name, series in
-         system.provider.size_series(submission)],
+         system.provider.size_series(submission.instance_id)],
         name="federation-size")
     availability = availability_fraction(
         merged, target,
@@ -143,16 +145,14 @@ def point_federation_sweep(
         "availability": availability,
         "tasks_redispatched": backend.requeues,
         "duplicates": backend.duplicates,
-        "cost_node_hours": system.provider.cost_estimate(submission, now),
+        "cost_node_hours": system.provider.cost_estimate(
+            submission.instance_id, now),
         "networks_used": sum(
-            1 for count in (backend.assigned_by_network or {}).values()
-            if count > 0),
+            1 for count in backend.assigned_by_network.values() if count > 0),
     }
     for name in ranked:
-        record[f"assigned[{name}]"] = (
-            backend.assigned_by_network or {}).get(name, 0)
-        record[f"completed[{name}]"] = (
-            backend.completed_by_network or {}).get(name, 0)
+        record[f"assigned[{name}]"] = backend.assigned_by_network[name]
+        record[f"completed[{name}]"] = backend.completed_by_network[name]
     return record
 
 

@@ -57,7 +57,7 @@ class ServiceTier:
     system:
         A built single-network deployment exposing ``.sim`` and a
         ``.provider`` with ``request_instance_async`` /
-        ``cancel_request`` (the federated façade has neither).
+        ``cancel_request`` (bare capacity needs one network).
     traffic / gateway / pool:
         The open-loop mix and the admission/pooling knobs.
     image_bits / heartbeat_interval_s / size_tolerance:

@@ -20,9 +20,9 @@ Two scheduling paths share the calendar:
   callback, args)`` and return nothing.  Internal layers (event
   settling, processes, links, broadcast) use it: no handle object is
   ever allocated for the ~99% of events nobody cancels.
-* the **handle path** — :meth:`Simulator.schedule` /
-  :meth:`Simulator.schedule_at` push a 4-tuple ``(time, priority, seq,
-  handle)`` and return a cancellable :class:`EventHandle`.
+* the **handle path** — :meth:`Simulator.schedule_at` pushes a 4-tuple
+  ``(time, priority, seq, handle)`` and returns a cancellable
+  :class:`EventHandle`.
 
 The sequence number is unique per entry, so tuple comparison never
 reaches the payload element and the two entry shapes can share one heap.
@@ -88,7 +88,7 @@ def _callback_name(callback: Callable) -> str:
 class EventHandle:
     """Cancellable reference to a scheduled callback.
 
-    Returned by :meth:`Simulator.schedule`.  Calling :meth:`cancel`
+    Returned by :meth:`Simulator.schedule_at`.  Calling :meth:`cancel`
     guarantees that the callback will never run; cancelling an already
     executed or cancelled handle is a no-op.
     """
@@ -326,19 +326,6 @@ class Simulator:
         return self._live
 
     # -- scheduling ------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0 or not math.isfinite(delay):
-            raise SchedulingError(f"invalid delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args,
-                                priority=priority)
-
     def schedule_at(
         self,
         time: float,

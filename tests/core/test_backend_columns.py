@@ -367,6 +367,7 @@ class _Pair:
         job = Job(image_bits=1e6, job_id=1, tasks=TaskTable(
             range(len(refs)), 4096.0, refs, 2048.0))
         networks = cfg["networks"]
+        workers = cfg.get("workers", _WORKERS)
         # every network's workers, registered on its router; the routers
         # share one interner, through which the columnar Backend's rows
         # are compared with the oracle's ids
@@ -375,7 +376,7 @@ class _Pair:
         for net in networks or ("w",):
             router = self.routers[net] = Router(self.sim,
                                                 interner=self.interner)
-            router.register_pnas(None, f"{net}-", 0, _WORKERS, rate_bps=1e6,
+            router.register_pnas(None, f"{net}-", 0, workers, rate_bps=1e6,
                                  latency_s=0.0, loss=0.0,
                                  channel_name=f"{net}{{}}")
         routers = list(self.routers.values())
@@ -388,11 +389,13 @@ class _Pair:
                 lease_backoff_base=cfg["backoff"],
                 lease_backoff_jitter=cfg["jitter"],
                 replicate_tail=cfg["replicate"])
-        if networks and cls is _DictBackend:
-            # node -> shard labels, as the routers resolve them
-            for net in networks:
-                for i in range(_WORKERS):
-                    self.backend._net_of_pna[f"{net}-{i}"] = net
+        if cls is _DictBackend:
+            # node -> network labels, as the routers resolve them (the
+            # one router without networks is the unnamed network)
+            for net in self.routers:
+                for i in range(workers):
+                    self.backend._net_of_pna[f"{net}-{i}"] = \
+                        net if networks else ""
 
     def nodes(self, pna_ids):
         """The keys the backend takes for ``pna_ids``: rows (interned
@@ -592,7 +595,7 @@ def test_straggler_results_tombstone_their_requeued_copy():
     n = 2_000
     cfg = {"seed": 1, "refs": [1.0] * n, "networks": None,
            "lease_factor": 0.01, "check_s": 1.0, "backoff": 1.0,
-           "jitter": 0.0, "replicate": False}
+           "jitter": 0.0, "replicate": False, "workers": n}
     new, old = _Pair(Backend, cfg), _Pair(_DictBackend, cfg)
     workers = [f"w-{i}" for i in range(n)]
     for pair in (new, old):

@@ -23,7 +23,7 @@ from repro.core.controller import Controller, DirectControlPlane
 from repro.core.instance import reset_instance_sequence
 from repro.core.network import PNA_COUNTERS
 from repro.core.pna import PNABlock
-from repro.core.provider import Provider
+from repro.core.provider import ControllerShard, NetworkDescriptor, Provider
 from repro.core.taskloop import _BULK_MIN, CohortTaskEngine
 from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
@@ -102,7 +102,7 @@ def _run(n, case):
         submissions.append(_submit(system.provider, n, n))
     elif case == "corruption":
         controller.corrupt_signatures(True)
-        sim.schedule(30.0, controller.corrupt_signatures, False)
+        sim.schedule_at(sim.now + 30.0, controller.corrupt_signatures, False)
         submissions.append(_submit(system.provider, n, n))
     elif case == "blacklist":
         for pna in pnas[1::4]:
@@ -114,7 +114,8 @@ def _run(n, case):
             DirectControlPlane(system.broadcast, sender="controller-b"),
             system.keys, controller_id="controller-b",
             maintenance_interval_s=20.0)
-        providers.append(Provider(sim, other))
+        providers.append(
+            Provider(sim, [ControllerShard(NetworkDescriptor(), other)]))
         for pna in pnas[::5]:  # mixed keys inside the block
             pna.controller_key = system.keys.key_of("controller-b")
             pna.controller_id = "controller-b"

@@ -1,10 +1,12 @@
-"""Federated control plane: shards, placement, multi-network routing."""
+"""One Provider over several networks: shards, placement, routing."""
 
 import pytest
 
+from repro.certify import CertifyPolicy
 from repro.core import (
-    FederatedOddCISystem,
+    InstanceStatus,
     NetworkDescriptor,
+    OddCISystem,
     split_target,
 )
 from repro.errors import ConfigurationError, ProvisioningError
@@ -24,8 +26,8 @@ def three_networks(capacity=6):
 
 
 def running_federation(placement="cost", capacity=6, seed=0):
-    system = FederatedOddCISystem(
-        three_networks(capacity), seed=seed, placement=placement,
+    system = OddCISystem(
+        networks=three_networks(capacity), seed=seed, placement=placement,
         maintenance_interval_s=20.0)
     system.build_fleets(heartbeat_interval_s=10.0, dve_poll_interval_s=5.0)
     return system
@@ -34,8 +36,10 @@ def running_federation(placement="cost", capacity=6, seed=0):
 # -- descriptor & placement math ---------------------------------------------
 
 def test_network_descriptor_validation():
+    # The unnamed network is a one-network deployment's only network.
     with pytest.raises(ConfigurationError):
-        NetworkDescriptor(name="", capacity=4)
+        OddCISystem(networks=[NetworkDescriptor(name="", capacity=4),
+                              NetworkDescriptor(name="x", capacity=4)])
     with pytest.raises(ConfigurationError):
         NetworkDescriptor(name="x", capacity=0)
     with pytest.raises(ConfigurationError):
@@ -114,15 +118,15 @@ def test_status_and_size_series_merge_networks():
     submission = system.provider.submit_job(
         job, target_size=9, heartbeat_interval_s=10.0)
     system.sim.run(until=120.0)
-    status = system.provider.status(submission)
+    status = system.provider.status(submission.instance_id)
     assert status["target_size"] == 9
     assert set(status["networks"]) == {"desk", "dtv", "cell"}
     assert status["size"] == 9
     merged = merged_size_series(
-        [s for _n, s in system.provider.size_series(submission)])
+        [s for _n, s in system.provider.size_series(submission.instance_id)])
     assert merged.last() == 9
     assert availability_fraction(merged, 9, until=120.0) > 0.5
-    assert system.provider.cost_estimate(submission, 120.0) > 0.0
+    assert system.provider.cost_estimate(submission.instance_id, 120.0) > 0.0
 
 
 def test_resize_recommits_and_release_evicts():
@@ -133,13 +137,14 @@ def test_resize_recommits_and_release_evicts():
         release_on_completion=False)
     assert sum(submission.shares.values()) == 9
     system.sim.run(until=60.0)
-    shares = system.provider.resize(submission, 15)
+    system.provider.resize(submission.instance_id, 15)
+    shares = submission.shares
     assert sum(shares.values()) == 15
     assert all(system.provider.committed(n) == s
                for n, s in shares.items())
     with pytest.raises(ProvisioningError):
-        system.provider.resize(submission, 99)  # beyond total capacity
-    system.provider.release(submission)
+        system.provider.resize(submission.instance_id, 99)  # > capacity
+    system.provider.release(submission.instance_id)
     assert system.provider.backends() == []
     assert all(system.provider.committed(n) == 0
                for n in ("desk", "dtv", "cell"))
@@ -153,17 +158,18 @@ def test_departure_rebalances_to_survivors_and_rejoin_restores():
         release_on_completion=False)
     system.sim.run(until=60.0)
     system.shard("cell").depart()
-    shares = system.provider.rebalance(submission)
+    shares = system.provider.rebalance(submission.instance_id)
     assert set(shares) == {"desk", "dtv"}
     assert sum(shares.values()) == 9
     system.shard("cell").rejoin()
-    shares = system.provider.rebalance(submission)
+    shares = system.provider.rebalance(submission.instance_id)
     assert set(shares) == {"desk", "dtv", "cell"}
     assert sum(shares.values()) == 9
     # The retired cell instance plus its replacement both appear in the
     # accounting history (size series spans re-creations).
-    cell_series = [s for n, s in system.provider.size_series(submission)
-                   if n == "cell"]
+    cell_series = [
+        s for n, s in system.provider.size_series(submission.instance_id)
+        if n == "cell"]
     assert len(cell_series) == 2
 
 
@@ -175,9 +181,83 @@ def test_rebalance_degrades_when_survivors_cannot_seat_target():
         release_on_completion=False)
     system.sim.run(until=60.0)
     system.shard("desk").depart()
-    shares = system.provider.rebalance(submission)
+    shares = system.provider.rebalance(submission.instance_id)
     # Best effort: 8 of 9 seats on the two survivors, not an exception.
     assert shares == {"dtv": 4, "cell": 4}
     assert submission.target_size == 9
     system.shard("desk").rejoin()
-    assert sum(system.provider.rebalance(submission).values()) == 9
+    assert sum(system.provider.rebalance(
+        submission.instance_id).values()) == 9
+
+
+def test_release_after_restore_reaps_a_crashed_network_instance():
+    """A job that finishes while one network's Controller is down
+    leaves that network's instance behind; after the restore the
+    Provider finds it by id and dismantles it."""
+    system = running_federation(placement="spread", capacity=4)
+    job = uniform_bag(40, image_bits=1e6, ref_seconds=5.0)
+    submission = system.provider.submit_job(
+        job, target_size=12, heartbeat_interval_s=10.0)
+    backend, dtv = submission.backend, system.shard("dtv")
+    while backend.tasks_assigned < job.n and system.sim.now < 500.0:
+        system.sim.run(until=system.sim.now + 1.0)
+    dtv.controller.crash()
+    system.provider.run_job_to_completion(submission, limit_s=1e5)
+    system.sim.run(until=system.sim.now + 30.0)
+    assert system.provider.backends() == []
+    dtv.controller.restore()
+    left = submission.records["dtv"]
+    assert left.status not in (InstanceStatus.DISMANTLING,
+                               InstanceStatus.DESTROYED)
+    system.provider.release(left.instance_id)
+    system.sim.run(until=system.sim.now + 120.0)
+    assert left.status is InstanceStatus.DESTROYED
+    status = system.provider.status(left.instance_id)
+    assert status["status"] == "destroyed"
+    assert set(status["networks"]) == {"dtv"}
+
+
+# -- convictions --------------------------------------------------------------
+
+@pytest.mark.parametrize("outage", ("crash", "depart"))
+def test_conviction_reaches_the_node_network_while_it_is_out(outage):
+    """A node convicted while its own network's Controller is crashed,
+    or while that network has left, is blacklisted there as on every
+    other network: after the restore (or rejoin) it never rejoins an
+    instance there."""
+    system = running_federation(placement="spread", capacity=4)
+    job = uniform_bag(5000, image_bits=1e6, ref_seconds=60.0)
+    submission = system.provider.submit_job(
+        job, target_size=12, heartbeat_interval_s=10.0,
+        certify_policy=CertifyPolicy(mode="static", r=2),
+        release_on_completion=False)
+    system.sim.run(until=60.0)
+    desk = system.shard("desk")
+    convict = desk.pnas[0]
+    assert convict.instance_id == submission.records["desk"].instance_id
+    if outage == "crash":
+        desk.controller.crash()
+    else:
+        desk.depart()
+    submission.backend.certifier.quarantine(convict.pna_id, "sabotage")
+    system.sim.run(until=90.0)
+    if outage == "crash":
+        desk.controller.restore()
+    else:
+        desk.rejoin()
+    assert convict.pna_id in desk.controller.blacklist
+    assert convict.pna_id in system.shard("dtv").controller.blacklist
+    census = desk.controller.census
+    member_ids = []
+
+    def probe():
+        for record in desk.controller.instances.values():
+            member_ids.extend(
+                pna_id for pna_id, _seen
+                in census.members_items(record.census_handle))
+
+    for t in range(95, 600, 5):
+        system.sim.call_at(float(t), probe)
+    system.sim.run(until=600.0)
+    assert member_ids, "the network's other nodes rejoined"
+    assert convict.pna_id not in member_ids

@@ -8,7 +8,8 @@ only ids interned one by one hold dict entries.
 import pytest
 
 from repro.core.census import NodeInterner
-from repro.core.federation import FederatedOddCISystem, NetworkDescriptor
+from repro.core.provider import NetworkDescriptor
+from repro.core.system import OddCISystem
 
 
 def test_block_rows_round_trip():
@@ -93,7 +94,7 @@ def test_federation_shards_keep_contiguous_id_slices():
     nets = [NetworkDescriptor(name="east", capacity=40,
                               device_mix={"tv": 0.5, "box": 0.25}),
             NetworkDescriptor(name="west", capacity=30)]
-    fed = FederatedOddCISystem(nets, seed=3)
+    fed = OddCISystem(networks=nets, seed=3)
     fed.build_fleets({"east": 40, "west": 30})
     east, west = fed.shard("east"), fed.shard("west")
     assert east.id_range == (0, 40) and west.id_range == (40, 70)

@@ -1,6 +1,6 @@
 """Per-shard fault isolation: one crashed controller, federation lives."""
 
-from repro.core import FederatedOddCISystem, NetworkDescriptor
+from repro.core import NetworkDescriptor, OddCISystem
 from repro.faults import active_plan, parse_fault_plan
 from repro.workloads import uniform_bag
 
@@ -15,8 +15,8 @@ def federation_under(plan_text, capacity=6, seed=0):
                           cost_per_node_hour=2.0),
     ]
     with active_plan(parse_fault_plan(plan_text)):
-        system = FederatedOddCISystem(
-            networks, seed=seed, placement="spread",
+        system = OddCISystem(
+            networks=networks, seed=seed, placement="spread",
             maintenance_interval_s=20.0)
     system.build_fleets(heartbeat_interval_s=10.0, dve_poll_interval_s=5.0)
     return system

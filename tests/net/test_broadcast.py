@@ -53,7 +53,7 @@ def test_subscriber_joining_after_delivery_misses_message():
     ch = BroadcastChannel(sim, beta_bps=1e6)
     late_arrivals = []
     ch.transmit(make_msg(1e6))  # delivered ~t=1
-    sim.schedule(2.0, lambda: ch.subscribe(
+    sim.schedule_at(sim.now + 2.0, lambda: ch.subscribe(
         lambda msg: late_arrivals.append(sim.now)))
     sim.run()
     assert late_arrivals == []

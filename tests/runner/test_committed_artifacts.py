@@ -1,7 +1,8 @@
 """The committed ``artifacts/`` stay reproducible, byte for byte.
 
-``artifacts/{fig6,fig7,sabotage_sweep}/`` hold the records and
-rendering of ``python -m repro <id> --seed 0 --out artifacts``.  This
+``artifacts/{fig6,fig7,sabotage_sweep,federation_sweep}/`` hold the
+records and rendering of ``python -m repro <id> --seed 0 --out
+artifacts``.  This
 regenerates each through the registry runner, serially and on two
 workers, and compares ``records.json`` and ``rendered.txt`` with the
 committed bytes.  The per-jobs ``run-jobs<N>.json`` metadata carries
@@ -18,7 +19,8 @@ ARTIFACTS = pathlib.Path(__file__).resolve().parents[2] / "artifacts"
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-@pytest.mark.parametrize("name", ("fig6", "fig7", "sabotage_sweep"))
+@pytest.mark.parametrize("name", ("fig6", "fig7", "sabotage_sweep",
+                                  "federation_sweep"))
 def test_committed_artifacts_regenerate_byte_for_byte(tmp_path, name, jobs):
     Runner(seed=0, jobs=jobs, store=ArtifactStore(tmp_path)).run(name)
     for filename in ("records.json", "rendered.txt"):

@@ -26,9 +26,9 @@ def test_invalid_start_time_rejected():
 def test_schedule_and_run_executes_in_time_order():
     sim = Simulator()
     log = []
-    sim.schedule(3.0, log.append, "c")
-    sim.schedule(1.0, log.append, "a")
-    sim.schedule(2.0, log.append, "b")
+    sim.schedule_at(sim.now + 3.0, log.append, "c")
+    sim.schedule_at(sim.now + 1.0, log.append, "a")
+    sim.schedule_at(sim.now + 2.0, log.append, "b")
     sim.run()
     assert log == ["a", "b", "c"]
     assert sim.now == 3.0
@@ -38,7 +38,7 @@ def test_same_time_events_fifo_order():
     sim = Simulator()
     log = []
     for tag in "abcde":
-        sim.schedule(1.0, log.append, tag)
+        sim.schedule_at(sim.now + 1.0, log.append, tag)
     sim.run()
     assert log == list("abcde")
 
@@ -46,9 +46,10 @@ def test_same_time_events_fifo_order():
 def test_priority_breaks_ties():
     sim = Simulator()
     log = []
-    sim.schedule(1.0, log.append, "late", priority=PRIORITY_LATE)
-    sim.schedule(1.0, log.append, "normal")
-    sim.schedule(1.0, log.append, "urgent", priority=PRIORITY_URGENT)
+    sim.schedule_at(sim.now + 1.0, log.append, "late", priority=PRIORITY_LATE)
+    sim.schedule_at(sim.now + 1.0, log.append, "normal")
+    sim.schedule_at(sim.now + 1.0, log.append, "urgent",
+                    priority=PRIORITY_URGENT)
     sim.run()
     assert log == ["urgent", "normal", "late"]
 
@@ -56,12 +57,12 @@ def test_priority_breaks_ties():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SchedulingError):
-        sim.schedule(-1.0, lambda: None)
+        sim.schedule_at(sim.now - 1.0, lambda: None)
 
 
 def test_schedule_in_past_rejected():
     sim = Simulator()
-    sim.schedule(5.0, lambda: None)
+    sim.schedule_at(sim.now + 5.0, lambda: None)
     sim.run()
     with pytest.raises(SchedulingError):
         sim.schedule_at(1.0, lambda: None)
@@ -70,13 +71,13 @@ def test_schedule_in_past_rejected():
 def test_non_callable_rejected():
     sim = Simulator()
     with pytest.raises(TypeError):
-        sim.schedule(1.0, "not callable")
+        sim.schedule_at(sim.now + 1.0, "not callable")
 
 
 def test_cancel_prevents_execution():
     sim = Simulator()
     log = []
-    handle = sim.schedule(1.0, log.append, "x")
+    handle = sim.schedule_at(sim.now + 1.0, log.append, "x")
     handle.cancel()
     sim.run()
     assert log == []
@@ -85,7 +86,7 @@ def test_cancel_prevents_execution():
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
+    handle = sim.schedule_at(sim.now + 1.0, lambda: None)
     handle.cancel()
     handle.cancel()
     assert handle.cancelled
@@ -94,8 +95,8 @@ def test_cancel_is_idempotent():
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     log = []
-    sim.schedule(1.0, log.append, "a")
-    sim.schedule(10.0, log.append, "b")
+    sim.schedule_at(sim.now + 1.0, log.append, "a")
+    sim.schedule_at(sim.now + 10.0, log.append, "b")
     sim.run(until=5.0)
     assert log == ["a"]
     assert sim.now == 5.0  # clock advanced to the limit
@@ -105,7 +106,7 @@ def test_run_until_stops_before_later_events():
 
 def test_run_until_in_past_rejected():
     sim = Simulator()
-    sim.schedule(2.0, lambda: None)
+    sim.schedule_at(sim.now + 2.0, lambda: None)
     sim.run()
     with pytest.raises(SchedulingError):
         sim.run(until=1.0)
@@ -114,7 +115,7 @@ def test_run_until_in_past_rejected():
 def test_events_executed_counter():
     sim = Simulator()
     for _ in range(7):
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(sim.now + 1.0, lambda: None)
     sim.run()
     assert sim.events_executed == 7
 
@@ -125,12 +126,12 @@ def test_nested_scheduling_from_callback():
 
     def outer():
         log.append(("outer", sim.now))
-        sim.schedule(2.0, inner)
+        sim.schedule_at(sim.now + 2.0, inner)
 
     def inner():
         log.append(("inner", sim.now))
 
-    sim.schedule(1.0, outer)
+    sim.schedule_at(sim.now + 1.0, outer)
     sim.run()
     assert log == [("outer", 1.0), ("inner", 3.0)]
 
@@ -138,9 +139,9 @@ def test_nested_scheduling_from_callback():
 def test_stop_halts_run():
     sim = Simulator()
     log = []
-    sim.schedule(1.0, log.append, "a")
-    sim.schedule(2.0, sim.stop)
-    sim.schedule(3.0, log.append, "b")
+    sim.schedule_at(sim.now + 1.0, log.append, "a")
+    sim.schedule_at(sim.now + 2.0, sim.stop)
+    sim.schedule_at(sim.now + 3.0, log.append, "b")
     sim.run()
     assert log == ["a"]
     sim.run()
@@ -155,7 +156,7 @@ def test_step_returns_false_on_empty_calendar():
 def test_trace_hook_called():
     seen = []
     sim = Simulator(trace=lambda t, cb, args: seen.append(t))
-    sim.schedule(1.5, lambda: None)
+    sim.schedule_at(sim.now + 1.5, lambda: None)
     sim.run()
     assert seen == [1.5]
 
@@ -229,7 +230,7 @@ def test_timeout_event():
 def test_run_until_event():
     sim = Simulator()
     ev = sim.timeout(2.0, value=7)
-    sim.schedule(100.0, lambda: None)
+    sim.schedule_at(sim.now + 100.0, lambda: None)
     value = sim.run_until_event(ev)
     assert value == 7
     assert sim.now == 2.0
@@ -238,7 +239,7 @@ def test_run_until_event():
 def test_run_until_event_propagates_failure():
     sim = Simulator()
     ev = sim.event()
-    sim.schedule(1.0, ev.fail, ValueError("bad"))
+    sim.schedule_at(sim.now + 1.0, ev.fail, ValueError("bad"))
     with pytest.raises(ValueError):
         sim.run_until_event(ev)
 
@@ -253,7 +254,7 @@ def test_run_until_event_drained_calendar_raises():
 def test_run_until_event_time_limit():
     sim = Simulator()
     ev = sim.event()
-    sim.schedule(100.0, ev.succeed)
+    sim.schedule_at(sim.now + 100.0, ev.succeed)
     with pytest.raises(SimulationError):
         sim.run_until_event(ev, limit=10.0)
 

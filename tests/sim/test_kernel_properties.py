@@ -14,7 +14,7 @@ def test_property_execution_never_goes_back_in_time(delays):
     sim = Simulator()
     observed = []
     for d in delays:
-        sim.schedule(d, lambda: observed.append(sim.now))
+        sim.schedule_at(sim.now + d, lambda: observed.append(sim.now))
     sim.run()
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
@@ -30,7 +30,7 @@ def test_property_cancelled_events_never_run(delays, cancel_mask):
     ran = []
     handles = []
     for i, d in enumerate(delays):
-        handles.append(sim.schedule(d, ran.append, i))
+        handles.append(sim.schedule_at(sim.now + d, ran.append, i))
     for i, (h, cancel) in enumerate(zip(handles, cancel_mask)):
         if cancel:
             h.cancel()
@@ -50,8 +50,8 @@ def test_property_identical_runs_execute_identically(n, seed):
         log = []
         rng = sim.rng("workload")
         for i in range(n):
-            sim.schedule(float(rng.random() * 100),
-                         lambda i=i: log.append((i, sim.now)))
+            sim.schedule_at(sim.now + float(rng.random() * 100),
+                            lambda i=i: log.append((i, sim.now)))
         sim.run()
         return log
 
@@ -64,11 +64,12 @@ def test_property_priorities_partition_same_time_events(n_per_priority):
     sim = Simulator()
     log = []
     for i in range(n_per_priority):
-        sim.schedule(1.0, log.append, ("late", i), priority=PRIORITY_LATE)
-        sim.schedule(1.0, log.append, ("normal", i),
-                     priority=PRIORITY_NORMAL)
-        sim.schedule(1.0, log.append, ("urgent", i),
-                     priority=PRIORITY_URGENT)
+        sim.schedule_at(sim.now + 1.0, log.append, ("late", i),
+                        priority=PRIORITY_LATE)
+        sim.schedule_at(sim.now + 1.0, log.append, ("normal", i),
+                        priority=PRIORITY_NORMAL)
+        sim.schedule_at(sim.now + 1.0, log.append, ("urgent", i),
+                        priority=PRIORITY_URGENT)
     sim.run()
     labels = [tag for tag, _ in log]
     # All urgents before all normals before all lates.

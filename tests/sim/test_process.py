@@ -65,7 +65,7 @@ def test_process_waits_on_event_and_receives_value():
         got.append((sim.now, value))
 
     sim.process(proc())
-    sim.schedule(3.0, ev.succeed, "payload")
+    sim.schedule_at(sim.now + 3.0, ev.succeed, "payload")
     sim.run()
     assert got == [(3.0, "payload")]
 
@@ -82,7 +82,7 @@ def test_failed_event_raises_inside_process():
             caught.append(str(exc))
 
     sim.process(proc())
-    sim.schedule(1.0, ev.fail, KeyError("deliberate"))
+    sim.schedule_at(sim.now + 1.0, ev.fail, KeyError("deliberate"))
     sim.run()
     assert caught == ["'deliberate'"]
 
@@ -160,7 +160,7 @@ def test_interrupt_raises_interrupt_with_cause():
             log.append((sim.now, intr.cause))
 
     p = sim.process(sleeper())
-    sim.schedule(10.0, p.interrupt, "reason")
+    sim.schedule_at(sim.now + 10.0, p.interrupt, "reason")
     sim.run()
     assert log == [(10.0, "reason")]
 
@@ -178,7 +178,7 @@ def test_interrupted_process_can_continue():
         log.append(sim.now)
 
     p = sim.process(sleeper())
-    sim.schedule(10.0, p.interrupt)
+    sim.schedule_at(sim.now + 10.0, p.interrupt)
     sim.run()
     assert log == [15.0]
 
@@ -209,7 +209,7 @@ def test_stale_wakeup_after_interrupt_ignored():
         resumed.append(("woke", sim.now))
 
     p = sim.process(sleeper())
-    sim.schedule(10.0, p.interrupt)
+    sim.schedule_at(sim.now + 10.0, p.interrupt)
     sim.run()
     # interrupted at 10, then slept 100 -> wakes at 110 exactly once
     assert resumed == [("interrupted", 10.0), ("woke", 110.0)]
@@ -270,8 +270,8 @@ def test_wait_with_deadline_resumes_on_event_or_timeout():
             trace.append((sim.now, value))
 
     sim.process(proc())
-    sim.schedule(2.0, early.succeed, "early")
-    sim.schedule(9.0, late.succeed, "late")
+    sim.schedule_at(sim.now + 2.0, early.succeed, "early")
+    sim.schedule_at(sim.now + 9.0, late.succeed, "late")
     sim.run()
     assert trace == [(2.0, "early"), (7.0, None), (17.0, None)]
 

@@ -22,7 +22,7 @@ def test_exact_under_1e5_pending_entries_mixed_paths():
     handles = []
     for i in range(N // 2):
         sim.schedule_fast(1.0 + i * 1e-6, _noop)
-        handles.append(sim.schedule(2.0 + i * 1e-6, _noop))
+        handles.append(sim.schedule_at(sim.now + 2.0 + i * 1e-6, _noop))
     assert sim.queued_events == N
 
     # Cancellation decrements immediately even though the heap entry is
