@@ -87,7 +87,7 @@ certify-smoke:
 # suites, the carousel schedule the wakeup is sampled from (and its
 # fmod-vs-% differential), the event-vs-vector agreement suite, the
 # vector_scale scenario through the parallel runner, and the throughput
-# floor at reduced scale (DESIGN.md §16).
+# and fresh-process peak-RSS floors at reduced scale (DESIGN.md §16).
 vector-smoke:
 	$(PYTHON) -m pytest tests/vector tests/faults/test_masks.py \
 		tests/carousel/test_schedule.py \

@@ -6,7 +6,7 @@ storm) against a persistent population must clear
 :data:`MIN_NODES_PER_SEC` recruited-nodes-per-second of run wall time.
 Points recorded at 757214e (the vector bench record, see git history):
 ~1.4M nodes/s at 10^5, ~1.3M at 10^6, ~0.5M at 10^7 (and ~175k at the
-10^8 smoke, not re-run since: it needed ~7.3 GB RSS).  With the grouped
+10^8 smoke, which needed ~7.3 GB RSS).  With the grouped
 census and the fmod carousel wakeup (DESIGN.md §16), on a 2-vCPU x86-64
 host with the collector off, interleaved with the code before them:
 10^6 nodes 3.98M -> 7.05M nodes/s (medians of 3 runs each, 3.50-4.37M
@@ -19,7 +19,12 @@ interleaved with the code before them): 10^6 nodes 8.19M -> 15.55M
 nodes/s (medians of 3, 7.46-9.17M vs 14.14-18.27M; peak RSS
 218.6-219.4 -> 184.0-184.8 MB); 10^7 nodes 6.62/6.66M -> 11.25/11.42M
 nodes/s (peak RSS 1245.9-1246.2 -> 841.6-841.7 MB); 10^5 6.0-7.5M ->
-9.8-11.4M nodes/s.
+9.8-11.4M nodes/s.  With device factors derived from the power mode,
+the census instance column grown on first tag and each full-cohort
+temporary of ``run_job`` freed once read (DESIGN.md §16; fresh
+processes, same host, collector off, interleaved with the code before
+them): 10^7 nodes 7.6-10.3M -> 9.6-11.8M nodes/s, peak RSS 841 -> 523
+MB; the 10^8 smoke, run once, 8.9M nodes/s at 4.14 GB peak RSS.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -28,7 +33,11 @@ the wall-clock floor is perf-marked::
     REPRO_FLOOR_SCALE=100000 pytest benchmarks/... --run-perf   # CI
 """
 
+import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -44,6 +53,15 @@ FULL_SCALE = 1_000_000
 #: margin for slower or busier hosts, still tight enough to catch an
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
+#: The memory floor's full scale, the peak RSS a fresh process that
+#: runs the scenario there may reach (523 MB measured, 841 MB with a
+#: float64 device-factor column and four cohort temporaries live at
+#: once), and the floor of a reduced-scale budget: the interpreter,
+#: numpy and the experiments package (which imports scipy) take
+#: ~110 MB before the first row, and 10^5 nodes ~115 MB in all.
+RSS_FULL_SCALE = 10_000_000
+FULL_RSS_MB = 600.0
+MIN_RSS_MB = 150.0
 
 
 def run_vector_scenario(n_nodes: int) -> dict:
@@ -109,3 +127,26 @@ def test_vector_scale_holds_throughput_floor():
     assert metrics["nodes_per_sec"] >= MIN_NODES_PER_SEC, (
         f"vector floor broken: {metrics['nodes_per_sec']:.0f} nodes/s "
         f"at {scale} nodes (floor {MIN_NODES_PER_SEC}): {metrics}")
+
+
+@pytest.mark.perf
+def test_vector_scale_holds_memory_floor():
+    """``run_vector_scenario`` in a fresh process peaks within
+    ``FULL_RSS_MB`` at 10^7 nodes (scaled linearly below it)."""
+    scale = int(os.environ.get("REPRO_FLOOR_SCALE", RSS_FULL_SCALE))
+    budget = max(MIN_RSS_MB, FULL_RSS_MB * scale / RSS_FULL_SCALE)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import json, resource, sys\n"
+            f"sys.path[:0] = [{str(root)!r}, {str(root / 'src')!r}]\n"
+            "from benchmarks.test_vector_floor import run_vector_scenario\n"
+            f"metrics = run_vector_scenario({scale})\n"
+            "metrics['rss_mb'] = resource.getrusage("
+            "resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps(metrics))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    metrics = json.loads(out.splitlines()[-1])
+    _assert_semantics(metrics)
+    assert metrics["rss_mb"] < budget, (
+        f"vector memory floor broken: {metrics['rss_mb']:.0f} MB for "
+        f"{scale} nodes (budget {budget:.0f} MB): {metrics}")

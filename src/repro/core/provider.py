@@ -61,6 +61,8 @@ PLACEMENTS = ("cost", "spread")
 #: capacity of a network that sets no bound: the single network of
 #: OddCISystem and OddCIDTVSystem.
 UNBOUNDED = sys.maxsize
+#: statuses of an instance that no longer holds its share.
+_GONE = (InstanceStatus.DISMANTLING, InstanceStatus.DESTROYED)
 
 
 @dataclass(frozen=True)
@@ -501,6 +503,9 @@ class Provider:
         #: network name -> nodes committed across live submissions.
         self._committed: Dict[str, int] = {name: 0 for name in names}
         self._submissions: Dict[str, Submission] = {}
+        #: (network, record, share) a release left on a network whose
+        #: Controller was down: committed until the instance is dismantled.
+        self._left: List[Tuple[str, InstanceRecord, int]] = []
 
     # -- inspection ------------------------------------------------------
     def backends(self) -> list:
@@ -508,7 +513,15 @@ class Provider:
         return [s.backend for s in self._submissions.values()]
 
     def committed(self, network: str) -> int:
+        self._sweep_left()
         return self._committed[network]
+
+    def _sweep_left(self) -> None:
+        """Un-commit the shares of dismantled left-behind instances."""
+        for name, record, share in list(self._left):
+            if record.status in _GONE:
+                self._committed[name] -= share
+                self._left.remove((name, record, share))
 
     def _split(self, target: int,
                exclude: Optional[Submission] = None) -> Dict[str, int]:
@@ -523,6 +536,7 @@ class Provider:
 
     def _placement_entries(self, exclude: Optional[Submission]
                            ) -> List[Tuple[str, int, float]]:
+        self._sweep_left()
         entries = []
         for name, shard in self.shards.items():
             if not shard.available:
@@ -624,8 +638,7 @@ class Provider:
         for name, shard in self.shards.items():
             share = shares.get(name, 0)
             record = submission.records.get(name)
-            live = record is not None and record.status not in (
-                InstanceStatus.DISMANTLING, InstanceStatus.DESTROYED)
+            live = record is not None and record.status not in _GONE
             if share > 0:
                 if live and record.spec.target_size != share:
                     shard.controller.resize_instance(
@@ -657,7 +670,8 @@ class Provider:
         or keep the whole task table alive across a long multi-job run.
         Eviction happens even when a dismantle fails: a network whose
         Controller is crashed keeps its instance (the lifetime
-        mechanism, or a release after restore, reaps it) and the
+        mechanism, or a release after restore, reaps it), that share
+        stays committed until the instance is dismantled, and the
         ``ControllerDownError`` is raised once every other network's
         instance is dismantled.  A bare instance already DISMANTLING
         raises ``InstanceError``.
@@ -669,14 +683,16 @@ class Provider:
             return
         down: Optional[ControllerDownError] = None
         for name, record in submission.records.items():
-            if record.status in (InstanceStatus.DISMANTLING,
-                                 InstanceStatus.DESTROYED):
+            if record.status in _GONE:
                 continue
             try:
                 self.shards[name].controller.destroy_instance(
                     record.instance_id)
             except ControllerDownError as err:
                 down = err
+                share = submission.shares.pop(name, 0)
+                if share:
+                    self._left.append((name, record, share))
         for name, share in submission.shares.items():
             self._committed[name] -= share
         submission.shares.clear()

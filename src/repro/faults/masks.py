@@ -90,10 +90,6 @@ class FaultWindow:
         """Does the window intersect ``[start, end)``?"""
         return self.start < end and start < self.end
 
-    def clipped(self, start: float, end: float) -> Tuple[float, float]:
-        """The window intersected with ``[start, end)``."""
-        return max(self.start, start), min(self.end, end)
-
 
 class CompiledFaultPlan:
     """A fault plan lowered to windows, grouped by population effect."""

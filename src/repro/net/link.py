@@ -408,10 +408,6 @@ class Link:
         self._receiver = receiver
 
     # -- transfer --------------------------------------------------------
-    def serialization_time(self, message: Message) -> float:
-        """Time to clock the message onto the wire."""
-        return message.size_bits / self.rate_bps
-
     def _reserve(self, size_bits: float) -> float:
         """FIFO serializer reservation; returns the end of serialization."""
         t, r = self._t, self._row

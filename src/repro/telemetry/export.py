@@ -33,7 +33,6 @@ __all__ = [
     "event_to_obj",
     "obj_to_event",
     "dumps_jsonl",
-    "write_jsonl",
     "read_jsonl",
     "chrome_trace",
     "write_chrome",
@@ -61,16 +60,6 @@ def dumps_jsonl(events: Iterable[TraceEvent]) -> str:
                         separators=(",", ":"))
              for ev in events]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(events: Iterable[TraceEvent], fh: TextIO) -> int:
-    """Write events to an open text file; returns the event count."""
-    n = 0
-    for event in events:
-        fh.write(json.dumps(event_to_obj(event), sort_keys=True,
-                            separators=(",", ":")) + "\n")
-        n += 1
-    return n
 
 
 def read_jsonl(source: Iterable[str]) -> List[TraceEvent]:

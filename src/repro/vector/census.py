@@ -65,11 +65,10 @@ class VectorCensus:
         self.grace_s = float(grace_s)
         self._state = np.full(self.n, STATE_NONE, dtype=np.int8)
         self._seen = np.full(self.n, _NEVER, dtype=float)
-        self._instance = np.full(self.n, _NO_INSTANCE, dtype=np.int64)
+        #: Instance ids by row; ``None`` until a row is first tagged.
+        self._instance: Optional[np.ndarray] = None
         #: The open cohort (``None`` between jobs).
         self._cohort: Optional[SimpleNamespace] = None
-        #: Whether a row's instance column may hold an instance id.
-        self._tagged = False
         #: Last reductions computed by :meth:`consolidate`.
         self.gauges: Dict[str, int] = {
             "registry_size": 0, "idle": 0, "alive": 0}
@@ -85,7 +84,13 @@ class VectorCensus:
 
     state = property(lambda self: self._synced()._state)
     seen = property(lambda self: self._synced()._seen)
-    instance = property(lambda self: self._synced()._instance)
+    instance = property(lambda self: self._synced()._instances())
+
+    def _instances(self) -> np.ndarray:
+        """The instance column, allocated on first use."""
+        if self._instance is None:
+            self._instance = np.full(self.n, _NO_INSTANCE, dtype=np.int64)
+        return self._instance
 
     def _synced(self) -> "VectorCensus":
         """Write the open cohort's registered groups into its rows."""
@@ -95,8 +100,7 @@ class VectorCensus:
                 rows = c.rows[c.code == g]
                 self._state[rows] = STATE_BUSY
                 self._seen[rows] = c.last[g]
-                self._instance[rows] = c.instance
-                self._tagged = True
+                self._instances()[rows] = c.instance
         return self
 
     # -- writes ------------------------------------------------------------
@@ -114,7 +118,7 @@ class VectorCensus:
         if state != STATE_BUSY:
             self._state[indices] = state
             self._seen[indices] = now
-            if self._tagged:
+            if self._instance is not None:
                 self._instance[indices] = _NO_INSTANCE
             return
         outside = np.ones(self.n, dtype=bool)
@@ -145,8 +149,7 @@ class VectorCensus:
         next heartbeat epoch repopulates it."""
         self._state[:] = STATE_NONE
         self._seen[:] = _NEVER
-        self._instance[:] = _NO_INSTANCE
-        self._tagged = False
+        self._instance = None
         c = self._cohort
         if c is not None:
             c.last[:] = _NEVER

@@ -2,8 +2,9 @@
 
 A :class:`VectorPopulation` holds the state of up to hundreds of
 millions of receivers as NumPy arrays (power mode, idle/busy, link
-state, device factor) and implements the wakeup semantics in bulk:
-requirement filtering and the probability gate.
+state; a device factor follows from the power mode) and implements the
+wakeup semantics in bulk: requirement filtering and the probability
+gate.
 
 Randomness follows the event tier's named-stream contract: every
 stochastic component draws from its own SeedSequence-derived stream of
@@ -34,6 +35,8 @@ __all__ = ["STREAM_NAMES", "VectorPopulation"]
 
 # Mode codes in the state arrays.
 _OFF, _STANDBY, _IN_USE = 0, 1, 2
+#: Rows per draw when a column is built or gated chunk by chunk.
+_CHUNK = 1 << 16
 
 #: Named RNG streams a seeded population owns (sim/rng.py derivation:
 #: ``derive_generator(seed, "vector.<name>")``).
@@ -84,21 +87,32 @@ class VectorPopulation:
             for name in STREAM_NAMES}
         self.profile = profile
         init = self.streams["population"]
-        powered = init.random(self.n) < powered_fraction
-        in_use = init.random(self.n) < in_use_fraction
-        self.mode = np.where(
-            powered, np.where(in_use, _IN_USE, _STANDBY), _OFF
-        ).astype(np.int8)
+        self.mode = np.empty(self.n, dtype=np.int8)
+        for rows, powered in self._gate(init, powered_fraction):
+            self.mode[rows] = powered
+        for rows, in_use in self._gate(init, in_use_fraction):
+            self.mode[rows] <<= in_use  # standby 1 -> in use 2
         self.busy = np.zeros(self.n, dtype=bool)
-        self.matches = init.random(self.n) < requirement_match_fraction
+        self.matches = np.empty(self.n, dtype=bool)
+        for rows, match in self._gate(init, requirement_match_fraction):
+            self.matches[rows] = match
         #: Link state column — fault plans partition links by flipping
         #: these; a node with a down link cannot be recruited.
         self.link_up = np.ones(self.n, dtype=bool)
         self._in_use_factor = profile.factor(PowerMode.IN_USE)
         self._standby_factor = profile.factor(PowerMode.STANDBY)
-        self.device_factor = np.where(
-            self.mode == _IN_USE, self._in_use_factor, self._standby_factor
-        ).astype(float)
+
+    def _gate(self, draw: np.random.Generator, fraction: float):
+        """``draw.random(n) < fraction`` in chunks of rows: yields
+        ``(rows, mask)``, drawing the same stream as one call would."""
+        for lo in range(0, self.n, _CHUNK):
+            rows = slice(lo, min(lo + _CHUNK, self.n))
+            yield rows, draw.random(rows.stop - lo) < fraction
+
+    def device_factors(self, rows: np.ndarray) -> np.ndarray:
+        """Device speed factors of ``rows``, from their power modes."""
+        return np.where(self.mode[rows] == _IN_USE,
+                        self._in_use_factor, self._standby_factor)
 
     # -- census -----------------------------------------------------------
     @property
@@ -113,10 +127,10 @@ class VectorPopulation:
     def busy_count(self) -> int:
         return int(np.count_nonzero(self.busy))
 
-    def eligible_mask(self) -> np.ndarray:
+    def eligible_mask(self, rows=slice(None)) -> np.ndarray:
         """Powered, idle, requirement-matching, link up."""
-        return ((self.mode != _OFF) & ~self.busy & self.matches
-                & self.link_up)
+        return ((self.mode[rows] != _OFF) & ~self.busy[rows]
+                & self.matches[rows] & self.link_up[rows])
 
     # -- wakeup ------------------------------------------------------------
     def recruit(self, probability: float) -> np.ndarray:
@@ -129,10 +143,11 @@ class VectorPopulation:
         if not 0.0 < probability <= 1.0:
             raise ConfigurationError(
                 f"probability must be in (0, 1], got {probability}")
-        draw = self.streams["recruit"]
-        accept = self.eligible_mask() & (draw.random(self.n) < probability)
+        accept = np.empty(self.n, dtype=bool)
+        for rows, gate in self._gate(self.streams["recruit"], probability):
+            accept[rows] = gate & self.eligible_mask(rows)
         self.busy |= accept
-        return np.nonzero(accept)[0]
+        return np.flatnonzero(accept)
 
     def release(self, indices: Optional[np.ndarray] = None) -> None:
         """Reset recruited nodes to idle (``None`` = everyone)."""

@@ -242,6 +242,10 @@ class VectorOddCISystem:
             t.emit(t_start, "recruit", recruited=int(recruited.size),
                    probability=probability, deferred_s=t_start - t_submit)
 
+        # Compute outages: victims per window from the faults stream
+        # (injector count rule), drawn before the wakeup columns exist.
+        outages = self._applicable_outages(recruited.size, t_start)
+
         # Wakeup: every recruited node reads the image from the carousel
         # at a uniformly random phase (wakeup stream).
         sched = carousel_schedule(
@@ -250,25 +254,26 @@ class VectorOddCISystem:
             section_format=self.section_format)
         phases = pop.streams["wakeup"].uniform(
             0.0, sched.cycle_time, size=int(recruited.size))
-        ready = t_start + np.asarray(
-            sched.completion_time("image", phases), dtype=float)
-        wakeup_mean = float((ready - phases).mean() - t_start)
+        ready = sched.completion_time("image", phases)
+        ready += t_start
+        wakeup_mean = float(
+            np.subtract(ready, phases, out=phases).mean() - t_start)
+        del phases
 
-        # Compute outages overlapping the job: draw victims per window
-        # from the faults stream (event-tier injector count rule).
-        outages = self._applicable_outages(recruited.size, t_start)
         stats = job.stats()
-        factors = pop.device_factor[recruited]
+        factors = pop.device_factors(recruited)
+        factor_mean = float(factors.mean())
         if (factors == factors[0]).all():  # one device class
             d = (stats.mean_io_bits / self.delta_bps
                  + stats.mean_ref_seconds * float(factors[0]))
         else:
             d = (stats.mean_io_bits / self.delta_bps
                  + stats.mean_ref_seconds * factors)
+        del factors
         outcome = makespan_under_outages(ready, job.n, d, outages)
         finish = outcome.finish_time
         makespan = finish - t_submit
-        ideal = (job.n * stats.mean_ref_seconds * float(factors.mean())
+        ideal = (job.n * stats.mean_ref_seconds * factor_mean
                  / recruited.size)
         efficiency = min(1.0, ideal / makespan) if makespan > 0 else 0.0
 

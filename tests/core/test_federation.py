@@ -192,27 +192,41 @@ def test_rebalance_degrades_when_survivors_cannot_seat_target():
 
 def test_release_after_restore_reaps_a_crashed_network_instance():
     """A job that finishes while one network's Controller is down
-    leaves that network's instance behind; after the restore the
-    Provider finds it by id and dismantles it."""
+    leaves that network's instance behind, and its share stays
+    committed while that instance holds its nodes; after the restore
+    the Provider finds it by id and dismantles it, freeing the share."""
     system = running_federation(placement="spread", capacity=4)
+    provider = system.provider
     job = uniform_bag(40, image_bits=1e6, ref_seconds=5.0)
-    submission = system.provider.submit_job(
+    submission = provider.submit_job(
         job, target_size=12, heartbeat_interval_s=10.0)
     backend, dtv = submission.backend, system.shard("dtv")
     while backend.tasks_assigned < job.n and system.sim.now < 500.0:
         system.sim.run(until=system.sim.now + 1.0)
     dtv.controller.crash()
-    system.provider.run_job_to_completion(submission, limit_s=1e5)
+    provider.run_job_to_completion(submission, limit_s=1e5)
     system.sim.run(until=system.sim.now + 30.0)
-    assert system.provider.backends() == []
+    assert provider.backends() == []
     dtv.controller.restore()
+    system.sim.run(until=system.sim.now + 30.0)
     left = submission.records["dtv"]
-    assert left.status not in (InstanceStatus.DISMANTLING,
-                               InstanceStatus.DESTROYED)
-    system.provider.release(left.instance_id)
-    system.sim.run(until=system.sim.now + 120.0)
+    assert left.status is InstanceStatus.ACTIVE and left.size == 4
+    assert [provider.committed(n) for n in ("desk", "dtv", "cell")] == [
+        0, 4, 0]
+    # The next job is seated where nodes are free, not on dtv's.
+    second = provider.submit_job(
+        uniform_bag(5000, image_bits=1e6, ref_seconds=60.0),
+        target_size=8, heartbeat_interval_s=10.0,
+        release_on_completion=False)
+    assert second.shares == {"desk": 4, "cell": 4}
+    provider.release(left.instance_id)
+    assert provider.committed("dtv") == 0
+    provider.resize(second.instance_id, 12)
+    assert second.shares == {"desk": 4, "dtv": 4, "cell": 4}
+    system.sim.run(until=system.sim.now + 300.0)
     assert left.status is InstanceStatus.DESTROYED
-    status = system.provider.status(left.instance_id)
+    assert second.records["dtv"].size == 4
+    status = provider.status(left.instance_id)
     assert status["status"] == "destroyed"
     assert set(status["networks"]) == {"dtv"}
 

@@ -1,0 +1,79 @@
+"""The vector tier's bytes per row, live and transient.
+
+A population of 10^5 rows and its census keep a few bytes per row
+between jobs; a job's run phase allocates a few full-cohort columns on
+top of them and frees each once it has been read.  Both are pinned
+with tracemalloc on the ``vector_storm`` shape: a 0.3 churn storm over
+the first of two jobs, each targeting 80% of the rows.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro.experiments.vector_scale import storm_plan
+from repro.net.message import MEGABYTE
+from repro.vector import VectorOddCISystem
+from repro.workloads import uniform_bag_spec
+
+ROWS = 100_000
+
+#: tracemalloc bytes per row live after the system is built: 13
+#: measured once device factors follow from the power mode and the
+#: census allocates its instance column on first tag (mode, busy,
+#: matches and link_up at 1 byte, census state at 1 and last-seen at
+#: 8); 29 with a float64 factor column and an int64 instance column.
+BUILD_BYTES_PER_ROW = 16
+
+#: tracemalloc peak bytes per recruited node over one job's run phase,
+#: above what was live before it: 25-26 measured once the storm's
+#: victims are drawn before the wakeup columns, the ready column takes
+#: the carousel's completion times in place and the phases and factors
+#: are freed once read (the recruited rows, the ready column and the
+#: phases at 8 bytes each at the peak); 38-40 when four 8-byte cohort
+#: columns were live at once.
+RUN_BYTES_PER_NODE = 30
+
+
+def _job(target):
+    return uniform_bag_spec(4 * target, image_bits=8 * MEGABYTE,
+                            ref_seconds=30.0, input_bits=4096.0,
+                            result_bits=4096.0)
+
+
+@pytest.fixture(scope="module")
+def measured():
+    """Live bytes per row after the build and each job's run-phase peak
+    bytes per recruited node."""
+    # Warm-up: the first job imports modules lazily; keep them out of
+    # the measured allocations.
+    VectorOddCISystem(2_000, seed=1, plan=storm_plan(0.3)).run_job(
+        _job(1_000), target_size=1_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = VectorOddCISystem(ROWS, seed=0, plan=storm_plan(0.3))
+        built, _peak = tracemalloc.get_traced_memory()
+        target = int(ROWS * 0.8)
+        run = []
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before, _peak = tracemalloc.get_traced_memory()
+            report = system.run_job(_job(target), target_size=target)
+            _now, peak = tracemalloc.get_traced_memory()
+            assert report.recruited > 0.9 * target
+            run.append((peak - before) / report.recruited)
+    finally:
+        tracemalloc.stop()
+    return built / ROWS, run
+
+
+def test_built_system_bytes_per_row(measured):
+    per_row, _run = measured
+    assert per_row < BUILD_BYTES_PER_ROW, per_row
+
+
+def test_run_phase_bytes_per_recruited_node(measured):
+    _per_row, run = measured
+    assert max(run) < RUN_BYTES_PER_NODE, run

@@ -5,8 +5,9 @@ import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
 from repro.vector import VectorOddCISystem, VectorPopulation
-from repro.vector.population import _IN_USE, _OFF, _STANDBY
-from repro.workloads import REFERENCE_STB, uniform_bag
+from repro.sim.rng import derive_generator
+from repro.vector.population import _CHUNK, _IN_USE, _OFF, _STANDBY
+from repro.workloads import REFERENCE_STB, PowerMode, uniform_bag
 from repro.net.message import MEGABYTE
 
 
@@ -21,21 +22,35 @@ def make_system(pop, **kwargs):
 # -- population ---------------------------------------------------------------
 
 def _validate_population(pop):
-    """Shape/dtype/invariant assertions on the population columns."""
+    """Shape/dtype/invariant assertions on the population columns and
+    the device factors derived from the power modes."""
     n = pop.n
+    factors = pop.device_factors(np.arange(n))
     for name, column, dtype in (
             ("mode", pop.mode, np.int8),
             ("busy", pop.busy, np.bool_),
             ("matches", pop.matches, np.bool_),
             ("link_up", pop.link_up, np.bool_),
-            ("device_factor", pop.device_factor, np.float64)):
+            ("device_factors", factors, np.float64)):
         assert column.shape == (n,), f"{name} shape {column.shape}"
         assert column.dtype == dtype, f"{name} dtype {column.dtype}"
     assert not (pop.busy & (pop.mode == _OFF)).any(), \
         "powered-off nodes cannot be busy"
     assert np.isin(pop.mode, (_OFF, _STANDBY, _IN_USE)).all(), \
         "unknown mode code"
-    assert (pop.device_factor > 0).all(), "non-positive device factor"
+    assert (factors > 0).all(), "non-positive device factor"
+
+
+def _single_draw_columns(n, seed, powered_fraction, in_use_fraction,
+                         requirement_match_fraction):
+    """The columns as one whole-population draw per column builds them
+    (the form before the chunked build)."""
+    init = derive_generator(seed, "vector.population")
+    powered = init.random(n) < powered_fraction
+    in_use = init.random(n) < in_use_fraction
+    mode = np.where(powered, np.where(in_use, _IN_USE, _STANDBY),
+                    _OFF).astype(np.int8)
+    return mode, init.random(n) < requirement_match_fraction
 
 
 def test_population_census():
@@ -98,13 +113,37 @@ def test_release_specific_and_all():
 
 def test_device_factors_match_modes():
     pop = make_pop(n=50_000, in_use_fraction=0.5)
-    in_use_factor = REFERENCE_STB.factor.__self__.factor  # noqa: just use profile
-    from repro.workloads import PowerMode
-
     f_use = REFERENCE_STB.factor(PowerMode.IN_USE)
     f_stb = REFERENCE_STB.factor(PowerMode.STANDBY)
-    vals = set(np.unique(pop.device_factor).tolist())
-    assert vals <= {f_use, f_stb}
+    rows = np.flatnonzero(pop.mode != _OFF)
+    factors = pop.device_factors(rows)
+    assert factors.dtype == np.float64
+    assert set(np.unique(factors).tolist()) == {f_use, f_stb}
+    assert (factors[pop.mode[rows] == _IN_USE] == f_use).all()
+    assert (factors[pop.mode[rows] == _STANDBY] == f_stb).all()
+    assert not hasattr(pop, "device_factor")
+
+
+@pytest.mark.parametrize("fractions", [(1.0, 1.0, 1.0), (0.8, 0.5, 0.7)])
+def test_chunked_columns_match_single_draw(fractions):
+    """Columns built and gated chunk by chunk equal one whole-population
+    draw per column, on a size that ends mid-chunk."""
+    n = 3 * _CHUNK + 12_345
+    powered, in_use, match = fractions
+    pop = make_pop(n=n, seed=7, powered_fraction=powered,
+                   in_use_fraction=in_use, requirement_match_fraction=match)
+    mode, matches = _single_draw_columns(n, 7, powered, in_use, match)
+    assert np.array_equal(pop.mode, mode)
+    assert np.array_equal(pop.matches, matches)
+    pop.link_up[::5] = False
+    gate = derive_generator(7, "vector.recruit")
+    for probability in (0.3, 1.0):
+        eligible = ((pop.mode != _OFF) & ~pop.busy & pop.matches
+                    & pop.link_up)
+        expected = np.nonzero(eligible & (gate.random(n) < probability))[0]
+        recruited = pop.recruit(probability)
+        assert recruited.dtype == np.intp
+        assert np.array_equal(recruited, expected)
 
 
 # -- single jobs ----------------------------------------------------------------
