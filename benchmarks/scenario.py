@@ -3,8 +3,8 @@
 Each ``test_*_floor.py`` builds its own scenario from the public API;
 what they share lives here: the :data:`SCENARIO` constants (change one
 and every recorded number stops being comparable), the GC-off timing
-policy, the uniform bag of the wakeup+heartbeat+BoT cycle and the raw
-kernel microbench.
+policy, the fresh-process peak-RSS probe, the uniform bag of the
+wakeup+heartbeat+BoT cycle and the raw kernel microbench.
 
 Measurement policy: the garbage collector is disabled for the timed
 section (the ``timeit`` convention) and restored afterwards.  Wall
@@ -16,6 +16,10 @@ noise (DESIGN.md §8).
 from __future__ import annotations
 
 import gc
+import json
+import pathlib
+import subprocess
+import sys
 import time
 
 from repro.net.message import MEGABYTE
@@ -49,6 +53,28 @@ class gc_paused:
         if self._was_enabled:
             gc.enable()
         return False
+
+
+def in_fresh_process(module: str, function: str, n_nodes: int) -> dict:
+    """The metrics dict ``benchmarks.<module>.<function>(n_nodes)``
+    returns in a fresh interpreter, plus that interpreter's peak RSS,
+    ``rss_mb``.
+
+    The peak is the child's ``VmHWM``, not its ``ru_maxrss``: Linux
+    starts a child's ``ru_maxrss`` at its parent's high-water mark, so
+    under a pytest process that built a large fleet it reads that."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import json, sys\n"
+            f"sys.path[:0] = [{str(root)!r}, {str(root / 'src')!r}]\n"
+            f"from benchmarks.{module} import {function}\n"
+            f"metrics = {function}({int(n_nodes)})\n"
+            "status = open('/proc/self/status').read()\n"
+            "metrics['rss_mb'] = int("
+            "status.split('VmHWM:')[1].split()[0]) / 1024\n"
+            "print(json.dumps(metrics))\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def cycle_bag(n_nodes: int):

@@ -25,17 +25,14 @@ build that drops work cannot pass.  The 10^3 and 10^4 points also pin
 the makespan bit for bit.
 """
 
-import json
 import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from benchmarks.scenario import SCENARIO, cycle_bag, gc_paused
+from benchmarks.scenario import (
+    SCENARIO, cycle_bag, gc_paused, in_fresh_process)
 from repro.core import OddCISystem
 from repro.core.backend import Backend
 from repro.core.network import Router
@@ -115,17 +112,7 @@ def test_cohort_event_tier_holds_memory_floor():
     (scaled like the wall budget), with the golden makespan."""
     scale = int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE))
     budget = max(MIN_RSS_MB, FULL_RSS_MB * scale / FULL_SCALE)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    code = ("import json, resource, sys\n"
-            f"sys.path[:0] = [{str(root)!r}, {str(root / 'src')!r}]\n"
-            "from benchmarks.test_event_kernel_floor import run_cycle\n"
-            f"metrics = run_cycle({scale})\n"
-            "metrics['rss_mb'] = resource.getrusage("
-            "resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-            "print(json.dumps(metrics))\n")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
-    metrics = json.loads(out.splitlines()[-1])
+    metrics = in_fresh_process("test_event_kernel_floor", "run_cycle", scale)
     assert metrics["distinct_workers"] == scale
     assert metrics["makespan"] == pytest.approx(EXPECTED_MAKESPAN, abs=1e-9)
     assert metrics["rss_mb"] < budget, (

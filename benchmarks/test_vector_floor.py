@@ -24,7 +24,13 @@ the census instance column grown on first tag and each full-cohort
 temporary of ``run_job`` freed once read (DESIGN.md §16; fresh
 processes, same host, collector off, interleaved with the code before
 them): 10^7 nodes 7.6-10.3M -> 9.6-11.8M nodes/s, peak RSS 841 -> 523
-MB; the 10^8 smoke, run once, 8.9M nodes/s at 4.14 GB peak RSS.
+MB; the 10^8 smoke, run once, 8.9M nodes/s at 4.14 GB peak RSS.  With
+the gates that a fraction of 0 or 1 decides advancing their streams
+instead of drawing and scipy off the import path (fresh processes,
+same host): 10^7 nodes 13.3-15.4M nodes/s, build 0.05-0.11 s, peak
+RSS 461 MB; the 10^8 smoke, run once with the census's last-seen
+column allocated on first write (since taken out), 11.5M nodes/s,
+3.99 GB.  :data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -33,18 +39,15 @@ the wall-clock floor is perf-marked::
     REPRO_FLOOR_SCALE=100000 pytest benchmarks/... --run-perf   # CI
 """
 
-import json
 import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import pytest
 
-from benchmarks.scenario import SCENARIO, gc_paused
+from benchmarks.scenario import SCENARIO, gc_paused, in_fresh_process
 from repro.experiments.vector_scale import storm_plan
 from repro.net.message import MEGABYTE
+from repro.vector.population import VectorPopulation
 from repro.vector.system import VectorOddCISystem
 from repro.workloads.bot import uniform_bag_spec
 
@@ -54,14 +57,35 @@ FULL_SCALE = 1_000_000
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
 #: The memory floor's full scale, the peak RSS a fresh process that
-#: runs the scenario there may reach (523 MB measured, 841 MB with a
-#: float64 device-factor column and four cohort temporaries live at
+#: runs the scenario there may reach (458-482 MB measured, 841 MB with
+#: a float64 device-factor column and four cohort temporaries live at
 #: once), and the floor of a reduced-scale budget: the interpreter,
-#: numpy and the experiments package (which imports scipy) take
-#: ~110 MB before the first row, and 10^5 nodes ~115 MB in all.
+#: numpy, pytest and the experiments package take ~46 MB before the
+#: first row (scipy loads only with a confidence interval), and 10^5
+#: nodes ~55 MB in all.
 RSS_FULL_SCALE = 10_000_000
 FULL_RSS_MB = 600.0
-MIN_RSS_MB = 150.0
+MIN_RSS_MB = 70.0
+#: The fleet build floor's scale, which ``REPRO_FLOOR_SCALE`` leaves
+#: alone (three builds take ~0.1 s), and its bound in population rows
+#: built per wall second, best of three ``VectorPopulation`` builds:
+#: measured 494-760M (lower quartile ~500M; 8 fresh processes, same
+#: host), 4x margin.  A build that draws one float per row for each
+#: gate its fraction decides (the default fractions decide all three)
+#: measured 64-106M and fails it.  The system's build adds the census
+#: columns (0.03-0.08 s at this scale), which no gate decides.
+BUILD_SCALE = 8_000_000
+MIN_BUILD_NODES_PER_SEC = 130_000_000
+
+
+def build_vector_scenario(n_nodes: int):
+    """The scenario's system, ``1.25 n_nodes + 10`` receivers under a
+    0.3 churn storm, and the wall seconds of its build."""
+    plan = storm_plan(0.3)
+    t0 = time.perf_counter()
+    system = VectorOddCISystem(int(n_nodes * 1.25) + 10,
+                               seed=SCENARIO["seed"], plan=plan)
+    return system, time.perf_counter() - t0
 
 
 def run_vector_scenario(n_nodes: int) -> dict:
@@ -73,12 +97,12 @@ def run_vector_scenario(n_nodes: int) -> dict:
     recruited nodes (wakeup sampling, fault masks, census epochs,
     availability integration) per second of run wall time with the
     collector off.  The job is a constant-space bag spec, so a 10^7-node
-    point does not materialise 10^8 Task objects.
+    point does not materialise 10^8 Task objects.  ``build_s`` is the
+    wall time of the system's build.
     """
     cfg = SCENARIO
     with gc_paused():
-        system = VectorOddCISystem(int(n_nodes * 1.25) + 10,
-                                   seed=cfg["seed"], plan=storm_plan(0.3))
+        system, build_s = build_vector_scenario(n_nodes)
         job = uniform_bag_spec(
             n_nodes * cfg["tasks_per_node"],
             image_bits=8 * MEGABYTE, ref_seconds=30.0,
@@ -98,6 +122,7 @@ def run_vector_scenario(n_nodes: int) -> dict:
         "efficiency_1": round(r1.efficiency, 4),
         "sim_time": round(system.now, 3),
         "nodes_per_sec": round(recruited / run_wall_s, 1),
+        "build_s": round(build_s, 6),
     }
 
 
@@ -130,22 +155,32 @@ def test_vector_scale_holds_throughput_floor():
 
 
 @pytest.mark.perf
+def test_vector_build_holds_floor():
+    """The scenario's fleet (its population) at ``BUILD_SCALE`` nodes,
+    best of three builds (the first also imports ``numpy.random``),
+    clears ``MIN_BUILD_NODES_PER_SEC`` rows per wall second."""
+    rows = int(BUILD_SCALE * 1.25) + 10
+    builds = []
+    for _ in range(3):
+        with gc_paused():
+            t0 = time.perf_counter()
+            population = VectorPopulation(rows, seed=SCENARIO["seed"])
+            builds.append(time.perf_counter() - t0)
+        del population
+    rate = rows / min(builds)
+    assert rate >= MIN_BUILD_NODES_PER_SEC, (
+        f"vector build floor broken: {rate:.0f} rows/s at {rows} rows "
+        f"(floor {MIN_BUILD_NODES_PER_SEC}): builds {builds}")
+
+
+@pytest.mark.perf
 def test_vector_scale_holds_memory_floor():
     """``run_vector_scenario`` in a fresh process peaks within
     ``FULL_RSS_MB`` at 10^7 nodes (scaled linearly below it)."""
     scale = int(os.environ.get("REPRO_FLOOR_SCALE", RSS_FULL_SCALE))
     budget = max(MIN_RSS_MB, FULL_RSS_MB * scale / RSS_FULL_SCALE)
-    root = pathlib.Path(__file__).resolve().parent.parent
-    code = ("import json, resource, sys\n"
-            f"sys.path[:0] = [{str(root)!r}, {str(root / 'src')!r}]\n"
-            "from benchmarks.test_vector_floor import run_vector_scenario\n"
-            f"metrics = run_vector_scenario({scale})\n"
-            "metrics['rss_mb'] = resource.getrusage("
-            "resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-            "print(json.dumps(metrics))\n")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True).stdout
-    metrics = json.loads(out.splitlines()[-1])
+    metrics = in_fresh_process("test_vector_floor", "run_vector_scenario",
+                               scale)
     _assert_semantics(metrics)
     assert metrics["rss_mb"] < budget, (
         f"vector memory floor broken: {metrics['rss_mb']:.0f} MB for "

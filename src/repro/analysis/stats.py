@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import AnalysisError
 
@@ -54,6 +53,7 @@ def mean_confidence_interval(
     confidence: float = 0.90,
 ) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of ``sample``."""
+    from scipy import stats as sps  # ~70 MB and ~1 s: import on first use
     arr = np.asarray(list(sample) if not isinstance(sample, np.ndarray)
                      else sample, dtype=float)
     if arr.size < 2:

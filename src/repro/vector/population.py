@@ -104,10 +104,20 @@ class VectorPopulation:
 
     def _gate(self, draw: np.random.Generator, fraction: float):
         """``draw.random(n) < fraction`` in chunks of rows: yields
-        ``(rows, mask)``, drawing the same stream as one call would."""
+        ``(rows, mask)``, drawing the same stream as one call would.
+
+        A fraction of 0 or 1 decides every row: its chunks advance the
+        stream by one uint64 per row (PCG64's ``random()`` takes one)
+        and yield the constant.  ``advance`` also drops PCG64's buffered
+        32-bit half, so ``draw`` must serve nothing but ``random()``.
+        """
         for lo in range(0, self.n, _CHUNK):
             rows = slice(lo, min(lo + _CHUNK, self.n))
-            yield rows, draw.random(rows.stop - lo) < fraction
+            if 0.0 < fraction < 1.0:
+                yield rows, draw.random(rows.stop - lo) < fraction
+            else:
+                draw.bit_generator.advance(rows.stop - lo)
+                yield rows, fraction >= 1.0
 
     def device_factors(self, rows: np.ndarray) -> np.ndarray:
         """Device speed factors of ``rows``, from their power modes."""

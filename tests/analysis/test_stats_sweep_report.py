@@ -1,5 +1,10 @@
 """Tests for statistics, sweep and report helpers."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,6 +77,20 @@ def test_relative_error():
     assert relative_error(22.0, 20.0) == pytest.approx(0.1)
     with pytest.raises(AnalysisError):
         relative_error(1.0, 0.0)
+
+
+def test_experiments_import_leaves_scipy_out():
+    """scipy (~70 MB, ~1 s to import) loads on the first confidence
+    interval, not with the experiments package: a vector run that
+    imports a scenario's fault plan does not pay for it."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    code = ("import sys, repro.experiments\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "== 'scipy'))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 # -- grid -------------------------------------------------------------------

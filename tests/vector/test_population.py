@@ -44,13 +44,13 @@ def _validate_population(pop):
 def _single_draw_columns(n, seed, powered_fraction, in_use_fraction,
                          requirement_match_fraction):
     """The columns as one whole-population draw per column builds them
-    (the form before the chunked build)."""
+    (the form before the chunked build), and the stream after them."""
     init = derive_generator(seed, "vector.population")
     powered = init.random(n) < powered_fraction
     in_use = init.random(n) < in_use_fraction
     mode = np.where(powered, np.where(in_use, _IN_USE, _STANDBY),
                     _OFF).astype(np.int8)
-    return mode, init.random(n) < requirement_match_fraction
+    return mode, init.random(n) < requirement_match_fraction, init
 
 
 def test_population_census():
@@ -124,26 +124,54 @@ def test_device_factors_match_modes():
     assert not hasattr(pop, "device_factor")
 
 
-@pytest.mark.parametrize("fractions", [(1.0, 1.0, 1.0), (0.8, 0.5, 0.7)])
+@pytest.mark.parametrize("fractions", [
+    (1.0, 1.0, 1.0), (0.8, 0.5, 0.7), (1.0, 0.3, 1.0), (0.0, 0.5, 1.0)])
 def test_chunked_columns_match_single_draw(fractions):
     """Columns built and gated chunk by chunk equal one whole-population
-    draw per column, on a size that ends mid-chunk."""
+    draw per column, on a size that ends mid-chunk, and leave both
+    streams where those draws leave them: a gate that a fraction of 0
+    or 1 decides advances its stream without drawing."""
     n = 3 * _CHUNK + 12_345
     powered, in_use, match = fractions
     pop = make_pop(n=n, seed=7, powered_fraction=powered,
                    in_use_fraction=in_use, requirement_match_fraction=match)
-    mode, matches = _single_draw_columns(n, 7, powered, in_use, match)
+    mode, matches, init = _single_draw_columns(n, 7, powered, in_use, match)
     assert np.array_equal(pop.mode, mode)
     assert np.array_equal(pop.matches, matches)
+    assert np.array_equal(pop.streams["population"].random(4),
+                          init.random(4))
     pop.link_up[::5] = False
     gate = derive_generator(7, "vector.recruit")
-    for probability in (0.3, 1.0):
+    for probability in (0.3, 1.0, 0.3):
         eligible = ((pop.mode != _OFF) & ~pop.busy & pop.matches
                     & pop.link_up)
         expected = np.nonzero(eligible & (gate.random(n) < probability))[0]
         recruited = pop.recruit(probability)
         assert recruited.dtype == np.intp
         assert np.array_equal(recruited, expected)
+        pop.release(recruited[::2])
+    assert np.array_equal(pop.streams["recruit"].random(4), gate.random(4))
+
+
+def test_decided_gates_draw_nothing(monkeypatch):
+    """A build at the default fractions and a recruit at probability 1
+    call ``Generator.random`` on no stream."""
+    calls = []
+
+    class Counting(np.random.Generator):
+        def random(self, *args, **kwargs):
+            calls.append(args)
+            return super().random(*args, **kwargs)
+
+    def counting_generator(seed, name):
+        return Counting(derive_generator(seed, name).bit_generator)
+
+    monkeypatch.setattr("repro.vector.population.derive_generator",
+                        counting_generator)
+    pop = make_pop(n=2 * _CHUNK + 1)
+    assert isinstance(pop.streams["population"], Counting)
+    assert pop.recruit(1.0).size == pop.n
+    assert calls == []
 
 
 # -- single jobs ----------------------------------------------------------------

@@ -516,6 +516,21 @@ def test_census_lockstep_with_column_census(data):
     assert new_tracer.metrics.snapshot() == old_tracer.metrics.snapshot()
 
 
+def test_fresh_and_cleared_census_read_never_seen():
+    """Every row of a fresh census, and of one after a clear, reads
+    never-seen; a cohort opened on a fresh census counts no row
+    outside it."""
+    assert (VectorCensus(50, grace_s=90.0).seen == _NEVER).all()
+    census = VectorCensus(50, grace_s=90.0)
+    census.observe(np.arange(20), STATE_BUSY, 0, 10.0)
+    assert census.consolidate(10.0) == {
+        "registry_size": 20, "idle": 0, "alive": 20}
+    assert (census.seen[:20] == 10.0).all()
+    assert (census.seen[20:] == _NEVER).all()
+    census.clear()
+    assert census.seen.shape == (50,) and (census.seen == _NEVER).all()
+
+
 # -- availability series over the executor's distinct rows -------------------
 # The size series as it stood before it read the executor's groups: every
 # row's ready time sorted, each window's victims sorted, and a binary search
