@@ -12,7 +12,8 @@ tables kept loss, rate and latency once per profile; 1.0-1.3 s at
 604 MB before, once the node row was the only key of a node and
 contiguous rows were sliced; 3.2-3.5 s (842 MB) once a bulk fleet held
 no object per PNA, 6.7-6.9 s (1,239 MB) before, 10.9-11.2 s at a796baf
-(53.6 s was recorded at 757214e).
+(53.6 s was recorded at 757214e).  ``run_cycle(10**7)``, same host:
+8.4-10.7 s at 2,929 MB peak RSS (3 runs), guarded at full scale only.
 
 Wall-clock guards are machine-dependent, so this is perf-marked::
 
@@ -118,6 +119,33 @@ def test_cohort_event_tier_holds_memory_floor():
     assert metrics["rss_mb"] < budget, (
         f"event kernel memory floor broken: {metrics['rss_mb']:.0f} MB "
         f"for {scale} nodes (budget {budget:.0f} MB): {metrics}")
+
+
+#: The cycle at 10^7 PNAs in a fresh process: 8.4-10.7 s of wall time
+#: (build and run) at 2,929 MB peak RSS over 3 runs on a 2-vCPU x86-64
+#: host with 8 GB; 1.4x and 1.16x margins over the worst run.
+TEN_MILLION = 10_000_000
+TEN_MILLION_BUDGET_S = 15.0
+TEN_MILLION_RSS_MB = 3_400.0
+
+
+@pytest.mark.perf
+def test_cohort_event_tier_holds_floor_at_ten_million():
+    """``run_cycle(10**7)`` in a fresh process finishes within
+    ``TEN_MILLION_BUDGET_S`` and peaks within ``TEN_MILLION_RSS_MB``,
+    with the golden makespan.  A reduced ``REPRO_FLOOR_SCALE`` (CI)
+    leaves the event tier to the floors above: this point needs 3 GB."""
+    if int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE)) < FULL_SCALE:
+        pytest.skip("the 10^7 cycle runs at full scale only")
+    metrics = in_fresh_process("test_event_kernel_floor", "run_cycle",
+                               TEN_MILLION)
+    assert metrics["n_tasks"] == TEN_MILLION * SCENARIO["tasks_per_node"]
+    assert metrics["distinct_workers"] == TEN_MILLION
+    assert metrics["makespan"] == pytest.approx(EXPECTED_MAKESPAN, abs=1e-9)
+    assert metrics["wall_s"] < TEN_MILLION_BUDGET_S, (
+        f"event kernel floor broken at 10^7: {metrics}")
+    assert metrics["rss_mb"] < TEN_MILLION_RSS_MB, (
+        f"event kernel memory floor broken at 10^7: {metrics}")
 
 
 #: The event-tier fleet-build target at 10^6 PNAs: 0.04-0.05 s on a

@@ -30,7 +30,12 @@ instead of drawing and scipy off the import path (fresh processes,
 same host): 10^7 nodes 13.3-15.4M nodes/s, build 0.05-0.11 s, peak
 RSS 461 MB; the 10^8 smoke, run once with the census's last-seen
 column allocated on first write (since taken out), 11.5M nodes/s,
-3.99 GB.  :data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build.
+3.99 GB.  With the recruit gate carried as a mask to the executor,
+one device class as one factor and the ready column freed once grouped
+(6 fresh processes each, interleaved with the code before them, same
+host): 10^7 nodes 10.2-12.2M nodes/s (9.9-12.2M before), peak RSS
+418 MB (482 MB before); the 10^8 smoke, run once, 11.9M nodes/s at
+3.43 GB.  :data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -57,14 +62,15 @@ FULL_SCALE = 1_000_000
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
 #: The memory floor's full scale, the peak RSS a fresh process that
-#: runs the scenario there may reach (458-482 MB measured, 841 MB with
-#: a float64 device-factor column and four cohort temporaries live at
-#: once), and the floor of a reduced-scale budget: the interpreter,
-#: numpy, pytest and the experiments package take ~46 MB before the
-#: first row (scipy loads only with a confidence interval), and 10^5
-#: nodes ~55 MB in all.
+#: runs the scenario there may reach (418 MB measured over 6 runs,
+#: 482 MB with the recruited rows as an index column beside the wakeup
+#: columns, 841 MB with a float64 device-factor column and four cohort
+#: temporaries live at once), and the floor of a reduced-scale budget:
+#: the interpreter, numpy, pytest and the experiments package take ~46
+#: MB before the first row (scipy loads only with a confidence
+#: interval), and 10^5 nodes ~55 MB in all.
 RSS_FULL_SCALE = 10_000_000
-FULL_RSS_MB = 600.0
+FULL_RSS_MB = 480.0
 MIN_RSS_MB = 70.0
 #: The fleet build floor's scale, which ``REPRO_FLOOR_SCALE`` leaves
 #: alone (three builds take ~0.1 s), and its bound in population rows

@@ -127,9 +127,9 @@ def point_probability_policy(
         idle = pop.idle_count
         estimate = int(idle * (1.0 + idle_estimate_error))
         probability = chooser.probability(deficit, max(estimate, 1))
-        accepted = pop.recruit(probability)
-        wakeups.append(int(accepted.size))
-        recruited += int(accepted.size)
+        accepted = int(np.count_nonzero(pop.recruit(probability)))
+        wakeups.append(accepted)
+        recruited += accepted
         rounds += 1
     return {
         "rounds": rounds,

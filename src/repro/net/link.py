@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, LinkDownError, NetworkError
+from repro.errors import ConfigurationError, LinkDownError
 from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
@@ -504,12 +504,6 @@ class Link:
         if self._receiver is not None:
             self._receiver(message)
         ev.succeed(message)
-
-    def transfer_time(self, size_bits: float) -> float:
-        """Unloaded end-to-end time for an abstract payload of this size."""
-        if size_bits < 0:
-            raise NetworkError(f"negative size {size_bits!r}")
-        return size_bits / self.rate_bps + self.latency_s
 
 
 def offer_rows(table: LinkTable, rows: Union[slice, np.ndarray],

@@ -1,7 +1,7 @@
 """Vectorised bag-of-tasks execution for very large node counts.
 
-The event tier simulates every message; that is faithful but caps out
-around 10⁴ nodes.  For the paper's scalability claims (requirement I:
+The event tier simulates every message: faithful, at ~290 B per PNA
+(10⁷ PNAs: ~9 s, 2.9 GB).  For the paper's scalability claims (requirement I:
 "hundreds of millions of processing resources") we compute the *same*
 pull-scheduling outcome with array math:
 

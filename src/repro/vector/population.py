@@ -119,10 +119,15 @@ class VectorPopulation:
                 draw.bit_generator.advance(rows.stop - lo)
                 yield rows, fraction >= 1.0
 
-    def device_factors(self, rows: np.ndarray) -> np.ndarray:
-        """Device speed factors of ``rows``, from their power modes."""
-        return np.where(self.mode[rows] == _IN_USE,
-                        self._in_use_factor, self._standby_factor)
+    def device_factors(self, accepted: np.ndarray):
+        """Mode-derived factors of the masked rows; one float if equal."""
+        in_use = self.mode == _IN_USE  # whole-row passes: no gather
+        f_use, f_stb = self._in_use_factor, self._standby_factor
+        if f_use == f_stb or not (accepted & ~in_use).any():
+            return f_use
+        if not (accepted & in_use).any():
+            return f_stb
+        return np.where(in_use[accepted], f_use, f_stb)
 
     # -- census -----------------------------------------------------------
     @property
@@ -144,7 +149,8 @@ class VectorPopulation:
 
     # -- wakeup ------------------------------------------------------------
     def recruit(self, probability: float) -> np.ndarray:
-        """Apply the wakeup gate; returns the indices of accepting nodes.
+        """Apply the wakeup gate; returns the accepting nodes' mask (one
+        bool per population row).
 
         Eligible = powered, idle, requirement-matching, link up; each
         accepts independently with ``probability`` and flips to busy.
@@ -157,7 +163,7 @@ class VectorPopulation:
         for rows, gate in self._gate(self.streams["recruit"], probability):
             accept[rows] = gate & self.eligible_mask(rows)
         self.busy |= accept
-        return np.flatnonzero(accept)
+        return accept
 
     def release(self, indices: Optional[np.ndarray] = None) -> None:
         """Reset recruited nodes to idle (``None`` = everyone)."""

@@ -234,17 +234,18 @@ class VectorOddCISystem:
         if idle == 0:
             raise AnalysisError("no idle nodes to recruit")
         probability = min(1.0, target_size / idle)
-        recruited = pop.recruit(probability)
-        if recruited.size == 0:
+        accepted = pop.recruit(probability)
+        cohort = int(np.count_nonzero(accepted))
+        if cohort == 0:
             raise AnalysisError(
                 "recruitment yielded zero nodes (population too small?)")
         if t is not None:
-            t.emit(t_start, "recruit", recruited=int(recruited.size),
+            t.emit(t_start, "recruit", recruited=cohort,
                    probability=probability, deferred_s=t_start - t_submit)
 
         # Compute outages: victims per window from the faults stream
         # (injector count rule), drawn before the wakeup columns exist.
-        outages = self._applicable_outages(recruited.size, t_start)
+        outages = self._applicable_outages(cohort, t_start)
 
         # Wakeup: every recruited node reads the image from the carousel
         # at a uniformly random phase (wakeup stream).
@@ -253,28 +254,27 @@ class VectorOddCISystem:
             pna_xlet_bits=self.pna_xlet_bits, config_bits=self.config_bits,
             section_format=self.section_format)
         phases = pop.streams["wakeup"].uniform(
-            0.0, sched.cycle_time, size=int(recruited.size))
+            0.0, sched.cycle_time, size=cohort)
         ready = sched.completion_time("image", phases)
         ready += t_start
         wakeup_mean = float(
             np.subtract(ready, phases, out=phases).mean() - t_start)
         del phases
 
+        # A float factor (one device class) is averaged as a column.
         stats = job.stats()
-        factors = pop.device_factors(recruited)
-        factor_mean = float(factors.mean())
-        if (factors == factors[0]).all():  # one device class
-            d = (stats.mean_io_bits / self.delta_bps
-                 + stats.mean_ref_seconds * float(factors[0]))
-        else:
-            d = (stats.mean_io_bits / self.delta_bps
-                 + stats.mean_ref_seconds * factors)
+        factors = pop.device_factors(accepted)
+        factor_mean = float(np.broadcast_to(factors, cohort).mean())
+        d = (stats.mean_io_bits / self.delta_bps
+             + stats.mean_ref_seconds * factors)
         del factors
         outcome = makespan_under_outages(ready, job.n, d, outages)
+        # Before ``del ready``: after it, the census faulted fresh pages.
+        recruited = np.flatnonzero(accepted)
+        del ready, d  # the executor's groups hold what is read later
         finish = outcome.finish_time
         makespan = finish - t_submit
-        ideal = (job.n * stats.mean_ref_seconds * factor_mean
-                 / recruited.size)
+        ideal = job.n * stats.mean_ref_seconds * factor_mean / cohort
         efficiency = min(1.0, ideal / makespan) if makespan > 0 else 0.0
 
         census_outages = [
@@ -296,7 +296,7 @@ class VectorOddCISystem:
         report = VectorJobReport(
             job_index=len(self.reports),
             n_tasks=job.n,
-            recruited=int(recruited.size),
+            recruited=cohort,
             wakeup_mean_s=wakeup_mean,
             makespan_s=makespan,
             efficiency=efficiency,

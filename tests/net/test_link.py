@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, LinkDownError, NetworkError
+from repro.errors import ConfigurationError, LinkDownError
 from repro.net import DEFAULT_HEADER_BITS, DuplexChannel, Link, Message, kbps, mbps
 from repro.sim import Simulator
 
@@ -86,14 +86,6 @@ def test_loss_rate_statistics():
     sim.run()
     observed = link.dropped / n
     assert 0.25 < observed < 0.35
-
-
-def test_transfer_time_helper():
-    sim = Simulator()
-    link = Link(sim, rate_bps=1000.0, latency_s=0.25)
-    assert link.transfer_time(500.0) == pytest.approx(0.75)
-    with pytest.raises(NetworkError):
-        link.transfer_time(-1)
 
 
 def test_bits_sent_accounting():

@@ -27,13 +27,14 @@ ROWS = 100_000
 BUILD_BYTES_PER_ROW = 16
 
 #: tracemalloc peak bytes per recruited node over one job's run phase,
-#: above what was live before it: 25-26 measured once the storm's
-#: victims are drawn before the wakeup columns, the ready column takes
-#: the carousel's completion times in place and the phases and factors
-#: are freed once read (the recruited rows, the ready column and the
-#: phases at 8 bytes each at the peak); 38-40 when four 8-byte cohort
+#: above what was live before it: 18-19 measured once the recruit gate
+#: is carried as a mask (1 byte per population row) to the executor,
+#: one device class gives one factor and the ready column is freed
+#: once the executor has grouped it (the wakeup's phases and ready
+#: column at 8 bytes each at the peak); 25-26 with the recruited rows
+#: as an index column beside them, 38-40 when four 8-byte cohort
 #: columns were live at once.
-RUN_BYTES_PER_NODE = 30
+RUN_BYTES_PER_NODE = 22
 
 
 def _job(target):

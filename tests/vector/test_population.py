@@ -7,7 +7,13 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.vector import VectorOddCISystem, VectorPopulation
 from repro.sim.rng import derive_generator
 from repro.vector.population import _CHUNK, _IN_USE, _OFF, _STANDBY
-from repro.workloads import REFERENCE_STB, PowerMode, uniform_bag
+from repro.workloads import (
+    REFERENCE_PC,
+    REFERENCE_STB,
+    DeviceProfile,
+    PowerMode,
+    uniform_bag,
+)
 from repro.net.message import MEGABYTE
 
 
@@ -25,7 +31,7 @@ def _validate_population(pop):
     """Shape/dtype/invariant assertions on the population columns and
     the device factors derived from the power modes."""
     n = pop.n
-    factors = pop.device_factors(np.arange(n))
+    factors = np.broadcast_to(pop.device_factors(np.ones(n, dtype=bool)), n)
     for name, column, dtype in (
             ("mode", pop.mode, np.int8),
             ("busy", pop.busy, np.bool_),
@@ -72,7 +78,7 @@ def test_population_validation():
 
 def test_recruit_probability_gate():
     pop = make_pop(n=100_000)
-    recruited = pop.recruit(0.25)
+    recruited = np.flatnonzero(pop.recruit(0.25))
     assert 23_000 < recruited.size < 27_000
     assert pop.busy_count == recruited.size
     assert pop.idle_count == pop.n - recruited.size
@@ -81,16 +87,16 @@ def test_recruit_probability_gate():
 def test_recruit_excludes_busy_and_off():
     pop = make_pop(n=10_000, powered_fraction=0.5)
     first = pop.recruit(1.0)
-    assert first.size == pop.powered_count
+    assert np.count_nonzero(first) == pop.powered_count
     second = pop.recruit(1.0)
-    assert second.size == 0  # everyone eligible is busy
+    assert not second.any()  # everyone eligible is busy
     _validate_population(pop)
 
 
 def test_recruit_respects_requirement_match_fraction():
     pop = make_pop(n=100_000, requirement_match_fraction=0.3)
-    recruited = pop.recruit(1.0)
-    assert 28_000 < recruited.size < 32_000
+    recruited = np.count_nonzero(pop.recruit(1.0))
+    assert 28_000 < recruited < 32_000
 
 
 def test_recruit_validation():
@@ -103,7 +109,7 @@ def test_recruit_validation():
 
 def test_release_specific_and_all():
     pop = make_pop(n=1000)
-    recruited = pop.recruit(1.0)
+    recruited = np.flatnonzero(pop.recruit(1.0))
     pop.release(recruited[:100])
     assert pop.busy_count == recruited.size - 100
     pop.release()
@@ -115,7 +121,7 @@ def test_device_factors_match_modes():
     pop = make_pop(n=50_000, in_use_fraction=0.5)
     f_use = REFERENCE_STB.factor(PowerMode.IN_USE)
     f_stb = REFERENCE_STB.factor(PowerMode.STANDBY)
-    rows = np.flatnonzero(pop.mode != _OFF)
+    rows = pop.mode != _OFF
     factors = pop.device_factors(rows)
     assert factors.dtype == np.float64
     assert set(np.unique(factors).tolist()) == {f_use, f_stb}
@@ -146,8 +152,7 @@ def test_chunked_columns_match_single_draw(fractions):
         eligible = ((pop.mode != _OFF) & ~pop.busy & pop.matches
                     & pop.link_up)
         expected = np.nonzero(eligible & (gate.random(n) < probability))[0]
-        recruited = pop.recruit(probability)
-        assert recruited.dtype == np.intp
+        recruited = np.flatnonzero(pop.recruit(probability))
         assert np.array_equal(recruited, expected)
         pop.release(recruited[::2])
     assert np.array_equal(pop.streams["recruit"].random(4), gate.random(4))
@@ -170,8 +175,68 @@ def test_decided_gates_draw_nothing(monkeypatch):
                         counting_generator)
     pop = make_pop(n=2 * _CHUNK + 1)
     assert isinstance(pop.streams["population"], Counting)
-    assert pop.recruit(1.0).size == pop.n
+    assert pop.recruit(1.0).all()
     assert calls == []
+
+
+def _indices_recruit(pop, probability):
+    """``VectorPopulation.recruit`` as it was when it returned the
+    accepting nodes' indices (kept verbatim as the oracle)."""
+    if not 0.0 < probability <= 1.0:
+        raise ConfigurationError(
+            f"probability must be in (0, 1], got {probability}")
+    accept = np.empty(pop.n, dtype=bool)
+    for rows, gate in pop._gate(pop.streams["recruit"], probability):
+        accept[rows] = gate & pop.eligible_mask(rows)
+    pop.busy |= accept
+    return np.flatnonzero(accept)
+
+
+@pytest.mark.parametrize("probabilities", [(0.3, 0.6, 0.3), (1.0, 1.0)])
+def test_recruit_mask_matches_index_oracle(probabilities):
+    """The mask's rows are the indices the old ``recruit`` returned, and
+    both leave the population and the recruit stream in one state."""
+    n = 2 * _CHUNK + 777
+    pop, oracle = (make_pop(n=n, seed=5, powered_fraction=0.9,
+                            requirement_match_fraction=0.8)
+                   for _ in range(2))
+    for probability in probabilities:
+        mask = pop.recruit(probability)
+        expected = _indices_recruit(oracle, probability)
+        assert mask.dtype == np.bool_ and mask.shape == (n,)
+        assert np.array_equal(np.flatnonzero(mask), expected)
+        assert np.array_equal(pop.busy, oracle.busy)
+        pop.release(np.flatnonzero(mask)[::2])
+        oracle.release(expected[::2])
+    assert np.array_equal(pop.streams["recruit"].random(4),
+                          oracle.streams["recruit"].random(4))
+
+
+@pytest.mark.parametrize("profile", [
+    REFERENCE_STB, REFERENCE_PC,
+    DeviceProfile("odd", 7.3, {PowerMode.STANDBY: 0.1,
+                               PowerMode.IN_USE: 1.0 / 3.0})])
+@pytest.mark.parametrize("in_use_fraction", [1.0, 0.0, 0.3])
+def test_factor_mean_matches_column_oracle(profile, in_use_fraction):
+    """One device class gives one float whose mean over the cohort is
+    the old factor column's mean, bit for bit, at cohort sizes either
+    side of the pairwise-sum block edges; mixed classes keep the
+    column."""
+    pop = make_pop(n=3 * _CHUNK + 12_345, in_use_fraction=in_use_fraction,
+                   profile=profile)
+    f_use, f_stb = (profile.factor(PowerMode.IN_USE),
+                    profile.factor(PowerMode.STANDBY))
+    for size in (1, 7, 8, 9, 127, 128, 129, 1023, 8191, 8192, 8193,
+                 100_003, pop.n):
+        rows = np.arange(pop.n) < size
+        # The old column and its mean (verbatim).
+        column = np.where(pop.mode[rows] == _IN_USE, f_use, f_stb)
+        factors = pop.device_factors(rows)
+        one_class = (column == column[0]).all()
+        assert np.ndim(factors) == (0 if one_class else 1)
+        assert np.array_equal(np.broadcast_to(factors, size), column)
+        assert (float(np.broadcast_to(factors, size).mean()).hex()
+                == float(column.mean()).hex()), size
 
 
 # -- single jobs ----------------------------------------------------------------

@@ -613,15 +613,18 @@ def test_size_series_over_groups_matches_rows(data):
 
 def test_storm_clean_pair_golden_at_smoke_scale():
     """Bit-exact pin of the vector floor's 10^5-node storm/clean pair
-    (benchmarks/test_vector_floor.py): finish time, availability and
-    tasks-per-node ceiling of both jobs.  A drift in the makespan
-    bisection's probe sequence shows here first."""
+    (benchmarks/test_vector_floor.py): finish time, availability,
+    tasks-per-node ceiling, efficiency and mean wakeup of both jobs.  A
+    drift in the makespan bisection's probe sequence shows here first;
+    one in how the device factors are averaged, in the efficiency."""
     system = VectorOddCISystem(125_010, seed=1, plan=storm_plan(0.3))
     job = uniform_bag_spec(400_000, image_bits=8 * MEGABYTE,
                            ref_seconds=30.0, input_bits=4096.0,
                            result_bits=4096.0)
     got = [(r.finish_time.hex(), r.availability.hex(),
-            r.tasks_per_node_max)
+            r.tasks_per_node_max, r.efficiency.hex(), r.wakeup_mean_s.hex())
            for r in system.run_jobs([(job, 100_000), (job, 100_000)])]
-    assert got == [("0x1.5f67fdf250bc1p+11", "0x1.c240f83cd7f9ep-1", 4),
-                   ("0x1.75309d8c6d916p+12", "0x1.e978ceb3153c8p-1", 5)]
+    assert got == [("0x1.5f67fdf250bc1p+11", "0x1.c240f83cd7f9ep-1", 4,
+                    "0x1.c1dcf4b0bf446p-1", "0x1.9899d384cb199p+6"),
+                   ("0x1.75309d8c6d916p+12", "0x1.e978ceb3153c8p-1", 5,
+                    "0x1.90ddb4c83f44ep-1", "0x1.98b49e1b624e0p+6")]
