@@ -35,7 +35,13 @@ one device class as one factor and the ready column freed once grouped
 (6 fresh processes each, interleaved with the code before them, same
 host): 10^7 nodes 10.2-12.2M nodes/s (9.9-12.2M before), peak RSS
 418 MB (482 MB before); the 10^8 smoke, run once, 11.9M nodes/s at
-3.43 GB.  :data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build.
+3.43 GB.  With the wakeup drawn leaf by leaf (no phases column) and
+the recruit mask carried to the census and ``release`` (3 fresh
+processes each, interleaved with the code before them, same host):
+10^7 nodes 20.4-22.6M nodes/s (14.4-16.0M before), peak RSS 342 MB
+(418 MB before); 10^6 23.4-25.8M (16.3-18.7M); 10^5 8.4-10.5M
+(9.2-9.8M); the 10^8 smoke, run once, 20.8M nodes/s at 2,959 MB.
+:data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -57,20 +63,22 @@ from repro.vector.system import VectorOddCISystem
 from repro.workloads.bot import uniform_bag_spec
 
 FULL_SCALE = 1_000_000
-#: Measured 14.1-18.3M nodes/s at 10^6 and 9.8-11.4M at 10^5; a 4x
-#: margin for slower or busier hosts, still tight enough to catch an
+#: Measured 23.4-25.8M nodes/s at 10^6 and 8.4-10.5M at 10^5 (the CI
+#: scale, where fixed costs weigh most); a 4x margin below the 10^5
+#: figure for slower or busier hosts, still tight enough to catch an
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
 #: The memory floor's full scale, the peak RSS a fresh process that
-#: runs the scenario there may reach (418 MB measured over 6 runs,
-#: 482 MB with the recruited rows as an index column beside the wakeup
-#: columns, 841 MB with a float64 device-factor column and four cohort
-#: temporaries live at once), and the floor of a reduced-scale budget:
-#: the interpreter, numpy, pytest and the experiments package take ~46
-#: MB before the first row (scipy loads only with a confidence
-#: interval), and 10^5 nodes ~55 MB in all.
+#: runs the scenario there may reach (342 MB measured over 3 runs,
+#: 418 MB with a whole phases column beside the ready column and the
+#: recruited rows taken for the census, 482 MB with those rows beside
+#: the wakeup columns, 841 MB with a float64 device-factor column and
+#: four cohort temporaries live at once), and the floor of a
+#: reduced-scale budget: the interpreter, numpy, pytest and the
+#: experiments package take ~46 MB before the first row (scipy loads
+#: only with a confidence interval), and 10^5 nodes ~55 MB in all.
 RSS_FULL_SCALE = 10_000_000
-FULL_RSS_MB = 480.0
+FULL_RSS_MB = 400.0
 MIN_RSS_MB = 70.0
 #: The fleet build floor's scale, which ``REPRO_FLOOR_SCALE`` leaves
 #: alone (three builds take ~0.1 s), and its bound in population rows

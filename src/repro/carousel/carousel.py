@@ -114,24 +114,30 @@ class CarouselSchedule:
                 return f
         raise FileNotInCarouselError(f"{name!r} not in carousel")
 
-    def next_start(self, name: str, t: ArrayLike) -> ArrayLike:
+    def next_start(self, name: str, t: ArrayLike, *,
+                   out: Optional[np.ndarray] = None) -> ArrayLike:
         """Absolute time of the first window start at or after ``t``.
 
-        Accepts a scalar or a numpy array of request times (vectorised).
+        Accepts a scalar or a numpy array of request times (vectorised),
+        and writes into and returns ``out`` (not ``t``) when given.
         """
         offset, _ = self.window(name)
         t = np.asarray(t, dtype=float)
-        wait = np.array(t)  # one buffer: request offset, phase, wait
-        wait -= self.origin_time
-        if np.any(wait < 0):
+        wait = np.empty_like(t) if out is None else out  # offset, phase, wait
+        np.subtract(t, self.origin_time, out=wait)
+        lo, hi = (wait.min(), wait.max()) if wait.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise CarouselError("request time is not finite")
+        if lo < 0:
             raise CarouselError("request precedes carousel origin")
         # fmod is exact and is % on offsets >= 0; offset - phase is in
         # (-cycle, cycle), never -0.0: adding cycle where < 0 is the %.
-        np.fmod(wait, self.cycle_time, out=wait)
+        if hi >= self.cycle_time:  # below a cycle, fmod is the identity
+            np.fmod(wait, self.cycle_time, out=wait)
         np.subtract(offset, wait, out=wait)
         np.add(wait, self.cycle_time, out=wait, where=wait < 0)
         wait += t
-        return float(wait) if wait.ndim == 0 else wait
+        return float(wait) if wait.ndim == 0 and out is None else wait
 
     def completion_time(
         self,
@@ -139,17 +145,19 @@ class CarouselSchedule:
         t: ArrayLike,
         *,
         policy: str = "wait_for_start",
+        out: Optional[np.ndarray] = None,
     ) -> ArrayLike:
         """Absolute time at which a read requested at ``t`` completes.
 
-        Vectorised over ``t``.  See module docstring for policies.
+        Vectorised over ``t`` (``out`` as for :meth:`next_start`).  See
+        module docstring for policies.
         """
         if policy not in READ_POLICIES:
             raise CarouselError(
                 f"unknown read policy {policy!r}; choose from {READ_POLICIES}")
         offset, duration = self.window(name)
         t_arr = np.asarray(t, dtype=float)
-        completion = np.asarray(self.next_start(name, t_arr))
+        completion = np.asarray(self.next_start(name, t_arr, out=out))
         completion += duration
         if policy == "resume":
             # Mid-window requests wrap around and finish one full cycle
@@ -157,7 +165,8 @@ class CarouselSchedule:
             rel = np.fmod(t_arr - self.origin_time, self.cycle_time)
             in_window = (rel > offset) & (rel < offset + duration)
             np.add(t_arr, self.cycle_time, out=completion, where=in_window)
-        return float(completion) if completion.ndim == 0 else completion
+        return (float(completion) if completion.ndim == 0 and out is None
+                else completion)
 
     def mean_read_time(self, name: str, *, policy: str = "wait_for_start") -> float:
         """Expected read latency for a uniformly random request phase.

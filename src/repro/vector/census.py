@@ -37,6 +37,7 @@ from repro.core.census import (
 from repro.errors import ConfigurationError
 from repro.telemetry import trace as telemetry
 from repro.vector.executor import victim_patterns
+from repro.vector.population import _CHUNK
 
 __all__ = ["VectorCensus"]
 
@@ -96,40 +97,43 @@ class VectorCensus:
         """Write the open cohort's registered groups into its rows."""
         c = self._cohort
         if c is not None:
+            rows = np.flatnonzero(c.mask)
             for g in np.flatnonzero(c.last > _NEVER):
-                rows = c.rows[c.code == g]
-                self._state[rows] = STATE_BUSY
-                self._seen[rows] = c.last[g]
-                self._instances()[rows] = c.instance
+                group = rows[c.code == g]
+                self._state[group] = STATE_BUSY
+                self._seen[group] = c.last[g]
+                self._instances()[group] = c.instance
         return self
 
     # -- writes ------------------------------------------------------------
-    def observe(self, indices: np.ndarray, state: int,
+    def observe(self, mask: np.ndarray, state: int,
                 instance: int, now: float, *, patterns=None) -> None:
-        """Record a state transition for ``indices`` (vector analogue of
-        the per-payload ``touch``), closing an open cohort.  BUSY opens
-        ``indices`` (distinct rows) as the cohort, grouped by their
-        ``patterns`` (:func:`~repro.vector.executor.victim_patterns`)."""
+        """Record a state transition for the rows of the boolean row
+        ``mask`` (vector analogue of the per-payload ``touch``), closing
+        an open cohort.  BUSY opens ``mask`` as the cohort, grouped by
+        its rows' ``patterns``
+        (:func:`~repro.vector.executor.victim_patterns`)."""
         if state not in (STATE_NONE, STATE_IDLE, STATE_BUSY):
             raise ConfigurationError(f"unknown census state {state}")
-        if self._cohort is not None and indices is not self._cohort.rows:
+        if self._cohort is not None and mask is not self._cohort.mask:
             self._synced()
         self._cohort = None
         if state != STATE_BUSY:
-            self._state[indices] = state
-            self._seen[indices] = now
-            if self._instance is not None:
-                self._instance[indices] = _NO_INSTANCE
+            for lo in range(0, self.n, _CHUNK):  # a bool setitem is slower
+                part = slice(lo, lo + _CHUNK)
+                rows = np.flatnonzero(mask[part])
+                self._state[part][rows], self._seen[part][rows] = state, now
+                if self._instance is not None:
+                    self._instance[part][rows] = _NO_INSTANCE
             return
-        outside = np.ones(self.n, dtype=bool)
-        outside[indices] = False
+        outside = ~mask
         registered = np.count_nonzero(outside & (self._state != STATE_NONE))
         outside = np.flatnonzero(outside & (self._seen > _NEVER))
         seen = self._seen[outside]
         idle = np.sort(seen[self._state[outside] == STATE_IDLE])
-        code, sizes, victim = patterns or victim_patterns((), np.size(indices))
+        code, sizes, victim = patterns or victim_patterns((), mask.sum())
         self._cohort = SimpleNamespace(
-            rows=indices, instance=instance, code=code, sizes=sizes,
+            mask=mask, instance=instance, code=code, sizes=sizes,
             victim=victim, last=np.full(sizes.size, float(now)),
             outside=(int(registered), np.sort(seen), idle))
 

@@ -35,7 +35,7 @@ __all__ = ["STREAM_NAMES", "VectorPopulation"]
 
 # Mode codes in the state arrays.
 _OFF, _STANDBY, _IN_USE = 0, 1, 2
-#: Rows per draw when a column is built or gated chunk by chunk.
+#: Rows per chunk of a column build or gate, and per wakeup leaf (>= 128).
 _CHUNK = 1 << 16
 
 #: Named RNG streams a seeded population owns (sim/rng.py derivation:
@@ -165,9 +165,9 @@ class VectorPopulation:
         self.busy |= accept
         return accept
 
-    def release(self, indices: Optional[np.ndarray] = None) -> None:
-        """Reset recruited nodes to idle (``None`` = everyone)."""
-        if indices is None:
+    def release(self, mask: Optional[np.ndarray] = None) -> None:
+        """Reset the masked rows to idle (``None`` = everyone)."""
+        if mask is None:
             self.busy[:] = False
         else:
-            self.busy[indices] = False
+            self.busy &= ~mask

@@ -55,7 +55,7 @@ from repro.sim.monitor import TimeSeries
 from repro.telemetry import trace as telemetry
 from repro.vector.census import VectorCensus
 from repro.vector.executor import makespan_under_outages, victim_patterns
-from repro.vector.population import VectorPopulation
+from repro.vector.population import _CHUNK, VectorPopulation
 from repro.workloads.devices import REFERENCE_STB, DeviceProfile
 from repro.workloads.job import Job
 
@@ -82,6 +82,31 @@ def carousel_schedule(
     ]
     return CarouselSchedule(files, float(beta_bps),
                             section_format=section_format)
+
+
+def _pairwise(leaf, lo: int, m: int):
+    """Leaf sums over ``[lo, lo + m)``, added in numpy's pairwise order."""
+    if m <= _CHUNK:
+        return leaf(lo, m)
+    half = m // 2 - (m // 2) % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, m - half)
+
+
+def wakeup(sched: CarouselSchedule, draw: np.random.Generator,
+           cohort: int, t_start: float) -> Tuple[np.ndarray, float]:
+    """Ready instants and mean wait of ``cohort`` image reads from
+    ``sched`` at ``draw.uniform(0, cycle)`` phases after ``t_start``; the
+    phases use one leaf buffer, the mean is numpy's bit for bit."""
+    ready, buf = np.empty(cohort), np.empty(min(cohort, _CHUNK))
+
+    def leaf(lo: int, m: int):
+        phases = draw.random(out=buf[:m])
+        phases *= sched.cycle_time  # == uniform(0, cycle): 0.0 + c*u
+        out = sched.completion_time("image", phases, out=ready[lo:lo + m])
+        out += t_start
+        return np.add.reduce(np.subtract(out, phases, out=phases))
+
+    return ready, float(_pairwise(leaf, 0, cohort) / cohort - t_start)
 
 
 @dataclass(frozen=True)
@@ -253,13 +278,8 @@ class VectorOddCISystem:
             job.image_bits, self.beta_bps,
             pna_xlet_bits=self.pna_xlet_bits, config_bits=self.config_bits,
             section_format=self.section_format)
-        phases = pop.streams["wakeup"].uniform(
-            0.0, sched.cycle_time, size=cohort)
-        ready = sched.completion_time("image", phases)
-        ready += t_start
-        wakeup_mean = float(
-            np.subtract(ready, phases, out=phases).mean() - t_start)
-        del phases
+        ready, wakeup_mean = wakeup(sched, pop.streams["wakeup"], cohort,
+                                    t_start)
 
         # A float factor (one device class) is averaged as a column.
         stats = job.stats()
@@ -269,8 +289,6 @@ class VectorOddCISystem:
              + stats.mean_ref_seconds * factors)
         del factors
         outcome = makespan_under_outages(ready, job.n, d, outages)
-        # Before ``del ready``: after it, the census faulted fresh pages.
-        recruited = np.flatnonzero(accepted)
         del ready, d  # the executor's groups hold what is read later
         finish = outcome.finish_time
         makespan = finish - t_submit
@@ -282,7 +300,7 @@ class VectorOddCISystem:
             if w.overlaps(t_submit, finish)]
         self._count_fault_windows(outages, census_outages, t_start, finish)
         gauges = self._run_census_epochs(
-            recruited, outages, census_outages, t_start, finish,
+            accepted, cohort, outages, census_outages, t_start, finish,
             instance=len(self.reports))
         series = self._size_series(
             outcome.groups, census_outages, t_submit, t_start, finish)
@@ -290,8 +308,8 @@ class VectorOddCISystem:
             series, int(target_size), size_tolerance=0.1,
             start=t_submit, until=finish))
 
-        pop.release(recruited)
-        self.census.observe(recruited, STATE_IDLE, -1, finish)
+        pop.release(accepted)
+        self.census.observe(accepted, STATE_IDLE, -1, finish)
         self.now = finish
         report = VectorJobReport(
             job_index=len(self.reports),
@@ -343,9 +361,9 @@ class VectorOddCISystem:
                     self._m_restored.value += 1
 
     # -- census ------------------------------------------------------------
-    def _run_census_epochs(self, recruited: np.ndarray, outages,
-                           census_outages, t_start: float, finish: float,
-                           *, instance: int) -> Dict[str, int]:
+    def _run_census_epochs(self, accepted: np.ndarray, cohort: int,
+                           outages, census_outages, t_start: float,
+                           finish: float, *, instance: int) -> Dict[str, int]:
         """Bounded consolidation rounds over the job window.
 
         The cohort registers at ``t_start``, grouped by victim pattern;
@@ -354,10 +372,9 @@ class VectorOddCISystem:
         crashed PNAs) and consolidates; a controller-crash window clears
         the census and the next epoch self-heals it from the fleet."""
         census = self.census
-        census.observe(recruited, STATE_BUSY, instance, t_start,
+        census.observe(accepted, STATE_BUSY, instance, t_start,
                        patterns=victim_patterns(
-                           [mask for _ws, _we, mask in outages],
-                           recruited.size))
+                           [mask for _ws, _we, mask in outages], cohort))
         epochs = min(self.census_epochs, max(1, int(
             (finish - t_start) / self.heartbeat_interval_s)))
         t = self._trace

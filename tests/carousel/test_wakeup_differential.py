@@ -7,8 +7,13 @@ schedule now takes the phase with ``np.fmod`` and the wait with a signed
 add in one buffer; every answer must match bit for bit (``float.hex``,
 so a zero's sign counts) for both read policies, for scalar, 0-d and
 1-d requests, with a shifted origin, at exact window starts and cycle
-multiples, over request spans of several cycles, and in the error path.
+multiples, over request spans of several cycles, and in the error path;
+through ``out=`` too, and on batches inside one cycle, where the
+schedule skips the ``fmod``.  A request that is NaN or infinite is an
+error, as one before the origin is.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -106,11 +111,74 @@ def test_fmod_wakeup_matches_remainder_bit_for_bit(case, which):
     as_array = np.array(requests, dtype=float)
     shapes = [as_array] + [r for x in requests for r in (x, np.array(x))]
     for t in shapes:
-        assert _hex(sched.next_start(name, t)) == \
-            _hex(_next_start(sched, name, t))
-        for policy in READ_POLICIES:
-            assert _hex(sched.completion_time(name, t, policy=policy)) \
-                == _hex(_completion_time(sched, name, t, policy=policy))
+        _assert_matches_oracle(sched, name, t)
+
+
+def _assert_matches_oracle(sched, name, t):
+    """Both queries, plain and through ``out=``, equal the oracle."""
+    assert _hex(sched.next_start(name, t)) == \
+        _hex(_next_start(sched, name, t))
+    out = np.full(np.shape(t), np.nan)
+    assert sched.next_start(name, t, out=out) is out
+    assert _hex(out) == _hex(np.asarray(_next_start(sched, name, t)))
+    for policy in READ_POLICIES:
+        want = _completion_time(sched, name, t, policy=policy)
+        assert _hex(sched.completion_time(name, t, policy=policy)) \
+            == _hex(want)
+        out = np.full(np.shape(t), np.nan)
+        assert sched.completion_time(name, t, policy=policy,
+                                     out=out) is out
+        assert _hex(out) == _hex(np.asarray(want))
+
+
+@pytest.mark.parametrize("origin", [0.0, 0.25, 1e3])
+def test_batches_inside_one_cycle_skip_fmod(origin, monkeypatch):
+    """A batch inside one cycle (the first and last instant of it, -0.0
+    at a zero origin, window edges) takes no ``fmod`` for a
+    ``wait_for_start`` read and matches the oracle; one request at or
+    past the cycle brings the ``fmod`` back."""
+    sched = CarouselSchedule([CarouselFile(name="a", size_bits=100.0),
+                              CarouselFile(name="b", size_bits=50.0)],
+                             100.0, section_format=RAW, origin_time=origin)
+    cycle = sched.cycle_time
+    inside = [origin, np.nextafter(origin + cycle, 0), origin + 0.5 * cycle,
+              origin + sched.window("b")[0]]
+    inside += [-0.0] if origin == 0.0 else []
+    calls = []
+
+    def counting_fmod(*args, **kwargs):
+        calls.append(args)
+        return fmod(*args, **kwargs)
+
+    fmod = np.fmod
+    monkeypatch.setattr(np, "fmod", counting_fmod)
+    for past, fmods in (([], 0), ([origin + cycle], 1),
+                        ([origin + 3.5 * cycle], 1)):
+        batch = np.array(inside + past)
+        for name in ("a", "b"):
+            calls.clear()
+            sched.completion_time(name, batch)
+            assert len(calls) == fmods
+            for t in [batch] + [np.array(x) for x in batch]:
+                _assert_matches_oracle(sched, name, t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_requests_rejected(bad):
+    """NaN and ±inf requests, scalar, 0-d or inside a 1-d batch, raise
+    ``CarouselError`` from both queries and both policies, with no
+    numpy warning on the way."""
+    sched = CarouselSchedule([CarouselFile(name="a", size_bits=300.0)],
+                             100.0, section_format=RAW, origin_time=2.0)
+    queries = [sched.next_start] + [
+        lambda name, t, p=p: sched.completion_time(name, t, policy=p)
+        for p in READ_POLICIES]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (bad, np.array(bad), np.array([3.0, bad, 5.0])):
+            for query in queries:
+                with pytest.raises(CarouselError, match="not finite"):
+                    query("a", t)
 
 
 def test_negative_zero_request_at_a_zero_offset_window():

@@ -4,7 +4,9 @@ A population of 10^5 rows and its census keep a few bytes per row
 between jobs; a job's run phase allocates a few full-cohort columns on
 top of them and frees each once it has been read.  Both are pinned
 with tracemalloc on the ``vector_storm`` shape: a 0.3 churn storm over
-the first of two jobs, each targeting 80% of the rows.
+the first of two jobs, each targeting 80% of the rows.  The wakeup's
+own peak, one 8-byte cohort column and its leaf buffers, is pinned at
+10^6 nodes.
 """
 
 import gc
@@ -14,7 +16,9 @@ import pytest
 
 from repro.experiments.vector_scale import storm_plan
 from repro.net.message import MEGABYTE
+from repro.sim.rng import derive_generator
 from repro.vector import VectorOddCISystem
+from repro.vector.system import carousel_schedule, wakeup
 from repro.workloads import uniform_bag_spec
 
 ROWS = 100_000
@@ -27,14 +31,20 @@ ROWS = 100_000
 BUILD_BYTES_PER_ROW = 16
 
 #: tracemalloc peak bytes per recruited node over one job's run phase,
-#: above what was live before it: 18-19 measured once the recruit gate
-#: is carried as a mask (1 byte per population row) to the executor,
-#: one device class gives one factor and the ready column is freed
-#: once the executor has grouped it (the wakeup's phases and ready
-#: column at 8 bytes each at the peak); 25-26 with the recruited rows
-#: as an index column beside them, 38-40 when four 8-byte cohort
-#: columns were live at once.
-RUN_BYTES_PER_NODE = 22
+#: above what was live before it: 16.4-17.4 measured once the wakeup
+#: draws its phases leaf by leaf (the ready column at 8 bytes and one
+#: 2^16-row leaf buffer, ~6.5 bytes per node at this scale, at the
+#: peak) and the recruit mask goes on to the census and ``release``;
+#: 18-19 with a whole phases column beside the ready column, 25-26 with
+#: the recruited rows as an index column beside them, 38-40 when four
+#: 8-byte cohort columns were live at once.
+RUN_BYTES_PER_NODE = 19
+
+#: Cohort of the wakeup's own peak, and that peak's bound in bytes per
+#: node: the 8-byte ready column plus a leaf buffer and one leaf's
+#: boolean temporary (8.59 measured).
+WAKEUP_COHORT = 1_000_000
+WAKEUP_BYTES_PER_NODE = 9
 
 
 def _job(target):
@@ -78,3 +88,20 @@ def test_built_system_bytes_per_row(measured):
 def test_run_phase_bytes_per_recruited_node(measured):
     _per_row, run = measured
     assert max(run) < RUN_BYTES_PER_NODE, run
+
+
+def test_wakeup_allocates_one_cohort_column():
+    """The wakeup allocates the ready column and its leaf buffers, no
+    second cohort column, and frees the buffers when it returns."""
+    sched = carousel_schedule(8 * MEGABYTE, 1e6)
+    draw = derive_generator(0, "vector.wakeup")
+    wakeup(sched, draw, 1_000, 0.0)  # warm-up
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        ready, _mean = wakeup(sched, draw, WAKEUP_COHORT, 10.0)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < ready.nbytes + 4096
+    assert (peak - before) / WAKEUP_COHORT < WAKEUP_BYTES_PER_NODE, peak

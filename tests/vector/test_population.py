@@ -47,6 +47,13 @@ def _validate_population(pop):
     assert (factors > 0).all(), "non-positive device factor"
 
 
+def _mask(n, rows):
+    """The boolean row mask of ``rows`` over ``n`` rows."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
 def _single_draw_columns(n, seed, powered_fraction, in_use_fraction,
                          requirement_match_fraction):
     """The columns as one whole-population draw per column builds them
@@ -110,8 +117,9 @@ def test_recruit_validation():
 def test_release_specific_and_all():
     pop = make_pop(n=1000)
     recruited = np.flatnonzero(pop.recruit(1.0))
-    pop.release(recruited[:100])
+    pop.release(_mask(pop.n, recruited[:100]))
     assert pop.busy_count == recruited.size - 100
+    assert not pop.busy[recruited[:100]].any()
     pop.release()
     assert pop.busy_count == 0
     _validate_population(pop)
@@ -154,7 +162,7 @@ def test_chunked_columns_match_single_draw(fractions):
         expected = np.nonzero(eligible & (gate.random(n) < probability))[0]
         recruited = np.flatnonzero(pop.recruit(probability))
         assert np.array_equal(recruited, expected)
-        pop.release(recruited[::2])
+        pop.release(_mask(n, recruited[::2]))
     assert np.array_equal(pop.streams["recruit"].random(4), gate.random(4))
 
 
@@ -206,8 +214,8 @@ def test_recruit_mask_matches_index_oracle(probabilities):
         assert mask.dtype == np.bool_ and mask.shape == (n,)
         assert np.array_equal(np.flatnonzero(mask), expected)
         assert np.array_equal(pop.busy, oracle.busy)
-        pop.release(np.flatnonzero(mask)[::2])
-        oracle.release(expected[::2])
+        pop.release(_mask(n, np.flatnonzero(mask)[::2]))
+        oracle.busy[expected[::2]] = False
     assert np.array_equal(pop.streams["recruit"].random(4),
                           oracle.streams["recruit"].random(4))
 

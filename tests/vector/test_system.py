@@ -294,16 +294,18 @@ def _validate_columns(census):
 
 class _OracleSystem(VectorOddCISystem):
     """The system on the column census, with the epoch loop that
-    re-registers every epoch's up members before heartbeating them."""
+    re-registers every epoch's up members (the recruit mask's rows)
+    before heartbeating them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.census = _ColumnCensus(self.population.n,
                                     grace_s=self.census.grace_s)
 
-    def _run_census_epochs(self, recruited, outages, census_outages,
+    def _run_census_epochs(self, accepted, cohort, outages, census_outages,
                            t_start, finish, *, instance):
         census = self.census
+        recruited = np.flatnonzero(accepted)
         census.observe(recruited, STATE_BUSY, instance, t_start)
         epochs = min(self.census_epochs, max(1, int(
             (finish - t_start) / self.heartbeat_interval_s)))
@@ -379,10 +381,10 @@ def _census_run(cls, case, *, read_columns):
     log = {"gauges": [], "columns": [], "patterns": []}
     run_epochs = cls._run_census_epochs
 
-    def epochs_then_read(self, recruited, outages, *args, **kwargs):
+    def epochs_then_read(self, accepted, cohort, outages, *args, **kwargs):
         log["patterns"].append(victim_patterns(
-            [m for _ws, _we, m in outages], recruited.size)[1].size)
-        out = run_epochs(self, recruited, outages, *args, **kwargs)
+            [m for _ws, _we, m in outages], cohort)[1].size)
+        out = run_epochs(self, accepted, cohort, outages, *args, **kwargs)
         if read_columns:
             log["columns"].append(_columns(self.census))
         return out
@@ -400,6 +402,13 @@ def _census_run(cls, case, *, read_columns):
     log["metrics"] = tracer.metrics.snapshot()
     log["census"] = system.census
     return log
+
+
+def _mask(n, rows):
+    """The boolean row mask of ``rows`` over ``n`` rows."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 def _columns(census):
@@ -451,9 +460,10 @@ def test_census_lockstep_with_column_census(data):
     victim masks, heartbeats with drawn windows down, clears, closing
     and other observes, column reads, consolidations at any instant —
     leaves the grouped census and the column census with the same
-    gauges, heartbeat count and columns.  A heartbeat of the grouped
-    census re-registers its up groups, so the column census observes
-    and heartbeats the up rows."""
+    gauges, heartbeat count and columns.  The grouped census takes each
+    row set as a boolean row mask, the column census as indices.  A
+    heartbeat of the grouped census re-registers its up groups, so the
+    column census observes and heartbeats the up rows."""
     n = data.draw(st.integers(min_value=1, max_value=40), label="n")
     with telemetry.active(telemetry.Tracer("vector")) as new_tracer:
         new = VectorCensus(n, grace_s=90.0)
@@ -474,12 +484,13 @@ def test_census_lockstep_with_column_census(data):
                 st.booleans(), min_size=rows.size, max_size=rows.size)))
                 for _ in range(data.draw(st.integers(0, 3)))]
             instance = data.draw(st.integers(0, 3))
-            new.observe(rows, STATE_BUSY, instance, now,
+            opened = _mask(n, rows)
+            new.observe(opened, STATE_BUSY, instance, now,
                         patterns=victim_patterns(masks, rows.size))
             old.observe(rows, STATE_BUSY, instance, now)
-            cohort = (rows, masks, instance)
+            cohort = (rows, masks, instance, opened)
         elif op == "beat" and cohort is not None:
-            rows, masks, instance = cohort
+            rows, masks, instance, _opened = cohort
             down = sorted(data.draw(st.sets(
                 st.integers(0, len(masks) - 1)))) if masks else []
             up = np.ones(rows.size, dtype=bool)
@@ -492,14 +503,14 @@ def test_census_lockstep_with_column_census(data):
             new.clear()
             old.clear()
         elif op == "close" and cohort is not None:
-            new.observe(cohort[0], STATE_IDLE, -1, now)
+            new.observe(cohort[3], STATE_IDLE, -1, now)
             old.observe(cohort[0], STATE_IDLE, -1, now)
             cohort = None
         elif op == "observe":
             rows = np.array(sorted(data.draw(st.sets(
                 st.integers(0, n - 1)))), dtype=np.int64)
             state = data.draw(st.sampled_from([STATE_NONE, STATE_IDLE]))
-            new.observe(rows, state, -1, now)
+            new.observe(_mask(n, rows), state, -1, now)
             old.observe(rows, state, -1, now)
             cohort = None
             # observing NONE leaves a last-seen instant on absent rows
@@ -522,7 +533,7 @@ def test_fresh_and_cleared_census_read_never_seen():
     outside it."""
     assert (VectorCensus(50, grace_s=90.0).seen == _NEVER).all()
     census = VectorCensus(50, grace_s=90.0)
-    census.observe(np.arange(20), STATE_BUSY, 0, 10.0)
+    census.observe(np.arange(50) < 20, STATE_BUSY, 0, 10.0)
     assert census.consolidate(10.0) == {
         "registry_size": 20, "idle": 0, "alive": 20}
     assert (census.seen[:20] == 10.0).all()
