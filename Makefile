@@ -86,8 +86,9 @@ certify-smoke:
 # Vector-tier parity smoke: the columnar system/fault-mask/telemetry
 # suites, the carousel schedule the wakeup is sampled from (and its
 # fmod-vs-% differential), the event-vs-vector agreement suite, the
-# vector_scale scenario through the parallel runner, and the throughput
-# and fresh-process peak-RSS floors at reduced scale (DESIGN.md §16).
+# vector_scale scenario through the parallel runner, and the throughput,
+# census-cycle and fresh-process peak-RSS floors at reduced scale (the
+# population build floor keeps its own scale; DESIGN.md §16).
 vector-smoke:
 	$(PYTHON) -m pytest tests/vector tests/faults/test_masks.py \
 		tests/carousel/test_schedule.py \

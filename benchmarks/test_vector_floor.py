@@ -41,7 +41,14 @@ processes each, interleaved with the code before them, same host):
 10^7 nodes 20.4-22.6M nodes/s (14.4-16.0M before), peak RSS 342 MB
 (418 MB before); 10^6 23.4-25.8M (16.3-18.7M); 10^5 8.4-10.5M
 (9.2-9.8M); the 10^8 smoke, run once, 20.8M nodes/s at 2,959 MB.
-:data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build.
+With the census as one epoch code per row (3 fresh processes each,
+interleaved with the code before it, same host): 10^7 nodes
+34.2-34.5M nodes/s (23.9-25.1M before), build 0.019-0.021 s
+(0.041-0.066 s), peak RSS 237 MB (342 MB before); 10^5 11.9-12.4M
+(9.4-11.3M), 52.4 MB (53.3 MB); the 10^8 smoke, run once, 26.1M
+nodes/s at 1,887 MB, build 0.27 s.
+:data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build and
+:data:`MIN_CENSUS_ROWS_PER_SEC` one job's census cycle.
 
 The semantic test is always-on (sim-time numbers, machine-independent);
 the wall-clock floor is perf-marked::
@@ -53,11 +60,15 @@ the wall-clock floor is perf-marked::
 import os
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.scenario import SCENARIO, gc_paused, in_fresh_process
+from repro.core.census import STATE_BUSY, STATE_IDLE
 from repro.experiments.vector_scale import storm_plan
 from repro.net.message import MEGABYTE
+from repro.vector.census import VectorCensus
+from repro.vector.executor import victim_patterns
 from repro.vector.population import VectorPopulation
 from repro.vector.system import VectorOddCISystem
 from repro.workloads.bot import uniform_bag_spec
@@ -69,17 +80,19 @@ FULL_SCALE = 1_000_000
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
 #: The memory floor's full scale, the peak RSS a fresh process that
-#: runs the scenario there may reach (342 MB measured over 3 runs,
-#: 418 MB with a whole phases column beside the ready column and the
-#: recruited rows taken for the census, 482 MB with those rows beside
-#: the wakeup columns, 841 MB with a float64 device-factor column and
-#: four cohort temporaries live at once), and the floor of a
-#: reduced-scale budget: the interpreter, numpy, pytest and the
-#: experiments package take ~46 MB before the first row (scipy loads
-#: only with a confidence interval), and 10^5 nodes ~55 MB in all.
+#: runs the scenario there may reach (237 MB measured over 3 runs with
+#: one census epoch code per row, 342 MB with an int8 state and a
+#: float64 last-seen column, 418 MB with a whole phases column beside
+#: the ready column and the recruited rows taken for the census, 482 MB
+#: with those rows beside the wakeup columns, 841 MB with a float64
+#: device-factor column and four cohort temporaries live at once), and
+#: the floor of a reduced-scale budget: the interpreter, numpy, pytest
+#: and the experiments package take ~46 MB before the first row (scipy
+#: loads only with a confidence interval), and 10^5 nodes 52.3-52.4 MB
+#: in all (3 fresh processes).
 RSS_FULL_SCALE = 10_000_000
-FULL_RSS_MB = 400.0
-MIN_RSS_MB = 70.0
+FULL_RSS_MB = 300.0
+MIN_RSS_MB = 65.0
 #: The fleet build floor's scale, which ``REPRO_FLOOR_SCALE`` leaves
 #: alone (three builds take ~0.1 s), and its bound in population rows
 #: built per wall second, best of three ``VectorPopulation`` builds:
@@ -90,6 +103,16 @@ MIN_RSS_MB = 70.0
 #: columns (0.03-0.08 s at this scale), which no gate decides.
 BUILD_SCALE = 8_000_000
 MIN_BUILD_NODES_PER_SEC = 130_000_000
+#: One job's census cycle (open, 12 heartbeat epochs, close) over
+#: ``1.25 BUILD_SCALE + 10`` rows, best of three after a first cycle
+#: that touches the column, takes at most a fixed cost plus a row
+#: rate: 7.1-10.7 ms measured at 10^7 rows (1.3-1.4G rows/s; 0.3-0.6
+#: ms at 125,010 rows, the CI scale), about 3.5x inside the budget.
+#: The census that sorted the outside rows' last-seen instants on
+#: opening and scattered two columns on closing took 98-105 ms there
+#: (0.10G rows/s) and fails it.
+CENSUS_FIXED_S = 0.002
+MIN_CENSUS_ROWS_PER_SEC = 300_000_000
 
 
 def build_vector_scenario(n_nodes: int):
@@ -199,3 +222,45 @@ def test_vector_scale_holds_memory_floor():
     assert metrics["rss_mb"] < budget, (
         f"vector memory floor broken: {metrics['rss_mb']:.0f} MB for "
         f"{scale} nodes (budget {budget:.0f} MB): {metrics}")
+
+
+def census_cycle_walls(n_nodes: int, cycles: int = 4):
+    """Rows and the wall seconds of ``cycles`` census cycles over
+    ``1.25 n_nodes + 10`` rows, each job's cohort 80% of the rows (drawn
+    afresh, so the outside rows hold earlier jobs' codes) under one
+    0.3 storm window that is down for the first 4 of 12 epochs."""
+    rows = int(n_nodes * 1.25) + 10
+    rng = np.random.default_rng(SCENARIO["seed"])
+    jobs = []
+    for _ in range(cycles):
+        mask = rng.random(rows) < 0.8
+        cohort = int(np.count_nonzero(mask))
+        jobs.append((mask, victim_patterns([rng.random(cohort) < 0.3],
+                                           cohort)))
+    census = VectorCensus(rows, grace_s=90.0)
+    walls, now = [], 0.0
+    for mask, patterns in jobs:
+        with gc_paused():
+            t0 = time.perf_counter()
+            census.observe(mask, STATE_BUSY, 0, now, patterns=patterns)
+            for epoch in range(12):
+                now += 30.0
+                census.heartbeat([0] if epoch < 4 else [], now)
+                census.consolidate(now)
+            census.observe(mask, STATE_IDLE, -1, now)
+            walls.append(time.perf_counter() - t0)
+        now += 30.0
+    return rows, walls
+
+
+@pytest.mark.perf
+def test_vector_census_cycle_holds_floor():
+    """Best of three census cycles, after one that touches the column,
+    takes at most ``CENSUS_FIXED_S`` plus ``MIN_CENSUS_ROWS_PER_SEC``
+    per row."""
+    scale = int(os.environ.get("REPRO_FLOOR_SCALE", BUILD_SCALE))
+    rows, walls = census_cycle_walls(scale)
+    budget = CENSUS_FIXED_S + rows / MIN_CENSUS_ROWS_PER_SEC
+    assert min(walls[1:]) <= budget, (
+        f"vector census floor broken: {min(walls[1:]):.4f} s at {rows} "
+        f"rows (budget {budget:.4f} s): cycles {walls}")

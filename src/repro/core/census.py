@@ -51,7 +51,6 @@ __all__ = [
     "CODE_STATE",
     "NodeInterner",
     "ColumnarCensusStore",
-    "registry_reductions",
 ]
 
 #: Registry state codes (int8 column values).
@@ -69,29 +68,6 @@ CODE_STATE = {STATE_IDLE: PNAState.IDLE, STATE_BUSY: PNAState.BUSY}
 #: ``last_seen`` value for untouched registry rows (compares below any
 #: finite horizon, exactly like an absent dict entry).
 _NEVER = float("-inf")
-
-
-def registry_reductions(state, seen, *, horizon: float) -> Dict[str, int]:
-    """Census gauge values from raw state/seen columns, in one pass.
-
-    The reduction semantics shared by the Controller's gauge refresh and
-    the vector tier's :class:`~repro.vector.census.VectorCensus`:
-    ``registry_size`` counts every row ever heard from, ``alive`` the
-    rows seen at or after ``horizon`` (untouched rows sit at ``-inf``
-    and fail any finite horizon), and ``idle`` the alive rows reporting
-    IDLE — exactly :meth:`ColumnarCensusStore.registry_size` /
-    :meth:`~ColumnarCensusStore.alive_estimate` /
-    :meth:`~ColumnarCensusStore.idle_estimate` evaluated on the same
-    columns.
-    """
-    state = np.asarray(state)
-    seen = np.asarray(seen)
-    alive = seen >= horizon
-    return {
-        "registry_size": int(np.count_nonzero(state != STATE_NONE)),
-        "idle": int(np.count_nonzero(alive & (state == STATE_IDLE))),
-        "alive": int(np.count_nonzero(alive)),
-    }
 
 
 class NodeInterner:

@@ -12,16 +12,15 @@ computed with NumPy over millions of nodes:
   census and telemetry.  A single job is a system with one
   ``run_job`` call.
 * :mod:`~repro.vector.executor` — greedy-pull makespans (exact
-  water-filling for homogeneous bags, outage-aware generalisation, heap
-  for the general case).
-* :class:`~repro.vector.census.VectorCensus` — struct-of-arrays census
+  water-filling for homogeneous bags and its outage-aware
+  generalisation).
+* :class:`~repro.vector.census.VectorCensus` — epoch-coded census
   with the event tier's grace-window liveness and metric names.
 """
 
 from repro.vector.census import VectorCensus
 from repro.vector.executor import (
     ExecutionOutcome,
-    makespan_heap,
     makespan_under_outages,
     makespan_waterfill,
     per_task_wall_seconds,
@@ -37,7 +36,6 @@ __all__ = [
     "ExecutionOutcome",
     "makespan_waterfill",
     "makespan_under_outages",
-    "makespan_heap",
     "per_task_wall_seconds",
     "VectorCensus",
     "VectorPopulation",

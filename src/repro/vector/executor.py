@@ -3,25 +3,21 @@
 The event tier simulates every message: faithful, at ~290 B per PNA
 (10⁷ PNAs: ~9 s, 2.9 GB).  For the paper's scalability claims (requirement I:
 "hundreds of millions of processing resources") we compute the *same*
-pull-scheduling outcome with array math:
-
-* :func:`makespan_waterfill` — homogeneous tasks: binary-search the
-  finish time T such that the fleet's aggregate task capacity by T
-  reaches ``n``; exact greedy list-scheduling result in O(N · log)
-  vectorised passes.
-* :func:`makespan_heap` — general case (heterogeneous tasks and/or
-  nodes): classic event-free greedy list scheduling with a heap,
-  O(n log N).
+pull-scheduling outcome with array math: :func:`makespan_waterfill`
+binary-searches the finish time T such that the fleet's aggregate task
+capacity by T reaches ``n`` (homogeneous tasks; exact greedy
+list-scheduling result in O(N · log) vectorised passes), and
+:func:`makespan_under_outages` generalises it to compute-outage
+windows.
 
 Both include the per-task direct-channel I/O time, matching the event
 tier's DVE loop (request → input transfer → compute → result transfer).
-Tests cross-validate the two against each other and against the event
-tier on overlapping sizes.
+Tests cross-validate them against a heap-based greedy scheduler and
+against the event tier on overlapping sizes.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -29,7 +25,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 
-__all__ = ["ExecutionOutcome", "makespan_waterfill", "makespan_heap",
+__all__ = ["ExecutionOutcome", "makespan_waterfill",
            "makespan_under_outages", "per_task_wall_seconds",
            "victim_patterns"]
 
@@ -334,61 +330,4 @@ def makespan_under_outages(
         n_nodes=int(ready.size),
         tasks_per_node_max=int(k.max()) if k.size else 0,
         groups=fleet,
-    )
-
-
-def makespan_heap(
-    ready_times: np.ndarray,
-    task_wall_seconds: Sequence[float],
-) -> ExecutionOutcome:
-    """General greedy pull scheduling: heterogeneous tasks, shared queue.
-
-    Tasks are handed out in order; each goes to the node that frees up
-    earliest.  O(n log N).
-    """
-    ready = np.asarray(ready_times, dtype=float)
-    durations = np.asarray(task_wall_seconds, dtype=float)
-    if ready.ndim != 1 or ready.size == 0:
-        raise AnalysisError("ready_times must be a non-empty 1-D array")
-    if durations.ndim != 1 or durations.size == 0:
-        raise AnalysisError("task_wall_seconds must be a non-empty 1-D array")
-    if np.any(durations <= 0):
-        raise AnalysisError("task durations must be > 0")
-
-    # Hoist numpy out of the hot loop: native-float lists iterate ~5x
-    # faster than ndarray element access, and the heap then holds plain
-    # (float, int) tuples.
-    ready_list = ready.tolist()
-    dur_list = durations.tolist()
-    n_nodes = len(ready_list)
-
-    if durations.size <= n_nodes and ready.min() == ready.max():
-        # Uniform-ready shortcut: with every node free at the same
-        # instant and no more tasks than nodes, greedy pull hands task j
-        # to node j — no heap needed.
-        start = ready_list[0]
-        return ExecutionOutcome(
-            finish_time=start + max(dur_list),
-            n_tasks=int(durations.size),
-            n_nodes=n_nodes,
-            tasks_per_node_max=1,
-        )
-
-    heap = [(t, i) for i, t in enumerate(ready_list)]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    counts = [0] * n_nodes
-    finish = min(ready_list)
-    for dur in dur_list:
-        available, idx = heappop(heap)
-        done = available + dur
-        counts[idx] += 1
-        if done > finish:
-            finish = done
-        heappush(heap, (done, idx))
-    return ExecutionOutcome(
-        finish_time=finish,
-        n_tasks=int(durations.size),
-        n_nodes=n_nodes,
-        tasks_per_node_max=max(counts),
     )

@@ -42,11 +42,7 @@ from repro.faults import (
     availability_fraction,
 )
 from repro.net.message import KILOBYTE, MEGABYTE, bits_from_bytes
-from repro.vector import (
-    VectorOddCISystem,
-    makespan_heap,
-    makespan_waterfill,
-)
+from repro.vector import VectorOddCISystem, makespan_waterfill
 from repro.vector.churn import effective_capacity, makespan_under_churn
 from repro.workloads import (
     REFERENCE_PC,
@@ -55,6 +51,7 @@ from repro.workloads import (
     uniform_bag,
 )
 from repro.workloads.devices import REFERENCE_STB
+from tests.vector.heap_executor import makespan_heap
 
 
 def event_tier_makespan(n_nodes, n_tasks, ref_seconds, io_bits,

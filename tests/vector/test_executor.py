@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from repro.errors import AnalysisError
 from repro.vector import executor
 from repro.vector import (
-    makespan_heap,
     makespan_under_outages,
     makespan_waterfill,
     per_task_wall_seconds,
 )
 from repro.vector.executor import ExecutionOutcome
+from tests.vector.heap_executor import makespan_heap
 
 
 def test_per_task_wall_seconds():

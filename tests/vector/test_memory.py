@@ -23,12 +23,12 @@ from repro.workloads import uniform_bag_spec
 
 ROWS = 100_000
 
-#: tracemalloc bytes per row live after the system is built: 13
-#: measured once device factors follow from the power mode and the
-#: census allocates its instance column on first tag (mode, busy,
-#: matches and link_up at 1 byte, census state at 1 and last-seen at
-#: 8); 29 with a float64 factor column and an int64 instance column.
-BUILD_BYTES_PER_ROW = 16
+#: tracemalloc bytes per row live after the system is built: 5.16
+#: measured once the census holds one epoch code per row (mode, busy,
+#: matches and link_up at 1 byte, the census code at 1); 13.1 with an
+#: int8 census state and a float64 last-seen column, 29 with a float64
+#: factor column and an int64 instance column as well.
+BUILD_BYTES_PER_ROW = 7
 
 #: tracemalloc peak bytes per recruited node over one job's run phase,
 #: above what was live before it: 16.4-17.4 measured once the wakeup

@@ -12,7 +12,6 @@ from repro.core.census import (
     STATE_IDLE,
     STATE_NONE,
     _NEVER,
-    registry_reductions,
 )
 from repro.errors import AnalysisError, ConfigurationError
 from repro.experiments.vector_scale import storm_plan
@@ -220,6 +219,25 @@ def test_fault_counters_track_windows():
     assert tracer.metrics.counter("fault.restored").value == 1
 
 
+def registry_reductions(state, seen, *, horizon):
+    """Census gauge values from raw state/seen columns, in one pass:
+    ``registry_size`` counts every row ever heard from, ``alive`` the
+    rows seen at or after ``horizon`` (untouched rows sit at ``-inf``
+    and fail any finite horizon), and ``idle`` the alive rows reporting
+    IDLE — :meth:`ColumnarCensusStore.registry_size` /
+    :meth:`~ColumnarCensusStore.alive_estimate` /
+    :meth:`~ColumnarCensusStore.idle_estimate` on the same columns.
+    The column census below reduces its columns with it."""
+    state = np.asarray(state)
+    seen = np.asarray(seen)
+    alive = seen >= horizon
+    return {
+        "registry_size": int(np.count_nonzero(state != STATE_NONE)),
+        "idle": int(np.count_nonzero(alive & (state == STATE_IDLE))),
+        "alive": int(np.count_nonzero(alive)),
+    }
+
+
 class _ColumnCensus:
     """The census as it was before cohorts were held as groups, kept
     verbatim (bar two methods nothing called) as the oracle of
@@ -422,8 +440,8 @@ def test_census_epochs_match_always_observe_oracle():
     (each ``census_epoch`` / ``census_outage`` record's fields), the
     ``census.*`` metrics and the state / last-seen / instance columns —
     after each job's epochs when read then, and after the run —
-    match exactly.  Reading the columns mid-run writes the groups into
-    them; not reading them leaves every write to the closing observe."""
+    match exactly, whether or not the columns are read mid-run (a read
+    writes nothing)."""
     for case, read_columns in itertools.product(_CENSUS_CASES,
                                                 (False, True)):
         want = _census_run(_OracleSystem, case, read_columns=read_columns)
@@ -453,6 +471,88 @@ def test_census_epochs_match_always_observe_oracle():
             assert names.count("census_epoch") == 2
 
 
+class _Lockstep:
+    """The grouped census and the column census driven through the same
+    calls.  The grouped census takes each row set as a boolean row mask,
+    the column census as indices.  A heartbeat of the grouped census
+    re-registers its up groups, so the column census observes and
+    heartbeats the up rows."""
+
+    def __init__(self, n):
+        self.n = n
+        with telemetry.active(telemetry.Tracer("vector")) as self.new_tracer:
+            self.new = VectorCensus(n, grace_s=90.0)
+        with telemetry.active(telemetry.Tracer("vector")) as self.old_tracer:
+            self.old = _ColumnCensus(n, grace_s=90.0)
+        self.cohort = None
+        self.absent_seen = False
+
+    def open(self, rows, masks, instance, now):
+        opened = _mask(self.n, rows)
+        self.new.observe(opened, STATE_BUSY, instance, now,
+                         patterns=victim_patterns(masks, rows.size))
+        self.old.observe(rows, STATE_BUSY, instance, now)
+        self.cohort = (rows, masks, instance, opened)
+
+    def beat(self, down, now):
+        rows, masks, instance, _opened = self.cohort
+        up = np.ones(rows.size, dtype=bool)
+        for w in down:
+            up &= ~masks[w]
+        self.new.heartbeat(down, now)
+        self.old.observe(rows[up], STATE_BUSY, instance, now)
+        self.old.heartbeat(rows[up], now)
+
+    def clear(self):
+        self.new.clear()
+        self.old.clear()
+
+    def close(self, now):
+        self.new.observe(self.cohort[3], STATE_IDLE, -1, now)
+        self.old.observe(self.cohort[0], STATE_IDLE, -1, now)
+        self.cohort = None
+
+    def observe(self, rows, state, now):
+        self.new.observe(_mask(self.n, rows), state, -1, now)
+        self.old.observe(rows, state, -1, now)
+        self.cohort = None
+        # observing NONE leaves a last-seen instant on absent rows
+        self.absent_seen = self.absent_seen or state == STATE_NONE
+
+    def read(self):
+        for g, w in zip(_columns(self.new), _columns(self.old)):
+            np.testing.assert_array_equal(g, w)
+
+    def consolidate(self, at):
+        assert self.new.consolidate(at) == self.old.consolidate(at)
+
+    def finish(self):
+        self.read()
+        if not self.absent_seen:
+            _validate_columns(self.new)
+        assert self.new_tracer.metrics.snapshot() \
+            == self.old_tracer.metrics.snapshot()
+
+
+def _draw_rows(data, n, min_size=0):
+    return np.array(sorted(data.draw(st.sets(
+        st.integers(0, n - 1), min_size=min_size))), dtype=np.int64)
+
+
+def _draw_cohort(data, n):
+    """Cohort rows, 0-3 victim masks over them and an instance id."""
+    rows = _draw_rows(data, n, min_size=1)
+    masks = [np.array(data.draw(st.lists(
+        st.booleans(), min_size=rows.size, max_size=rows.size)))
+        for _ in range(data.draw(st.integers(0, 3)))]
+    return rows, masks, data.draw(st.integers(0, 3))
+
+
+def _draw_down(data, masks):
+    return sorted(data.draw(st.sets(
+        st.integers(0, len(masks) - 1)))) if masks else []
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_census_lockstep_with_column_census(data):
@@ -460,17 +560,9 @@ def test_census_lockstep_with_column_census(data):
     victim masks, heartbeats with drawn windows down, clears, closing
     and other observes, column reads, consolidations at any instant —
     leaves the grouped census and the column census with the same
-    gauges, heartbeat count and columns.  The grouped census takes each
-    row set as a boolean row mask, the column census as indices.  A
-    heartbeat of the grouped census re-registers its up groups, so the
-    column census observes and heartbeats the up rows."""
+    gauges, heartbeat count and columns."""
     n = data.draw(st.integers(min_value=1, max_value=40), label="n")
-    with telemetry.active(telemetry.Tracer("vector")) as new_tracer:
-        new = VectorCensus(n, grace_s=90.0)
-    with telemetry.active(telemetry.Tracer("vector")) as old_tracer:
-        old = _ColumnCensus(n, grace_s=90.0)
-    cohort = None
-    absent_seen = False
+    both = _Lockstep(n)
     now = 0.0
     for _ in range(data.draw(st.integers(min_value=1, max_value=30))):
         now += data.draw(st.sampled_from([0.0, 30.0, 100.0]))
@@ -478,53 +570,144 @@ def test_census_lockstep_with_column_census(data):
             ["open", "beat", "beat", "clear", "close", "observe", "read",
              "consolidate"]))
         if op == "open":
-            rows = np.array(sorted(data.draw(st.sets(
-                st.integers(0, n - 1), min_size=1))), dtype=np.int64)
-            masks = [np.array(data.draw(st.lists(
-                st.booleans(), min_size=rows.size, max_size=rows.size)))
-                for _ in range(data.draw(st.integers(0, 3)))]
-            instance = data.draw(st.integers(0, 3))
-            opened = _mask(n, rows)
-            new.observe(opened, STATE_BUSY, instance, now,
-                        patterns=victim_patterns(masks, rows.size))
-            old.observe(rows, STATE_BUSY, instance, now)
-            cohort = (rows, masks, instance, opened)
-        elif op == "beat" and cohort is not None:
-            rows, masks, instance, _opened = cohort
-            down = sorted(data.draw(st.sets(
-                st.integers(0, len(masks) - 1)))) if masks else []
-            up = np.ones(rows.size, dtype=bool)
-            for w in down:
-                up &= ~masks[w]
-            new.heartbeat(down, now)
-            old.observe(rows[up], STATE_BUSY, instance, now)
-            old.heartbeat(rows[up], now)
+            both.open(*_draw_cohort(data, n), now)
+        elif op == "beat" and both.cohort is not None:
+            both.beat(_draw_down(data, both.cohort[1]), now)
         elif op == "clear":
-            new.clear()
-            old.clear()
-        elif op == "close" and cohort is not None:
-            new.observe(cohort[3], STATE_IDLE, -1, now)
-            old.observe(cohort[0], STATE_IDLE, -1, now)
-            cohort = None
+            both.clear()
+        elif op == "close" and both.cohort is not None:
+            both.close(now)
         elif op == "observe":
-            rows = np.array(sorted(data.draw(st.sets(
-                st.integers(0, n - 1)))), dtype=np.int64)
-            state = data.draw(st.sampled_from([STATE_NONE, STATE_IDLE]))
-            new.observe(_mask(n, rows), state, -1, now)
-            old.observe(rows, state, -1, now)
-            cohort = None
-            # observing NONE leaves a last-seen instant on absent rows
-            absent_seen = absent_seen or state == STATE_NONE
+            rows = _draw_rows(data, n)
+            both.observe(rows, data.draw(st.sampled_from(
+                [STATE_NONE, STATE_IDLE])), now)
         elif op == "read":
-            for g, w in zip(_columns(new), _columns(old)):
-                np.testing.assert_array_equal(g, w)
-        at = now - data.draw(st.sampled_from([0.0, 60.0, 250.0]))
-        assert new.consolidate(at) == old.consolidate(at)
-    for g, w in zip(_columns(new), _columns(old)):
-        np.testing.assert_array_equal(g, w)
-    if not absent_seen:
-        _validate_columns(new)
-    assert new_tracer.metrics.snapshot() == old_tracer.metrics.snapshot()
+            both.read()
+        both.consolidate(now - data.draw(st.sampled_from([0.0, 60.0, 250.0])))
+    both.finish()
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_census_lockstep_over_job_cycles(data):
+    """Job after job on one census, as a system runs them: each cycle
+    opens a cohort, runs heartbeat epochs (with clears, reads and
+    consolidations among them) and closes it, and between cycles other
+    rows may be observed.  The codes earlier cycles left are counted on
+    each opening and reused on each close, so a census of at most 40
+    rows keeps its one-byte column; the two censuses agree throughout."""
+    n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+    both = _Lockstep(n)
+    now = 0.0
+    for _ in range(data.draw(st.integers(min_value=2, max_value=8))):
+        if data.draw(st.booleans()):
+            both.observe(_draw_rows(data, n), STATE_IDLE, now)
+        now += 30.0
+        both.open(*_draw_cohort(data, n), now)
+        both.consolidate(now)
+        for _ in range(data.draw(st.integers(0, 5))):
+            now += data.draw(st.sampled_from([30.0, 100.0]))
+            op = data.draw(st.sampled_from(["beat", "beat", "clear", "read"]))
+            if op == "beat":
+                both.beat(_draw_down(data, both.cohort[1]), now)
+            elif op == "clear":
+                both.clear()
+            else:
+                both.read()
+            both.consolidate(now - data.draw(st.sampled_from([0.0, 250.0])))
+        now += 30.0
+        both.close(now)
+        both.consolidate(now)
+    both.finish()
+    assert both.new._code.dtype == np.uint8
+
+
+def test_column_read_leaves_census_unchanged():
+    """Reading the columns while a cohort is open writes nothing: the
+    gauges, the epoch table and the code column stay as they were, and
+    the columns it hands out are read-only."""
+    n = 1_000
+    census = VectorCensus(n, grace_s=90.0)
+    census.observe(np.arange(n) % 3 == 0, STATE_IDLE, -1, 10.0)
+    opened = np.arange(n) % 2 == 0
+    cohort = int(opened.sum())
+    census.observe(opened, STATE_BUSY, 4, 40.0, patterns=victim_patterns(
+        [np.arange(cohort) % 5 == 0], cohort))
+    census.heartbeat([0], 70.0)
+    gauges = census.consolidate(150.0)
+
+    def table():
+        return [a.copy() for a in (
+            census._code, census._states, census._seens, census._instances,
+            census._count, census._cohort.outside)]
+
+    before = table()
+    for column in (census.state, census.seen, census.instance):
+        assert not column.flags.writeable
+    assert (census.state[opened] == STATE_BUSY).all()
+    assert (census.instance[opened] == 4).all()
+    assert census.gauges == gauges
+    for was, now in zip(before, table()):
+        np.testing.assert_array_equal(was, now)
+    assert census.consolidate(150.0) == gauges
+
+
+def test_repeated_job_cycles_reuse_codes():
+    """300 open/heartbeat/close cycles over drawn cohorts of a 50-row
+    census (and an observe of other rows every third cycle) keep the
+    column one byte per row and the table at 256 codes: a code whose
+    rows are all overwritten is free again.  The column census agrees
+    throughout."""
+    n = 50
+    rng = np.random.default_rng(7)
+    both = _Lockstep(n)
+    now = 0.0
+    for cycle in range(300):
+        if cycle % 3 == 0:
+            both.observe(np.flatnonzero(rng.random(n) < 0.2), STATE_IDLE, now)
+        rows = np.flatnonzero(rng.random(n) < 0.6)
+        now += 30.0
+        both.open(rows, [rng.random(rows.size) < 0.3], 0, now)
+        now += 30.0
+        both.beat([0] if cycle % 2 else [], now)
+        both.consolidate(now)
+        now += 30.0
+        both.close(now)
+        both.consolidate(now)
+        assert np.count_nonzero(both.new._count) <= n + 1
+    both.finish()
+    assert both.new._code.dtype == np.uint8
+    assert both.new._count.size == 256
+
+
+def test_256th_live_code_widens_the_column():
+    """255 rows observed one at a time hold codes 1-255 (code 0 still
+    holds the rows never seen), which fill the one-byte column; the
+    256th live code widens it to two bytes and the table to 512 codes,
+    and the census keeps agreeing with the column census through a job
+    cycle and a clear after that."""
+    n = 300
+    both = _Lockstep(n)
+    for row in range(255):
+        both.observe(np.array([row]), STATE_IDLE, float(row))
+    assert both.new._code.dtype == np.uint8
+    assert np.count_nonzero(both.new._count) == 256
+    both.observe(np.array([255]), STATE_IDLE, 255.0)
+    assert both.new._code.dtype == np.uint16
+    assert both.new._count.size == 512
+    both.read()
+    for at in (0.0, 200.0, 300.0):
+        both.consolidate(at)
+    rows = np.arange(100, 280)
+    both.open(rows, [np.arange(rows.size) % 4 == 0], 2, 400.0)
+    both.beat([0], 430.0)
+    both.read()
+    both.consolidate(440.0)
+    both.close(460.0)
+    both.consolidate(460.0)
+    both.clear()
+    both.consolidate(500.0)
+    both.finish()
 
 
 def test_fresh_and_cleared_census_read_never_seen():
