@@ -46,7 +46,13 @@ interleaved with the code before it, same host): 10^7 nodes
 34.2-34.5M nodes/s (23.9-25.1M before), build 0.019-0.021 s
 (0.041-0.066 s), peak RSS 237 MB (342 MB before); 10^5 11.9-12.4M
 (9.4-11.3M), 52.4 MB (53.3 MB); the 10^8 smoke, run once, 26.1M
-nodes/s at 1,887 MB, build 0.27 s.
+nodes/s at 1,887 MB, build 0.27 s.  With the ready instants as one
+uint8 code per node, the columns a build fraction decides held as
+their one value and no link column (3 fresh processes each,
+interleaved with the code before it, same host): 10^7 nodes
+21.9-35.3M nodes/s (19.1-20.6M before), build 0.007-0.010 s
+(0.025-0.035 s), peak RSS 171 MB (246 MB before); 10^5 15.3-22.7M
+(7.4-8.7M), 50.4-50.5 MB (52.2 MB).
 :data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build and
 :data:`MIN_CENSUS_ROWS_PER_SEC` one job's census cycle.
 
@@ -80,29 +86,35 @@ FULL_SCALE = 1_000_000
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
 #: The memory floor's full scale, the peak RSS a fresh process that
-#: runs the scenario there may reach (237 MB measured over 3 runs with
-#: one census epoch code per row, 342 MB with an int8 state and a
+#: runs the scenario there may reach (171 MB measured over 3 runs with
+#: the ready instants as one uint8 code per node and the decided
+#: population columns held as their value; 237-246 MB with an 8-byte
+#: ready column and three 1-byte population columns beside ``busy``
+#: and one census epoch code per row, 342 MB with an int8 state and a
 #: float64 last-seen column, 418 MB with a whole phases column beside
 #: the ready column and the recruited rows taken for the census, 482 MB
 #: with those rows beside the wakeup columns, 841 MB with a float64
 #: device-factor column and four cohort temporaries live at once), and
 #: the floor of a reduced-scale budget: the interpreter, numpy, pytest
 #: and the experiments package take ~46 MB before the first row (scipy
-#: loads only with a confidence interval), and 10^5 nodes 52.3-52.4 MB
+#: loads only with a confidence interval), and 10^5 nodes 50.4-50.5 MB
 #: in all (3 fresh processes).
 RSS_FULL_SCALE = 10_000_000
-FULL_RSS_MB = 300.0
+FULL_RSS_MB = 220.0
 MIN_RSS_MB = 65.0
 #: The fleet build floor's scale, which ``REPRO_FLOOR_SCALE`` leaves
 #: alone (three builds take ~0.1 s), and its bound in population rows
 #: built per wall second, best of three ``VectorPopulation`` builds:
-#: measured 494-760M (lower quartile ~500M; 8 fresh processes, same
-#: host), 4x margin.  A build that draws one float per row for each
-#: gate its fraction decides (the default fractions decide all three)
-#: measured 64-106M and fails it.  The system's build adds the census
-#: columns (0.03-0.08 s at this scale), which no gate decides.
+#: measured 1.0-2.9G (0.35-1.0 ms, the stream set-up; 6 fresh
+#: processes, same host) once the columns the default fractions decide
+#: are held as their value and only ``busy`` is allocated (zeroed, so
+#: its pages are touched on first write), 4x margin.  A build that fills
+#: the decided ``mode`` and ``matches`` columns and a link column
+#: measured 0.54-0.79G and fails it; one that draws a float per row for
+#: each decided gate measured 64-106M.  The system's build adds the
+#: census code column, also zeroed.
 BUILD_SCALE = 8_000_000
-MIN_BUILD_NODES_PER_SEC = 130_000_000
+MIN_BUILD_NODES_PER_SEC = 2_500_000_000
 #: One job's census cycle (open, 12 heartbeat epochs, close) over
 #: ``1.25 BUILD_SCALE + 10`` rows, best of three after a first cycle
 #: that touches the column, takes at most a fixed cost plus a row

@@ -45,8 +45,7 @@ from repro.core.census import (
 )
 from repro.errors import ConfigurationError
 from repro.telemetry import trace as telemetry
-from repro.vector.executor import victim_patterns
-from repro.vector.population import _CHUNK
+from repro.vector.executor import _CHUNK, victim_patterns
 
 __all__ = ["VectorCensus"]
 

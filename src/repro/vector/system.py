@@ -54,8 +54,9 @@ from repro.net.message import bits_from_bytes
 from repro.sim.monitor import TimeSeries
 from repro.telemetry import trace as telemetry
 from repro.vector.census import VectorCensus
-from repro.vector.executor import makespan_under_outages, victim_patterns
-from repro.vector.population import _CHUNK, VectorPopulation
+from repro.vector.executor import (_CHUNK, Coded, code_rows,
+                                   makespan_under_outages, victim_patterns)
+from repro.vector.population import VectorPopulation
 from repro.workloads.devices import REFERENCE_STB, DeviceProfile
 from repro.workloads.job import Job
 
@@ -93,20 +94,34 @@ def _pairwise(leaf, lo: int, m: int):
 
 
 def wakeup(sched: CarouselSchedule, draw: np.random.Generator,
-           cohort: int, t_start: float) -> Tuple[np.ndarray, float]:
-    """Ready instants and mean wait of ``cohort`` image reads from
-    ``sched`` at ``draw.uniform(0, cycle)`` phases after ``t_start``; the
-    phases use one leaf buffer, the mean is numpy's bit for bit."""
-    ready, buf = np.empty(cohort), np.empty(min(cohort, _CHUNK))
+           cohort: int, t_start: float) -> Tuple[Coded, float]:
+    """Ready instants (coded: a few, the image's next start falls in
+    this cycle or the next) and mean wait of ``cohort`` image reads from
+    ``sched`` at ``draw.uniform(0, cycle)`` phases after ``t_start``;
+    one leaf buffer each, the mean is numpy's bit for bit."""
+    codes, index = np.empty(cohort, dtype=np.uint8), {}
+    buf, vals = np.empty((2, min(cohort, _CHUNK)))
 
     def leaf(lo: int, m: int):
+        nonlocal codes
         phases = draw.random(out=buf[:m])
         phases *= sched.cycle_time  # == uniform(0, cycle): 0.0 + c*u
-        out = sched.completion_time("image", phases, out=ready[lo:lo + m])
+        out = sched.completion_time("image", phases, out=vals[:m])
         out += t_start
+        codes = code_rows(out, codes, lo, index)
         return np.add.reduce(np.subtract(out, phases, out=phases))
 
-    return ready, float(_pairwise(leaf, 0, cohort) / cohort - t_start)
+    mean = float(_pairwise(leaf, 0, cohort) / cohort - t_start)
+    return Coded(np.array(list(index)), codes), mean
+
+
+def _mean(x, size: int) -> float:
+    """The mean of ``size`` rows of ``x`` (a float for all of them, or a
+    :class:`Coded` column), as numpy's ``.mean()`` of the rows."""
+    if not isinstance(x, Coded):
+        return float(np.broadcast_to(x, size).mean())
+    return float(_pairwise(lambda lo, m: np.add.reduce(
+        x.values[x.codes[lo:lo + m]]), 0, size) / size)
 
 
 @dataclass(frozen=True)
@@ -269,8 +284,10 @@ class VectorOddCISystem:
                    probability=probability, deferred_s=t_start - t_submit)
 
         # Compute outages: victims per window from the faults stream
-        # (injector count rule), drawn before the wakeup columns exist.
+        # (injector count rule), drawn before the wakeup codes exist;
+        # the census and the executor share their victim patterns.
         outages = self._applicable_outages(cohort, t_start)
+        patterns = victim_patterns([m for _s, _e, m in outages], cohort)
 
         # Wakeup: every recruited node reads the image from the carousel
         # at a uniformly random phase (wakeup stream).
@@ -281,14 +298,17 @@ class VectorOddCISystem:
         ready, wakeup_mean = wakeup(sched, pop.streams["wakeup"], cohort,
                                     t_start)
 
-        # A float factor (one device class) is averaged as a column.
+        # One device class is one factor; mixed classes, a class code.
         stats = job.stats()
         factors = pop.device_factors(accepted)
-        factor_mean = float(np.broadcast_to(factors, cohort).mean())
+        factor_mean = _mean(factors, cohort)
+        coded = isinstance(factors, Coded)
         d = (stats.mean_io_bits / self.delta_bps
-             + stats.mean_ref_seconds * factors)
+             + stats.mean_ref_seconds * (factors.values if coded else factors))
+        d = factors._replace(values=d) if coded else d
         del factors
-        outcome = makespan_under_outages(ready, job.n, d, outages)
+        outcome = makespan_under_outages(ready, job.n, d, outages,
+                                         patterns=patterns)
         del ready, d  # the executor's groups hold what is read later
         finish = outcome.finish_time
         makespan = finish - t_submit
@@ -300,7 +320,7 @@ class VectorOddCISystem:
             if w.overlaps(t_submit, finish)]
         self._count_fault_windows(outages, census_outages, t_start, finish)
         gauges = self._run_census_epochs(
-            accepted, cohort, outages, census_outages, t_start, finish,
+            accepted, patterns, outages, census_outages, t_start, finish,
             instance=len(self.reports))
         series = self._size_series(
             outcome.groups, census_outages, t_submit, t_start, finish)
@@ -361,7 +381,7 @@ class VectorOddCISystem:
                     self._m_restored.value += 1
 
     # -- census ------------------------------------------------------------
-    def _run_census_epochs(self, accepted: np.ndarray, cohort: int,
+    def _run_census_epochs(self, accepted: np.ndarray, patterns,
                            outages, census_outages, t_start: float,
                            finish: float, *, instance: int) -> Dict[str, int]:
         """Bounded consolidation rounds over the job window.
@@ -373,8 +393,7 @@ class VectorOddCISystem:
         the census and the next epoch self-heals it from the fleet."""
         census = self.census
         census.observe(accepted, STATE_BUSY, instance, t_start,
-                       patterns=victim_patterns(
-                           [mask for _ws, _we, mask in outages], cohort))
+                       patterns=patterns)
         epochs = min(self.census_epochs, max(1, int(
             (finish - t_start) / self.heartbeat_interval_s)))
         t = self._trace

@@ -2,8 +2,7 @@
 
 * :class:`~repro.workloads.job.Job` / ``Task`` — the paper's
   J = (I, n, T, R) tuple.
-* :mod:`~repro.workloads.bot` — uniform / log-normal / parametric /
-  Φ-parameterised bags.
+* :mod:`~repro.workloads.bot` — uniform and Φ-parameterised bags.
 * :mod:`~repro.workloads.blast` — seed-and-extend local alignment with
   work-unit accounting.
 * :mod:`~repro.workloads.sequences` — synthetic DNA with planted
@@ -19,18 +18,13 @@ from repro.workloads.blast import (
     BlastResult,
     HSP,
     search,
-    search_both_strands,
     smith_waterman,
 )
 from repro.workloads.bot import (
     bag_from_phi,
-    lognormal_bag,
-    parametric_bag,
-    phi_of_job,
     BagSpec,
     uniform_bag,
     uniform_bag_spec,
-    weibull_bag,
 )
 from repro.workloads.devices import (
     REFERENCE_PC,
@@ -51,7 +45,7 @@ from repro.workloads.sequences import (
     random_dna,
     reverse_complement,
 )
-from repro.workloads.traces import AvailabilityTrace, ChurnModel, generate_trace
+from repro.workloads.traces import ChurnModel
 
 __all__ = [
     "Job",
@@ -60,17 +54,12 @@ __all__ = [
     "BagSpec",
     "uniform_bag",
     "uniform_bag_spec",
-    "lognormal_bag",
-    "weibull_bag",
-    "parametric_bag",
     "bag_from_phi",
-    "phi_of_job",
     "BlastParams",
     "BlastDatabase",
     "BlastResult",
     "HSP",
     "search",
-    "search_both_strands",
     "smith_waterman",
     "REF_PC_OPS_PER_SECOND",
     "DNA_ALPHABET",
@@ -88,6 +77,4 @@ __all__ = [
     "STB_IN_USE_OVER_PC",
     "STB_IN_USE_OVER_STANDBY",
     "ChurnModel",
-    "AvailabilityTrace",
-    "generate_trace",
 ]

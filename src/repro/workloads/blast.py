@@ -28,7 +28,6 @@ __all__ = [
     "BlastDatabase",
     "BlastResult",
     "search",
-    "search_both_strands",
     "smith_waterman",
     "REF_PC_OPS_PER_SECOND",
 ]
@@ -337,33 +336,3 @@ def search(
 
     result.hsps = hsps
     return result
-
-
-def search_both_strands(
-    db: BlastDatabase,
-    query: np.ndarray,
-    params: Optional[BlastParams] = None,
-) -> BlastResult:
-    """BLASTN semantics: search the query and its reverse complement.
-
-    Real nucleotide BLAST scans both strands because the homolog may lie
-    on the opposite strand of the subject.  Minus-strand HSP coordinates
-    refer to the reverse-complemented query; ``strand`` distinguishes
-    them.  Work units accumulate across both passes.
-    """
-    from dataclasses import replace as _replace
-
-    from repro.workloads.sequences import reverse_complement
-
-    forward = search(db, query, params)
-    reverse = search(db, reverse_complement(query), params)
-    merged = BlastResult(
-        hsps=sorted(
-            list(forward.hsps)
-            + [_replace(h, strand="-") for h in reverse.hsps],
-            key=lambda h: (-h.score, h.seq_index, h.q_start)),
-        work_units=forward.work_units + reverse.work_units,
-        seeds_examined=forward.seeds_examined + reverse.seeds_examined,
-        extensions_run=forward.extensions_run + reverse.extensions_run,
-    )
-    return merged

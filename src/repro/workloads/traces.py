@@ -3,22 +3,18 @@
 Set-top boxes come and go at the will of their owners (paper Section
 3.2: "a PNA can generally be switched off at the will of its owner"), so
 the Controller must recompose instances.  A :class:`ChurnModel` samples
-alternating ON/OFF session durations; :class:`AvailabilityTrace` is a
-concrete alternating timeline usable both by the event-driven population
-(toggling STB power) and by vectorised availability queries.
+alternating ON/OFF session durations.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
 
-__all__ = ["ChurnModel", "AvailabilityTrace", "generate_trace"]
+__all__ = ["ChurnModel"]
 
 
 @dataclass(frozen=True)
@@ -56,83 +52,3 @@ class ChurnModel:
 
     def sample_off(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(self.mean_off_s))
-
-
-@dataclass(frozen=True)
-class AvailabilityTrace:
-    """Alternating availability timeline for one node.
-
-    ``transitions`` is a sorted tuple of times at which the state flips;
-    ``initial_on`` is the state before the first transition.  The trace
-    covers ``[0, horizon)``; queries beyond the horizon raise.
-    """
-
-    transitions: Tuple[float, ...]
-    initial_on: bool
-    horizon: float
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise WorkloadError("horizon must be > 0")
-        last = -1.0
-        for t in self.transitions:
-            if t <= last:
-                raise WorkloadError("transitions must be strictly increasing")
-            if t < 0 or t >= self.horizon:
-                raise WorkloadError("transitions must lie within [0, horizon)")
-            last = t
-
-    def is_on(self, t: float) -> bool:
-        """State at time ``t``."""
-        if not 0 <= t < self.horizon:
-            raise WorkloadError(f"t={t} outside [0, {self.horizon})")
-        flips = bisect.bisect_right(self.transitions, t)
-        return self.initial_on if flips % 2 == 0 else not self.initial_on
-
-    def on_fraction(self) -> float:
-        """Fraction of the horizon spent ON."""
-        total_on = 0.0
-        state = self.initial_on
-        prev = 0.0
-        for t in self.transitions:
-            if state:
-                total_on += t - prev
-            state = not state
-            prev = t
-        if state:
-            total_on += self.horizon - prev
-        return total_on / self.horizon
-
-    def segments(self) -> Iterator[Tuple[float, float, bool]]:
-        """Yield ``(start, end, on)`` segments covering the horizon."""
-        state = self.initial_on
-        prev = 0.0
-        for t in self.transitions:
-            yield prev, t, state
-            state = not state
-            prev = t
-        yield prev, self.horizon, state
-
-
-def generate_trace(
-    model: ChurnModel,
-    horizon: float,
-    rng: np.random.Generator,
-) -> AvailabilityTrace:
-    """Sample one node's availability trace over ``[0, horizon)``."""
-    if horizon <= 0:
-        raise WorkloadError("horizon must be > 0")
-    initial_on = bool(rng.random() < model.start_on_probability())
-    transitions: List[float] = []
-    t = 0.0
-    state = initial_on
-    while True:
-        duration = (model.sample_on(rng) if state else model.sample_off(rng))
-        t += duration
-        if t >= horizon:
-            break
-        transitions.append(t)
-        state = not state
-    return AvailabilityTrace(
-        transitions=tuple(transitions), initial_on=initial_on,
-        horizon=horizon)

@@ -16,7 +16,7 @@ from repro.vector import (
     makespan_waterfill,
     per_task_wall_seconds,
 )
-from repro.vector.executor import ExecutionOutcome
+from repro.vector.executor import ExecutionOutcome, victim_patterns
 from tests.vector.heap_executor import makespan_heap
 
 
@@ -526,6 +526,100 @@ def test_grouping_counts_every_value():
             got = makespan_under_outages(rows, 60_000, 618.4, windows)
             assert got.finish_time.hex() == want.finish_time.hex()
             assert got.tasks_per_node_max == want.tasks_per_node_max
+
+
+@st.composite
+def coded_fleets(draw):
+    """A fleet as the vector system hands it over: ready instants coded
+    into a table of 1-20 of them (past the tally's 16, the rows are
+    bisected as they are; often on multiples of the shortest task, so
+    finishes of different task counts tie), one or two device classes
+    (a scalar duration, or a class code into two), 0-3 outage windows
+    and a bag size, from one row to past one 2^16-row chunk."""
+    n_nodes = draw(st.sampled_from([1, 2, 7, 40, 300, 2500,
+                                    executor._CHUNK + 77]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    durations = np.array([0.5, 3.0, 7.25, 30.0, 618.4])
+    classes = min(n_nodes, draw(st.integers(1, 2)))
+    table = rng.choice(durations, size=classes, replace=False)
+    if classes == 1:
+        d = float(table[0])
+    else:
+        codes = (rng.random(n_nodes) < draw(st.floats(0.05, 0.95)))
+        codes[:2] = [False, True]
+        d = executor.Coded(table, codes.view(np.uint8))
+    count = min(n_nodes, draw(st.integers(1, 20)))
+    if draw(st.booleans()):  # multiples of the shortest duration
+        instants = table.min() * rng.choice(40, size=count, replace=False)
+    else:
+        instants = rng.choice(np.round(rng.uniform(0.0, 80.0, 200), 2),
+                              size=count, replace=False)
+    codes = rng.integers(0, count, size=n_nodes).astype(np.uint8)
+    codes[rng.permutation(n_nodes)[:count]] = np.arange(count)
+    ready = executor.Coded(instants, codes)
+    n_tasks = draw(st.integers(1, 6 * n_nodes + 5))
+    finish = full_width_under_outages(instants[codes], n_tasks,
+                                      executor._column(d)).finish_time
+    windows = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = finish * draw(st.floats(0.0, 1.2))
+        end = start + finish * draw(st.floats(1e-3, 1.0))
+        mask = (None if draw(st.integers(0, 4)) == 0 else
+                rng.random(n_nodes) < draw(st.floats(0.0, 0.9)))
+        windows.append((start, end, mask))
+    return ready, n_tasks, d, windows
+
+
+@given(fleet=coded_fleets(), pass_patterns=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_coded_fleet_matches_float_columns(fleet, pass_patterns):
+    """The executor on coded ready instants and device classes (with or
+    without the caller's victim patterns) equals the executor on the
+    float columns they stand for, and the full-width loops, bit for
+    bit; so does the waterfill, whose partial-tie snap reads row order
+    off the codes."""
+    ready, n_tasks, d, windows = fleet
+    rows, d_rows = executor._column(ready), executor._column(d)
+    patterns = (victim_patterns([m for _s, _e, m in windows],
+                                ready.codes.size) if pass_patterns else None)
+    want = _outcome_or_error(full_width_under_outages,
+                             rows, n_tasks, d_rows, windows)
+    outcomes = [
+        _outcome_or_error(lambda *a: makespan_under_outages(
+            *a, patterns=patterns), ready, n_tasks, d, windows),
+        _outcome_or_error(makespan_under_outages,
+                          rows, n_tasks, d_rows, windows)]
+    if not isinstance(d, executor.Coded) and not windows:
+        outcomes.append(makespan_waterfill(ready, n_tasks, d))
+        assert want.finish_time.hex() == full_width_waterfill(
+            rows, n_tasks, d).finish_time.hex()
+    for got in outcomes:
+        if isinstance(want, ExecutionOutcome):
+            assert got.finish_time.hex() == want.finish_time.hex()
+            assert got.tasks_per_node_max == want.tasks_per_node_max
+        else:
+            assert got is want
+
+
+def test_partial_tie_reads_row_order_from_codes(monkeypatch):
+    """A waterfill snap whose tie spans different task counts keeps the
+    task on the first tie rows in row order, read off the codes: the
+    same rows as the float column, and a tie spread over chunks."""
+    calls = []
+    first_values = executor._first_values
+    monkeypatch.setattr(executor, "_first_values", lambda *a: (
+        calls.append(a[2]), first_values(*a))[1])
+    n = 3 * executor._CHUNK
+    codes = np.zeros(n, dtype=np.uint8)
+    codes[1::3] = 1
+    codes[n - 5:] = 2
+    ready = executor.Coded(np.array([0.0, 1.0, 2.0]), codes)
+    for n_tasks in (4 * n + 1, 4 * n + 7, 4 * n - 3):
+        want = full_width_waterfill(executor._column(ready), n_tasks, 1.0)
+        got = makespan_waterfill(ready, n_tasks, 1.0)
+        assert got.finish_time.hex() == want.finish_time.hex()
+        assert got.tasks_per_node_max == want.tasks_per_node_max
+    assert calls
 
 
 @given(data=st.data())

@@ -5,7 +5,7 @@ between jobs; a job's run phase allocates a few full-cohort columns on
 top of them and frees each once it has been read.  Both are pinned
 with tracemalloc on the ``vector_storm`` shape: a 0.3 churn storm over
 the first of two jobs, each targeting 80% of the rows.  The wakeup's
-own peak, one 8-byte cohort column and its leaf buffers, is pinned at
+own peak, one 1-byte code column and its leaf buffers, is pinned at
 10^6 nodes.
 """
 
@@ -23,28 +23,33 @@ from repro.workloads import uniform_bag_spec
 
 ROWS = 100_000
 
-#: tracemalloc bytes per row live after the system is built: 5.16
-#: measured once the census holds one epoch code per row (mode, busy,
-#: matches and link_up at 1 byte, the census code at 1); 13.1 with an
-#: int8 census state and a float64 last-seen column, 29 with a float64
-#: factor column and an int64 instance column as well.
-BUILD_BYTES_PER_ROW = 7
+#: tracemalloc bytes per row live after the system is built: 2.16
+#: measured once the columns a fraction decides are held as their one
+#: value (at the default fractions only busy and the census code are
+#: columns, 1 byte each); 5.16 with mode, matches and a link_up column
+#: at 1 byte beside them, 13.1 with an int8 census state and a float64
+#: last-seen column, 29 with a float64 factor column and an int64
+#: instance column as well.
+BUILD_BYTES_PER_ROW = 3
 
 #: tracemalloc peak bytes per recruited node over one job's run phase,
-#: above what was live before it: 16.4-17.4 measured once the wakeup
-#: draws its phases leaf by leaf (the ready column at 8 bytes and one
-#: 2^16-row leaf buffer, ~6.5 bytes per node at this scale, at the
-#: peak) and the recruit mask goes on to the census and ``release``;
-#: 18-19 with a whole phases column beside the ready column, 25-26 with
-#: the recruited rows as an index column beside them, 38-40 when four
-#: 8-byte cohort columns were live at once.
+#: above what was live before it: 17.4-18.5 measured once the ready
+#: instants are one uint8 code per node; at this scale the wakeup's two
+#: 2^16-row float leaf buffers (the phases and the instants, ~13 bytes
+#: per node) are most of it, and at 4x10^6 nodes ``storm_victims``'
+#: index permutation (8 bytes per node) bounds it.  16.4-17.4 with an
+#: 8-byte ready column and one leaf buffer, 18-19 with a whole phases
+#: column beside the ready column, 25-26 with the recruited rows as an
+#: index column beside them, 38-40 when four 8-byte cohort columns were
+#: live at once.
 RUN_BYTES_PER_NODE = 19
 
 #: Cohort of the wakeup's own peak, and that peak's bound in bytes per
-#: node: the 8-byte ready column plus a leaf buffer and one leaf's
-#: boolean temporary (8.59 measured).
+#: node: the 1-byte code column plus two leaf buffers and one leaf's
+#: boolean temporaries (2.18 measured; 8.59 with an 8-byte ready
+#: column).
 WAKEUP_COHORT = 1_000_000
-WAKEUP_BYTES_PER_NODE = 9
+WAKEUP_BYTES_PER_NODE = 3
 
 
 def _job(target):
@@ -95,7 +100,7 @@ def test_wakeup_allocates_one_cohort_column():
     second cohort column, and frees the buffers when it returns."""
     sched = carousel_schedule(8 * MEGABYTE, 1e6)
     draw = derive_generator(0, "vector.wakeup")
-    wakeup(sched, draw, 1_000, 0.0)  # warm-up
+    wakeup(sched, draw, 3 * 2**16, 0.0)  # warm-up: first calls' caches
     tracemalloc.start()
     try:
         before, _peak = tracemalloc.get_traced_memory()
@@ -103,5 +108,5 @@ def test_wakeup_allocates_one_cohort_column():
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert after - before < ready.nbytes + 4096
+    assert after - before < ready.codes.nbytes + 4096
     assert (peak - before) / WAKEUP_COHORT < WAKEUP_BYTES_PER_NODE, peak

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, ConfigurationError
+from repro.experiments.vector_scale import storm_plan
 from repro.vector import VectorOddCISystem, VectorPopulation
+from repro.vector.system import _mean
 from repro.sim.rng import derive_generator
+from repro.vector.executor import Coded
 from repro.vector.population import _CHUNK, _IN_USE, _OFF, _STANDBY
 from repro.workloads import (
     REFERENCE_PC,
@@ -13,6 +16,7 @@ from repro.workloads import (
     DeviceProfile,
     PowerMode,
     uniform_bag,
+    uniform_bag_spec,
 )
 from repro.net.message import MEGABYTE
 
@@ -27,16 +31,22 @@ def make_system(pop, **kwargs):
 
 # -- population ---------------------------------------------------------------
 
+def _factor_column(factors, size):
+    """``device_factors``' result as one float per row."""
+    if isinstance(factors, Coded):
+        return factors.values[factors.codes]
+    return np.broadcast_to(factors, size)
+
+
 def _validate_population(pop):
     """Shape/dtype/invariant assertions on the population columns and
     the device factors derived from the power modes."""
     n = pop.n
-    factors = np.broadcast_to(pop.device_factors(np.ones(n, dtype=bool)), n)
+    factors = _factor_column(pop.device_factors(np.ones(n, dtype=bool)), n)
     for name, column, dtype in (
             ("mode", pop.mode, np.int8),
             ("busy", pop.busy, np.bool_),
             ("matches", pop.matches, np.bool_),
-            ("link_up", pop.link_up, np.bool_),
             ("device_factors", factors, np.float64)):
         assert column.shape == (n,), f"{name} shape {column.shape}"
         assert column.dtype == dtype, f"{name} dtype {column.dtype}"
@@ -130,8 +140,10 @@ def test_device_factors_match_modes():
     f_use = REFERENCE_STB.factor(PowerMode.IN_USE)
     f_stb = REFERENCE_STB.factor(PowerMode.STANDBY)
     rows = pop.mode != _OFF
-    factors = pop.device_factors(rows)
-    assert factors.dtype == np.float64
+    coded = pop.device_factors(rows)
+    assert coded.values.tolist() == [f_stb, f_use]
+    assert coded.codes.dtype == np.uint8
+    factors = _factor_column(coded, np.count_nonzero(rows))
     assert set(np.unique(factors).tolist()) == {f_use, f_stb}
     assert (factors[pop.mode[rows] == _IN_USE] == f_use).all()
     assert (factors[pop.mode[rows] == _STANDBY] == f_stb).all()
@@ -154,11 +166,10 @@ def test_chunked_columns_match_single_draw(fractions):
     assert np.array_equal(pop.matches, matches)
     assert np.array_equal(pop.streams["population"].random(4),
                           init.random(4))
-    pop.link_up[::5] = False
+    pop.busy[::5] = True
     gate = derive_generator(7, "vector.recruit")
     for probability in (0.3, 1.0, 0.3):
-        eligible = ((pop.mode != _OFF) & ~pop.busy & pop.matches
-                    & pop.link_up)
+        eligible = (pop.mode != _OFF) & ~pop.busy & pop.matches
         expected = np.nonzero(eligible & (gate.random(n) < probability))[0]
         recruited = np.flatnonzero(pop.recruit(probability))
         assert np.array_equal(recruited, expected)
@@ -185,6 +196,47 @@ def test_decided_gates_draw_nothing(monkeypatch):
     assert isinstance(pop.streams["population"], Counting)
     assert pop.recruit(1.0).all()
     assert calls == []
+
+
+@pytest.mark.parametrize("fractions", [
+    (1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.4, 1.0), (1.0, 0.4, 1.0),
+    (0.7, 1.0, 1.0), (1.0, 1.0, 0.6)])
+def test_decided_columns_match_materialised(fractions):
+    """A column that its fraction decides is held as its one value, and
+    the population reads as one whose decided columns are filled in:
+    the same recruit masks, busy rows, counts and device factors, and
+    both streams left in one place."""
+    n = 2 * _CHUNK + 321
+    powered, in_use, match = fractions
+    pop, filled = (make_pop(n=n, seed=9, powered_fraction=powered,
+                            in_use_fraction=in_use,
+                            requirement_match_fraction=match)
+                   for _ in range(2))
+    mode_decided = powered == 0.0 or (powered == 1.0
+                                      and in_use in (0.0, 1.0))
+    assert (np.ndim(pop._mode) == 0) == mode_decided
+    assert (np.ndim(pop._matches) == 0) == (match in (0.0, 1.0))
+    filled._mode = np.array(filled.mode)
+    filled._matches = np.array(filled.matches)
+    for probability in (0.5, 1.0, 0.25):
+        for p in (pop, filled):
+            assert p.powered_count == filled.powered_count
+            assert p.idle_count == filled.idle_count
+        mask = pop.recruit(probability)
+        assert np.array_equal(mask, filled.recruit(probability))
+        assert np.array_equal(pop.busy, filled.busy)
+        assert np.array_equal(pop.eligible_mask(), filled.eligible_mask())
+        if mask.any():
+            assert np.array_equal(
+                _factor_column(pop.device_factors(mask), mask.sum()),
+                _factor_column(filled.device_factors(mask), mask.sum()))
+        pop.release(mask & (np.arange(n) % 3 == 0))
+        filled.release(mask & (np.arange(n) % 3 == 0))
+    for name in ("population", "recruit"):
+        assert (pop.streams[name].random(3).tolist()
+                == filled.streams[name].random(3).tolist())
+    for column in (pop.mode, pop.matches):
+        assert column.shape == (n,) and not column.flags.writeable
 
 
 def _indices_recruit(pop, probability):
@@ -241,10 +293,9 @@ def test_factor_mean_matches_column_oracle(profile, in_use_fraction):
         column = np.where(pop.mode[rows] == _IN_USE, f_use, f_stb)
         factors = pop.device_factors(rows)
         one_class = (column == column[0]).all()
-        assert np.ndim(factors) == (0 if one_class else 1)
-        assert np.array_equal(np.broadcast_to(factors, size), column)
-        assert (float(np.broadcast_to(factors, size).mean()).hex()
-                == float(column.mean()).hex()), size
+        assert isinstance(factors, Coded) != one_class
+        assert np.array_equal(_factor_column(factors, size), column)
+        assert _mean(factors, size).hex() == float(column.mean()).hex(), size
 
 
 # -- single jobs ----------------------------------------------------------------
@@ -304,13 +355,26 @@ def test_invalid_channel_rates():
             VectorOddCISystem(10, **rates)
 
 
-def test_heterogeneous_modes_use_bucketed_waterfill():
-    pop = make_pop(n=3000, seed=4, in_use_fraction=0.5)
-    system = make_system(pop)
-    job = uniform_bag(30_000, image_bits=MEGABYTE, ref_seconds=10.0)
-    result = system.run_job(job, target_size=1000)
-    assert result.makespan_s > 0
-    assert 0 < result.efficiency <= 1.0
+def test_mixed_fleet_golden():
+    """Bit-exact pin of a mixed fleet's two jobs: off, standby and
+    in-use receivers, partial requirement matching and a 0.3 storm
+    through job 1, so the cohort holds two device classes across the
+    ready instants and victim patterns (vector_storm is single-class).
+    Finish time, availability, tasks-per-node ceiling, efficiency and
+    mean wakeup of both jobs."""
+    system = VectorOddCISystem(
+        60_000, seed=3, plan=storm_plan(0.3), powered_fraction=0.8,
+        in_use_fraction=0.7, requirement_match_fraction=0.9)
+    job = uniform_bag_spec(120_000, image_bits=8 * MEGABYTE,
+                           ref_seconds=30.0, input_bits=4096.0,
+                           result_bits=4096.0)
+    got = [(r.finish_time.hex(), r.availability.hex(),
+            r.tasks_per_node_max, r.efficiency.hex(), r.wakeup_mean_s.hex())
+           for r in system.run_jobs([(job, 30_000), (job, 30_000)])]
+    assert got == [("0x1.59276aab56418p+11", "0x1.c122a2a04b114p-1", 7,
+                    "0x1.be83a10c358d7p-1", "0x1.98f519086d683p+6"),
+                   ("0x1.4fc7b44ed3b14p+12", "0x1.e4bd4e9f86071p-1", 6,
+                    "0x1.d769097ed7f20p-1", "0x1.99578485bed80p+6")]
 
 
 def test_million_node_run_is_feasible():

@@ -320,8 +320,8 @@ class _OracleSystem(VectorOddCISystem):
         self.census = _ColumnCensus(self.population.n,
                                     grace_s=self.census.grace_s)
 
-    def _run_census_epochs(self, accepted, cohort, outages, census_outages,
-                           t_start, finish, *, instance):
+    def _run_census_epochs(self, accepted, patterns, outages,
+                           census_outages, t_start, finish, *, instance):
         census = self.census
         recruited = np.flatnonzero(accepted)
         census.observe(recruited, STATE_BUSY, instance, t_start)
@@ -399,10 +399,9 @@ def _census_run(cls, case, *, read_columns):
     log = {"gauges": [], "columns": [], "patterns": []}
     run_epochs = cls._run_census_epochs
 
-    def epochs_then_read(self, accepted, cohort, outages, *args, **kwargs):
-        log["patterns"].append(victim_patterns(
-            [m for _ws, _we, m in outages], cohort)[1].size)
-        out = run_epochs(self, accepted, cohort, outages, *args, **kwargs)
+    def epochs_then_read(self, accepted, patterns, outages, *args, **kwargs):
+        log["patterns"].append(patterns[1].size)
+        out = run_epochs(self, accepted, patterns, outages, *args, **kwargs)
         if read_columns:
             log["columns"].append(_columns(self.census))
         return out

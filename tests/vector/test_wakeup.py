@@ -1,11 +1,11 @@
 """The vector wakeup, leaf by leaf, against the one-shot wakeup.
 
-``wakeup`` draws the phases and writes the ready column ``_CHUNK`` rows
-at a time and adds the leaves' sums up numpy's own pairwise tree, so
-its ready column and mean must be those of one whole-cohort draw,
-completion and ``.mean()`` (``_oneshot_wakeup`` below, the lines
-``VectorOddCISystem.run_job`` ran before, kept verbatim bar the stream
-argument) bit for bit.  ``test_leaf_sums_follow_numpy_reduction`` pins
+``wakeup`` draws the phases and codes the ready instants ``_CHUNK``
+rows at a time and adds the leaves' sums up numpy's own pairwise tree,
+so its instants (the table read through the codes) and mean must be
+those of one whole-cohort draw, completion and ``.mean()``
+(``_oneshot_wakeup`` below, the lines ``VectorOddCISystem.run_job`` ran
+before, kept verbatim bar the stream argument) bit for bit.  ``test_leaf_sums_follow_numpy_reduction`` pins
 numpy's summation order itself: a numpy whose ``add.reduce`` adds in
 another order fails there, not in a moved golden.
 """
@@ -63,7 +63,35 @@ def test_wakeup_matches_oneshot_oracle(size):
                             for _ in range(2))
             ready, mean = wakeup(sched, draw, size, t_start)
             want, want_mean = _oneshot_wakeup(sched, oracle, size, t_start)
-            assert ready.dtype == np.float64 and ready.shape == (size,)
-            assert np.array_equal(_bits(ready), _bits(want))
+            assert ready.codes.dtype == np.uint8
+            assert ready.codes.shape == (size,)
+            assert ready.values.size == np.unique(want).size
+            assert np.array_equal(_bits(ready.values[ready.codes]),
+                                  _bits(want))
             assert mean.hex() == want_mean.hex()
             assert draw.random() == oracle.random()
+
+
+class _SpreadSchedule:
+    """A schedule whose reads complete at ``floor(phase)`` after the
+    request: ``cycle_time`` distinct instants, more than a uint8 code
+    tells apart."""
+
+    cycle_time = 300.0
+
+    def completion_time(self, name, t, out=None):
+        return np.floor(t, out=out)
+
+
+def test_instants_past_255_widen_the_codes():
+    """A 256th distinct instant widens the code column to uint16 on the
+    same path (every leaf past the first 16 values sorts the rest), and
+    the table read through the codes is still the one-shot column."""
+    size = 3 * _CHUNK + 11
+    draw, oracle = (derive_generator(5, "vector.wakeup") for _ in range(2))
+    ready, mean = wakeup(_SpreadSchedule(), draw, size, 7.0)
+    want, want_mean = _oneshot_wakeup(_SpreadSchedule(), oracle, size, 7.0)
+    assert ready.codes.dtype == np.uint16
+    assert ready.values.size == np.unique(want).size == 300
+    assert np.array_equal(_bits(ready.values[ready.codes]), _bits(want))
+    assert mean.hex() == want_mean.hex()

@@ -1,5 +1,7 @@
 """Tests for reverse complements and both-strand search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,31 @@ from repro.workloads import (
     random_dna,
     reverse_complement,
     search,
-    search_both_strands,
 )
+from repro.workloads.blast import BlastResult
+
+
+def search_both_strands(db, query, params=None):
+    """BLASTN semantics: search the query and its reverse complement.
+
+    Real nucleotide BLAST scans both strands because the homolog may lie
+    on the opposite strand of the subject.  Minus-strand HSP coordinates
+    refer to the reverse-complemented query; ``strand`` distinguishes
+    them.  Work units accumulate across both passes.  (A test-only
+    search: the programs search one strand.)
+    """
+    forward = search(db, query, params)
+    reverse = search(db, reverse_complement(query), params)
+    merged = BlastResult(
+        hsps=sorted(
+            list(forward.hsps)
+            + [replace(h, strand="-") for h in reverse.hsps],
+            key=lambda h: (-h.score, h.seq_index, h.q_start)),
+        work_units=forward.work_units + reverse.work_units,
+        seeds_examined=forward.seeds_examined + reverse.seeds_examined,
+        extensions_run=forward.extensions_run + reverse.extensions_run,
+    )
+    return merged
 
 
 # -- reverse complement ---------------------------------------------------------

@@ -1,5 +1,9 @@
 """Tests for device profiles and churn traces."""
 
+import bisect
+from dataclasses import dataclass
+from typing import Iterator, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads import (
-    AvailabilityTrace,
     ChurnModel,
     DeviceProfile,
     PowerMode,
@@ -15,8 +18,89 @@ from repro.workloads import (
     REFERENCE_STB,
     STB_IN_USE_OVER_PC,
     STB_IN_USE_OVER_STANDBY,
-    generate_trace,
 )
+
+
+@dataclass(frozen=True)
+class AvailabilityTrace:
+    """Alternating availability timeline for one node (a test-only
+    reading of a :class:`ChurnModel`'s sessions).
+
+    ``transitions`` is a sorted tuple of times at which the state flips;
+    ``initial_on`` is the state before the first transition.  The trace
+    covers ``[0, horizon)``; queries beyond the horizon raise.
+    """
+
+    transitions: Tuple[float, ...]
+    initial_on: bool
+    horizon: float
+
+    def __post_init__(self) -> None:
+        if self.horizon <= 0:
+            raise WorkloadError("horizon must be > 0")
+        last = -1.0
+        for t in self.transitions:
+            if t <= last:
+                raise WorkloadError("transitions must be strictly increasing")
+            if t < 0 or t >= self.horizon:
+                raise WorkloadError("transitions must lie within [0, horizon)")
+            last = t
+
+    def is_on(self, t: float) -> bool:
+        """State at time ``t``."""
+        if not 0 <= t < self.horizon:
+            raise WorkloadError(f"t={t} outside [0, {self.horizon})")
+        flips = bisect.bisect_right(self.transitions, t)
+        return self.initial_on if flips % 2 == 0 else not self.initial_on
+
+    def on_fraction(self) -> float:
+        """Fraction of the horizon spent ON."""
+        total_on = 0.0
+        state = self.initial_on
+        prev = 0.0
+        for t in self.transitions:
+            if state:
+                total_on += t - prev
+            state = not state
+            prev = t
+        if state:
+            total_on += self.horizon - prev
+        return total_on / self.horizon
+
+    def segments(self) -> Iterator[Tuple[float, float, bool]]:
+        """Yield ``(start, end, on)`` segments covering the horizon."""
+        state = self.initial_on
+        prev = 0.0
+        for t in self.transitions:
+            yield prev, t, state
+            state = not state
+            prev = t
+        yield prev, self.horizon, state
+
+
+def generate_trace(
+    model: ChurnModel,
+    horizon: float,
+    rng: np.random.Generator,
+) -> AvailabilityTrace:
+    """Sample one node's availability trace over ``[0, horizon)`` (a
+    test-only generator)."""
+    if horizon <= 0:
+        raise WorkloadError("horizon must be > 0")
+    initial_on = bool(rng.random() < model.start_on_probability())
+    transitions = []
+    t = 0.0
+    state = initial_on
+    while True:
+        duration = (model.sample_on(rng) if state else model.sample_off(rng))
+        t += duration
+        if t >= horizon:
+            break
+        transitions.append(t)
+        state = not state
+    return AvailabilityTrace(
+        transitions=tuple(transitions), initial_on=initial_on,
+        horizon=horizon)
 
 
 # -- DeviceProfile -----------------------------------------------------------

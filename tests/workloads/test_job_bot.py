@@ -9,11 +9,9 @@ from repro.workloads import (
     Job,
     Task,
     bag_from_phi,
-    lognormal_bag,
-    parametric_bag,
-    phi_of_job,
     uniform_bag,
 )
+from tests.workloads.bags import lognormal_bag, parametric_bag, phi_of_job
 
 
 # -- Task -----------------------------------------------------------------

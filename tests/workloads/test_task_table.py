@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.net.message import KILOBYTE
-from repro.workloads import (bag_from_phi, lognormal_bag, parametric_bag,
-                             uniform_bag, weibull_bag)
+from repro.workloads import bag_from_phi, uniform_bag
 from repro.workloads.job import Job, Task, TaskTable
+from tests.workloads.bags import lognormal_bag, parametric_bag, weibull_bag
 
 
 def _tuple_stats(tasks):

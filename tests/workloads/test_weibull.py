@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads import weibull_bag
+from tests.workloads.bags import weibull_bag
 
 
 def test_mean_matches_target():
