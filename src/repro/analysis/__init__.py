@@ -14,8 +14,6 @@ from repro.analysis.models import (
     makespan_model,
     p_from_phi,
     phi,
-    throughput_ideal,
-    throughput_single,
     wakeup_time,
 )
 from repro.analysis.report import (
@@ -29,7 +27,6 @@ from repro.analysis.stats import (
     ConfidenceInterval,
     mean_confidence_interval,
     ratio_with_error,
-    relative_error,
 )
 from repro.analysis.sweep import grid_points
 
@@ -40,12 +37,9 @@ __all__ = [
     "efficiency_model",
     "phi",
     "p_from_phi",
-    "throughput_single",
-    "throughput_ideal",
     "ConfidenceInterval",
     "mean_confidence_interval",
     "ratio_with_error",
-    "relative_error",
     "grid_points",
     "render_table",
     "render_records",

@@ -26,8 +26,6 @@ __all__ = [
     "efficiency_model",
     "phi",
     "p_from_phi",
-    "throughput_single",
-    "throughput_ideal",
 ]
 
 
@@ -118,16 +116,3 @@ def p_from_phi(phi_value: float, io_bits: float, delta_bps: float) -> float:
         raise AnalysisError("io_bits and delta_bps must be > 0")
     return phi_value * io_bits / delta_bps
 
-
-def throughput_single(p_seconds: float) -> float:
-    """Average task throughput of one reference node: 1/p̄."""
-    if p_seconds <= 0:
-        raise AnalysisError("p_seconds must be > 0")
-    return 1.0 / p_seconds
-
-
-def throughput_ideal(n_nodes: int, p_seconds: float) -> float:
-    """Ideal throughput of N nodes: N/p̄ (for n ≥ N)."""
-    if n_nodes <= 0:
-        raise AnalysisError("n_nodes must be > 0")
-    return n_nodes * throughput_single(p_seconds)

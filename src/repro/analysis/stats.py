@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import AnalysisError
 
 __all__ = ["ConfidenceInterval", "mean_confidence_interval",
-           "ratio_with_error", "relative_error"]
+           "ratio_with_error"]
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,3 @@ def ratio_with_error(
         raise AnalysisError("zero denominator in ratio computation")
     return mean_confidence_interval(num / den, confidence=confidence)
 
-
-def relative_error(measured: float, expected: float) -> float:
-    """|measured - expected| / |expected|."""
-    if expected == 0:
-        raise AnalysisError("relative_error undefined for expected == 0")
-    return abs(measured - expected) / abs(expected)

@@ -16,8 +16,8 @@ three ✓/✗ requirement columns using explicit thresholds, so Table I is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import BaselineError
 from repro.workloads.job import Job

@@ -151,9 +151,6 @@ class ResultCertifier:
         """Tasks dispatched but not yet certified."""
         return len(self._records)
 
-    def is_quarantined(self, pna_id: str) -> bool:
-        return pna_id in self._quarantined
-
     def redundancy_overhead(self) -> float:
         """Copies issued per task in the job (1.0 = no redundancy)."""
         n = self.backend.job.n
@@ -415,4 +412,5 @@ class ResultCertifier:
                 if trace is not None:
                     trace.emit(now, "requeue", task=tid, pna=pna_id,
                                attempt=backend._attempts[tid])
+                if backend._m_redispatched is not None:
                     backend._m_redispatched.value += 1

@@ -108,10 +108,6 @@ class CertifyPolicy:
                 f"got {self.quarantine_after}")
 
     # -- derived -------------------------------------------------------
-    @property
-    def audits_only(self) -> bool:
-        return self.mode == "audit"
-
     def replication_for(self, credibility: float) -> int:
         """Copies to dispatch for a task first claimed at ``credibility``."""
         if self.mode == "audit":

@@ -43,6 +43,7 @@ from repro.net.link import all_distinct, as_index, column_view
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
+from repro.telemetry.trace import metrics_registry
 from repro.workloads.job import Job, Task
 
 __all__ = ["Backend", "JobReport"]
@@ -230,13 +231,14 @@ class Backend:
         self._nowork_cache: Dict[tuple, NoWork] = {}
         self.done_event: Event = sim.event(name=f"{backend_id}.done")
         self._trace = _telemetry_channel("backend")
-        t = self._trace
-        self._m_redispatched = \
-            t.counter("recovery.tasks_redispatched") if t else None
-        self._m_duplicates = \
-            t.counter("recovery.duplicates_suppressed") if t else None
-        self._m_restarts = t.counter("recovery.backend_restarts") if t \
-            else None
+        registry = metrics_registry()
+        self._m_redispatched = self._m_duplicates = self._m_restarts = None
+        if registry is not None:
+            self._m_redispatched = registry.counter(
+                "recovery.tasks_redispatched")
+            self._m_duplicates = registry.counter(
+                "recovery.duplicates_suppressed")
+            self._m_restarts = registry.counter("recovery.backend_restarts")
 
         for r in routers:
             r.register_component(backend_id, self._receive_payload)
@@ -745,6 +747,7 @@ class Backend:
                         trace.emit(now, "requeue", task=tid,
                                    pna=self._id_of(node),
                                    attempt=self._attempts[tid])
+                    if self._m_redispatched is not None:
                         self._m_redispatched.value += 1
         except Interrupt:
             pass
@@ -784,6 +787,7 @@ class Backend:
         trace = self._trace
         if trace is not None:
             trace.emit(self.sim.now, "restore", backend=self.backend_id)
+        if self._m_restarts is not None:
             self._m_restarts.value += 1
 
     def shutdown(self) -> None:

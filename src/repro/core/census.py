@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "NO_INSTANCE",
     "STATE_CODE",
     "CODE_STATE",
+    "HEARTBEAT_GRACE",
     "NodeInterner",
     "ColumnarCensusStore",
 ]
@@ -64,6 +65,10 @@ NO_INSTANCE = -1
 #: PNAState <-> registry state code.
 STATE_CODE = {PNAState.IDLE: STATE_IDLE, PNAState.BUSY: STATE_BUSY}
 CODE_STATE = {STATE_IDLE: PNAState.IDLE, STATE_BUSY: PNAState.BUSY}
+
+#: Liveness on both tiers: a node is alive while it was heard from
+#: within this many heartbeat intervals.
+HEARTBEAT_GRACE = 3.0
 
 #: ``last_seen`` value for untouched registry rows (compares below any
 #: finite horizon, exactly like an absent dict entry).
@@ -275,17 +280,6 @@ class ColumnarCensusStore:
     def alive_estimate(self, horizon):
         # Untouched rows sit at -inf and fail any finite horizon.
         return int(np.count_nonzero(self._seen >= horizon))
-
-    def registry_get(self, node_id: str
-                     ) -> Optional[Tuple[float, PNAState, Optional[str]]]:
-        idx = self.interner.index_of(node_id)
-        if idx is None or idx >= self._cap:
-            return None
-        code = int(self._state[idx])
-        if code == STATE_NONE:
-            return None
-        return (float(self._seen[idx]), CODE_STATE[code],
-                self.instance_id_of(int(self._inst[idx])))
 
     def registry_items(self):
         id_of = self.interner.id_of

@@ -38,7 +38,7 @@ tolerance band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,7 +48,12 @@ from repro.errors import (
     OddCIError,
     ProvisioningError,
 )
-from repro.core.census import STATE_BUSY, STATE_IDLE, ColumnarCensusStore
+from repro.core.census import (
+    HEARTBEAT_GRACE,
+    STATE_BUSY,
+    STATE_IDLE,
+    ColumnarCensusStore,
+)
 from repro.core.instance import (
     InstanceRecord,
     InstanceSpec,
@@ -184,14 +189,11 @@ class Controller:
         controller_id: str = "controller",
         probability_policy: Optional[ProbabilityPolicy] = None,
         maintenance_interval_s: float = 60.0,
-        heartbeat_grace_factor: float = 3.0,
         census: Optional[ColumnarCensusStore] = None,
         network: str = "",
     ) -> None:
         if maintenance_interval_s <= 0:
             raise OddCIError("maintenance_interval_s must be > 0")
-        if heartbeat_grace_factor < 1.0:
-            raise OddCIError("heartbeat_grace_factor must be >= 1")
         self.sim = sim
         self.router = router
         self.control_plane = control_plane
@@ -199,7 +201,6 @@ class Controller:
         self.key = key_registry.issue(controller_id)
         self.probability_policy = probability_policy or DeficitProportional()
         self.maintenance_interval_s = maintenance_interval_s
-        self.heartbeat_grace_factor = heartbeat_grace_factor
         #: broadcast-network label of a named network.  Empty on the
         #: unnamed network of a one-network deployment: metric names and
         #: trace events then carry no label.
@@ -384,16 +385,13 @@ class Controller:
     def _grace_window(self) -> float:
         intervals = [r.spec.heartbeat_interval_s
                      for r in self.instances.values()] or [60.0]
-        return self.heartbeat_grace_factor * max(intervals)
+        return HEARTBEAT_GRACE * max(intervals)
 
     # -- quarantine (DESIGN.md §15) ----------------------------------------
     @property
     def blacklist(self) -> frozenset:
         """Quarantined node ids (read-only view)."""
         return frozenset(self._blacklist)
-
-    def is_quarantined(self, pna_id: str) -> bool:
-        return pna_id in self._blacklist
 
     def quarantine_node(self, pna_id: str, reason: str = "") -> bool:
         """Evict ``pna_id`` from the infrastructure permanently.
@@ -685,8 +683,7 @@ class Controller:
         for record in list(self.instances.values()):
             if record.status is InstanceStatus.DESTROYED:
                 continue
-            cutoff = now - self.heartbeat_grace_factor * \
-                record.spec.heartbeat_interval_s
+            cutoff = now - HEARTBEAT_GRACE * record.spec.heartbeat_interval_s
             expired = record.expire_members(cutoff)
             if expired:
                 self.counters.incr("members_expired", expired)

@@ -11,8 +11,8 @@ wakes up every tuned set-top box at once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.errors import DTVError
 

@@ -21,7 +21,7 @@ from repro.dtv.ait import (
     ApplicationControlCode,
     ApplicationInformationTable,
 )
-from repro.dtv.xlet import Xlet, XletState
+from repro.dtv.xlet import Xlet
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

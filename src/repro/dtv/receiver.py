@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ConfigurationError, DTVError, TuningError
+from repro.errors import ConfigurationError, TuningError
 from repro.carousel.carousel import ObjectCarousel
 from repro.dtv.middleware import ApplicationManager
 from repro.dtv.transport import Service

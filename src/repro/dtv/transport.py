@@ -14,7 +14,7 @@ from the underlying :class:`~repro.net.broadcast.BroadcastChannel`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError, DTVError, TuningError
 from repro.carousel.carousel import ObjectCarousel

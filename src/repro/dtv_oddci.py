@@ -34,11 +34,7 @@ from repro.core.network import Router
 from repro.core.pna import PNA
 from repro.core.policies import ProbabilityPolicy
 from repro.core.provider import ControllerShard, NetworkDescriptor, Provider
-from repro.dtv.ait import (
-    AITEntry,
-    ApplicationControlCode,
-    ApplicationInformationTable,
-)
+from repro.dtv.ait import AITEntry, ApplicationControlCode
 from repro.dtv.receiver import SetTopBox
 from repro.dtv.transport import Multiplex, Service
 from repro.dtv.xlet import Xlet, XletState
@@ -60,6 +56,8 @@ PNA_XLET_FILE = "pna.bin"
 CONFIG_FILE = "oddci.config"
 #: AIT application id reserved for the PNA Xlet.
 PNA_APP_ID = 777
+#: Transport-stream rate of each channel's multiplex (one TV channel).
+MUX_RATE_BPS = 19_000_000.0
 _DESTROYED = XletState.DESTROYED
 
 
@@ -280,7 +278,6 @@ class OddCIDTVSystem:
         channels: int = 1,
         beta_bps: float = 1_000_000.0,
         av_rate_bps: float = 12_000_000.0,
-        mux_rate_bps: float = 19_000_000.0,
         delta_bps: float = 150_000.0,
         delta_latency_s: float = 0.05,
         probability_policy: Optional[ProbabilityPolicy] = None,
@@ -301,7 +298,7 @@ class OddCIDTVSystem:
         self.planes: List[CarouselControlPlane] = []
         for i in range(channels):
             suffix = f"-{i}" if i else ""  # channel 0: the plain names
-            mux = Multiplex(self.sim, total_rate_bps=mux_rate_bps,
+            mux = Multiplex(self.sim, total_rate_bps=MUX_RATE_BPS,
                             name="mux" + suffix)
             service = mux.add_service("oddci-dtv" + suffix,
                                       av_rate_bps=av_rate_bps,

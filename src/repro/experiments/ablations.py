@@ -24,7 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.analysis.report import format_seconds, render_records
+from repro.analysis.report import render_records
 from repro.carousel.carousel import CarouselSchedule
 from repro.carousel.objects import CarouselFile
 from repro.carousel.reader import sample_wakeup_latencies

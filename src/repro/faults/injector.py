@@ -93,8 +93,7 @@ class FaultInjector:
     (jittered) event; systems build their injector in ``__init__``, at
     ``sim.now == 0``, which always satisfies this."""
 
-    def __init__(self, sim, plan: FaultPlan, targets: FaultTargets,
-                 *, rng_stream: str = "faults") -> None:
+    def __init__(self, sim, plan: FaultPlan, targets: FaultTargets) -> None:
         self.sim = sim
         self.plan = plan
         self.targets = targets
@@ -108,7 +107,7 @@ class FaultInjector:
             if registry is not None else None
         self._m_restored = registry.counter("fault.restored") \
             if registry is not None else None
-        rng = sim.rng(rng_stream) if plan.events else None
+        rng = sim.rng("faults") if plan.events else None
         self._schedule(plan, rng)
 
     # -- scheduling --------------------------------------------------------

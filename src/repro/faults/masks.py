@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,8 +49,6 @@ __all__ = [
     "compile_fault_plan",
     "storm_victims",
     "deferred_start",
-    "total_outage_span",
-    "active_fraction",
 ]
 
 #: Kinds whose window suspends task execution on a victim fraction.
@@ -218,18 +216,3 @@ def deferred_start(t: float,
                 moved = True
     return t
 
-
-def total_outage_span(windows: List[FaultWindow],
-                      horizon: float) -> float:
-    """Sum of window lengths clipped to ``[0, horizon)`` — a safe upper
-    bound on per-node downtime for makespan search brackets."""
-    return float(sum(max(0.0, min(w.end, horizon) - max(w.start, 0.0))
-                     for w in windows))
-
-
-def active_fraction(windows: List[FaultWindow], t: float) -> float:
-    """Fraction of capacity removed at instant ``t`` (sum over active
-    windows, clipped at 1 — overlapping outages cannot remove more than
-    everything)."""
-    return min(1.0, sum(w.fraction for w in windows
-                        if w.start <= t < w.end))

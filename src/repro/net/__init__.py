@@ -11,27 +11,23 @@
 
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry, canonicalize, sign, verify
-from repro.net.link import DuplexChannel, Link, kbps, mbps
+from repro.net.link import DuplexChannel, Link
 from repro.net.message import (
     DEFAULT_HEADER_BITS,
     KILOBYTE,
     MEGABYTE,
     Message,
     bits_from_bytes,
-    bytes_from_bits,
 )
 
 __all__ = [
     "Message",
     "bits_from_bytes",
-    "bytes_from_bits",
     "KILOBYTE",
     "MEGABYTE",
     "DEFAULT_HEADER_BITS",
     "Link",
     "DuplexChannel",
-    "kbps",
-    "mbps",
     "BroadcastChannel",
     "KeyRegistry",
     "sign",

@@ -14,7 +14,7 @@ primitive.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -57,8 +57,9 @@ class BroadcastChannel:
         self._up = True
         self._dropped_transmissions = 0
         self._trace = telemetry.channel("net")
-        t = self._trace
-        self._m_dropped = t.counter("broadcast.dropped") if t else None
+        registry = telemetry.metrics_registry()
+        self._m_dropped = registry.counter("broadcast.dropped") \
+            if registry is not None else None
 
     # -- state -----------------------------------------------------------
     @property
@@ -156,6 +157,7 @@ class BroadcastChannel:
             if t is not None:
                 t.emit(self.sim.now, "dropped", channel=self.name,
                        reason="outage")
+            if self._m_dropped is not None:
                 self._m_dropped.inc()
             ev.succeed(message)
             return

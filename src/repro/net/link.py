@@ -43,18 +43,7 @@ from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
 __all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows", "grow_columns",
-           "count_deliveries", "column_view", "all_distinct", "as_index",
-           "kbps", "mbps"]
-
-
-def kbps(value: float) -> float:
-    """Kilobits per second → bits per second."""
-    return float(value) * 1_000.0
-
-
-def mbps(value: float) -> float:
-    """Megabits per second → bits per second."""
-    return float(value) * 1_000_000.0
+           "count_deliveries", "column_view", "all_distinct", "as_index"]
 
 
 def column_view(column: array) -> np.ndarray:
@@ -276,7 +265,6 @@ class Link:
         *,
         loss: float = 0.0,
         name: str = "link",
-        rng_stream: Optional[str] = None,
     ) -> None:
         if rate_bps <= 0:
             raise ConfigurationError(f"rate_bps must be > 0, got {rate_bps}")
@@ -286,8 +274,6 @@ class Link:
             raise ConfigurationError(f"loss must be in [0, 1), got {loss}")
         self.sim = sim
         self.name = name
-        if rng_stream is not None:
-            self._rng_stream = rng_stream
         # The row state until the link is placed in a table (lazily, see
         # __getattr__): a direct channel moves straight into its
         # Router's table without ever taking a pooled row.
@@ -297,9 +283,11 @@ class Link:
         self._refused = 0
         self._receiver: Optional[Callable[[Message], None]] = None
         self._trace = telemetry.channel("net")
-        t = self._trace
-        self._m_dropped = t.counter("link.dropped") if t else None
-        self._m_refused = t.counter("link.refused") if t else None
+        registry = telemetry.metrics_registry()
+        self._m_dropped = self._m_refused = None
+        if registry is not None:
+            self._m_dropped = registry.counter("link.dropped")
+            self._m_refused = registry.counter("link.refused")
 
     def __getattr__(self, attr: str):
         # Lazily derived names: building a 10^6-link fleet should not
@@ -392,6 +380,7 @@ class Link:
         t = self._trace
         if t is not None:
             t.emit(self.sim.now, "dropped", link=self.name, reason=reason)
+        if self._m_dropped is not None:
             (self._m_refused if reason == "down" else self._m_dropped).inc()
 
     @property

@@ -18,7 +18,6 @@ from repro.errors import ConfigurationError
 __all__ = [
     "Message",
     "bits_from_bytes",
-    "bytes_from_bits",
     "KILOBYTE",
     "MEGABYTE",
     "DEFAULT_HEADER_BITS",
@@ -47,13 +46,6 @@ def bits_from_bytes(n_bytes: float) -> float:
     if n_bytes < 0:
         raise ConfigurationError(f"negative size {n_bytes!r}")
     return float(n_bytes) * 8.0
-
-
-def bytes_from_bits(n_bits: float) -> float:
-    """Convert a size in bits to bytes."""
-    if n_bits < 0:
-        raise ConfigurationError(f"negative size {n_bits!r}")
-    return float(n_bits) / 8.0
 
 
 class Message:

@@ -27,8 +27,8 @@ the slot and charge node-hours.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict
 
 from repro.errors import (
     AdmissionError,

@@ -31,7 +31,7 @@ onto the ambient :class:`~repro.telemetry.metrics.MetricsRegistry`
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -7,8 +7,6 @@ observation side-effect free and the components unit-testable.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import AnalysisError
@@ -19,9 +17,9 @@ __all__ = ["TimeSeries", "Counter"]
 class TimeSeries:
     """Append-only (time, value) series with step-function semantics.
 
-    Used for instance sizes, queue lengths, controller load, etc.  The
-    integral/average helpers treat the series as piecewise constant
-    (value holds until the next sample).
+    Used for instance sizes, queue lengths, controller load, etc.  Its
+    readers (:mod:`repro.faults.availability`) treat the series as
+    piecewise constant (value holds until the next sample).
     """
 
     def __init__(self, name: str = ""):
@@ -51,32 +49,6 @@ class TimeSeries:
         if not self._values:
             raise AnalysisError(f"time series {self.name!r} is empty")
         return self._values[-1]
-
-    def value_at(self, time: float) -> float:
-        """Step-function value at ``time`` (last sample at or before it)."""
-        if not self._times:
-            raise AnalysisError(f"time series {self.name!r} is empty")
-        idx = int(np.searchsorted(self.times, time, side="right")) - 1
-        if idx < 0:
-            raise AnalysisError(f"t={time} precedes first sample")
-        return self._values[idx]
-
-    def time_average(self, until: Optional[float] = None) -> float:
-        """Time-weighted average of the step function up to ``until``."""
-        if len(self._times) == 0:
-            raise AnalysisError(f"time series {self.name!r} is empty")
-        t = self.times
-        v = self.values
-        end = float(until) if until is not None else t[-1]
-        if end < t[0]:
-            raise AnalysisError("until precedes first sample")
-        if end == t[0]:
-            return float(v[0])
-        cut = int(np.searchsorted(t, end, side="right"))
-        t = t[:cut]
-        v = v[:cut]
-        widths = np.diff(np.append(t, end))
-        return float(np.sum(widths * v) / (end - t[0]))
 
     def max(self) -> float:
         if not self._values:

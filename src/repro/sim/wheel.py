@@ -16,9 +16,6 @@ Design points:
   set to *now*), and a tick that finds no subscribers disarms it
   without rescheduling.  Re-arming resets the origin, so an idle wheel
   costs nothing.
-* Optional per-tick jitter is drawn from a named RNG stream
-  (:meth:`Simulator.rng`); the default of zero draws nothing, leaving
-  existing random streams untouched.
 * Stale in-flight ticks (scheduled before a disarm/re-arm) are killed
   by an epoch counter, mirroring the lazy-cancellation idiom of the
   kernel's handle path.
@@ -38,7 +35,7 @@ from repro.telemetry.trace import channel as _telemetry_channel
 
 __all__ = ["TimerWheel"]
 
-#: Tick callback: receives the *nominal* tick time (jitter excluded).
+#: Tick callback: receives the tick time.
 TickFn = Callable[[float], None]
 
 
@@ -49,38 +46,20 @@ class TimerWheel:
     ----------
     interval_s:
         Tick period (must be positive and finite).
-    jitter_s:
-        Upper bound of a uniform per-tick firing delay drawn from
-        ``rng_stream``; must be smaller than ``interval_s`` so ticks
-        never reorder.  Zero (default) draws nothing.
-    rng_stream:
-        Named RNG stream for jitter draws; defaults to ``wheel:<name>``.
     """
 
-    __slots__ = ("sim", "interval_s", "name", "jitter_s", "_rng_stream",
-                 "_subs", "_sub_list", "_next_token", "_armed", "_origin",
-                 "_k", "_epoch", "ticks", "_trace")
+    __slots__ = ("sim", "interval_s", "name", "_subs", "_sub_list",
+                 "_next_token", "_armed", "_origin", "_k", "_epoch", "ticks",
+                 "_trace")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        interval_s: float,
-        *,
-        name: str = "wheel",
-        jitter_s: float = 0.0,
-        rng_stream: Optional[str] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, interval_s: float, *,
+                 name: str = "wheel") -> None:
         if not (interval_s > 0) or not math.isfinite(interval_s):
             raise ConfigurationError(
                 f"interval_s must be positive and finite, got {interval_s!r}")
-        if jitter_s < 0 or jitter_s >= interval_s:
-            raise ConfigurationError(
-                f"jitter_s must be in [0, interval_s), got {jitter_s!r}")
         self.sim = sim
         self.interval_s = float(interval_s)
         self.name = name
-        self.jitter_s = float(jitter_s)
-        self._rng_stream = rng_stream or f"wheel:{name}"
         self._subs: Dict[int, TickFn] = {}
         #: cached snapshot of ``_subs.values()`` in subscription order,
         #: invalidated on (un)subscribe — avoids a fresh list allocation
@@ -98,10 +77,6 @@ class TimerWheel:
     @property
     def armed(self) -> bool:
         return self._armed
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subs)
 
     def subscribe(self, callback: TickFn) -> int:
         """Register ``callback(tick_time)``; returns an unsubscribe token.
@@ -138,11 +113,7 @@ class TimerWheel:
     def _schedule_next(self, epoch: int) -> None:
         self._k += 1
         target = self._origin + self._k * self.interval_s
-        fire_at = target
-        if self.jitter_s > 0.0:
-            fire_at = target + float(
-                self.sim.rng(self._rng_stream).random()) * self.jitter_s
-        self.sim.call_at(fire_at, self._fire, epoch, target)
+        self.sim.call_at(target, self._fire, epoch, target)
 
     def _fire(self, epoch: int, tick_time: float) -> None:
         if epoch != self._epoch:

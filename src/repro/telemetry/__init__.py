@@ -33,9 +33,7 @@ from repro.telemetry.trace import (
     active,
     channel,
     current,
-    install,
     parse_categories,
-    uninstall,
 )
 # Exporters live in repro.telemetry.export — deliberately NOT imported
 # here so ``python -m repro.telemetry.export`` runs without the
@@ -43,7 +41,7 @@ from repro.telemetry.trace import (
 
 __all__ = [
     "CATEGORIES", "DEFAULT_CATEGORIES", "Tracer", "TraceChannel",
-    "parse_categories", "install", "uninstall", "current", "channel",
+    "parse_categories", "current", "channel",
     "active",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "merge_snapshots", "series_key",

@@ -57,10 +57,10 @@ times or object reprs.  A traced run therefore produces byte-identical
 obey.  The optional ring buffer (``ring=N``) keeps the newest N events
 and counts the discarded ones, which is equally deterministic.
 
-Installation is process-global (:func:`install` / :func:`uninstall` or
-the :func:`active` context manager): the runner activates a fresh
-tracer around each grid point, so every component built inside the
-point picks the channels up without any constructor plumbing.
+Installation is process-global (the :func:`active` context manager):
+the runner activates a fresh tracer around each grid point, so every
+component built inside the point picks the channels up without any
+constructor plumbing.
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ __all__ = [
     "TraceChannel",
     "Tracer",
     "parse_categories",
-    "install",
-    "uninstall",
     "current",
     "channel",
     "metrics_registry",
@@ -239,21 +237,6 @@ class Tracer:
 
 #: The process-global tracer components consult at construction time.
 _CURRENT: Optional[Tracer] = None
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the ambient tracer for newly built components."""
-    global _CURRENT
-    if not isinstance(tracer, Tracer):
-        raise ConfigurationError(f"expected a Tracer, got {tracer!r}")
-    _CURRENT = tracer
-    return tracer
-
-
-def uninstall() -> None:
-    """Remove the ambient tracer (components built later are untraced)."""
-    global _CURRENT
-    _CURRENT = None
 
 
 def current() -> Optional[Tracer]:

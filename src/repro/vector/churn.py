@@ -12,9 +12,6 @@ their effect on the fleet's *effective capacity*:
   the time-averaged availability and adds the Controller's
   recomposition delay model, giving a closed-form pendant of the event
   tier's churn behaviour.
-* :func:`sample_session_survival` — Monte-Carlo check of the ON-session
-  survival curve used above (tests validate the closed form against
-  it).
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro.workloads.traces import ChurnModel
 
 __all__ = [
     "on_session_survival",
-    "sample_session_survival",
     "effective_capacity",
     "makespan_under_churn",
 ]
@@ -46,15 +42,6 @@ def on_session_survival(model: ChurnModel, t: float) -> float:
     if t < 0:
         raise AnalysisError("t must be >= 0")
     return math.exp(-t / model.mean_on_s)
-
-
-def sample_session_survival(model: ChurnModel, t: float, n: int,
-                            rng: np.random.Generator) -> float:
-    """Monte-Carlo estimate of :func:`on_session_survival`."""
-    if n <= 0:
-        raise AnalysisError("n must be > 0")
-    residual = rng.exponential(model.mean_on_s, size=n)
-    return float((residual > t).mean())
 
 
 def effective_capacity(model: ChurnModel, t: float) -> float:
@@ -80,8 +67,6 @@ def makespan_under_churn(
     model: Optional[ChurnModel],
     *,
     recomposition_lag_s: float = 0.0,
-    tolerance: float = 1e-3,
-    max_iterations: int = 100,
 ) -> ExecutionOutcome:
     """Greedy-pull finish time when nodes churn.
 
@@ -91,7 +76,8 @@ def makespan_under_churn(
     from the idle pool after ``recomposition_lag_s``, which shifts the
     capacity curve), so each task effectively costs
     ``task_wall_seconds / ā(T)``.  Since ā depends on the finish time T,
-    the result is computed by fixed-point iteration.
+    the result is computed by fixed-point iteration, to a relative
+    1e-3 of the finish time or 100 rounds.
     """
     if model is None:
         return makespan_waterfill(ready_times, n_tasks, task_wall_seconds)
@@ -118,13 +104,12 @@ def makespan_under_churn(
 
     outcome = makespan_waterfill(ready_times, n_tasks, task_wall_seconds)
     finish = outcome.finish_time
-    for _ in range(max_iterations):
+    for _ in range(100):
         horizon = finish - float(np.min(ready_times))
         capacity = max(avg_capacity(horizon), 1e-6)
         new_outcome = makespan_waterfill(
             ready_times, n_tasks, task_wall_seconds / capacity)
-        if abs(new_outcome.finish_time - finish) <= tolerance * max(
-                finish, 1.0):
+        if abs(new_outcome.finish_time - finish) <= 1e-3 * max(finish, 1.0):
             return new_outcome
         finish = new_outcome.finish_time
         outcome = new_outcome

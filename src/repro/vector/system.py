@@ -33,14 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.carousel.carousel import CarouselSchedule
 from repro.carousel.dsmcc import DEFAULT_SECTION_FORMAT, SectionFormat
 from repro.carousel.objects import CarouselFile
-from repro.core.census import STATE_BUSY, STATE_IDLE
+from repro.core.census import HEARTBEAT_GRACE, STATE_BUSY, STATE_IDLE
 from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.masks import (
     CompiledFaultPlan,
@@ -171,10 +171,10 @@ class VectorOddCISystem:
         Fault plan to honour; defaults to the ambient installed plan
         (:func:`repro.faults.plan.current_plan`), matching how event-tier
         systems pick up faults inside ``with active_plan(...)``.
-    heartbeat_interval_s / grace_heartbeats:
+    heartbeat_interval_s:
         Liveness convention — a node is alive when seen within
-        ``grace_heartbeats * heartbeat_interval_s``; the event tier's
-        Controller uses the same 3x default.
+        ``HEARTBEAT_GRACE * heartbeat_interval_s``, as on the event
+        tier's Controller.
     census_epochs / availability_samples:
         Sampling budgets: at most this many consolidation rounds /
         availability-grid quantile points per job, keeping per-job cost
@@ -197,7 +197,6 @@ class VectorOddCISystem:
         config_bits: float = CONFIG_BITS,
         section_format: Optional[SectionFormat] = None,
         heartbeat_interval_s: float = 30.0,
-        grace_heartbeats: float = 3.0,
         census_epochs: int = 12,
         availability_samples: int = 128,
         plan: Optional[FaultPlan] = None,
@@ -228,7 +227,7 @@ class VectorOddCISystem:
         self.section_format = section_format or DEFAULT_SECTION_FORMAT
         self.census = VectorCensus(
             population.n,
-            grace_s=grace_heartbeats * self.heartbeat_interval_s)
+            grace_s=HEARTBEAT_GRACE * self.heartbeat_interval_s)
         active = plan if plan is not None else current_plan()
         if active is not None and not active.events:
             active = None
@@ -352,11 +351,6 @@ class VectorOddCISystem:
                    makespan_s=makespan, efficiency=efficiency,
                    availability=availability)
         return report
-
-    def run_jobs(self, submissions: Sequence[Tuple[Job, int]]
-                 ) -> List[VectorJobReport]:
-        """Run ``(job, target_size)`` submissions back to back."""
-        return [self.run_job(job, target) for job, target in submissions]
 
     # -- fault application -------------------------------------------------
     def _applicable_outages(self, cohort: int, t_start: float):

@@ -43,7 +43,6 @@ from repro.workloads.sequences import (
     plant_homolog,
     random_database,
     random_dna,
-    reverse_complement,
 )
 from repro.workloads.traces import ChurnModel
 
@@ -69,7 +68,6 @@ __all__ = [
     "mutate",
     "random_database",
     "plant_homolog",
-    "reverse_complement",
     "DeviceProfile",
     "PowerMode",
     "REFERENCE_PC",

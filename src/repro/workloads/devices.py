@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 

@@ -21,7 +21,6 @@ __all__ = [
     "DNA_ALPHABET",
     "encode",
     "decode",
-    "reverse_complement",
     "random_dna",
     "mutate",
     "random_database",
@@ -48,17 +47,6 @@ def decode(codes: np.ndarray) -> str:
         raise WorkloadError("codes must be in 0..3")
     lookup = np.frombuffer(DNA_ALPHABET.encode(), dtype=np.uint8)
     return lookup[codes].tobytes().decode()
-
-
-def reverse_complement(codes: np.ndarray) -> np.ndarray:
-    """Reverse complement: A<->T, C<->G, sequence reversed.
-
-    With codes A=0, C=1, G=2, T=3 the complement is ``3 - code``.
-    """
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and codes.max() > 3:
-        raise WorkloadError("codes must be in 0..3")
-    return (3 - codes[::-1]).astype(np.uint8)
 
 
 def random_dna(length: int, rng: np.random.Generator) -> np.ndarray:

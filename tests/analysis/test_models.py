@@ -11,8 +11,6 @@ from repro.analysis import (
     makespan_model,
     p_from_phi,
     phi,
-    throughput_ideal,
-    throughput_single,
     wakeup_time,
 )
 from repro.errors import AnalysisError
@@ -83,12 +81,19 @@ def test_phi_validation():
 
 
 def test_throughputs():
-    assert throughput_single(0.5) == 2.0
-    assert throughput_ideal(10, 0.5) == 20.0
+    """With no wakeup or transfer cost, Equation 1 gives one node's
+    throughput 1/p̄ and N nodes' ideal throughput N/p̄."""
+    def throughput(n_nodes, p_seconds, n_tasks=10**6):
+        return n_tasks / makespan_model(
+            image_bits=1e-9, n_tasks=n_tasks, n_nodes=n_nodes, io_bits=0,
+            p_seconds=p_seconds)
+
+    assert throughput(1, 0.5) == pytest.approx(2.0, rel=1e-12)
+    assert throughput(10, 0.5) == pytest.approx(20.0, rel=1e-12)
     with pytest.raises(AnalysisError):
-        throughput_single(0)
+        throughput(1, 0)
     with pytest.raises(AnalysisError):
-        throughput_ideal(0, 1)
+        throughput(0, 1)
 
 
 @given(

@@ -14,7 +14,6 @@ from repro.analysis import (
     grid_points,
     mean_confidence_interval,
     ratio_with_error,
-    relative_error,
     render_records,
     render_series,
     render_table,
@@ -71,12 +70,6 @@ def test_ratio_with_error():
         ratio_with_error([1.0], [1.0, 2.0])
     with pytest.raises(AnalysisError):
         ratio_with_error([1.0, 2.0], [0.0, 1.0])
-
-
-def test_relative_error():
-    assert relative_error(22.0, 20.0) == pytest.approx(0.1)
-    with pytest.raises(AnalysisError):
-        relative_error(1.0, 0.0)
 
 
 def test_experiments_import_leaves_scipy_out():

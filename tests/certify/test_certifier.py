@@ -140,11 +140,11 @@ def test_probe_failure_quarantines_after_threshold():
     assert probe.task_id < 0
     certifier.on_result("evil", probe.task_id, -999)
     assert certifier.probes_failed == 1
-    assert not certifier.is_quarantined("evil")
+    assert certifier.quarantines == 0
     probe2 = certifier._make_probe("evil")
     assert probe2.task_id == probe.task_id - 1   # fresh id per probe
     certifier.on_result("evil", probe2.task_id, -999)
-    assert certifier.is_quarantined("evil")
+    assert certifier.quarantines == 1
     assert calls == ["evil"]
     with pytest.raises(QuarantinedNodeError):
         certifier.serve("evil", "inst")

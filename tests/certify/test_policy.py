@@ -14,7 +14,7 @@ def test_defaults_are_static_r3():
     pol = CertifyPolicy()
     assert pol.mode == "static"
     assert pol.r == 3
-    assert not pol.audits_only
+    assert pol.replication_for(0.0) == 3
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -38,7 +38,6 @@ def test_bad_parameters_raise(kwargs):
 
 def test_audit_mode_never_replicates():
     pol = CertifyPolicy(mode="audit")
-    assert pol.audits_only
     assert pol.replication_for(0.0) == 1
     assert pol.replication_for(1.0) == 1
 

@@ -68,16 +68,6 @@ class DictCensusStore:
         return sum(1 for (seen, _code, _h) in self._registry.values()
                    if seen >= horizon)
 
-    def registry_get(self, node_id):
-        idx = self.interner.index_of(node_id)
-        if idx is None:
-            return None
-        row = self._registry.get(idx)
-        if row is None:
-            return None
-        seen, code, handle = row
-        return (seen, CODE_STATE[code], self.instance_id_of(handle))
-
     def registry_items(self):
         id_of = self.interner.id_of
         for idx, (seen, code, handle) in self._registry.items():

@@ -207,7 +207,8 @@ def test_capacity_growth_preserves_state():
     store.validate()
     assert store.registry_size() == 100
     assert store.member_count(handle) == 100
-    assert store.registry_get("n42") == (42.0, PNAState.BUSY, "inst")
+    assert dict(store.registry_items())["n42"] == (42.0, PNAState.BUSY,
+                                                   "inst")
 
 
 # ------------------------------------------------------------ store reads
@@ -220,14 +221,11 @@ def test_registry_reads_and_clear(backend):
     store.touch(store.interner.intern("p1"), PNAState.IDLE, None, 5.0)
     store.touch(store.interner.intern("p2"), PNAState.BUSY, "inst-a", 6.0)
     assert store.registry_size() == 2
-    assert store.registry_get("p2") == (6.0, PNAState.BUSY, "inst-a")
-    assert store.registry_get("p9") is None
     assert dict(store.registry_items()) == {
         "p1": (5.0, PNAState.IDLE, None),
         "p2": (6.0, PNAState.BUSY, "inst-a")}
     store.clear_registry()
     assert store.registry_size() == 0 and list(store.registry_items()) == []
-    assert store.registry_get("p1") is None
 
 
 @pytest.mark.parametrize("backend", ["columnar", "dict"])
@@ -438,7 +436,8 @@ def test_cohort_with_duplicate_nodes_falls_back():
                                      instance_id=None))
     controller._receive_cohort(*router.heartbeat_columns(payloads))
     record = controller.instances[iid]
-    assert controller.census.registry_get("pna-3")[1] is PNAState.IDLE
+    registry = dict(controller.census.registry_items())
+    assert registry["pna-3"][1] is PNAState.IDLE
     assert controller.census.member_seen(
         record.census_handle, router.interner.index_of("pna-3")) is None
     assert record.size == 19

@@ -197,8 +197,8 @@ def test_busy_heartbeats_carry_instance_id():
                         heartbeat_interval_s=30.0)
     system.controller.create_instance(spec, instance_id="i-hb")
     system.sim.run(until=100.0)
-    seen, state, instance = system.controller.census.registry_get(
-        pna.pna_id)
+    seen, state, instance = dict(
+        system.controller.census.registry_items())[pna.pna_id]
     assert state is PNAState.BUSY
     assert instance == "i-hb"
 

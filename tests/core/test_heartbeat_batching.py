@@ -36,7 +36,7 @@ def test_same_phase_pnas_share_one_cohort():
     (cohort,) = cohorts.values()
     assert len(cohort.members) == 50
     # One shared wheel => a tick is one calendar entry, not fifty.
-    assert cohort.wheel.subscriber_count == 1
+    assert len(cohort.wheel._subs) == 1
 
 
 def test_different_phases_get_distinct_cohorts():
@@ -141,7 +141,7 @@ def test_interval_churn_drains_and_rebuilds_cohorts():
         assert len(router._cohorts) == 1
         (cohort,) = router._cohorts.values()
         assert cohort.wheel.interval_s == interval
-        assert cohort.wheel.subscriber_count == 1
+        assert len(cohort.wheel._subs) == 1
         assert list(cohort.members) == [pna.pna_id]
     start = system.sim.now
     system.sim.run(until=start + 9.5)

@@ -104,7 +104,8 @@ def test_dismantling_record_rejects_members():
     r.status = InstanceStatus.DISMANTLING
     controller._receive_batch([HeartbeatPayload(
         pna_id="a", state=PNAState.BUSY, instance_id=r.instance_id)])
-    assert controller.census.registry_get("a")[1] is PNAState.BUSY
+    assert dict(controller.census.registry_items())["a"][1] \
+        is PNAState.BUSY
     assert r.size == 0
 
 

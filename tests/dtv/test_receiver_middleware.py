@@ -13,7 +13,7 @@ from repro.dtv import (
     XletState,
 )
 from repro.errors import ConfigurationError, TuningError
-from repro.net import DuplexChannel, kbps, mbps
+from repro.net import DuplexChannel
 from repro.sim import Simulator
 from repro.workloads.devices import (
     REFERENCE_PC,
@@ -36,11 +36,11 @@ def xlet_factory(sim, stb):
     return CountingXlet(sim, stb)
 
 
-def build_world(beta=mbps(1)):
+def build_world(beta=1e6):
     CountingXlet.instances = []
     sim = Simulator(seed=1)
-    mux = Multiplex(sim, total_rate_bps=mbps(19))
-    svc = mux.add_service("tv", av_rate_bps=mbps(10), data_rate_bps=beta)
+    mux = Multiplex(sim, total_rate_bps=19e6)
+    svc = mux.add_service("tv", av_rate_bps=10e6, data_rate_bps=beta)
     svc.mount_carousel([
         CarouselFile(name="pna.bin", size_bits=1e6,
                      metadata={"xlet_factory": xlet_factory}),
@@ -49,7 +49,7 @@ def build_world(beta=mbps(1)):
 
 
 def make_stb(sim, svc, mode=PowerMode.IN_USE):
-    ch = DuplexChannel(sim, rate_bps=kbps(150), name="stb.direct")
+    ch = DuplexChannel(sim, rate_bps=150e3, name="stb.direct")
     stb = SetTopBox(sim, "stb-0", direct_channel=ch, mode=mode)
     stb.tune(svc)
     return stb
@@ -194,7 +194,7 @@ def test_off_receiver_misses_ait():
 
 def test_cannot_tune_while_off():
     sim, svc = build_world()
-    ch = DuplexChannel(sim, rate_bps=kbps(150))
+    ch = DuplexChannel(sim, rate_bps=150e3)
     stb = SetTopBox(sim, "s", direct_channel=ch, mode=PowerMode.OFF)
     with pytest.raises(TuningError):
         stb.tune(svc)
@@ -236,9 +236,9 @@ def test_retune_kills_apps():
         carousel_path="pna.bin")))
     sim.run(until=30.0)
     assert stb.app_manager.running_count == 1
-    mux2 = Multiplex(sim, total_rate_bps=mbps(19))
-    other = mux2.add_service("other", av_rate_bps=mbps(10),
-                             data_rate_bps=mbps(1))
+    mux2 = Multiplex(sim, total_rate_bps=19e6)
+    other = mux2.add_service("other", av_rate_bps=10e6,
+                             data_rate_bps=1e6)
     stb.tune(other)
     assert stb.app_manager.running_count == 0
     assert stb.service is other

@@ -10,28 +10,27 @@ from repro.dtv import (
     Multiplex,
 )
 from repro.errors import ConfigurationError, DTVError, TuningError
-from repro.net import mbps
 from repro.sim import Simulator
 
 
-def make_mux(total=mbps(19)):
+def make_mux(total=19e6):
     sim = Simulator(seed=0)
     return sim, Multiplex(sim, total_rate_bps=total)
 
 
 def test_add_service_within_capacity():
     sim, mux = make_mux()
-    svc = mux.add_service("tv1", av_rate_bps=mbps(10), data_rate_bps=mbps(1))
-    assert svc.total_rate_bps == mbps(11)
-    assert mux.allocated_rate_bps == mbps(11)
+    svc = mux.add_service("tv1", av_rate_bps=10e6, data_rate_bps=1e6)
+    assert svc.total_rate_bps == 11e6
+    assert mux.allocated_rate_bps == 11e6
     assert mux.service(svc.service_id) is svc
 
 
 def test_over_capacity_rejected():
-    sim, mux = make_mux(total=mbps(5))
-    mux.add_service("a", av_rate_bps=mbps(3), data_rate_bps=mbps(1))
+    sim, mux = make_mux(total=5e6)
+    mux.add_service("a", av_rate_bps=3e6, data_rate_bps=1e6)
     with pytest.raises(ConfigurationError):
-        mux.add_service("b", av_rate_bps=mbps(1), data_rate_bps=mbps(0.5))
+        mux.add_service("b", av_rate_bps=1e6, data_rate_bps=0.5e6)
 
 
 def test_unknown_service_raises():
@@ -43,7 +42,7 @@ def test_unknown_service_raises():
 def test_service_validation():
     sim, mux = make_mux()
     with pytest.raises(ConfigurationError):
-        mux.add_service("bad", av_rate_bps=mbps(1), data_rate_bps=0)
+        mux.add_service("bad", av_rate_bps=1e6, data_rate_bps=0)
 
 
 def test_mux_validation():
@@ -54,7 +53,7 @@ def test_mux_validation():
 
 def test_mount_carousel_once():
     sim, mux = make_mux()
-    svc = mux.add_service("tv", av_rate_bps=mbps(10), data_rate_bps=mbps(1))
+    svc = mux.add_service("tv", av_rate_bps=10e6, data_rate_bps=1e6)
     files = [CarouselFile(name="image", size_bits=1e6)]
     carousel = svc.mount_carousel(files)
     assert svc.carousel is carousel
@@ -68,7 +67,7 @@ def test_mount_carousel_once():
 
 def test_ait_publish_and_attach_semantics():
     sim, mux = make_mux()
-    svc = mux.add_service("tv", av_rate_bps=mbps(10), data_rate_bps=mbps(1))
+    svc = mux.add_service("tv", av_rate_bps=10e6, data_rate_bps=1e6)
     snapshots = []
     token = svc.attach(snapshots.append)
     # attach delivers the current (empty) AIT immediately
@@ -91,7 +90,7 @@ def test_ait_publish_and_attach_semantics():
 
 def test_ait_version_must_advance():
     sim, mux = make_mux()
-    svc = mux.add_service("tv", av_rate_bps=mbps(10), data_rate_bps=mbps(1))
+    svc = mux.add_service("tv", av_rate_bps=10e6, data_rate_bps=1e6)
     ait = ApplicationInformationTable().with_entry(AITEntry(
         app_id=1, name="pna", control_code=ApplicationControlCode.AUTOSTART,
         carousel_path="pna.bin"))

@@ -1,9 +1,13 @@
 """Backend outage → lease expiry → re-dispatch with backoff."""
 
+import pytest
+
+from repro.certify import CertifyPolicy
 from repro.core import OddCISystem
 from repro.core.backend import Backend
 from repro.faults import active_plan, parse_fault_plan
 from repro.sim.core import Simulator
+from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
 
 
@@ -24,6 +28,30 @@ def test_injected_backend_outage_redispatches_and_completes():
     # The outage stranded in-flight work; leases re-queued it.
     assert report.requeues >= 1
     assert system.fault_injector.fired[0] == (40.0, "backend_crash")
+
+
+@pytest.mark.parametrize("certify", [None, CertifyPolicy(mode="audit")])
+def test_redispatch_metrics_count_without_the_backend_category(certify):
+    """A tracer whose categories omit ``backend`` emits no requeue
+    events but still counts every lease re-dispatch (the Backend's own
+    lease loop, or the certifier's) and the restart."""
+    tracer = Tracer(("net",))
+    with active(tracer), active_plan(parse_fault_plan(
+            "backend_crash@40,dur=30")):
+        system = OddCISystem(seed=1, maintenance_interval_s=20.0)
+        system.add_pnas(8, heartbeat_interval_s=10.0,
+                        dve_poll_interval_s=5.0)
+        job = uniform_bag(24, image_bits=1e6, ref_seconds=15.0)
+        submission = system.provider.submit_job(
+            job, target_size=6, heartbeat_interval_s=10.0,
+            lease_factor=1.0, certify_policy=certify)
+        report = system.provider.run_job_to_completion(submission,
+                                                       limit_s=1e6)
+    assert report.requeues >= 1
+    assert not [ev for ev in tracer.events() if ev[2] == "requeue"]
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["recovery.tasks_redispatched"] == report.requeues
+    assert counters["recovery.backend_restarts"] == 1
 
 
 def test_backoff_grows_lease_deterministically():

@@ -12,6 +12,7 @@ category trace events.
 import pytest
 
 from repro.core import OddCISystem, PNAState
+from repro.net.broadcast import BroadcastChannel
 from repro.net.link import DuplexChannel, Link
 from repro.net.message import Message
 from repro.sim.core import Simulator
@@ -148,6 +149,27 @@ def test_drops_emit_net_trace_events_and_metrics():
     snapshot = tracer.metrics.snapshot()
     assert snapshot["counters"]["link.refused"] == 1
     assert snapshot["counters"]["link.dropped"] == 1
+
+
+def test_drop_metrics_count_without_the_net_category():
+    """Metrics gate on the registry, not on the trace channel: a tracer
+    whose categories omit ``net`` emits no drop events but still counts
+    a lossy link's drop and a broadcast lost to an outage."""
+    tracer = Tracer(("backend",))
+    with active(tracer):
+        sim = Simulator(seed=0)
+        lossy = Link(sim, rate_bps=1e6, loss=0.999999, name="t6")
+        lossy.send_quiet(_message(sim))
+        broadcast = BroadcastChannel(sim, beta_bps=1e6)
+        broadcast.set_up(False)
+        broadcast.transmit(_message(sim))
+        sim.run()
+    assert lossy.dropped == 1 and broadcast.dropped_transmissions == 1
+    assert tracer.events() == []
+    counters = tracer.metrics.snapshot()["counters"]
+    assert counters["link.dropped"] == 1
+    assert counters["link.refused"] == 0
+    assert counters["broadcast.dropped"] == 1
 
 
 def test_send_with_fail_on_loss_fails_event_and_counts():

@@ -19,8 +19,6 @@ from repro.faults.masks import (
     CENSUS_OUTAGE_KINDS,
     COMPUTE_OUTAGE_KINDS,
     RECRUITMENT_BLACKOUT_KINDS,
-    active_fraction,
-    total_outage_span,
 )
 
 
@@ -152,27 +150,6 @@ def test_deferred_start_rejects_permanent_blackout():
                            end=math.inf)]
     with pytest.raises(FaultPlanError, match="forever"):
         deferred_start(10.0, forever)
-
-
-# -- helpers ------------------------------------------------------------------
-
-def test_total_outage_span_clips_to_horizon():
-    windows = [
-        FaultWindow(kind="link_down", start=-5.0, end=10.0),
-        FaultWindow(kind="link_down", start=90.0, end=200.0),
-    ]
-    assert total_outage_span(windows, 100.0) == pytest.approx(20.0)
-
-
-def test_active_fraction_saturates_at_one():
-    windows = [
-        FaultWindow(kind="churn_storm", start=0.0, end=10.0, fraction=0.7),
-        FaultWindow(kind="link_down", start=5.0, end=15.0, fraction=0.7),
-    ]
-    assert active_fraction(windows, 2.0) == pytest.approx(0.7)
-    assert active_fraction(windows, 7.0) == 1.0
-    assert active_fraction(windows, 12.0) == pytest.approx(0.7)
-    assert active_fraction(windows, 20.0) == 0.0
 
 
 def test_empty_compiled_plan_is_inert():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import DEFAULT_HEADER_BITS, BroadcastChannel, Message, mbps
+from repro.net import DEFAULT_HEADER_BITS, BroadcastChannel, Message
 from repro.sim import Simulator
 
 
@@ -89,7 +89,7 @@ def test_listener_can_unsubscribe_during_delivery():
 
 def test_bits_sent_and_busy_until():
     sim = Simulator()
-    ch = BroadcastChannel(sim, beta_bps=mbps(1))
+    ch = BroadcastChannel(sim, beta_bps=1e6)
     msg = make_msg(1_000_000 - DEFAULT_HEADER_BITS)
     ch.transmit(msg)
     assert ch.busy_until == pytest.approx(1.0)

@@ -3,17 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError, LinkDownError
-from repro.net import DEFAULT_HEADER_BITS, DuplexChannel, Link, Message, kbps, mbps
+from repro.net import DEFAULT_HEADER_BITS, DuplexChannel, Link, Message
 from repro.sim import Simulator
 
 
 def make_msg(bits: float) -> Message:
     return Message(sender="a", recipient="b", payload_bits=bits)
-
-
-def test_rate_helpers():
-    assert kbps(150) == 150_000.0
-    assert mbps(1) == 1_000_000.0
 
 
 def test_transfer_completes_after_serialization_plus_latency():

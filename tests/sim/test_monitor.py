@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
+from repro.faults.availability import availability_fraction
 from repro.sim import Counter, TimeSeries
 
 
@@ -29,33 +30,25 @@ def test_timeseries_allows_same_time_resample():
     ts = TimeSeries()
     ts.record(1.0, 10.0)
     ts.record(1.0, 20.0)
-    assert ts.value_at(1.0) == 20.0
+    assert ts.values.tolist() == [10.0, 20.0]
+    assert ts.last() == 20.0
 
 
 def test_timeseries_value_at_step_semantics():
+    """The value in force at a time is the last sample at or before it,
+    read as the program reads it: through the availability integral."""
     ts = TimeSeries()
     ts.record(0.0, 1.0)
     ts.record(10.0, 5.0)
-    assert ts.value_at(0.0) == 1.0
-    assert ts.value_at(9.999) == 1.0
-    assert ts.value_at(10.0) == 5.0
-    assert ts.value_at(100.0) == 5.0
-    with pytest.raises(AnalysisError):
-        ts.value_at(-1.0)
 
+    def held(start, until):  # share of [start, until] the value was 5
+        return availability_fraction(ts, 5, size_tolerance=0.0,
+                                     start=start, until=until)
 
-def test_timeseries_time_average():
-    ts = TimeSeries()
-    ts.record(0.0, 0.0)
-    ts.record(10.0, 10.0)
-    # value 0 for t in [0,10), value 10 for [10,20] -> avg 5 over [0,20]
-    assert ts.time_average(until=20.0) == pytest.approx(5.0)
-
-
-def test_timeseries_time_average_single_point():
-    ts = TimeSeries()
-    ts.record(3.0, 7.0)
-    assert ts.time_average(until=3.0) == 7.0
+    assert held(0.0, 9.999) == 0.0
+    assert held(0.0, 20.0) == pytest.approx(0.5)
+    assert held(10.0, 100.0) == 1.0
+    assert held(-10.0, 10.0) == 0.0  # nothing in force before t = 0
 
 
 def test_timeseries_minmax_and_empty_errors():
@@ -63,7 +56,7 @@ def test_timeseries_minmax_and_empty_errors():
     with pytest.raises(AnalysisError):
         ts.last()
     with pytest.raises(AnalysisError):
-        ts.time_average()
+        ts.max()
     ts.record(0.0, 4.0)
     ts.record(1.0, -2.0)
     assert ts.max() == 4.0

@@ -11,10 +11,6 @@ def test_interval_validation():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ConfigurationError):
             TimerWheel(sim, bad)
-    with pytest.raises(ConfigurationError):
-        TimerWheel(sim, 1.0, jitter_s=1.0)  # jitter must be < interval
-    with pytest.raises(ConfigurationError):
-        TimerWheel(sim, 1.0, jitter_s=-0.1)
 
 
 def test_single_subscriber_ticks_on_timetable():
@@ -81,18 +77,6 @@ def test_timetable_is_drift_free():
     assert len(times) == 10000
     assert times[-1] == 10000 * 0.1
     assert times[4999] == 5000 * 0.1
-
-
-def test_jitter_delays_firing_but_not_nominal_time():
-    sim = Simulator(seed=7)
-    wheel = TimerWheel(sim, 10.0, jitter_s=2.0)
-    observed = []
-    wheel.subscribe(lambda t: observed.append((t, sim.now)))
-    sim.run(until=100.0)
-    assert len(observed) >= 8
-    for nominal, actual in observed:
-        assert nominal == pytest.approx(round(nominal / 10.0) * 10.0)
-        assert nominal <= actual < nominal + 2.0
 
 
 def test_unsubscribe_is_idempotent_and_scoped():

@@ -10,9 +10,7 @@ from repro.telemetry.trace import (
     active,
     channel,
     current,
-    install,
     parse_categories,
-    uninstall,
 )
 
 
@@ -94,16 +92,11 @@ class TestAmbientInstall:
         assert channel("control") is None
 
     def test_install_uninstall(self):
-        tracer = install(Tracer("control"))
-        assert current() is tracer
-        assert channel("control") is tracer.channel("control")
-        assert channel("backend") is None  # not enabled
-        uninstall()
+        with active(Tracer("control")) as tracer:
+            assert current() is tracer
+            assert channel("control") is tracer.channel("control")
+            assert channel("backend") is None  # not enabled
         assert channel("control") is None
-
-    def test_install_rejects_non_tracer(self):
-        with pytest.raises(ConfigurationError):
-            install("not a tracer")
 
     def test_active_restores_previous(self):
         outer, inner = Tracer("pna"), Tracer("backend")

@@ -1,4 +1,4 @@
-"""Every module and class in ``src/`` is used by some other code.
+"""Every module, class and function in ``src/`` is used by a program.
 
 A module that only a package ``__init__`` imports (to re-export its
 names) is code no program path runs.  This walks ``src/repro`` with
@@ -9,10 +9,14 @@ do not count.  Entry points are allowlisted: ``repro.__main__``
 (``python -m repro``) and ``repro.experiments.*``, which the scenario
 registry imports by name.
 
-The same holds one level down: a top-level class whose name no module
-but a package ``__init__`` mentions as a name or an attribute is never
-constructed, subclassed or caught by a program (importing a class is
-not using it).
+The same holds one level down: a top-level class or function whose
+name no module but a package ``__init__`` mentions as a name or an
+attribute is never constructed, subclassed, caught or called by a
+program (importing it is not using it).  The programs are ``src/``
+itself and the directories in ``PROGRAMS`` beside it; a mention by a
+test does not count.  The check goes by name, so a function that shares
+its name with anything a program mentions (a parameter, a local, another
+module's function) counts as used.
 """
 
 import ast
@@ -21,6 +25,9 @@ from typing import Dict, Set
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ENTRY_POINTS = ("repro.__main__", "repro.experiments.")
+#: the repository's programs beside ``src/`` (examples, the paper
+#: benches and perf floors, the repository benchmark)
+PROGRAMS = ("examples", "benchmarks", "oddbench")
 
 
 def _modules(src: Path):
@@ -88,14 +95,18 @@ def unused_modules(src: Path = SRC) -> list:
                   and not name.startswith(ENTRY_POINTS))
 
 
-def unused_classes(src: Path = SRC) -> list:
-    """``module.Class`` for each top-level class whose name no module
-    but a package ``__init__`` mentions as a name or an attribute."""
+def _unnamed(src: Path, kinds) -> list:
+    """``module.name`` for each top-level definition of one of ``kinds``
+    whose name no program module (package ``__init__``s aside) mentions
+    as a name or an attribute."""
     trees, packages = _modules(src)
+    readers = [tree for module, tree in trees.items()
+               if module not in packages]
+    for program in PROGRAMS:
+        readers += [ast.parse(path.read_text(), str(path))
+                    for path in sorted((src.parent / program).rglob("*.py"))]
     named: Set[str] = set()
-    for module, tree in trees.items():
-        if module in packages:
-            continue
+    for tree in readers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -103,8 +114,18 @@ def unused_classes(src: Path = SRC) -> list:
                 named.add(node.attr)
     return sorted(f"{module}.{node.name}"
                   for module, tree in trees.items() for node in tree.body
-                  if isinstance(node, ast.ClassDef)
-                  and node.name not in named)
+                  if isinstance(node, kinds) and node.name not in named)
+
+
+def unused_classes(src: Path = SRC) -> list:
+    """``module.Class`` for each top-level class no program names."""
+    return _unnamed(src, ast.ClassDef)
+
+
+def unused_functions(src: Path = SRC) -> list:
+    """``module.function`` for each top-level function no program
+    names."""
+    return _unnamed(src, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
 def test_every_src_module_is_imported_by_code():
@@ -113,6 +134,10 @@ def test_every_src_module_is_imported_by_code():
 
 def test_every_src_class_is_named_by_code():
     assert unused_classes() == []
+
+
+def test_every_src_function_is_named_by_code():
+    assert unused_functions() == []
 
 
 def test_check_follows_package_reexports(tmp_path):
@@ -135,11 +160,13 @@ def test_check_follows_package_reexports(tmp_path):
 
 
 def test_class_check_ignores_package_reexports(tmp_path):
-    """On a toy tree: a class named in code, or inside its own module,
-    counts; one only imported, only a package ``__init__`` re-exports,
-    or that nothing names, is reported."""
-    pkg = tmp_path / "repro"
-    pkg.mkdir()
+    """On a toy tree: a class named in code, inside its own module or by
+    an example, counts; one only imported, only a package ``__init__``
+    re-exports, only a test names, or that nothing names, is
+    reported."""
+    src = tmp_path / "src"
+    pkg = src / "repro"
+    pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text(
         "from repro.shapes import Orphan, Used\n")
     (pkg / "shapes.py").write_text(
@@ -149,11 +176,52 @@ def test_class_check_ignores_package_reexports(tmp_path):
         "class Local:\n    pass\n\n"
         "class Orphan:\n    pass\n\n"
         "class Lonely:\n    pass\n\n"
+        "class Shown:\n    pass\n\n"
+        "class Tested:\n    pass\n\n"
         "def make():\n    return Local()\n")
     (pkg / "user.py").write_text(
         "import repro.shapes\n"
         "from repro.shapes import Imported, ImportedOnly\n"
         "X = repro.shapes.Used\nY = Imported()\n")
-    assert unused_classes(tmp_path) == ["repro.shapes.ImportedOnly",
-                                        "repro.shapes.Lonely",
-                                        "repro.shapes.Orphan"]
+    _write(tmp_path / "examples" / "demo.py",
+           "from repro.shapes import Shown\nShown()\n")
+    _write(tmp_path / "tests" / "test_shapes.py",
+           "from repro.shapes import Tested\nTested()\n")
+    assert unused_classes(src) == ["repro.shapes.ImportedOnly",
+                                   "repro.shapes.Lonely",
+                                   "repro.shapes.Orphan",
+                                   "repro.shapes.Tested"]
+
+
+def test_function_check_counts_programs_not_tests(tmp_path):
+    """On a toy tree: a function called in code, handed to a registry
+    call, or named by an example or an oddbench module counts; one only
+    a package ``__init__`` re-exports, only a test calls, or that
+    nothing names, is reported."""
+    src = tmp_path / "src"
+    pkg = src / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from repro.tools import orphan\n")
+    (pkg / "tools.py").write_text("".join(
+        f"def {name}():\n    pass\n\n" for name in (
+            "called", "registered", "shown", "benched", "orphan",
+            "tested", "lonely")))
+    (pkg / "user.py").write_text(
+        "from repro.tools import called, registered\n"
+        "REGISTRY = {}\n\n"
+        "def register(name, point):\n    REGISTRY[name] = point\n\n"
+        "register('fig', registered)\ncalled()\n")
+    _write(tmp_path / "examples" / "demo.py",
+           "from repro.tools import shown\nshown()\n")
+    _write(tmp_path / "oddbench" / "run.py",
+           "import repro.tools\nSPAN = repro.tools.benched\n")
+    _write(tmp_path / "tests" / "test_tools.py",
+           "from repro.tools import tested\ntested()\n")
+    assert unused_functions(src) == ["repro.tools.lonely",
+                                     "repro.tools.orphan",
+                                     "repro.tools.tested"]
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)

@@ -8,13 +8,22 @@ from repro.vector.churn import (
     effective_capacity,
     makespan_under_churn,
     on_session_survival,
-    sample_session_survival,
 )
 from repro.vector.executor import makespan_waterfill
 from repro.workloads import ChurnModel
 
 
 MODEL = ChurnModel(mean_on_s=600.0, mean_off_s=300.0)
+
+
+def sample_session_survival(model: ChurnModel, t: float, n: int,
+                            rng: np.random.Generator) -> float:
+    """Monte-Carlo oracle of :func:`on_session_survival`: the share of
+    ``n`` exponential residual ON sessions that outlast ``t``."""
+    if n <= 0:
+        raise AnalysisError("n must be > 0")
+    residual = rng.exponential(model.mean_on_s, size=n)
+    return float((residual > t).mean())
 
 
 def test_survival_closed_form_matches_monte_carlo():

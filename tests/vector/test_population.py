@@ -370,7 +370,7 @@ def test_mixed_fleet_golden():
                            result_bits=4096.0)
     got = [(r.finish_time.hex(), r.availability.hex(),
             r.tasks_per_node_max, r.efficiency.hex(), r.wakeup_mean_s.hex())
-           for r in system.run_jobs([(job, 30_000), (job, 30_000)])]
+           for r in (system.run_job(job, 30_000) for _ in range(2))]
     assert got == [("0x1.59276aab56418p+11", "0x1.c122a2a04b114p-1", 7,
                     "0x1.be83a10c358d7p-1", "0x1.98f519086d683p+6"),
                    ("0x1.4fc7b44ed3b14p+12", "0x1.e4bd4e9f86071p-1", 6,

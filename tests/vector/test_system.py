@@ -82,14 +82,6 @@ def test_sequential_jobs_share_clock_and_population():
     assert system.reports == [r1, r2]
 
 
-def test_run_jobs_helper_matches_sequential_calls():
-    a = make_system(seed=11)
-    reports = a.run_jobs([(make_job(), 800), (make_job(), 800)])
-    b = make_system(seed=11)
-    assert reports == [b.run_job(make_job(), 800),
-                       b.run_job(make_job(), 800)]
-
-
 def test_identical_seeds_are_identical_runs():
     r1 = make_system(seed=42).run_job(make_job(), target_size=1_000)
     r2 = make_system(seed=42).run_job(make_job(), target_size=1_000)
@@ -413,7 +405,8 @@ def _census_run(cls, case, *, read_columns):
         system.census.consolidate = lambda now: log["gauges"].append(
             (now, consolidate(now))) or log["gauges"][-1][1]
         system._run_census_epochs = epochs_then_read.__get__(system)
-        system.run_jobs([(job(), target), (job(), target)])
+        for _ in range(2):
+            system.run_job(job(), target)
     log["columns"].append(_columns(system.census))
     log["events"] = tracer.events()
     log["metrics"] = tracer.metrics.snapshot()
@@ -816,7 +809,7 @@ def test_storm_clean_pair_golden_at_smoke_scale():
                            result_bits=4096.0)
     got = [(r.finish_time.hex(), r.availability.hex(),
             r.tasks_per_node_max, r.efficiency.hex(), r.wakeup_mean_s.hex())
-           for r in system.run_jobs([(job, 100_000), (job, 100_000)])]
+           for r in (system.run_job(job, 100_000) for _ in range(2))]
     assert got == [("0x1.5f67fdf250bc1p+11", "0x1.c240f83cd7f9ep-1", 4,
                     "0x1.c1dcf4b0bf446p-1", "0x1.9899d384cb199p+6"),
                    ("0x1.75309d8c6d916p+12", "0x1.e978ceb3153c8p-1", 5,

@@ -14,10 +14,20 @@ from repro.workloads import (
     encode,
     random_database,
     random_dna,
-    reverse_complement,
     search,
 )
 from repro.workloads.blast import BlastResult
+
+
+def reverse_complement(codes: np.ndarray) -> np.ndarray:
+    """Reverse complement: A<->T, C<->G, sequence reversed.
+
+    With codes A=0, C=1, G=2, T=3 the complement is ``3 - code``.
+    """
+    codes = np.asarray(codes, dtype=np.uint8)
+    if codes.size and codes.max() > 3:
+        raise WorkloadError("codes must be in 0..3")
+    return (3 - codes[::-1]).astype(np.uint8)
 
 
 def search_both_strands(db, query, params=None):
