@@ -42,10 +42,12 @@ from repro.workloads import uniform_bag
 
 FULL_SCALE = 1_000_000
 FULL_BUDGET_S = 2.0
-#: Peak RSS of a fresh process that runs the cycle at full scale, and
-#: the floor of a reduced-scale budget (the interpreter and numpy take
-#: ~45 MB before the first node).
-FULL_RSS_MB = 400.0
+#: Peak RSS of a fresh process that runs the cycle at full scale
+#: (178.4-178.6 MB over 5 runs on a 2-vCPU x86-64 host with 8 GB, 329
+#: before the Backend's instant codes and the held engine and link
+#: columns; a 1.2x margin), and the floor of a reduced-scale budget
+#: (the interpreter and numpy take ~45 MB before the first node).
+FULL_RSS_MB = 215.0
 MIN_RSS_MB = 100.0
 #: Fixed-cost allowance for reduced-scale runs: interpreter start-up,
 #: image broadcast and job build don't shrink with the fleet.
@@ -121,12 +123,13 @@ def test_cohort_event_tier_holds_memory_floor():
         f"for {scale} nodes (budget {budget:.0f} MB): {metrics}")
 
 
-#: The cycle at 10^7 PNAs in a fresh process: 8.4-10.7 s of wall time
-#: (build and run) at 2,929 MB peak RSS over 3 runs on a 2-vCPU x86-64
-#: host with 8 GB; 1.4x and 1.16x margins over the worst run.
+#: The cycle at 10^7 PNAs in a fresh process: 4.6-5.3 s of wall time
+#: (build and run) at 1,499 MB peak RSS over 3 runs on a 2-vCPU x86-64
+#: host with 8 GB (8.4-10.7 s and 2,929 MB before the instant codes and
+#: held columns); 2.8x and 1.17x margins over the worst run.
 TEN_MILLION = 10_000_000
 TEN_MILLION_BUDGET_S = 15.0
-TEN_MILLION_RSS_MB = 3_400.0
+TEN_MILLION_RSS_MB = 1_750.0
 
 
 @pytest.mark.perf

@@ -13,7 +13,6 @@ from repro.analysis.models import (
     efficiency_model,
     makespan_model,
     p_from_phi,
-    phi,
     wakeup_time,
 )
 from repro.analysis.report import (
@@ -35,7 +34,6 @@ __all__ = [
     "wakeup_time",
     "makespan_model",
     "efficiency_model",
-    "phi",
     "p_from_phi",
     "ConfidenceInterval",
     "mean_confidence_interval",

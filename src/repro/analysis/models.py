@@ -8,9 +8,10 @@
 * Efficiency (Equation 2): ``E = n·p̄ / (M̄·N)``.
 * Suitability ``Φ``: the paper's text prints Φ = (s+r)/(δ·p), but its own
   numeric examples (Φ=1 ⇒ p ≈ 53 ms, Φ=10⁵ ⇒ p ≈ 1.5 h with (s+r)=1 KB
-  and δ=150 kbps) require the **reciprocal**; we implement the corrected
+  and δ=150 kbps) require the **reciprocal**; we use the corrected
   ``Φ = δ·p̄ / (s̄ + r̄)`` — the compute-to-communication ratio, where
-  *higher* Φ means *more* suitable.  See DESIGN.md §4.
+  *higher* Φ means *more* suitable — through its inverse
+  :func:`p_from_phi`.  See DESIGN.md §4.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "wakeup_time",
     "makespan_model",
     "efficiency_model",
-    "phi",
     "p_from_phi",
 ]
 
@@ -95,17 +95,6 @@ def efficiency_model(
         image_bits=image_bits, n_tasks=n_tasks, n_nodes=n_nodes,
         io_bits=io_bits, p_seconds=p_seconds, params=params)
     return (n_tasks * p_seconds) / (makespan * n_nodes)
-
-
-def phi(p_seconds: float, io_bits: float, delta_bps: float) -> float:
-    """Suitability Φ = δ·p̄ / (s̄+r̄) (corrected form; see module doc)."""
-    if p_seconds <= 0:
-        raise AnalysisError("p_seconds must be > 0")
-    if io_bits <= 0:
-        raise AnalysisError("io_bits must be > 0")
-    if delta_bps <= 0:
-        raise AnalysisError("delta_bps must be > 0")
-    return delta_bps * p_seconds / io_bits
 
 
 def p_from_phi(phi_value: float, io_bits: float, delta_bps: float) -> float:

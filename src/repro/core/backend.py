@@ -194,15 +194,18 @@ class Backend:
         self._state = _np.zeros(n, dtype=_np.int8)
         #: each leased row's holder (a node row, -1: none), assignment
         #: instant and, with leasing on, lease deadline and number (the
-        #: lease expiry order)
+        #: lease expiry order).  An instant column holds codes into
+        #: ``_instants``, every instant the Backend wrote in ascending
+        #: order after code 0's NaN: a lockstep cohort shares one.
         self._holder = _np.full(n, -1, dtype=_np.int32)
-        self._assigned_at = _np.full(n, _np.nan)
+        self._instants: List[float] = [_np.nan]
+        self._assigned_at = _np.zeros(n, dtype=_np.uint8)
         self._lease = self._seq = None
         if lease_factor is not None:
             self._lease = _np.full(n, _np.nan)
             self._seq = _np.zeros(n, dtype=_np.int64)
         self._assign_seq = 0
-        self._completed_at = _np.full(n, _np.nan)
+        self._completed_at = _np.zeros(n, dtype=_np.uint8)
         self._n_done = 0
         #: 1 at the row of every node that ever asked for work
         self._workers = _np.zeros(0, dtype=bool)
@@ -274,7 +277,8 @@ class Backend:
         """``task_id -> completion time`` of every completed task."""
         rows = _np.flatnonzero(self._state == _DONE)
         return dict(zip(self._tasks.take(rows).task_id.tolist(),
-                        self._completed_at[rows].tolist()))
+                        map(self._instants.__getitem__,
+                            self._completed_at[rows].tolist())))
 
     @property
     def _in_flight(self) -> Dict[int, tuple]:
@@ -285,7 +289,7 @@ class Backend:
             task = self._tasks[row]
             lease = None if self._lease is None else float(self._lease[row])
             leased[task.task_id] = (task, self._id_of(int(self._holder[row])),
-                                    float(self._assigned_at[row]),
+                                    self._instants[self._assigned_at[row]],
                                     None if lease != lease else lease)
         return leased
 
@@ -304,7 +308,7 @@ class Backend:
             job_id=self.job.job_id,
             n_tasks=self.job.n,
             submitted_at=self.submitted_at,
-            completed_at=float(_np.nanmax(self._completed_at)),
+            completed_at=self._instants[self._completed_at.max()],
             tasks_assigned=self.tasks_assigned,
             duplicates=self.duplicates,
             requeues=self.requeues,
@@ -396,10 +400,22 @@ class Backend:
         self._assign_seq = seq + len(holders)
         self._state[rows] = _FLIGHT
         self._holder[rows] = holders
-        self._assigned_at[rows] = now
+        self._assigned_at[rows] = self._code(now)
         if self._lease is not None:
             self._lease[rows] = leases
             self._seq[rows] = _np.arange(seq + 1, self._assign_seq + 1)
+
+    def _code(self, now: float) -> int:
+        """The instant code of ``now``, added to ``_instants`` when it is
+        new; the instant columns widen when it outgrows their dtype."""
+        instants = self._instants
+        if now != instants[-1]:
+            instants.append(now)
+            if (len(instants) - 1) >> 8 * self._assigned_at.itemsize:
+                dtype = _np.min_scalar_type(len(instants) - 1)
+                self._assigned_at = self._assigned_at.astype(dtype)
+                self._completed_at = self._completed_at.astype(dtype)
+        return len(instants) - 1
 
     def _nowork_reply(self, instance_id: str,
                       retry: Optional[float]) -> NoWork:
@@ -545,7 +561,7 @@ class Backend:
             (len(tasks) if stop is None else stop) - pos.size)
         first = as_index(first)
         self._state[first] = _DONE
-        self._completed_at[first] = self.sim.now
+        self._completed_at[first] = self._code(self.sim.now)
         self._n_done += pos.size
         self._count_rows(self.completed_by_network, rows[pos])
         if self._holders or self._attempts or self._trace is not None:
@@ -568,14 +584,14 @@ class Backend:
         available to other requesters."""
         heap = self._replica_queue
         state = self._state
-        assigned_at = self._assigned_at
+        assigned_at, instants = self._assigned_at, self._instants
         holders_map = self._holders
         max_replicas = self.max_replicas
         skipped = []
         found: Optional[int] = None
         while heap:
             at, _seq, row = heap[0]
-            if state[row] != _FLIGHT or assigned_at[row] != at:
+            if state[row] != _FLIGHT or instants[assigned_at[row]] != at:
                 heappop(heap)  # completed or requeued: stale entry
                 continue
             holders = holders_map.get(row)
@@ -626,7 +642,7 @@ class Backend:
             self._n_pending -= 1
         self._state[row] = _DONE
         now = self.sim.now
-        self._completed_at[row] = now
+        self._completed_at[row] = self._code(now)
         self._n_done += 1
         self._count(self.completed_by_network, node)
         self._completion_effects(row, task_id, node, self._n_done)

@@ -25,11 +25,11 @@ hand it to a Controller through its ``census`` argument.
 Shape discipline
 ----------------
 There is no mypy in the toolchain, so numpy boundaries are guarded by
-assertion-based checks instead: :meth:`ColumnarCensusStore.validate`
-recomputes every derived count from the raw arrays and asserts dtypes,
-shapes and cross-array consistency.  ``_selfcheck`` in
-``tests/core/test_census_store.py`` runs a seeded differential fuzz of
-the two stores with per-step validation.
+assertion-based checks in the tests instead: ``_validate`` in
+``tests/core/test_census_store.py`` recomputes every derived count from
+the raw arrays and asserts dtypes, shapes and cross-array consistency,
+and ``_selfcheck`` there runs a seeded differential fuzz of the two
+stores with per-step validation.
 """
 
 from __future__ import annotations
@@ -430,48 +430,3 @@ class ColumnarCensusStore:
             column[:] = np.nan
             self._member_count[handle] = 0
         self._member_of[:] = 0
-
-    # -- differential-test surface ---------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Canonical, order-independent census dump.
-
-        Two stores fed the same operation sequence must produce equal
-        snapshots — the contract the differential suite enforces.
-        """
-        members = {}
-        for instance_id, handle in sorted(self._inst_index.items()):
-            if self._is_bound(handle):
-                members[instance_id] = sorted(self.members_items(handle))
-        return {
-            "registry": dict(sorted(self.registry_items())),
-            "members": members,
-        }
-
-    # -- shape/invariant checks ------------------------------------------
-    def validate(self):
-        """Assert dtype/shape discipline and recompute derived counts.
-
-        This is the numpy-boundary check standing in for a static type
-        pass: every array has the declared dtype and the shared
-        capacity, and every cached count equals what the raw columns
-        say.
-        """
-        cap = self._cap
-        assert self._seen.dtype == np.float64 and self._seen.shape == (cap,)
-        assert self._state.dtype == np.int8 and self._state.shape == (cap,)
-        assert self._inst.dtype == np.int64 and self._inst.shape == (cap,)
-        assert self._member_of.dtype == np.int16 \
-            and self._member_of.shape == (cap,)
-        assert cap >= len(self.interner), \
-            f"columns (cap {cap}) lag the interner ({len(self.interner)})"
-        assert self._registry_count == int(
-            np.count_nonzero(self._state != STATE_NONE))
-        assert set(self._member_seen) == set(self._member_count)
-        recount = np.zeros(cap, dtype=np.int16)
-        for handle, column in self._member_seen.items():
-            assert column.dtype == np.float64 and column.shape == (cap,)
-            live = ~np.isnan(column)
-            assert self._member_count[handle] == int(np.count_nonzero(live))
-            recount[live] += 1
-        assert (recount == self._member_of).all(), \
-            "reverse membership index drifted from the columns"

@@ -27,6 +27,7 @@ from repro.core.messages import HeartbeatPayload
 from repro.errors import LinkDownError, NetworkError
 from repro.net.link import (
     DuplexChannel,
+    HeldColumns,
     LinkTable,
     as_index,
     column_view,
@@ -53,7 +54,7 @@ PNA_COUNTERS = ("heartbeats_sent", "wakeups_seen", "wakeups_accepted",
                 "dropped_requirements", "resets_handled")
 
 
-class Router:
+class Router(HeldColumns):
     """Associates component ids with receive callbacks and PNA ids with
     their direct channels.
 
@@ -69,6 +70,12 @@ class Router:
     per-member Python object, and a fleet registered in bulk
     (:meth:`register_pnas`) gets its channels on first use.
     """
+
+    #: the node columns held at zero until a pass writes a row: the
+    #: instance code, the PNA_COUNTERS, and the slot and the engine code
+    #: of a member recruited in bulk into a cohort task engine while it
+    #: has no DVE object (PNA.dve)
+    _COLUMNS = ("pna_instance",) + PNA_COUNTERS + ("dve_slot", "dve_engine")
 
     def __init__(self, sim: Simulator, *,
                  interner: Optional[NodeInterner] = None) -> None:
@@ -114,15 +121,11 @@ class Router:
         self._pna_linked = array("b")
         self._node_columns = (self.pna_online, self.pna_state,
                               self._pna_linked)
-        #: columns that stay zero until a pass writes them, grown by the
-        #: first pass that touches them (see :meth:`grown`): the instance
-        #: code, the PNA_COUNTERS, and the slot and the engine code of a
-        #: member recruited in bulk into a cohort task engine while it
-        #: has no DVE object (PNA.dve)
-        zero = ("pna_instance",) + PNA_COUNTERS + ("dve_slot", "dve_engine")
-        for name in zero:
+        for name in self._COLUMNS:
             setattr(self, name, array("i"))
-        self._zero_columns = tuple(map(self.__getattribute__, zero))
+        self._zero_columns = tuple(map(self.__getattribute__, self._COLUMNS))
+        self._n, self._short = 0, False
+        self._held = dict.fromkeys(self._COLUMNS, 0)
         #: the downlink receiver of each node registered one by one, by
         #: row; a block's rows are served by the block (see _receiver_of)
         self._nodes: Dict[int, ReceiveFn] = {}
@@ -168,14 +171,6 @@ class Router:
                           for p in payloads], dtype=np.int64)
         return idxs, states, insts
 
-    def grown(self, column: array) -> array:
-        """``column``, one of the columns that stay zero until written,
-        grown with zeros to cover every node row."""
-        short = len(self.pna_state) - len(column)
-        if short > 0:
-            grow_columns((column,), short)
-        return column
-
     def _reserve_rows(self, n: int) -> None:
         """Grow the node columns and link tables to at least ``n`` rows,
         by doubling: registering a fleet then writes rows in place."""
@@ -184,6 +179,7 @@ class Router:
             return
         cap = max(n, 2 * have, 64)
         grow_columns(self._node_columns, cap - have)
+        self.reserve(cap)
         self.uplinks.reserve(cap)
         self.downlinks.reserve(cap)
 
@@ -441,7 +437,7 @@ class Router:
                              distinct=True)
         # the heartbeats' content: copies, never views of the columns
         states = column_view(self.pna_state)[ix]
-        insts = column_view(self.grown(self.pna_instance))[ix]
+        insts = column_view(self.column("pna_instance"))[ix]
         arrived = deliver == deliver  # NaN: link down or message lost
         if not arrived.all():
             idxs, states, insts, deliver = (

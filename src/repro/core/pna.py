@@ -138,7 +138,7 @@ class _HeartbeatCohort:
             return
         idxs = due[0] if len(due) == 1 else np.concatenate(due)
         if idxs.size:
-            column_view(router.grown(router.heartbeats_sent))[
+            column_view(router.column("heartbeats_sent"))[
                 as_index(idxs)] += 1
             router.send_heartbeats(idxs, self.controller_id,
                                    CONTROL_PAYLOAD_BITS)
@@ -255,12 +255,12 @@ class PNA:
     def instance_id(self) -> Optional[str]:
         router = self.router
         return router.instance_of(
-            router.grown(router.pna_instance)[self.census_idx])
+            router.column("pna_instance")[self.census_idx])
 
     @instance_id.setter
     def instance_id(self, value: Optional[str]) -> None:
         router = self.router
-        router.grown(router.pna_instance)[self.census_idx] = \
+        router.column("pna_instance")[self.census_idx] = \
             router.instance_code(value)
 
     @property
@@ -296,7 +296,7 @@ class PNA:
         dve = self._own_dve
         if dve is None:
             router = self.router
-            code = router.grown(router.dve_engine)[self.census_idx]
+            code = router.column("dve_engine")[self.census_idx]
             if code:
                 return router._engines[code]
         return dve
@@ -307,7 +307,7 @@ class PNA:
         recruited in bulk gets its facade on first access."""
         dve = self._dve
         if type(dve) is CohortTaskEngine:
-            slot = self.router.grown(self.router.dve_slot)[self.census_idx]
+            slot = self.router.column("dve_slot")[self.census_idx]
             dve = self.dve = CohortDVE(
                 dve, self, dve.instance_id, dve.backend_id,
                 poll_interval_s=self.dve_poll_interval_s,
@@ -317,7 +317,7 @@ class PNA:
     @dve.setter
     def dve(self, value: Any) -> None:
         self._own_dve = value
-        self.router.grown(self.router.dve_engine)[self.census_idx] = 0
+        self.router.column("dve_engine")[self.census_idx] = 0
 
     @property
     def controller_id(self) -> str:
@@ -547,10 +547,9 @@ class PNA:
 def _router_column(name: str) -> property:
     """A PNA attribute kept in router column ``name``, at the PNA's row."""
     return property(
-        lambda pna: pna.router.grown(getattr(pna.router, name))[
-            pna.census_idx],
-        lambda pna, value: pna.router.grown(getattr(
-            pna.router, name)).__setitem__(pna.census_idx, value))
+        lambda pna: pna.router.column(name)[pna.census_idx],
+        lambda pna, value: pna.router.column(name).__setitem__(
+            pna.census_idx, value))
 
 
 for _name in PNA_COUNTERS:
@@ -691,7 +690,7 @@ class PNABlock(Sequence):
             return
         _bump(router, "wakeups_accepted", lo, hi, join)
         column_view(router.pna_state)[lo:hi][join] = STATE_BUSY
-        column_view(router.grown(router.pna_instance))[lo:hi][join] = \
+        column_view(router.column("pna_instance"))[lo:hi][join] = \
             router.instance_code(wakeup.instance_id)
         engine = engine_for(router, wakeup.backend_id, wakeup.instance_id)
         if engine is None:
@@ -699,9 +698,9 @@ class PNABlock(Sequence):
         first = engine.join_many(
             members + lo, self.executor,
             max(4.0 * self.dve_poll_interval_s, 60.0))
-        column_view(router.grown(router.dve_slot))[lo:hi][join] = np.arange(
+        column_view(router.column("dve_slot"))[lo:hi][join] = np.arange(
             first, first + members.size)
-        column_view(router.grown(router.dve_engine))[lo:hi][join] = \
+        column_view(router.column("dve_engine"))[lo:hi][join] = \
             engine.code
         for row, pna in self._views.items():
             if join[row - lo]:
@@ -714,7 +713,7 @@ def _bump(router: Router, name: str, lo: int, hi: int,
     ``members`` selects (a mask over ``[lo, hi)`` or distinct offsets);
     the column grows only when there is something to add."""
     if members.size and (members.dtype != bool or members.any()):
-        column_view(router.grown(getattr(router, name)))[lo:hi][members] += 1
+        column_view(router.column(name))[lo:hi][members] += 1
 
 
 def _position(k: int, n: int) -> int:

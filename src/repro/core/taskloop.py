@@ -51,8 +51,8 @@ import numpy as _np
 
 from repro.errors import OddCIError
 from repro.core.messages import CONTROL_PAYLOAD_BITS, NoWork, TaskAssignment
-from repro.net.link import (all_distinct, as_index, column_view,
-                            count_deliveries, offer_rows)
+from repro.net.link import (HeldColumns, all_distinct, as_index,
+                            column_view, count_deliveries, offer_rows)
 from repro.net.message import DEFAULT_HEADER_BITS
 from repro.sim.core import Simulator
 from repro.workloads.job import TaskTable
@@ -102,6 +102,13 @@ _K_DEADLINE = 6    # request/ack timeout check; the deadline is the
 
 #: each kind's column types: slots, then the payload columns
 _TYPES = {_K_ASSIGN_ARR: "qqdd", _K_NOWORK_ARR: "qd", _K_RESULT_ARR: "qqiq"}
+
+#: The member columns a lockstep hop writes one value into, with their
+#: type and join value: the engine's :class:`~repro.net.link.HeldColumns`,
+#: held as that value until a pass or a per-member path needs rows apart.
+_HELD = {"_deadline": ("d", -1.0), "_token": ("i", 0),
+         "_result_bits": ("d", 0.0), "_digest": ("q", 0),
+         "_completed": ("i", 0), "_retrans": ("i", 0)}
 
 #: Minimum run length for the numpy bulk branches (member masks, compute
 #: times, link reservations, delivery counts); below it, scalar
@@ -217,13 +224,17 @@ def engine_for(router: "Router", backend_id: str,
     return engine
 
 
-class CohortTaskEngine:
+class CohortTaskEngine(HeldColumns):
     """Drives the DVE client loop of many members in columnar state.
 
     One engine per (Backend, instance).  Member slots are append-only;
     a destroyed member (reset, shutdown) is tombstoned and its pending
-    bucket entries lapse lazily — the DVE disposal contract.
+    bucket entries lapse lazily — the DVE disposal contract.  A loop
+    over members one by one first grows the _HELD columns
+    (:meth:`grown`), so its reads and writes are plain ``array`` ones.
     """
+
+    _COLUMNS = tuple(_HELD)
 
     __slots__ = (
         "sim", "router", "backend", "backend_id", "instance_id", "code",
@@ -259,16 +270,16 @@ class CohortTaskEngine:
         self._memo_t: Optional[float] = None
         self._memo_bucket: Optional[list] = None
         self._phase = array("b")
-        self._deadline = array("d")
-        self._token = array("i")  # the number of its last result send
         self._task_id = array("q")
-        self._result_bits = array("d")
-        #: result digest of the member's current task: 0 = honest
-        #: (wire ``None``); adversarial digests are always negative, so
-        #: 0 can never collide (repro.certify.adversary digest model).
-        self._digest = array("q")
-        self._completed = array("i")
-        self._retrans = array("i")
+        #: the _HELD columns: ``_token`` is the number of the member's
+        #: last result send; ``_digest`` the result digest of its
+        #: current task: 0 = honest (wire ``None``); adversarial digests
+        #: are always negative, so 0 can never collide
+        #: (repro.certify.adversary digest model).
+        for name, (code, _value) in _HELD.items():
+            setattr(self, name, array(code))
+        self._n, self._short = 0, False
+        self._held = {name: value for name, (_c, value) in _HELD.items()}
         self._destroyed = array("b")
         #: the member's node index (int32): its links' row in the
         #: router's link tables and its row in the node columns and
@@ -294,16 +305,21 @@ class CohortTaskEngine:
                   timeout_s: float) -> int:
         """Add the PNAs at node indices ``rows``, which all run on
         ``executor`` with request timeout ``timeout_s``, in order, as
-        column appends; returns the first slot.  Each member's first
+        column appends (a held column that holds the join value takes
+        none); returns the first slot.  Each member's first
         request goes out at the current instant (matching the reference
         DVE, whose process resume fires later in the same instant)."""
         k = len(rows)
         first = len(self._phase)
-        for column, value in ((self._phase, _JOINED), (self._deadline, -1.0),
-                              (self._token, 0), (self._task_id, -1),
-                              (self._result_bits, 0.0), (self._digest, 0),
-                              (self._completed, 0), (self._retrans, 0),
-                              (self._destroyed, 0)):
+        columns = [(self._phase, _JOINED), (self._task_id, -1),
+                   (self._destroyed, 0)]
+        self.reserve(first + k)
+        for name, (_code, value) in _HELD.items():
+            if len(getattr(self, name)) == first > 0:  # grown: append
+                columns.append((getattr(self, name), value))
+            else:
+                self.store(name, slice(first, first + k), value)
+        for column, value in columns:
             column.frombytes(array(column.typecode, (value,)).tobytes() * k)
         self._row.frombytes(_np.asarray(rows, _np.int32).tobytes())
         if not self._join_first or timeout_s != self._join_timeout[-1] \
@@ -329,7 +345,7 @@ class CohortTaskEngine:
         """``now`` plus the request timeout of each member at ``slots``
         (a range or an array)."""
         if len(self._join_first) == 1:
-            return _np.full(len(slots), now + self._join_timeout[0])
+            return _np.broadcast_to(now + self._join_timeout[0], len(slots))
         return now + _np.array(self._join_timeout)[_np.searchsorted(
             self._join_first, _view(slots), side="right") - 1]
 
@@ -480,7 +496,7 @@ class CohortTaskEngine:
         ``slots``; returns a long run's :meth:`_index`, ``None`` for a
         short one (which stays in plain Python)."""
         if len(slots) < _BULK_MIN:
-            delivered, rows = table.grown().delivered, self._row
+            delivered, rows = table.column("delivered"), self._row
             for slot in slots:
                 delivered[rows[slot]] += 1
             return None
@@ -519,6 +535,7 @@ class CohortTaskEngine:
         slots = run[1]
         destroyed = self._destroyed
         if len(slots) < _BULK_MIN:
+            self.grown()
             for slot in slots:
                 if not destroyed[slot]:
                     self._send_request(slot, now)
@@ -533,7 +550,7 @@ class CohortTaskEngine:
         arrivals = offer_rows(self.router.uplinks, ri, _CONTROL_BITS, now)
         column_view(self._phase)[si] = _AWAIT_REPLY
         deadlines = self._deadlines(live, now)
-        column_view(self._deadline)[si] = deadlines
+        self.store("_deadline", si, deadlines)
         self._file(((_K_REQ_ARR, arrivals, live, ()),
                     (_K_DEADLINE, deadlines, live, ())))
 
@@ -560,12 +577,16 @@ class CohortTaskEngine:
             # between request and reply is skipped
             sv = _slots(slots)
             _si, rows, ri = self._index(sv) if index is None else index
-            sizes = replies.input_bits + _CONTROL_BITS
+            # a uniform bag's one input size stays one number
+            sizes = replies.input_bits
+            sizes = (float(sizes[0]) if sizes.strides == (0,) else sizes) \
+                + _CONTROL_BITS
             columns = (replies.task_id, replies.ref_seconds,
                        replies.result_bits)
             keep = column_view(linked)[ri] != 0
             if not keep.all():
-                sv, ri, sizes = _view(sv)[keep], rows[keep], sizes[keep]
+                sv, ri = _view(sv)[keep], rows[keep]
+                sizes = sizes[keep] if _np.ndim(sizes) else sizes
                 columns = tuple(column[keep] for column in columns)
             self._file(((_K_ASSIGN_ARR,
                          offer_rows(router.downlinks, ri, sizes, now), sv,
@@ -624,6 +645,7 @@ class CohortTaskEngine:
         if index is not None and self._accept_bulk(run, index, now):
             return
         task_ids, refs, results = _arrays(run)[2:]
+        self.grown()
         destroyed = self._destroyed
         phase = self._phase
         online, rows = self.router.pna_online, self._row
@@ -658,9 +680,9 @@ class CohortTaskEngine:
         task_ids, refs, results = (_view(c) if whole else _view(c)[live]
                                    for c in run[2:])
         column_view(self._task_id)[li] = task_ids
-        column_view(self._result_bits)[li] = results
-        column_view(self._digest)[li] = 0
-        column_view(self._deadline)[li] = -1.0
+        self.store("_result_bits", li, results)
+        self.store("_digest", li, 0)
+        self.store("_deadline", li, -1.0)
         column_view(self._phase)[li] = _COMPUTING
         self._file(((_K_COMPUTE, now + refs, ls, ()),))
         return True
@@ -673,7 +695,7 @@ class CohortTaskEngine:
             ls = _view(slots)[live]
             if all_distinct(ls):
                 retry = _view(retries)[live]
-                column_view(self._deadline)[ls] = -1.0
+                self.store("_deadline", as_index(ls), -1.0)
                 column_view(self._phase)[ls] = _np.where(
                     retry != retry, _DONE, _SLEEPING)
                 # The poll wheel: every member NoWork'd at this instant
@@ -681,6 +703,7 @@ class CohortTaskEngine:
                 # re-polls the whole cohort.
                 self._file(((_K_SEND, retry + now, ls, ()),))
                 return
+        self.grown()
         for slot, retry in zip(slots, _arrays(run)[2]):
             self._park(slot, retry, now)
 
@@ -731,6 +754,7 @@ class CohortTaskEngine:
                 if len(live):
                     self._send_results(live, index, now)
                 return
+        self.grown()
         for slot in slots:
             if not destroyed[slot]:
                 self._send_result(slot, now)
@@ -739,17 +763,17 @@ class CohortTaskEngine:
                       now: float) -> None:
         si, _rows, ri = index
         column_view(self._phase)[si] = _AWAIT_ACK
-        tokens = column_view(self._token)
-        tokens[si] += 1
+        tokens = _np.broadcast_to(self.values("_token", si) + 1, len(live))
+        self.store("_token", si, tokens)
         # Same left-to-right sum as the scalar path.
-        sizes = CONTROL_PAYLOAD_BITS + column_view(self._result_bits)[si]
+        sizes = CONTROL_PAYLOAD_BITS + self.values("_result_bits", si)
         sizes += DEFAULT_HEADER_BITS
         arrivals = offer_rows(self.router.uplinks, ri, sizes, now)
         deadlines = self._deadlines(live, now)
-        column_view(self._deadline)[si] = deadlines
+        self.store("_deadline", si, deadlines)
+        digests = _np.broadcast_to(self.values("_digest", si), len(live))
         self._file(((_K_RESULT_ARR, arrivals, live,
-                     (column_view(self._task_id)[si], tokens[si],
-                      column_view(self._digest)[si])),
+                     (column_view(self._task_id)[si], tokens, digests)),
                     (_K_DEADLINE, deadlines, live, ())))
 
     def _handle_result_arrivals(self, run: list, start: int,
@@ -773,10 +797,12 @@ class CohortTaskEngine:
             sv = _slots(run[1])[start:]
             index = self._index(sv)
             if gone or backend._trace is None \
-                    or bool(router.uplinks.lossless(index[2]).all()):
+                    or bool(_np.all(router.uplinks.lossless(index[2]))):
                 return self._results_bulk(run, start, now, gone, sv, index)
         slots, task_ids, tokens, digests = _arrays(run)[1:]
-        delivered, member_rows = router.uplinks.grown().delivered, self._row
+        self.grown()
+        delivered = router.uplinks.column("delivered")
+        member_rows = self._row
         id_of = router.interner.id_of
         done_event = backend.done_event
         # Settling is monotonic and only this loop can flip it here.
@@ -827,14 +853,15 @@ class CohortTaskEngine:
         count_deliveries(self.router.uplinks, index[2])
         advance = ((column_view(self._destroyed)[si] == 0)
                    & (column_view(self._phase)[si] == _AWAIT_ACK)
-                   & (column_view(self._token)[si]
+                   & (self.values("_token", si)
                       == _view(run[3])[start:end]))
         if not advance.all():
             sv = _view(sv)[advance]
             index = self._index(sv)
         if len(sv):
             # One awaited copy per member: tokens are unique per send.
-            column_view(self._completed)[index[0]] += 1
+            self.store("_completed", index[0],
+                        self.values("_completed", index[0]) + 1)
             self._send_requests(sv, index, now)
         return stop
 
@@ -842,18 +869,21 @@ class CohortTaskEngine:
     def _handle_deadlines(self, run: list, now: float) -> None:
         slots = run[1]
         destroyed = self._destroyed
-        deadlines = self._deadline
-        if len(slots) >= _BULK_MIN:
+        if len(slots) >= _BULK_MIN or self._short:
             # Nearly every deadline is stale (the reply or ack came in
-            # time): mask them out in one pass.  A resend only pushes
-            # its own member's deadline later, so the survivors are a
-            # superset of the scalar loop's and it re-checks each.
+            # time): mask them out in one pass (any run while a column
+            # may be held, so a held deadline grows no row).  A resend
+            # only pushes its own member's deadline later, so the
+            # survivors are a superset of the scalar loop's and it
+            # re-checks each.
             si = self._index(slots)[0]
             due = (column_view(destroyed)[si] == 0) \
-                & (column_view(deadlines)[si] == now)
+                & (self.values("_deadline", si) == now)
             if not due.any():
                 return
             slots = _view(slots)[due].tolist()
+        self.grown()
+        deadlines = self._deadline
         phase = self._phase
         retrans = self._retrans
         for slot in slots:
@@ -873,6 +903,7 @@ class CohortTaskEngine:
         buckets (a test double poking ``dve.on_backend_message``)."""
         if self._destroyed[slot] or self._phase[slot] != _AWAIT_REPLY:
             return
+        self.grown()
         now = self.sim.now
         if isinstance(payload, (TaskAssignment,)):
             self._accept_assignment(slot, payload.task_id,
@@ -936,11 +967,11 @@ class CohortDVE:
 
     @property
     def tasks_completed(self) -> int:
-        return self._engine._completed[self._slot]
+        return int(self._engine.values("_completed", self._slot))
 
     @property
     def retransmissions(self) -> int:
-        return self._engine._retrans[self._slot]
+        return int(self._engine.values("_retrans", self._slot))
 
     def on_backend_message(self, payload) -> None:
         if self.destroyed:

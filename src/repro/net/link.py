@@ -42,8 +42,9 @@ from repro.net.message import Message
 from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
-__all__ = ["Link", "LinkTable", "DuplexChannel", "offer_rows", "grow_columns",
-           "count_deliveries", "column_view", "all_distinct", "as_index"]
+__all__ = ["Link", "LinkTable", "HeldColumns", "DuplexChannel", "offer_rows",
+           "grow_columns", "count_deliveries", "column_view", "all_distinct",
+           "as_index"]
 
 
 def column_view(column: array) -> np.ndarray:
@@ -89,7 +90,64 @@ def as_index(rows: np.ndarray) -> Union[slice, np.ndarray]:
     return rows
 
 
-class LinkTable:
+class HeldColumns:
+    """``array`` columns of ``_n`` rows, named in ``_COLUMNS``, whose
+    rows past a column's length all hold its *held* value (``_held``).
+    A pass that writes one value into every row of a column no row has
+    grown (``len`` 0), or its held value into any rows, only sets that
+    value (:meth:`store`); any other write, and a row read, first grow
+    the column filled with it (:meth:`column`, the one path that grows
+    one).  So a column a lockstep cohort keeps at one value costs no
+    rows."""
+
+    __slots__ = ("_n", "_held", "_short")
+    _COLUMNS: tuple = ()
+
+    def reserve(self, n: int) -> None:
+        """Grow to at least ``n`` rows."""
+        if n > self._n:
+            self._n, self._short = n, True
+
+    def column(self, name: str) -> array:
+        """Column ``name``, grown to ``_n`` rows with its held value."""
+        column = getattr(self, name)
+        short = self._n - len(column)
+        if short > 0:
+            grow_columns((column,), short)
+            if self._held[name]:
+                column_view(column)[-short:] = self._held[name]
+        return column
+
+    def grown(self) -> "HeldColumns":
+        """These columns, each grown to ``_n`` rows."""
+        if self._short:
+            self._short = False
+            for name in self._COLUMNS:
+                self.column(name)
+        return self
+
+    def values(self, name: str, rows: Union[slice, np.ndarray]):
+        """Column ``name`` at ``rows``: its held value, or a view."""
+        if not len(getattr(self, name)):
+            return self._held[name]
+        return column_view(self.column(name))[rows]
+
+    def store(self, name: str, rows: Union[slice, np.ndarray],
+              values) -> None:
+        """Write ``values`` into column ``name`` at ``rows`` (an
+        :func:`as_index`), held as described above when it can be."""
+        one = np.asarray(values)
+        if not len(getattr(self, name)) and (one.ndim == 0 or one.size and (
+                one.strides == (0,) or bool((one == one.flat[0]).all()))):
+            value = one.flat[0].item()
+            if value == self._held[name] or type(rows) is slice \
+                    and rows == slice(0, self._n):
+                self._held[name] = value
+                return
+        column_view(self.column(name))[rows] = values
+
+
+class LinkTable(HeldColumns):
     """Serializer state of many links, one row per link.
 
     Columns are ``array.array`` objects: a scalar read returns a Python
@@ -102,9 +160,11 @@ class LinkTable:
     zeros).  ``links`` maps each row a :class:`Link` holds to it (a
     free row, or one written by :meth:`fill` whose link is not built
     yet, has none); capacity grows by doubling, so placing a link writes
-    its row in place.  A column
-    grows to the capacity when first read or written (:meth:`grown`),
-    so rows :meth:`fill` leaves zero cost nothing until then.
+    its row in place.  The per-row columns are :class:`HeldColumns`
+    (each held at 0 until a pass sets it), so rows :meth:`fill` leaves
+    at a held value cost nothing until a row or a pass needs them, and
+    a lockstep fleet's ``busy``, ``bits`` and ``delivered`` stay one
+    value each.
 
     A table is used either *pooled* (:meth:`add` hands out recycled
     rows — the simulator's table of standalone links) or *by explicit
@@ -112,8 +172,7 @@ class LinkTable:
     """
 
     __slots__ = ("busy", "bits", "delivered", "up", "profile", "loss",
-                 "rate", "latency", "_profiles", "links", "_free", "_make",
-                 "_n", "_short")
+                 "rate", "latency", "_profiles", "links", "_free", "_make")
 
     #: the per-row columns (a row-state tuple, see :meth:`row`, holds
     #: the first four, then the profile's loss, rate and latency)
@@ -135,25 +194,11 @@ class LinkTable:
         self._free: List[int] = []
         #: builds the missing :class:`Link` of a row written by fill()
         self._make = make
-        #: the capacity, and whether some column is shorter
         self._n, self._short = 0, False
+        self._held = dict.fromkeys(self._COLUMNS, 0)
 
     def __len__(self) -> int:
         return self._n
-
-    def reserve(self, n: int) -> None:
-        """Grow to at least ``n`` (zero-filled, free) rows."""
-        if n > self._n:
-            self._n, self._short = n, True
-
-    def grown(self) -> "LinkTable":
-        """This table, with every column grown to the capacity."""
-        if self._short:
-            self._short = False
-            for name in self._COLUMNS:
-                column = getattr(self, name)
-                grow_columns((column,), self._n - len(column))
-        return self
 
     def _profile_of(self, state: tuple) -> int:
         """The profile of ``state``'s loss, rate and latency, added on
@@ -181,22 +226,21 @@ class LinkTable:
         free rows' (a homogeneous fleet), else one per row."""
         if len(column) == 2:
             return column[1]
-        return column_view(column)[column_view(self.profile)[rows]]
+        return column_view(column)[self.values("profile", rows)]
 
-    def lossless(self, rows: Union[slice, np.ndarray]) -> np.ndarray:
-        """Mask of ``rows`` whose link is up and loss-free."""
-        return (column_view(self.grown().up)[rows] != 0) \
+    def lossless(self, rows: Union[slice, np.ndarray]):
+        """Whether each of ``rows``' links is up and loss-free: a mask,
+        or one answer for them all while ``up`` is held."""
+        return (self.values("up", rows) != 0) \
             & (self.at(self.loss, rows) == 0.0)
 
     def fill(self, lo: int, hi: int, state: tuple) -> None:
-        """Write ``state`` into the new rows ``[lo, hi)``, without links:
-        a zero into rows a column does not reach yet is left implicit."""
-        values = (*state[:4], self._profile_of(state))
-        for name, value in zip(self._COLUMNS, values):
-            column = getattr(self, name)
-            if value or len(column) > lo:
-                grow_columns((column,), self._n - len(column))
-                column_view(column)[lo:hi] = value
+        """Write ``state`` into the new rows ``[lo, hi)``, without links
+        (:meth:`store`: a block that is every row leaves each column
+        held)."""
+        for name, value in zip(self._COLUMNS, (
+                *state[:4], self._profile_of(state))):
+            self.store(name, slice(lo, hi), value)
 
     def link(self, r: int) -> "Link":
         """The :class:`Link` of row ``r``, built on first use."""
@@ -516,29 +560,27 @@ def offer_rows(table: LinkTable, rows: Union[slice, np.ndarray],
     if n == 0:
         return np.empty(0)
     sized = np.ndim(size_bits) > 0
-    vec = table.lossless(rows)
+    vec = np.broadcast_to(table.lossless(rows), (n,))
     if not distinct and type(rows) is not slice:
         order = np.argsort(rows, kind="stable")
         ranked = rows[order]
         first = np.empty(n, dtype=bool)
         first[order[0]] = True
         first[order[1:]] = ranked[1:] != ranked[:-1]
-        vec &= first
+        vec = vec & first
     whole = bool(vec.all())
     if not whole and type(rows) is slice:
         rows = np.arange(rows.start, rows.stop)
     fast = rows if whole else rows[vec]
     if whole or fast.size:
         size = size_bits if not sized or whole else size_bits[vec]
-        busy = column_view(table.busy)
-        done = np.maximum(busy[fast], now)
+        done = np.maximum(table.values("busy", fast), now)
         done += size / table.at(table.rate, fast)
-        busy[fast] = done
-        bits = column_view(table.bits)
-        bits[fast] += size
+        table.store("busy", fast, done)
+        table.store("bits", fast, table.values("bits", fast) + size)
         done += table.at(table.latency, fast)
         if whole:
-            return done
+            return done if np.ndim(done) else np.broadcast_to(done, (n,))
     out = np.empty(n, dtype=np.float64)
     if fast.size:
         out[vec] = done
@@ -553,11 +595,10 @@ def count_deliveries(table: LinkTable, rows: Union[slice, np.ndarray]
                      ) -> None:
     """:meth:`Link.count_delivery` on every row of ``rows`` (repeats
     count once per occurrence)."""
-    delivered = column_view(table.grown().delivered)
     if type(rows) is slice:
-        delivered[rows] += 1
+        table.store("delivered", rows, table.values("delivered", rows) + 1)
     else:
-        np.add.at(delivered, rows, 1)
+        np.add.at(column_view(table.column("delivered")), rows, 1)
 
 
 class DuplexChannel:

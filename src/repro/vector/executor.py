@@ -174,22 +174,35 @@ def victim_patterns(masks, size: int):
     arrays, ``None`` for every row): ``(code, counts, victim)``, the
     row's pattern number (narrowest unsigned dtype, in the order of the
     bit codes ``sum_w mask_w << w``), the rows per pattern and, per
-    mask, whether each pattern is its victim."""
+    mask, whether each pattern is its victim.  A mask is counted and
+    added into the code column in place, 2^16 rows at a time through
+    one buffer."""
     code = np.zeros(size, dtype=np.uint8)
     counts, victim = np.array([size]), np.zeros((0, 1), dtype=bool)
     for mask in masks:
-        mask = np.ones(size, dtype=bool) if mask is None else mask
         g = counts.size
         code = code.astype(np.min_scalar_type(2 * g - 1), copy=False)
-        hit = (np.bincount(code[mask], minlength=g) if g > 1
-               else np.array([np.count_nonzero(mask)]))
-        code += mask.astype(code.dtype) * code.dtype.type(g)
+        add = np.empty(min(size, _CHUNK), dtype=code.dtype)
+        hit = counts if mask is None else np.zeros(g, dtype=np.int64)
+        for lo in range(0, size, _CHUNK):
+            part = code[lo:lo + _CHUNK]
+            if mask is None:
+                part += code.dtype.type(g)
+                continue
+            rows = mask[lo:lo + _CHUNK]
+            hit += (np.bincount(part[rows], minlength=g) if g > 1
+                    else np.count_nonzero(rows))
+            part += np.multiply(rows.view(np.uint8), code.dtype.type(g),
+                                out=add[:part.size])
         counts = np.concatenate([counts - hit, hit])
         victim = np.vstack([np.hstack([victim, victim]),
                             np.arange(2 * g) >= g])
         present = counts > 0
-        if not present.all():  # renumber densely
-            code = (np.cumsum(present) - 1).astype(code.dtype)[code]
+        if not present.all():  # renumber densely, in place
+            dense = (np.cumsum(present) - 1).astype(code.dtype)
+            for lo in range(0, size, _CHUNK):
+                part = code[lo:lo + _CHUNK]
+                np.take(dense, part, out=part)
             counts, victim = counts[present], victim[:, present]
     return code, counts, victim
 

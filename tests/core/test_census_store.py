@@ -20,6 +20,7 @@ import pytest
 from repro.core.census import (
     STATE_BUSY,
     STATE_IDLE,
+    STATE_NONE,
     ColumnarCensusStore,
     NodeInterner,
 )
@@ -31,10 +32,39 @@ from repro.errors import OddCIError
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
-from tests.core.dict_census import DictCensusStore, controller_on
+from tests.core.dict_census import DictCensusStore, controller_on, snapshot
 
 #: Parameter ids -> census engines.
 STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusStore}
+
+
+def _validate(store: ColumnarCensusStore) -> None:
+    """Assert the columnar store's dtype/shape discipline and recompute
+    its derived counts.
+
+    This is the numpy-boundary check standing in for a static type
+    pass: every array has the declared dtype and the shared capacity,
+    and every cached count equals what the raw columns say.
+    """
+    cap = store._cap
+    assert store._seen.dtype == np.float64 and store._seen.shape == (cap,)
+    assert store._state.dtype == np.int8 and store._state.shape == (cap,)
+    assert store._inst.dtype == np.int64 and store._inst.shape == (cap,)
+    assert store._member_of.dtype == np.int16 \
+        and store._member_of.shape == (cap,)
+    assert cap >= len(store.interner), \
+        f"columns (cap {cap}) lag the interner ({len(store.interner)})"
+    assert store._registry_count == int(
+        np.count_nonzero(store._state != STATE_NONE))
+    assert set(store._member_seen) == set(store._member_count)
+    recount = np.zeros(cap, dtype=np.int16)
+    for handle, column in store._member_seen.items():
+        assert column.dtype == np.float64 and column.shape == (cap,)
+        live = ~np.isnan(column)
+        assert store._member_count[handle] == int(np.count_nonzero(live))
+        recount[live] += 1
+    assert (recount == store._member_of).all(), \
+        "reverse membership index drifted from the columns"
 
 # ---------------------------------------------------------------- interner
 
@@ -150,9 +180,9 @@ def _selfcheck(ops: int, seed: int) -> int:
             assert columnar.registry_size() == reference.registry_size()
             assert columnar.total_members() == reference.total_members()
         if step % 97 == 0 or step == ops - 1:
-            columnar.validate()
+            _validate(columnar)
             reference.validate()
-            assert columnar.snapshot() == reference.snapshot(), \
+            assert snapshot(columnar) == snapshot(reference), \
                 f"stores diverged at step {step}"
     return 0
 
@@ -188,8 +218,8 @@ def test_group_writes_on_a_range_match_an_index_array():
             rows = np.arange(lo, hi)
             store.touch_group(form(rows), STATE_BUSY, "i-1", float(now))
             store.mark_members(handle, form(rows), float(now))
-        store.validate()
-        return store.snapshot(), store.registry_size(), \
+        _validate(store)
+        return snapshot(store), store.registry_size(), \
             store.member_count(handle), store._member_of.tolist()
 
     assert type(as_index(np.arange(10, 30))) is slice
@@ -204,7 +234,7 @@ def test_capacity_growth_preserves_state():
         idx = interner.intern(f"n{i}")
         store.touch(idx, PNAState.BUSY, "inst", float(i))
         store.mark_member(handle, idx, float(i))
-    store.validate()
+    _validate(store)
     assert store.registry_size() == 100
     assert store.member_count(handle) == 100
     assert dict(store.registry_items())["n42"] == (42.0, PNAState.BUSY,
@@ -459,14 +489,14 @@ def test_columnar_store_validate_after_controller_workload():
     script = _random_script(random.Random(13))
     sim_state, _ = _run_script("columnar", script, columnar_delivery=True)
     assert sim_state["counters"].get("heartbeats", 0) >= 0
-    # validate() runs inside _selfcheck too; here assert on a live store:
+    # _validate runs inside _selfcheck too; here assert on a live store:
     _, router, controller = _build_controller("columnar")
     spec = InstanceSpec(target_size=3, image_name="img", image_bits=1e6)
     iid = controller.create_instance(spec).instance_id
     payloads = [HeartbeatPayload(pna_id=f"p{n}", state=PNAState.BUSY,
                                  instance_id=iid) for n in range(40)]
     controller._receive_cohort(*router.heartbeat_columns(payloads))
-    controller.census.validate()
+    _validate(controller.census)
     assert controller.instances[iid].size == 40
 
 
@@ -516,4 +546,4 @@ def test_destroyed_instance_releases_column():
     assert record.size == 0
     assert list(controller.census.members_items(record.census_handle)) == []
     assert not controller.census._is_bound(record.census_handle)
-    controller.census.validate()
+    _validate(controller.census)

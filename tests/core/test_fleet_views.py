@@ -17,6 +17,7 @@ from repro.certify.adversary import Adversary
 from repro.core import OddCISystem, PNAState
 from repro.core.census import NodeInterner
 from repro.core.pna import PNA, PNABlock
+from repro.core.taskloop import _HELD
 from repro.workloads import uniform_bag
 
 #: tracemalloc bytes per node of ``add_pnas(20_000)``: 14 measured
@@ -29,13 +30,17 @@ from repro.workloads import uniform_bag
 BYTES_PER_NODE = 16
 
 #: tracemalloc peak bytes per node over the run phase (submit, wakeup,
-#: heartbeats, the whole bag) of a 20,000-node cohort cycle: 294
-#: measured once the task engine files slot ranges and one-value
-#: columns instead of copies, keeps a join's timeout and executor once
-#: and its counters and rows at int32, the Backend builds no lease
-#: columns for a lease-free bag and the link tables keep loss, rate and
-#: latency once per profile; 543 before.
-CYCLE_BYTES_PER_NODE = 320
+#: heartbeats, the whole bag) of a 20,000-node cohort cycle: 153
+#: measured once the Backend keeps its assignment and completion
+#: instants as 1-byte codes and the task engine's and link tables'
+#: columns a lockstep hop writes one value into are held as that value
+#: (test_lockstep_cycle_holds_its_columns_as_one_value); 294 before,
+#: once the task engine files slot ranges and one-value columns instead
+#: of copies, keeps a join's timeout and executor once and its counters
+#: and rows at int32, the Backend builds no lease columns for a
+#: lease-free bag and the link tables keep loss, rate and latency once
+#: per profile; 543 before that.
+CYCLE_BYTES_PER_NODE = 170
 
 
 @pytest.fixture
@@ -140,6 +145,31 @@ def test_cohort_cycle_run_phase_stays_under_byte_budget(dve):
             tracemalloc.stop()
     assert report.n_tasks == 80_000 and report.distinct_workers == 20_000
     assert peak / 20_000 < CYCLE_BYTES_PER_NODE
+
+
+def test_lockstep_cycle_holds_its_columns_as_one_value(dve):
+    """A lockstep 20,000-node cycle writes one value per hop into the
+    task engine's _HELD columns and the link tables' busy, bits and
+    delivered, so none of them is ever an array, and the Backend's
+    assignment and completion instants stay 1-byte codes."""
+    system = OddCISystem(seed=2, maintenance_interval_s=60.0)
+    system.add_pnas(20_000, heartbeat_interval_s=10.0,
+                    dve_poll_interval_s=15.0)
+    with dve.cohort():
+        submission = system.provider.submit_job(
+            _bag(80_000), target_size=20_000, heartbeat_interval_s=10.0)
+        report = system.provider.run_job_to_completion(submission,
+                                                       limit_s=1e5)
+    assert report.n_tasks == 80_000 and report.distinct_workers == 20_000
+    (engine,) = system.router._task_engines.values()
+    assert engine.members_joined == 20_000
+    assert [len(getattr(engine, name)) for name in _HELD] == [0] * 6
+    for table in (system.router.uplinks, system.router.downlinks):
+        assert (len(table.busy), len(table.bits), len(table.delivered)) \
+            == (0, 0, 0)
+    backend = submission.backend
+    assert backend._assigned_at.nbytes == backend._completed_at.nbytes \
+        == 80_000
 
 
 def test_views_are_cached_and_stable(built):

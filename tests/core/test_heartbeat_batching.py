@@ -11,6 +11,7 @@ import pytest
 from repro.core import OddCISystem, PNAState
 from repro.core.messages import HeartbeatPayload
 from repro.workloads import uniform_bag
+from tests.core.dict_census import snapshot
 
 
 def build_system(n_pnas=10, heartbeat_interval_s=20.0):
@@ -300,7 +301,7 @@ def _mixed_cohort_run(store):
     late = system.pnas[-1]
     assert late._hb_cohort is pnas[0]._hb_cohort
     return {
-        "snapshot": ctl.census.snapshot(),
+        "snapshot": snapshot(ctl.census),
         "counters": ctl.counters.as_dict(),
         "trims_sent": ctl.instances[trimmed].trims_sent,
         "pna": [(p.pna_id, p.state, p.instance_id, p.heartbeats_sent)

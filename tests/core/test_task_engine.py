@@ -17,7 +17,7 @@ instant — including order-sensitive fields like each completion's
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import OddCISystem
@@ -32,6 +32,7 @@ from repro.core.taskloop import (
     CohortDVE,
     CohortTaskEngine,
 )
+from repro.net.link import LinkTable
 from repro.telemetry.trace import Tracer, active
 from repro.workloads import uniform_bag
 from repro.workloads.job import reset_job_sequence
@@ -50,12 +51,13 @@ def _run_cycle(*, seed=7, n_nodes=20, n_tasks=60,
                ref_seconds=4.0, input_bits=2e5, result_bits=1e5,
                delta_loss=0.0, lease_factor=None, replicate_tail=False,
                dve_poll_interval_s=5.0, executor=None, drain_s=120.0,
-               rate_spread=0.0, trace=False):
+               rate_spread=0.0, shutdowns=(), trace=False):
     """One full recruit+job+dismantle cycle; returns the comparison dict.
 
     ``rate_spread`` makes the direct channels heterogeneous: node ``i``
     runs both links at ``1 + rate_spread * (i % 7)`` times the base
-    rate, so one cohort hop lands on several instants."""
+    rate, so one cohort hop lands on several instants.  ``shutdowns``
+    lists ``(time, i)``: node ``i`` switches off at ``time``."""
     reset_job_sequence()
     reset_instance_sequence()
     tracer = Tracer("all") if trace else None
@@ -83,6 +85,8 @@ def _run_cycle(*, seed=7, n_nodes=20, n_tasks=60,
             heartbeat_interval_s=500.0, lease_factor=lease_factor,
             replicate_tail=replicate_tail)
         backend = submission.backend
+        for at, i in shutdowns:
+            system.sim.call_at(at, system.pnas[i].shutdown)
         report = system.provider.run_job_to_completion(submission,
                                                        limit_s=1e6)
         # Drain same-instant stragglers and the dismantle broadcast so
@@ -233,6 +237,82 @@ def test_fuzz_seed_sweep(dve):
             drain_s=300.0,
         )
         _assert_equivalent(cfg, dve)
+
+
+@st.composite
+def _hops(draw):
+    """A cycle whose hops mix whole-cohort passes (a lockstep fleet),
+    subset passes (heterogeneous links, members switched off mid-job,
+    lossy links) and per-member paths (losses, slow devices, short
+    runs)."""
+    n_nodes = draw(st.sampled_from((20, 64, 100, 100)))
+    shutdowns = tuple(draw(st.lists(st.tuples(
+        st.sampled_from((3.0, 9.0, 20.0)), st.integers(0, n_nodes - 1)),
+        max_size=3)))
+    loss = draw(st.sampled_from((0.0, 0.03)))
+    return dict(
+        seed=draw(st.integers(0, 50)),
+        n_nodes=n_nodes,
+        n_tasks=draw(st.integers(n_nodes, 4 * n_nodes)),
+        ref_seconds=draw(st.sampled_from((2.0, 7.5))),
+        delta_loss=loss,
+        # a task lost with its assignment, or held by a node switched
+        # off, comes back only through a lease
+        lease_factor=3.0 if shutdowns or loss else draw(st.sampled_from(
+            (None, 3.0))),
+        rate_spread=draw(st.sampled_from((0.0, 0.0, 0.5))),
+        executor=draw(st.sampled_from((None, None, _slow_device))),
+        shutdowns=shutdowns,
+        drain_s=300.0,
+        trace=draw(st.booleans()),
+    )
+
+
+def _decided_run(cfg, materialise):
+    """``_run_cycle(**cfg)`` plus each engine's _HELD columns, member by
+    member; ``materialise``: every such column, and every link table
+    column, grown to every row as soon as rows are added."""
+    from repro.core.taskloop import _HELD
+
+    engines = []
+    init, join, fill = (CohortTaskEngine.__init__, CohortTaskEngine.join_many,
+                        LinkTable.fill)
+
+    def spied_init(engine, *args):
+        init(engine, *args)
+        engines.append(engine)
+
+    def grown_join(engine, *args):
+        first = join(engine, *args)
+        engine.grown()
+        return first
+
+    def grown_fill(table, *args):
+        fill(table, *args)
+        table.grown()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CohortTaskEngine, "__init__", spied_init)
+        if materialise:
+            mp.setattr(CohortTaskEngine, "join_many", grown_join)
+            mp.setattr(LinkTable, "fill", grown_fill)
+        out = _run_cycle(**cfg)
+    out["members"] = [[[engine.values(name, slot) for name in _HELD]
+                       for slot in range(len(engine._phase))]
+                      for engine in engines]
+    return out
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_hops())
+def test_decided_columns_match_materialised_columns(dve, cfg):
+    """The engine's _HELD columns and the link tables' columns are held
+    as one value until a row differs: a cycle's outputs, traces,
+    per-link counters and member columns equal those of the same cycle
+    with every such column grown to every row as rows are added."""
+    with dve.cohort():
+        assert _decided_run(cfg, False) == _decided_run(cfg, True)
 
 
 # -- engine unit behaviour ----------------------------------------------------

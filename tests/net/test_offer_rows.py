@@ -163,6 +163,90 @@ def test_offer_rows_on_a_row_index(rows, down, lossy):
                    index=True)
 
 
+def _filled(sim, n, rates):
+    """A table of ``n`` rows written by ``fill`` (no links yet), a
+    share of them at each of ``rates``, whose links are built over their
+    rows on first use, as a Router's fleet is; and each row's rate."""
+    table = LinkTable()
+
+    def make(r):
+        state = table.row(r)
+        link = Link(sim, state[5], state[6], name=f"l{r}")
+        link._init = state
+        link.move_to(table, r)
+        return link
+
+    table._make = make
+    table.reserve(n)
+    row_rates = []
+    for k, rate in enumerate(rates):
+        lo, hi = k * n // len(rates), (k + 1) * n // len(rates)
+        table.fill(lo, hi, (sim.now, 0.0, 0, 1, 0.0, rate, 0.01))
+        row_rates += [rate] * (hi - lo)
+    return table, row_rates
+
+
+@st.composite
+def _passes(draw):
+    n = draw(st.integers(1, 40))
+    rates = draw(st.sampled_from(((1e6,), (1e6, 1.5e5))))
+    rows = st.one_of(st.just(None), st.lists(st.integers(0, n - 1),
+                                             min_size=1, max_size=n,
+                                             unique=True))
+    op = st.one_of(
+        st.tuples(st.just("offer"), rows,
+                  st.sampled_from(("one", "equal", "mixed"))),
+        st.tuples(st.just("count"), rows),
+        st.tuples(st.just("link"), st.integers(0, n - 1)),
+        st.tuples(st.just("advance"), st.sampled_from((0.0, 0.003, 1.0))),
+    )
+    return n, rates, draw(st.lists(op, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_passes())
+def test_held_columns_under_mixed_passes(case):
+    """A filled table's ``busy``, ``bits`` and ``delivered`` are held as
+    one value while whole-table passes write one value, and grown with
+    it by a subset pass or a link's scalar ``offer``: delivery times and
+    every row's state equal plain links offered row by row, and a
+    lockstep sequence (whole-table passes of one size on one rate)
+    leaves every column held."""
+    n, rates, ops = case
+    sim, ref_sim = Simulator(seed=0), Simulator(seed=0)
+    table, row_rates = _filled(sim, n, rates)
+    refs = [Link(ref_sim, rate, 0.01, name=f"l{r}")
+            for r, rate in enumerate(row_rates)]
+    for kind, *args in ops:
+        if kind == "advance":
+            sim.run(until=sim.now + args[0])
+            ref_sim.run(until=ref_sim.now + args[0])
+        elif kind == "link":
+            (r,) = args
+            assert table.link(r).offer(SIZES[0]) == refs[r].offer(SIZES[0])
+        else:
+            rows = np.arange(n) if args[0] is None else np.array(args[0])
+            if kind == "count":
+                count_deliveries(table, as_index(rows))
+                for r in rows.tolist():
+                    refs[r].count_delivery()
+                continue
+            sizes = {"one": SIZES[1], "equal": np.full(len(rows), SIZES[2]),
+                     "mixed": np.array([SIZES[r % 4]
+                                        for r in rows.tolist()])}[args[1]]
+            got = offer_rows(table, as_index(rows), sizes, sim.now)
+            _same(got, [refs[r].offer(float(np.broadcast_to(
+                sizes, len(rows))[k])) for k, r in enumerate(rows.tolist())])
+    lockstep = len(rates) == 1 and all(
+        kind == "advance" or kind in ("offer", "count") and args[0] is None
+        and args[-1] != "mixed" for kind, *args in ops)
+    if lockstep:
+        assert not (table.busy or table.bits or table.delivered)
+    for r, ref in enumerate(refs):
+        assert table.row(r)[:3] == (ref._t.busy[ref._row], ref.bits_sent,
+                                    ref.delivered)
+
+
 def test_scalar_link_state_reads_are_python_floats():
     sim = Simulator(seed=1)
     link = Link(sim, 1e6, 0.01)

@@ -15,8 +15,9 @@ attribute is never constructed, subclassed, caught or called by a
 program (importing it is not using it).  The programs are ``src/``
 itself and the directories in ``PROGRAMS`` beside it; a mention by a
 test does not count.  The check goes by name, so a function that shares
-its name with anything a program mentions (a parameter, a local, another
-module's function) counts as used.
+its name with anything a program mentions (a local variable, another
+module's function) counts as used; a parameter, read in its function's
+body, is not a mention.
 """
 
 import ast
@@ -107,8 +108,22 @@ def _unnamed(src: Path, kinds) -> list:
                     for path in sorted((src.parent / program).rglob("*.py"))]
     named: Set[str] = set()
     for tree in readers:
+        # a function's parameter, where the function's body reads it,
+        # is a local name, not a mention of a top-level one
+        local = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                params = {arg.arg for arg in ast.walk(node.args)
+                          if isinstance(arg, ast.arg)}
+                body = node.body if isinstance(node.body, list) \
+                    else [node.body]
+                local.update(id(name) for part in body
+                             for name in ast.walk(part)
+                             if isinstance(name, ast.Name)
+                             and name.id in params)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in local:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
@@ -220,6 +235,24 @@ def test_function_check_counts_programs_not_tests(tmp_path):
     assert unused_functions(src) == ["repro.tools.lonely",
                                      "repro.tools.orphan",
                                      "repro.tools.tested"]
+
+
+def test_function_check_skips_parameter_names(tmp_path):
+    """On a toy tree: a function whose name a program uses only as a
+    parameter (read in the body, passed as a keyword, a lambda's) is
+    reported; one a parameter's default value names counts."""
+    src = tmp_path / "src"
+    pkg = src / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "tools.py").write_text("".join(
+        f"def {name}():\n    pass\n\n" for name in (
+            "phi", "rate", "default")))
+    (pkg / "user.py").write_text(
+        "def scale(phi, *, rate=default):\n    return phi * rate\n\n"
+        "half = lambda rate: rate / 2\n"
+        "scale(phi=1.0, rate=2.0)\n")
+    assert unused_functions(src) == ["repro.tools.phi", "repro.tools.rate"]
 
 
 def _write(path: Path, text: str) -> None:

@@ -653,3 +653,71 @@ def test_victim_patterns_number_the_bit_codes_densely(data):
     for w, m in enumerate(masks):
         assert victim[w].tolist() == [m is None or bool(b >> w & 1)
                                       for b in distinct]
+
+
+def _victim_patterns_reference(masks, size: int):
+    """``victim_patterns`` as it was before it worked in chunks: each
+    mask as a cohort-sized ``astype``/product and a fancy-indexed
+    ``bincount`` (the oracle of the chunked one)."""
+    code = np.zeros(size, dtype=np.uint8)
+    counts, victim = np.array([size]), np.zeros((0, 1), dtype=bool)
+    for mask in masks:
+        mask = np.ones(size, dtype=bool) if mask is None else mask
+        g = counts.size
+        code = code.astype(np.min_scalar_type(2 * g - 1), copy=False)
+        hit = (np.bincount(code[mask], minlength=g) if g > 1
+               else np.array([np.count_nonzero(mask)]))
+        code += mask.astype(code.dtype) * code.dtype.type(g)
+        counts = np.concatenate([counts - hit, hit])
+        victim = np.vstack([np.hstack([victim, victim]),
+                            np.arange(2 * g) >= g])
+        present = counts > 0
+        if not present.all():  # renumber densely
+            code = (np.cumsum(present) - 1).astype(code.dtype)[code]
+            counts, victim = counts[present], victim[:, present]
+    return code, counts, victim
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_chunked_victim_patterns_match_the_reference(data):
+    """The chunked ``victim_patterns`` returns the reference's codes,
+    counts and victim table byte for byte (dtypes included): 0-3 masks
+    and 9 (past 128 patterns, so the codes widen to uint16), ``None``
+    masks, masks that leave patterns empty (dense renumbering) and
+    sizes on both sides of a 2^16-row chunk."""
+    chunk = executor._CHUNK
+    size = data.draw(st.one_of(st.integers(1, 300), st.sampled_from(
+        (chunk - 1, chunk, chunk + 77, 2 * chunk + 5))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    masks = []
+    for _ in range(data.draw(st.sampled_from((0, 1, 2, 3, 9)))):
+        kind = data.draw(st.sampled_from(("none", "all", "empty", "some",
+                                          "same")))
+        if kind == "none":
+            masks.append(None)
+        elif kind in ("all", "empty"):
+            masks.append(np.full(size, kind == "all"))
+        elif kind == "same" and masks and masks[-1] is not None:
+            masks.append(masks[-1])
+        else:
+            masks.append(rng.random(size) < data.draw(st.sampled_from(
+                (0.05, 0.3, 0.5, 0.9))))
+    got = victim_patterns(masks, size)
+    want = _victim_patterns_reference(masks, size)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape,
+                                                   w.tobytes())
+
+
+def test_chunked_victim_patterns_widen_past_128_patterns():
+    """Nine independent masks over 3,000 rows leave more than 128
+    patterns before the last one: its codes widen to uint16, as the
+    reference's do."""
+    rng = np.random.default_rng(5)
+    masks = [rng.random(3_000) < 0.5 for _ in range(9)]
+    code, counts, victim = victim_patterns(masks, 3_000)
+    assert code.dtype == np.uint16 and counts.size > 256
+    for g, w in zip((code, counts, victim),
+                    _victim_patterns_reference(masks, 3_000)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
