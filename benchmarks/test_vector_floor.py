@@ -52,7 +52,12 @@ their one value and no link column (3 fresh processes each,
 interleaved with the code before it, same host): 10^7 nodes
 21.9-35.3M nodes/s (19.1-20.6M before), build 0.007-0.010 s
 (0.025-0.035 s), peak RSS 171 MB (246 MB before); 10^5 15.3-22.7M
-(7.4-8.7M), 50.4-50.5 MB (52.2 MB).
+(7.4-8.7M), 50.4-50.5 MB (52.2 MB).  With the storm's victims
+resolved from the tail shuffle's draws (3 fresh processes each,
+interleaved with the code before it, same host): 10^7 nodes
+52.3-52.8M nodes/s (45.4-50.8M before), peak RSS 117.1 MB (171.0 MB
+before); the 10^8 smoke, run once each, 47.8M nodes/s at 727 MB
+(42.5M at 1,279 MB before).
 :data:`MIN_BUILD_NODES_PER_SEC` holds the fleet build and
 :data:`MIN_CENSUS_ROWS_PER_SEC` one job's census cycle.
 
@@ -86,7 +91,9 @@ FULL_SCALE = 1_000_000
 #: O(n log n) or per-node-Python regression (those land 10-100x below).
 MIN_NODES_PER_SEC = 2_500_000
 #: The memory floor's full scale, the peak RSS a fresh process that
-#: runs the scenario there may reach (171 MB measured over 3 runs with
+#: runs the scenario there may reach (117.1 MB measured over 3 fresh
+#: processes once ``storm_victims`` resolves numpy's tail shuffle
+#: without its int64 index over the cohort; 171 MB with that index,
 #: the ready instants as one uint8 code per node and the decided
 #: population columns held as their value; 237-246 MB with an 8-byte
 #: ready column and three 1-byte population columns beside ``busy``
@@ -100,7 +107,7 @@ MIN_NODES_PER_SEC = 2_500_000
 #: loads only with a confidence interval), and 10^5 nodes 50.4-50.5 MB
 #: in all (3 fresh processes).
 RSS_FULL_SCALE = 10_000_000
-FULL_RSS_MB = 220.0
+FULL_RSS_MB = 150.0
 MIN_RSS_MB = 65.0
 #: The fleet build floor's scale, which ``REPRO_FLOOR_SCALE`` leaves
 #: alone (three builds take ~0.1 s), and its bound in population rows

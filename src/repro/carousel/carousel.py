@@ -196,7 +196,7 @@ class ObjectCarousel:
 
     The carousel runs as a simulation process: each repetition transmits
     the control sections then every file in order.  Content updates
-    (:meth:`update_file`, :meth:`add_file`, :meth:`remove_file`) are
+    (:meth:`add_file`, :meth:`replace_file`, :meth:`remove_file`) are
     applied at the next cycle boundary, as real carousel generators do.
     """
 
@@ -284,17 +284,6 @@ class ObjectCarousel:
         return CarouselSchedule(
             list(self._files.values()), self.channel.beta_bps,
             section_format=self.section_format, origin_time=origin_time)
-
-    def update_file(self, name: str,
-                    new_size_bits: Optional[float] = None) -> CarouselFile:
-        """Queue a new version of ``name`` for the next repetition."""
-        current = self._pending_updates.get(name) or self._files.get(name)
-        if current is None:
-            raise FileNotInCarouselError(f"{name!r} not in carousel")
-        updated = current.bumped(new_size_bits)
-        self._pending_updates[name] = updated
-        self._wake_at_boundary()
-        return updated
 
     def add_file(self, file: CarouselFile) -> None:
         """Queue a new file for the next repetition."""

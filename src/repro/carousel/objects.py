@@ -8,8 +8,7 @@ and the ``configuration`` file (Section 4.3 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from repro.errors import CarouselError
 
@@ -49,12 +48,3 @@ class CarouselFile:
         if self.version < 1:
             raise CarouselError(
                 f"file {self.name!r} version must be >= 1, got {self.version}")
-
-    def bumped(self, new_size_bits: Optional[float] = None) -> "CarouselFile":
-        """Return the next version of this file (optionally resized)."""
-        return replace(
-            self,
-            size_bits=self.size_bits if new_size_bits is None
-            else float(new_size_bits),
-            version=self.version + 1,
-        )

@@ -393,13 +393,6 @@ class ColumnarCensusStore:
     def member_count(self, handle):
         return self._member_count.get(handle, 0)
 
-    def member_seen(self, handle, idx):
-        column = self._member_seen.get(handle)
-        if column is None or idx >= column.size:
-            return None
-        seen = column[idx]
-        return None if seen != seen else float(seen)
-
     def members_items(self, handle):
         column = self._member_seen.get(handle)
         if column is None:
@@ -417,10 +410,6 @@ class ColumnarCensusStore:
             self._member_of[live] -= 1
         column[:] = np.nan
         self._member_count[handle] = 0
-
-    def total_members(self):
-        """Sum of membership counts across bound instances."""
-        return sum(self._member_count.values())
 
     def clear(self) -> None:
         """Crash semantics: registry and all membership vanish (bound

@@ -99,10 +99,3 @@ class ApplicationInformationTable:
         return ApplicationInformationTable(
             entries=rest + (entry,), table_version=self.table_version + 1)
 
-    def without_app(self, app_id: int) -> "ApplicationInformationTable":
-        """New snapshot with ``app_id`` removed (version bumped)."""
-        if all(e.app_id != app_id for e in self.entries):
-            raise DTVError(f"app_id {app_id} not in AIT")
-        return ApplicationInformationTable(
-            entries=tuple(e for e in self.entries if e.app_id != app_id),
-            table_version=self.table_version + 1)

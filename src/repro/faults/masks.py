@@ -174,6 +174,17 @@ def compile_fault_plan(plan: FaultPlan,
     return CompiledFaultPlan(tuple(windows), name=plan.name)
 
 
+#: numpy's ``Generator.choice(size, k, replace=False)`` runs a tail
+#: shuffle of an int64 ``arange(size)`` when ``size`` exceeds this and
+#: ``k > size // _CHOICE_TAIL_DIVISOR``, and Floyd's O(k) algorithm
+#: otherwise.
+_CHOICE_TAIL_MIN_SIZE = 10_000
+_CHOICE_TAIL_DIVISOR = 50
+#: Steps drawn, and sorted keys resolved, per pass of
+#: :func:`_tail_shuffle_victims`.
+_CHUNK = 1 << 14
+
+
 def storm_victims(rng: np.random.Generator, size: int,
                   fraction: float) -> np.ndarray:
     """Boolean victim mask over a cohort of ``size`` nodes.
@@ -182,15 +193,111 @@ def storm_victims(rng: np.random.Generator, size: int,
     round(fraction * size))`` chosen without replacement — so the two
     tiers remove statistically identical capacity.  A fraction >= 1
     short-circuits to "everyone" without consuming a draw (whole-fleet
-    outages such as ``backend_crash``).
+    outages such as ``backend_crash``).  The victims and the stream are
+    ``rng.choice(size, k, replace=False)``'s; where ``choice`` would
+    shuffle the whole cohort, :func:`_tail_shuffle_victims` resolves the
+    same draws without that permutation.
     """
     if size <= 0:
         return np.zeros(0, dtype=bool)
     if fraction >= 1.0:
         return np.ones(size, dtype=bool)
+    size = int(size)
     k = min(size, max(1, int(round(fraction * size))))
+    # The tail resolution packs ``j << b | u`` into int64 keys (which
+    # also keeps ``k`` below 2**31 for its int32 roots); ``k == size``
+    # stops numpy's shuffle one step short.
+    if (size <= _CHOICE_TAIL_MIN_SIZE or k <= size // _CHOICE_TAIL_DIVISOR
+            or k == size or size.bit_length() + k.bit_length() > 63):
+        mask = np.zeros(size, dtype=bool)
+        mask[rng.choice(size, size=k, replace=False)] = True
+        return mask
+    return _tail_shuffle_victims(rng, size, k)
+
+
+def _tail_shuffle_victims(rng: np.random.Generator, size: int,
+                          k: int) -> np.ndarray:
+    """The victims of ``choice``'s tail shuffle, from the same draws,
+    with no cohort-sized array but the mask.
+
+    The shuffle's step ``s`` (0 to ``k - 1``) swaps position
+    ``size - 1 - s`` with ``j_s``, a bounded draw in ``[0, size - 1 -
+    s]``, and the last ``k`` positions are the victims.  Call position
+    ``size - k + u`` tail slot ``u``: step ``s`` swaps slot ``u = k - 1 -
+    s`` and no later step touches it.  So:
+
+    * a head position (below ``size - k``) that any step reads is a
+      victim, and the value its latest read leaves there is not;
+    * that value is what the reading step's slot held just before: the
+      slot's own value, unless an earlier step (a larger ``u``) read the
+      slot, in which case it is what *that* step's slot held, and so on
+      up to a slot that no earlier step read (the chain's root).
+
+    The draws, taken as ``integers(0, bounds, endpoint=True)`` (the
+    same bounded draws from the same 32-bit halves), are sorted as keys
+    ``j << b | u``: each position's reads, latest first.  Scratch: the
+    keys (8 B per victim), the roots (4 B) and ``_CHUNK``-row buffers.
+    """
+    head = size - k
+    b = k.bit_length()
+    low = (1 << b) - 1
     mask = np.zeros(size, dtype=bool)
-    mask[rng.choice(size, size=k, replace=False)] = True
+    tail = mask[head:]
+    keys = np.empty(k, dtype=np.int64)
+    bounds = np.arange(size - 1, size - 1 - min(k, _CHUNK), -1,
+                       dtype=np.int64)
+    slots = bounds - head
+    for lo in range(0, k, _CHUNK):
+        n = min(_CHUNK, k - lo)
+        draws = rng.integers(0, bounds[:n], endpoint=True)
+        # A slot whose step reads the head leaves its value there.
+        np.greater_equal(draws, head, out=tail[::-1][lo:lo + n])
+        out = keys[lo:lo + n]
+        np.left_shift(draws, b, out=out)
+        out |= slots[:n]
+        bounds -= _CHUNK
+        slots -= _CHUNK
+    del bounds, slots, draws
+    keys.sort()
+    split = int(np.searchsorted(keys, head << b))
+    # Each pass also reads the key before it, to tell which of its keys
+    # is its position's latest read.  A head read that is not leaves a
+    # value a later read takes.
+    for lo in range(0, split, _CHUNK):
+        n = min(_CHUNK, split - lo)
+        run = keys[max(lo - 1, 0):lo + n]
+        pos = run >> b
+        mask[pos] = True
+        again = np.zeros(n, dtype=bool)
+        np.equal(pos[1:], pos[:-1], out=again[n + 1 - pos.size:])
+        tail[run[-n:].compress(again) & low] = True
+    # Tail reads, highest slot first, so a reader's slot above this
+    # pass already holds its root.  A slot whose latest reader is its
+    # own step is neither a head read's slot nor a reader: its root
+    # stays its own.
+    root = np.arange(k, dtype=np.int32)
+    for hi in range(k, split, -_CHUNK):
+        n = min(_CHUNK, hi - split)
+        run = keys[max(hi - n - 1, 0):hi]
+        slot = run >> b
+        slot -= head
+        latest = np.ones(n, dtype=bool)
+        np.not_equal(slot[1:], slot[:-1], out=latest[n + 1 - slot.size:])
+        q = slot[-n:].compress(latest)
+        r = root[run[-n:].compress(latest) & low]
+        root[q] = r
+        # Roots read from this pass's own slots: jump until final.
+        todo = np.flatnonzero(r <= slot[-1])
+        while todo.size:
+            rr = root[r[todo]]
+            moved = rr != r[todo]
+            r[todo] = rr
+            root[q[todo]] = rr
+            todo = todo[moved]
+        # The value a head read left came from its slot's root.
+        placed = ~tail[q]
+        tail[q.compress(placed)] = True
+        tail[r.compress(placed)] = False
     return mask
 
 

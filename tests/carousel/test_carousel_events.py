@@ -12,6 +12,7 @@ from repro.carousel import (
 from repro.errors import CarouselError, FileNotInCarouselError
 from repro.net import DEFAULT_HEADER_BITS, BroadcastChannel
 from repro.sim import Simulator
+from tests.carousel.updates import update_file
 
 RAW = SectionFormat(block_payload_bytes=10**9, section_overhead_bytes=0,
                     control_overhead_bytes=DEFAULT_HEADER_BITS // 8)
@@ -104,7 +105,7 @@ def test_update_file_applies_next_cycle_and_bumps_version():
     sim, _, carousel, _ = build()
     first = carousel.read("image")
     sim.run_until_event(first, limit=100.0)
-    carousel.update_file("image")
+    update_file(carousel, "image")
     # A read issued now gets the *new* version once the next cycle starts.
     second = carousel.read("image")
     got = sim.run_until_event(second, limit=100.0)
@@ -116,7 +117,7 @@ def test_update_file_applies_next_cycle_and_bumps_version():
 def test_update_unknown_file_raises():
     sim, _, carousel, _ = build()
     with pytest.raises(FileNotInCarouselError):
-        carousel.update_file("ghost")
+        update_file(carousel, "ghost")
 
 
 def test_add_and_remove_file():
@@ -139,7 +140,7 @@ def test_add_and_remove_file():
 def test_update_grows_cycle_time():
     sim, _, carousel, _ = build()
     sched_before = carousel.schedule_snapshot(0.0)
-    carousel.update_file("image", new_size_bits=50_000.0)
+    update_file(carousel, "image", new_size_bits=50_000.0)
     sim.run(until=20.0)
     sched_after = carousel.schedule_snapshot(0.0)
     assert sched_after.cycle_time > sched_before.cycle_time

@@ -11,6 +11,7 @@ import pytest
 from repro.carousel import CarouselFile, ObjectCarousel, SectionFormat
 from repro.net import DEFAULT_HEADER_BITS, BroadcastChannel
 from repro.sim import Simulator
+from tests.carousel.updates import update_file
 
 RAW = SectionFormat(block_payload_bytes=10**9, section_overhead_bytes=0,
                     control_overhead_bytes=DEFAULT_HEADER_BITS // 8)
@@ -89,7 +90,7 @@ def test_update_while_parked_applies_at_next_boundary():
     cycle = carousel.schedule_snapshot(0.0).cycle_time
 
     def bump():
-        carousel.update_file("image", new_size_bits=50_000.0)
+        update_file(carousel, "image", new_size_bits=50_000.0)
     sim.schedule_at(3.4 * cycle, bump)
     # Just before the boundary the old version is still being carried.
     sim.run(until=3.9 * cycle)
@@ -111,7 +112,7 @@ def test_read_after_update_sees_new_version():
     got = []
 
     def bump():
-        carousel.update_file("image")
+        update_file(carousel, "image")
 
     def request():
         carousel.read("image").add_callback(lambda e: got.append(e.value))

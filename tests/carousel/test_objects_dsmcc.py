@@ -5,6 +5,7 @@ import pytest
 from repro.carousel import DEFAULT_SECTION_FORMAT, CarouselFile, SectionFormat
 from repro.errors import CarouselError
 from repro.net import bits_from_bytes
+from tests.carousel.updates import bumped
 
 
 # -- CarouselFile --------------------------------------------------------------
@@ -20,9 +21,9 @@ def test_file_requires_name_and_positive_size():
 
 def test_file_bumped_increments_version():
     f = CarouselFile(name="image", size_bits=100.0)
-    g = f.bumped()
+    g = bumped(f)
     assert g.version == 2 and g.size_bits == 100.0 and g.name == "image"
-    h = g.bumped(new_size_bits=50.0)
+    h = bumped(g, new_size_bits=50.0)
     assert h.version == 3 and h.size_bits == 50.0
 
 

@@ -15,6 +15,7 @@ from repro.carousel import CarouselFile, ObjectCarousel, SectionFormat
 from repro.errors import FileNotInCarouselError
 from repro.net import DEFAULT_HEADER_BITS, BroadcastChannel
 from repro.sim import Simulator
+from tests.carousel.updates import update_file
 
 RAW = SectionFormat(block_payload_bytes=10**9, section_overhead_bytes=0,
                     control_overhead_bytes=DEFAULT_HEADER_BITS // 8)
@@ -74,7 +75,7 @@ def _settles(cls, fast_forward, requests, interrupt=None):
         sim.schedule_at(t, request, i, name)
     if interrupt is not None:
         sim.schedule_at(interrupt[0], carousel.interrupt_for, interrupt[1])
-    sim.schedule_at(25.0, carousel.update_file, "config")
+    sim.schedule_at(25.0, update_file, carousel, "config")
     sim.run(until=120.0)
     carousel.stop()
     return log, carousel._n_reads

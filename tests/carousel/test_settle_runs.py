@@ -34,6 +34,7 @@ from repro.net.message import (MEGABYTE, bits_from_bytes,
 from repro.sim.core import PRIORITY_URGENT, Event, Simulator
 from repro.workloads import uniform_bag
 from repro.workloads.job import reset_job_sequence
+from tests.carousel.updates import update_file
 
 RAW = SectionFormat(block_payload_bytes=10**9, section_overhead_bytes=0,
                     control_overhead_bytes=DEFAULT_HEADER_BITS // 8)
@@ -149,8 +150,8 @@ def _carousel_run(cls, fast_forward):
         start = starts[f"c{cycle}"] = \
             (2 * cycle + 1) * schedule.cycle_time + offset
         sim.schedule_at(start + dt, request, f"c{cycle}", start + 25.0)
-    sim.schedule_at(30.0, carousel.update_file, "config")
-    sim.schedule_at(47.0, carousel.update_file, "config")
+    sim.schedule_at(30.0, update_file, carousel, "config")
+    sim.schedule_at(47.0, update_file, carousel, "config")
     sim.run(until=110.0)
     # cycles each request group waited for its first settle
     first = {entry[2].split(".")[0]: entry[1] for entry in reversed(log)

@@ -5,7 +5,9 @@ pre-columnar registry (``pna_id -> (last_seen, state, instance_id)``)
 and per-instance membership (``pna_id -> last_heartbeat``) dicts.  It
 duck-types the methods of :class:`~repro.core.census.ColumnarCensusStore`
 and borrows its instance-handle table as plain functions; either
-store's census reads as one canonical dump through :func:`snapshot`.
+store's census reads as one canonical dump through :func:`snapshot`,
+and its membership through :func:`member_seen` and
+:func:`total_members`.
 ``tests/core/test_census_store.py`` drives randomized sequences through
 both stores in lockstep and requires identical censuses.  Tests hand
 it to a Controller through its ``census`` argument with
@@ -32,6 +34,19 @@ def snapshot(store) -> dict:
             members[instance_id] = sorted(store.members_items(handle))
     return {"registry": dict(sorted(store.registry_items())),
             "members": members}
+
+
+def member_seen(store, handle, idx) -> Optional[float]:
+    """Last heartbeat node ``idx`` gave instance ``handle`` in ``store``
+    (either engine), or None if it is not a member."""
+    return dict(store.members_items(handle)).get(store.interner.id_of(idx))
+
+
+def total_members(store) -> int:
+    """Sum of ``store``'s membership counts across bound instances."""
+    return sum(store.member_count(handle)
+               for handle in store._inst_index.values()
+               if store._is_bound(handle))
 
 
 class DictCensusStore:
@@ -157,10 +172,6 @@ class DictCensusStore:
         members = self._members.get(handle)
         return 0 if members is None else len(members)
 
-    def member_seen(self, handle, idx):
-        members = self._members.get(handle)
-        return None if members is None else members.get(idx)
-
     def members_items(self, handle):
         members = self._members.get(handle)
         if members is None:
@@ -176,9 +187,6 @@ class DictCensusStore:
         for idx in members:
             self._decr_member_of(idx)
         members.clear()
-
-    def total_members(self):
-        return sum(len(m) for m in self._members.values())
 
     def clear(self):
         self._registry.clear()

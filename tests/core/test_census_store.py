@@ -32,7 +32,8 @@ from repro.errors import OddCIError
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
-from tests.core.dict_census import DictCensusStore, controller_on, snapshot
+from tests.core.dict_census import (DictCensusStore, controller_on, member_seen,
+                                    snapshot, total_members)
 
 #: Parameter ids -> census engines.
 STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusStore}
@@ -178,7 +179,7 @@ def _selfcheck(ops: int, seed: int) -> int:
             assert columnar.alive_estimate(horizon) == \
                 reference.alive_estimate(horizon)
             assert columnar.registry_size() == reference.registry_size()
-            assert columnar.total_members() == reference.total_members()
+            assert total_members(columnar) == total_members(reference)
         if step % 97 == 0 or step == ops - 1:
             _validate(columnar)
             reference.validate()
@@ -266,12 +267,12 @@ def test_members_reads_and_clear(backend):
     for i, node in enumerate(["a", "b", "c"]):
         store.mark_member(handle, store.interner.intern(node), float(i))
     assert store.member_count(handle) == 3
-    assert store.member_seen(handle, store.interner.index_of("b")) == 1.0
-    assert store.member_seen(handle, store.interner.intern("z")) is None
+    assert member_seen(store, handle, store.interner.index_of("b")) == 1.0
+    assert member_seen(store, handle, store.interner.intern("z")) is None
     assert sorted(store.members_items(handle)) == [("a", 0.0), ("b", 1.0),
                                                    ("c", 2.0)]
     store.clear_members(handle)
-    assert store.member_count(handle) == 0 and store.total_members() == 0
+    assert store.member_count(handle) == 0 and total_members(store) == 0
     assert list(store.members_items(handle)) == []
 
 
@@ -468,8 +469,8 @@ def test_cohort_with_duplicate_nodes_falls_back():
     record = controller.instances[iid]
     registry = dict(controller.census.registry_items())
     assert registry["pna-3"][1] is PNAState.IDLE
-    assert controller.census.member_seen(
-        record.census_handle, router.interner.index_of("pna-3")) is None
+    assert member_seen(
+        controller.census, record.census_handle, router.interner.index_of("pna-3")) is None
     assert record.size == 19
 
 

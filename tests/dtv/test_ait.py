@@ -4,6 +4,7 @@ import pytest
 
 from repro.dtv import AITEntry, ApplicationControlCode, ApplicationInformationTable
 from repro.errors import DTVError
+from tests.dtv.ait_edits import without_app
 
 
 def entry(app_id=1, code=ApplicationControlCode.AUTOSTART, version=1):
@@ -61,11 +62,11 @@ def test_with_entry_adds_and_replaces_bumping_version():
 
 def test_without_app():
     ait = ApplicationInformationTable(entries=(entry(1), entry(2)))
-    ait2 = ait.without_app(1)
+    ait2 = without_app(ait, 1)
     assert [e.app_id for e in ait2.entries] == [2]
     assert ait2.table_version == ait.table_version + 1
     with pytest.raises(DTVError):
-        ait.without_app(99)
+        without_app(ait, 99)
 
 
 def test_original_table_unchanged_by_with_entry():

@@ -22,6 +22,7 @@ from repro.workloads.devices import (
     STB_IN_USE_OVER_PC,
     STB_IN_USE_OVER_STANDBY,
 )
+from tests.dtv.ait_edits import without_app
 
 
 class CountingXlet(Xlet):
@@ -109,7 +110,7 @@ def test_app_removed_from_ait_is_killed():
         carousel_path="pna.bin"))
     svc.publish_ait(ait)
     sim.run(until=30.0)
-    svc.publish_ait(ait.without_app(1))
+    svc.publish_ait(without_app(ait, 1))
     assert stb.app_manager.running_count == 0
     svc.carousel.stop()
 

@@ -33,11 +33,13 @@ ROWS = 100_000
 BUILD_BYTES_PER_ROW = 3
 
 #: tracemalloc peak bytes per recruited node over one job's run phase,
-#: above what was live before it: 17.4-18.5 measured once the ready
+#: above what was live before it: 17.9-19.0 measured once the ready
 #: instants are one uint8 code per node; at this scale the wakeup's two
 #: 2^16-row float leaf buffers (the phases and the instants, ~13 bytes
-#: per node) are most of it, and at 4x10^6 nodes ``storm_victims``'
-#: index permutation (8 bytes per node) bounds it.  16.4-17.4 with an
+#: per node) are most of it.  At 4x10^6 nodes ``storm_victims`` bounds
+#: it at ~6 bytes per node: its mask, its sort keys and roots (12 bytes
+#: per victim) and the recruit mask (24.2 MB; 50.6 MB when ``choice``
+#: permuted an int64 index over the cohort).  16.4-17.4 with an
 #: 8-byte ready column and one leaf buffer, 18-19 with a whole phases
 #: column beside the ready column, 25-26 with the recruited rows as an
 #: index column beside them, 38-40 when four 8-byte cohort columns were
@@ -62,10 +64,12 @@ def _job(target):
 def measured():
     """Live bytes per row after the build and each job's run-phase peak
     bytes per recruited node."""
-    # Warm-up: the first job imports modules lazily; keep them out of
-    # the measured allocations.
-    VectorOddCISystem(2_000, seed=1, plan=storm_plan(0.3)).run_job(
-        _job(1_000), target_size=1_000)
+    # Warm-up: the first job imports modules lazily and makes numpy's
+    # first-call allocations; keep them out of the measured allocations.
+    # Its cohort of ~20,000 is past numpy's 10,000-row cutoff, so its
+    # storm takes the same victim path as the measured jobs.
+    VectorOddCISystem(25_000, seed=1, plan=storm_plan(0.3)).run_job(
+        _job(20_000), target_size=20_000)
     gc.collect()
     tracemalloc.start()
     try:
