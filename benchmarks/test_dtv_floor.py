@@ -18,6 +18,10 @@ build to window end, with the collector off.
 The semantic assertions (task conservation, certification without
 escapes, the fault-plan carousel timetable) run with it, so a "fast"
 build that drops work cannot pass.
+
+:func:`test_receiver_build_floor` times the receiver build alone,
+``add_receivers(2 * 10**4)`` (``REPRO_FLOOR_SCALE`` trims the fleet
+below that; the CI value runs it at full size).
 """
 
 import os
@@ -29,7 +33,7 @@ from benchmarks.scenario import gc_paused
 from repro.certify import CertifyPolicy
 from repro.dtv_oddci import OddCIDTVSystem
 from repro.faults import active_plan, parse_fault_plan
-from repro.net.message import MEGABYTE
+from repro.net.message import MEGABYTE, bits_from_bytes
 from repro.workloads import ChurnModel, uniform_bag
 
 FULL_SCALE = 600
@@ -104,3 +108,42 @@ def test_dtv_churn_holds_task_rate_floor():
     assert m["tasks_per_sec"] >= MIN_TASKS_PER_SEC, (
         f"DTV floor broken: {m['tasks_per_sec']:.0f} tasks/s at {boxes} "
         f"boxes (floor {MIN_TASKS_PER_SEC}): {m}")
+
+
+#: The receiver build at 2 * 10^4 boxes with the collector off:
+#: 0.29-0.41 s on a 2-vCPU x86-64 host (5 fresh-process runs) with each
+#: build's PNA cores as one block (views carrying the boxes' executors),
+#: 0.45-0.67 s interleaved with them when each box registered a PNA of
+#: its own; about half of the block build is the direct channels each
+#: box is handed.
+RECEIVER_FULL_SCALE = 20_000
+RECEIVER_BUDGET_S = 0.75
+#: Fixed-cost allowance of a reduced-scale build.
+RECEIVER_MIN_BUDGET_S = 0.1
+
+
+@pytest.mark.perf
+def test_receiver_build_floor():
+    """``OddCIDTVSystem.add_receivers(2 * 10**4)`` with the collector
+    off, within ``RECEIVER_BUDGET_S`` scaled by the fleet size."""
+    boxes = min(RECEIVER_FULL_SCALE,
+                int(os.environ.get("REPRO_FLOOR_SCALE", RECEIVER_FULL_SCALE)))
+    budget = max(RECEIVER_MIN_BUDGET_S,
+                 RECEIVER_BUDGET_S * boxes / RECEIVER_FULL_SCALE)
+    with gc_paused():
+        system = OddCIDTVSystem(seed=1, maintenance_interval_s=120.0,
+                                pna_xlet_bits=bits_from_bytes(64 * 1024))
+        t0 = time.perf_counter()
+        created = system.add_receivers(boxes, heartbeat_interval_s=60.0,
+                                       dve_poll_interval_s=10.0)
+        wall_s = time.perf_counter() - t0
+    # The build must be the real fleet: every box tuned, its PNA core
+    # registered offline (until its Xlet starts) in one heartbeat cohort.
+    assert len(created) == len(system.pnas) == boxes
+    assert system.services[0].tuned_count == boxes
+    assert system.shards[0].id_range == (0, boxes)
+    assert system.online_count() == 0
+    assert len(system.router._cohorts) == 1
+    assert wall_s < budget, (
+        f"receiver build floor broken: {wall_s:.2f}s for {boxes} boxes "
+        f"(budget {budget:.2f}s)")

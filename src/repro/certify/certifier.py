@@ -23,6 +23,10 @@ alone:
   re-queue, and the Controller — when wired through
   :attr:`ResultCertifier.on_quarantine` — evicts it from the census.
 
+A node is its row in the Backend's interner, as in the Backend: a wire
+id is named only for a trace, a :class:`QuarantinedNodeError` and the
+``on_quarantine`` hook.
+
 Leases ride the Backend's machinery per *copy*: each holder gets its
 own lease from :meth:`Backend._lease_seconds` (same backoff + jitter
 streams), and :meth:`expire_leases` replaces the Backend's in-flight
@@ -88,10 +92,10 @@ class _TaskRecord:
         self.r = r
         #: copies still to hand out this round
         self.remaining = r - 1
-        #: pna_id -> digest, in arrival order
-        self.votes: Dict[str, Optional[int]] = {}
-        #: pna_id -> (assigned_at, lease_deadline) for computing copies
-        self.holders: Dict[str, tuple] = {}
+        #: node row -> digest, in arrival order
+        self.votes: Dict[int, Optional[int]] = {}
+        #: node row -> (assigned_at, lease_deadline) for computing copies
+        self.holders: Dict[int, tuple] = {}
 
 
 #: Sentinel distinct from every digest (including ``None``).
@@ -111,6 +115,7 @@ class ResultCertifier:
         self._copy_queue: Deque[int] = deque()
         self._quarantined: set = set()
         self._probe_seq = 0
+        self._id_of = backend._id_of
         self._rng_stream = f"certify:{backend.backend_id}"
         #: hook to the Controller's census eviction; wired by the
         #: Provider as ``controller.quarantine_node`` when both halves
@@ -162,35 +167,37 @@ class ResultCertifier:
         the Backend as its ``done_event`` settles; a no-op untraced)."""
         if self._h_cred is None:
             return
-        for pna_id in self.ledger.known_nodes():
-            self._h_cred.observe(self.ledger.credibility(pna_id))
+        for node in self.ledger.known_nodes():
+            self._h_cred.observe(self.ledger.credibility(node))
 
     # -- dispatch ------------------------------------------------------
-    def serve(self, pna_id: str, instance_id: str):
-        """Serve one task request under certification.
+    def serve(self, node: int, instance_id: str):
+        """Serve one task request from the node at row ``node`` under
+        certification.
 
         Returns a :class:`Task`, :class:`ProbeTask` or ``NoWork``;
         raises :class:`QuarantinedNodeError` for blacklisted nodes (the
         Backend converts it to a terminal ``NoWork``).
         """
         backend = self.backend
-        if pna_id in self._quarantined:
+        if node in self._quarantined:
+            pna_id = self._id_of(node)
             trace = self._trace
             if trace is not None:
                 trace.emit(self.sim.now, "quarantined_poll", pna=pna_id)
             raise QuarantinedNodeError(
                 f"{pna_id} is quarantined", pna_id=pna_id,
-                evidence=self.ledger.bad_count(pna_id))
+                evidence=self.ledger.bad_count(node))
         pol = self.policy
         if pol.probe_rate > 0.0 and not backend.done and float(
                 self.sim.rng(self._rng_stream).random()) < pol.probe_rate:
-            return self._make_probe(pna_id)
-        task, is_copy = self._pop_copy_for(pna_id), True
+            return self._make_probe(node)
+        task, is_copy = self._pop_copy_for(node), True
         if task is None:
             is_copy = False
             task = backend._next_task()
             if task is not None:
-                r = pol.replication_for(self.ledger.credibility(pna_id))
+                r = pol.replication_for(self.ledger.credibility(node))
                 rec = _TaskRecord(task, r)
                 self._records[task.task_id] = rec
                 if rec.remaining > 0:
@@ -199,10 +206,9 @@ class ResultCertifier:
             retry = None if backend.done else backend.poll_interval_s
             return backend._nowork_reply(instance_id, retry)
         now = self.sim.now
-        node = backend._node(pna_id)
         lease_s = backend._lease_seconds(task, node)
         rec = self._records[task.task_id]
-        rec.holders[pna_id] = \
+        rec.holders[node] = \
             (now, None if lease_s is None else now + lease_s)
         self.copies_issued += 1
         if self._m_copies is not None:
@@ -214,12 +220,12 @@ class ResultCertifier:
             backend._count(backend.assigned_by_network, node)
         trace = self._trace
         if trace is not None:
-            trace.emit(now, "dispatch", task=task.task_id, pna=pna_id,
-                       replica=is_copy, r=rec.r)
+            trace.emit(now, "dispatch", task=task.task_id,
+                       pna=self._id_of(node), replica=is_copy, r=rec.r)
         return task
 
-    def _pop_copy_for(self, pna_id: str):
-        """Next task needing another copy that ``pna_id`` may hold.
+    def _pop_copy_for(self, node: int):
+        """Next task needing another copy that node ``node`` may hold.
 
         Distinct-PNA pinning: a node that already holds or has voted on
         a task is skipped (entries are pushed back preserving order).
@@ -234,7 +240,7 @@ class ResultCertifier:
             rec = records.get(tid)
             if rec is None or rec.remaining <= 0:
                 continue
-            if pna_id in rec.holders or pna_id in rec.votes:
+            if node in rec.holders or node in rec.votes:
                 skipped.append(tid)
                 continue
             rec.remaining -= 1
@@ -246,7 +252,7 @@ class ResultCertifier:
             q.appendleft(tid)
         return found
 
-    def _make_probe(self, pna_id: str) -> ProbeTask:
+    def _make_probe(self, node: int) -> ProbeTask:
         self._probe_seq -= 1
         self.probes_issued += 1
         if self._m_probes is not None:
@@ -254,26 +260,26 @@ class ResultCertifier:
         trace = self._trace
         if trace is not None:
             trace.emit(self.sim.now, "probe", probe=self._probe_seq,
-                       pna=pna_id)
+                       pna=self._id_of(node))
         return ProbeTask(task_id=self._probe_seq,
                          ref_seconds=self.policy.probe_ref_seconds)
 
     # -- results -------------------------------------------------------
-    def on_result(self, pna_id: str, task_id: int,
+    def on_result(self, node: int, task_id: int,
                   digest: Optional[int]) -> None:
-        """Accept one result under certification (real task or probe)."""
+        """Accept one result from the node at row ``node`` under
+        certification (real task or probe)."""
         if task_id < 0:
-            self._on_probe_result(pna_id, task_id, digest)
+            self._on_probe_result(node, task_id, digest)
             return
         backend = self.backend
         rec = self._records.get(task_id)
-        if rec is None or pna_id in rec.votes \
-                or pna_id in self._quarantined:
+        if rec is None or node in rec.votes or node in self._quarantined:
             # already certified / double vote / blacklisted sender
             backend._suppress_duplicate()
             return
-        rec.votes[pna_id] = digest
-        rec.holders.pop(pna_id, None)
+        rec.votes[node] = digest
+        rec.holders.pop(node, None)
         quorum = self.policy.quorum(rec.r)
         counts: Dict[Optional[int], int] = {}
         winning = _NO_WINNER
@@ -288,13 +294,13 @@ class ResultCertifier:
         elif len(rec.votes) >= rec.r:
             self._reject_round(task_id, rec)
 
-    def _on_probe_result(self, pna_id: str, probe_id: int,
+    def _on_probe_result(self, node: int, probe_id: int,
                          digest: Optional[int]) -> None:
-        if pna_id in self._quarantined:
+        if node in self._quarantined:
             return
         if digest is None:
             # known answer matched
-            self.ledger.record_good(pna_id)
+            self.ledger.record_good(node)
             return
         self.probes_failed += 1
         if self._m_probes_failed is not None:
@@ -302,17 +308,17 @@ class ResultCertifier:
         trace = self._trace
         if trace is not None:
             trace.emit(self.sim.now, "probe_failed", probe=probe_id,
-                       pna=pna_id)
-        self._punish(pna_id, probe_id, "probe")
+                       pna=self._id_of(node))
+        self._punish(node, probe_id, "probe")
 
     def _commit(self, task_id: int, rec: _TaskRecord,
                 winning: Optional[int]) -> None:
         """Quorum reached: certify the task, settle credibility."""
-        winner_pna = ""
+        winner = None
         for voter, d in rec.votes.items():
             if d == winning:
-                if not winner_pna:
-                    winner_pna = voter
+                if winner is None:
+                    winner = voter
                 self.ledger.record_good(voter)
             else:
                 self._punish(voter, task_id, "vote")
@@ -330,9 +336,8 @@ class ResultCertifier:
             trace = self._trace
             if trace is not None:
                 trace.emit(self.sim.now, "escape", task=task_id,
-                           pna=winner_pna)
-        self.backend._record_completion(task_id,
-                                        self.backend._node(winner_pna))
+                           pna=self._id_of(winner))
+        self.backend._record_completion(task_id, winner)
 
     def _reject_round(self, task_id: int, rec: _TaskRecord) -> None:
         """All votes in, no quorum: reject everything, re-dispatch.
@@ -361,36 +366,37 @@ class ResultCertifier:
         self._copy_queue.append(task_id)
 
     # -- credibility / quarantine --------------------------------------
-    def _punish(self, pna_id: str, task_id: int, evidence: str) -> None:
-        bad = self.ledger.record_bad(pna_id)
+    def _punish(self, node: int, task_id: int, evidence: str) -> None:
+        bad = self.ledger.record_bad(node)
         trace = self._trace
         if trace is not None:
-            trace.emit(self.sim.now, "punish", pna=pna_id, task=task_id,
-                       evidence=evidence, bad=bad)
+            trace.emit(self.sim.now, "punish", pna=self._id_of(node),
+                       task=task_id, evidence=evidence, bad=bad)
         after = self.policy.quarantine_after
         if after and bad >= after:
-            self.quarantine(pna_id, f"{bad} bad outcomes (last: {evidence})")
+            self.quarantine(node, f"{bad} bad outcomes (last: {evidence})")
 
-    def quarantine(self, pna_id: str, reason: str) -> None:
-        """Blacklist ``pna_id``: refuse its polls, re-queue its copies,
-        and notify the Controller through :attr:`on_quarantine`."""
-        if pna_id in self._quarantined:
+    def quarantine(self, node: int, reason: str) -> None:
+        """Blacklist the node at row ``node``: refuse its polls,
+        re-queue its copies, and notify the Controller through
+        :attr:`on_quarantine`."""
+        if node in self._quarantined:
             return
-        self._quarantined.add(pna_id)
+        self._quarantined.add(node)
         self.quarantines += 1
         if self._m_quarantines is not None:
             self._m_quarantines.value += 1
         trace = self._trace
         if trace is not None:
-            trace.emit(self.sim.now, "quarantine", pna=pna_id,
+            trace.emit(self.sim.now, "quarantine", pna=self._id_of(node),
                        reason=reason)
         for tid, rec in self._records.items():
-            if pna_id in rec.holders:
-                del rec.holders[pna_id]
+            if node in rec.holders:
+                del rec.holders[node]
                 rec.remaining += 1
                 self._copy_queue.append(tid)
         if self.on_quarantine is not None:
-            self.on_quarantine(pna_id, reason)
+            self.on_quarantine(self._id_of(node), reason)
 
     # -- leases --------------------------------------------------------
     def expire_leases(self, now: float) -> None:
@@ -402,15 +408,15 @@ class ResultCertifier:
         for tid, rec in self._records.items():
             expired = [p for p, (_, lease) in rec.holders.items()
                        if lease is not None and lease < now]
-            for pna_id in expired:
-                del rec.holders[pna_id]
-                self.ledger.record_timeout(pna_id)
+            for node in expired:
+                del rec.holders[node]
+                self.ledger.record_timeout(node)
                 rec.remaining += 1
                 self._copy_queue.append(tid)
                 backend.requeues += 1
                 backend._attempts[tid] = backend._attempts.get(tid, 0) + 1
                 if trace is not None:
-                    trace.emit(now, "requeue", task=tid, pna=pna_id,
+                    trace.emit(now, "requeue", task=tid, pna=self._id_of(node),
                                attempt=backend._attempts[tid])
                 if backend._m_redispatched is not None:
                     backend._m_redispatched.value += 1

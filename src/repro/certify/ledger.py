@@ -19,7 +19,7 @@ closed-form update:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 __all__ = ["CredibilityLedger"]
 
@@ -27,7 +27,8 @@ _TIMEOUT_DECAY = 0.9
 
 
 class CredibilityLedger:
-    """Credibility scores and bad-outcome counts, keyed by pna_id."""
+    """Credibility scores and bad-outcome counts, keyed by node (the
+    certifier's node rows)."""
 
     __slots__ = ("initial", "penalty", "_cred", "_bad")
 
@@ -35,37 +36,37 @@ class CredibilityLedger:
                  penalty: float = 0.25) -> None:
         self.initial = float(initial)
         self.penalty = float(penalty)
-        self._cred: Dict[str, float] = {}
-        self._bad: Dict[str, int] = {}
+        self._cred: Dict[Hashable, float] = {}
+        self._bad: Dict[Hashable, int] = {}
 
-    def credibility(self, pna_id: str) -> float:
-        return self._cred.get(pna_id, self.initial)
+    def credibility(self, node: Hashable) -> float:
+        return self._cred.get(node, self.initial)
 
-    def bad_count(self, pna_id: str) -> int:
-        return self._bad.get(pna_id, 0)
+    def bad_count(self, node: Hashable) -> int:
+        return self._bad.get(node, 0)
 
-    def record_good(self, pna_id: str) -> float:
-        cred = 1.0 - (1.0 - self.credibility(pna_id)) / 2.0
-        self._cred[pna_id] = cred
+    def record_good(self, node: Hashable) -> float:
+        cred = 1.0 - (1.0 - self.credibility(node)) / 2.0
+        self._cred[node] = cred
         return cred
 
-    def record_bad(self, pna_id: str) -> int:
+    def record_bad(self, node: Hashable) -> int:
         """Collapse credibility; returns the updated bad count."""
-        self._cred[pna_id] = self.credibility(pna_id) * self.penalty
-        bad = self._bad.get(pna_id, 0) + 1
-        self._bad[pna_id] = bad
+        self._cred[node] = self.credibility(node) * self.penalty
+        bad = self._bad.get(node, 0) + 1
+        self._bad[node] = bad
         return bad
 
-    def record_timeout(self, pna_id: str) -> float:
-        cred = self.credibility(pna_id) * _TIMEOUT_DECAY
-        self._cred[pna_id] = cred
+    def record_timeout(self, node: Hashable) -> float:
+        cred = self.credibility(node) * _TIMEOUT_DECAY
+        self._cred[node] = cred
         return cred
 
     # -- inspection ----------------------------------------------------
-    def known_nodes(self) -> List[str]:
+    def known_nodes(self) -> List[Hashable]:
         return sorted(self._cred)
 
-    def snapshot(self) -> List[Tuple[str, float, int]]:
-        """``(pna_id, credibility, bad_count)`` rows, sorted by id."""
-        return [(pna_id, self._cred[pna_id], self._bad.get(pna_id, 0))
-                for pna_id in sorted(self._cred)]
+    def snapshot(self) -> List[Tuple[Hashable, float, int]]:
+        """``(node, credibility, bad_count)`` rows, sorted by node."""
+        return [(node, self._cred[node], self._bad.get(node, 0))
+                for node in sorted(self._cred)]

@@ -137,7 +137,7 @@ class Backend:
         self.router = routers[0]
         #: a node's key here is its row in the routers' one shared
         #: interner: ``_node`` interns a wire id, ``_id_of`` names a row
-        #: for traces, the certifier and inspection only
+        #: for traces and inspection only
         interner = self._interner = routers[0].interner
         if any(r.interner is not interner for r in routers):
             raise BackendError("routers must share one NodeInterner")
@@ -356,7 +356,7 @@ class Backend:
         self._mark_workers(node)
         if self.certifier is not None:
             try:
-                return self.certifier.serve(self._id_of(node), instance_id)
+                return self.certifier.serve(node, instance_id)
             except QuarantinedNodeError:
                 # a blacklisted node polled: terminal NoWork — its
                 # client loop stops instead of spinning on retries
@@ -618,10 +618,11 @@ class Backend:
         ``digest`` is the certification summary; uncertified backends
         ignore it (a Byzantine result is silently accepted — exactly
         the gap the certifier closes)."""
+        node = self._node(pna_id)
         if self.certifier is not None:
-            self.certifier.on_result(pna_id, task_id, digest)
+            self.certifier.on_result(node, task_id, digest)
             return
-        self._take_result(self._node(pna_id), task_id)
+        self._take_result(node, task_id)
 
     def _take_result(self, node: int, task_id: int) -> None:
         """An uncertified result from the node at row ``node``."""

@@ -88,6 +88,10 @@ __all__ = ["ControlPlane", "DirectControlPlane", "Controller",
 class ControlPlane:
     """Broadcast-medium abstraction the Controller publishes through."""
 
+    #: the DSM-CC carousel a carousel-borne plane publishes on (the
+    #: one carousel faults target); ``None`` on a raw broadcast channel
+    carousel = None
+
     @property
     def available(self) -> bool:
         """Can a publish reach receivers right now?
@@ -111,8 +115,8 @@ class DirectControlPlane(ControlPlane):
 
     The wakeup message's wire size includes the application image, so
     every subscribed PNA receives the image simultaneously, ``(I + ε)/β``
-    after transmission starts (Section 3 model).  PNAs attach themselves
-    via :meth:`attach`, fleets via :meth:`attach_many`.
+    after transmission starts (Section 3 model).  PNAs and fleets
+    attach themselves via :meth:`attach`.
     """
 
     def __init__(self, channel: BroadcastChannel,
@@ -124,24 +128,14 @@ class DirectControlPlane(ControlPlane):
     def available(self) -> bool:
         return self.channel.up
 
-    def attach(self, pna) -> int:
-        """Subscribe one PNA; returns the unsubscribe token."""
+    def attach(self, receiver) -> int:
+        """Subscribe a PNA, or a :class:`~repro.core.pna.PNABlock` as
+        one listener (its members hear each message in member order);
+        returns the unsubscribe token."""
         def listener(msg: Message) -> None:
-            pna.deliver_control(*msg.payload)
+            receiver.deliver_control(*msg.payload)
 
         return self.channel.subscribe(listener)
-
-    def attach_many(self, block) -> int:
-        """Subscribe a :class:`~repro.core.pna.PNABlock` as one listener
-        (its members hear each message in member order); returns the
-        unsubscribe token."""
-        def listener(msg: Message) -> None:
-            block.deliver_control(*msg.payload)
-
-        return self.channel.subscribe(listener)
-
-    def detach(self, token: int) -> None:
-        self.channel.unsubscribe(token)
 
     def publish_wakeup(self, payload: WakeupPayload,
                        signature: bytes) -> None:

@@ -7,11 +7,11 @@ requirements it satisfies, runs the staged image inside a DVE (a
 :class:`~repro.core.taskloop.CohortDVE` slot of the job's task engine),
 answers resets, and sends periodic heartbeats over its direct channel.
 
-This class is substrate-agnostic; the DTV binding wraps it in an Xlet
-(:mod:`repro.dtv_oddci`), the generic binding builds fleets in bulk as
-:class:`PNABlock` row ranges, each subscribed to a
-:class:`~repro.net.broadcast.BroadcastChannel` as one listener, whose
-PNAs are views built on first access.
+This class is substrate-agnostic.  Fleets are built in bulk as
+:class:`PNABlock` row ranges whose PNAs are views built on first
+access: the generic binding subscribes each block to a
+:class:`~repro.net.broadcast.BroadcastChannel` as one listener, the DTV
+binding (:mod:`repro.dtv_oddci`) wraps each view in its box's Xlet.
 """
 
 from __future__ import annotations
@@ -203,7 +203,6 @@ class PNA:
         executor: Optional[Executor] = None,
         heartbeat_interval_s: float = 60.0,
         dve_poll_interval_s: float = 30.0,
-        start_online: bool = True,
     ) -> None:
         if not pna_id:
             raise OddCIError("pna_id must be non-empty")
@@ -217,8 +216,6 @@ class PNA:
         #: router's columns (the attributes below read through).
         self.census_idx = router.register_pna(pna_id, channel,
                                               self._on_downlink_payload)
-        if not start_online:  # the router registers a node online
-            self.online = False
         self._trace = _telemetry_channel("pna")
         self._join_heartbeat_cohort()
 
@@ -737,9 +734,6 @@ class Fleet(Sequence):
     def extend(self, part: Sequence[PNA]) -> None:
         self.parts.append(part)
         self._ends.append(len(self) + len(part))
-
-    def append(self, pna: PNA) -> None:
-        self.extend((pna,))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0

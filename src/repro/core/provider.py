@@ -175,12 +175,17 @@ class ControllerShard:
             capabilities=capabilities, executor=executor,
             heartbeat_interval_s=heartbeat_interval_s,
             dve_poll_interval_s=dve_poll_interval_s)
-        controller.control_plane.attach_many(block)
+        controller.control_plane.attach(block)
+        self.adopt(block)
+        return block
+
+    def adopt(self, block: PNABlock) -> None:
+        """Add ``block``, built on this network's router after its last
+        one, to the fleet and its id range."""
         self.pnas.extend(block)
         if self.id_lo is None:
             self.id_lo = block.lo
         self.id_hi = block.hi
-        return block
 
     def build_fleet(self, n: int, **fleet_kwargs: Any) -> List[PNABlock]:
         """Create ``n`` nodes tagged by device class: contiguous blocks

@@ -1,12 +1,11 @@
-"""Convenience facade wiring a complete generic OddCI deployment.
+"""The one system builder: a complete OddCI deployment.
 
 :class:`OddCISystem` assembles the simulator-side plumbing — one
 router, broadcast channel, control plane and Controller per broadcast
 network, a key registry and node-id interner they share, and the
-Provider over them — and offers helpers to build PNA fleets.  Examples
-and benchmarks build on this facade; the individual components remain
-fully usable on their own (the DTV binding in :mod:`repro.dtv_oddci`
-wires them differently).
+Provider over them — and offers helpers to build PNA fleets.  The DTV
+binding, :class:`repro.dtv_oddci.OddCIDTVSystem`, is a subclass that
+swaps in its control plane and builds set-top-box fleets.
 """
 
 from __future__ import annotations
@@ -53,7 +52,9 @@ class OddCISystem:
 
     ``router``, ``broadcast``, ``control_plane`` and ``controller`` are
     the first network's; :meth:`add_pnas` builds there and
-    :meth:`build_fleets` on every network.
+    :meth:`build_fleets` on every network.  A subclass swaps a
+    network's broadcast channel and control plane in
+    :meth:`_broadcast_plane`.
 
     Parameters
     ----------
@@ -97,12 +98,10 @@ class OddCISystem:
             name = descriptor.name
             controller_id = f"controller:{name}" if name else "controller"
             router = Router(self.sim, interner=self.interner)
-            broadcast = BroadcastChannel(
-                self.sim, beta_bps=descriptor.beta_bps,
-                name=f"{name or 'oddci'}.broadcast")
+            broadcast, control_plane = self._broadcast_plane(
+                descriptor, controller_id)
             controller = Controller(
-                self.sim, router,
-                DirectControlPlane(broadcast, sender=controller_id),
+                self.sim, router, control_plane,
                 self.keys, controller_id=controller_id,
                 probability_policy=probability_policy,
                 maintenance_interval_s=maintenance_interval_s,
@@ -131,7 +130,17 @@ class OddCISystem:
                 FaultTargets(controllers=[s.controller for s in self.shards],
                              backends=self.provider.backends,
                              broadcasts=[s.broadcast for s in self.shards],
+                             carousel=self.control_plane.carousel,
                              nodes=lambda: list(self.pnas)))
+
+    def _broadcast_plane(self, descriptor: NetworkDescriptor,
+                         controller_id: str):
+        """The broadcast channel and control plane of one network: a
+        raw channel of capacity β carrying the whole wakeup."""
+        broadcast = BroadcastChannel(
+            self.sim, beta_bps=descriptor.beta_bps,
+            name=f"{descriptor.name or 'oddci'}.broadcast")
+        return broadcast, DirectControlPlane(broadcast, sender=controller_id)
 
     def shard(self, name: str) -> ControllerShard:
         return self.provider.shards[name]
@@ -186,6 +195,12 @@ class OddCISystem:
                 busy &= column_view(router.pna_online)[rows] != 0
             count += int(np.count_nonzero(busy))
         return count
+
+    def online_count(self) -> int:
+        """PNAs powered on: one reduction over each network's rows."""
+        return sum(int(np.count_nonzero(
+            column_view(shard.router.pna_online)[shard.pnas.rows()]))
+            for shard in self.shards)
 
     def idle_count(self) -> int:
         return len(self.pnas) - self.busy_count()

@@ -803,7 +803,6 @@ class CohortTaskEngine(HeldColumns):
         self.grown()
         delivered = router.uplinks.column("delivered")
         member_rows = self._row
-        id_of = router.interner.id_of
         done_event = backend.done_event
         # Settling is monotonic and only this loop can flip it here.
         was_settled = done_event._settled
@@ -817,7 +816,7 @@ class CohortTaskEngine(HeldColumns):
                 backend._take_result(row, task_ids[k])
             else:
                 digest = digests[k]
-                certifier.on_result(id_of(row), task_ids[k],
+                certifier.on_result(row, task_ids[k],
                                     digest if digest != 0 else None)
             # The member advances only when the *awaited* copy lands
             # (stale retransmitted copies settle a stale notify event in

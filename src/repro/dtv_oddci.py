@@ -14,12 +14,15 @@ reused unchanged; what changes is the broadcast control plane:
   fetches when it accepts a wakeup — paying the real 1.5-cycle average
   carousel latency that the paper's W = 1.5·I/β models.
 
-:class:`OddCIDTVSystem` wires everything: one multiplex, service and
-carousel plane per TV channel (Section 4.3 puts the PNA Xlet on several
-channels; a single-channel deployment is ``channels=1``), one
-controller/provider over all of them, and set-top-box fleets — split
-over the channels, optionally churning — whose PNAs execute task
-compute on the calibrated STB device model.
+:class:`OddCIDTVSystem` is the generic
+:class:`~repro.core.system.OddCISystem` (router, Controller, Provider,
+fault injector) with this control plane swapped in: one multiplex,
+service and carousel plane per TV channel (Section 4.3 puts the PNA
+Xlet on several channels; a single-channel deployment is
+``channels=1``) under one fan-out, and set-top-box fleets — split over
+the channels, optionally churning — whose PNA cores are one
+:class:`~repro.core.pna.PNABlock` per build, each view executing task
+compute on its box's calibrated STB device model.
 """
 
 from __future__ import annotations
@@ -28,19 +31,17 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, OddCIError
 from repro.carousel.objects import CarouselFile
-from repro.core.controller import Controller, ControlPlane
+from repro.core.controller import ControlPlane
 from repro.core.messages import ResetPayload, WakeupPayload
-from repro.core.network import Router
-from repro.core.pna import PNA
+from repro.core.pna import PNA, PNABlock
 from repro.core.policies import ProbabilityPolicy
-from repro.core.provider import ControllerShard, NetworkDescriptor, Provider
+from repro.core.provider import NetworkDescriptor
+from repro.core.system import OddCISystem
 from repro.dtv.ait import AITEntry, ApplicationControlCode
 from repro.dtv.receiver import SetTopBox
 from repro.dtv.transport import Multiplex, Service
 from repro.dtv.xlet import Xlet, XletState
-from repro.faults import FaultInjector, FaultTargets, current_plan
-from repro.net.crypto import KeyRegistry
-from repro.net.link import DuplexChannel
+from repro.net.link import column_view
 from repro.net.message import bits_from_bytes
 from repro.sim.core import Simulator
 from repro.telemetry.trace import channel as _telemetry_channel
@@ -251,14 +252,16 @@ class _ConfigListener:
             self._carousel.listen(CONFIG_FILE, self._callback, now)
 
 
-class OddCIDTVSystem:
+class OddCIDTVSystem(OddCISystem):
     """A complete OddCI-DTV deployment (``channels`` multiplexes → STB fleet).
 
-    Each channel is one multiplex carrying one OddCI service, with its
-    own carousel and :class:`CarouselControlPlane`; one Controller and
-    Provider drive them all through a :class:`FanoutControlPlane`
-    (Section 4.3's scale-out: the reachable population is the sum of
-    the channels' audiences).  Receivers are split over the channels by
+    One :class:`~repro.core.system.OddCISystem` network whose broadcast
+    side is the DTV one: each channel is one multiplex carrying one
+    OddCI service, with its own carousel and
+    :class:`CarouselControlPlane`, and the network's one Controller
+    drives them all through a :class:`FanoutControlPlane` (Section
+    4.3's scale-out: the reachable population is the sum of the
+    channels' audiences).  Receivers are split over the channels by
     audience share (:meth:`add_receivers`).
 
     Parameters
@@ -288,48 +291,41 @@ class OddCIDTVSystem:
     ) -> None:
         if channels <= 0:
             raise ConfigurationError(f"channels must be > 0, got {channels}")
-        self.sim = sim or Simulator(seed=seed)
-        self.delta_bps = float(delta_bps)
-        self.delta_latency_s = float(delta_latency_s)
-        self.router = Router(self.sim)
-        self.keys = KeyRegistry()
-        self._pna_of_stb: Dict[str, PNA] = {}
+        #: what :meth:`_broadcast_plane` builds each channel's plane of
+        self._channel_args = (channels, av_rate_bps, pna_xlet_bits,
+                              carousel_fast_forward)
         self.services: List[Service] = []
         self.planes: List[CarouselControlPlane] = []
+        self.boxes: List[SetTopBox] = []
+        self._pna_of_stb: Dict[str, PNA] = {}
+        super().__init__(sim, beta_bps=beta_bps, delta_bps=delta_bps,
+                         delta_latency_s=delta_latency_s,
+                         probability_policy=probability_policy,
+                         maintenance_interval_s=maintenance_interval_s,
+                         seed=seed)
+
+    def _broadcast_plane(self, descriptor: NetworkDescriptor,
+                         controller_id: str):
+        """One multiplex, service and carousel plane per channel under
+        one fan-out; channel 0's carousel channel is the network's
+        broadcast (what broadcast faults and a departure take down)."""
+        channels, av_rate_bps, pna_xlet_bits, fast_forward = \
+            self._channel_args
         for i in range(channels):
             suffix = f"-{i}" if i else ""  # channel 0: the plain names
             mux = Multiplex(self.sim, total_rate_bps=MUX_RATE_BPS,
                             name="mux" + suffix)
             service = mux.add_service("oddci-dtv" + suffix,
                                       av_rate_bps=av_rate_bps,
-                                      data_rate_bps=beta_bps)
+                                      data_rate_bps=descriptor.beta_bps)
             self.services.append(service)
             self.planes.append(CarouselControlPlane(
                 self.sim, service,
                 xlet_factory=self._make_xlet,
                 pna_xlet_bits=pna_xlet_bits,
-                fast_forward=carousel_fast_forward))
-        self.control_plane = FanoutControlPlane(self.planes)
-        self.controller = Controller(
-            self.sim, self.router, self.control_plane, self.keys,
-            probability_policy=probability_policy,
-            maintenance_interval_s=maintenance_interval_s)
-        self.provider = Provider(
-            self.sim, [ControllerShard(NetworkDescriptor(), self.controller)])
-        self.boxes: List[SetTopBox] = []
-        # Ambient fault plan: carousel faults hit channel 0's DSM-CC
-        # carousel; storms hit the PNA cores behind every STB.
-        self.fault_injector: Optional[FaultInjector] = None
-        plan = current_plan()
-        if plan is not None and plan.events:
-            carousel = self.control_plane.carousel
-            self.fault_injector = FaultInjector(
-                self.sim, plan,
-                FaultTargets(controllers=[self.controller],
-                             backends=self.provider.backends,
-                             broadcasts=[carousel.channel],
-                             carousel=carousel,
-                             nodes=lambda: list(self._pna_of_stb.values())))
+                fast_forward=fast_forward))
+        plane = FanoutControlPlane(self.planes)
+        return plane.carousel.channel, plane
 
     # -- xlet factory (metadata of pna.bin) -------------------------------------
     def _make_xlet(self, sim: Simulator, stb: SetTopBox) -> PNAXlet:
@@ -355,8 +351,10 @@ class OddCIDTVSystem:
 
         The boxes are split over the channels in proportion to
         ``channel_weights`` (default: evenly), channel by channel in
-        largest-remainder counts — no random draw.  Each gets a direct
-        channel, a PNA core (offline until its Xlet starts) and —
+        largest-remainder counts — no random draw.  Their PNA cores are
+        one :class:`~repro.core.pna.PNABlock` (``stb-<k>`` on direct
+        channel ``stb<k>.direct``, offline until its Xlet starts, each
+        view computing on its box's device model); each box then —
         because the AIT already signals the PNA Xlet as AUTOSTART —
         immediately begins loading the Xlet from the carousel.  With
         ``churn`` each box flips between OFF and its nominal mode.
@@ -367,29 +365,28 @@ class OddCIDTVSystem:
             raise ConfigurationError("in_use_fraction must be in [0, 1]")
         tuning = self._tuning_plan(n, channel_weights)
         rng = self.sim.rng("dtv-system.population")
+        controller = self.controller
+        block = PNABlock(
+            self.sim, self.router, "stb-", len(self.boxes), n,
+            controller_key=controller.key,
+            controller_id=controller.controller_id,
+            rate_bps=self.delta_bps, latency_s=self.delta_latency_s,
+            loss=self.delta_loss, channel_name="stb{}.direct",
+            capabilities={"memory_mb": 256, "middleware": "ginga",
+                          "device": profile.name},
+            heartbeat_interval_s=heartbeat_interval_s,
+            dve_poll_interval_s=dve_poll_interval_s)
+        column_view(self.router.pna_online)[block.lo:block.hi] = 0
+        self.shards[0].adopt(block)
+        self.pnas.extend(block)
         created: List[SetTopBox] = []
-        for service in tuning:
-            idx = len(self.boxes)
-            channel = DuplexChannel(
-                self.sim, rate_bps=self.delta_bps,
-                latency_s=self.delta_latency_s, name=f"stb{idx}.direct")
+        for pna, service in zip(block, tuning):
             mode = (PowerMode.IN_USE if rng.random() < in_use_fraction
                     else PowerMode.STANDBY)
-            stb = SetTopBox(self.sim, stb_id=f"stb-{idx}",
-                            direct_channel=channel, profile=profile,
+            stb = SetTopBox(self.sim, stb_id=pna.pna_id,
+                            direct_channel=pna.channel, profile=profile,
                             mode=mode)
-            pna = PNA(
-                self.sim, stb.stb_id,
-                router=self.router, channel=channel,
-                controller_key=self.keys.key_of(
-                    self.controller.controller_id),
-                controller_id=self.controller.controller_id,
-                capabilities={"memory_mb": 256, "middleware": "ginga",
-                              "device": profile.name},
-                executor=stb.execution_time,
-                heartbeat_interval_s=heartbeat_interval_s,
-                dve_poll_interval_s=dve_poll_interval_s,
-                start_online=False)
+            pna.executor = stb.execution_time
             self._pna_of_stb[stb.stb_id] = pna
             stb.tune(service)
             self.boxes.append(stb)
@@ -434,19 +431,6 @@ class OddCIDTVSystem:
                 yield model.sample_off(rng)
                 stb.set_mode(nominal)
 
-    # -- stats ----------------------------------------------------------------------
-    def pna_of(self, stb: SetTopBox) -> PNA:
-        return self._pna_of_stb[stb.stb_id]
-
-    def busy_count(self) -> int:
-        from repro.core.messages import PNAState
-
-        return sum(1 for p in self._pna_of_stb.values()
-                   if p.online and p.state is PNAState.BUSY)
-
-    def online_count(self) -> int:
-        return sum(1 for p in self._pna_of_stb.values() if p.online)
-
 
 class FanoutControlPlane(ControlPlane):
     """Publishes every control message through several per-service planes.
@@ -463,11 +447,7 @@ class FanoutControlPlane(ControlPlane):
         if not planes:
             raise ConfigurationError("fan-out needs at least one plane")
         self.planes = list(planes)
-
-    @property
-    def carousel(self):
-        """Channel 0's carousel, the one carousel faults target."""
-        return self.planes[0].carousel
+        self.carousel = self.planes[0].carousel  # channel 0's
 
     @property
     def available(self) -> bool:

@@ -353,8 +353,7 @@ def point_plane_comparison(
                        ref_seconds=1000.0, name=f"dtv-{image_mb}")
 
     def dtv_ready() -> int:
-        return sum(1 for p in dtv._pna_of_stb.values()
-                   if p.dve is not None)
+        return sum(1 for p in dtv.pnas if p.dve is not None)
 
     t0 = dtv.sim.now
     dtv.provider.submit_job(job2, target_size=n_nodes,

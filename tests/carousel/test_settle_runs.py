@@ -207,8 +207,7 @@ def _refused_wakeup(sim):
     system.controller.corrupt_signatures(False)
     sim.run(until=600.0)
     return {"refused_size": refused_size, "size": record.size,
-            "dropped": [system.pna_of(box).dropped_bad_signature
-                        for box in boxes],
+            "dropped": [pna.dropped_bad_signature for pna in system.pnas],
             "versions": [box.app_manager.running_xlet(
                 dtv_oddci.PNA_APP_ID)._last_config_version
                 for box in boxes],

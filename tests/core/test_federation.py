@@ -253,7 +253,7 @@ def test_conviction_reaches_the_node_network_while_it_is_out(outage):
         desk.controller.crash()
     else:
         desk.depart()
-    submission.backend.certifier.quarantine(convict.pna_id, "sabotage")
+    submission.backend.certifier.quarantine(convict.census_idx, "sabotage")
     system.sim.run(until=90.0)
     if outage == "crash":
         desk.controller.restore()

@@ -177,7 +177,7 @@ def test_signature_corruption_retry_matches_process_loop(monkeypatch):
         refused_size = record.size
         system.controller.corrupt_signatures(False)
         sim.run(until=600.0)
-        pna = system.pna_of(system.boxes[0])
+        pna = system.pnas[0]
         return {"refused_size": refused_size, "size": record.size,
                 "dropped": pna.dropped_bad_signature}
 

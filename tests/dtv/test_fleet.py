@@ -1,10 +1,15 @@
 """Set-top-box fleets built by ``OddCIDTVSystem.add_receivers``: tuning,
-power modes, direct channels and churn."""
+power modes, direct channels, churn, and the receivers' PNA cores as
+one block on the system's one shard."""
 
 import pytest
 
+from repro.core.messages import PNAState
+from repro.core.pna import PNABlock
 from repro.dtv_oddci import PNA_APP_ID, OddCIDTVSystem
 from repro.errors import ConfigurationError
+from repro.net.message import MEGABYTE
+from repro.workloads import uniform_bag
 from repro.workloads.devices import PowerMode
 from repro.workloads.traces import ChurnModel
 
@@ -49,8 +54,8 @@ def test_each_box_has_direct_channel():
     ids = {box.direct_channel.uplink.name for box in system.boxes}
     assert len(ids) == 5
     # The box's PNA core speaks over that same channel.
-    assert all(system.pna_of(box).channel is box.direct_channel
-               for box in system.boxes)
+    assert all(pna.channel is box.direct_channel
+               for box, pna in zip(system.boxes, system.pnas))
 
 
 def test_invalid_config_rejected():
@@ -109,3 +114,66 @@ def test_unmounting_the_carousel_destroys_its_xlets():
     assert system.online_count() == 0
     assert carousel._n_reads == 0 and not carousel._reads
     assert all(box.app_manager.running_count == 0 for box in boxes)
+
+
+def test_receivers_are_one_block_on_the_one_shard():
+    """Each ``add_receivers`` call builds its boxes' PNA cores as one
+    block on the system's one shard: in box order, ids and direct
+    channels named after the box, the shard's id range covering them,
+    each view computing on its own box's device model."""
+    system = build(n=12, in_use_fraction=0.5)
+    system.add_receivers(8)
+    shard, = system.shards
+    assert [len(part) for part in system.pnas.parts] == [12, 8]
+    assert all(type(part) is PNABlock for part in system.pnas.parts)
+    assert shard.pnas.parts == system.pnas.parts
+    assert list(shard.pnas) == list(system.pnas)
+    assert [pna.pna_id for pna in system.pnas] == \
+        [box.stb_id for box in system.boxes] == \
+        [f"stb-{k}" for k in range(20)]
+    assert [pna.census_idx for pna in system.pnas] == \
+        list(range(*shard.id_range)) == list(range(20))
+    for k, box in enumerate(system.boxes):
+        pna = system.pnas[k]
+        assert box.direct_channel is pna.channel
+        assert pna.channel.uplink.name.startswith(f"stb{k}.direct")
+        assert pna.executor == box.execution_time
+    assert len({box.mode for box in system.boxes}) == 2
+
+
+def _busy_oracle(system):
+    """``busy_count`` as it was defined per PNA core."""
+    return sum(1 for pna in system.pnas
+               if pna.online and pna.state is PNAState.BUSY)
+
+
+def _online_oracle(system):
+    """``online_count`` as it was defined per PNA core."""
+    return sum(1 for pna in system.pnas if pna.online)
+
+
+def test_counts_match_per_pna_definitions_over_a_churned_run():
+    """``busy_count`` and ``online_count`` are reductions over the
+    fleet's rows; across a churned, working run they equal the counts
+    over the views."""
+    churn = ChurnModel(mean_on_s=400.0, mean_off_s=200.0)
+    system = build(n=40, churn=churn)
+    system.sim.run(until=60.0)
+    job = uniform_bag(2000, image_bits=MEGABYTE, ref_seconds=100.0)
+    system.provider.submit_job(job, target_size=20,
+                               heartbeat_interval_s=30.0)
+    seen = []
+
+    def probe():
+        seen.append((system.busy_count(), _busy_oracle(system),
+                     system.online_count(), _online_oracle(system)))
+
+    for t in range(60, 2000, 10):
+        system.sim.call_at(float(t), probe)
+    system.sim.run(until=2000.0)
+    assert all(busy == busy_oracle and online == online_oracle
+               for busy, busy_oracle, online, online_oracle in seen)
+    busy = {row[0] for row in seen}
+    online = {row[2] for row in seen}
+    assert max(busy) > 0 and len(busy) > 2     # the job ran, and churned
+    assert min(online) < 40 and len(online) > 2

@@ -39,7 +39,7 @@ def lossy_system(loss: float, n_pnas: int, seed: int = 0):
                   heartbeat_interval_s=10.0,
                   dve_poll_interval_s=5.0)
         system.control_plane.attach(pna)
-        system.pnas.append(pna)
+        system.pnas.extend((pna,))
     return system
 
 

@@ -63,7 +63,7 @@ def test_returning_receiver_sees_current_wakeup_via_carousel():
     system.sim.run(until=500.0)
     # The late box reloads the PNA Xlet, reads the config file from the
     # carousel and joins the instance without any retransmission.
-    late_pna = system.pna_of(late)
+    late_pna = system.pnas[0]
     assert late_pna.online
     assert late_pna.instance_id is not None
     assert system.busy_count() == 6

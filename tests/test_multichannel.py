@@ -92,8 +92,7 @@ def test_wakeup_reaches_union_of_audiences():
     assert system.busy_count() == 12
     # Busy receivers span more than one channel.
     busy_channels = set()
-    for stb in system.boxes:
-        pna = system._pna_of_stb[stb.stb_id]
+    for stb, pna in zip(system.boxes, system.pnas):
         if pna.online and pna.instance_id is not None:
             busy_channels.add(system.services.index(stb.service))
     assert len(busy_channels) >= 2
