@@ -6,6 +6,9 @@ wakeup+heartbeat+bag-of-tasks cycle at 10^6 PNAs completes in under
 that scenario and hold the line — scaled linearly when
 ``REPRO_FLOOR_SCALE`` trims the fleet (CI runs at reduced scale).
 ``run_cycle(10**6)``, fresh processes on a 2-vCPU x86-64 host:
+0.15-0.24 s at 93.4-94.0 MB peak RSS once the census held instant and
+instance codes and the Router's node columns and the engine's task-id
+and row columns were held (0.44-0.49 s at 178.4-178.6 MB before);
 0.66-1.0 s at 329-337 MB peak RSS once the task engine filed slot
 ranges, the Backend dropped its unread lease columns and the link
 tables kept loss, rate and latency once per profile; 1.0-1.3 s at
@@ -13,7 +16,8 @@ tables kept loss, rate and latency once per profile; 1.0-1.3 s at
 contiguous rows were sliced; 3.2-3.5 s (842 MB) once a bulk fleet held
 no object per PNA, 6.7-6.9 s (1,239 MB) before, 10.9-11.2 s at a796baf
 (53.6 s was recorded at 757214e).  ``run_cycle(10**7)``, same host:
-8.4-10.7 s at 2,929 MB peak RSS (3 runs), guarded at full scale only.
+1.7-2.5 s at 557-564 MB peak RSS (5 runs; 4.6-5.3 s at 1,499 MB
+before, 8.4-10.7 s at 2,929 MB earlier), guarded at full scale only.
 
 Wall-clock guards are machine-dependent, so this is perf-marked::
 
@@ -43,11 +47,13 @@ from repro.workloads import uniform_bag
 FULL_SCALE = 1_000_000
 FULL_BUDGET_S = 2.0
 #: Peak RSS of a fresh process that runs the cycle at full scale
-#: (178.4-178.6 MB over 5 runs on a 2-vCPU x86-64 host with 8 GB, 329
-#: before the Backend's instant codes and the held engine and link
-#: columns; a 1.2x margin), and the floor of a reduced-scale budget
-#: (the interpreter and numpy take ~45 MB before the first node).
-FULL_RSS_MB = 215.0
+#: (93.4-94.0 MB over 5 runs on a 2-vCPU x86-64 host with 8 GB;
+#: 178.4-178.6 before the census codes and the held Router and engine
+#: columns, 329 before the Backend's instant codes and the held engine
+#: and link columns; a 1.2x margin), and the floor of a reduced-scale
+#: budget (the interpreter and numpy take ~45 MB before the first
+#: node).
+FULL_RSS_MB = 113.0
 MIN_RSS_MB = 100.0
 #: Fixed-cost allowance for reduced-scale runs: interpreter start-up,
 #: image broadcast and job build don't shrink with the fleet.
@@ -123,13 +129,15 @@ def test_cohort_event_tier_holds_memory_floor():
         f"for {scale} nodes (budget {budget:.0f} MB): {metrics}")
 
 
-#: The cycle at 10^7 PNAs in a fresh process: 4.6-5.3 s of wall time
-#: (build and run) at 1,499 MB peak RSS over 3 runs on a 2-vCPU x86-64
-#: host with 8 GB (8.4-10.7 s and 2,929 MB before the instant codes and
-#: held columns); 2.8x and 1.17x margins over the worst run.
+#: The cycle at 10^7 PNAs in a fresh process: 1.7-2.5 s of wall time
+#: (build and run) at 557-564 MB peak RSS over 5 runs on a 2-vCPU
+#: x86-64 host with 8 GB (4.6-5.3 s and 1,499 MB before the census
+#: codes and the held Router and engine columns, 8.4-10.7 s and 2,929
+#: MB before the instant codes and held columns); the wall budget keeps
+#: its 15 s, the RSS budget a 1.17x margin over the worst run.
 TEN_MILLION = 10_000_000
 TEN_MILLION_BUDGET_S = 15.0
-TEN_MILLION_RSS_MB = 1_750.0
+TEN_MILLION_RSS_MB = 660.0
 
 
 @pytest.mark.perf
@@ -137,7 +145,7 @@ def test_cohort_event_tier_holds_floor_at_ten_million():
     """``run_cycle(10**7)`` in a fresh process finishes within
     ``TEN_MILLION_BUDGET_S`` and peaks within ``TEN_MILLION_RSS_MB``,
     with the golden makespan.  A reduced ``REPRO_FLOOR_SCALE`` (CI)
-    leaves the event tier to the floors above: this point needs 3 GB."""
+    leaves the event tier to the floors above: this point needs 0.6 GB."""
     if int(os.environ.get("REPRO_FLOOR_SCALE", FULL_SCALE)) < FULL_SCALE:
         pytest.skip("the 10^7 cycle runs at full scale only")
     metrics = in_fresh_process("test_event_kernel_floor", "run_cycle",

@@ -48,14 +48,6 @@ class VoluntaryComputing(DCIModel):
             raise BaselineError("growth_per_day must be > 0")
         self.max_scale = self.ceiling
 
-    def adoption_at(self, t_days: float) -> float:
-        """Volunteers enrolled ``t_days`` after the campaign launch."""
-        if t_days < 0:
-            raise BaselineError("t_days must be >= 0")
-        ratio = self.ceiling / self.seed_volunteers - 1.0
-        return self.ceiling / (1.0 + ratio * math.exp(
-            -self.growth_per_day * t_days))
-
     def time_to_reach(self, n: int) -> float:
         """Days until the volunteer count reaches ``n`` (inverse logistic)."""
         if n <= 0:

@@ -273,12 +273,6 @@ class ObjectCarousel:
             return self._cycles_completed + self._virtual_cycles()
         return self._cycles_completed
 
-    def current_file(self, name: str) -> CarouselFile:
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileNotInCarouselError(f"{name!r} not in carousel") from None
-
     def schedule_snapshot(self, origin_time: float) -> CarouselSchedule:
         """Analytic schedule matching the *current* content."""
         return CarouselSchedule(
@@ -313,11 +307,6 @@ class ObjectCarousel:
             raise FileNotInCarouselError(f"{name!r} not in carousel")
         self._pending_updates[name] = None
         self._wake_at_boundary()
-
-    @property
-    def cycles_skipped(self) -> int:
-        """Repetitions suppressed by :meth:`interrupt_for` so far."""
-        return self._cycles_skipped
 
     def interrupt_for(self, cycles: int) -> None:
         """Suppress the next ``cycles`` repetitions (head-end fault).

@@ -39,7 +39,7 @@ from repro.core.messages import (
     TaskResultPayload,
 )
 from repro.core.network import Router
-from repro.net.link import all_distinct, as_index, column_view
+from repro.net.link import all_distinct, as_index
 from repro.sim.core import Event, Simulator
 from repro.sim.process import Interrupt
 from repro.telemetry.trace import channel as _telemetry_channel
@@ -73,6 +73,13 @@ class JobReport:
 #: pending ring; leased to a holder; handed to the certifier, which
 #: tracks its copies itself; completed.
 _PENDING, _FLIGHT, _OUT, _DONE = 0, 1, 2, 3
+
+
+def _take(values, pos):
+    """``values[pos]``, where either may be a ``range``."""
+    if type(pos) is range:
+        return values[pos.start:pos.stop]
+    return pos + values.start if type(values) is range else values[pos]
 
 
 class Backend:
@@ -394,12 +401,14 @@ class Backend:
         return task
 
     def _lease_rows(self, rows, holders, now: float, leases) -> None:
-        """Lease task ``rows`` (an index) to the nodes at ``holders`` at
-        ``now``, numbered in order."""
+        """Lease task ``rows`` (an index) to the nodes at ``holders`` (an
+        int array or a ``range``) at ``now``, numbered in order."""
         seq = self._assign_seq
         self._assign_seq = seq + len(holders)
         self._state[rows] = _FLIGHT
-        self._holder[rows] = holders
+        self._holder[rows] = _np.arange(
+            holders.start, holders.stop, dtype=_np.int32) \
+            if type(holders) is range else holders
         self._assigned_at[rows] = self._code(now)
         if self._lease is not None:
             self._lease[rows] = leases
@@ -461,7 +470,7 @@ class Backend:
     def receive_request_cohort(self, rows: Sequence[int],
                                instance_id: str) -> Sequence:
         """Serve a same-instant batch of task requests in one pass, from
-        the nodes at ``rows`` (int64, or a list of ints).
+        the nodes at ``rows`` (int64, a list of ints or a ``range``).
 
         Equivalent to calling the scalar handler once per requester *in
         order* — same bag pops, lease values, accounting and traces.
@@ -486,7 +495,7 @@ class Backend:
             # request at a time
             return [self._serve_request(node, instance_id) for node in (
                 rows.tolist() if isinstance(rows, _np.ndarray) else rows)]
-        self._mark_workers(rows)
+        self._mark_workers(as_index(rows) if type(rows) is range else rows)
         now = self.sim.now
         head = self._head
         end = self._head = min(head + k, self._n)
@@ -518,10 +527,10 @@ class Backend:
                            pna=self._id_of(node), replica=False)
         return reply
 
-    def receive_result_cohort(self, rows: _np.ndarray,
-                              task_ids: _np.ndarray) -> Optional[int]:
+    def receive_result_cohort(self, rows, task_ids) -> Optional[int]:
         """Accept a same-instant batch of results in one pass, from the
-        nodes at ``rows``.
+        nodes at ``rows`` (an int array or a ``range``); ``task_ids``
+        is an int64 array or a ``range``.
 
         Equivalent to calling :meth:`receive_result` once per
         ``(node, task_id)`` *in order* — same records, accounting and
@@ -529,9 +538,10 @@ class Backend:
         settles :attr:`done_event` and returns that result's index
         (``None`` when none did): the caller defers the rest so the
         urgent completion callbacks run first, as they do between
-        per-message deliveries.  Leased tasks commit under one mask and
-        every other result counts as a duplicate; a batch with a
-        lease-expired straggler or a task twice goes one by one.
+        per-message deliveries.  Leased tasks commit under one mask (a
+        ``range`` of them as a slice) and every other result counts as a
+        duplicate; a batch with a lease-expired straggler or a task twice
+        goes one by one.
         Uncertified backends only: the certifier votes per copy and
         needs each copy's digest.
         """
@@ -539,35 +549,39 @@ class Backend:
             raise BackendError(
                 "certified results go through receive_result one by one")
         tasks = self._tasks.rows_of(task_ids)
-        state = _np.where(tasks >= 0, self._state[tasks], _DONE)
-        pos = _np.flatnonzero(state == _FLIGHT)
-        first = tasks[pos]
-        if (state == _PENDING).any() or not all_distinct(first):
+        state = self._state[as_index(tasks)] if type(tasks) is range \
+            else _np.where(tasks >= 0, self._state[tasks], _DONE)
+        leased = state == _FLIGHT
+        pos = range(len(state)) if leased.all() else _np.flatnonzero(leased)
+        first = _take(tasks, pos)
+        if type(first) is not range and (
+                (state == _PENDING).any() or not all_distinct(first)):
             # a lease-expired straggler, or a task twice: one by one
             done_event = self.done_event
             was_settled = done_event._settled
-            for k, (node, task_id) in enumerate(
-                    zip(rows.tolist(), task_ids.tolist())):
+            for k, (node, task_id) in enumerate(zip(
+                    _np.asarray(rows).tolist(),
+                    _np.asarray(task_ids).tolist())):
                 self._take_result(node, task_id)
                 if not was_settled and done_event._settled:
                     return k
             return None
         done_before = self._n_done
         need = self.job.n - done_before
-        stop = int(pos[need - 1]) if 0 < need <= pos.size else None
+        stop = int(pos[need - 1]) if 0 < need <= len(pos) else None
         if stop is not None:  # the settling result commits last, alone
             pos, first = pos[:need - 1], first[:need - 1]
         self._suppress_duplicate(
-            (len(tasks) if stop is None else stop) - pos.size)
-        first = as_index(first)
-        self._state[first] = _DONE
-        self._completed_at[first] = self._code(self.sim.now)
-        self._n_done += pos.size
-        self._count_rows(self.completed_by_network, rows[pos])
+            (len(state) if stop is None else stop) - len(pos))
+        done = as_index(first)
+        self._state[done] = _DONE
+        self._completed_at[done] = self._code(self.sim.now)
+        self._n_done += len(pos)
+        self._count_rows(self.completed_by_network, _take(rows, pos))
         if self._holders or self._attempts or self._trace is not None:
-            for j, (row, task_id, node) in enumerate(zip(
-                    tasks[pos].tolist(), task_ids[pos].tolist(),
-                    rows[pos].tolist())):
+            for j, (row, task_id, node) in enumerate(zip(*(
+                    _np.asarray(values).tolist() for values in (
+                        first, _take(task_ids, pos), _take(rows, pos))))):
                 self._completion_effects(row, task_id, node,
                                          done_before + j + 1)
         if stop is not None:
@@ -716,14 +730,11 @@ class Backend:
         if net is not None:
             counter[net] += amount
 
-    def _count_rows(self, counter: Dict[str, int],
-                    rows: _np.ndarray) -> None:
-        """:meth:`_count` for every node at ``rows``: one vector pass per
-        network, not one call per node."""
+    def _count_rows(self, counter: Dict[str, int], rows) -> None:
+        """:meth:`_count` for every node at ``rows`` (an int array or a
+        ``range``): one vector pass per network, not one per node."""
         for router, net in self._net_of_router.items():
-            state = column_view(router.pna_state)
-            counter[net] += int(_np.count_nonzero(
-                state[rows[rows < state.size]]))
+            counter[net] += router.count_owned(rows)
 
     def _backoff_stream_for(self, node: int) -> str:
         """RNG stream for lease-backoff jitter: the per-backend stream

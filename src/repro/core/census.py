@@ -9,15 +9,15 @@ state at 10^5-10^6 agents wants dense integer keys and columnar
 updates.
 
 :class:`ColumnarCensusStore` is that engine, and the only one in
-the package: struct-of-arrays over numpy, ``last_seen`` (float64),
-``state`` (int8 code), ``instance`` (int64 handle) columns indexed by
-the dense node index a shared :class:`NodeInterner` assigns, plus one
-membership column (float64 last-heartbeat, NaN = non-member) per
-*bound* instance and a per-node membership counter that serves as the
-reverse ``node -> instances`` index.  A same-instant heartbeat cohort
-lands as one columnar write per (state, instance) group
-(``last_seen[idxs] = now``) instead of N dict updates, and expiry is a
-single vectorised comparison per instance.
+the package: struct-of-arrays over numpy, ``last_seen``, ``state``
+and ``instance`` columns (narrow codes) indexed by the dense node
+index a shared :class:`NodeInterner` assigns, plus one membership
+column (last-heartbeat code, 0 = non-member) per *bound* instance and
+a per-node membership counter that serves as the reverse ``node ->
+instances`` index.  A same-instant heartbeat cohort lands as one
+columnar write per (state, instance) group (``last_seen[idxs] =
+code``) instead of N dict updates, and expiry is a single vectorised
+comparison per instance.
 Its oracle, the dict-backed ``DictCensusStore``, lives in the tests
 (``tests/core/dict_census.py``) and duck-types the same methods; tests
 hand it to a Controller through its ``census`` argument.
@@ -34,7 +34,7 @@ stores with per-step validation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Any, Dict, List, Optional
 
@@ -70,8 +70,8 @@ CODE_STATE = {STATE_IDLE: PNAState.IDLE, STATE_BUSY: PNAState.BUSY}
 #: within this many heartbeat intervals.
 HEARTBEAT_GRACE = 3.0
 
-#: ``last_seen`` value for untouched registry rows (compares below any
-#: finite horizon, exactly like an absent dict entry).
+#: The instant of code 0, untouched rows' and non-members' (compares
+#: below any finite horizon, exactly like an absent dict entry).
 _NEVER = float("-inf")
 
 
@@ -180,9 +180,11 @@ class ColumnarCensusStore:
     carry membership state — the registry also interns ids of
     unknown/stale instances named by busy heartbeats.
 
-    Columns grow by doubling as the shared interner grows; membership
-    is one float64 column per bound instance (NaN = non-member) with a
-    per-node int16 membership counter as the reverse index, so the idle
+    Columns grow by doubling as the shared interner grows.  ``_seen``
+    and each bound instance's membership column hold codes into the
+    ascending ``_instants`` (code 0: never seen, not a member), and
+    ``_inst`` ``handle + 1`` (0: none), at ``np.min_scalar_type`` width.
+    A per-node int16 membership counter is the reverse index, so the idle
     path is O(1) for nodes that belong to nothing — which is nearly all
     idle heartbeats — instead of a scan over every instance.
     """
@@ -194,13 +196,14 @@ class ColumnarCensusStore:
         self._inst_ids: List[str] = []
         cap = max(int(initial_capacity), 1)
         self._cap = cap
-        self._seen = np.full(cap, _NEVER, dtype=np.float64)
+        self._instants: List[float] = [_NEVER]
+        self._seen = np.zeros(cap, dtype=np.uint8)
         self._state = np.zeros(cap, dtype=np.int8)
-        self._inst = np.full(cap, NO_INSTANCE, dtype=np.int64)
+        self._inst = np.zeros(cap, dtype=np.uint8)
         #: reverse index: per-node count of instances it belongs to.
         self._member_of = np.zeros(cap, dtype=np.int16)
         self._registry_count = 0
-        #: instance handle -> float64 membership column (NaN non-member)
+        #: instance handle -> membership column (instant codes)
         self._member_seen: Dict[int, Any] = {}
         self._member_count: Dict[int, int] = {}
 
@@ -214,10 +217,36 @@ class ColumnarCensusStore:
             handle = len(self._inst_ids)
             self._inst_index[instance_id] = handle
             self._inst_ids.append(instance_id)
+            if (handle + 1) >> 8 * self._inst.itemsize:  # widen the codes
+                self._inst = self._inst.astype(np.min_scalar_type(handle + 1))
         return handle
 
     def instance_id_of(self, handle: int) -> Optional[str]:
         return None if handle == NO_INSTANCE else self._inst_ids[handle]
+
+    # -- instant codes ---------------------------------------------------
+    def _code(self, now: float) -> int:
+        """The code of instant ``now`` (writes come at non-decreasing
+        instants), appended when new: first compacted if codes ran out."""
+        if now != self._instants[-1]:
+            if len(self._instants) >> 8 * self._seen.itemsize:
+                self._compact()
+            self._instants.append(float(now))
+        return len(self._instants) - 1
+
+    def _compact(self) -> None:
+        """Drop the instants no row holds, renumbering the codes in order
+        at the width that leaves at least as many codes free as used."""
+        used = np.zeros(len(self._instants), dtype=bool)
+        used[0] = True
+        for column in (self._seen, *self._member_seen.values()):
+            used[column] = True
+        self._instants = np.array(self._instants)[used].tolist()
+        remap = (np.cumsum(used) - 1).astype(
+            np.min_scalar_type(2 * len(self._instants)))
+        self._seen = remap[self._seen]
+        for handle, column in self._member_seen.items():
+            self._member_seen[handle] = remap[column]
 
     # -- capacity --------------------------------------------------------
     def _sync(self) -> None:
@@ -228,17 +257,15 @@ class ColumnarCensusStore:
         cap = self._cap
         while cap < need:
             cap *= 2
-        self._seen = self._grown(self._seen, cap, _NEVER)
-        self._state = self._grown(self._state, cap, 0)
-        self._inst = self._grown(self._inst, cap, NO_INSTANCE)
-        self._member_of = self._grown(self._member_of, cap, 0)
+        for name in ("_seen", "_state", "_inst", "_member_of"):
+            setattr(self, name, self._grown(getattr(self, name), cap))
         for handle, column in self._member_seen.items():
-            self._member_seen[handle] = self._grown(column, cap, np.nan)
+            self._member_seen[handle] = self._grown(column, cap)
         self._cap = cap
 
     @staticmethod
-    def _grown(array, cap, fill):
-        grown = np.full(cap, fill, dtype=array.dtype)
+    def _grown(array, cap):
+        grown = np.zeros(cap, dtype=array.dtype)
         grown[:array.size] = array
         return grown
 
@@ -249,9 +276,9 @@ class ColumnarCensusStore:
         self._sync()
         if self._state[idx] == STATE_NONE:
             self._registry_count += 1
-        self._seen[idx] = now
+        self._seen[idx] = self._code(now)
         self._state[idx] = STATE_CODE[state]
-        self._inst[idx] = self.instance_handle(instance_id)
+        self._inst[idx] = self.instance_handle(instance_id) + 1
 
     def touch_group(self, idxs, code: int, instance_id: Optional[str],
                     now: float) -> None:
@@ -265,34 +292,36 @@ class ColumnarCensusStore:
         state = self._state
         self._registry_count += int(
             np.count_nonzero(state[idxs] == STATE_NONE))
-        self._seen[idxs] = now
+        self._seen[idxs] = self._code(now)
         state[idxs] = code
-        self._inst[idxs] = self.instance_handle(instance_id)
+        self._inst[idxs] = self.instance_handle(instance_id) + 1
 
     def registry_size(self):
         return self._registry_count
 
     def idle_estimate(self, horizon):
         """Idle nodes heard from at or after ``horizon``."""
+        after = bisect_left(self._instants, horizon)
         return int(np.count_nonzero(
-            (self._state == STATE_IDLE) & (self._seen >= horizon)))
+            (self._state == STATE_IDLE) & (self._seen >= after)))
 
     def alive_estimate(self, horizon):
-        # Untouched rows sit at -inf and fail any finite horizon.
-        return int(np.count_nonzero(self._seen >= horizon))
+        # Untouched rows hold code 0 and fail any finite horizon.
+        return int(np.count_nonzero(
+            self._seen >= bisect_left(self._instants, horizon)))
 
     def registry_items(self):
         id_of = self.interner.id_of
         seen, state, inst = self._seen, self._state, self._inst
-        for idx in np.flatnonzero(state != STATE_NONE):
-            i = int(idx)
-            yield id_of(i), (float(seen[i]), CODE_STATE[int(state[i])],
-                             self.instance_id_of(int(inst[i])))
+        for idx in np.flatnonzero(state != STATE_NONE).tolist():
+            yield id_of(idx), (self._instants[seen[idx]],
+                               CODE_STATE[int(state[idx])],
+                               self.instance_id_of(int(inst[idx]) - 1))
 
     def clear_registry(self):
-        self._seen[:] = _NEVER
+        self._seen[:] = 0
         self._state[:] = STATE_NONE
-        self._inst[:] = NO_INSTANCE
+        self._inst[:] = 0
         self._registry_count = 0
 
     # -- membership ------------------------------------------------------
@@ -301,8 +330,8 @@ class ColumnarCensusStore:
         handle = self.instance_handle(instance_id)
         if handle not in self._member_seen:
             self._sync()
-            self._member_seen[handle] = np.full(self._cap, np.nan,
-                                                dtype=np.float64)
+            self._member_seen[handle] = np.zeros(self._cap,
+                                                 dtype=self._seen.dtype)
             self._member_count[handle] = 0
         return handle
 
@@ -315,7 +344,7 @@ class ColumnarCensusStore:
         column = self._member_seen.pop(handle, None)
         self._member_count.pop(handle, None)
         if column is not None:
-            live = ~np.isnan(column)
+            live = column != 0
             if live.any():
                 self._member_of[live] -= 1
 
@@ -324,31 +353,31 @@ class ColumnarCensusStore:
 
     def mark_member(self, handle, idx, now):
         self._sync()
+        code = self._code(now)
         column = self._member_seen[handle]
-        if column[idx] != column[idx]:  # NaN: a fresh member
+        if not column[idx]:  # a fresh member
             self._member_count[handle] += 1
             self._member_of[idx] += 1
-        column[idx] = now
+        column[idx] = code
 
     def mark_members(self, handle: int, idxs, now: float) -> None:
         """Membership refresh for a duplicate-free cohort group (an
         array or a slice, as for :meth:`touch_group`)."""
         self._sync()
+        code = self._code(now)
         column = self._member_seen[handle]
-        fresh = np.isnan(column[idxs])
+        fresh = column[idxs] == 0
         joined = int(np.count_nonzero(fresh))
         if joined:
             self._member_count[handle] += joined
             self._member_of[idxs] += fresh
-        column[idxs] = now
+        column[idxs] = code
 
     def drop_member(self, handle, idx):
         column = self._member_seen.get(handle)
-        if column is None or idx >= column.size:
+        if column is None or idx >= column.size or not column[idx]:
             return False
-        if column[idx] != column[idx]:  # NaN: not a member
-            return False
-        column[idx] = np.nan
+        column[idx] = 0
         self._member_count[handle] -= 1
         self._member_of[idx] -= 1
         return True
@@ -360,8 +389,8 @@ class ColumnarCensusStore:
         if not self._member_of[idx]:
             return
         for handle, column in self._member_seen.items():
-            if column[idx] == column[idx]:  # non-NaN: member here
-                column[idx] = np.nan
+            if column[idx]:  # a member here
+                column[idx] = 0
                 self._member_count[handle] -= 1
         self._member_of[idx] = 0
 
@@ -371,10 +400,10 @@ class ColumnarCensusStore:
         if not active.size:
             return
         for handle, column in self._member_seen.items():
-            hit = ~np.isnan(column[active])
+            hit = column[active] != 0
             dropped = int(np.count_nonzero(hit))
             if dropped:
-                column[active[hit]] = np.nan
+                column[active[hit]] = 0
                 self._member_count[handle] -= dropped
         self._member_of[active] = 0
 
@@ -383,9 +412,10 @@ class ColumnarCensusStore:
         column = self._member_seen.get(handle)
         if column is None:
             return 0
-        stale = np.flatnonzero(column < cutoff)  # NaN never satisfies <
+        stale = np.flatnonzero(
+            (column != 0) & (column < bisect_left(self._instants, cutoff)))
         if stale.size:
-            column[stale] = np.nan
+            column[stale] = 0
             self._member_count[handle] -= int(stale.size)
             self._member_of[stale] -= 1
         return int(stale.size)
@@ -397,18 +427,18 @@ class ColumnarCensusStore:
         column = self._member_seen.get(handle)
         if column is None:
             return
-        id_of = self.interner.id_of
-        for idx in np.flatnonzero(~np.isnan(column)):
-            yield id_of(int(idx)), float(column[idx])
+        id_of, instants = self.interner.id_of, self._instants
+        for idx in np.flatnonzero(column).tolist():
+            yield id_of(idx), instants[column[idx]]
 
     def clear_members(self, handle):
         column = self._member_seen.get(handle)
         if column is None:
             return
-        live = ~np.isnan(column)
+        live = column != 0
         if live.any():
             self._member_of[live] -= 1
-        column[:] = np.nan
+        column[:] = 0
         self._member_count[handle] = 0
 
     def clear(self) -> None:
@@ -416,6 +446,6 @@ class ColumnarCensusStore:
         instances stay bound, empty)."""
         self.clear_registry()
         for handle, column in self._member_seen.items():
-            column[:] = np.nan
+            column[:] = 0
             self._member_count[handle] = 0
         self._member_of[:] = 0

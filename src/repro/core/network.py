@@ -30,9 +30,7 @@ from repro.net.link import (
     HeldColumns,
     LinkTable,
     as_index,
-    column_view,
     count_deliveries,
-    grow_columns,
     offer_rows,
 )
 from repro.net.message import DEFAULT_HEADER_BITS
@@ -53,6 +51,9 @@ PNA_COUNTERS = ("heartbeats_sent", "wakeups_seen", "wakeups_accepted",
                 "dropped_bad_signature", "dropped_busy", "dropped_probability",
                 "dropped_requirements", "resets_handled")
 
+#: The int8 node columns' values at a PNA's registration (others: 0).
+_REGISTERED = {"pna_online": 1, "pna_state": STATE_IDLE, "_pna_linked": 1}
+
 
 class Router(HeldColumns):
     """Associates component ids with receive callbacks and PNA ids with
@@ -71,11 +72,12 @@ class Router(HeldColumns):
     (:meth:`register_pnas`) gets its channels on first use.
     """
 
-    #: the node columns held at zero until a pass writes a row: the
-    #: instance code, the PNA_COUNTERS, and the slot and the engine code
-    #: of a member recruited in bulk into a cohort task engine while it
-    #: has no DVE object (PNA.dve)
-    _COLUMNS = ("pna_instance",) + PNA_COUNTERS + ("dve_slot", "dve_engine")
+    #: the held node columns: the int8 online flag, census state code
+    #: and link flag, the instance code, the PNA_COUNTERS, and the slot
+    #: and engine code of a member recruited in bulk into a cohort task
+    #: engine while it has no DVE object (PNA.dve)
+    _COLUMNS = ("pna_online", "pna_state", "_pna_linked", "pna_instance") \
+        + PNA_COUNTERS + ("dve_slot", "dve_engine")
 
     def __init__(self, sim: Simulator, *,
                  interner: Optional[NodeInterner] = None) -> None:
@@ -113,17 +115,10 @@ class Router(HeldColumns):
         self.uplinks = LinkTable(lambda r: self.channel_of(r).uplink)
         self.downlinks = LinkTable(lambda r: self.channel_of(r).downlink)
         #: PNA columns, row = node index (``array.array``: scalar reads
-        #: are Python ints; batch passes view them zero-copy).
-        self.pna_online = array("b")
-        self.pna_state = array("b")
-        #: 1 while the row's PNA is registered here (a cohort member
-        #: whose node vanished sends nothing).
-        self._pna_linked = array("b")
-        self._node_columns = (self.pna_online, self.pna_state,
-                              self._pna_linked)
+        #: are Python ints); ``_pna_linked`` is 1 while the row's PNA is
+        #: registered here (a member whose node vanished sends nothing).
         for name in self._COLUMNS:
-            setattr(self, name, array("i"))
-        self._zero_columns = tuple(map(self.__getattribute__, self._COLUMNS))
+            setattr(self, name, array("b" if name in _REGISTERED else "i"))
         self._n, self._short = 0, False
         self._held = dict.fromkeys(self._COLUMNS, 0)
         #: the downlink receiver of each node registered one by one, by
@@ -174,11 +169,14 @@ class Router(HeldColumns):
     def _reserve_rows(self, n: int) -> None:
         """Grow the node columns and link tables to at least ``n`` rows,
         by doubling: registering a fleet then writes rows in place."""
-        have = len(self.pna_state)
+        have = self._n
         if n <= have:
             return
         cap = max(n, 2 * have, 64)
-        grow_columns(self._node_columns, cap - have)
+        for name in self._COLUMNS:
+            if self._held[name] != 0:  # rows past ``have`` start at 0
+                self.column(name)
+                self._held[name] = 0
         self.reserve(cap)
         self.uplinks.reserve(cap)
         self.downlinks.reserve(cap)
@@ -186,8 +184,8 @@ class Router(HeldColumns):
     def _row_of(self, pna_id: str) -> Optional[int]:
         """``pna_id``'s node index if it is registered here."""
         idx = self.interner.index_of(pna_id)
-        if idx is None or idx >= len(self._pna_linked) \
-                or not self._pna_linked[idx]:
+        if idx is None or idx >= self._n \
+                or not self.value("_pna_linked", idx):
             return None
         return idx
 
@@ -285,13 +283,8 @@ class Router(HeldColumns):
         if self._row_of(pna_id) is not None:
             raise NetworkError(f"PNA {pna_id!r} already registered")
         idx = self.interner.intern(pna_id)
-        self._reserve_rows(idx + 1)
-        for column in self._node_columns + self._zero_columns:
-            if idx < len(column):
-                column[idx] = 0
+        self._register_rows(idx, idx + 1)
         self.adversaries.pop(idx, None)
-        self.pna_online[idx] = self._pna_linked[idx] = 1
-        self.pna_state[idx] = STATE_IDLE
         self._nodes[idx] = receive
         self._adopt(idx, channel)
         return idx
@@ -310,10 +303,7 @@ class Router(HeldColumns):
         """
         lo = self.interner.intern_block(prefix, first, n)
         hi = lo + n
-        self._reserve_rows(hi)  # new ids: rows never written, all zero
-        for column, value in ((self.pna_online, 1), (self._pna_linked, 1),
-                              (self.pna_state, STATE_IDLE)):
-            column_view(column)[lo:hi] = value
+        self._register_rows(lo, hi)
         state = (self.sim.now, 0.0, 0, 1, float(loss), float(rate_bps),
                  float(latency_s))
         self.uplinks.fill(lo, hi, state)
@@ -322,11 +312,18 @@ class Router(HeldColumns):
                              owner))
         return lo
 
+    def _register_rows(self, lo: int, hi: int) -> None:
+        """Set rows ``[lo, hi)`` to a new PNA's values (:data:`_REGISTERED`,
+        else 0): a block of every row leaves each column held."""
+        self._reserve_rows(hi)
+        for name in self._COLUMNS:
+            self.store(name, slice(lo, hi), _REGISTERED.get(name, 0))
+
     def unregister_pna(self, pna_id: str) -> None:
         idx = self._row_of(pna_id)
         if idx is None:
             return
-        self._pna_linked[idx] = 0
+        self.column("_pna_linked")[idx] = 0
         self._nodes.pop(idx, None)
         channel = self._channels.pop(idx, None)
         if channel is not None:
@@ -387,7 +384,12 @@ class Router(HeldColumns):
     def owns(self, idx: int) -> bool:
         """Was node ``idx`` ever registered here?  Registering sets its
         ``pna_state``, which never returns to ``STATE_NONE``."""
-        return idx < len(self.pna_state) and self.pna_state[idx] != 0
+        return idx < self._n and self.value("pna_state", idx) != 0
+
+    def count_owned(self, rows) -> int:
+        """How many nodes at ``rows`` (ints or a ``range``) :meth:`owns`."""
+        ix = as_index(rows) if type(rows) is range else rows[rows < self._n]
+        return int(np.count_nonzero(self.view("pna_state", ix)))
 
     def _registered(self, pna_id: str) -> int:
         idx = self._row_of(pna_id)
@@ -427,7 +429,7 @@ class Router(HeldColumns):
         single entry per tick.  ``idxs`` must be distinct.
         """
         ix = as_index(idxs)
-        linked = column_view(self._pna_linked)[ix]
+        linked = self.view("_pna_linked", ix)
         if not linked.all():
             idxs = idxs[linked != 0]  # node vanished: nothing to send
             ix = as_index(idxs)
@@ -435,16 +437,17 @@ class Router(HeldColumns):
         deliver = offer_rows(self.uplinks, ix,
                              payload_bits + DEFAULT_HEADER_BITS, now,
                              distinct=True)
-        # the heartbeats' content: copies, never views of the columns
-        states = column_view(self.pna_state)[ix]
-        insts = column_view(self.column("pna_instance"))[ix]
+        # the heartbeats' content: copies or a held value, never views
+        states = self.view("pna_state", ix)
+        insts = self.view("pna_instance", ix)
         arrived = deliver == deliver  # NaN: link down or message lost
         if not arrived.all():
             idxs, states, insts, deliver = (
                 idxs[arrived], states[arrived], insts[arrived],
                 deliver[arrived])
         elif type(ix) is slice:
-            states, insts = states.copy(), insts.copy()
+            states, insts = (column if column.strides == (0,)
+                             else column.copy() for column in (states, insts))
         if not deliver.size:
             return
         call_at = self.sim.call_at

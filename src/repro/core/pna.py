@@ -131,15 +131,13 @@ class _HeartbeatCohort:
 
     def _tick(self, tick_time: float) -> None:
         router = self.router
-        online = column_view(router.pna_online)
-        due = [np.flatnonzero(online[lo:hi]) + lo
+        due = [np.flatnonzero(router.view("pna_online", slice(lo, hi))) + lo
                for lo, hi, joined in self._ranges if joined < tick_time]
         if not due:
             return
         idxs = due[0] if len(due) == 1 else np.concatenate(due)
         if idxs.size:
-            column_view(router.column("heartbeats_sent"))[
-                as_index(idxs)] += 1
+            router.bump("heartbeats_sent", as_index(idxs))
             router.send_heartbeats(idxs, self.controller_id,
                                    CONTROL_PAYLOAD_BITS)
 
@@ -239,35 +237,8 @@ class PNA:
         self._own_dve = None
         self._hb_cohort: Optional[_HeartbeatCohort] = None
 
-    # -- router-column attributes ---------------------------------------
-    @property
-    def state(self) -> PNAState:
-        return CODE_STATE[self.router.pna_state[self.census_idx]]
-
-    @state.setter
-    def state(self, value: PNAState) -> None:
-        self.router.pna_state[self.census_idx] = STATE_CODE[value]
-
-    @property
-    def instance_id(self) -> Optional[str]:
-        router = self.router
-        return router.instance_of(
-            router.column("pna_instance")[self.census_idx])
-
-    @instance_id.setter
-    def instance_id(self, value: Optional[str]) -> None:
-        router = self.router
-        router.column("pna_instance")[self.census_idx] = \
-            router.instance_code(value)
-
-    @property
-    def online(self) -> bool:
-        return bool(self.router.pna_online[self.census_idx])
-
-    @online.setter
-    def online(self, value: bool) -> None:
-        self.router.pna_online[self.census_idx] = 1 if value else 0
-
+    # -- router-column attributes (also state, online, instance_id and
+    # the PNA_COUNTERS: _router_column below) ----------------------------
     @property
     def adversary(self) -> Any:
         """Byzantine behaviour profile (repro.certify.adversary), or
@@ -293,7 +264,7 @@ class PNA:
         dve = self._own_dve
         if dve is None:
             router = self.router
-            code = router.column("dve_engine")[self.census_idx]
+            code = router.value("dve_engine", self.census_idx)
             if code:
                 return router._engines[code]
         return dve
@@ -304,7 +275,7 @@ class PNA:
         recruited in bulk gets its facade on first access."""
         dve = self._dve
         if type(dve) is CohortTaskEngine:
-            slot = self.router.column("dve_slot")[self.census_idx]
+            slot = self.router.value("dve_slot", self.census_idx)
             dve = self.dve = CohortDVE(
                 dve, self, dve.instance_id, dve.backend_id,
                 poll_interval_s=self.dve_poll_interval_s,
@@ -541,16 +512,27 @@ class PNA:
                 f"instance={self.instance_id!r} online={self.online}>")
 
 
-def _router_column(name: str) -> property:
-    """A PNA attribute kept in router column ``name``, at the PNA's row."""
-    return property(
-        lambda pna: pna.router.column(name)[pna.census_idx],
-        lambda pna, value: pna.router.column(name).__setitem__(
-            pna.census_idx, value))
+def _router_column(name: str, get=None, put=None) -> property:
+    """A PNA attribute kept in router column ``name``, at the PNA's row;
+    ``get(router, code)`` and ``put(router, value)`` convert."""
+    def fget(pna: PNA) -> Any:
+        code = pna.router.value(name, pna.census_idx)
+        return code if get is None else get(pna.router, code)
+
+    def fset(pna: PNA, value: Any) -> None:
+        pna.router.column(name)[pna.census_idx] = \
+            value if put is None else put(pna.router, value)
+    return property(fget, fset)
 
 
 for _name in PNA_COUNTERS:
     setattr(PNA, _name, _router_column(_name))
+PNA.state = _router_column("pna_state", lambda _r, code: CODE_STATE[code],
+                           lambda _r, state: STATE_CODE[state])
+PNA.online = _router_column("pna_online", lambda _r, flag: bool(flag),
+                            lambda _r, online: 1 if online else 0)
+PNA.instance_id = _router_column("pna_instance", Router.instance_of,
+                                 Router.instance_code)
 
 
 class PNABlock(Sequence):
@@ -655,7 +637,7 @@ class PNABlock(Sequence):
         hold its own), the requirements once, probability draws from
         each member's own stream."""
         router, lo, hi = self.router, self.lo, self.hi
-        live = column_view(router.pna_online)[lo:hi] != 0
+        live = router.view("pna_online", slice(lo, hi)) != 0
         verdict = {self.controller_key: verify_control(
             self.controller_key, wakeup, signature)}
         signed = np.full(hi - lo, verdict[self.controller_key])
@@ -667,7 +649,7 @@ class PNABlock(Sequence):
         _bump(router, "dropped_bad_signature", lo, hi, live & ~signed)
         join = live & signed
         _bump(router, "wakeups_seen", lo, hi, join)
-        busy = join & (column_view(router.pna_state)[lo:hi] == STATE_BUSY)
+        busy = join & (router.values("pna_state", slice(lo, hi)) == STATE_BUSY)
         _bump(router, "dropped_busy", lo, hi, busy)
         join &= ~busy
         if wakeup.requirements and not matches_requirements(
@@ -686,19 +668,19 @@ class PNABlock(Sequence):
         if not members.size:
             return
         _bump(router, "wakeups_accepted", lo, hi, join)
-        column_view(router.pna_state)[lo:hi][join] = STATE_BUSY
-        column_view(router.column("pna_instance"))[lo:hi][join] = \
-            router.instance_code(wakeup.instance_id)
+        # every row joining: one slice, held where the columns are
+        rows = range(lo, hi) if members.size == hi - lo else members + lo
+        ix = slice(lo, hi) if type(rows) is range else rows
+        router.store("pna_state", ix, STATE_BUSY)
+        router.store("pna_instance", ix,
+                     router.instance_code(wakeup.instance_id))
         engine = engine_for(router, wakeup.backend_id, wakeup.instance_id)
         if engine is None:
             return  # no task server: the members start no client loop
-        first = engine.join_many(
-            members + lo, self.executor,
-            max(4.0 * self.dve_poll_interval_s, 60.0))
-        column_view(router.column("dve_slot"))[lo:hi][join] = np.arange(
-            first, first + members.size)
-        column_view(router.column("dve_engine"))[lo:hi][join] = \
-            engine.code
+        first = engine.join_many(rows, self.executor,
+                                 max(4.0 * self.dve_poll_interval_s, 60.0))
+        router.store("dve_slot", ix, range(first, first + members.size))
+        router.store("dve_engine", ix, engine.code)
         for row, pna in self._views.items():
             if join[row - lo]:
                 pna._own_dve = None  # the engine binding replaces it
@@ -708,8 +690,10 @@ def _bump(router: Router, name: str, lo: int, hi: int,
           members: np.ndarray) -> None:
     """Add one to router column ``name`` at the rows ``lo + k`` that
     ``members`` selects (a mask over ``[lo, hi)`` or distinct offsets);
-    the column grows only when there is something to add."""
-    if members.size and (members.dtype != bool or members.any()):
+    a held column grows only when some rows, not all, get a one."""
+    if members.dtype == bool and members.all():
+        router.bump(name, slice(lo, hi))
+    elif members.size and (members.dtype != bool or members.any()):
         column_view(router.column(name))[lo:hi][members] += 1
 
 

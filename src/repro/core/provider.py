@@ -213,11 +213,6 @@ class ControllerShard:
                 f"{self.descriptor.capacity} exceeded "
                 f"({len(self.pnas)} + {n})")
 
-    def owns_index(self, idx: int) -> bool:
-        """Does this shard's id range cover interned index ``idx``?"""
-        return (self.id_lo is not None
-                and self.id_lo <= idx < (self.id_hi or 0))
-
     @property
     def id_range(self) -> Tuple[int, int]:
         """The shard's ``[lo, hi)`` slice of the shared interner."""

@@ -29,7 +29,6 @@ from repro.core.provider import (
 from repro.faults import FaultInjector, FaultTargets, current_plan
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
-from repro.net.link import column_view
 from repro.sim.core import Simulator
 
 __all__ = ["OddCISystem"]
@@ -190,16 +189,16 @@ class OddCISystem:
         count = 0
         for shard in self.shards:
             router, rows = shard.router, shard.pnas.rows()
-            busy = column_view(router.pna_state)[rows] == STATE_BUSY
+            busy = router.view("pna_state", rows) == STATE_BUSY
             if online:
-                busy &= column_view(router.pna_online)[rows] != 0
+                busy &= router.view("pna_online", rows) != 0
             count += int(np.count_nonzero(busy))
         return count
 
     def online_count(self) -> int:
         """PNAs powered on: one reduction over each network's rows."""
         return sum(int(np.count_nonzero(
-            column_view(shard.router.pna_online)[shard.pnas.rows()]))
+            shard.router.view("pna_online", shard.pnas.rows())))
             for shard in self.shards)
 
     def idle_count(self) -> int:

@@ -103,12 +103,13 @@ _K_DEADLINE = 6    # request/ack timeout check; the deadline is the
 #: each kind's column types: slots, then the payload columns
 _TYPES = {_K_ASSIGN_ARR: "qqdd", _K_NOWORK_ARR: "qd", _K_RESULT_ARR: "qqiq"}
 
-#: The member columns a lockstep hop writes one value into, with their
-#: type and join value: the engine's :class:`~repro.net.link.HeldColumns`,
-#: held as that value until a pass or a per-member path needs rows apart.
+#: The member columns a lockstep hop writes one value (or one ``k + c``
+#: run) into, with their type and join value: with ``_row``, the engine's
+#: :class:`~repro.net.link.HeldColumns`, held until rows differ.
 _HELD = {"_deadline": ("d", -1.0), "_token": ("i", 0),
          "_result_bits": ("d", 0.0), "_digest": ("q", 0),
-         "_completed": ("i", 0), "_retrans": ("i", 0)}
+         "_completed": ("i", 0), "_retrans": ("i", 0),
+         "_task_id": ("q", -1)}
 
 #: Minimum run length for the numpy bulk branches (member masks, compute
 #: times, link reservations, delivery counts); below it, scalar
@@ -128,7 +129,7 @@ def _view(column) -> _np.ndarray:
 
 
 def _slots(slots):
-    """A run's slots as a ``range`` or a numpy array, without a copy."""
+    """A run's slots or task ids as a ``range`` or an uncopied array."""
     return slots if type(slots) is range else _view(slots)
 
 
@@ -234,7 +235,7 @@ class CohortTaskEngine(HeldColumns):
     (:meth:`grown`), so its reads and writes are plain ``array`` ones.
     """
 
-    _COLUMNS = tuple(_HELD)
+    _COLUMNS = tuple(_HELD) + ("_row",)
 
     __slots__ = (
         "sim", "router", "backend", "backend_id", "instance_id", "code",
@@ -270,21 +271,20 @@ class CohortTaskEngine(HeldColumns):
         self._memo_t: Optional[float] = None
         self._memo_bucket: Optional[list] = None
         self._phase = array("b")
-        self._task_id = array("q")
-        #: the _HELD columns: ``_token`` is the number of the member's
-        #: last result send; ``_digest`` the result digest of its
-        #: current task: 0 = honest (wire ``None``); adversarial digests
-        #: are always negative, so 0 can never collide
-        #: (repro.certify.adversary digest model).
+        #: the _HELD columns: ``_task_id`` is the member's current task,
+        #: ``_token`` the number of its last result send, ``_digest``
+        #: the result digest of its current task: 0 = honest (wire
+        #: ``None``); adversarial digests are always negative, so 0 can
+        #: never collide (repro.certify.adversary digest model).
         for name, (code, _value) in _HELD.items():
             setattr(self, name, array(code))
         self._n, self._short = 0, False
-        self._held = {name: value for name, (_c, value) in _HELD.items()}
+        self._held = dict(((n, v) for n, (_c, v) in _HELD.items()), _row=0)
         self._destroyed = array("b")
-        #: the member's node index (int32): its links' row in the
-        #: router's link tables and its row in the node columns and
-        #: ``adversaries`` (every member is a PNA registered on
-        #: ``router``).
+        #: the member's node index (int32, held: a block joins as one
+        #: run): its links' row in the router's link tables and its row
+        #: in the node columns and ``adversaries`` (every member is a
+        #: PNA registered on ``router``).
         self._row = array("i")
         #: per join_many call (consecutive calls that share both
         #: merge): its first slot, request timeout and executor
@@ -303,16 +303,16 @@ class CohortTaskEngine(HeldColumns):
 
     def join_many(self, rows: Sequence[int], executor: Any,
                   timeout_s: float) -> int:
-        """Add the PNAs at node indices ``rows``, which all run on
-        ``executor`` with request timeout ``timeout_s``, in order, as
-        column appends (a held column that holds the join value takes
-        none); returns the first slot.  Each member's first
+        """Add the PNAs at node indices ``rows`` (a block's: a
+        ``range``), which all run on ``executor`` with request timeout
+        ``timeout_s``, in order, as column appends (a held column that
+        holds the join value or continues its run takes none); returns
+        the first slot.  Each member's first
         request goes out at the current instant (matching the reference
         DVE, whose process resume fires later in the same instant)."""
         k = len(rows)
         first = len(self._phase)
-        columns = [(self._phase, _JOINED), (self._task_id, -1),
-                   (self._destroyed, 0)]
+        columns = [(self._phase, _JOINED), (self._destroyed, 0)]
         self.reserve(first + k)
         for name, (_code, value) in _HELD.items():
             if len(getattr(self, name)) == first > 0:  # grown: append
@@ -321,7 +321,10 @@ class CohortTaskEngine(HeldColumns):
                 self.store(name, slice(first, first + k), value)
         for column, value in columns:
             column.frombytes(array(column.typecode, (value,)).tobytes() * k)
-        self._row.frombytes(_np.asarray(rows, _np.int32).tobytes())
+        if len(self._row) == first > 0:  # grown: append
+            _append(self._row, rows)
+        else:
+            self.store("_row", slice(first, first + k), rows)
         if not self._join_first or timeout_s != self._join_timeout[-1] \
                 or executor != self._join_executor[-1]:
             self._join_first.append(first)
@@ -471,12 +474,13 @@ class CohortTaskEngine(HeldColumns):
 
     # -- column helpers --------------------------------------------------
     def _index(self, slots) -> tuple:
-        """``slots``' index, their members' rows and the rows' index:
-        each index a slice over a contiguous run (:func:`as_index`; a
-        ``range`` of slots is one)."""
-        si = slice(slots.start, slots.stop) if type(slots) is range \
-            else as_index(_view(slots))
-        rows = column_view(self._row)[si]
+        """``slots``' index, their members' rows (a ``range`` while held)
+        and the rows' index, each index a slice over a contiguous run
+        (:func:`as_index`)."""
+        si = as_index(_slots(slots))
+        rows = self.values("_row", si)
+        if type(rows) is not range:
+            rows = _np.broadcast_to(rows, len(slots))
         return si, rows, as_index(rows)
 
     def _alive(self, slots) -> tuple:
@@ -496,7 +500,7 @@ class CohortTaskEngine(HeldColumns):
         ``slots``; returns a long run's :meth:`_index`, ``None`` for a
         short one (which stays in plain Python)."""
         if len(slots) < _BULK_MIN:
-            delivered, rows = table.column("delivered"), self._row
+            delivered, rows = table.column("delivered"), self.column("_row")
             for slot in slots:
                 delivered[rows[slot]] += 1
             return None
@@ -510,7 +514,7 @@ class CohortTaskEngine(HeldColumns):
         si, _rows, ri = index
         return ((column_view(self._destroyed)[si] == 0)
                 & (column_view(self._phase)[si] == _AWAIT_REPLY)
-                & (column_view(self.router.pna_online)[ri] != 0))
+                & (self.router.values("pna_online", ri) != 0))
 
     # -- request path ----------------------------------------------------
     def _send_request(self, slot: int, now: float) -> None:
@@ -563,15 +567,14 @@ class CohortTaskEngine(HeldColumns):
         # dispatch and dispatch-then-count are end-state identical (the
         # differential suite checks final link counts).
         index = self._count_deliveries(router.uplinks, slots)
-        rows = list(map(self._row.__getitem__, slots)) if index is None \
-            else index[1]
+        rows = list(map(self.column("_row").__getitem__, slots)) \
+            if index is None else index[1]
         if router._receivers.get(self.backend_id) is None:
             # Backend crashed or shut down while the cohort was in
             # flight — same arrival-time check as the bare-payload path.
             router.undeliverable += n
             return
         replies = self.backend.receive_request_cohort(rows, self.instance_id)
-        linked = router._pna_linked
         if type(replies) is TaskTable:
             # one task per member, as columns; a node that vanished
             # between request and reply is skipped
@@ -583,9 +586,9 @@ class CohortTaskEngine(HeldColumns):
                 + _CONTROL_BITS
             columns = (replies.task_id, replies.ref_seconds,
                        replies.result_bits)
-            keep = column_view(linked)[ri] != 0
+            keep = router.view("_pna_linked", ri) != 0
             if not keep.all():
-                sv, ri = _view(sv)[keep], rows[keep]
+                sv, ri = _view(sv)[keep], _view(rows)[keep]
                 sizes = sizes[keep] if _np.ndim(sizes) else sizes
                 columns = tuple(column[keep] for column in columns)
             self._file(((_K_ASSIGN_ARR,
@@ -594,11 +597,11 @@ class CohortTaskEngine(HeldColumns):
             return
         # replies one by one (certified copies and probes, replicas,
         # backoff leases, a dry bag): each downlink in member order
-        downlinks = router.downlinks
+        downlinks, value = router.downlinks, router.value
         if index is not None:
-            rows = rows.tolist()
+            rows = _np.asarray(rows).tolist()
         for slot, row, reply in zip(slots, rows, replies):
-            if not linked[row]:
+            if not value("_pna_linked", row):
                 continue  # node vanished between request and reply
             if type(reply) is NoWork:
                 deliver_at = downlinks.link(row).offer(_CONTROL_BITS)
@@ -648,10 +651,10 @@ class CohortTaskEngine(HeldColumns):
         self.grown()
         destroyed = self._destroyed
         phase = self._phase
-        online, rows = self.router.pna_online, self._row
+        value, rows = self.router.value, self._row
         for k, slot in enumerate(slots):
             if destroyed[slot] or phase[slot] != _AWAIT_REPLY \
-                    or not online[rows[slot]]:
+                    or not value("pna_online", rows[slot]):
                 continue  # reset/stale: the reference DVE drops it too
             self._accept_assignment(slot, task_ids[k], refs[k], results[k],
                                     now)
@@ -675,11 +678,11 @@ class CohortTaskEngine(HeldColumns):
             return False
         adversaries = self.router.adversaries
         if adversaries and not adversaries.keys().isdisjoint(
-                column_view(self._row)[li].tolist()):
+                self.view("_row", li).tolist()):
             return False
-        task_ids, refs, results = (_view(c) if whole else _view(c)[live]
+        task_ids, refs, results = (_slots(c) if whole else _view(c)[live]
                                    for c in run[2:])
-        column_view(self._task_id)[li] = task_ids
+        self.store("_task_id", li, task_ids)
         self.store("_result_bits", li, results)
         self.store("_digest", li, 0)
         self.store("_deadline", li, -1.0)
@@ -711,7 +714,7 @@ class CohortTaskEngine(HeldColumns):
         """Apply one NoWork reply: stop (``retry`` NaN), or sleep until
         the retry instant."""
         if self._destroyed[slot] or self._phase[slot] != _AWAIT_REPLY \
-                or not self.router.pna_online[self._row[slot]]:
+                or not self.router.value("pna_online", self._row[slot]):
             return
         self._deadline[slot] = -1.0
         if retry != retry:
@@ -772,8 +775,11 @@ class CohortTaskEngine(HeldColumns):
         deadlines = self._deadlines(live, now)
         self.store("_deadline", si, deadlines)
         digests = _np.broadcast_to(self.values("_digest", si), len(live))
+        task_ids = self.values("_task_id", si)
+        if type(task_ids) is not range:
+            task_ids = _np.broadcast_to(task_ids, len(live))
         self._file(((_K_RESULT_ARR, arrivals, live,
-                     (column_view(self._task_id)[si], tokens, digests)),
+                     (task_ids, tokens, digests)),
                     (_K_DEADLINE, deadlines, live, ())))
 
     def _handle_result_arrivals(self, run: list, start: int,
@@ -842,7 +848,7 @@ class CohortTaskEngine(HeldColumns):
             self.router.undeliverable += end - start
         else:
             settled = self.backend.receive_result_cohort(
-                index[1], _view(run[2])[start:])
+                index[1], _slots(run[2])[start:])
             if settled is not None:
                 end = stop = start + settled + 1
         if end - start < len(sv):
@@ -859,8 +865,7 @@ class CohortTaskEngine(HeldColumns):
             index = self._index(sv)
         if len(sv):
             # One awaited copy per member: tokens are unique per send.
-            self.store("_completed", index[0],
-                        self.values("_completed", index[0]) + 1)
+            self.bump("_completed", index[0])
             self._send_requests(sv, index, now)
         return stop
 

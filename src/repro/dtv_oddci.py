@@ -27,7 +27,7 @@ compute on its box's calibrated STB device model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, OddCIError
 from repro.carousel.objects import CarouselFile
@@ -41,7 +41,6 @@ from repro.dtv.ait import AITEntry, ApplicationControlCode
 from repro.dtv.receiver import SetTopBox
 from repro.dtv.transport import Multiplex, Service
 from repro.dtv.xlet import Xlet, XletState
-from repro.net.link import column_view
 from repro.net.message import bits_from_bytes
 from repro.sim.core import Simulator
 from repro.telemetry.trace import channel as _telemetry_channel
@@ -336,6 +335,13 @@ class OddCIDTVSystem(OddCISystem):
         return PNAXlet(sim, stb, pna)
 
     # -- fleet construction -------------------------------------------------------
+    def add_pnas(self, *args: Any, **kwargs: Any) -> PNABlock:
+        """Refused up front: a DTV fleet is built by :meth:`add_receivers`."""
+        raise ConfigurationError(
+            "an OddCI-DTV fleet is built by add_receivers")
+
+    build_fleets = add_pnas
+
     def add_receivers(
         self,
         n: int,
@@ -376,7 +382,7 @@ class OddCIDTVSystem(OddCISystem):
                           "device": profile.name},
             heartbeat_interval_s=heartbeat_interval_s,
             dve_poll_interval_s=dve_poll_interval_s)
-        column_view(self.router.pna_online)[block.lo:block.hi] = 0
+        self.router.store("pna_online", slice(block.lo, block.hi), 0)
         self.shards[0].adopt(block)
         self.pnas.extend(block)
         created: List[SetTopBox] = []

@@ -94,10 +94,6 @@ class BroadcastChannel:
         self._listeners.pop(token, None)
 
     @property
-    def listener_count(self) -> int:
-        return len(self._listeners)
-
-    @property
     def transmissions(self) -> int:
         return self._transmissions
 

@@ -33,7 +33,7 @@ vectorised pass).
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from repro.sim.core import Event, Simulator
 from repro.telemetry import trace as telemetry
 
 __all__ = ["Link", "LinkTable", "HeldColumns", "DuplexChannel", "offer_rows",
-           "grow_columns", "count_deliveries", "column_view", "all_distinct",
-           "as_index"]
+           "count_deliveries", "column_view", "all_distinct", "as_index"]
 
 
 def column_view(column: array) -> np.ndarray:
@@ -59,14 +58,6 @@ def column_view(column: array) -> np.ndarray:
     return np.frombuffer(column, dtype=np.int64 if code == "q" else code)
 
 
-def grow_columns(columns: Sequence[array], grow: int) -> None:
-    """Append ``grow`` zero rows to every ``array.array`` column, each
-    copied from one zero buffer shared by all of them."""
-    zeros = memoryview(bytes(grow * max(c.itemsize for c in columns)))
-    for column in columns:
-        column.frombytes(zeros[:grow * column.itemsize])
-
-
 def all_distinct(values: np.ndarray) -> bool:
     """True when no value repeats, in O(n log n): a sort and an
     adjacent compare (plain ``np.unique`` is a hash table, far slower
@@ -77,11 +68,14 @@ def all_distinct(values: np.ndarray) -> bool:
     return bool((ranked[1:] != ranked[:-1]).all())
 
 
-def as_index(rows: np.ndarray) -> Union[slice, np.ndarray]:
-    """``slice(lo, hi)`` when ``rows`` is the ascending run ``lo, lo + 1,
-    ..., hi - 1``, else ``rows`` itself.  Either form selects the same
-    elements in the same order; through a slice a read is a view (copy
-    it to keep it past a write) and a write needs no scatter."""
+def as_index(rows) -> Union[slice, np.ndarray]:
+    """``slice(lo, hi)`` when ``rows`` (an int array or a ``range``) is
+    the ascending run ``lo, lo + 1, ..., hi - 1``, else ``rows`` itself.
+    Either form selects the same elements in the same order; through a
+    slice a read is a view (copy it to keep it past a write) and a write
+    needs no scatter."""
+    if type(rows) is range:
+        return slice(rows.start, rows.stop)
     n = rows.size
     if n and rows[n - 1] - rows[0] == n - 1 and (
             n == 1 or bool((rows[1:] > rows[:-1]).all())):
@@ -92,13 +86,14 @@ def as_index(rows: np.ndarray) -> Union[slice, np.ndarray]:
 
 class HeldColumns:
     """``array`` columns of ``_n`` rows, named in ``_COLUMNS``, whose
-    rows past a column's length all hold its *held* value (``_held``).
-    A pass that writes one value into every row of a column no row has
-    grown (``len`` 0), or its held value into any rows, only sets that
-    value (:meth:`store`); any other write, and a row read, first grow
-    the column filled with it (:meth:`column`, the one path that grows
-    one).  So a column a lockstep cohort keeps at one value costs no
-    rows."""
+    rows past a column's length all hold its *held* value (``_held``): a
+    number, or a ``range`` ``h`` for the run ``h.start + r`` at row ``r``.
+    A pass that writes one value (or a ``range``) into every row of a
+    column no row has grown (``len`` 0), or its held value into any
+    rows, only sets that value (:meth:`store`); any other write, and a
+    row read, first grow the column filled with it (:meth:`column`, the
+    one path that grows one).  So a column a lockstep cohort keeps at
+    one value, or at ``k + c``, costs no rows."""
 
     __slots__ = ("_n", "_held", "_short")
     _COLUMNS: tuple = ()
@@ -111,11 +106,15 @@ class HeldColumns:
     def column(self, name: str) -> array:
         """Column ``name``, grown to ``_n`` rows with its held value."""
         column = getattr(self, name)
-        short = self._n - len(column)
-        if short > 0:
-            grow_columns((column,), short)
-            if self._held[name]:
-                column_view(column)[-short:] = self._held[name]
+        have = len(column)
+        if have < self._n:
+            column.frombytes(bytes((self._n - have) * column.itemsize))
+            held = self._held[name]
+            if type(held) is range:
+                column_view(column)[have:] = np.arange(
+                    held.start + have, held.start + self._n)
+            elif held:
+                column_view(column)[have:] = held
         return column
 
     def grown(self) -> "HeldColumns":
@@ -126,25 +125,62 @@ class HeldColumns:
                 self.column(name)
         return self
 
+    def value(self, name: str, row: int):
+        """Column ``name`` at ``row``, growing nothing."""
+        try:
+            return getattr(self, name)[row]
+        except IndexError:  # past the column: its held value
+            held = self._held[name]
+            return held.start + row if type(held) is range else held
+
     def values(self, name: str, rows: Union[slice, np.ndarray]):
-        """Column ``name`` at ``rows``: its held value, or a view."""
-        if not len(getattr(self, name)):
-            return self._held[name]
-        return column_view(self.column(name))[rows]
+        """Column ``name`` at ``rows``: its held value (a run's: a
+        ``range`` over a slice, else an array), or a view."""
+        if len(getattr(self, name)):
+            return column_view(self.column(name))[rows]
+        held = self._held[name]
+        if type(held) is not range:
+            return held
+        if type(rows) is slice:
+            return range(held.start + rows.start, held.start + rows.stop)
+        return rows + held.start
+
+    def view(self, name: str, rows: Union[slice, np.ndarray]) -> np.ndarray:
+        """:meth:`values` as an array (a held value broadcast, read-only)."""
+        values = self.values(name, rows)
+        if type(values) is range:
+            return np.arange(values.start, values.stop)
+        n = len(range(self._n)[rows]) if type(rows) is slice else len(rows)
+        return values if np.ndim(values) else np.broadcast_to(
+            np.array(values, getattr(self, name).typecode), (n,))
 
     def store(self, name: str, rows: Union[slice, np.ndarray],
               values) -> None:
-        """Write ``values`` into column ``name`` at ``rows`` (an
-        :func:`as_index`), held as described above when it can be."""
+        """Write ``values`` (a ``range``: its run) into column ``name`` at
+        ``rows`` (an :func:`as_index`), held as described above when it
+        can be."""
+        whole = type(rows) is slice and rows == slice(0, self._n)
+        held = self._held[name]
+        if type(values) is range:
+            if type(rows) is slice and not len(getattr(self, name)) and (
+                    whole or type(held) is range
+                    and held.start == values.start - rows.start):
+                start = values.start - rows.start
+                self._held[name] = range(start, start)
+                return
+            values = np.arange(values.start, values.stop)
         one = np.asarray(values)
         if not len(getattr(self, name)) and (one.ndim == 0 or one.size and (
                 one.strides == (0,) or bool((one == one.flat[0]).all()))):
             value = one.flat[0].item()
-            if value == self._held[name] or type(rows) is slice \
-                    and rows == slice(0, self._n):
+            if whole or type(held) is not range and value == held:
                 self._held[name] = value
                 return
         column_view(self.column(name))[rows] = values
+
+    def bump(self, name: str, rows: Union[slice, np.ndarray]) -> None:
+        """Add one to column ``name`` at ``rows`` (as :meth:`store`)."""
+        self.store(name, rows, self.values(name, rows) + 1)
 
 
 class LinkTable(HeldColumns):
@@ -596,7 +632,7 @@ def count_deliveries(table: LinkTable, rows: Union[slice, np.ndarray]
     """:meth:`Link.count_delivery` on every row of ``rows`` (repeats
     count once per occurrence)."""
     if type(rows) is slice:
-        table.store("delivered", rows, table.values("delivered", rows) + 1)
+        table.bump("delivered", rows)
     else:
         np.add.at(column_view(table.column("delivered")), rows, 1)
 

@@ -157,10 +157,6 @@ class ServiceGateway:
             acct = self.accounts[tenant] = TenantAccount()
         return acct
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     # -- admission -------------------------------------------------------
     def submit(self, request: ServiceRequest,
                dispatch: Callable[[ServiceRequest], None]) -> None:

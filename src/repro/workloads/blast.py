@@ -157,10 +157,6 @@ class BlastDatabase:
             for pos, w in enumerate(words.tolist()):
                 self._index.setdefault(w, []).append((seq_idx, pos))
 
-    @property
-    def total_bases(self) -> int:
-        return sum(int(s.size) for s in self.sequences)
-
     def lookup(self, word: int) -> List[Tuple[int, int]]:
         return self._index.get(word, [])
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,9 +140,16 @@ class TaskTable(Sequence[Task]):
             self._row_index = {t: r for r, t in enumerate(ids.tolist())}
         return self._row_index.get(int(task_id))
 
-    def rows_of(self, task_ids: np.ndarray) -> np.ndarray:
-        """Rows holding ``task_ids`` (int64), -1 where none does."""
+    def rows_of(self, task_ids) -> Union[range, np.ndarray]:
+        """Rows holding ``task_ids`` (int64, or a ``range``: a ``range``
+        of rows when the table holds them in order), -1 where none does."""
         ids = self._ids
+        if type(task_ids) is range:
+            if type(ids) is range and ids.start <= task_ids.start \
+                    and task_ids.stop <= ids.stop:
+                return range(task_ids.start - ids.start,
+                             task_ids.stop - ids.start)
+            task_ids = np.arange(task_ids.start, task_ids.stop)
         if isinstance(ids, range):
             lo = ids.start
             return np.where((task_ids >= lo) & (task_ids < ids.stop),
@@ -221,11 +228,6 @@ class Job:
             mean_ref_seconds=float(tasks.ref_seconds.mean()),
             mean_result_bits=float(tasks.result_bits.mean()),
         )
-
-    @property
-    def is_parametric(self) -> bool:
-        """True when no task needs input staged (all ``t.s == 0``)."""
-        return not bool((self.tasks.input_bits != 0).any())
 
     def total_ref_seconds(self) -> float:
         """Serial execution time on the reference device (summed left

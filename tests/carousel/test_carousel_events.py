@@ -110,7 +110,7 @@ def test_update_file_applies_next_cycle_and_bumps_version():
     second = carousel.read("image")
     got = sim.run_until_event(second, limit=100.0)
     assert got.version == 2
-    assert carousel.current_file("image").version == 2
+    assert carousel._files["image"].version == 2
     carousel.stop()
 
 

@@ -94,9 +94,9 @@ def test_update_while_parked_applies_at_next_boundary():
     sim.schedule_at(3.4 * cycle, bump)
     # Just before the boundary the old version is still being carried.
     sim.run(until=3.9 * cycle)
-    assert carousel.current_file("image").version == 1
+    assert carousel._files["image"].version == 1
     sim.run(until=4.01 * cycle)
-    assert carousel.current_file("image").version == 2
+    assert carousel._files["image"].version == 2
     assert carousel.cycles_completed == 4
     # Cycle arithmetic continues with the *new* (longer) cycle time.
     new_cycle = carousel.schedule_snapshot(0.0).cycle_time

@@ -11,6 +11,7 @@ from typing import Optional
 
 from repro.carousel.carousel import ObjectCarousel
 from repro.carousel.objects import CarouselFile
+from repro.errors import FileNotInCarouselError
 
 
 def bumped(file: CarouselFile,
@@ -26,7 +27,9 @@ def update_file(carousel: ObjectCarousel, name: str,
     """Queue the next version of ``name`` (of its pending update, if one
     is queued) for ``carousel``'s next repetition."""
     current = (carousel._pending_updates.get(name)
-               or carousel.current_file(name))
+               or carousel._files.get(name))
+    if current is None:
+        raise FileNotInCarouselError(f"{name!r} not in carousel")
     updated = bumped(current, new_size_bits)
     carousel.replace_file(updated)
     return updated

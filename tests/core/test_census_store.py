@@ -16,8 +16,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.census import (
+    CODE_STATE,
     STATE_BUSY,
     STATE_IDLE,
     STATE_NONE,
@@ -32,8 +35,9 @@ from repro.errors import OddCIError
 from repro.net.broadcast import BroadcastChannel
 from repro.net.crypto import KeyRegistry
 from repro.sim.core import Simulator
-from tests.core.dict_census import (DictCensusStore, controller_on, member_seen,
-                                    snapshot, total_members)
+from tests.core.dict_census import (DictCensusStore, PlainColumnStore,
+                                    controller_on, member_seen, snapshot,
+                                    total_members)
 
 #: Parameter ids -> census engines.
 STORES = {"columnar": ColumnarCensusStore, "dict": DictCensusStore}
@@ -48,20 +52,28 @@ def _validate(store: ColumnarCensusStore) -> None:
     and every cached count equals what the raw columns say.
     """
     cap = store._cap
-    assert store._seen.dtype == np.float64 and store._seen.shape == (cap,)
+    instants = store._instants
+    assert store._seen.dtype.kind == "u" and store._seen.shape == (cap,)
     assert store._state.dtype == np.int8 and store._state.shape == (cap,)
-    assert store._inst.dtype == np.int64 and store._inst.shape == (cap,)
+    assert store._inst.dtype.kind == "u" and store._inst.shape == (cap,)
     assert store._member_of.dtype == np.int16 \
         and store._member_of.shape == (cap,)
     assert cap >= len(store.interner), \
         f"columns (cap {cap}) lag the interner ({len(store.interner)})"
+    # the instant table ascends from code 0's -inf and fits its codes
+    assert instants[0] == float("-inf") and all(
+        a < b for a, b in zip(instants, instants[1:]))
+    assert len(instants) <= np.iinfo(store._seen.dtype).max + 1
+    assert int(store._inst.max()) <= len(store._inst_ids)
     assert store._registry_count == int(
         np.count_nonzero(store._state != STATE_NONE))
+    assert ((store._seen != 0) == (store._state != STATE_NONE)).all()
     assert set(store._member_seen) == set(store._member_count)
     recount = np.zeros(cap, dtype=np.int16)
     for handle, column in store._member_seen.items():
-        assert column.dtype == np.float64 and column.shape == (cap,)
-        live = ~np.isnan(column)
+        assert column.dtype == store._seen.dtype and column.shape == (cap,)
+        assert int(column.max()) < len(instants)
+        live = column != 0
         assert store._member_count[handle] == int(np.count_nonzero(live))
         recount[live] += 1
     assert (recount == store._member_of).all(), \
@@ -201,6 +213,147 @@ def test_store_differential_fuzz_4000_ops(seed):
     """The same fuzz at 4,000 ops, the numpy-boundary gate's scale."""
     assert _selfcheck(ops=4000, seed=seed) == 0
 
+
+# ------------------------------------- coded columns vs plain columns
+
+#: one op of the coded-vs-plain differential: (kind, node, span, form,
+#: instance, state code, time step)
+_CODED_OPS = st.tuples(
+    st.sampled_from(["touch", "group", "bind", "release", "mark", "marks",
+                     "drop", "expire", "clear_registry", "clear_members",
+                     "clear", "drop_idle"]),
+    st.integers(0, 47), st.integers(1, 24), st.sampled_from(["slice", "array"]),
+    st.sampled_from(["i-0", "i-1", "i-2"]),
+    st.sampled_from([STATE_IDLE, STATE_BUSY]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0, 7.25]))
+
+
+def _coded_matches_plain(ops, warm: int = 0) -> ColumnarCensusStore:
+    """Drive ``ops`` through the coded store and a plain float64/int64
+    column store on one interner, comparing every read as they go;
+    first, ``warm`` one-by-one heartbeats at distinct instants."""
+    interner = NodeInterner()
+    for k in range(48):
+        interner.intern(f"n{k}")
+    coded = ColumnarCensusStore(interner, initial_capacity=4)
+    plain = PlainColumnStore(interner)
+    for store in (coded, plain):
+        handle = store.bind_instance("i-1")
+        for step in range(warm):
+            store.touch(step % 48, PNAState.BUSY, "i-1", 0.5 * step)
+            store.mark_member(handle, (7 * step) % 48, 0.5 * step)
+    now = 0.5 * warm
+    for step, (kind, node, span, form, inst, code, dt) in enumerate(ops):
+        now += dt
+        hi = min(node + span, 48)
+        rows = slice(node, hi) if form == "slice" else \
+            np.arange(node, hi)[::-1].copy()
+        state = CODE_STATE[code]
+        for store in (coded, plain):
+            handle = store.instance_handle(inst)
+            bound = store._is_bound(handle)
+            if kind == "touch":
+                store.touch(node, state, inst if code == STATE_BUSY
+                            else None, now)
+            elif kind == "group":
+                store.touch_group(rows, code, inst, now)
+            elif kind == "bind":
+                store.bind_instance(inst)
+            elif kind == "release":
+                store.release_instance(inst)
+            elif kind == "mark" and bound:
+                store.mark_member(handle, node, now)
+            elif kind == "marks" and bound:
+                store.mark_members(handle, rows, now)
+            elif kind == "drop":
+                store.drop_member(handle, node)
+            elif kind == "expire":
+                store.expire_members(handle, now - span)
+            elif kind == "clear_registry":
+                store.clear_registry()
+            elif kind == "clear_members":
+                store.clear_members(handle)
+            elif kind == "clear":
+                store.clear()
+            elif kind == "drop_idle":
+                store.drop_many_from_all(np.arange(node, hi))
+        for horizon in (now - 3.0, now - 0.5, now, now + 1.0):
+            assert coded.idle_estimate(horizon) == \
+                plain.idle_estimate(horizon)
+            assert coded.alive_estimate(horizon) == \
+                plain.alive_estimate(horizon)
+        assert coded.registry_size() == plain.registry_size()
+        assert total_members(coded) == total_members(plain)
+        if step % 16 == 0 or step == len(ops) - 1:
+            coded._sync()  # rows the interner holds, for _validate
+            _validate(coded)
+            assert snapshot(coded) == snapshot(plain), f"step {step}"
+    return coded
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_CODED_OPS, min_size=1, max_size=120))
+def test_coded_columns_match_plain_columns(ops):
+    """Instant and instance codes read back exactly as the values
+    themselves, over mixed writes through slices and index arrays,
+    bind/release, expiry and clears."""
+    _coded_matches_plain(ops)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ops=st.lists(_CODED_OPS, min_size=1, max_size=60),
+       warm=st.sampled_from([254, 255, 256, 300, 700]))
+def test_coded_columns_match_plain_past_one_byte_of_instants(ops, warm):
+    """Past 255 distinct instants the instant table compacts (and the
+    codes widen while more than half of them are in use)."""
+    coded = _coded_matches_plain(ops, warm)
+    assert len(coded._instants) <= 1 << 8 * coded._seen.itemsize
+
+
+@pytest.mark.parametrize("nodes, width", [(40, 1), (200, 2), (600, 2)])
+def test_one_by_one_instants_keep_the_table_bounded(nodes, width):
+    """DTV-like: members heartbeat one by one, each at its own instant,
+    for ten rounds; compaction keeps the instant table within twice the
+    instants rows still hold, at the narrowest width that leaves half
+    its codes free, and every read matches the plain store."""
+    interner = NodeInterner()
+    coded = ColumnarCensusStore(interner)
+    plain = PlainColumnStore(interner)
+    rows = [interner.intern(f"stb-{k}") for k in range(nodes)]
+    for store in (coded, plain):
+        store.bind_instance("i-1")
+    for step in range(10 * nodes):
+        now, idx = 0.25 * step, rows[step % nodes]
+        for store in (coded, plain):
+            store.touch(idx, PNAState.BUSY, "i-1", now)
+            store.mark_member(store.instance_handle("i-1"), idx, now)
+        assert len(coded._instants) <= 1 << 8 * coded._seen.itemsize
+    assert coded._seen.itemsize == width
+    _validate(coded)
+    assert snapshot(coded) == snapshot(plain)
+    assert coded.alive_estimate(0.25 * 9 * nodes) == \
+        plain.alive_estimate(0.25 * 9 * nodes)
+
+
+def test_compaction_keeps_an_instant_only_a_membership_column_holds():
+    """A member's last heartbeat may be an instant no registry row holds
+    any more; compaction must keep it, so the member reads back and
+    expires at its own instant."""
+    interner = NodeInterner()
+    member, other = interner.intern("m"), interner.intern("o")
+    coded = ColumnarCensusStore(interner)
+    plain = PlainColumnStore(interner)
+    for store in (coded, plain):
+        handle = store.bind_instance("i-1")
+        store.touch(member, PNAState.BUSY, "i-1", 1.0)
+        store.mark_member(handle, member, 1.0)
+        for step in range(600):  # the registry row moves on; codes run out
+            store.touch(member, PNAState.BUSY, "i-1", 2.0 + step)
+            store.touch(other, PNAState.IDLE, None, 2.0 + step)
+    _validate(coded)
+    assert snapshot(coded) == snapshot(plain)
+    assert [coded.expire_members(coded.instance_handle("i-1"), cutoff)
+            for cutoff in (1.0, 1.5)] == [0, 1]
 
 def test_group_writes_on_a_range_match_an_index_array():
     """``touch_group`` and ``mark_members`` take a group as a slice over

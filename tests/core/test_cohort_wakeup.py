@@ -141,11 +141,10 @@ def _run(n, case):
         "reports": reports,
         "counters": {name: [getattr(p, name) for p in pnas]
                      for name in PNA_COUNTERS + ("heartbeats_sent",)},
-        "columns": [np.frombuffer(column, column.typecode)[rows].tolist()
-                    for column in (router.pna_state, router.pna_instance,
-                                   router.pna_online)],
-        "slots": {iid: (list(map(router.interner.id_of, e._row)),
-                        list(e._row))
+        "columns": [router.view(name, rows).tolist()
+                    for name in ("pna_state", "pna_instance", "pna_online")],
+        "slots": {iid: (list(map(router.interner.id_of, e.column("_row"))),
+                        list(e.column("_row")))
                   for iid, e in engines.items()},
         "dves": [type(p.dve).__name__ for p in pnas],
         "hb": [p.heartbeat_interval_s for p in pnas],

@@ -83,9 +83,8 @@ def test_shard_id_ranges_are_contiguous_and_disjoint():
         lo, hi = shard.id_range
         assert lo == previous_hi
         assert hi - lo == len(shard.pnas) == 6
-        assert shard.owns_index(lo)
-        assert shard.owns_index(hi - 1)
-        assert not shard.owns_index(hi)
+        assert [system.interner.index_of(p.pna_id) for p in shard.pnas] \
+            == list(range(lo, hi))
         previous_hi = hi
     # One shared table covers exactly the federation's fleet.
     assert len(system.interner) == previous_hi == len(system.pnas)

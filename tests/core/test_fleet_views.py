@@ -17,7 +17,7 @@ from repro.certify.adversary import Adversary
 from repro.core import OddCISystem, PNAState
 from repro.core.census import NodeInterner
 from repro.core.pna import PNA, PNABlock
-from repro.core.taskloop import _HELD
+from repro.core.taskloop import _HELD, CohortTaskEngine
 from repro.workloads import uniform_bag
 
 #: tracemalloc bytes per node of ``add_pnas(20_000)``: 14 measured
@@ -29,9 +29,18 @@ from repro.workloads import uniform_bag
 #: the interner and cohort.
 BYTES_PER_NODE = 16
 
+#: the Router's node columns a lockstep cycle keeps held
+_ROUTER_HELD = ("pna_online", "pna_state", "_pna_linked", "pna_instance",
+                "heartbeats_sent", "wakeups_seen", "wakeups_accepted",
+                "dve_slot", "dve_engine")
+
 #: tracemalloc peak bytes per node over the run phase (submit, wakeup,
-#: heartbeats, the whole bag) of a 20,000-node cohort cycle: 153
-#: measured once the Backend keeps its assignment and completion
+#: heartbeats, the whole bag) of a 20,000-node cohort cycle: 62.4
+#: measured once the census keeps its time and instance columns as
+#: 1-byte codes, the Router's node columns and the engine's task-id
+#: and row columns are held as one value or one ``k + c`` run, and the
+#: result hop commits a range of task ids as a slice of the bag; 153
+#: once the Backend keeps its assignment and completion
 #: instants as 1-byte codes and the task engine's and link tables'
 #: columns a lockstep hop writes one value into are held as that value
 #: (test_lockstep_cycle_holds_its_columns_as_one_value); 294 before,
@@ -40,7 +49,7 @@ BYTES_PER_NODE = 16
 #: and rows at int32, the Backend builds no lease columns for a
 #: lease-free bag and the link tables keep loss, rate and latency once
 #: per profile; 543 before that.
-CYCLE_BYTES_PER_NODE = 170
+CYCLE_BYTES_PER_NODE = 68
 
 
 @pytest.fixture
@@ -147,11 +156,56 @@ def test_cohort_cycle_run_phase_stays_under_byte_budget(dve):
     assert peak / 20_000 < CYCLE_BYTES_PER_NODE
 
 
+def test_result_hop_adds_no_more_than_the_assignment_hop(dve,
+                                                        monkeypatch):
+    """The bytes each lockstep hop allocates above what was live when it
+    started (tracemalloc ``reset_peak`` around each handler): the
+    result hop takes a range of task ids as a slice of the bag, so it
+    builds no cohort-sized index and stays within the assignment hop's
+    (3.1 against 10.1 B/node measured; 37.5 against 18.1 before)."""
+    hops = {}
+
+    def traced(name):
+        handler = getattr(CohortTaskEngine, name)
+
+        def hop(*args):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = handler(*args)
+            hops[name] = max(hops.get(name, 0),
+                             tracemalloc.get_traced_memory()[1] - live)
+            return result
+        monkeypatch.setattr(CohortTaskEngine, name, hop)
+
+    for name in ("_handle_request_arrivals", "_handle_assign_arrivals",
+                 "_handle_result_arrivals"):
+        traced(name)
+    system = OddCISystem(seed=1, maintenance_interval_s=60.0)
+    system.add_pnas(20_000, heartbeat_interval_s=10.0,
+                    dve_poll_interval_s=15.0)
+    job = _bag(80_000)
+    gc.collect()
+    with dve.cohort():
+        tracemalloc.start()
+        try:
+            submission = system.provider.submit_job(
+                job, target_size=20_000, heartbeat_interval_s=10.0)
+            report = system.provider.run_job_to_completion(submission,
+                                                           limit_s=1e5)
+        finally:
+            tracemalloc.stop()
+    assert report.n_tasks == 80_000 and len(hops) == 3
+    assert hops["_handle_result_arrivals"] \
+        <= hops["_handle_assign_arrivals"], hops
+
+
 def test_lockstep_cycle_holds_its_columns_as_one_value(dve):
-    """A lockstep 20,000-node cycle writes one value per hop into the
-    task engine's _HELD columns and the link tables' busy, bits and
-    delivered, so none of them is ever an array, and the Backend's
-    assignment and completion instants stay 1-byte codes."""
+    """A lockstep 20,000-node cycle writes one value per hop (or one
+    ``k + c`` run) into the task engine's columns, the Router's node
+    columns and the link tables' busy, bits and delivered, so none of
+    them is ever an array, and the Backend's assignment and completion
+    instants and the census's time and instance columns stay 1-byte
+    codes."""
     system = OddCISystem(seed=2, maintenance_interval_s=60.0)
     system.add_pnas(20_000, heartbeat_interval_s=10.0,
                     dve_poll_interval_s=15.0)
@@ -163,7 +217,15 @@ def test_lockstep_cycle_holds_its_columns_as_one_value(dve):
     assert report.n_tasks == 80_000 and report.distinct_workers == 20_000
     (engine,) = system.router._task_engines.values()
     assert engine.members_joined == 20_000
-    assert [len(getattr(engine, name)) for name in _HELD] == [0] * 6
+    assert [len(getattr(engine, name)) for name in engine._COLUMNS] \
+        == [0] * len(_HELD | {"_row": 0})
+    router = system.router
+    assert [len(getattr(router, name)) for name in _ROUTER_HELD] \
+        == [0] * len(_ROUTER_HELD)
+    census = system.controller.census
+    assert (census._seen.itemsize, census._inst.itemsize) == (1, 1)
+    assert {column.itemsize for column in census._member_seen.values()} \
+        == {1}
     for table in (system.router.uplinks, system.router.downlinks):
         assert (len(table.busy), len(table.bits), len(table.delivered)) \
             == (0, 0, 0)

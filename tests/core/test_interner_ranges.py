@@ -105,7 +105,6 @@ def test_federation_shards_keep_contiguous_id_slices():
         ids = [p.pna_id for p in shard.pnas]
         assert [interner.index_of(i) for i in ids] == list(range(lo, hi))
         assert [interner.id_of(i) for i in range(lo, hi)] == ids
-        assert all(shard.owns_index(i) for i in range(lo, hi))
     assert east.pnas[0].pna_id == "east:pna-0"
     assert west.pnas[-1].pna_id == "west:pna-29"
     assert [p.capabilities.get("device_class") for p in east.pnas[19:31]] \

@@ -70,6 +70,22 @@ def test_invalid_config_rejected():
         build(n=1, delta_latency_s=-1)
 
 
+@pytest.mark.parametrize("build_generic", [
+    lambda system: system.add_pnas(2), lambda system: system.add_pna(),
+    lambda system: system.build_fleets({"": 2})])
+def test_generic_fleet_refused_before_registering(build_generic):
+    """A DTV system's PNAs run on boxes: add_pnas, add_pna and
+    build_fleets refuse before interning or registering any row."""
+    system = OddCIDTVSystem(seed=0)
+    interned = len(system.router.interner)
+    with pytest.raises(ConfigurationError, match="add_receivers"):
+        build_generic(system)
+    assert len(system.router.interner) == interned
+    assert len(system.pnas) == 0 and not system.shards[0].pnas
+    system.add_receivers(3)  # the box path still builds the fleet
+    assert len(system.pnas) == 3
+
+
 def test_churn_toggles_receivers():
     churn = ChurnModel(mean_on_s=100.0, mean_off_s=100.0)
     system = build(n=50, churn=churn)

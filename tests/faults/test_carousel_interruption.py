@@ -34,7 +34,7 @@ def test_interrupted_carousel_skips_cycles_then_resumes():
     carousel = system.control_plane.carousel
     cycle = carousel._cycle_time
     system.sim.run(until=40.0 + 5 * cycle)
-    assert carousel.cycles_skipped == 3
+    assert carousel._cycles_skipped == 3
     assert system.fault_injector.fired == [(40.0, "carousel_interrupt")]
     # Transmission resumed: the cycle counter keeps growing after the gap.
     before = carousel.cycles_completed
@@ -71,8 +71,8 @@ def test_gap_stays_on_cycle_grid():
         system.sim.run(until=200.0)
     c_plain = plain.control_plane.carousel
     c_fault = faulted.control_plane.carousel
-    assert c_fault.cycles_skipped == 2
+    assert c_fault._cycles_skipped == 2
     # Completed + skipped on the faulted side lines up with the plain
     # side's completed count: the grid itself never shifted.
-    assert (c_fault.cycles_completed + c_fault.cycles_skipped
+    assert (c_fault.cycles_completed + c_fault._cycles_skipped
             == c_plain.cycles_completed)

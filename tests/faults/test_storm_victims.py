@@ -116,3 +116,23 @@ def test_storm_victims_allocate_no_cohort_index(size):
         tracemalloc.stop()
     assert int(mask.sum()) == round(0.3 * size)
     assert peak / size <= PEAK_BYTES_PER_ROW, peak / size
+
+
+def test_high_fraction_keeps_the_tail_path_below_choice_peak():
+    """At fraction 0.9 the tail resolution draws ``choice``'s victims
+    from its stream and still peaks below ``choice`` (12.0 against 16.2
+    B per row measured at 4x10^6 rows: ``choice`` holds an int64
+    ``arange`` of the cohort and a copy of the victims), so it keeps
+    the route although ``choice`` is faster there."""
+    masks, peaks = [], []
+    for victims in (storm_victims, _choice_victims):
+        rng = np.random.default_rng(5)
+        victims(rng, 20_000, 0.9)  # warm-up: numpy's first-call caches
+        tracemalloc.start()
+        try:
+            masks.append(victims(rng, 10**6, 0.9))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    np.testing.assert_array_equal(*masks)
+    assert peaks[0] < peaks[1], peaks

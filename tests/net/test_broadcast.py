@@ -68,7 +68,7 @@ def test_unsubscribe_stops_delivery():
     ch.unsubscribe(token)  # idempotent
     sim.run_until_event(ch.transmit(make_msg(10)))
     assert seen == []
-    assert ch.listener_count == 0
+    assert not ch._listeners
 
 
 def test_listener_can_unsubscribe_during_delivery():

@@ -80,7 +80,7 @@ def test_no_rate_limit_dispatches_everything_synchronously():
     for i in range(5):
         gw.submit(request(i), seen.append)
     assert [r.request_id for r in seen] == [f"req-{i}" for i in range(5)]
-    assert gw.queue_depth == 0
+    assert len(gw._queue) == 0
 
 
 def test_queue_preserves_fifo_and_never_strands():
@@ -106,7 +106,7 @@ def test_queue_preserves_fifo_and_never_strands():
     assert times[0] == 0.0            # burst token
     assert times[1] == pytest.approx(1.0)
     assert times[2] == pytest.approx(2.0)
-    assert gw.queue_depth == 0
+    assert len(gw._queue) == 0
 
 
 def test_arrival_never_jumps_a_nonempty_queue():
@@ -118,7 +118,7 @@ def test_arrival_never_jumps_a_nonempty_queue():
     gw.bucket.tokens = 1.0
     gw.submit(request(2), seen.append)
     assert [r.request_id for r in seen] == ["req-0"]
-    assert gw.queue_depth == 2
+    assert len(gw._queue) == 2
     sim.run(until=5.0)
     assert [r.request_id for r in seen] == ["req-0", "req-1", "req-2"]
 
@@ -144,7 +144,7 @@ def test_queue_timeout_rejects_predicted_long_waits():
     with pytest.raises(AdmissionError) as excinfo:
         gw.submit(request(1), lambda r: None)
     assert excinfo.value.reason == "queue_timeout"
-    assert gw.queue_depth == 0
+    assert len(gw._queue) == 0
 
 
 # -- quotas -------------------------------------------------------------------

@@ -187,7 +187,7 @@ def test_config_poll_error_propagates_out_of_run():
     assert system.online_count() == 1
     payload = UnknownPayload()
     carousel = system.control_plane.carousel
-    config = carousel.current_file(CONFIG_FILE)
+    config = carousel._files[CONFIG_FILE]
     carousel.replace_file(CarouselFile(
         name=CONFIG_FILE, size_bits=config.size_bits,
         version=config.version + 1,

@@ -1,6 +1,7 @@
 """Bag generators only tests use: log-normal, Weibull and parametric
-bags, and the suitability Φ of a job.  (The programs build uniform and
-Φ-parameterised bags, :mod:`repro.workloads.bot`.)"""
+bags, the suitability Φ of a job and whether it is parametric.  (The
+programs build uniform and Φ-parameterised bags,
+:mod:`repro.workloads.bot`.)"""
 
 import numpy as np
 
@@ -96,3 +97,8 @@ def weibull_bag(
     tasks = TaskTable(range(n), input_bits, np.maximum(durations, 1e-9),
                       result_bits)
     return Job(image_bits=image_bits, tasks=tasks, name=name)
+
+
+def is_parametric(job: Job) -> bool:
+    """True when no task of ``job`` needs input staged (all ``s == 0``)."""
+    return not bool((job.tasks.input_bits != 0).any())

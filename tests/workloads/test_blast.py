@@ -67,7 +67,7 @@ def test_database_validation():
         BlastDatabase([np.zeros((2, 2), dtype=np.uint8)])
     rng = np.random.default_rng(0)
     db = BlastDatabase(random_database(3, 100, rng), word_size=8)
-    assert db.total_bases == 300
+    assert sum(int(s.size) for s in db.sequences) == 300
 
 
 def test_word_size_mismatch_rejected():

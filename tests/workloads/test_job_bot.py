@@ -11,7 +11,8 @@ from repro.workloads import (
     bag_from_phi,
     uniform_bag,
 )
-from tests.workloads.bags import lognormal_bag, parametric_bag, phi_of_job
+from tests.workloads.bags import (is_parametric, lognormal_bag, parametric_bag,
+                                  phi_of_job)
 
 
 # -- Task -----------------------------------------------------------------
@@ -71,14 +72,14 @@ def test_uniform_bag_shape():
     assert job.n == 10
     assert all(t.input_bits == 512 for t in job.tasks)
     assert all(t.ref_seconds == 2.0 for t in job.tasks)
-    assert not job.is_parametric
+    assert not is_parametric(job)
     with pytest.raises(WorkloadError):
         uniform_bag(0)
 
 
 def test_parametric_bag_has_no_inputs():
     job = parametric_bag(5)
-    assert job.is_parametric
+    assert is_parametric(job)
     assert all(t.input_bits == 0 for t in job.tasks)
     with pytest.raises(WorkloadError):
         parametric_bag(-1)

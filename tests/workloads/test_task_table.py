@@ -16,7 +16,8 @@ from repro.errors import WorkloadError
 from repro.net.message import KILOBYTE
 from repro.workloads import bag_from_phi, uniform_bag
 from repro.workloads.job import Job, Task, TaskTable
-from tests.workloads.bags import lognormal_bag, parametric_bag, weibull_bag
+from tests.workloads.bags import (is_parametric, lognormal_bag, parametric_bag,
+                                  weibull_bag)
 
 
 def _tuple_stats(tasks):
@@ -36,7 +37,7 @@ def _table_stats(job):
     stats = job.stats()
     return (stats.mean_input_bits.hex(), stats.mean_ref_seconds.hex(),
             stats.mean_result_bits.hex(), job.total_ref_seconds().hex(),
-            job.is_parametric)
+            is_parametric(job))
 
 
 def _uniform_tuple(n, input_bits, ref_seconds, result_bits):
@@ -96,12 +97,12 @@ def test_drawn_bags_match_task_tuple(make, n):
 @pytest.mark.parametrize("n", [1, 33, 2000])
 def test_parametric_and_phi_bags_match_task_tuple(n):
     job = parametric_bag(n, ref_seconds=2.5)
-    assert job.is_parametric
+    assert is_parametric(job)
     _assert_same(job, _uniform_tuple(n, 0.0, 2.5, KILOBYTE))
     phi = bag_from_phi(n, 0.37)
     p = 0.37 * KILOBYTE / 150_000.0
     _assert_same(phi, _uniform_tuple(n, KILOBYTE / 2.0, p, KILOBYTE / 2.0))
-    assert not phi.is_parametric
+    assert not is_parametric(phi)
 
 
 def test_uniform_bag_is_constant_space():
